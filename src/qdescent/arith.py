@@ -16,7 +16,8 @@ from functools import total_ordering
 Rat = Fraction
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_TRIAL_BOUND = 10 ** 6
+_TRIAL_BOUND = 1000  # trial division below this; rho on the rest
+_RHO_BATCH = 128
 
 
 @total_ordering
@@ -81,19 +82,34 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int, seed: int = 1) -> int:
-    """A nontrivial factor of composite n (Brent's variant)."""
+    """A nontrivial factor of composite n: Brent's cycle finding, with the
+    gcd taken once per batch of _RHO_BATCH steps and the batch replayed
+    one step at a time when it overshoots."""
     rng = random.Random(seed ^ n)
     while True:
         c = rng.randrange(1, n)
-        x = rng.randrange(2, n)
-        y, d = x, 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
+        y = rng.randrange(2, n)
+        g, q, r = 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 @dataclass(frozen=True)
@@ -132,7 +148,7 @@ def factor_integer(n: int) -> Factorization:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    if n > 1:
+    if n > 1:  # every prime factor left is >= _TRIAL_BOUND
         stack = [n]
         while stack:
             m = stack.pop()

@@ -555,29 +555,55 @@ def hensel_lift_factors(f, factors, p, N):
 # Factorization over Z/Q (Zassenhaus at desk degrees)
 
 
-def _int_divisors(n: int) -> list[int]:
-    from .arith import factor_integer
-
-    out = [1]
-    for prime, e in factor_integer(n).factors:
-        out = [d * prime ** i for d in out for i in range(e + 1)]
-    return out
-
-
 def _rational_roots(f: RatPoly) -> list[Fraction]:
-    if f.coeffs[0] == 0:
-        return [Fraction(0)]
+    """Every rational root of the squarefree f, by p-adic lifting.
+
+    Cohen, ch. 3: clear denominators to g in Z[X] with leading coefficient
+    a; the monic h(Y) = a^(d-1) g(Y/a) has the integer roots a*r.  At the
+    smallest odd prime p where h is squarefree, every integer root of h is
+    a simple root mod p, so Newton's method lifts it uniquely to p^N past
+    2 * (1 + max|h_i|), twice Cauchy's bound.  The centred lift is kept
+    when h vanishes at it exactly.  No integer is factored.
+    """
     den = 1
     for c in f.coeffs:
         den = den * c.denominator // math.gcd(den, c.denominator)
     g = [int(c * den) for c in f.coeffs]
-    roots = []
-    for num in _int_divisors(abs(g[0])):
-        for dnm in _int_divisors(abs(g[-1])):
-            for s in (1, -1):
-                r = Fraction(s * num, dnm)
-                if r not in roots and f.eval(r) == 0:
-                    roots.append(r)
+    k = next(i for i, c in enumerate(g) if c)
+    roots = [Fraction(0)] if k else []
+    g = g[k:]
+    content = math.gcd(*g)
+    g = [c // content for c in g]
+    d, a = len(g) - 1, g[-1]
+    if d == 0:
+        return roots
+    if d == 1:
+        return roots + [Fraction(-g[0], a)]
+    h = [c * a ** (d - 1 - i) for i, c in enumerate(g[:-1])] + [1]
+    p = 3
+    while mp_gcd(h, mp_deriv([c % p for c in h], p), p) != [1]:
+        # a repeated root leaves every p bad: check for one once, at 997
+        if p == 997 and poly_gcd(f, f.deriv()).degree > 0:
+            raise ValueError("_rational_roots needs a squarefree polynomial")
+        p += 2
+        while not is_prime(p):
+            p += 2
+    bound = 2 * (1 + max(abs(c) for c in h))
+    dh = [i * c for i, c in enumerate(h)][1:]
+    for lin, _ in factor_mod_p(FpPoly(p, tuple(h))):
+        if lin.degree != 1:
+            continue
+        x, m = -lin.coeffs[0] % p, p
+        while m <= bound:
+            m *= m
+            x = (x - mp_eval(h, x, m) * pow(mp_eval(dh, x, m), -1, m)) % m
+        if x > m // 2:
+            x -= m
+        hx = 0
+        for c in reversed(h):
+            hx = hx * x + c
+        if hx == 0:
+            roots.append(Fraction(x, a))
     return roots
 
 
@@ -602,9 +628,13 @@ def _sqfree_over_Q(f: RatPoly) -> list[tuple[RatPoly, int]]:
 def factor_over_Z(f: RatPoly) -> list[RatPoly]:
     """Certified irreducible monic factorization over Q, degree <= 8.
 
-    Rational-root stripping, then Zassenhaus (mod-p factorization, Hensel
-    lift past a Mignotte-style bound, subset recombination with exact trial
-    division).  "No subset divides" certifies irreducibility.
+    Squarefree parts first.  The linear factors of each come from its
+    rational roots, found by lifting the roots mod a small good prime and
+    checking them exactly (`_rational_roots`; no integer is factored, so
+    huge constant terms cost nothing extra).  What remains of degree >= 4
+    goes through Zassenhaus (mod-p factorization, Hensel lift past a
+    Mignotte-style bound, subset recombination with exact trial division).
+    "No subset divides" certifies irreducibility.
     """
     if f.degree > 8:
         raise ValueError("factor_over_Z is capped at degree 8")
@@ -618,15 +648,10 @@ def factor_over_Z(f: RatPoly) -> list[RatPoly]:
         return sorted(out, key=lambda g: (g.degree, g.coeffs))
     work = f.monic()
     out: list[RatPoly] = []
-    while work.degree >= 1:
-        roots = _rational_roots(work)
-        if not roots:
-            break
-        for r in roots:
-            lin = RatPoly([-r, 1])
-            while (work % lin).is_zero():
-                out.append(lin)
-                work = work // lin
+    for r in _rational_roots(work):
+        lin = RatPoly([-r, 1])
+        out.append(lin)
+        work = work // lin
     if work.degree == 0:
         return sorted(out, key=lambda g: (g.degree, g.coeffs))
     if work.degree <= 3:
@@ -952,13 +977,11 @@ def _reverse_back(fc: LocalFactor, shifted, r, p, N) -> LocalFactor:
                        fc.note + "; via root reversal")
 
 
-def _resolve_block(block, p, N, depth, reversed_pass=False) -> list[LocalFactor]:
+def _resolve_block(block, r, p, N, depth, reversed_pass=False) -> list[LocalFactor]:
     """Monic block over Z/p^N congruent to (X - r)^m mod p, m >= 2."""
     if depth > 16:
         raise UnresolvedSplitting("block resolution recursion too deep")
     deg = len(block) - 1
-    red = [c % p for c in block]
-    r = next(rr for rr in range(p) if mp_eval(red, rr, p) == 0)
     if deg == 2:
         return _quadratic_block_pieces(block, p, N)
 
@@ -1028,7 +1051,7 @@ def _factor_mod_pN(g, p, N, depth=0) -> list[LocalFactor]:
             for _ in range(mult):
                 blk = mp_mul(blk, hh, p)
             groups.append(blk)
-            kinds.append(("block", h.degree, mult))
+            kinds.append(("block", h.degree, mult, -hh[0] % p))
     lifted = (hensel_lift_factors([c % p ** N for c in g], groups, p, N)
               if len(groups) > 1 else [[c % p ** N for c in g]])
     out = []
@@ -1041,7 +1064,7 @@ def _factor_mod_pN(g, p, N, depth=0) -> list[LocalFactor]:
             out.append(LocalFactor(0, 0, "unresolved", N, tuple(piece),
                                    note="repeated non-linear factor mod p"))
         else:
-            out.extend(_resolve_block(piece, p, N, depth))
+            out.extend(_resolve_block(piece, kind[3], p, N, depth))
     return out
 
 

@@ -38,6 +38,21 @@ def test_factor_roundtrip(n):
     assert factor_integer(n).value() == n
 
 
+def test_factor_large_prime_factors(deadline):
+    # past trial division: Brent's rho on the cofactor, is_prime on the rest
+    mestre_disc = -1217 * 381991 * 78031093338905335441668500509
+    with deadline(30):
+        assert factor_integer(3 * 34271479325879).as_dict() == \
+            {3: 1, 34271479325879: 1}
+        assert factor_integer(10000019 * 99999989).as_dict() == \
+            {10000019: 1, 99999989: 1}
+        assert factor_integer(2 ** 3 * 1009 ** 2 * 10000019 ** 3).as_dict() == \
+            {2: 3, 1009: 2, 10000019: 3}
+        f = factor_integer(mestre_disc)
+    assert f.sign == -1
+    assert f.as_dict() == {1217: 1, 381991: 1, 78031093338905335441668500509: 1}
+
+
 def test_valuation_basics():
     assert valuation(31 ** 3, 31) == 3
     assert valuation(Fraction(1, 4), 2) == -2

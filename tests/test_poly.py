@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdescent.arith import factor_integer, valuation
-from qdescent.poly import (FpPoly, RatPoly, discriminant, factor_mod_p,
-                           factor_over_Z, fp_poly, hensel_lift_factors,
-                           local_splitting_type, mp_mul, parse_poly,
-                           resultant, roots_in_Fp)
+from qdescent.poly import (FpPoly, RatPoly, _rational_roots, discriminant,
+                           factor_mod_p, factor_over_Z, fp_poly,
+                           hensel_lift_factors, local_splitting_type, mp_mul,
+                           parse_poly, resultant, roots_in_Fp)
 
 QUINTIC = parse_poly("X^5+16*X^4-274*X^3+817*X^2+178*X+1")
 
@@ -108,6 +108,62 @@ def test_factor_over_Z_multiplies_back(ac, bc):
     for g in fac:
         prod = prod * g
     assert prod == f.monic()
+
+
+# Inputs whose factorization is known by construction: seeded linear
+# factors b*X - a times irreducible tails (the last one a product of two
+# quadratics, so the quartic left after root stripping goes to Zassenhaus),
+# scaled by a rational so that the input is neither monic nor integral.
+TAILS = [[parse_poly("X^2+1")], [parse_poly("X^2-2")], [parse_poly("X^3-2")],
+         [parse_poly("X^3+X+1")], [parse_poly("X^2+1"), parse_poly("X^2+3*X+3")]]
+LINEAR = st.tuples(st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 6))
+
+
+def by_construction(pairs, tail, scale):
+    f = RatPoly([scale])
+    for g in tail:
+        f = f * g
+    for a, b in pairs:
+        f = f * RatPoly([-a, b])
+    factors = tail + [RatPoly([Fraction(-a, b), 1]) for a, b in pairs]
+    return f, sorted(factors, key=lambda g: (g.degree, g.coeffs))
+
+
+@given(st.lists(LINEAR, max_size=4), st.sampled_from(TAILS),
+       st.fractions().filter(lambda q: q != 0))
+@settings(max_examples=40, deadline=None)
+def test_factor_over_Z_recovers_construction(pairs, tail, scale):
+    f, expected = by_construction(pairs, tail, scale)
+    assert factor_over_Z(f) == expected
+
+
+@given(st.lists(LINEAR, max_size=5, unique_by=lambda t: Fraction(t[0], t[1])),
+       st.sampled_from(TAILS[:4]), st.fractions().filter(lambda q: q != 0))
+@settings(max_examples=40, deadline=None)
+def test_rational_roots_recovers_construction(pairs, tail, scale):
+    f, _ = by_construction(pairs, tail, scale)
+    assert sorted(_rational_roots(f)) == sorted(Fraction(a, b) for a, b in pairs)
+
+
+def test_rational_roots_rejects_repeated_root(deadline):
+    with deadline(30), pytest.raises(ValueError):
+        _rational_roots(parse_poly("X^3-3*X+2"))  # (X-1)^2 (X+2)
+
+
+def test_rational_roots_88_digit_constant(deadline):
+    # the 2-division cubic of Mestre's curve at its 29-digit place: no root
+    mestre = parse_poly(
+        "X^3+450159665238136601765110946424*X^2"
+        "+67547908069103736935450181920118872614667896625971285754480*X"
+        "+33785937426582404836698734910299264159780833694255505480227816094582"
+        "37869580609196793616")
+    a, k = 3 * 10 ** 29 + 1, 10 ** 58 + 7
+    built = RatPoly([-a, 1]) * RatPoly([k, 0, 1])
+    assert len(str(abs(built.coeffs[0].numerator))) == 88
+    with deadline(30):
+        assert factor_over_Z(mestre) == [mestre]
+        assert _rational_roots(built) == [a]
+        assert factor_over_Z(built) == [RatPoly([-a, 1]), RatPoly([k, 0, 1])]
 
 
 def test_hensel_lift_roundtrip():
