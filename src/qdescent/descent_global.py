@@ -16,26 +16,26 @@ from fractions import Fraction
 
 from .arith import (REAL_PLACE, factor_integer, finite, is_prime,
                     squarefree_part, valuation)
-from .descent_local import (TWO_MAP, c2_order, i2_order, local_descent_report,
-                            s2_order_two_map, s2_real)
+from .descent_local import TWO_MAP, finite_descent_report, s2_real
 from .elliptic import WeierstrassModel, two_division_cubic_integral
-from .jacobian import (HyperellipticCurve, independence_rank,
+from .jacobian import (HyperellipticCurve, independence_rank, local_algebra,
                        local_intersection_rank, local_selmer_rank_hyper,
-                       local_torsion_rank, xt_image)
-from .poly import RatPoly, factor_over_Z, fp_poly, factor_mod_p, parse_poly
+                       local_torsion_rank)
+from .poly import (RatPoly, discriminant, factor_mod_p, factor_over_Z,
+                   fp_poly, parse_poly)
 from .tate import tate_algorithm
+
+
+def _disc_primes(m: WeierstrassModel) -> list[int]:
+    """The primes dividing the discriminant of the model, ascending."""
+    return sorted({p for n in (m.disc.numerator, m.disc.denominator)
+                   for p, _ in factor_integer(n).factors})
 
 
 def bad_primes(m: WeierstrassModel) -> list[int]:
     """Primes of bad reduction: disc support filtered through minimality."""
-    supp = [p for p, _ in factor_integer(m.disc.numerator).factors]
-    supp += [p for p, _ in factor_integer(m.disc.denominator).factors
-             if p not in supp]
-    out = []
-    for p in sorted(set(supp)):
-        if tate_algorithm(m, p).kodaira.letter != "I0":
-            out.append(p)
-    return out
+    return [p for p in _disc_primes(m)
+            if tate_algorithm(m, p).kodaira.letter != "I0"]
 
 
 def divis_bounds(m: WeierstrassModel, phi=TWO_MAP):
@@ -47,7 +47,9 @@ def divis_bounds(m: WeierstrassModel, phi=TWO_MAP):
     """
     if phi != TWO_MAP:
         raise ValueError("divisibility bounds are stated for the 2-map")
-    bp = bad_primes(m)
+    # one ReductionData per prime: it decides badness and builds the report
+    rds = {p: tate_algorithm(m, p) for p in sorted({2, *_disc_primes(m)})}
+    bp = [p for p, rd in rds.items() if rd.kodaira.letter != "I0"]
     places = sorted(set(bp) | {2})
     breakdown = []
     rank_s = 0
@@ -60,7 +62,7 @@ def divis_bounds(m: WeierstrassModel, phi=TWO_MAP):
                       "torsion2": a2_inf, "rank_S_over_I": _log2(s_inf),
                       "rank_C_over_I": 0})
     for p in places:
-        rep = local_descent_report(m, TWO_MAP, finite(p))
+        rep = finite_descent_report(m, TWO_MAP, rds[p])
         rs = _log2(rep.order_S // rep.order_I)
         rc = _log2(rep.order_C // rep.order_I)
         rank_s += rs
@@ -174,8 +176,7 @@ def parse_class_data(text: str) -> list[ClassRecord]:
         rec = ClassRecord(poly, int(parts[1]),
                           parts[2].lower() in ("yes", "true", "1"), parts[3])
         if poly.degree == 2:
-            dsc = __import__("qdescent.poly", fromlist=["discriminant"]) \
-                .discriminant(poly)
+            dsc = discriminant(poly)
             d = squarefree_part(dsc.numerator * dsc.denominator)
             expected = genus_2rank_quadratic(d)
             if rec.two_rank != expected:
@@ -223,8 +224,6 @@ def _find_record(records, h: RatPoly) -> ClassRecord:
         if rec.poly.monic() == h.monic():
             return rec
     if h.degree == 2:
-        from .poly import discriminant
-
         dsc = discriminant(h)
         return quadratic_class_record(squarefree_part(dsc.numerator
                                                       * dsc.denominator))
@@ -346,8 +345,6 @@ def assemble_ledger_elliptic(m: WeierstrassModel, records=None,
 
 def _independence_primes(f: RatPoly, count: int, avoid=()):
     """Smallest odd primes where f splits completely (full local data)."""
-    from .poly import discriminant
-
     dsc = discriminant(f)
     out = []
     p = 3
@@ -375,16 +372,17 @@ def assemble_ledger_hyper(c: HyperellipticCurve, records=None,
     rank_c_bound = 0
     inf_contrib = 0
     for v in places:
-        s_rank = local_selmer_rank_hyper(c, v)
+        alg = local_algebra(c, v)
+        s_rank = local_selmer_rank_hyper(c, alg)
         if v.is_real:
             i_rank, complete = 0, True
             c_rank = 0
         else:
-            c_rank = local_torsion_rank(c, v)
+            c_rank = local_torsion_rank(alg)
             if c_rank == 0:
                 i_rank, complete = 0, True
             else:
-                i_rank, complete = local_intersection_rank(c, points, v)
+                i_rank, complete = local_intersection_rank(c, points, alg)
         contrib = s_rank - i_rank
         if not complete:
             notes.append(f"I at {v!r} is only a lower bound (span incomplete);"

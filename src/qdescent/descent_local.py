@@ -12,22 +12,29 @@ The intersection order is numerator/denominator: the numerator counts
 M-rational kernel points lying in (tau - 1)E(M) (nonsingular reduction
 passes automatically; singular reduction is decided by the five reduction-
 type cases), the denominator is #(tau - 1)(E(M)[phi]).
+
+Each local object is computed once and passed down.  The ReductionData of
+tate_algorithm is the object for each (model, p): the minimal model, its
+Kodaira type and the change of coordinates to it.  The TorsionFieldProfile
+is the object for each (model, phi, p): the p-adic splitting of E[phi] and
+where its points reduce.  finite_descent_report builds the profile from the
+ReductionData and passes both to S and I; C is read off the profile.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
-from .arith import (INFINITY, Place, REAL_PLACE, finite, is_padic_square,
-                    legendre, square_class_at, valuation)
-from .elliptic import (INF, IsogenyMap, Pt, WeierstrassModel,
-                       multiplication_isogeny, phi_prime_abs,
-                       two_division_cubic_integral, velu_isogeny)
+from .arith import (INFINITY, Place, finite, is_padic_square, legendre,
+                    square_class_at, valuation)
+from .elliptic import (IsogenyMap, WeierstrassModel, multiplication_isogeny,
+                       phi_prime_abs, two_division_cubic_integral)
 from .localfields import EtaleAlgebra, span_closure
-from .poly import (LocalFactor, RatPoly, UnresolvedSplitting, factor_over_Z,
+from .poly import (LocalFactor, RatPoly, UnresolvedSplitting, discriminant,
                    local_splitting_type)
-from .tate import ReductionData, component_group_over, tate_algorithm
+from .tate import ReductionData, tate_algorithm
 
 TWO_MAP = "two-map"
 
@@ -67,6 +74,11 @@ class TorsionFieldProfile:
     deg_M: int         # = deg_Lprime * m
     tau_permutation: tuple  # cycles of Frobenius on the M-rational points
 
+    @property
+    def rational_order(self) -> int:
+        """#E(Q_p)[phi]: O and the kernel points defined over Q_p."""
+        return 1 + sum(1 for k in self.kernel_points if k.residue_degree == 1)
+
     def as_dict(self):
         return {
             "p": self.p,
@@ -83,16 +95,8 @@ class TorsionFieldProfile:
         }
 
 
-def _two_torsion_splitting(mm: WeierstrassModel, p: int):
-    cubic = two_division_cubic_integral(mm)  # roots are 4 * x(T)
-    return cubic, local_splitting_type(cubic, p)
-
-
 def _cubic_deg_L_data(split, cubic: RatPoly, p: int):
     """([L:Q_p], [L':Q_p]) for the splitting field L of the 2-division cubic."""
-    from .poly import discriminant
-    from math import lcm
-
     fs = [fac.f for fac in split.factors]
     es = [fac.e for fac in split.factors]
     disc = discriminant(cubic)
@@ -129,33 +133,26 @@ def _piece_root_valuation(fac: LocalFactor, p: int):
     return v // fac.f
 
 
-def _piece_all_roots_reduce_to(fac: LocalFactor, p: int, target_u: int) -> bool:
-    """Do all roots of the piece reduce to target_u (mod 4-adjusted at 2)?"""
-    mod = 8 if p == 2 else p
-    m = p ** fac.prec
-    # compare the lift with (U - target_u)^deg mod `mod`
-    from .poly import mp_shift
+def _piece_roots_reduce_to_zero(fac: LocalFactor, p: int) -> bool:
+    """Do all roots U = 4x of the piece reduce to 0 (mod 8 at p = 2)?
 
-    shifted = mp_shift([c % mod for c in fac.lift], target_u % mod, mod)
-    # roots all equal target mod `mod` iff shifted = U^deg mod `mod`
-    deg = fac.degree
-    return all((c % mod) == 0 for c in shifted[:deg])
+    The test is that the lift is U^deg modulo p (8 at p = 2).  At p = 2
+    that is necessary but, for a piece of degree > 1, not sufficient.
+    """
+    mod = 8 if p == 2 else p
+    return all(c % mod == 0 for c in fac.lift[:fac.degree])
 
 
 def two_map_kernel_profile(rd: ReductionData) -> TorsionFieldProfile:
     """Torsion field data of E[2] over Q_p for the minimal model in rd."""
     p = rd.p
-    mm = rd.minimal_model
-    cubic, split = _two_torsion_splitting(mm, p)
+    cubic = two_division_cubic_integral(rd.minimal_model)  # roots are 4 * x(T)
+    split = local_splitting_type(cubic, p)
     if split.has_unresolved():
         raise UnresolvedSplitting(
             f"2-torsion splitting unresolved at {p}: "
             + "; ".join(f.note for f in split.factors if f.kind == "unresolved"))
     deg_L, deg_Lp = _cubic_deg_L_data(split, cubic, p)
-    # singular point of the reduction (for the arranged minimal model the
-    # translation in tate_algorithm already sits at the origin, but we
-    # recompute to stay self-contained)
-    x0bar = _singular_x_residue(rd)
     pts = []
     cycles = []
     label_no = 1
@@ -168,15 +165,11 @@ def two_map_kernel_profile(rd: ReductionData) -> TorsionFieldProfile:
         m_exp = 2
         vu = _piece_root_valuation(fac, p)
         vx = None if vu is None else vu - (2 if p == 2 else 0)
-        if rd.kodaira.letter == "I0":
-            singular = False
-        elif vx is not None and vx < 0:
-            singular = False
-        elif x0bar is None:
+        # the reduced minimal model is singular at (0, 0) (tate_algorithm)
+        if rd.kodaira.letter == "I0" or (vx is not None and vx < 0):
             singular = False
         else:
-            singular = _piece_all_roots_reduce_to(fac, p, (4 * x0bar)
-                                                  % (8 if p == 2 else p))
+            singular = _piece_roots_reduce_to_zero(fac, p)
         labels = [f"T{label_no + i}" for i in range(fac.f)]
         label_no += fac.f
         for lab in labels:
@@ -187,42 +180,28 @@ def two_map_kernel_profile(rd: ReductionData) -> TorsionFieldProfile:
                                tuple(cycles))
 
 
-def _singular_x_residue(rd: ReductionData):
-    """x-residue of the singular point of the reduced minimal model."""
-    if rd.kodaira.letter == "I0":
-        return None
-    from .tate import _singular_point
-
-    return _singular_point(rd.minimal_model, rd.p)[0]
-
-
-def torsion_field_profile(m: WeierstrassModel, phi, p: int) -> TorsionFieldProfile:
-    """Field-of-definition data of E[phi] over Q_p (desk-scope phi)."""
-    rd = tate_algorithm(m, p)
+def torsion_field_profile(rd: ReductionData, phi) -> TorsionFieldProfile:
+    """Field-of-definition data of E[phi] over Q_p (desk-scope phi), for the
+    model and prime that rd was computed for."""
     if _is_two_map(phi):
         return two_map_kernel_profile(rd)
     if not isinstance(phi, IsogenyMap):
         raise ValueError("phi must be the 2-map or an IsogenyMap")
     if phi.kernel and isinstance(phi.kernel[0], str):
-        n = int(phi.kernel[0][1])
-        if n == 2:
-            return two_map_kernel_profile(rd)
         raise ValueError("torsion field profile for [n], n > 2: out of scope")
     return _cyclic_kernel_profile(rd, phi)
 
 
 def _cyclic_kernel_profile(rd: ReductionData, phi: IsogenyMap) -> TorsionFieldProfile:
     p = rd.p
-    mm = phi.domain
     x0 = Fraction(phi.kernel[0])
-    x0bar_ok, singular = _kernel_point_singular(rd, phi.domain, x0)
+    singular = _kernel_point_singular(rd, x0)
     if phi.degree == 2:
         pts = (KernelPoint("T1", 1, singular, _safe_val(x0, p), 0),)
         return TorsionFieldProfile(p, pts, 2, 1, 1, 2, (("T1",),))
     # degree 3: field of the kernel points is Q_p(sqrt(disc_y))
     dep = phi.depressed_domain()
-    r, s, t, u = phi.pre
-    x0d = (x0 - r)
+    x0d = x0 - phi.pre[0]
     D = dep.rhs(x0d)  # y0^2 on the depressed model
     if D == 0:
         raise ValueError("kernel point is 2-torsion on a 3-isogeny?")
@@ -245,87 +224,17 @@ def _safe_val(x, p):
     return None if v is INFINITY else v
 
 
-def _kernel_point_singular(rd: ReductionData, domain: WeierstrassModel,
-                           x0: Fraction):
-    """Is the kernel point with rational x-coordinate singular mod p?
+def _kernel_point_singular(rd: ReductionData, x0: Fraction) -> bool:
+    """Does a point with x-coordinate x0, on the model that rd was computed
+    for, reduce to the singular point of the minimal model?
 
-    The x-coordinate is carried through to the minimal model in rd (any
-    point over the singular x-residue reduces to the singular point).
+    On the minimal model the point has x = (x0 - r)/u^2, and the singular
+    point of the reduction is (0, 0) (tate_algorithm).
     """
-    p = rd.p
     if rd.kodaira.letter == "I0":
-        return None, False
-    # transform x0 from `domain` coordinates into rd.minimal_model ones:
-    # both are obtained from the same curve by coordinate changes recorded
-    # nowhere, so recompute via the j-invariant-free route: run through the
-    # same reduction. tate_algorithm only used translations and u = p
-    # scalings, all with rational parameters; we recover the composite by
-    # matching the models directly.
-    tr = _match_transform(domain, rd.minimal_model)
-    if tr is None:
-        raise ArithmeticError("could not match the minimal model transform")
-    r, s, t, u = tr
-    x0m = (x0 - r) / u ** 2
-    if valuation(x0m, p) is not INFINITY and valuation(x0m, p) < 0:
-        return None, False
-    x0bar = _singular_x_residue(rd)
-    xbar = (x0m.numerator * pow(x0m.denominator, -1, p)) % p
-    return x0bar, xbar == x0bar
-
-
-def _match_transform(src: WeierstrassModel, dst: WeierstrassModel):
-    """Find (r, s, t, u) with src.transform(r,s,t,u) == dst (search over the
-    standard-form candidates; u is a power of p times a rational found from
-    c4/c6 ratios)."""
-    # u^4 = c4(src)/c4(dst) etc.; handle c4 = 0 via c6, then disc
-    from .arith import rational_sqrt
-
-    if dst.c4 != 0 and src.c4 != 0:
-        u2 = None
-        if dst.c6 != 0:
-            u2 = (src.c6 / dst.c6) / (src.c4 / dst.c4)
-        else:
-            u2 = rational_sqrt(src.c4 / dst.c4)
-        if u2 is None:
-            return None
-    elif dst.c6 != 0 and src.c6 != 0:
-        u6 = src.c6 / dst.c6
-        u2 = _exact_root(u6, 3)
-    else:
-        u12 = src.disc / dst.disc
-        u2 = _exact_root(u12, 6)
-    if u2 is None or u2 <= 0:
-        return None
-    from .arith import rational_sqrt as _rs
-
-    u = _rs(u2)
-    if u is None:
-        return None
-    s = (u * dst.a1 - src.a1) / 2
-    r = (u ** 2 * dst.a2 - src.a2 + s * src.a1 + s ** 2) / 3
-    t = (u ** 3 * dst.a3 - src.a3 - r * src.a1) / 2
-    if src.transform(r, s, t, u) == dst:
-        return (r, s, t, u)
-    return None
-
-
-def _exact_root(q: Fraction, n: int):
-    """q^(1/n) if exact, else None (q > 0)."""
-    if q <= 0:
-        return None
-    num, den = q.numerator, q.denominator
-
-    def iroot(x):
-        r = round(x ** (1 / n))
-        for c in (r - 1, r, r + 1):
-            if c > 0 and c ** n == x:
-                return c
-        return None
-
-    a, b = iroot(num), iroot(den)
-    if a is None or b is None:
-        return None
-    return Fraction(a, b)
+        return False
+    r, _, _, u = rd.transform
+    return valuation((x0 - r) / u ** 2, rd.p) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -333,38 +242,39 @@ def _exact_root(q: Fraction, n: int):
 
 
 def c2_order(m: WeierstrassModel, phi, v: Place) -> int:
-    """#E(Q_v)[phi] at finite places; 1 at the real place."""
+    """#E(Q_v)[phi] at finite places; 1 at the real place.
+
+    A standalone entry point: it runs Tate's algorithm itself.  Reports read
+    C from the profile they already hold (TorsionFieldProfile.rational_order).
+    """
     if v.is_real:
         return 1
-    p = v.p
-    rd = tate_algorithm(m, p)
-    if _is_two_map(phi):
-        prof = two_map_kernel_profile(rd)
-        return 1 + sum(1 for k in prof.kernel_points if k.residue_degree == 1)
-    if isinstance(phi, IsogenyMap) and phi.kernel == ("[3]",):
-        return _torsion_count(m, 3, p)
-    if isinstance(phi, IsogenyMap) and phi.kernel == ("[4]",):
-        return _torsion_count(m, 4, p)
-    prof = torsion_field_profile(m, phi, p)
-    return 1 + sum(1 for k in prof.kernel_points if k.residue_degree == 1)
+    if isinstance(phi, IsogenyMap) and phi.kernel in (("[3]",), ("[4]",)):
+        return _torsion_count(m, int(phi.kernel[0][1]), v.p)
+    return torsion_field_profile(tate_algorithm(m, v.p), phi).rational_order
 
 
-def s2_order_two_map(m: WeierstrassModel, p: int) -> int:
-    """#E(Q_p)/2E(Q_p) = 2^[p=2] * #E(Q_p)[2]."""
-    c = c2_order(m, TWO_MAP, finite(p))
-    return (2 if p == 2 else 1) * c
+def s2_order_two_map(prof: TorsionFieldProfile) -> int:
+    """#E(Q_p)/2E(Q_p) = 2^[p=2] * #E(Q_p)[2], from the profile of E[2]."""
+    return (2 if prof.p == 2 else 1) * prof.rational_order
 
 
-def s2_order_isogeny(phi, p: int) -> int:
-    """|phi'(0)|_p^-1 * #E(Q_p)[phi] * c_p(E') / c_p(E)."""
+def s2_order_isogeny(phi, rd: ReductionData, rd_cod: ReductionData,
+                     prof: TorsionFieldProfile) -> int:
+    """|phi'(0)|_p^-1 * #E(Q_p)[phi] * c_p(E') / c_p(E).
+
+    rd and rd_cod are the reduction data of phi.domain and phi.codomain at
+    p, prof the profile of phi there.  phi'(0) is taken on the Neron
+    differentials, those of the minimal models.  phi_prime_abs measures it
+    on phi.domain and phi.codomain (phi.pre has u = 1); the scalings u, u'
+    that take these to their minimal models multiply it by u'/u.
+    """
     if phi == TWO_MAP:
         raise ValueError("use s2_order_two_map for the 2-map")
-    dom, cod = phi.domain, phi.codomain
-    cE = tate_algorithm(dom, p).c_p
-    cE2 = tate_algorithm(cod, p).c_p
-    abs_val = phi_prime_abs(phi, p)
-    kernel_count = c2_order(dom, phi, finite(p))
-    order = Fraction(1, 1) / abs_val * kernel_count * Fraction(cE2, cE)
+    p = rd.p
+    abs_val = phi_prime_abs(phi, p) * Fraction(p) ** (
+        valuation(rd.transform[3], p) - valuation(rd_cod.transform[3], p))
+    order = 1 / abs_val * prof.rational_order * Fraction(rd_cod.c_p, rd.c_p)
     assert order.denominator == 1, "non-integral local Selmer order"
     return int(order)
 
@@ -417,10 +327,8 @@ def _count_x_roots_with_square_rhs(g: RatPoly, f: RatPoly, p: int) -> int:
     # scale to a monic integral polynomial: roots scale by lam
     g = g.monic()
     den = 1
-    import math as _math
-
     for c in g.coeffs:
-        den = den * c.denominator // _math.gcd(den, c.denominator)
+        den = den * c.denominator // gcd(den, c.denominator)
     lam = Fraction(den)
     # ensure integrality: successively multiply by p until integral
     while True:
@@ -479,13 +387,7 @@ def _count_x_roots_with_square_rhs(g: RatPoly, f: RatPoly, p: int) -> int:
 # the intersection order I
 
 
-def _tau_inversion_nontrivial(rd: ReductionData, k: int) -> bool:
-    """Does tau act as -1 (nontrivially) on E(M)/E_0(M), [M:Q_p] = k?"""
-    g, act = component_group_over(rd, k)
-    return act == "inversion"
-
-
-def _singular_membership_two_torsion(rd: ReductionData, prof, pt: KernelPoint,
+def _singular_membership_two_torsion(rd: ReductionData, pt: KernelPoint,
                                      k: int, deg_Lp: int):
     """(in_image, reason) for a singular M-rational 2-torsion point."""
     kt = rd.kodaira
@@ -555,64 +457,18 @@ def _singular_membership_odd_kernel(rd: ReductionData, k: int, deg_Lp: int):
     return False, f"{kt.symbol()}: component group has no 3-torsion (unexpected)"
 
 
-def i2_order(m: WeierstrassModel, phi, p: int):
-    """Order of I(Q_p) with per-kernel-point evidence."""
-    rd = tate_algorithm(m, p)
-    evidence = []
-    if _is_two_map(phi):
-        prof = two_map_kernel_profile(rd)
-        deg_Lp = prof.deg_Lprime
-        k = prof.deg_M
-        mpts = [pt for pt in prof.kernel_points if pt.residue_degree >= 1]
-        n_mrat = len(mpts)
-        group_order = 1 + n_mrat
-        assert group_order in (1, 2, 4)
-        fixed = 1 + sum(1 for pt in mpts if pt.residue_degree == 1)
-        if group_order == 2:
-            fixed = 2  # a single M-rational point is rational
-        denominator = group_order // min(fixed, group_order)
-        numerator = 1
-        in_points = 0
-        for pt in mpts:
-            if pt.singular is False:
-                numerator += 1
-                in_points += 1
-                evidence.append({"point": pt.label, "singular": False,
-                                 "in_(tau-1)E(M)": True,
-                                 "reason": "nonsingular reduction"})
-                continue
-            ok, reason = _singular_membership_two_torsion(rd, prof, pt, k, deg_Lp)
-            if ok:
-                numerator += 1
-                in_points += 1
-            evidence.append({"point": pt.label, "singular": True,
-                             "in_(tau-1)E(M)": ok, "reason": reason})
-        # subgroup sanity: the counted set must be a subgroup of Klein4
-        assert numerator in (1, 2, 4), "membership set is not a subgroup"
-        if group_order == 4 and numerator == 3:
-            raise ArithmeticError("case analysis produced a non-subgroup")
-        assert numerator % denominator == 0 or denominator == 1 \
-            or numerator == 1
-        order = numerator // denominator if numerator % denominator == 0 else 1
-        evidence.append({"numerator": numerator, "denominator": denominator,
-                         "deg_M": k, "deg_Lprime": deg_Lp,
-                         "kodaira": rd.kodaira.symbol()})
-        return order, evidence
-    # cyclic isogeny kernels
-    if not isinstance(phi, IsogenyMap):
-        raise ValueError("phi must be the 2-map or an IsogenyMap")
-    if phi.kernel and isinstance(phi.kernel[0], str):
-        if phi.kernel == ("[2]",):
-            return i2_order(m, TWO_MAP, p)
-        raise ValueError("I for [n] with n > 2 is outside desk scope")
-    prof = _cyclic_kernel_profile(rd, phi)
+def i2_order(rd: ReductionData, phi, prof: TorsionFieldProfile):
+    """Order of I(Q_p) with per-kernel-point evidence, from the reduction
+    data at p and the profile of phi there."""
     k = prof.deg_M
     deg_Lp = prof.deg_Lprime
     mpts = [pt for pt in prof.kernel_points if pt.residue_degree >= 1]
     group_order = 1 + len(mpts)
+    assert phi_degree(phi) % group_order == 0, "E(M)[phi] is not in E[phi]"
     fixed = 1 + sum(1 for pt in mpts if pt.residue_degree == 1)
     denominator = group_order // min(fixed, group_order)
     numerator = 1
+    evidence = []
     for pt in mpts:
         if pt.singular is False:
             numerator += 1
@@ -620,18 +476,20 @@ def i2_order(m: WeierstrassModel, phi, p: int):
                              "in_(tau-1)E(M)": True,
                              "reason": "nonsingular reduction"})
             continue
-        if phi.degree == 2:
-            ok, reason = _singular_membership_two_torsion(rd, prof, pt, k, deg_Lp)
-        else:
+        if phi_degree(phi) == 3:
             ok, reason = _singular_membership_odd_kernel(rd, k, deg_Lp)
+        else:
+            ok, reason = _singular_membership_two_torsion(rd, pt, k, deg_Lp)
         if ok:
             numerator += 1
         evidence.append({"point": pt.label, "singular": True,
                          "in_(tau-1)E(M)": ok, "reason": reason})
+    assert group_order % numerator == 0, "membership set is not a subgroup"
     assert numerator % denominator == 0 or numerator == 1
     order = numerator // denominator if numerator % denominator == 0 else 1
     evidence.append({"numerator": numerator, "denominator": denominator,
-                     "deg_M": k, "kodaira": rd.kodaira.symbol()})
+                     "deg_M": k, "deg_Lprime": deg_Lp,
+                     "kodaira": rd.kodaira.symbol()})
     return order, evidence
 
 
@@ -651,13 +509,12 @@ def i2_oracle_halving(m: WeierstrassModel, p: int):
     if p == 2:
         return "inapplicable", [{"reason": "oracle restricted to odd p"}]
     rd = tate_algorithm(m, p)
-    mm = rd.minimal_model
-    cubic = two_division_cubic_integral(mm)
+    cubic = two_division_cubic_integral(rd.minimal_model)
     try:
         alg = EtaleAlgebra(cubic, p)
     except UnresolvedSplitting as exc:
         raise UnresolvedSplitting(f"halving oracle: {exc}")
-    s_order = s2_order_two_map(mm, p)
+    s_order = s2_order_two_map(two_map_kernel_profile(rd))
     images = []
     evidence = []
     for i, piece in enumerate(alg.pieces):
@@ -717,15 +574,23 @@ def local_descent_report(m: WeierstrassModel, phi, place: Place
     if place.is_real:
         return LocalDescentReport(place, 1, s2_real(m, phi), 1, "-", None,
                                   [], "archimedean place: C and I trivial")
-    p = place.p
-    rd = tate_algorithm(m, p)
-    C = c2_order(m, phi, place)
+    return finite_descent_report(m, phi, tate_algorithm(m, place.p))
+
+
+def finite_descent_report(m: WeierstrassModel, phi, rd: ReductionData
+                          ) -> LocalDescentReport:
+    """The report at the prime of rd = tate_algorithm(m, p).
+
+    The profile of phi is built once here and passed to S and I; Tate's
+    algorithm runs once more, for the codomain of a cyclic isogeny.
+    """
+    prof = torsion_field_profile(rd, phi)
     if _is_two_map(phi):
-        S = s2_order_two_map(m, p)
+        S = s2_order_two_map(prof)
     else:
-        S = s2_order_isogeny(phi, p)
-    I, ev = i2_order(m, phi, p)
-    prof = torsion_field_profile(m, phi, p)
-    rep = LocalDescentReport(place, C, S, I, rd.kodaira.symbol(), prof, ev)
+        S = s2_order_isogeny(phi, rd, tate_algorithm(phi.codomain, rd.p), prof)
+    I, ev = i2_order(rd, phi, prof)
+    C = prof.rational_order
     assert C % I == 0 and S % I == 0, "I must divide gcd(C, S)"
-    return rep
+    return LocalDescentReport(finite(rd.p), C, S, I, rd.kodaira.symbol(),
+                              prof, ev)

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import valuation, INFINITY
-from .poly import RatPoly, poly_gcd
+from .arith import INFINITY, legendre, valuation
+from .poly import RatPoly, factor_over_Z, poly_gcd
 
 Rat = Fraction
 
@@ -246,8 +246,6 @@ def count_points_Fp(m: WeierstrassModel, p: int) -> int:
                         - (x ** 3 + a2 * x * x + a4 * x + a6)) % 2 == 0:
                     cnt += 1
         return cnt
-    from .arith import legendre
-
     b2, b4, b6 = int(m.b2), int(m.b4) * 2, int(m.b6)
     cnt = 1 + p
     for x in range(p):
@@ -282,8 +280,6 @@ def two_division_cubic_integral(m: WeierstrassModel) -> RatPoly:
 
 def two_torsion_points(m: WeierstrassModel) -> list:
     """Rational 2-torsion (over Q) of an integral model."""
-    from .poly import factor_over_Z
-
     cubic = two_division_cubic(m)
     pts = []
     for fac in factor_over_Z(cubic):

@@ -13,9 +13,9 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Place, REAL_PLACE, finite, rational_sqrt, valuation
+from .arith import Place, factor_integer, finite, rational_sqrt
 from .localfields import EtaleAlgebra, SqVector, identity_like, span_closure
-from .poly import RatPoly, UnresolvedSplitting, discriminant, parse_poly
+from .poly import RatPoly, discriminant
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,6 @@ class HyperellipticCurve:
         return (self.f.degree - 1) // 2
 
     def bad_primes(self) -> list[int]:
-        from .arith import factor_integer
-
         d = discriminant(self.f)
         return [p for p, _ in factor_integer(d.numerator).factors]
 
@@ -68,7 +66,8 @@ def point_label(pt) -> str:
     return "+".join(point_label(q) for q in pt[1])
 
 
-def _algebra(c: HyperellipticCurve, v: Place) -> EtaleAlgebra:
+def local_algebra(c: HyperellipticCurve, v: Place) -> EtaleAlgebra:
+    """Q_v[T]/f: the local object of the curve at v, built once per place."""
     return EtaleAlgebra(c.f, 0 if v.is_real else v.p)
 
 
@@ -76,7 +75,7 @@ def xt_image(c: HyperellipticCurve, D, v: Place,
              alg: EtaleAlgebra | None = None) -> SqVector:
     """Square-class vector of the divisor class D at the place v."""
     if alg is None:
-        alg = _algebra(c, v)
+        alg = local_algebra(c, v)
     kind = D[0]
     if kind == "rational":
         x = Fraction(D[1])
@@ -136,13 +135,12 @@ def image_table(c: HyperellipticCurve, points, v: Place):
     At odd p the symbol 'n' denotes a fixed quadratic non-residue and 'pi'
     a prime element; comparisons are up to square-class equality.
     """
-    alg = _algebra(c, v)
-    p = 0 if v.is_real else v.p
+    alg = local_algebra(c, v)
     rows = []
     for pt in points:
         vec = xt_image(c, pt, v, alg)
         rows.append((point_label(pt), vec,
-                     tuple(render_entry(e, p) for e in vec.entries)))
+                     tuple(render_entry(e, alg.p) for e in vec.entries)))
     return alg.labels(), rows
 
 
@@ -150,48 +148,43 @@ def image_table(c: HyperellipticCurve, points, v: Place):
 # ranks
 
 
-def local_selmer_rank_hyper(c: HyperellipticCurve, v: Place) -> int:
-    """F_2-rank of J(Q_v)/2J(Q_v)."""
-    g = c.genus
-    if v.is_real:
-        alg = _algebra(c, v)
-        return alg.n_real + alg.n_complex - 1 - g
-    alg = _algebra(c, v)
-    r = alg.n_comp
-    return (r - 1) + (g if v.p == 2 else 0)
+def local_selmer_rank_hyper(c: HyperellipticCurve, alg: EtaleAlgebra) -> int:
+    """F_2-rank of J(Q_v)/2J(Q_v); alg is local_algebra(c, v)."""
+    if alg.p == 0:
+        return alg.n_real + alg.n_complex - 1 - c.genus
+    return (alg.n_comp - 1) + (c.genus if alg.p == 2 else 0)
 
 
-def local_torsion_rank(c: HyperellipticCurve, v: Place) -> int:
+def local_torsion_rank(alg: EtaleAlgebra) -> int:
     """F_2-rank of J(Q_v)[2] (the local C-group order at finite places)."""
-    alg = _algebra(c, v)
-    if v.is_real:
+    if alg.p == 0:
         return alg.n_real + alg.n_complex - 1
     return alg.n_comp - 1
 
 
-def local_intersection_rank(c: HyperellipticCurve, points, v: Place):
+def local_intersection_rank(c: HyperellipticCurve, points, alg: EtaleAlgebra):
     """(rank of span(images) ∩ unramified subspace, completeness flag).
 
     When the span of the supplied images fills J(Q_v)/2J(Q_v) the value is
     exactly the rank of the local intersection group; otherwise it is a
-    lower bound.
+    lower bound.  alg is local_algebra(c, v) at a finite place v.
     """
-    if v.is_real:
+    if alg.p == 0:
         raise ValueError("intersection rank is a finite-place computation")
-    alg = _algebra(c, v)
+    v = finite(alg.p)
     vecs = [xt_image(c, pt, v, alg) for pt in points]
     span = span_closure(vecs) if vecs else {alg.identity_vector()}
     n_unram = sum(1 for w in span if w.is_unramified())
     assert n_unram & (n_unram - 1) == 0
     rank = n_unram.bit_length() - 1
     span_rank = len(span).bit_length() - 1
-    complete = span_rank == local_selmer_rank_hyper(c, v)
+    complete = span_rank == local_selmer_rank_hyper(c, alg)
     return rank, complete
 
 
 def unramified_images_check(c: HyperellipticCurve, points, v: Place):
     """Per-point verdicts: is the image unramified at v?"""
-    alg = _algebra(c, v)
+    alg = local_algebra(c, v)
     out = []
     for pt in points:
         vec = xt_image(c, pt, v, alg)
@@ -214,7 +207,7 @@ def independence_rank(c: HyperellipticCurve, points, primes):
     common = None
     for p in primes:
         v = finite(p)
-        alg = _algebra(c, v)
+        alg = local_algebra(c, v)
         vecs = [xt_image(c, pt, v, alg) for pt in points]
         ident = identity_like(vecs[0]) if vecs else None
         rels = set()

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import INFINITY, legendre, valuation
+from .arith import INFINITY, is_padic_square, legendre, valuation
 from .poly import (RatPoly, UnresolvedSplitting, local_splitting_type,
                    mp_divmod, mp_mul, mp_sub, mp_scal, mp_trim)
 
@@ -264,7 +264,7 @@ class EtaleAlgebra:
     place the components are the real roots ascending, then complex pairs.
     """
 
-    def __init__(self, f: RatPoly, p: int, hensel_cap: int = 320):
+    def __init__(self, f: RatPoly, p: int):
         """p = 0 means the real place."""
         if not f.is_monic() or not f.is_integral():
             raise ValueError("etale algebra needs a monic integer polynomial")
@@ -278,7 +278,7 @@ class EtaleAlgebra:
             self.pieces = None
             self.split = None
             return
-        self.split = local_splitting_type(f, p, hensel_cap)
+        self.split = local_splitting_type(f, p)
         if self.split.has_unresolved():
             raise UnresolvedSplitting(
                 f"unresolved splitting of {f} at {p}: "
@@ -521,8 +521,6 @@ class EtaleAlgebra:
             raise ZeroDivisionError
         if self.p == 0:
             return val > 0
-        from .arith import is_padic_square
-
         return is_padic_square(val, self.p)
 
 

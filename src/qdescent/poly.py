@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .arith import is_prime, legendre, valuation, INFINITY
+from .arith import is_prime, legendre
 
 FACTOR_SEED = 20996011  # fixed seed: reproducible equal-degree splitting
 
@@ -1068,8 +1068,7 @@ def _factor_mod_pN(g, p, N, depth=0) -> list[LocalFactor]:
     return out
 
 
-def local_splitting_type(f: RatPoly, p: int,
-                         hensel_cap: int = HENSEL_CAP) -> LocalSplittingType:
+def local_splitting_type(f: RatPoly, p: int) -> LocalSplittingType:
     """Factorization type of a separable monic integer polynomial over Q_p.
 
     Exact rational factors split off first; p-adic blocks go through Hensel
@@ -1106,7 +1105,7 @@ def local_splitting_type(f: RatPoly, p: int,
                 out.append(LocalFactor(0, 0, "unresolved", N,
                                        tuple(int(c) % p ** N for c in h.coeffs),
                                        note=str(exc)))
-        if bail is None or N >= hensel_cap:
+        if bail is None or N >= HENSEL_CAP:
             break
         N *= 2
     def _order_key(fc: LocalFactor):

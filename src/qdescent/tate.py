@@ -61,13 +61,6 @@ def geometric_component_group(kt: KodairaType):
     raise ValueError(kt)
 
 
-def _num_components(kt: KodairaType) -> int:
-    """Geometric components of the special fiber of the minimal model."""
-    return {"I0": 1, "II": 1, "III": 2, "IV": 3, "IV*": 7, "III*": 8,
-            "II*": 9}.get(kt.letter) or (kt.nu if kt.letter == "I"
-                                         else 5 + kt.nu)
-
-
 @dataclass(frozen=True)
 class ReductionData:
     p: int
@@ -79,6 +72,7 @@ class ReductionData:
     c_p: int
     split: object  # True / False / None (not applicable)
     frobenius_order_on_components: int
+    transform: tuple  # (r, s, t, u) taking the input model to minimal_model
 
     def summary(self) -> dict:
         g = self.geometric_component_group
@@ -142,21 +136,37 @@ def _fp_quadratic_split(A, B, p):
     return disc == 0 or legendre(disc, p) == 1
 
 
+def _move(m: WeierstrassModel, tr: tuple, r=0, s=0, t=0, u=1):
+    """m.transform(r, s, t, u), and tr (the change of coordinates that led
+    to m) composed with it."""
+    r0, s0, t0, u0 = tr
+    r, s, t, u = Fraction(r), Fraction(s), Fraction(t), Fraction(u)
+    return (m.transform(r, s, t, u),
+            (r0 + u0 ** 2 * r, s0 + u0 * s,
+             t0 + u0 ** 3 * t + s0 * u0 ** 2 * r, u0 * u))
+
+
 def tate_algorithm(m: WeierstrassModel, p: int) -> ReductionData:
-    """Kodaira type, Tamagawa number and component-group data at p."""
+    """Kodaira type, Tamagawa number and component-group data at p.
+
+    The result records the change of coordinates (r, s, t, u) with
+    m.transform(r, s, t, u) == minimal_model.  Unless the reduction is
+    good (I0), the singular point of the reduced minimal model is (0, 0).
+    """
     if m.disc == 0:
         raise ValueError("singular curve")
+    tr = (Fraction(0), Fraction(0), Fraction(0), Fraction(1))
     # make the model p-integral
     while any(_vp(a, p) is not INFINITY and _vp(a, p) < 0 for a in m.ainvs()):
-        m = m.transform(u=Fraction(1, p))
+        m, tr = _move(m, tr, u=Fraction(1, p))
 
     while True:
         n = _vp(m.disc, p)
         if n == 0:
             return ReductionData(p, m, KodairaType("I0"), 0, 0, "trivial",
-                                 1, None, 1)
+                                 1, None, 1, tr)
         x0, y0 = _singular_point(m, p)
-        m = m.transform(r=x0, t=y0)
+        m, tr = _move(m, tr, r=x0, t=y0)
         assert all(_vp(a, p) is INFINITY or _vp(a, p) >= 1
                    for a in (m.a3, m.a4, m.a6))
 
@@ -171,15 +181,16 @@ def tate_algorithm(m: WeierstrassModel, p: int) -> ReductionData:
             kt = KodairaType("I", nu)
             frob = 1 if (split or nu <= 2) else 2
             return ReductionData(p, m, kt, n, 1, geometric_component_group(kt),
-                                 c, split, frob)
+                                 c, split, frob, tr)
 
         # additive reduction from here on
         if _vp(m.a6, p) < 2:
             kt = KodairaType("II")
-            return ReductionData(p, m, kt, n, n, "trivial", 1, None, 1)
+            return ReductionData(p, m, kt, n, n, "trivial", 1, None, 1, tr)
         if _vp(m.b8, p) < 3:
             kt = KodairaType("III")
-            return ReductionData(p, m, kt, n, n - 1, ("cyclic", 2), 2, None, 1)
+            return ReductionData(p, m, kt, n, n - 1, ("cyclic", 2), 2, None, 1,
+                                 tr)
         if _vp(m.b6, p) < 3:
             A = _red(m.a3 / p, p)
             B = _red(-m.a6 / p ** 2, p)
@@ -187,24 +198,24 @@ def tate_algorithm(m: WeierstrassModel, p: int) -> ReductionData:
             kt = KodairaType("IV")
             c = 3 if split else 1
             return ReductionData(p, m, kt, n, n - 2, ("cyclic", 3), c,
-                                 None, 1 if split else 2)
+                                 None, 1 if split else 2, tr)
 
         # step 6 normalization: p | a1, a2; p^2 | a3, a4; p^3 | a6
         if p == 2:
             if _red(m.a2, 2) == 1:
-                m = m.transform(s=1)
+                m, tr = _move(m, tr, s=1)
             if _vp(m.a6, p) == 2:
                 tfix = 2 * ((_red_k(m.a6, 2, 3) // 4) % 2)
                 if tfix:
-                    m = m.transform(t=tfix)
+                    m, tr = _move(m, tr, t=tfix)
         else:
             inv2 = pow(2, -1, p)
             s = (-_red(m.a1, p) * inv2) % p
             if s:
-                m = m.transform(s=s)
+                m, tr = _move(m, tr, s=s)
             t = (-_red_k(m.a3, p, 2) * pow(2, -1, p ** 2)) % p ** 2
             if t:
-                m = m.transform(t=t)
+                m, tr = _move(m, tr, t=t)
         assert _vp(m.a1, p) >= 1 and _vp(m.a2, p) >= 1
         assert _vp(m.a3, p) >= 2 and _vp(m.a4, p) >= 2 and _vp(m.a6, p) >= 3
 
@@ -219,13 +230,14 @@ def tate_algorithm(m: WeierstrassModel, p: int) -> ReductionData:
             c = 1 + nroots
             kt = KodairaType("I*", 0)
             frob = {4: 1, 2: 2, 1: 3}[c]
-            return ReductionData(p, m, kt, n, n - 4, "klein4", c, None, frob)
+            return ReductionData(p, m, kt, n, n - 4, "klein4", c, None, frob,
+                                 tr)
 
         if mults[-1] == 2:
             # I_nu* subprocedure: double root of P translated to T = 0
             r0 = next((-g.coeffs[0]) % p for g, mlt in fac
                       if mlt == 2 and g.degree == 1)
-            m = m.transform(r=p * r0)
+            m, tr = _move(m, tr, r=p * r0)
             assert _vp(m.a2, p) == 1 and _vp(m.a4, p) >= 3 and _vp(m.a6, p) >= 4
             k = 1
             while True:
@@ -241,14 +253,14 @@ def tate_algorithm(m: WeierstrassModel, p: int) -> ReductionData:
                         return ReductionData(
                             p, m, kt, n, n - 4 - k,
                             geometric_component_group(kt), c, None,
-                            1 if c == 4 else 2)
+                            1 if c == 4 else 2, tr)
                     # double root: deepen a3, a6
                     if p == 2:
                         ybar = _red(B, 2)
                     else:
                         ybar = (-_red(A, p) * pow(2, -1, p)) % p
                     if ybar:
-                        m = m.transform(t=ybar * p ** mm)
+                        m, tr = _move(m, tr, t=ybar * p ** mm)
                 else:
                     mm = (k + 4) // 2
                     a = m.a2 / p
@@ -266,13 +278,13 @@ def tate_algorithm(m: WeierstrassModel, p: int) -> ReductionData:
                         return ReductionData(
                             p, m, kt, n, n - 4 - k,
                             geometric_component_group(kt), c, None,
-                            1 if c == 4 else 2)
+                            1 if c == 4 else 2, tr)
                     if p == 2:
                         xbar = (_red(cq, 2) * _red(a, 2)) % 2
                     else:
                         xbar = (-_red(b, p) * pow(2 * _red(a, p), -1, p)) % p
                     if xbar:
-                        m = m.transform(r=xbar * p ** ((k + 2) // 2))
+                        m, tr = _move(m, tr, r=xbar * p ** ((k + 2) // 2))
                 k += 1
                 if k > n:
                     raise ArithmeticError("runaway I_nu* subprocedure")
@@ -280,7 +292,7 @@ def tate_algorithm(m: WeierstrassModel, p: int) -> ReductionData:
 
         # triple root: translate to T = 0
         r0 = next((-g.coeffs[0]) % p for g, mlt in fac if mlt == 3)
-        m = m.transform(r=p * r0)
+        m, tr = _move(m, tr, r=p * r0)
         assert _vp(m.a2, p) >= 2 and _vp(m.a4, p) >= 3 and _vp(m.a6, p) >= 4
 
         A = m.a3 / p ** 2
@@ -291,24 +303,25 @@ def tate_algorithm(m: WeierstrassModel, p: int) -> ReductionData:
             kt = KodairaType("IV*")
             c = 3 if split else 1
             return ReductionData(p, m, kt, n, n - 6, ("cyclic", 3), c,
-                                 None, 1 if split else 2)
+                                 None, 1 if split else 2, tr)
         if p == 2:
             ybar = _red(B, 2)
         else:
             ybar = (-_red(A, p) * pow(2, -1, p)) % p
         if ybar:
-            m = m.transform(t=ybar * p ** 2)
+            m, tr = _move(m, tr, t=ybar * p ** 2)
         assert _vp(m.a3, p) >= 3 and _vp(m.a6, p) >= 5
 
         if _vp(m.a4, p) == 3:
             kt = KodairaType("III*")
-            return ReductionData(p, m, kt, n, n - 7, ("cyclic", 2), 2, None, 1)
+            return ReductionData(p, m, kt, n, n - 7, ("cyclic", 2), 2, None, 1,
+                                 tr)
         if _vp(m.a6, p) == 5:
             kt = KodairaType("II*")
-            return ReductionData(p, m, kt, n, n - 8, "trivial", 1, None, 1)
+            return ReductionData(p, m, kt, n, n - 8, "trivial", 1, None, 1, tr)
 
         # non-minimal: rescale and start over
-        m = m.transform(u=p)
+        m, tr = _move(m, tr, u=p)
 
 
 def component_group_over(rd: ReductionData, k: int):

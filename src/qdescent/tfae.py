@@ -21,11 +21,12 @@ Exactness here:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import factor_integer, is_prime, rational_sqrt, squarefree_part
-from .poly import (FpPoly, RatPoly, discriminant, factor_mod_p, factor_over_Z,
+from .poly import (RatPoly, discriminant, factor_mod_p, factor_over_Z,
                    fp_poly)
 
 _SAMPLE_BOUND = 600
@@ -212,8 +213,6 @@ def _quintic_resolvent_holds(f: RatPoly):
         roots = mpmath.polyroots([int(c) for c in reversed(f.coeffs)],
                                  maxsteps=200, extraprec=dps * 4)
         deltas_sq = []
-        import itertools
-
         seen_cycles = set()
         for perm in itertools.permutations(range(1, 5)):
             cyc = (0,) + perm

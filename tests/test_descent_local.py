@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from qdescent.arith import REAL_PLACE, finite, is_prime, valuation
+from qdescent.descent_global import bad_primes
 from qdescent.descent_local import (TWO_MAP, c2_order, i2_oracle_halving,
                                     i2_order, local_descent_report,
                                     s2_order_isogeny, s2_order_two_map,
                                     s2_real, torsion_field_profile)
 from qdescent.elliptic import Pt, curve_from_string, multiplication_isogeny, \
-    velu_isogeny
+    two_torsion_points, velu_isogeny
+from qdescent.tate import tate_algorithm
 
 MESTRE = curve_from_string("[0,2597055,357573631,-549082,-19608054]")
 E189 = curve_from_string("[0,0,0,-189,1269]")
@@ -19,18 +21,33 @@ def curve(s):
     return curve_from_string(s)
 
 
+def profile(m, phi, p):
+    return torsion_field_profile(tate_algorithm(m, p), phi)
+
+
+def i2(m, phi, p):
+    rd = tate_algorithm(m, p)
+    return i2_order(rd, phi, torsion_field_profile(rd, phi))
+
+
+def s2_iso(phi, p):
+    rd = tate_algorithm(phi.domain, p)
+    return s2_order_isogeny(phi, rd, tate_algorithm(phi.codomain, p),
+                            torsion_field_profile(rd, phi))
+
+
 # ---------------------------------------------------------------------------
 # the seven intersection orders of the worked examples
 
 
 def test_i2_values_paper():
-    assert i2_order(curve("[0,-26,0,135,-567]"), TWO_MAP, 3)[0] == 2
-    assert i2_order(curve("[0,26,0,135,567]"), TWO_MAP, 3)[0] == 4
-    assert i2_order(curve("[0,0,0,-529,12167]"), TWO_MAP, 23)[0] == 1
-    assert i2_order(curve("[0,0,0,-529,-12167]"), TWO_MAP, 23)[0] == 2
-    assert i2_order(curve("[0,1,0,4,12]"), TWO_MAP, 2)[0] == 4
-    assert i2_order(curve("[0,0,0,-25,0]"), TWO_MAP, 5)[0] == 1
-    assert i2_order(curve("[0,0,0,-75,125]"), TWO_MAP, 5)[0] == 1
+    assert i2(curve("[0,-26,0,135,-567]"), TWO_MAP, 3)[0] == 2
+    assert i2(curve("[0,26,0,135,567]"), TWO_MAP, 3)[0] == 4
+    assert i2(curve("[0,0,0,-529,12167]"), TWO_MAP, 23)[0] == 1
+    assert i2(curve("[0,0,0,-529,-12167]"), TWO_MAP, 23)[0] == 2
+    assert i2(curve("[0,1,0,4,12]"), TWO_MAP, 2)[0] == 4
+    assert i2(curve("[0,0,0,-25,0]"), TWO_MAP, 5)[0] == 1
+    assert i2(curve("[0,0,0,-75,125]"), TWO_MAP, 5)[0] == 1
 
 
 def test_i2_good_reduction_case():
@@ -38,7 +55,7 @@ def test_i2_good_reduction_case():
     m = curve("[0,0,0,-25,0]")
     for p in (3, 7, 11, 13):
         if valuation(m.disc, p) == 0:
-            assert i2_order(m, TWO_MAP, p)[0] == c2_order(m, TWO_MAP, finite(p))
+            assert i2(m, TWO_MAP, p)[0] == c2_order(m, TWO_MAP, finite(p))
 
 
 def test_c2_orders():
@@ -50,10 +67,10 @@ def test_c2_orders():
 
 
 def test_s2_orders():
-    assert s2_order_two_map(MESTRE, 2) == 2
-    assert s2_order_two_map(curve("[0,0,0,-25,0]"), 5) == 4
+    assert s2_order_two_map(profile(MESTRE, TWO_MAP, 2)) == 2
+    assert s2_order_two_map(profile(curve("[0,0,0,-25,0]"), TWO_MAP, 5)) == 4
     # trivial local 2-torsion at an odd prime
-    assert s2_order_two_map(curve("[0,0,1,-1,0]"), 7) == 1
+    assert s2_order_two_map(profile(curve("[0,0,1,-1,0]"), TWO_MAP, 7)) == 1
 
 
 def test_s2_real():
@@ -75,27 +92,27 @@ def test_s2_real():
 def test_s2_isogeny_31():
     phi = velu_isogeny(E189, [Pt(Fraction(3), Fraction(27)),
                               Pt(Fraction(3), Fraction(-27))])
-    assert s2_order_isogeny(phi, 31) == 9  # 1 * 3 * (3/1)
+    assert s2_iso(phi, 31) == 9  # 1 * 3 * (3/1)
     two = multiplication_isogeny(curve("[0,0,0,-25,0]"), 2)
     # multiplication-by-2 at a good odd prime with full rational 2-torsion
-    assert s2_order_isogeny(two, 3) == 4
+    assert s2_iso(two, 3) == 4
     # 2-isogeny with rational kernel at a good odd prime
     m2 = curve("[0,-1,0,-2,0]")
     psi = velu_isogeny(m2, [Pt(Fraction(0), Fraction(0))])
     for p in (5, 7, 11):
         if valuation(m2.disc, p) == 0 and valuation(psi.codomain.disc, p) == 0:
-            assert s2_order_isogeny(psi, p) == 2
+            assert s2_iso(psi, p) == 2
 
 
 def test_torsion_field_profile_examples():
-    prof = torsion_field_profile(curve("[0,0,0,-75,125]"), TWO_MAP, 5)
+    prof = profile(curve("[0,0,0,-75,125]"), TWO_MAP, 5)
     assert prof.m == 2 and prof.deg_Lprime == 3 and prof.deg_M == 6
     assert any(len(c) == 3 for c in prof.tau_permutation)  # 3-cycle
-    prof = torsion_field_profile(curve("[0,0,0,-529,12167]"), TWO_MAP, 23)
+    prof = profile(curve("[0,0,0,-529,12167]"), TWO_MAP, 23)
     assert prof.m == 2 and prof.deg_M == 2
     assert sum(1 for k in prof.kernel_points if k.residue_degree == 1) == 1
     # full rational 2-torsion at a good odd prime
-    prof = torsion_field_profile(curve("[0,0,0,-25,0]"), TWO_MAP, 7)
+    prof = profile(curve("[0,0,0,-25,0]"), TWO_MAP, 7)
     assert prof.m == 2 and prof.deg_Lprime == 1 and prof.deg_M == 2
     assert all(k.residue_degree == 1 for k in prof.kernel_points)
 
@@ -106,7 +123,7 @@ def test_oracle_matches_paper_cases():
                             ("[0,0,0,-75,125]", 5, 1)]:
         got, ev = i2_oracle_halving(curve(cs), p)
         assert got == expected
-        assert got == i2_order(curve(cs), TWO_MAP, p)[0]
+        assert got == i2(curve(cs), TWO_MAP, p)[0]
 
 
 def test_oracle_vs_i2_on_52_suite():
@@ -121,7 +138,7 @@ def test_oracle_vs_i2_on_52_suite():
         if got == "inapplicable":
             continue
         applicable += 1
-        assert got == i2_order(curve(cs), TWO_MAP, p)[0], (cs, p, ev)
+        assert got == i2(curve(cs), TWO_MAP, p)[0], (cs, p, ev)
     assert applicable >= 2
 
 
@@ -140,13 +157,11 @@ def test_example_III_family():
         s2 = e1 * e2 + e1 * e3 + e2 * e3
         s3 = e1 * e2 * e3
         m = curve(f"[0,{-s1},0,{s2},{-s3}]")
-        from qdescent.tate import tate_algorithm
-
         rd = tate_algorithm(m, p)
         assert rd.kodaira.symbol() == "I0*"
         assert c2_order(m, TWO_MAP, finite(p)) == 4
-        assert s2_order_two_map(m, p) == 4
-        assert i2_order(m, TWO_MAP, p)[0] == 1
+        assert s2_order_two_map(profile(m, TWO_MAP, p)) == 4
+        assert i2(m, TWO_MAP, p)[0] == 1
         got, ev = i2_oracle_halving(m, p)
         assert got == 1, ev
         done += 1
@@ -166,8 +181,8 @@ def test_sweep_C_equals_S_equals_I_good_primes():
         if valuation(m.disc, p) != 0:
             continue
         C = c2_order(m, TWO_MAP, finite(p))
-        S = s2_order_two_map(m, p)
-        I = i2_order(m, TWO_MAP, p)[0]
+        S = s2_order_two_map(profile(m, TWO_MAP, p))
+        I = i2(m, TWO_MAP, p)[0]
         assert C == S == I
         done += 1
 
@@ -202,3 +217,64 @@ def test_local_report_shape():
     assert d["C"] == 4 and d["I"] == 1
     real = local_descent_report(curve("[0,0,0,-25,0]"), TWO_MAP, REAL_PLACE)
     assert (real.order_C, real.order_S, real.order_I) == (1, 2, 1)
+
+
+# ---------------------------------------------------------------------------
+# S for cyclic isogenies against the local exact sequence
+
+
+TWO_ISOGENY_KERNELS = {
+    "[0,1,0,4,12]": -2, "[0,0,0,-25,0]": -5, "[0,7,0,-26,0]": 0,
+    "[0,-6,0,11,0]": 0, "[0,5,0,-7,0]": 0, "[0,-6,0,-20,0]": 0,
+    "[0,18,0,-23,0]": 0, "[0,-77,0,1666,-8232]": 7,
+    "[0,-1118,0,356857,-33392940]": 172, "[0,-408,0,41327,-1179120]": 51,
+    "[0,-2193,0,1246226,-209898480]": 344}
+
+
+def test_two_isogeny_exact_sequence():
+    # 0 -> E'[psi]/phi(E[2]) -> E'/phi E -> E/2E -> E/psi E' -> 0 with psi
+    # the dual of phi, at 2 and at every bad place
+    checked = 0
+    for cs, x in TWO_ISOGENY_KERNELS.items():
+        m = curve(cs)
+        phi = velu_isogeny(m, [Pt(Fraction(x), Fraction(0))])
+        cod = phi.codomain
+        (t,) = [T for T in two_torsion_points(cod)
+                if velu_isogeny(cod, [T]).codomain.j == m.j]
+        psi = velu_isogeny(cod, [t])
+        for p in sorted(set(bad_primes(m)) | {2}):
+            two = local_descent_report(m, TWO_MAP, finite(p))
+            a = local_descent_report(m, phi, finite(p))
+            b = local_descent_report(cod, psi, finite(p))
+            index = b.order_C * a.order_C // two.order_C
+            assert two.order_S * index == a.order_S * b.order_S, (cs, p)
+            checked += 1
+    assert checked == 36
+
+
+# ---------------------------------------------------------------------------
+# a 3-isogeny at a large prime: the kernel point is carried to the minimal
+# model by Tate's change of coordinates
+
+
+def next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def j0_report(q):
+    m = curve(f"[0,0,0,0,{16 * q ** 8}]")
+    phi = velu_isogeny(m, [Pt(Fraction(0), Fraction(4 * q ** 4)),
+                           Pt(Fraction(0), Fraction(-4 * q ** 4))])
+    return local_descent_report(m, phi, finite(q))
+
+
+@pytest.mark.parametrize("q", [1000000007, next_prime(10 ** 52)])
+def test_j0_three_isogeny_large_prime(deadline, q):
+    # 10007 and 1000000007 are 2 mod 3
+    small = j0_report(10007)
+    with deadline(30):
+        rep = j0_report(q)
+    assert (rep.kodaira, rep.order_C, rep.order_I) == ("IV", 3, 1)
+    assert (rep.order_C, rep.order_I) == (small.order_C, small.order_I)

@@ -5,7 +5,8 @@ import pytest
 
 from qdescent.arith import REAL_PLACE, finite, is_prime
 from qdescent.jacobian import (HyperellipticCurve, image_table,
-                               independence_rank, local_intersection_rank,
+                               independence_rank, local_algebra,
+                               local_intersection_rank,
                                local_selmer_rank_hyper, local_torsion_rank,
                                parse_descent_point, unramified_images_check,
                                xt_image)
@@ -63,23 +64,25 @@ def test_doubling_gives_identity():
 
 
 def test_local_selmer_ranks_example_II():
-    assert local_selmer_rank_hyper(C2, finite(2)) == 2
-    assert local_selmer_rank_hyper(C2, REAL_PLACE) == 2
-    assert local_selmer_rank_hyper(C2, finite(941)) == 0
-    assert local_selmer_rank_hyper(C2, finite(191)) == 4
-    assert local_torsion_rank(C2, finite(191)) == 4
-    assert local_torsion_rank(C2, finite(941)) == 0
-    assert local_torsion_rank(C2, finite(2)) == 0
+    assert local_selmer_rank_hyper(C2, local_algebra(C2, finite(2))) == 2
+    assert local_selmer_rank_hyper(C2, local_algebra(C2, REAL_PLACE)) == 2
+    assert local_selmer_rank_hyper(C2, local_algebra(C2, finite(941))) == 0
+    assert local_selmer_rank_hyper(C2, local_algebra(C2, finite(191))) == 4
+    assert local_torsion_rank(local_algebra(C2, finite(191))) == 4
+    assert local_torsion_rank(local_algebra(C2, finite(941))) == 0
+    assert local_torsion_rank(local_algebra(C2, finite(2))) == 0
 
 
 def test_intersection_rank_at_191():
     pts = [("alpha", 1), ("alpha", 4), RATPTS[3], RATPTS[4]]  # (-2), (0)
-    rank, complete = local_intersection_rank(C2, pts, finite(191))
+    rank, complete = local_intersection_rank(C2, pts,
+                                             local_algebra(C2, finite(191)))
     assert (rank, complete) == (3, True)
 
 
 def test_intersection_rank_at_2():
-    rank, complete = local_intersection_rank(C2, RATPTS, finite(2))
+    rank, complete = local_intersection_rank(C2, RATPTS,
+                                             local_algebra(C2, finite(2)))
     assert rank == 0
     # the six rational points only span a rank-<=2 space at 2; completeness
     # depends on the span filling S^2(Q_2, J)

@@ -2,9 +2,9 @@ import random
 from fractions import Fraction
 
 from qdescent.arith import is_prime, valuation
-from qdescent.elliptic import curve_from_string
-from qdescent.tate import (ReductionData, component_group_over, group_order,
-                           tate_algorithm)
+from qdescent.elliptic import compute_invariants, curve_from_string
+from qdescent.tate import (ReductionData, _singular_point,
+                           component_group_over, group_order, tate_algorithm)
 
 MESTRE = curve_from_string("[0,2597055,357573631,-549082,-19608054]")
 
@@ -150,3 +150,55 @@ def test_known_database_anchors():
     assert r.kodaira.symbol() == "I1" and r.c_p == 1
     r = rd("[0,1,1,-2,0]", 389)      # conductor 389, rank 2
     assert r.kodaira.symbol() == "I1" and r.c_p == 1
+
+
+KODAIRA_LETTERS = {"I0", "I", "II", "III", "IV", "I*", "IV*", "III*", "II*"}
+
+
+def checked_transform(m, p):
+    """tate_algorithm(m, p), after checking that its transform takes m to the
+    minimal model and that a bad reduction is singular at (0, 0)."""
+    r = tate_algorithm(m, p)
+    assert m.transform(*r.transform) == r.minimal_model
+    if r.kodaira.letter != "I0":
+        assert _singular_point(r.minimal_model, p) == (0, 0)
+    return r
+
+
+def test_transform_on_paper_curves():
+    cases = [("[0,-26,0,135,-567]", 3), ("[0,26,0,135,567]", 3),
+             ("[0,0,0,-189,1269]", 31), ("[0,0,0,1431,-12339]", 31),
+             ("[0,0,0,-529,12167]", 23), ("[0,0,0,-529,-12167]", 23),
+             ("[0,1,0,4,12]", 2), ("[0,0,0,-25,0]", 5),
+             ("[0,0,0,-75,125]", 5), ("[0,0,0,-1,1]", 7),
+             ("[0,-1,1,-10,-20]", 11), ("[0,0,1,-1,0]", 37),
+             ("[0,1,1,-2,0]", 389)]
+    for cs, p in cases:
+        checked_transform(curve_from_string(cs), p)
+    for p in (1217, 381991, 78031093338905335441668500509):
+        assert checked_transform(MESTRE, p).kodaira.symbol() == "I1"
+    m = curve_from_string("[0,0,0,-189,1269]").transform(u=Fraction(1, 31))
+    assert checked_transform(m, 31).transform[3] == 31
+
+
+def test_transform_random_family():
+    # coefficients divisible by powers of p, moved by a random change of
+    # coordinates (non-integral and non-minimal ones included), reach every
+    # Kodaira type at p = 2 and at odd p
+    rng = random.Random(1507)
+    seen = {True: set(), False: set()}
+    done = 0
+    while done < 400:
+        p = rng.choice([2, 2, 3, 5, 7])
+        a = [rng.randrange(-9, 10) * p ** rng.randrange(0, w + 2)
+             for w in (1, 2, 3, 4, 6)]
+        try:
+            m = compute_invariants(*a)
+        except ValueError:
+            continue
+        r, s, t = (rng.randrange(-3, 4) for _ in range(3))
+        m = m.transform(r, Fraction(s, p), t,
+                        Fraction(p) ** rng.randrange(-1, 2))
+        seen[p == 2].add(checked_transform(m, p).kodaira.letter)
+        done += 1
+    assert seen[True] == seen[False] == KODAIRA_LETTERS
