@@ -31,7 +31,7 @@ from .arith import (INFINITY, Place, finite, is_padic_square, legendre,
                     square_class_at, valuation)
 from .elliptic import (IsogenyMap, WeierstrassModel, multiplication_isogeny,
                        phi_prime_abs, two_division_cubic_integral)
-from .localfields import EtaleAlgebra, span_closure
+from .localfields import EtaleAlgebra, span_rank, unramified_rank
 from .poly import (LocalFactor, RatPoly, UnresolvedSplitting, discriminant,
                    local_splitting_type)
 from .tate import ReductionData, tate_algorithm
@@ -527,16 +527,14 @@ def i2_oracle_halving(m: WeierstrassModel, p: int):
             "image_trivial": vec.is_trivial(),
             "image_unramified": vec.is_unramified(),
         })
-    span = span_closure(images) if images else set()
-    if not images:
-        span = {alg.identity_vector()}
-    if len(span) != s_order:
-        evidence.append({"span": len(span), "S_order": s_order,
+    span = 2 ** span_rank(images)
+    if span != s_order:
+        evidence.append({"span": span, "S_order": s_order,
                          "reason": "2-torsion does not surject onto E/2E "
                                    "(some rational 2-torsion is divisible)"})
         return "inapplicable", evidence
-    order = sum(1 for v in span if v.is_unramified())
-    evidence.append({"span": len(span), "S_order": s_order,
+    order = 2 ** unramified_rank(images)
+    evidence.append({"span": span, "S_order": s_order,
                      "unramified_in_span": order})
     return order, evidence
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import Place, factor_integer, finite, rational_sqrt
-from .localfields import EtaleAlgebra, SqVector, identity_like, span_closure
+from .localfields import (EtaleAlgebra, SqVector, relations, span_rank,
+                          unramified_rank)
 from .poly import RatPoly, discriminant
 
 
@@ -173,13 +174,8 @@ def local_intersection_rank(c: HyperellipticCurve, points, alg: EtaleAlgebra):
         raise ValueError("intersection rank is a finite-place computation")
     v = finite(alg.p)
     vecs = [xt_image(c, pt, v, alg) for pt in points]
-    span = span_closure(vecs) if vecs else {alg.identity_vector()}
-    n_unram = sum(1 for w in span if w.is_unramified())
-    assert n_unram & (n_unram - 1) == 0
-    rank = n_unram.bit_length() - 1
-    span_rank = len(span).bit_length() - 1
-    complete = span_rank == local_selmer_rank_hyper(c, alg)
-    return rank, complete
+    complete = span_rank(vecs) == local_selmer_rank_hyper(c, alg)
+    return unramified_rank(vecs), complete
 
 
 def unramified_images_check(c: HyperellipticCurve, points, v: Place):
@@ -196,39 +192,30 @@ def independence_rank(c: HyperellipticCurve, points, primes):
     """(lower bound for the rank of the subgroup generated in J(Q)/2J(Q),
     relation analysis per prime).
 
-    For each prime the set of F_2-relations among the images is computed by
-    exhaustive subset enumeration; a relation surviving every prime might
-    be a genuine one, so the bound is #points - dim(common relations).
+    A relation is a set of points, as a bitmask (bit i for points[i]),
+    whose images multiply to the trivial class.  At each prime the
+    relations are the kernel of the image rows, by Gaussian elimination.
+    A relation holding at every prime might be a genuine one; these common
+    relations are the kernel of the rows stacked across the primes, and
+    the bound is #points - dim(common relations).  Relation spaces are
+    given as reduced echelon bases (localfields.relations).
     """
     n = len(points)
-    if n > 16:
-        raise ValueError("too many points for exhaustive relation search")
     analysis = {}
-    common = None
+    stacked = [0] * n
     for p in primes:
         v = finite(p)
         alg = local_algebra(c, v)
         vecs = [xt_image(c, pt, v, alg) for pt in points]
-        ident = identity_like(vecs[0]) if vecs else None
-        rels = set()
-        for mask in range(2 ** n):
-            acc = ident
-            for i in range(n):
-                if mask >> i & 1:
-                    acc = acc * vecs[i]
-            if acc is not None and acc.is_trivial():
-                rels.add(mask)
         analysis[p] = {
-            "relations": sorted(rels),
+            "relations": relations(w.mask for w in vecs),
             "nontrivial_images": [point_label(points[i]) for i in range(n)
                                   if not vecs[i].is_trivial()],
         }
-        common = rels if common is None else (common & rels)
-    if common is None:
-        common = {0}
-    k = len(common)
-    assert k & (k - 1) == 0
-    bound = n - (k.bit_length() - 1)
-    analysis["common_relations"] = sorted(common)
+        stacked = [s << alg.basis.width | w.mask
+                   for s, w in zip(stacked, vecs)]
+    common = relations(stacked)
+    bound = n - len(common)
+    analysis["common_relations"] = common
     analysis["rank_lower_bound"] = bound
     return bound, analysis

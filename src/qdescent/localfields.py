@@ -2,17 +2,26 @@
 
 A separable monic integer polynomial f splits at a finite p into resolved
 local pieces (poly.local_splitting_type); at the real place into real roots
-and complex pairs.  This module computes square classes of elements such as
-x - theta componentwise, with exact valuations and canonical unit data:
+and complex pairs.  Each EtaleAlgebra fixes an F_2 basis of its group of
+square classes, component by component, so that the class of an element
+such as x - theta is one integer bitmask (SqVector.mask) and multiplying
+classes is XOR.  The bits of a component:
 
-  * odd p, unramified piece: (valuation parity, residue quadratic character)
-  * p = 2, unramified piece: unit written as square * (1 + 2w + 4t) mod 8;
-    canonical data (w in F_q, Tr(t) in F_2); unramified iff w = 0
-  * ramified piece: valuation parity only (enough at odd residue
-    characteristic, where every unit class is unramified)
-  * real place: a sign per real root; complex pairs carry nothing
+  * finite place: a valuation-parity bit, then
+      - odd p, unramified piece: the residue quadratic-character bit;
+      - p = 2, unramified piece of residue degree f with generator t:
+        a unit is a square times prod_j (1 + 2 t^j)^(a_j) * (1 + 4 s) for
+        j < f; the f bits a_j, then the trace bit Tr(s mod 2);
+      - ramified piece: nothing (parity-only tracking, enough at odd
+        residue characteristic, where every unit class is unramified);
+  * real place: a sign bit per real root; complex pairs carry nothing.
 
-Classes multiply componentwise, so F_2-spans are enumerated by closure.
+The unramified subspace is spanned by a fixed set of coordinates, the
+quadratic-character bits at odd p and the trace bits at 2 (the algebra's
+`unramified` mask).  Spans, their unramified parts and relation spaces come
+from Gaussian elimination on the masks (echelon, relations), as in Stoll,
+"Implementing 2-descent for Jacobians of hyperelliptic curves", Acta
+Arith. 98 (2001).
 """
 
 from __future__ import annotations
@@ -24,10 +33,6 @@ from .arith import INFINITY, is_padic_square, legendre, valuation
 from .poly import (RatPoly, UnresolvedSplitting, local_splitting_type,
                    mp_divmod, mp_mul, mp_sub, mp_scal, mp_trim)
 
-# residue fields for dyadic class multiplication, keyed by the reduced
-# defining polynomial (shared between CompClass values of one algebra)
-_RESFIELDS: dict = {}
-
 
 class ResidueField:
     def __init__(self, p: int, hbar):
@@ -35,8 +40,6 @@ class ResidueField:
         self.h = [c % p for c in hbar]
         self.f = len(self.h) - 1
         self.q = p ** self.f
-        self.key = (p, tuple(self.h))
-        _RESFIELDS[self.key] = self
 
     def mul(self, a, b):
         return mp_divmod(mp_mul(list(a), list(b), self.p), self.h, self.p)[1]
@@ -72,12 +75,31 @@ class ResidueField:
 
 
 # ---------------------------------------------------------------------------
-# component classes and vectors
+# square classes as F_2 vectors
+
+
+@dataclass(frozen=True)
+class ClassBasis:
+    """The F_2 coordinates of the square classes of one algebra.
+
+    Component i owns the bits offsets[i] .. offsets[i+1] - 1 of a mask;
+    kinds[i] is 'unramified' | 'ramified' | 'real' | 'complex'.
+    """
+
+    p: int
+    kinds: tuple
+    offsets: tuple
+    unramified: int  # the coordinates that span the unramified subspace
+
+    @property
+    def width(self) -> int:
+        return self.offsets[-1]
 
 
 @dataclass(frozen=True)
 class CompClass:
-    """Square class of a nonzero element of one local component."""
+    """Square class of a nonzero element of one local component, decoded
+    from its bits for display."""
 
     comp: int
     kind: str      # 'unramified' | 'ramified' | 'real' | 'complex'
@@ -85,98 +107,99 @@ class CompClass:
     unit: tuple
     # unit data: real -> (sign,); complex/ramified -> ()
     #            odd p unramified -> ('qr', bit)
-    #            p = 2 unramified -> ('u2', w-coeffs, trace-bit, resfield-key)
-
-    def is_trivial(self) -> bool:
-        if self.kind == "complex":
-            return True
-        if self.kind == "real":
-            return self.unit[0] == 1
-        if self.v_parity:
-            return False
-        if self.kind == "ramified":
-            return True  # parity-only tracking: even valuation counts trivial
-        if self.unit[0] == "qr":
-            return self.unit[1] == 0
-        return all(c == 0 for c in self.unit[1]) and self.unit[2] == 0
-
-    def is_unramified(self) -> bool:
-        if self.kind in ("real", "complex"):
-            return self.is_trivial()
-        if self.v_parity:
-            return False
-        if self.unit and self.unit[0] == "u2":
-            return all(c == 0 for c in self.unit[1])
-        return True  # odd residue characteristic
-
-
-def mul_comp(a: CompClass, b: CompClass) -> CompClass:
-    if a.comp != b.comp or a.kind != b.kind:
-        raise ValueError("component mismatch")
-    if a.kind == "complex":
-        return a
-    if a.kind == "real":
-        return CompClass(a.comp, "real", 0, (a.unit[0] * b.unit[0],))
-    v = (a.v_parity + b.v_parity) % 2
-    if a.kind == "ramified":
-        return CompClass(a.comp, "ramified", v, ())
-    if a.unit[0] == "qr":
-        return CompClass(a.comp, a.kind, v, ("qr", (a.unit[1] + b.unit[1]) % 2))
-    _, wa, ta, key = a.unit
-    _, wb, tb, _ = b.unit
-    rf = _RESFIELDS[key]
-    w = tuple((x + y) % 2 for x, y in zip(wa, wb))
-    tr_cross = rf.trace_char2(rf.mul(list(wa), list(wb)))
-    return CompClass(a.comp, a.kind, v, ("u2", w, (ta + tb + tr_cross) % 2, key))
+    #            p = 2 unramified -> ('u2', (a_0, ..., a_{f-1}), trace bit)
 
 
 @dataclass(frozen=True)
 class SqVector:
-    entries: tuple
+    """A square class of an etale algebra: bit k of `mask` is its k-th
+    coordinate in the algebra's basis."""
+
+    mask: int
+    basis: ClassBasis
 
     def __mul__(self, other: "SqVector") -> "SqVector":
-        return SqVector(tuple(mul_comp(a, b)
-                              for a, b in zip(self.entries, other.entries)))
+        if self.basis != other.basis:
+            raise ValueError("square classes of different algebras")
+        return SqVector(self.mask ^ other.mask, self.basis)
 
     def is_trivial(self) -> bool:
-        return all(e.is_trivial() for e in self.entries)
+        return self.mask == 0
 
     def is_unramified(self) -> bool:
-        return all(e.is_unramified() for e in self.entries)
+        return self.mask & ~self.basis.unramified == 0
+
+    @property
+    def entries(self) -> tuple:
+        """The class component by component, as CompClass records."""
+        b = self.basis
+        out = []
+        for i, kind in enumerate(b.kinds):
+            bits = [self.mask >> k & 1
+                    for k in range(b.offsets[i], b.offsets[i + 1])]
+            if kind == "real":
+                out.append(CompClass(i, kind, 0, (-1 if bits[0] else 1,)))
+            elif kind == "complex":
+                out.append(CompClass(i, kind, 0, ()))
+            elif kind == "ramified":
+                out.append(CompClass(i, kind, bits[0], ()))
+            elif b.p == 2:
+                out.append(CompClass(i, kind, bits[0],
+                                     ("u2", tuple(bits[1:-1]), bits[-1])))
+            else:
+                out.append(CompClass(i, kind, bits[0], ("qr", bits[1])))
+        return tuple(out)
 
 
-def identity_like(v: SqVector) -> SqVector:
-    out = []
-    for e in v.entries:
-        if e.kind == "complex":
-            out.append(e)
-        elif e.kind == "real":
-            out.append(CompClass(e.comp, "real", 0, (1,)))
-        elif e.kind == "ramified":
-            out.append(CompClass(e.comp, "ramified", 0, ()))
-        elif e.unit[0] == "qr":
-            out.append(CompClass(e.comp, e.kind, 0, ("qr", 0)))
-        else:
-            out.append(CompClass(e.comp, e.kind, 0,
-                                 ("u2", tuple([0] * len(e.unit[1])), 0,
-                                  e.unit[3])))
-    return SqVector(tuple(out))
+def echelon(masks) -> list[int]:
+    """Reduced echelon basis of the F_2-span of integer bitmasks: the
+    highest bit of each basis vector is set in no other one.  Ascending."""
+    basis: list[int] = []
+    for v in masks:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis = [min(b, b ^ v) for b in basis]
+            basis.append(v)
+    return sorted(basis)
+
+
+def relations(masks) -> list[int]:
+    """Reduced echelon basis of the F_2-relations among the masks: the
+    subsets S (bit i for masks[i]) whose masks XOR to zero."""
+    masks = list(masks)
+    n = len(masks)
+    # row i is masks[i] above the tag bit i; the echelon rows with no bit
+    # above the tags are a reduced echelon basis of the relations
+    tagged = echelon(m << n | 1 << i for i, m in enumerate(masks))
+    return [t for t in tagged if t >> n == 0]
 
 
 def span_closure(vectors) -> set:
+    """Every element of the F_2-span of the vectors (empty for none)."""
     vectors = list(vectors)
     if not vectors:
         return set()
-    seen = {identity_like(vectors[0])}
-    for v in vectors:
-        seen |= {s * v for s in seen}
-    return seen
+    span = {0}
+    for b in echelon(v.mask for v in vectors):
+        span |= {m ^ b for m in span}
+    return {SqVector(m, vectors[0].basis) for m in span}
 
 
 def span_rank(vectors) -> int:
-    n = len(span_closure(vectors))
-    assert n & (n - 1) == 0
-    return n.bit_length() - 1
+    """F_2-rank of the span of the vectors."""
+    return len(echelon(v.mask for v in vectors))
+
+
+def unramified_rank(vectors) -> int:
+    """F_2-rank of span(vectors) ∩ the unramified subspace: the rank of the
+    span less the rank of its projection onto the other coordinates."""
+    vectors = list(vectors)
+    if not vectors:
+        return 0
+    ramified = ~vectors[0].basis.unramified
+    return span_rank(vectors) - len(echelon(v.mask & ramified
+                                            for v in vectors))
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +300,11 @@ class EtaleAlgebra:
             self.n_comp = self.n_real + self.n_complex
             self.pieces = None
             self.split = None
+            # one sign bit per real root, no bits for a complex pair
+            self.basis = ClassBasis(
+                0, ("real",) * self.n_real + ("complex",) * self.n_complex,
+                tuple(range(self.n_real)) + (self.n_real,) * (self.n_complex + 1),
+                0)
             return
         self.split = local_splitting_type(f, p)
         if self.split.has_unresolved():
@@ -287,11 +315,19 @@ class EtaleAlgebra:
         self.pieces = list(self.split.factors)
         self.n_comp = len(self.pieces)
         self._res = {}
+        kinds, offsets, unramified = [], [0], 0
         for i, piece in enumerate(self.pieces):
             if piece.kind == "unramified" and piece.degree >= 2:
                 self._res[i] = ResidueField(p, [c % p for c in piece.lift])
-        if p == 2:
-            ResidueField(2, [1, 1])  # prime-field entry for linear pieces
+            if piece.kind == "ramified":
+                kinds.append("ramified")
+                offsets.append(offsets[-1] + 1)
+                continue
+            width = 2 if p != 2 else piece.f + 2
+            kinds.append("unramified")
+            offsets.append(offsets[-1] + width)
+            unramified |= 1 << (offsets[-1] - 1)
+        self.basis = ClassBasis(p, tuple(kinds), tuple(offsets), unramified)
 
     # -- labels --------------------------------------------------------------
 
@@ -312,51 +348,57 @@ class EtaleAlgebra:
 
     # -- unit-class canonicalization ------------------------------------------
 
-    def _class_int(self, i: int, v: int, uval: int, prec: int,
-                   kind: str = "unramified") -> CompClass:
-        """Class of p^v * uval at a component with prime residue field."""
+    def _class_int(self, i: int, v: int, uval: int, prec: int) -> int:
+        """Mask of the class of p^v * uval at a component with prime
+        residue field."""
         p = self.p
         if p != 2:
-            return CompClass(i, kind, v % 2,
-                             ("qr", 0 if legendre(uval % p, p) == 1 else 1))
-        if prec < 3:
+            bits = v % 2 | (0 if legendre(uval % p, p) == 1 else 2)
+        elif prec < 3:
             raise UnresolvedSplitting("dyadic unit class needs 3 digits")
-        u8 = uval % 8
-        w = ((u8 - 1) // 2) % 2
-        t = ((u8 - 1 - 2 * w) // 4) % 2
-        return CompClass(i, kind, v % 2, ("u2", (w,), t, (2, (1, 1))))
+        else:
+            # a unit is 3^a * 5^s times a square, with a and s its bits 1, 2
+            bits = v % 2 | uval % 8 & 6
+        return bits << self.basis.offsets[i]
 
-    def _class_poly(self, i: int, vW: int, unit, prec: int) -> CompClass:
-        """Class of pi^vW * unit for unit a unit of the unramified component
-        i given as a coefficient list modulo p^prec."""
+    def _class_poly(self, i: int, vW: int, unit, prec: int) -> int:
+        """Mask of the class of pi^vW * unit for unit a unit of the
+        unramified component i given as a coefficient list mod p^prec."""
         p = self.p
         rf = self._res[i]
         if p != 2:
             res = [c % p for c in unit]
-            return CompClass(i, "unramified", vW % 2,
-                             ("qr", 0 if rf.is_square(res) else 1))
+            bits = vW % 2 | (0 if rf.is_square(res) else 2)
+            return bits << self.basis.offsets[i]
         if prec < 3:
             raise UnresolvedSplitting("dyadic unit class needs 3 digits")
         h8 = [c % 8 for c in self.pieces[i].lift]
+
+        def mul8(a, b):
+            return mp_divmod(mp_mul(a, b, 8), h8, 8)[1]
+
         u8 = mp_divmod([c % 8 for c in unit], h8, 8)[1]
         x0 = rf.sqrt_char2([c % 2 for c in u8])
-        x0sq = mp_divmod(mp_mul(x0, x0, 8), h8, 8)[1]
-        inv = _invert_poly_mod(x0sq, h8, 2, 3)
-        up = mp_divmod(mp_mul(u8, inv, 8), h8, 8)[1]
+        up = mul8(u8, _invert_poly_mod(mul8(x0, x0), h8, 2, 3))
         up = up + [0] * (rf.f - len(up))
-        # up = 1 + 2w + 4t coefficientwise
+        # up = 1 + 2 sum_j a_j t^j mod 4
         a = [(c - (1 if j == 0 else 0)) % 8 for j, c in enumerate(up)]
         assert all(c % 2 == 0 for c in a), "unit not congruent 1 mod 2"
-        a = [c // 2 for c in a]
-        w = [c % 2 for c in a]
-        t = [(c - ww) // 2 % 2 for c, ww in zip(a, w)]
-        trbit = rf.trace_char2(t)
-        return CompClass(i, "unramified", vW % 2,
-                         ("u2", tuple(w), trbit, rf.key))
+        a = [c // 2 % 2 for c in a]
+        # divide out prod_j (1 + 2 t^j)^(a_j); 1 + 4s mod 8 remains
+        fac = [1]
+        for j, aj in enumerate(a):
+            if aj:
+                fac = mul8(fac, [3] if j == 0 else [1] + [0] * (j - 1) + [2])
+        s = [c >> 2 & 1 for c in mul8(up, _invert_poly_mod(fac, h8, 2, 3))]
+        bits = vW % 2 | sum(aj << (j + 1) for j, aj in enumerate(a))
+        bits |= rf.trace_char2(s) << (rf.f + 1)
+        return bits << self.basis.offsets[i]
 
-    def class_of_element(self, i: int, elem, prec: int) -> CompClass:
-        """Class of a nonzero element of unramified component i, given as a
-        polynomial in the generator with integer coefficients mod p^prec."""
+    def class_of_element(self, i: int, elem, prec: int) -> int:
+        """Mask of the class of a nonzero element of unramified component i,
+        given as a polynomial in the generator with integer coefficients
+        mod p^prec; the bits of the other components are zero."""
         p = self.p
         piece = self.pieces[i]
         m = p ** prec
@@ -379,20 +421,17 @@ class EtaleAlgebra:
     def image_of_affine(self, x: Fraction) -> SqVector:
         """(x - T) componentwise: the descent image of an affine point."""
         x = Fraction(x)
+        mask = 0
         if self.p == 0:
-            ents = []
             for i in range(self.n_real):
                 iv = refine_away_from(self.f, self.intervals[i], x)
                 self.intervals[i] = iv
-                ents.append(CompClass(i, "real", 0, (1 if x >= iv[1] else -1,)))
-            ents += [CompClass(self.n_real + k, "complex", 0, ())
-                     for k in range(self.n_complex)]
-            return SqVector(tuple(ents))
+                mask |= (x < iv[1]) << i
+            return SqVector(mask, self.basis)
         p = self.p
         den = x.denominator
         num = x.numerator
         vden = valuation(den, p)
-        ents = []
         for i, piece in enumerate(self.pieces):
             exact = x - piece.root if piece.root is not None else None
             if exact is not None:
@@ -402,7 +441,7 @@ class EtaleAlgebra:
                 u = exact / Fraction(p) ** v
                 prec = max(4, piece.prec)
                 uval = (u.numerator * pow(u.denominator, -1, p ** prec)) % p ** prec
-                ents.append(self._class_int(i, v, uval, prec))
+                mask |= self._class_int(i, v, uval, prec)
                 continue
             prec = piece.prec
             m = p ** prec
@@ -418,12 +457,12 @@ class EtaleAlgebra:
                 vnorm -= piece.degree * vden
                 if vnorm % piece.f != 0:
                     raise ArithmeticError("norm valuation vs residue degree")
-                ents.append(CompClass(i, "ramified", (vnorm // piece.f) % 2, ()))
+                mask |= (vnorm // piece.f) % 2 << self.basis.offsets[i]
                 continue
             # unramified piece: clear denominators by the square den^2
             elem = [(num * den) % m, (-den * den) % m]
-            ents.append(self.class_of_element(i, elem, prec))
-        return SqVector(tuple(ents))
+            mask |= self.class_of_element(i, elem, prec)
+        return SqVector(mask, self.basis)
 
     def image_of_torsion_root(self, i: int) -> SqVector:
         """Descent image of the 2-torsion divisor supported on component i
@@ -436,24 +475,16 @@ class EtaleAlgebra:
         if self.p == 0:
             if i >= self.n_real:
                 raise ValueError("torsion root must be real at the real place")
-            ents = []
-            prod = 1
-            for j in range(self.n_real):
-                if j != i:
-                    prod *= 1 if i > j else -1
-            for j in range(self.n_real):
-                if j == i:
-                    ents.append(CompClass(j, "real", 0, (prod,)))
-                else:
-                    ents.append(CompClass(j, "real", 0, (1 if i > j else -1,)))
-            ents += [CompClass(self.n_real + k, "complex", 0, ())
-                     for k in range(self.n_complex)]
-            return SqVector(tuple(ents))
+            # alpha_i - alpha_j < 0 exactly for j > i; the home entry is
+            # the product of the others
+            above = (1 << self.n_real) - (2 << i)
+            home = (self.n_real - 1 - i) % 2 << i
+            return SqVector(above | home, self.basis)
         p = self.p
         piece_i = self.pieces[i]
         if piece_i.kind == "ramified":
             raise ValueError("torsion root lives in a ramified component")
-        ents = []
+        mask = 0
         for j, piece_j in enumerate(self.pieces):
             prec = min(piece_i.prec, piece_j.prec)
             m = p ** prec
@@ -465,7 +496,7 @@ class EtaleAlgebra:
                                         [c % m for c in piece_i.lift], m)[1]
                 if (piece_i.degree - 1) % 2:
                     acc = [(-c) % m for c in acc]
-                ents.append(self.class_of_element(i, acc, prec))
+                mask |= self.class_of_element(i, acc, prec)
                 continue
             gi = [c % m for c in piece_i.lift]
             sign = -1 if piece_i.degree % 2 else 1
@@ -476,7 +507,7 @@ class EtaleAlgebra:
                     raise UnresolvedSplitting("torsion image needs more precision")
                 u = ev / Fraction(p) ** v
                 uval = (u.numerator * pow(u.denominator, -1, m)) % m
-                ents.append(self._class_int(j, v, uval, prec - v))
+                mask |= self._class_int(j, v, uval, prec - v)
             elif piece_j.kind == "ramified":
                 res = _norm_mod(list(piece_j.lift), gi, m)
                 v = _v_bounded(res, p, prec)
@@ -484,35 +515,16 @@ class EtaleAlgebra:
                     raise UnresolvedSplitting("ramified norm needs more precision")
                 if v % piece_j.f != 0:
                     raise ArithmeticError("norm valuation vs residue degree")
-                ents.append(CompClass(j, "ramified", (v // piece_j.f) % 2, ()))
+                mask |= (v // piece_j.f) % 2 << self.basis.offsets[j]
             else:
                 val = mp_divmod(gi, [c % m for c in piece_j.lift], m)[1]
                 if sign < 0:
                     val = [(-c) % m for c in val]
-                ents.append(self.class_of_element(j, val, prec))
-        return SqVector(tuple(ents))
+                mask |= self.class_of_element(j, val, prec)
+        return SqVector(mask, self.basis)
 
     def identity_vector(self) -> SqVector:
-        if self.p == 0:
-            ents = [CompClass(i, "real", 0, (1,)) for i in range(self.n_real)]
-            ents += [CompClass(self.n_real + k, "complex", 0, ())
-                     for k in range(self.n_complex)]
-            return SqVector(tuple(ents))
-        ents = []
-        for i, piece in enumerate(self.pieces):
-            if piece.kind == "ramified":
-                ents.append(CompClass(i, "ramified", 0, ()))
-            elif self.p == 2:
-                if piece.degree == 1:
-                    ents.append(CompClass(i, "unramified", 0,
-                                          ("u2", (0,), 0, (2, (1, 1)))))
-                else:
-                    rf = self._res[i]
-                    ents.append(CompClass(i, "unramified", 0,
-                                          ("u2", tuple([0] * rf.f), 0, rf.key)))
-            else:
-                ents.append(CompClass(i, "unramified", 0, ("qr", 0)))
-        return SqVector(tuple(ents))
+        return SqVector(0, self.basis)
 
     def norm_class_is_square(self, x: Fraction) -> bool:
         """Is N(x - T) = f(x) a square in Q_v (the norm-kernel condition)?"""

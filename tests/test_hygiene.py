@@ -1,10 +1,15 @@
 """Source hygiene of the qdescent package, read from its syntax trees:
-imports at module level, no __import__, and no dead private functions."""
+imports at module level, no __import__, and no dead private functions;
+and every console script that pyproject.toml declares resolves."""
 
 import ast
+import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qdescent"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "qdescent"
 TREES = {path.name: ast.parse(path.read_text())
          for path in sorted(SRC.glob("*.py"))}
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -51,3 +56,12 @@ def test_every_private_function_is_referenced():
               and not any(stmt.name in names for _, other, names in refs
                           if other is not stmt)]
     assert not unused
+
+
+def test_every_console_script_resolves():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"].get("scripts", {})
+    for name, target in scripts.items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), name

@@ -1,12 +1,20 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from qdescent.localfields import (EtaleAlgebra, isolate_real_roots,
-                                  span_closure, span_rank)
-from qdescent.poly import parse_poly
+from qdescent.localfields import (EtaleAlgebra, SqVector, echelon,
+                                  isolate_real_roots, relations, span_closure,
+                                  span_rank)
+from qdescent.poly import mp_divmod, mp_mul, parse_poly
 
 QUINTIC = parse_poly("X^5+16*X^4-274*X^3+817*X^2+178*X+1")
+# unramified pieces at 2: three linear; three linear and one of degree 2;
+# two linear and one of degree 3; one of degree 4; and the Example II
+# quintic, irreducible of degree 5
+DYADIC = [parse_poly(s) for s in ("X^3-X+8", "X^5+X^4-X^2-X+8",
+                                  "X^5+X^3+X^2+X+8", "X^4+X+1")] + [QUINTIC]
 
 
 def sym_odd(entry):
@@ -162,3 +170,79 @@ def test_unramified_images_at_2():
     assert (im(-2) * im(-9)).is_unramified()
     assert (im(-2) * im(-17)).is_unramified()
     assert (im(0) * im(4)).is_unramified()
+
+
+def unit_squares(h, k):
+    """The squares of the units of (Z/2^k)[t]/h for k = 2, 3, by brute
+    force (x^2 mod 2^k depends only on x mod 2^(k-1))."""
+    f = len(h) - 1
+    m = 2 ** k
+    hm = [c % m for c in h]
+    out = set()
+    for x in itertools.product(range(m // 2), repeat=f):
+        if any(c % 2 for c in x):
+            sq = mp_divmod(mp_mul(list(x), list(x), m), hm, m)[1]
+            out.add(tuple(sq + [0] * (f - len(sq))))
+    return out
+
+
+@pytest.mark.parametrize("f", DYADIC, ids=str)
+def test_dyadic_square_classes_are_an_F2_space(f):
+    # the classes at 2 form a group of exponent 2 on which the class map
+    # is a homomorphism; a unit's class is trivial exactly when the unit
+    # is a square mod 8 (hence a square, by Hensel), and unramified exactly
+    # when it is a square times 1 + 4s, i.e. a square mod 4
+    alg = EtaleAlgebra(f, 2)
+    for x in range(-12, 13):
+        if f.eval(x) != 0:
+            v = alg.image_of_affine(Fraction(x))
+            assert (v * v).is_trivial(), x
+    rng = random.Random(11)
+    for i, piece in enumerate(alg.pieces):
+        if piece.kind == "ramified":
+            continue
+        m = 2 ** piece.prec
+        squares = {k: unit_squares(piece.lift, k) for k in (2, 3)}
+
+        def unit():
+            while True:
+                a = [rng.randrange(m) for _ in range(piece.f)]
+                if any(c % 2 for c in a):
+                    return a
+
+        def residue(a, k):
+            r = mp_divmod([c % 2 ** k for c in a],
+                          [c % 2 ** k for c in piece.lift], 2 ** k)[1]
+            return tuple(r + [0] * (piece.f - len(r)))
+
+        for _ in range(40):
+            a, b = unit(), unit()
+            ca = alg.class_of_element(i, a, piece.prec)
+            cb = alg.class_of_element(i, b, piece.prec)
+            assert alg.class_of_element(i, mp_mul(a, b, m), piece.prec) \
+                == ca ^ cb
+            assert (ca == 0) == (residue(a, 3) in squares[3])
+            assert SqVector(ca, alg.basis).is_unramified() == \
+                (residue(a, 2) in squares[2])
+
+
+def test_echelon_and_relations_against_subset_search():
+    rng = random.Random(13)
+    for _ in range(300):
+        masks = [rng.getrandbits(8) & rng.getrandbits(8)
+                 for _ in range(rng.randint(0, 9))]
+        combos = {s: 0 for s in range(2 ** len(masks))}
+        for s in combos:
+            for i, m in enumerate(masks):
+                if s >> i & 1:
+                    combos[s] ^= m
+        for basis, space in ((echelon(masks), set(combos.values())),
+                             (relations(masks),
+                              {s for s, m in combos.items() if m == 0})):
+            # reduced echelon: each top bit is set in no other vector
+            assert all(b >> (c.bit_length() - 1) & 1 == 0
+                       for b in basis for c in basis if b != c)
+            span = {0}
+            for b in basis:
+                span |= {x ^ b for x in span}
+            assert span == space and len(span) == 2 ** len(basis)
