@@ -29,8 +29,8 @@ from math import gcd, lcm
 
 from .arith import (INFINITY, Place, finite, is_padic_square, legendre,
                     square_class_at, valuation)
-from .elliptic import (IsogenyMap, WeierstrassModel, multiplication_isogeny,
-                       phi_prime_abs, two_division_cubic_integral)
+from .elliptic import (IsogenyMap, WeierstrassModel, _depress,
+                       two_division_cubic_integral)
 from .localfields import EtaleAlgebra, span_rank, unramified_rank
 from .poly import (LocalFactor, RatPoly, UnresolvedSplitting, discriminant,
                    local_splitting_type)
@@ -261,19 +261,22 @@ def s2_order_two_map(prof: TorsionFieldProfile) -> int:
 
 def s2_order_isogeny(phi, rd: ReductionData, rd_cod: ReductionData,
                      prof: TorsionFieldProfile) -> int:
-    """|phi'(0)|_p^-1 * #E(Q_p)[phi] * c_p(E') / c_p(E).
+    """|phi'(0)|_p^-1 * #E(Q_p)[phi] * c_p(E') / c_p(E)
+    (Schaefer, J. Number Theory 56 (1996)).
 
     rd and rd_cod are the reduction data of phi.domain and phi.codomain at
     p, prof the profile of phi there.  phi'(0) is taken on the Neron
-    differentials, those of the minimal models.  phi_prime_abs measures it
-    on phi.domain and phi.codomain (phi.pre has u = 1); the scalings u, u'
-    that take these to their minimal models multiply it by u'/u.
+    differentials, those of the minimal models.  phi.phi_prime_0 is its
+    value on the depressed models of phi.domain and phi.codomain (phi.pre
+    has u = 1); the scalings u, u' that take these to their minimal models
+    multiply it by u'/u.
     """
     if phi == TWO_MAP:
         raise ValueError("use s2_order_two_map for the 2-map")
     p = rd.p
-    abs_val = phi_prime_abs(phi, p) * Fraction(p) ** (
-        valuation(rd.transform[3], p) - valuation(rd_cod.transform[3], p))
+    abs_val = Fraction(p) ** (valuation(rd.transform[3], p)
+                              - valuation(rd_cod.transform[3], p)
+                              - valuation(phi.phi_prime_0, p))
     order = 1 / abs_val * prof.rational_order * Fraction(rd_cod.c_p, rd.c_p)
     assert order.denominator == 1, "non-integral local Selmer order"
     return int(order)
@@ -309,8 +312,7 @@ def _torsion_count(m: WeierstrassModel, n: int, p: int) -> int:
     """#E(Q_p)[n] for n in {2, 3, 4}."""
     if n == 2:
         return c2_order(m, TWO_MAP, finite(p))
-    dep_phi = multiplication_isogeny(m, 2)
-    dep = dep_phi.depressed_domain()
+    dep, _ = _depress(m)
     A, B = dep.a4, dep.a6
     f = RatPoly([B, A, 0, 1])
     if n == 3:
@@ -354,15 +356,18 @@ def _count_x_roots_with_square_rhs(g: RatPoly, f: RatPoly, p: int) -> int:
         mod = p ** prec
         rootm = fac.root_mod(mod)
         lam_int = int(lam)
-        # x = root/lam: evaluate f at it modulo p^prec via cleared denominators
+        # x = root/lam: acc = lam^even * f(x) modulo p^prec, with even the
+        # least even exponent >= deg f, clears the denominators and keeps
+        # the square class of f(x)
         num = rootm
         denx = lam_int
+        even = f.degree + f.degree % 2
         acc = 0
         for k, c in enumerate(f.coeffs):
             cc = Fraction(c)
             term = (cc.numerator * pow(cc.denominator, -1, mod)) % mod
             acc = (acc + term * pow(num, k, mod)
-                   * pow(denx, f.degree - k, mod)) % mod
+                   * pow(denx, even - k, mod)) % mod
         v = 0
         t = acc
         if t == 0:
@@ -372,7 +377,7 @@ def _count_x_roots_with_square_rhs(g: RatPoly, f: RatPoly, p: int) -> int:
             v += 1
         if v >= prec - 6:
             raise UnresolvedSplitting("torsion y-square test needs precision")
-        v -= f.degree * valuation(lam_int, p)
+        v -= even * valuation(lam_int, p)
         if v % 2 != 0:
             continue
         if p == 2:

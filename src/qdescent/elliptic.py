@@ -1,9 +1,11 @@
-"""Weierstrass models, point arithmetic, isogenies, and formal-group data.
+"""Weierstrass models, point arithmetic and isogenies.
 
 Models are exact ([a1,a2,a3,a4,a6] over Q); point arithmetic runs over Q or
 over F_p through a small field-context object.  Isogeny coordinate maps are
 rational functions in x (plus y times a rational function in x), stored on a
-depressed model y^2 = x^3 + Ax + B with the translation recorded.
+depressed model y^2 = x^3 + Ax + B with the translation recorded, together
+with the scalar phi'(0) by which the map pulls back the invariant
+differential, fixed when the map is built.
 """
 
 from __future__ import annotations
@@ -343,6 +345,10 @@ class IsogenyMap:
     tuple; phi(x, y) = (xnum(xd)/xden(xd), yd * ynum(xd)/yden(xd)) on the
     codomain (itself depressed).  `kernel` lists the x-coordinates of the
     kernel on the *original* domain, or the tag "[n]".
+
+    `phi_prime_0` is phi'(0) on the depressed models: phi^*(dx'/2y') =
+    phi_prime_0 * dx/2y, so X'(x) = phi_prime_0 * Y(x) for
+    X = x_num/x_den and Y = y_num/y_den.
     """
 
     domain: WeierstrassModel
@@ -354,6 +360,7 @@ class IsogenyMap:
     y_num: RatPoly  # multiplies y_depressed
     y_den: RatPoly
     kernel: tuple
+    phi_prime_0: int
 
     def depressed_domain(self) -> WeierstrassModel:
         return self.domain.transform(*self.pre)
@@ -403,7 +410,7 @@ def velu_isogeny(m: WeierstrassModel, kernel_points) -> IsogenyMap:
     order = len(dpts) + 1
     if order == 1:
         return IsogenyMap(m, dep, 1, pre, RatPoly([0, 1]), RatPoly([1]),
-                          RatPoly([1]), RatPoly([1]), ())
+                          RatPoly([1]), RatPoly([1]), (), 1)
     if order not in (2, 3):
         raise ValueError("kernel order limited to 1, 2, 3")
     xs = {P.x for P in dpts}
@@ -438,13 +445,13 @@ def velu_isogeny(m: WeierstrassModel, kernel_points) -> IsogenyMap:
             + RatFunc(RatPoly([uq]), lin * lin)
     codomain = compute_invariants(0, 0, 0, A - 5 * t, B - 7 * w)
     xmap = (_rf(RatPoly([0, 1])) + x_extra).normalized()
-    # normalized isogeny: y' = y * d/dx x'(x)
+    # normalized isogeny: y' = y * d/dx x'(x), so phi'(0) = 1 (Velu)
     dnum = xmap.num.deriv() * xmap.den - xmap.num * xmap.den.deriv()
     dden = xmap.den * xmap.den
     ymap = RatFunc(dnum, dden).normalized()
     kern = tuple(sorted({P.x for P in pts}))
     return IsogenyMap(m, codomain, order, pre, xmap.num, xmap.den,
-                      ymap.num, ymap.den, kern)
+                      ymap.num, ymap.den, kern, 1)
 
 
 def multiplication_isogeny(m: WeierstrassModel, n: int) -> IsogenyMap:
@@ -489,160 +496,7 @@ def multiplication_isogeny(m: WeierstrassModel, n: int) -> IsogenyMap:
     xmap = X.normalized()
     ymap = Y.normalized()
     return IsogenyMap(m, dep, n * n, pre, xmap.num, xmap.den,
-                      ymap.num, ymap.den, ("[%d]" % n,))
-
-
-# ---------------------------------------------------------------------------
-# Formal group expansions
-
-
-class ZSeries:
-    """Truncated Laurent series in z over Q: coeffs[i] is the z^(off+i) term."""
-
-    def __init__(self, off, coeffs, prec):
-        self.off = off
-        self.coeffs = [Fraction(c) for c in coeffs]
-        self.prec = prec  # exponents >= prec are unknown
-        self._trim()
-
-    def _trim(self):
-        while self.coeffs and self.coeffs[0] == 0:
-            self.coeffs.pop(0)
-            self.off += 1
-        n = self.prec - self.off
-        self.coeffs = self.coeffs[:max(0, n)]
-
-    @staticmethod
-    def zero(prec):
-        return ZSeries(prec, [], prec)
-
-    @staticmethod
-    def const(c, prec):
-        return ZSeries(0, [c], prec)
-
-    @staticmethod
-    def z(prec):
-        return ZSeries(1, [1], prec)
-
-    def __add__(self, o):
-        prec = min(self.prec, o.prec)
-        off = min(self.off if self.coeffs else prec,
-                  o.off if o.coeffs else prec)
-        n = prec - off
-        cs = [Fraction(0)] * n
-        for i, c in enumerate(self.coeffs):
-            if 0 <= self.off + i - off < n:
-                cs[self.off + i - off] += c
-        for i, c in enumerate(o.coeffs):
-            if 0 <= o.off + i - off < n:
-                cs[o.off + i - off] += c
-        return ZSeries(off, cs, prec)
-
-    def __neg__(self):
-        return ZSeries(self.off, [-c for c in self.coeffs], self.prec)
-
-    def __sub__(self, o):
-        return self + (-o)
-
-    def __mul__(self, o):
-        if not self.coeffs or not o.coeffs:
-            return ZSeries.zero(min(self.prec, o.prec))
-        prec = min(self.prec + o.off, o.prec + self.off)
-        off = self.off + o.off
-        n = prec - off
-        cs = [Fraction(0)] * max(0, n)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(o.coeffs):
-                if i + j < n:
-                    cs[i + j] += a * b
-        return ZSeries(off, cs, prec)
-
-    def inverse(self):
-        if not self.coeffs or self.coeffs[0] == 0:
-            raise ZeroDivisionError
-        n = self.prec - self.off
-        a0 = self.coeffs[0]
-        inv = [1 / a0]
-        for k in range(1, n):
-            s = Fraction(0)
-            for i in range(1, k + 1):
-                ai = self.coeffs[i] if i < len(self.coeffs) else Fraction(0)
-                s += ai * inv[k - i]
-            inv.append(-s / a0)
-        return ZSeries(-self.off, inv, self.prec - 2 * self.off)
-
-    def coeff(self, e):
-        i = e - self.off
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        if e < self.prec:
-            return Fraction(0)
-        raise ValueError(f"coefficient of z^{e} beyond precision")
-
-
-def _poly_on_series(p: RatPoly, s: ZSeries, prec) -> ZSeries:
-    out = ZSeries.zero(prec)
-    for c in reversed(p.coeffs):
-        out = out * s + ZSeries.const(c, prec)
-    return out
-
-
-def formal_xy(dep: WeierstrassModel, terms: int = 14):
-    """Laurent expansions x(z), y(z) at infinity with z = -x/y."""
-    A, B = dep.a4, dep.a6
-    prec = terms
-    # w = z^3 + A z w^2 + B w^3, iterate from w = z^3
-    wcoeffs = {3: Fraction(1)}
-
-    def mul_dict(d1, d2):
-        out = {}
-        for i, a in d1.items():
-            for j, b in d2.items():
-                if i + j <= prec + 6:
-                    out[i + j] = out.get(i + j, Fraction(0)) + a * b
-        return out
-
-    for _ in range(prec + 4):
-        w2 = mul_dict(wcoeffs, wcoeffs)
-        w3 = mul_dict(w2, wcoeffs)
-        new = {3: Fraction(1)}
-        for i, c in w2.items():
-            new[i + 1] = new.get(i + 1, Fraction(0)) + A * c
-        for i, c in w3.items():
-            new[i] = new.get(i, Fraction(0)) + B * c
-        new = {i: c for i, c in new.items() if i <= prec + 6 and c != 0}
-        if new == wcoeffs:
-            break
-        wcoeffs = new
-    lo = min(wcoeffs)
-    hi = prec + 6
-    w = ZSeries(lo, [wcoeffs.get(i, Fraction(0)) for i in range(lo, hi)], hi)
-    winv = w.inverse()
-    x = ZSeries.z(winv.prec + 10) * winv  # z/w : starts z^-2
-    y = -winv  # -1/w : starts -z^-3
-    return x, y
-
-
-def phi_prime_abs(phi: IsogenyMap, p: int) -> Fraction:
-    """|phi'(0)|_p from the leading coefficient of z' = c1 z + O(z^2)."""
-    dep = phi.depressed_domain()
-    x, y = formal_xy(dep)
-    prec = 9
-    xs = _poly_on_series(phi.x_num, x, 40) * _poly_on_series(phi.x_den, x, 40).inverse()
-    ys = y * _poly_on_series(phi.y_num, x, 40) * \
-        _poly_on_series(phi.y_den, x, 40).inverse()
-    zprime = -(xs * ys.inverse())
-    if zprime.coeff(0) != 0:
-        raise ArithmeticError("formal expansion inconsistent: z' has a constant term")
-    c1 = zprime.coeff(1)
-    # internal consistency: z'(-z) = -z'(z) forces even coefficients to vanish
-    for e in (0, 2):
-        if zprime.coeff(e) != 0:
-            raise ArithmeticError("formal expansion inconsistent: even term in z'")
-    v = valuation(c1, p)
-    if v is INFINITY:
-        raise ArithmeticError("leading coefficient vanished")
-    return Fraction(p) ** (-v)
+                      ymap.num, ymap.den, ("[%d]" % n,), n)
 
 
 def reduction_filtration_level(m: WeierstrassModel, P, p: int) -> int:

@@ -1,15 +1,23 @@
 """Rank ledgers at large bad primes: each must finish, with the local
-values the Tate curve and Neron's table give."""
+values the Tate curve and Neron's table give.  The class-group helpers
+against brute force, and the JSON form of a ledger."""
 
 import sys
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
+import forms_oracle
 from conftest import DeadlineExceeded
 from qdescent import poly, tate
-from qdescent.descent_global import (assemble_ledger_elliptic,
-                                     assemble_ledger_hyper)
+from qdescent.arith import squarefree_part
+from qdescent.descent_global import (GlobalLedger, assemble_ledger_elliptic,
+                                     assemble_ledger_hyper,
+                                     fundamental_discriminant,
+                                     fundamental_unit_norm,
+                                     genus_2rank_quadratic, parse_class_data,
+                                     quadratic_class_record)
 from qdescent.elliptic import curve_from_string
 from qdescent.jacobian import HyperellipticCurve
 from qdescent.localfields import EtaleAlgebra
@@ -106,3 +114,64 @@ def test_one_etale_algebra_per_place(monkeypatch):
     points = [("rational", Fraction(x), None) for x in (-17, -9, -6, -2, 0, 4)]
     assemble_ledger_hyper(c, points=points)
     assert calls and len(calls) == len(set(calls))
+
+
+# ---------------------------------------------------------------------------
+# class-group helpers and the JSON form of a ledger
+
+
+def squarefree(lo, hi):
+    return [d for d in range(lo, hi) if d not in (0, 1)
+            and squarefree_part(d) == d]
+
+
+def test_genus_2rank_against_form_class_groups():
+    fields = squarefree(-1000, 1001)
+    assert len(fields) == 1215
+    for d in fields:
+        D = fundamental_discriminant(d)
+        assert genus_2rank_quadratic(d) == \
+            forms_oracle.narrow_class_group_2rank(D)[1], d
+
+
+def unit_norm_by_search(d, cap):
+    """Norm of the fundamental unit (x + y sqrt D)/2 of Q(sqrt d): the least
+    y > 0 with x^2 - D y^2 = -4 or 4 (for equal y the smaller x, so -4
+    first).  None when y would exceed cap."""
+    D = fundamental_discriminant(d)
+    for y in range(1, cap + 1):
+        for norm in (-1, 1):
+            x2 = D * y * y + 4 * norm
+            if isqrt(x2) ** 2 == x2:
+                return norm
+    return None
+
+
+def test_fundamental_unit_norm_against_search():
+    # 29 of the 182 fields have a unit with y > 10^4, beyond the search
+    # (d = 214: y = 47533775646)
+    checked = 0
+    for d in squarefree(2, 300):
+        norm = unit_norm_by_search(d, 10 ** 4)
+        if norm is not None:
+            assert fundamental_unit_norm(d) == norm, d
+            checked += 1
+    assert checked == 153
+
+
+def test_ledger_json_round_trip():
+    ell = assemble_ledger_elliptic(curve_from_string("[0,7,0,-26,0]"),
+                                   [quadratic_class_record(17)], [-8])
+    hyper = assemble_ledger_hyper(
+        HyperellipticCurve(parse_poly("X^5+16*X^4-274*X^3+817*X^2+178*X+1")),
+        points=[("rational", Fraction(x), None) for x in (-17, -9)])
+    assert any(isinstance(row["I"], str) for row in hyper.local_reports)
+    for ledger in (ell, hyper):
+        assert GlobalLedger.from_json(ledger.to_json()) == ledger
+
+
+def test_parse_class_data_checks_genus_theory():
+    (rec,) = parse_class_data("# Q(sqrt -5)\nX^2+5 | 1 | yes | table\n")
+    assert (rec.two_rank, rec.provenance) == (1, "computed-by-genus-theory")
+    with pytest.raises(ValueError, match="contradicts genus theory"):
+        parse_class_data("X^2+5 | 0 | yes | table")

@@ -5,12 +5,15 @@ import pytest
 
 from qdescent.arith import REAL_PLACE, finite, is_prime, valuation
 from qdescent.descent_global import bad_primes
-from qdescent.descent_local import (TWO_MAP, c2_order, i2_oracle_halving,
-                                    i2_order, local_descent_report,
-                                    s2_order_isogeny, s2_order_two_map,
-                                    s2_real, torsion_field_profile)
-from qdescent.elliptic import Pt, curve_from_string, multiplication_isogeny, \
-    two_torsion_points, velu_isogeny
+from qdescent.descent_local import (TWO_MAP, _torsion_count, c2_order,
+                                    i2_oracle_halving, i2_order,
+                                    local_descent_report, s2_order_isogeny,
+                                    s2_order_two_map, s2_real,
+                                    torsion_field_profile)
+from qdescent.elliptic import (INF, FpCtx, Pt, compute_invariants,
+                               curve_from_string, is_on_curve,
+                               multiplication_isogeny, scalar_mul,
+                               two_torsion_points, velu_isogeny)
 from qdescent.tate import tate_algorithm
 
 MESTRE = curve_from_string("[0,2597055,357573631,-549082,-19608054]")
@@ -64,6 +67,37 @@ def test_c2_orders():
     assert c2_order(MESTRE, TWO_MAP, finite(2)) == 1
     assert c2_order(MESTRE, TWO_MAP, REAL_PLACE) == 1
     assert c2_order(curve("[0,0,0,-25,0]"), TWO_MAP, finite(5)) == 4
+
+
+def fp_torsion_count(m, n, p):
+    """#E(F_p)[n] by enumerating E(F_p)."""
+    ctx = FpCtx(p)
+    pts = [INF] + [Pt(x, y) for x in range(p) for y in range(p)
+                   if is_on_curve(m, Pt(x, y), ctx)]
+    return sum(1 for P in pts if scalar_mul(m, n, P, ctx) is INF)
+
+
+def test_torsion_count_against_point_enumeration():
+    # at a good prime p not dividing n, reduction maps E(Q_p)[n] onto
+    # E(F_p)[n]; [9,-7,6,-1,-8] has E(F_7) = (Z/3)^2 and #E(F_19) = 22
+    m = curve("[9,-7,6,-1,-8]")
+    assert _torsion_count(m, 3, 7) == 9
+    assert _torsion_count(m, 3, 19) == 1
+    rng = random.Random(31)
+    done = 0
+    while done < 30:
+        a = [rng.randrange(-9, 10) for _ in range(5)]
+        p = rng.choice([5, 7, 11, 13, 17, 19, 23])
+        try:
+            m = compute_invariants(*a)
+        except ValueError:
+            continue
+        if valuation(m.disc, p) != 0:
+            continue
+        for n in (3, 4):
+            assert _torsion_count(m, n, p) == fp_torsion_count(m, n, p), \
+                (m, n, p)
+        done += 1
 
 
 def test_s2_orders():

@@ -1,13 +1,15 @@
+import json
 import random
 from fractions import Fraction
+from functools import cache
+from pathlib import Path
 
 import pytest
 
 from qdescent.arith import factor_integer, valuation
-from qdescent.elliptic import (INF, FpCtx, Pt, WeierstrassModel, add,
-                               compute_invariants, count_points_Fp,
-                               curve_from_string, formal_xy, is_on_curve,
-                               multiplication_isogeny, negate, phi_prime_abs,
+from qdescent.elliptic import (INF, FpCtx, Pt, add, compute_invariants,
+                               count_points_Fp, curve_from_string,
+                               is_on_curve, multiplication_isogeny, negate,
                                reduction_filtration_level, scalar_mul,
                                short_model, two_division_cubic,
                                two_torsion_points, velu_isogeny)
@@ -159,37 +161,57 @@ def test_multiplication_isogeny_agrees_with_scalar_mul():
             assert got == want
 
 
+def abs_p(c, p):
+    return Fraction(p) ** -valuation(c, p)
+
+
+@cache
+def mult(n):
+    return multiplication_isogeny(E189, n)
+
+
 def test_phi_prime_abs():
-    two = multiplication_isogeny(E189, 2)
-    assert phi_prime_abs(two, 2) == Fraction(1, 2)
-    assert phi_prime_abs(two, 31) == 1
+    two = mult(2)
+    assert abs_p(two.phi_prime_0, 2) == Fraction(1, 2)
+    assert abs_p(two.phi_prime_0, 31) == 1
     three = velu_isogeny(E189, [Pt(Fraction(3), Fraction(27)),
                                 Pt(Fraction(3), Fraction(-27))])
-    assert phi_prime_abs(three, 31) == 1  # p does not divide deg(phi)
-    assert phi_prime_abs(multiplication_isogeny(E189, 3), 3) == Fraction(1, 3)
+    assert abs_p(three.phi_prime_0, 31) == 1  # p does not divide deg(phi)
+    assert abs_p(mult(3).phi_prime_0, 3) == Fraction(1, 3)
 
 
 def test_phi_prime_multiplicativity():
-    four = multiplication_isogeny(E189, 4)
-    two = multiplication_isogeny(E189, 2)
-    assert phi_prime_abs(four, 2) == phi_prime_abs(two, 2) ** 2
+    # [4] = [2] o [2]
+    four = mult(4)
+    two = mult(2)
+    assert abs_p(four.phi_prime_0, 2) == abs_p(two.phi_prime_0, 2) ** 2
 
 
-def test_formal_expansion_shape():
-    x, y = formal_xy(E189)
-    assert x.off == -2 and x.coeffs[0] == 1
-    assert y.off == -3 and y.coeffs[0] == -1
-    # y^2 = x^3 + A x + B as series
-    lhs = y * y
-    rhs = x * x * x + x * ZSeriesConst(E189.a4) + ZSeriesConst(E189.a6)
-    for e in range(-6, 4):
-        assert lhs.coeff(e) == rhs.coeff(e)
+def corpus_velu_maps():
+    """The Velu maps of the ell-ledger benchmark corpus (2- and
+    3-isogenies), and the one of the trivial kernel."""
+    corpus = Path(__file__).resolve().parent.parent / "perfbench" / \
+        "corpus" / "ell-ledger.json"
+    maps = [velu_isogeny(E189, [])]
+    for case in json.loads(corpus.read_text())["cases"]:
+        kernel = case["input"].get("kernel")
+        if kernel:
+            maps.append(velu_isogeny(
+                curve_from_string(case["input"]["curve"]),
+                [Pt(Fraction(x), Fraction(y)) for x, y in kernel]))
+    return maps
 
 
-def ZSeriesConst(c):
-    from qdescent.elliptic import ZSeries
-
-    return ZSeries.const(c, 30)
+def test_differential_identity():
+    # phi(x, y) = (X(x), y Y(x)) pulls dx'/2y' back to (X'(x)/Y(x)) dx/2y,
+    # so X' = phi'(0) Y as rational functions
+    maps = corpus_velu_maps() + [mult(n) for n in (1, 2, 3, 4)]
+    assert len(maps) == 1 + 15 + 4
+    for phi in maps:
+        lhs = (phi.x_num.deriv() * phi.x_den
+               - phi.x_num * phi.x_den.deriv()) * phi.y_den
+        assert lhs == phi.phi_prime_0 * phi.x_den ** 2 * phi.y_num, \
+            (phi.domain, phi.kernel)
 
 
 def test_filtration_level_mestre():

@@ -1,6 +1,7 @@
 """Source hygiene of the qdescent package, read from its syntax trees:
 imports at module level, no __import__, and no dead private functions;
-and every console script that pyproject.toml declares resolves."""
+every console script that pyproject.toml declares resolves; and every
+helper module of the tests is imported by a test module."""
 
 import ast
 import importlib
@@ -10,6 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "qdescent"
+TESTS = ROOT / "tests"
 TREES = {path.name: ast.parse(path.read_text())
          for path in sorted(SRC.glob("*.py"))}
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -65,3 +67,17 @@ def test_every_console_script_resolves():
     for name, target in scripts.items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+def test_every_test_helper_module_is_imported():
+    helpers = {path.stem for path in TESTS.glob("*.py")
+               if not path.name.startswith("test_")
+               and path.name != "conftest.py"}
+    imported = set()
+    for path in TESTS.glob("test_*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert not helpers - imported
