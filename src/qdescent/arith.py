@@ -160,18 +160,6 @@ def factor_integer(n: int) -> Factorization:
     return Factorization(sign, tuple(sorted(out.items())))
 
 
-def factor_rational(q: Fraction) -> Factorization:
-    """Factorization with possibly negative exponents."""
-    if q == 0:
-        raise ValueError("cannot factor 0")
-    num = factor_integer(q.numerator)
-    den = factor_integer(q.denominator)
-    exps = num.as_dict()
-    for p, e in den.factors:
-        exps[p] = exps.get(p, 0) - e
-    return Factorization(num.sign, tuple(sorted((p, e) for p, e in exps.items() if e)))
-
-
 def valuation(q, p: int):
     """v_p(q) for rational q; INFINITY for q = 0."""
     q = Fraction(q)

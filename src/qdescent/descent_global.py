@@ -195,28 +195,22 @@ def quadratic_class_record(d: int) -> ClassRecord:
                        narrow_equals_wide(d), "computed-by-genus-theory")
 
 
-def c2_rank_from_class_data(f: RatPoly, records: list[ClassRecord]) -> int:
-    """F_2-rank of the global unramified group from class-group input.
+def _class_records(f: RatPoly, records: list[ClassRecord]) -> list[ClassRecord]:
+    """The records whose 2-ranks sum to the F_2-rank of the global
+    unramified group.
 
-    Supported patterns (base field Q): a single field F (f irreducible:
-    rank = 2-rank of Cl(F)) and one linear factor times k conjugate-field
-    factors (rank = sum of the constituents' 2-ranks).
+    Supported patterns (base field Q): a single field F (f irreducible: the
+    record of F) and one linear factor times k conjugate-field factors
+    (the records of the constituents).  Raises ValueError otherwise.
     """
     factors = factor_over_Z(f.monic())
-    nonlinear = [h for h in factors if h.degree >= 2]
-    linear = [h for h in factors if h.degree == 1]
     if len(factors) == 1:
-        rec = _find_record(records, factors[0])
-        return rec.two_rank
-    if len(linear) != 1:
+        return [_find_record(records, factors[0])]
+    if sum(1 for h in factors if h.degree == 1) != 1:
         raise ValueError("pattern outside the supported shapes: need one "
                          "linear factor (or irreducible f); explicit "
                          "unramified generators are not supported")
-    total = 0
-    for h in nonlinear:
-        rec = _find_record(records, h)
-        total += rec.two_rank
-    return total
+    return [_find_record(records, h) for h in factors if h.degree >= 2]
 
 
 def _find_record(records, h: RatPoly) -> ClassRecord:
@@ -304,24 +298,9 @@ class GlobalLedger:
 
 def assemble_ledger_elliptic(m: WeierstrassModel, records=None,
                              points=None) -> GlobalLedger:
-    records = records or []
     notes = []
     rank_s, rank_c, breakdown = divis_bounds(m, TWO_MAP)
-    inf_contrib = breakdown[0]["rank_S_over_I"]
-    narrow_ok = bool(records) and all(r.narrow_eq_wide for r in records)
-    refined = rank_s - inf_contrib if narrow_ok else rank_s
-    if narrow_ok and inf_contrib:
-        notes.append("narrow = wide certified: infinite-place contribution "
-                     "dropped from the S/I bound")
     cubic = two_division_cubic_integral(m)
-    class_side = None
-    prov = "not supplied"
-    if records:
-        try:
-            class_side = c2_rank_from_class_data(cubic, records)
-            prov = "; ".join(sorted({r.provenance for r in records}))
-        except ValueError as exc:
-            notes.append(f"class data not applicable: {exc}")
     tors2 = sum(1 for h in factor_over_Z(cubic) if h.degree == 1)
     tors2 = _log2({0: 1, 1: 2, 3: 4}[tors2])
     pts_rank = None
@@ -331,16 +310,41 @@ def assemble_ledger_elliptic(m: WeierstrassModel, records=None,
         upts = [("rational", 4 * Fraction(x), None) for x in points]
         pts_rank, _ = independence_rank(hc, upts, prs)
         notes.append(f"independence primes: {prs}")
-    lo = 0
-    if class_side is not None:
+    return _ledger(str(m), "elliptic", cubic, breakdown, rank_s,
+                   breakdown[0]["rank_S_over_I"], rank_c, records, pts_rank,
+                   tors2, notes)
+
+
+def _ledger(curve, kind, f, reports, rank_s, inf_contrib, rank_c, records,
+            pts_rank, tors2, notes) -> GlobalLedger:
+    """The class side, the narrow refinement and the Selmer interval.
+
+    narrow = wide for every class field lets the infinite place drop out of
+    the S/I bound.  Only the records that the class side used certify it,
+    so nothing is refined when the class data do not apply to f.
+    """
+    used = []
+    if records:
+        try:
+            used = _class_records(f, records)
+        except ValueError as exc:
+            notes.append(f"class data not applicable: {exc}")
+    narrow_ok = bool(used) and all(r.narrow_eq_wide for r in used)
+    refined = rank_s - inf_contrib if narrow_ok else rank_s
+    if narrow_ok and inf_contrib:
+        notes.append("narrow = wide certified: infinite-place contribution "
+                     "dropped from the S/I bound")
+    class_side, hi = None, None
+    prov = "not supplied"
+    lo = 0 if pts_rank is None else pts_rank + tors2
+    if used:
+        class_side = sum(r.two_rank for r in used)
+        prov = "; ".join(sorted({r.provenance for r in used}))
         lo = max(lo, class_side - rank_c)
-    if pts_rank is not None:
-        lo = max(lo, pts_rank + tors2)
-    hi = (class_side + refined) if class_side is not None else None
-    reports = breakdown
-    return GlobalLedger(str(m), "elliptic", reports, rank_s, refined, rank_c,
-                        class_side, prov, pts_rank, tors2,
-                        (lo, hi), narrow_ok, notes)
+        hi = class_side + refined
+    return GlobalLedger(curve, kind, reports, rank_s, refined, rank_c,
+                        class_side, prov, pts_rank, tors2, (lo, hi),
+                        narrow_ok, notes)
 
 
 def _independence_primes(f: RatPoly, count: int, avoid=()):
@@ -361,7 +365,6 @@ def _independence_primes(f: RatPoly, count: int, avoid=()):
 
 def assemble_ledger_hyper(c: HyperellipticCurve, records=None,
                           points=None, indep_primes=None) -> GlobalLedger:
-    records = records or []
     points = points or []
     notes = []
     g = c.genus
@@ -396,31 +399,11 @@ def assemble_ledger_hyper(c: HyperellipticCurve, records=None,
                         "I": (2 ** i_rank if complete else
                               f">={2 ** i_rank}"),
                         "kodaira": "-"})
-    narrow_ok = bool(records) and all(r.narrow_eq_wide for r in records)
-    refined = rank_s_bound - inf_contrib if narrow_ok else rank_s_bound
-    if narrow_ok and inf_contrib:
-        notes.append("narrow = wide certified: infinite-place contribution "
-                     "dropped from the S/I bound")
-    class_side = None
-    prov = "not supplied"
-    if records:
-        try:
-            class_side = c2_rank_from_class_data(c.f, records)
-            prov = "; ".join(sorted({r.provenance for r in records}))
-        except ValueError as exc:
-            notes.append(f"class data not applicable: {exc}")
     tors2 = len(factor_over_Z(c.f)) - 1
     pts_rank = None
     if points:
         prs = indep_primes or _independence_primes(c.f, 2)
         pts_rank, _ = independence_rank(c, points, prs)
         notes.append(f"independence primes: {prs}")
-    lo = 0
-    if class_side is not None:
-        lo = max(lo, class_side - rank_c_bound)
-    if pts_rank is not None:
-        lo = max(lo, pts_rank + tors2)
-    hi = (class_side + refined) if class_side is not None else None
-    return GlobalLedger(str(c.f), "hyperelliptic", reports, rank_s_bound,
-                        refined, rank_c_bound, class_side, prov, pts_rank,
-                        tors2, (lo, hi), narrow_ok, notes)
+    return _ledger(str(c.f), "hyperelliptic", c.f, reports, rank_s_bound,
+                   inf_contrib, rank_c_bound, records, pts_rank, tors2, notes)

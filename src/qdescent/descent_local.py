@@ -342,6 +342,9 @@ def _count_x_roots_with_square_rhs(g: RatPoly, f: RatPoly, p: int) -> int:
     split = local_splitting_type(scaled, p)
     if split.has_unresolved():
         raise UnresolvedSplitting(f"torsion counting unresolved at {p}")
+    # D^2 * f has integer coefficients and the square classes of f
+    D = lcm(*(Fraction(c).denominator for c in f.coeffs))
+    f_int = [int(c * D * D) for c in f.coeffs]
     count = 0
     for fac in split.factors:
         if fac.degree != 1:
@@ -356,17 +359,15 @@ def _count_x_roots_with_square_rhs(g: RatPoly, f: RatPoly, p: int) -> int:
         mod = p ** prec
         rootm = fac.root_mod(mod)
         lam_int = int(lam)
-        # x = root/lam: acc = lam^even * f(x) modulo p^prec, with even the
-        # least even exponent >= deg f, clears the denominators and keeps
-        # the square class of f(x)
+        # x = root/lam: acc = lam^even * D^2 * f(x) modulo p^prec, with
+        # even the least even exponent >= deg f, clears the denominators
+        # and keeps the square class of f(x)
         num = rootm
         denx = lam_int
         even = f.degree + f.degree % 2
         acc = 0
-        for k, c in enumerate(f.coeffs):
-            cc = Fraction(c)
-            term = (cc.numerator * pow(cc.denominator, -1, mod)) % mod
-            acc = (acc + term * pow(num, k, mod)
+        for k, c in enumerate(f_int):
+            acc = (acc + c * pow(num, k, mod)
                    * pow(denx, even - k, mod)) % mod
         v = 0
         t = acc
@@ -377,7 +378,7 @@ def _count_x_roots_with_square_rhs(g: RatPoly, f: RatPoly, p: int) -> int:
             v += 1
         if v >= prec - 6:
             raise UnresolvedSplitting("torsion y-square test needs precision")
-        v -= even * valuation(lam_int, p)
+        v -= even * valuation(lam_int, p) + 2 * valuation(D, p)
         if v % 2 != 0:
             continue
         if p == 2:

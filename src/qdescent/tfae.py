@@ -8,28 +8,48 @@ on the roots with one fixed point and all other orbits regular.
 
 Exactness here:
   * d = 3: always holds.
-  * binomials X^d + a (d = 5, 7): always hold (the splitting field contains
-    the roots' ratios, which are roots of unity of odd conductor over the
-    relevant subfields).
-  * d = 5 irreducible: square discriminant certifies {C5, D5, A5} (holds);
-    a mod-p factorization shape outside F20 certifies S5 (fails); otherwise
-    a numeric-but-integrally-verified sextic resolvent decides F20 vs S5.
-  * reducible shapes are decided by exact small-degree Galois theory
-    (quadratic discriminants, cubic discriminants, quartic resolvents).
-  * anything else is answered by sampling and marked as such.
+  * translated binomials, f(X - a_{d-1}/d) = X^d + a: always hold.  The
+    translation keeps the splitting field, whose group lies in AGL(1, d)
+    (or in (Z/d)* when f is reducible); there a 2-Sylow fixes one root and
+    acts freely on the others.
+  * reducible f with factors of degree <= 4: the orbit rule.  The image of
+    a 2-Sylow of Gal(f) in Gal(h) is a 2-Sylow of Gal(h), so G2 has the
+    orbits {1} on a linear factor h, {2} on a quadratic, {1,1,1} on a cubic
+    with square discriminant and {1,2} on any other cubic, and {4} on a
+    quartic.  f holds iff every orbit is a point (G2 = 1), or one root is
+    fixed and every other orbit has size #G2.  Orbits of size 2 are
+    regular iff the discriminants of the quadratics and non-square cubics
+    span rank 1 in Q*/Q*^2 (G2 embeds in their characters); orbits of
+    size 4 beside one fixed root mean 1+4, regular iff the quartic's group
+    is C4, V4 or A4.
+  * irreducible d = 5, 7: f holds iff Gal(f) lies in A5 (d = 5, square
+    discriminant) or in a conjugate of AGL(1, d), which is F20 or F42.  A
+    Frobenius cycle shape outside AGL(1, d) proves that f fails; at the
+    first prime where f splits completely, the p-adic resolvent of
+    `agl_resolvent_holds` decides (Stauduhar, Math. Comp. 27 (1973)).
+  * reducible f with an irreducible factor of degree 5 or 6 beside other
+    factors: the one unproved verdict, "fails", marked `sampled`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import factor_integer, is_prime, rational_sqrt, squarefree_part
 from .poly import (RatPoly, discriminant, factor_mod_p, factor_over_Z,
-                   fp_poly)
+                   fp_poly, hensel_lift_factors, roots_in_Fp)
 
-_SAMPLE_BOUND = 600
+# Primes scanned for a decisive Frobenius; Chebotarev finds one far sooner.
+_SCAN_BOUND = 10 ** 5
+# Tschirnhaus maps t = r^2 + r + c tried, c = 1, 2, ..., before giving up.
+_TSCHIRNHAUS_TRIES = 16
+
+
+class GaloisUndecided(ArithmeticError):
+    """No decisive prime or separating Tschirnhaus map within the caps."""
 
 
 @dataclass(frozen=True)
@@ -94,80 +114,36 @@ def _rational_poly_roots(g: RatPoly):
     return out
 
 
-def _odd_order_factor(h: RatPoly):
-    """True/False/None: does the splitting field of h have odd degree?"""
-    d = h.degree
-    if d == 1:
-        return True
-    if d == 2:
-        return False
-    if d == 3:
-        return _is_rational_square(discriminant(h))
-    if d == 4:
-        return False
-    return None  # degree 5+ factors: not decided here
-
-
-def _reducible_verdict(f: RatPoly, factors) -> TfaeResult | None:
-    """Exact orbit analysis for reducible f (d = 5 shapes and easy cases)."""
-    degs = sorted(h.degree for h in factors)
-    shape = "+".join(str(d) for d in degs)
-    n_lin = degs.count(1)
-    # G2 trivial: every factor has an odd-order splitting field
-    odd = [_odd_order_factor(h) for h in factors]
-    if all(o is True for o in odd):
-        return TfaeResult(True, f"{shape}: trivial 2-Sylow (odd-order group)",
-                          "exact")
-    if None in odd:
-        return None  # leave to the caller
-    if all(h.degree <= 2 for h in factors):
-        quads = [h for h in factors if h.degree == 2]
-        discs = set()
-        for h in quads:
+def _reducible_verdict(factors) -> TfaeResult:
+    """The orbit rule of the module docstring, for reducible f."""
+    shape = "+".join(str(h.degree) for h in factors)
+    if any(h.degree > 4 for h in factors):
+        return TfaeResult(False, "sampled", "sampled",
+                          "reducible shape beyond the exact table")
+    orbits, discs, sylow4 = [], set(), 1
+    for h in factors:
+        if h.degree == 4:
+            orbits.append(4)
+            sylow4 = 8 if quartic_galois_group(h) in ("D4", "S4") else 4
+        elif h.degree == 1 or _is_rational_square(discriminant(h)):
+            orbits += [1] * h.degree
+        else:
             dsc = discriminant(h)
+            orbits += [1, 2] if h.degree == 3 else [2]
             discs.add(squarefree_part(dsc.numerator * dsc.denominator))
-        k = _f2_rank_of_squarefree(discs)
-        if k == 0:
-            return TfaeResult(True, f"{shape}: splits over Q", "exact")
-        if k == 1 and n_lin == 1:
-            return TfaeResult(True, f"{shape}: one linear + quadratics over "
-                              "a single quadratic field", "exact")
-        return TfaeResult(False, f"{shape}: 2-Sylow of order {2 ** k} with "
-                          f"{n_lin} fixed roots", "exact")
-    cubics = [h for h in factors if h.degree == 3]
-    quartics = [h for h in factors if h.degree == 4]
-    quads = [h for h in factors if h.degree == 2]
-    if len(cubics) == 1 and not quartics:
-        dc = discriminant(cubics[0])
-        if _is_rational_square(dc):
-            # S3 impossible here; G2 comes from the quadratic factors
-            if not quads:
-                return TfaeResult(True, f"{shape}: odd-order group", "exact")
-            # C3-cubic x quadratic(s): the cubic roots are all G2-fixed
-            return TfaeResult(False, f"{shape}: cyclic cubic leaves three "
-                              "fixed roots under the 2-Sylow", "exact")
-        if not quads:
-            # linear factors + S3-cubic: transposition fixes n_lin + 1 roots
-            return TfaeResult(False, f"{shape}: S3 cubic with {n_lin} "
-                              "rational roots leaves several fixed points",
-                              "exact")
-        if n_lin == 0 and all(_is_rational_square(dc * discriminant(h))
-                              for h in quads):
-            return TfaeResult(True, f"{shape}: quadratics inside the S3 "
-                              "cubic field (fiber product)", "exact")
-        return TfaeResult(False, f"{shape}: fixed rational roots or an "
-                          "independent quadratic beside the S3 cubic", "exact")
-    if len(quartics) == 1 and n_lin == len(factors) - 1:
-        grp = quartic_galois_group(quartics[0])
-        if n_lin != 1:
-            return TfaeResult(False, f"{shape}: {n_lin} fixed rational roots",
-                              "exact")
-        if grp in ("C4", "V4", "A4"):
-            return TfaeResult(True, f"1+4: quartic with group {grp} "
-                              "(regular 2-Sylow orbit)", "exact")
-        return TfaeResult(False, f"1+4: quartic with group {grp} "
-                          "(2-Sylow of order 8)", "exact")
-    return None
+    moved = {o for o in orbits if o > 1}
+    sizes = "+".join(str(o) for o in sorted(orbits))
+    if not moved:
+        return TfaeResult(True, f"{shape}: trivial 2-Sylow (odd-order "
+                          "group)", "exact")
+    order = 0
+    if orbits.count(1) == 1 and moved == {2}:
+        order = 2 ** _f2_rank_of_squarefree(discs)
+    elif orbits.count(1) == 1 and moved == {4}:
+        order = sylow4
+    holds = order == max(moved)
+    return TfaeResult(holds, f"{shape}: 2-Sylow orbits {sizes}"
+                      + (f", order {order}" if order else ""), "exact")
 
 
 def _f2_rank_of_squarefree(vals) -> int:
@@ -198,78 +174,88 @@ def _f2_rank_of_squarefree(vals) -> int:
     return len(basis)
 
 
-def _quintic_resolvent_holds(f: RatPoly):
-    """Numeric F20-resolvent with integral verification; None on failure."""
-    try:
-        import mpmath
-    except ImportError:
-        return None
-    # integral monic input expected
-    if not f.is_integral():
-        return None
-    coeffs_prev = None
-    for dps in (60, 120, 240):
-        mpmath.mp.dps = dps
-        roots = mpmath.polyroots([int(c) for c in reversed(f.coeffs)],
-                                 maxsteps=200, extraprec=dps * 4)
-        deltas_sq = []
-        seen_cycles = set()
-        for perm in itertools.permutations(range(1, 5)):
-            cyc = (0,) + perm
-            edges = frozenset(frozenset((cyc[i], cyc[(i + 1) % 5]))
-                              for i in range(5))
-            if edges in seen_cycles:
-                continue
-            seen_cycles.add(edges)
-            pent = sum(roots[a] * roots[b] for e in edges for a, b in [tuple(e)])
-            all_pairs = sum(roots[a] * roots[b]
-                            for a in range(5) for b in range(a + 1, 5))
-            gram = pent - (all_pairs - pent)
-            deltas_sq.append(gram * gram)
-        # the 12 cycles give 6 values of delta^2 (cycle and complement agree)
-        vals = []
-        for v in deltas_sq:
-            if not any(abs(v - w) < mpmath.mpf(10) ** (-dps // 3)
-                       for w in vals):
-                vals.append(v)
-        if len(vals) != 6:
-            return None
-        poly = [mpmath.mpf(1)]
-        for v in vals:
-            poly = [a for a in _poly_mul_num(poly, [-v, mpmath.mpf(1)])]
-        ints = [int(mpmath.nint(c.real if hasattr(c, "real") else c))
-                for c in poly]
-        errs = [abs(c - i) for c, i in zip(poly, ints)]
-        if max(errs) < mpmath.mpf(10) ** (-8):
-            if coeffs_prev == ints:
-                # verified at two precisions: test integer roots of the
-                # monic sextic resolvent
-                const = ints[0]
-                if const == 0:
-                    # R6(0) = prod delta^2 rounded to 0: a nonzero algebraic
-                    # integer cannot have norm below 1, so some delta^2 is
-                    # exactly 0 and y = 0 is the rational root
-                    return True
-                divisors = [1]
-                for pr, e in factor_integer(abs(const)).factors:
-                    divisors = [dd * pr ** i for dd in divisors
-                                for i in range(e + 1)]
-                rp = RatPoly(ints)
-                for dcand in divisors:
-                    for s in (1, -1):
-                        if rp.eval(s * dcand) == 0:
-                            return True
-                return False
-            coeffs_prev = ints
-    return None
+def _theta_terms(d: int):
+    """theta = sum of x_i * x_j^2 * x_k over these (i, j, k): the triples
+    (b, b + a, b + 2a) mod d with a != 0.  Its stabilizer in S_d is
+    AGL(1, d) for d = 5 and 7."""
+    return [(b, (b + a) % d, (b + 2 * a) % d)
+            for a in range(1, d) for b in range(d)]
 
 
-def _poly_mul_num(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
+def _root_ceil(a: int, k: int) -> int:
+    """The least integer r >= 0 with r^k >= a."""
+    lo, hi = 0, 1 << -(-a.bit_length() // k)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid ** k >= a:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def agl_resolvent_holds(f: RatPoly, p: int) -> bool:
+    """Does Gal(f) lie in a conjugate of AGL(1, d)?  Exact.
+
+    f is monic and integral of prime degree d in {5, 7}, and has d distinct
+    roots mod p, so its roots lie in Z_p.  AGL(1, d), the stabilizer of
+    theta (`_theta_terms`), is sharply 2-transitive, so the n = (d-2)!
+    orderings of the roots that keep the first two in place meet each of
+    its cosets once.  On the Tschirnhaus images t = r^2 + r + c, bounded
+    by T = B^2 + B + c where B is Fujiwara's root bound, the n theta values
+    are algebraic integers of size at most M = d(d-1)T^4, the roots of an
+    integral resolvent R.  Lift the roots to Z/p^N with p^N > (2M)^n.  If
+    the values are distinct mod p^N, R is squarefree, and a centred value
+    v with |v| <= M makes R(v) an integer of size at most (2M)^n that p^N
+    divides, so R(v) = 0: v is a rational value, and Gal(f) fixes its
+    coset.  Conversely a group inside a conjugate of AGL(1, d) fixes one
+    value, an integer of size at most M.  Values that collide mod p^N send
+    the search to the next c.
+    """
+    d = f.degree
+    a = [int(c) for c in f.coeffs]
+    roots = roots_in_Fp(f, p)
+    if len(set(roots)) != d:
+        raise ValueError(f"f does not split into distinct factors mod {p}")
+    B = 2 * max([_root_ceil((abs(a[0]) + 1) // 2, d)]
+                + [_root_ceil(abs(a[d - k]), k) for k in range(1, d)])
+    terms = _theta_terms(d)
+    orderings = [(0, 1) + rest for rest in itertools.permutations(range(2, d))]
+    n = math.factorial(d - 2)
+    for c in range(1, _TSCHIRNHAUS_TRIES + 1):
+        bound = d * (d - 1) * (B * B + B + c) ** 4
+        N = n * (2 * bound).bit_length() // (p.bit_length() - 1) + 1
+        mod = p ** N
+        lifted = hensel_lift_factors(a, [[-r % p, 1] for r in roots], p, N)
+        t = [(r * r + r + c) % mod for r in (-g[0] % mod for g in lifted)]
+        sq = [x * x % mod for x in t]
+        vals = {sum(t[o[i]] * sq[o[j]] * t[o[k]] for i, j, k in terms) % mod
+                for o in orderings}
+        if len(vals) == n:
+            return any(min(v, mod - v) <= bound for v in vals)
+    raise GaloisUndecided(f"no separating Tschirnhaus map for {f} at {p}")
+
+
+def _agl_verdict(f: RatPoly) -> TfaeResult:
+    """Irreducible monic integral f of degree 5 or 7 outside A5."""
+    d = f.degree
+    name = {5: "quintic", 7: "septic"}[d]
+    # x -> ux + b: the d-cycle, and (1, k, ..., k) for each k | d - 1
+    agl = {(d,)} | {(1,) + (k,) * ((d - 1) // k)
+                    for k in range(1, d) if (d - 1) % k == 0}
+    for p in range(2, _SCAN_BOUND):
+        sh = _cycle_shape(f, p) if is_prime(p) else None
+        if sh is None:
+            continue
+        if sh not in agl:
+            return TfaeResult(False, f"irreducible {name}: group outside "
+                              f"AGL(1,{d}) (shape {sh} mod {p})", "exact")
+        if len(sh) == d:
+            holds = agl_resolvent_holds(f, p)
+            return TfaeResult(holds, f"irreducible {name}: group "
+                              f"{'inside' if holds else 'outside'} AGL(1,{d}) "
+                              f"(resolvent at {p})", "exact")
+    raise GaloisUndecided(f"no decisive prime below {_SCAN_BOUND} for {f}")
 
 
 def tfae_test(f: RatPoly) -> TfaeResult:
@@ -283,55 +269,16 @@ def tfae_test(f: RatPoly) -> TfaeResult:
     if d == 3:
         return TfaeResult(True, "cubic", "exact",
                           "holds for every separable cubic")
-    if sum(1 for c in f.coeffs[1:-1] if c != 0) == 0 and f.coeffs[0] != 0:
-        return TfaeResult(True, f"binomial X^{d}+a", "exact",
-                          "binomial: metacyclic splitting field")
+    if not any(f.compose_linear(1, -f.coeffs[d - 1] / d).coeffs[1:-1]):
+        return TfaeResult(True, f"binomial X^{d}+a up to translation",
+                          "exact", "binomial: metacyclic splitting field")
     factors = factor_over_Z(f)
     if len(factors) > 1:
-        got = _reducible_verdict(f, factors)
-        if got is not None:
-            return got
-        return _sampled_verdict(f, "reducible shape beyond the exact table")
-    # irreducible
-    disc = discriminant(f)
-    if d == 5:
-        if _is_rational_square(disc):
-            return TfaeResult(True, "irreducible quintic, square "
-                              "discriminant (group within A5)", "exact")
-        shapes_f20 = {(1, 1, 1, 1, 1), (1, 2, 2), (1, 4), (5,)}
-        p = 2
-        while p < _SAMPLE_BOUND:
-            if is_prime(p):
-                sh = _cycle_shape(f, p)
-                if sh is not None and sh not in shapes_f20:
-                    return TfaeResult(False, "irreducible quintic: S5 "
-                                      f"(witness shape {sh} mod {p})", "exact")
-            p += 1
-        res = _quintic_resolvent_holds(f)
-        if res is True:
-            return TfaeResult(True, "irreducible quintic: solvable (F20 "
-                              "resolvent root)", "exact")
-        if res is False:
-            return TfaeResult(False, "irreducible quintic: S5 (resolvent "
-                              "has no rational root)", "exact")
-        return _sampled_verdict(f, "no S5 witness found; resolvent "
-                                "inconclusive", default=True)
-    # d == 7
-    shapes_f42 = {(1, 1, 1, 1, 1, 1, 1), (1, 2, 2, 2), (1, 3, 3), (1, 6), (7,)}
-    p = 2
-    while p < _SAMPLE_BOUND:
-        if is_prime(p):
-            sh = _cycle_shape(f, p)
-            if sh is not None and sh not in shapes_f42:
-                return TfaeResult(False, "irreducible septic: group not "
-                                  f"solvable-metacyclic (shape {sh} mod {p})",
-                                  "exact")
-        p += 1
-    return _sampled_verdict(f, "no witness outside F42 shapes", default=True)
-
-
-def _sampled_verdict(f: RatPoly, why: str, default: bool = None) -> TfaeResult:
-    if default is None:
-        # crude default: trust the orbit heuristics conservatively
-        default = False
-    return TfaeResult(default, "sampled", "sampled", why)
+        return _reducible_verdict(factors)
+    if d == 5 and _is_rational_square(discriminant(f)):
+        return TfaeResult(True, "irreducible quintic, square "
+                          "discriminant (group within A5)", "exact")
+    # X -> X/D: a monic integral polynomial with the same splitting field
+    D = math.lcm(*(c.denominator for c in f.coeffs))
+    return _agl_verdict(RatPoly([c * D ** (d - i)
+                                 for i, c in enumerate(f.coeffs)]))

@@ -175,3 +175,25 @@ def test_parse_class_data_checks_genus_theory():
     assert (rec.two_rank, rec.provenance) == (1, "computed-by-genus-theory")
     with pytest.raises(ValueError, match="contradicts genus theory"):
         parse_class_data("X^2+5 | 0 | yes | table")
+
+
+def test_narrow_refinement_only_from_applicable_class_data():
+    # y^2 = x^3 - 25x: the 2-division cubic splits over Q, so no record
+    # applies and the infinite place stays in the S/I bound
+    m = curve_from_string("[0,0,0,-25,0]")
+    ledger = assemble_ledger_elliptic(m, [quadratic_class_record(-3)])
+    assert any("not applicable" in n for n in ledger.notes)
+    assert not ledger.narrow_refinement_applied
+    assert ledger.bound_rank_S_over_I_refined == \
+        assemble_ledger_elliptic(m).bound_rank_S_over_I_refined == 5
+    # an irreducible quintic takes no quadratic record
+    hyper = assemble_ledger_hyper(HyperellipticCurve(parse_poly("X^5-X+1")),
+                                  [quadratic_class_record(-3)])
+    assert any("not applicable" in n for n in hyper.notes)
+    assert not hyper.narrow_refinement_applied
+    # y^2 = x^3 - 2x = x(x^2 - 2): Q(sqrt 2) has a unit of norm -1
+    m = curve_from_string("[0,0,0,-2,0]")
+    ledger = assemble_ledger_elliptic(m, [quadratic_class_record(2)])
+    assert ledger.narrow_refinement_applied
+    assert (ledger.bound_rank_S_over_I,
+            ledger.bound_rank_S_over_I_refined) == (3, 2)

@@ -14,6 +14,7 @@ from qdescent.elliptic import (INF, FpCtx, Pt, compute_invariants,
                                curve_from_string, is_on_curve,
                                multiplication_isogeny, scalar_mul,
                                two_torsion_points, velu_isogeny)
+from qdescent.poly import UnresolvedSplitting
 from qdescent.tate import tate_algorithm
 
 MESTRE = curve_from_string("[0,2597055,357573631,-549082,-19608054]")
@@ -83,6 +84,11 @@ def test_torsion_count_against_point_enumeration():
     m = curve("[9,-7,6,-1,-8]")
     assert _torsion_count(m, 3, 7) == 9
     assert _torsion_count(m, 3, 19) == 1
+    # good at 2, with 3 in the denominators of the depressed model
+    for a in ([6, -2, 3, 8, -6], [-4, -8, -7, 8, 3], [-2, -6, -5, 0, 5]):
+        m = compute_invariants(*a)
+        assert valuation(m.disc, 2) == 0
+        assert _torsion_count(m, 3, 2) == fp_torsion_count(m, 3, 2), a
     rng = random.Random(31)
     done = 0
     while done < 30:
@@ -98,6 +104,28 @@ def test_torsion_count_against_point_enumeration():
             assert _torsion_count(m, n, p) == fp_torsion_count(m, n, p), \
                 (m, n, p)
         done += 1
+
+
+def test_torsion_count_at_2_and_3():
+    # the depressed model y^2 = x^3 + Ax + B has 2s and 3s in the
+    # denominators of A and B: the count must come out, or give up by name
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(40):
+        a = [rng.randrange(-9, 10) for _ in range(5)]
+        try:
+            m = compute_invariants(*a)
+        except ValueError:
+            continue
+        for n, p in ((3, 2), (4, 3), (3, 3), (4, 2)):
+            try:
+                got = _torsion_count(m, n, p)
+            except UnresolvedSplitting:
+                continue
+            if n % p and valuation(m.disc, p) == 0:
+                assert got == fp_torsion_count(m, n, p), (a, n, p)
+                checked += 1
+    assert checked >= 40
 
 
 def test_s2_orders():

@@ -1,10 +1,12 @@
 """Source hygiene of the qdescent package, read from its syntax trees:
-imports at module level, no __import__, and no dead private functions;
-every console script that pyproject.toml declares resolves; and every
-helper module of the tests is imported by a test module."""
+imports at module level and from the standard library only, no
+__import__, and no dead functions or classes; pyproject.toml declares no
+runtime dependency and every console script it declares resolves; and
+every helper module of the tests is imported by a test module."""
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,17 +49,65 @@ def referenced_names(node) -> set:
     return out
 
 
+def imported_modules(tree):
+    """(line, module) of every absolute import in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module
+
+
+def test_only_standard_library_imports():
+    allowed = sys.stdlib_module_names | {"qdescent"}
+    found = [f"{name}:{line}:{module}"
+             for name, tree in TREES.items()
+             for line, module in imported_modules(tree)
+             if module.split(".")[0] not in allowed]
+    assert not found
+
+
+# (file, module-level statement, names it references) over src/
+STATEMENTS = [(name, stmt, referenced_names(stmt))
+              for name, tree in TREES.items() for stmt in tree.body]
+
+
+def used_in_src(stmt) -> bool:
+    """Is the name stmt defines referenced by another statement of src/?"""
+    return any(stmt.name in names for _, other, names in STATEMENTS
+               if other is not stmt)
+
+
 def test_every_private_function_is_referenced():
     # a module-level _name function must be referenced by code other than
     # its own body
-    refs = [(name, stmt, referenced_names(stmt))
-            for name, tree in TREES.items() for stmt in tree.body]
-    unused = [f"{name}:{stmt.name}" for name, stmt, _ in refs
+    unused = [f"{name}:{stmt.name}" for name, stmt, _ in STATEMENTS
               if isinstance(stmt, FUNCTIONS) and stmt.name.startswith("_")
-              and not stmt.name.startswith("__")
-              and not any(stmt.name in names for _, other, names in refs
-                          if other is not stmt)]
+              and not stmt.name.startswith("__") and not used_in_src(stmt)]
     assert not unused
+
+
+def test_every_public_definition_is_referenced():
+    # a public module-level function or class must be used by other code of
+    # src/, or by tests/ or perfbench/, which also name functions in strings
+    outside = set()
+    for path in [*TESTS.glob("*.py"), *(ROOT / "perfbench").rglob("*.py")]:
+        tree = ast.parse(path.read_text())
+        outside |= referenced_names(tree)
+        outside |= {node.value for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)}
+    unused = [f"{name}:{stmt.name}" for name, stmt, _ in STATEMENTS
+              if isinstance(stmt, (*FUNCTIONS, ast.ClassDef))
+              and not stmt.name.startswith("_")
+              and stmt.name not in outside and not used_in_src(stmt)]
+    assert not unused
+
+
+def test_no_runtime_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"].get("dependencies", []) == []
 
 
 def test_every_console_script_resolves():

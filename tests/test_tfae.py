@@ -1,9 +1,11 @@
+import itertools
 import random
+from collections import Counter
 
-import pytest
-
-from qdescent.poly import RatPoly, discriminant, parse_poly
-from qdescent.tfae import quartic_galois_group, tfae_test
+from qdescent.arith import is_prime
+from qdescent.poly import RatPoly, discriminant, mp_pow_mod, parse_poly
+from qdescent.tfae import (_theta_terms, agl_resolvent_holds,
+                           quartic_galois_group, tfae_test)
 
 QUINTIC = parse_poly("X^5+16*X^4-274*X^3+817*X^2+178*X+1")
 
@@ -42,11 +44,12 @@ def test_s5_quintic_fails():
 
 
 def test_f20_quintic_holds():
-    # x^5 - 2 is solvable with group F20 and non-square discriminant:
-    # the binomial shortcut must certify it; a shifted version exercises
-    # the resolvent/sampling path
-    r = tfae_test(parse_poly("X^5-2"))
-    assert r.holds and r.certificate == "exact"
+    # x^5 - 2 is solvable with group F20 and non-square discriminant: the
+    # binomial shortcut certifies it, and its translates too
+    for s in ("X^5-2", "X^5+5*X^4+10*X^3+10*X^2+5*X-1"):  # (X+1)^5 - 2
+        r = tfae_test(parse_poly(s))
+        assert r.holds and r.certificate == "exact"
+        assert "binomial" in r.pattern
 
 
 def test_quartic_galois_groups():
@@ -92,8 +95,11 @@ def test_reducible_quintics():
 
 
 def test_binomial_septics():
-    r = tfae_test(parse_poly("X^7+3"))
-    assert r.holds and r.certificate == "exact"
+    # X^7 + 3, and (X-2)^7 - 5, which has only F42 cycle shapes
+    for f in (parse_poly("X^7+3"),
+              parse_poly("X^7-5").compose_linear(1, -2)):
+        r = tfae_test(f)
+        assert r.holds and r.certificate == "exact"
 
 
 def test_septic_s7_fails():
@@ -111,9 +117,66 @@ def test_sampled_only_when_sampling_used():
 
 
 def test_resolvent_path_f20():
-    # 2x^5 - ... use a known solvable quintic that is not a binomial:
-    # x^5 + 20x + 16 wait -- use x^5 - 5x^3 + 5x + 5? Check via sampling
-    # fallback: the resolvent must certify solvability of x^5+15x+12
+    # x^5 + 15x + 12 is solvable, and its discriminant 259200000 is not a
+    # square, so its group is F20; the p-adic resolvent certifies it
+    assert discriminant(parse_poly("X^5+15*X+12")) == 259200000
     r = tfae_test(parse_poly("X^5+15*X+12"))
-    # x^5 + 15x + 12 is a classical solvable (D5) quintic
-    assert r.holds
+    assert r.holds and r.certificate == "exact"
+    assert "resolvent" in r.pattern
+
+
+def test_theta_stabilizer_is_agl():
+    # theta = sum x_i x_j^2 x_k over _theta_terms(d); a permutation fixes
+    # it iff it maps the multiset of monomials x_j^2 * x_i x_k to itself
+    def monomials(terms):
+        return Counter((j, frozenset((i, k))) for i, j, k in terms)
+
+    for d, order in ((5, 20), (7, 42)):
+        terms = _theta_terms(d)
+        base = monomials(terms)
+        stab = [s for s in itertools.permutations(range(d))
+                if monomials([(s[i], s[j], s[k]) for i, j, k in terms])
+                == base]
+        assert len(stab) == order
+        # x -> 2x + 1 lies in AGL(1, d)
+        assert tuple((2 * x + 1) % d for x in range(d)) in stab
+
+
+def split_prime(f):
+    """The least prime p not dividing disc f with X^p = X mod (f, p)."""
+    disc = discriminant(f).numerator
+    coeffs = [int(c) for c in f.coeffs]
+    p = f.degree
+    while not (is_prime(p) and disc % p
+               and mp_pow_mod([0, 1], p, coeffs, p) == [0, 1]):
+        p += 1
+    return p
+
+
+def test_agl_resolvent_at_a_split_prime():
+    conductor_29 = "X^7+X^6-12*X^5-7*X^4+28*X^3+14*X^2-9*X+1"  # cyclic
+    for s in ("X^5+15*X+12", "X^5-2", "X^7-2", conductor_29):
+        f = parse_poly(s)
+        assert agl_resolvent_holds(f, split_prime(f)), s
+    for s in ("X^5-X-1", "X^7-X-1"):  # S5, S7
+        f = parse_poly(s)
+        assert not agl_resolvent_holds(f, split_prime(f)), s
+
+
+def test_psl32_septic_fails():
+    # Trinks' x^7 - 7x + 3 has group PSL(3,2), whose 2-Sylow has order 8
+    r = tfae_test(parse_poly("X^7-7*X+3"))
+    assert not r.holds and r.certificate == "exact"
+
+
+def test_reducible_septics_are_exact():
+    lin, quad = parse_poly("X-1"), parse_poly("X^2-2")
+    s4 = parse_poly("X^4+X+1")
+    c3a, c3b = parse_poly("X^3-3*X+1"), parse_poly("X^3-3*X-1")  # C3
+    s3a, s3b = parse_poly("X^3-2"), parse_poly("X^3+X+1")  # S3
+    for f, holds in ((lin * quad * s4, False),  # orbits 1+2+4
+                     (lin * c3a * c3b, True),  # odd-order group
+                     (lin * s3a * s3b, False),  # three fixed roots
+                     (c3a * s4, False), (s3a * s4, False)):
+        r = tfae_test(f)
+        assert (r.holds, r.certificate) == (holds, "exact"), f
