@@ -18,6 +18,13 @@ Rat = Fraction
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _TRIAL_BOUND = 1000  # trial division below this; rho on the rest
 _RHO_BATCH = 128
+# rho steps spent on one composite before factor_integer gives up: enough
+# for prime factors up to about 10^12, about a second at 60 digits
+_RHO_STEPS = 1 << 20
+
+
+class FactoringBudgetExceeded(ArithmeticError):
+    """factor_integer found no factor of a composite within _RHO_STEPS."""
 
 
 @total_ordering
@@ -84,8 +91,10 @@ def is_prime(n: int) -> bool:
 def _pollard_rho(n: int, seed: int = 1) -> int:
     """A nontrivial factor of composite n: Brent's cycle finding, with the
     gcd taken once per batch of _RHO_BATCH steps and the batch replayed
-    one step at a time when it overshoots."""
+    one step at a time when it overshoots.  Raises FactoringBudgetExceeded
+    after _RHO_STEPS steps."""
     rng = random.Random(seed ^ n)
+    steps = 0
     while True:
         c = rng.randrange(1, n)
         y = rng.randrange(2, n)
@@ -102,6 +111,11 @@ def _pollard_rho(n: int, seed: int = 1) -> int:
                     q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += _RHO_BATCH
+            steps += 2 * r
+            if g == 1 and steps > _RHO_STEPS:
+                raise FactoringBudgetExceeded(
+                    f"no factor of a {len(str(n))}-digit composite within "
+                    f"{_RHO_STEPS} rho steps")
             r *= 2
         if g == n:
             g = 1
@@ -136,7 +150,9 @@ class Factorization:
 
 
 def factor_integer(n: int) -> Factorization:
-    """Exact prime factorization; rejects 0."""
+    """Exact prime factorization; rejects 0.  Raises FactoringBudgetExceeded
+    when a composite part has no prime factor within reach of _RHO_STEPS
+    rho steps (as a product of two 30-digit primes)."""
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = -1 if n < 0 else 1

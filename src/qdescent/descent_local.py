@@ -143,15 +143,12 @@ def _piece_roots_reduce_to_zero(fac: LocalFactor, p: int) -> bool:
     return all(c % mod == 0 for c in fac.lift[:fac.degree])
 
 
-def two_map_kernel_profile(rd: ReductionData) -> TorsionFieldProfile:
-    """Torsion field data of E[2] over Q_p for the minimal model in rd."""
+def two_map_kernel_profile(rd: ReductionData, split) -> TorsionFieldProfile:
+    """Torsion field data of E[2] over Q_p for the minimal model in rd, from
+    the splitting `split` over Q_p of two_division_cubic_integral of that
+    model (whose roots are 4 * x(T))."""
     p = rd.p
-    cubic = two_division_cubic_integral(rd.minimal_model)  # roots are 4 * x(T)
-    split = local_splitting_type(cubic, p)
-    if split.has_unresolved():
-        raise UnresolvedSplitting(
-            f"2-torsion splitting unresolved at {p}: "
-            + "; ".join(f.note for f in split.factors if f.kind == "unresolved"))
+    cubic = two_division_cubic_integral(rd.minimal_model)
     deg_L, deg_Lp = _cubic_deg_L_data(split, cubic, p)
     pts = []
     cycles = []
@@ -184,7 +181,8 @@ def torsion_field_profile(rd: ReductionData, phi) -> TorsionFieldProfile:
     """Field-of-definition data of E[phi] over Q_p (desk-scope phi), for the
     model and prime that rd was computed for."""
     if _is_two_map(phi):
-        return two_map_kernel_profile(rd)
+        cubic = two_division_cubic_integral(rd.minimal_model)
+        return two_map_kernel_profile(rd, local_splitting_type(cubic, rd.p))
     if not isinstance(phi, IsogenyMap):
         raise ValueError("phi must be the 2-map or an IsogenyMap")
     if phi.kernel and isinstance(phi.kernel[0], str):
@@ -340,8 +338,6 @@ def _count_x_roots_with_square_rhs(g: RatPoly, f: RatPoly, p: int) -> int:
             break
         lam *= p
     split = local_splitting_type(scaled, p)
-    if split.has_unresolved():
-        raise UnresolvedSplitting(f"torsion counting unresolved at {p}")
     # D^2 * f has integer coefficients and the square classes of f
     D = lcm(*(Fraction(c).denominator for c in f.coeffs))
     f_int = [int(c * D * D) for c in f.coeffs]
@@ -520,7 +516,7 @@ def i2_oracle_halving(m: WeierstrassModel, p: int):
         alg = EtaleAlgebra(cubic, p)
     except UnresolvedSplitting as exc:
         raise UnresolvedSplitting(f"halving oracle: {exc}")
-    s_order = s2_order_two_map(two_map_kernel_profile(rd))
+    s_order = s2_order_two_map(two_map_kernel_profile(rd, alg.split))
     images = []
     evidence = []
     for i, piece in enumerate(alg.pieces):

@@ -1,17 +1,24 @@
 """Square classes in the completions of etale algebras Q[T]/f at a place.
 
-A separable monic integer polynomial f splits at a finite p into resolved
-local pieces (poly.local_splitting_type); at the real place into real roots
-and complex pairs.  Each EtaleAlgebra fixes an F_2 basis of its group of
+A separable monic integer polynomial f splits at a finite p into local
+pieces (poly.local_splitting_type); at the real place into real roots and
+complex pairs.  Each EtaleAlgebra fixes an F_2 basis of its group of
 square classes, component by component, so that the class of an element
 such as x - theta is one integer bitmask (SqVector.mask) and multiplying
 classes is XOR.  The bits of a component:
 
   * finite place: a valuation-parity bit, then
-      - odd p, unramified piece: the residue quadratic-character bit;
-      - p = 2, unramified piece of residue degree f with generator t:
-        a unit is a square times prod_j (1 + 2 t^j)^(a_j) * (1 + 4 s) for
-        j < f; the f bits a_j, then the trace bit Tr(s mod 2);
+      - odd p, unramified piece of residue degree f: the quadratic
+        character of the unit part.  Both bits are read from the norm N of
+        the element: (v(N)/f mod 2, Legendre symbol of the unit part of N),
+        since a unit of an unramified extension of Q_p, p odd, is a square
+        exactly when its norm is.  No residue-field arithmetic is needed;
+      - p = 2, unramified piece of residue degree f: the arithmetic runs in
+        the coordinate Z of the piece (theta = shift + 2^scale * Z), where
+        the factor is irreducible mod 2, so that Z generates the ring of
+        integers.  With t the root of that factor, a unit is a square times
+        prod_j (1 + 2 t^j)^(a_j) * (1 + 4 s) for j < f; the f bits a_j,
+        then the trace bit Tr(s mod 2);
       - ramified piece: nothing (parity-only tracking, enough at odd
         residue characteristic, where every unit class is unramified);
   * real place: a sign bit per real root; complex pairs carry nothing.
@@ -31,40 +38,27 @@ from fractions import Fraction
 
 from .arith import INFINITY, is_padic_square, legendre, valuation
 from .poly import (RatPoly, UnresolvedSplitting, local_splitting_type,
-                   mp_divmod, mp_mul, mp_sub, mp_scal, mp_trim)
+                   mp_divmod, mp_mul, mp_shift, mp_sub, mp_scal, mp_trim)
 
 
 class ResidueField:
-    def __init__(self, p: int, hbar):
-        self.p = p
-        self.h = [c % p for c in hbar]
+    """F_2[t]/h for h irreducible mod 2."""
+
+    def __init__(self, hbar):
+        self.h = [c % 2 for c in hbar]
         self.f = len(self.h) - 1
-        self.q = p ** self.f
 
     def mul(self, a, b):
-        return mp_divmod(mp_mul(list(a), list(b), self.p), self.h, self.p)[1]
+        return mp_divmod(mp_mul(list(a), list(b), 2), self.h, 2)[1]
 
-    def power(self, a, n):
-        out = [1]
-        a = mp_divmod(list(a), self.h, self.p)[1]
-        while n:
-            if n & 1:
-                out = self.mul(out, a)
+    def sqrt(self, a):
+        """The square root a^(2^(f-1)) of a."""
+        a = mp_divmod(list(a), self.h, 2)[1]
+        for _ in range(self.f - 1):
             a = self.mul(a, a)
-            n >>= 1
-        return out
+        return a
 
-    def is_square(self, a) -> bool:
-        if self.p == 2:
-            return True
-        if not mp_trim([c % self.p for c in list(a)]):
-            raise ZeroDivisionError("zero residue")
-        return self.power(a, (self.q - 1) // 2) == [1]
-
-    def sqrt_char2(self, a):
-        return self.power(a, 2 ** max(0, self.f - 1))
-
-    def trace_char2(self, a) -> int:
+    def trace(self, a) -> int:
         s = [0] * self.f
         x = mp_divmod(list(a), self.h, 2)[1]
         for _ in range(self.f):
@@ -307,18 +301,10 @@ class EtaleAlgebra:
                 0)
             return
         self.split = local_splitting_type(f, p)
-        if self.split.has_unresolved():
-            raise UnresolvedSplitting(
-                f"unresolved splitting of {f} at {p}: "
-                + "; ".join(fc.note for fc in self.split.factors
-                            if fc.kind == "unresolved"))
         self.pieces = list(self.split.factors)
         self.n_comp = len(self.pieces)
-        self._res = {}
         kinds, offsets, unramified = [], [0], 0
-        for i, piece in enumerate(self.pieces):
-            if piece.kind == "unramified" and piece.degree >= 2:
-                self._res[i] = ResidueField(p, [c % p for c in piece.lift])
+        for piece in self.pieces:
             if piece.kind == "ramified":
                 kinds.append("ramified")
                 offsets.append(offsets[-1] + 1)
@@ -362,29 +348,23 @@ class EtaleAlgebra:
         return bits << self.basis.offsets[i]
 
     def _class_poly(self, i: int, vW: int, unit, prec: int) -> int:
-        """Mask of the class of pi^vW * unit for unit a unit of the
-        unramified component i given as a coefficient list mod p^prec."""
-        p = self.p
-        rf = self._res[i]
-        if p != 2:
-            res = [c % p for c in unit]
-            bits = vW % 2 | (0 if rf.is_square(res) else 2)
-            return bits << self.basis.offsets[i]
+        """Mask of the class of 2^vW * unit for a unit of the unramified
+        component i at p = 2, given mod 2^prec in the coordinate Z of the
+        piece."""
         if prec < 3:
             raise UnresolvedSplitting("dyadic unit class needs 3 digits")
-        h8 = [c % 8 for c in self.pieces[i].lift]
+        rf = ResidueField(self.pieces[i].zlift)
+        h8 = [c % 8 for c in self.pieces[i].zlift]
 
         def mul8(a, b):
             return mp_divmod(mp_mul(a, b, 8), h8, 8)[1]
 
         u8 = mp_divmod([c % 8 for c in unit], h8, 8)[1]
-        x0 = rf.sqrt_char2([c % 2 for c in u8])
+        x0 = rf.sqrt([c % 2 for c in u8])
         up = mul8(u8, _invert_poly_mod(mul8(x0, x0), h8, 2, 3))
         up = up + [0] * (rf.f - len(up))
-        # up = 1 + 2 sum_j a_j t^j mod 4
-        a = [(c - (1 if j == 0 else 0)) % 8 for j, c in enumerate(up)]
-        assert all(c % 2 == 0 for c in a), "unit not congruent 1 mod 2"
-        a = [c // 2 % 2 for c in a]
+        # x0^2 = u mod 2, so up = 1 + 2 sum_j a_j t^j mod 4
+        a = [(c - (j == 0)) // 2 % 2 for j, c in enumerate(up)]
         # divide out prod_j (1 + 2 t^j)^(a_j); 1 + 4s mod 8 remains
         fac = [1]
         for j, aj in enumerate(a):
@@ -392,28 +372,46 @@ class EtaleAlgebra:
                 fac = mul8(fac, [3] if j == 0 else [1] + [0] * (j - 1) + [2])
         s = [c >> 2 & 1 for c in mul8(up, _invert_poly_mod(fac, h8, 2, 3))]
         bits = vW % 2 | sum(aj << (j + 1) for j, aj in enumerate(a))
-        bits |= rf.trace_char2(s) << (rf.f + 1)
+        bits |= rf.trace(s) << (rf.f + 1)
         return bits << self.basis.offsets[i]
+
+    def to_z(self, i: int, elem, m: int):
+        """A polynomial in the root theta of piece i rewritten in the
+        coordinate of the piece: elem(shift + p^scale * Z) mod m."""
+        piece = self.pieces[i]
+        if not piece.shift and not piece.scale:
+            return [c % m for c in elem]
+        return [c * pow(self.p, piece.scale * j, m) % m
+                for j, c in enumerate(mp_shift(elem, piece.shift, m))]
 
     def class_of_element(self, i: int, elem, prec: int) -> int:
         """Mask of the class of a nonzero element of unramified component i,
-        given as a polynomial in the generator with integer coefficients
-        mod p^prec; the bits of the other components are zero."""
-        p = self.p
-        piece = self.pieces[i]
+        given mod p^prec as a polynomial in the root of the factor of the
+        piece in its coordinate Z (to_z rewrites a polynomial in theta);
+        the bits of the other components are zero."""
+        p, piece = self.p, self.pieces[i]
         m = p ** prec
-        elem = mp_divmod([c % m for c in elem], [c % m for c in piece.lift], m)[1]
+        if p != 2:
+            # a unit of an unramified extension of Q_p, p odd, is a square
+            # exactly when its norm is
+            norm = _norm_mod(piece.zlift, elem, m)
+            v = _v_bounded(norm, p, prec)
+            if v is None or v >= prec:
+                raise UnresolvedSplitting(
+                    f"the norm of an element at {p} needs more precision")
+            if v % piece.f:
+                raise ArithmeticError("norm valuation vs residue degree")
+            return self._class_int(i, v // piece.f, norm // p ** v, prec - v)
+        elem = mp_divmod([c % m for c in elem], [c % m for c in piece.zlift],
+                         m)[1]
+        vW = min((v for v in (_v_bounded(c, 2, prec) for c in elem)
+                  if v is not None), default=None)
+        if vW is None or vW >= prec:
+            raise UnresolvedSplitting(
+                "the valuation of an element at 2 needs more precision")
+        unit = [c // 2 ** vW for c in elem]
         if piece.degree == 1:
-            val = elem[0] if elem else 0
-            v = _v_bounded(val, p, prec)
-            if v is None or v >= prec - 6:
-                raise UnresolvedSplitting("element valuation needs more precision")
-            return self._class_int(i, v, val // p ** v, prec - v)
-        vs = [_v_bounded(c, p, prec) for c in elem]
-        vW = min((v for v in vs if v is not None), default=None)
-        if vW is None or vW >= prec - 6:
-            raise UnresolvedSplitting("element valuation needs more precision")
-        unit = [(c % m) // p ** vW for c in elem]
+            return self._class_int(i, vW, unit[0], prec - vW)
         return self._class_poly(i, vW, unit, prec - vW)
 
     # -- images ----------------------------------------------------------------
@@ -452,7 +450,7 @@ class EtaleAlgebra:
                     acc = (acc + c * pow(num, k, m)
                            * pow(den, piece.degree - k, m)) % m
                 vnorm = _v_bounded(acc, p, prec)
-                if vnorm is None or vnorm >= prec - 6:
+                if vnorm is None or vnorm >= prec:
                     raise UnresolvedSplitting("ramified norm needs more precision")
                 vnorm -= piece.degree * vden
                 if vnorm % piece.f != 0:
@@ -461,7 +459,7 @@ class EtaleAlgebra:
                 continue
             # unramified piece: clear denominators by the square den^2
             elem = [(num * den) % m, (-den * den) % m]
-            mask |= self.class_of_element(i, elem, prec)
+            mask |= self.class_of_element(i, self.to_z(i, elem, m), prec)
         return SqVector(mask, self.basis)
 
     def image_of_torsion_root(self, i: int) -> SqVector:
@@ -496,14 +494,14 @@ class EtaleAlgebra:
                                         [c % m for c in piece_i.lift], m)[1]
                 if (piece_i.degree - 1) % 2:
                     acc = [(-c) % m for c in acc]
-                mask |= self.class_of_element(i, acc, prec)
+                mask |= self.class_of_element(i, self.to_z(i, acc, m), prec)
                 continue
             gi = [c % m for c in piece_i.lift]
             sign = -1 if piece_i.degree % 2 else 1
             if piece_j.root is not None:
                 ev = sign * RatPoly([Fraction(c) for c in gi]).eval(piece_j.root)
                 v = valuation(ev, p)
-                if v is INFINITY or v >= prec - 6:
+                if v is INFINITY or v >= prec:
                     raise UnresolvedSplitting("torsion image needs more precision")
                 u = ev / Fraction(p) ** v
                 uval = (u.numerator * pow(u.denominator, -1, m)) % m
@@ -511,7 +509,7 @@ class EtaleAlgebra:
             elif piece_j.kind == "ramified":
                 res = _norm_mod(list(piece_j.lift), gi, m)
                 v = _v_bounded(res, p, prec)
-                if v is None or v >= prec - 6:
+                if v is None or v >= prec:
                     raise UnresolvedSplitting("ramified norm needs more precision")
                 if v % piece_j.f != 0:
                     raise ArithmeticError("norm valuation vs residue degree")
@@ -520,7 +518,7 @@ class EtaleAlgebra:
                 val = mp_divmod(gi, [c % m for c in piece_j.lift], m)[1]
                 if sign < 0:
                     val = [(-c) % m for c in val]
-                mask |= self.class_of_element(j, val, prec)
+                mask |= self.class_of_element(j, self.to_z(j, val, m), prec)
         return SqVector(mask, self.basis)
 
     def identity_vector(self) -> SqVector:
@@ -569,31 +567,28 @@ def _invert_poly_mod(a, h, p: int, k: int):
 
 
 def _norm_mod(h, a, m: int) -> int:
-    """Norm (det of multiplication by a) in Z/m[t]/h for monic h."""
+    """Norm (det of multiplication by a) in Z/m[t]/h for monic h, by
+    Bareiss's fraction-free elimination."""
     n = len(h) - 1
-    a = mp_divmod([c % m for c in a], [c % m for c in h], m)[1]
-    if not a:
-        return 0
-    cols = []
-    for i in range(n):
-        col = mp_divmod(mp_mul(a, [0] * i + [1], m), h, m)[1]
-        cols.append(col + [0] * (n - len(col)))
-    mat = [[cols[j][i] for j in range(n)] for i in range(n)]
-    det = Fraction(1)
-    f = [[Fraction(x) for x in row] for row in mat]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if f[r][col] != 0), None)
+    h = [c % m for c in h]
+    a = mp_divmod([c % m for c in a], h, m)[1]
+    rows = [[0] * n for _ in range(n)]
+    col = a
+    for j in range(n):
+        for i, c in enumerate(col):
+            rows[i][j] = c
+        col = mp_divmod([0] + col, h, m)[1]
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if rows[r][k]), None)
         if piv is None:
             return 0
-        if piv != col:
-            f[col], f[piv] = f[piv], f[col]
-            det = -det
-        det *= f[col][col]
-        inv = 1 / f[col][col]
-        for r in range(col + 1, n):
-            if f[r][col] != 0:
-                fac = f[r][col] * inv
-                for c in range(col, n):
-                    f[r][c] -= fac * f[col][c]
-    assert det.denominator == 1
-    return int(det) % m
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        for r in range(k + 1, n):
+            for c in range(k + 1, n):
+                rows[r][c] = (rows[r][c] * rows[k][k]
+                              - rows[r][k] * rows[k][c]) // prev
+        prev = rows[k][k]
+    return sign * prev % m

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .arith import is_prime, legendre
+from .arith import is_prime
 
 FACTOR_SEED = 20996011  # fixed seed: reproducible equal-degree splitting
 
@@ -23,7 +23,8 @@ HENSEL_CAP = 320
 
 
 class UnresolvedSplitting(Exception):
-    """A p-adic block this implementation refuses to guess at."""
+    """A p-adic computation that gave up; the message names p, the block
+    or piece and the step."""
 
 
 # ---------------------------------------------------------------------------
@@ -469,18 +470,9 @@ def factor_mod_p(f: FpPoly, seed: int = FACTOR_SEED) -> list[tuple[FpPoly, int]]
     rng = random.Random(seed)
     out = []
     for g, mult in _sqfree_decomp(a, p):
-        if p < 10 ** 4:
-            for r in range(p):
-                e = 0
-                while len(g) > 1 and mp_eval(g, r, p) == 0:
-                    g = mp_divmod(g, [(-r) % p, 1], p)[0]
-                    e += 1
-                if e:
-                    out.append((FpPoly(p, ((-r) % p, 1)), e * mult))
-        if len(g) > 1:
-            for h, d in _distinct_degree(g, p):
-                for irr in _equal_degree_split(h, d, p, rng):
-                    out.append((FpPoly(p, tuple(irr)), mult))
+        for h, d in _distinct_degree(g, p):
+            for irr in _equal_degree_split(h, d, p, rng):
+                out.append((FpPoly(p, tuple(irr)), mult))
     out.sort(key=lambda t: (t[0].degree, t[0].coeffs))
     return out
 
@@ -725,79 +717,35 @@ def factor_over_Z(f: RatPoly) -> list[RatPoly]:
 
 
 # ---------------------------------------------------------------------------
-# Square roots in Z/p^k
+# p-adic splitting types: order 1 of the Montes algorithm
 
 
-def _sqrt_mod_p(a: int, p: int) -> int:
-    a %= p
-    if a == 0:
-        return 0
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    if p % 8 == 5:
-        x = pow(a, (p + 3) // 8, p)
-        if x * x % p != a:
-            x = x * pow(2, (p - 1) // 4, p) % p
-        return x
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while legendre(z, p) != -1:
-        z += 1
-    m_, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, tt = 0, t
-        while tt != 1:
-            tt = tt * tt % p
-            i += 1
-        b = pow(c, 2 ** (m_ - i - 1), p)
-        m_, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
-
-
-def sqrt_unit_mod(u: int, p: int, k: int) -> int:
-    """A square root of the unit square u modulo p^k."""
-    if p == 2:
-        if u % 8 != 1:
-            raise ValueError("not a square unit in Z_2")
-        x = 1
-        for j in range(3, k):
-            if (x * x - u) % 2 ** (j + 1) != 0:
-                x += 2 ** (j - 1)
-        return x % 2 ** k
-    x = _sqrt_mod_p(u, p)
-    if x * x % p != u % p:
-        raise ValueError("not a square unit")
-    pk = p
-    target = p ** k
-    while pk < target:
-        pk = min(pk * pk, target)
-        x = (x - (x * x - u) * pow(2 * x, -1, pk)) % pk
-    return x % target
-
-
-# ---------------------------------------------------------------------------
-# p-adic splitting types
+class _Shortfall(Exception):
+    """A splitting step that more p-adic digits get past."""
 
 
 @dataclass(frozen=True)
 class LocalFactor:
     """One Q_p-irreducible piece of the input polynomial.
 
-    `lift` approximates the monic factor over Z_p modulo p^prec (constant
-    first).  For a linear piece coming from an exact rational root, `root`
-    is that root.  kind 'unresolved' marks a block we refuse to guess at.
+    The piece was found in the coordinate X = shift + p^scale * Z: `zlift`
+    is its monic factor in Z and `lift` the same factor in X, both modulo
+    p^prec, constant term first.  For e = 1 the factor in Z is irreducible
+    mod p, so its root generates the ring of integers of the piece.  For a
+    linear piece coming from an exact rational root, `root` is that root.
+    `note` records how a piece from a repeated factor mod p was resolved.
     """
 
     e: int
     f: int
-    kind: str  # 'linear' | 'unramified' | 'ramified' | 'unresolved'
+    kind: str  # 'linear' | 'unramified' | 'ramified'
     prec: int
     lift: tuple[int, ...]
     root: Fraction | None = None
     note: str = ""
+    shift: int = 0
+    scale: int = 0
+    zlift: tuple[int, ...] = ()
 
     @property
     def degree(self):
@@ -824,8 +772,17 @@ class LocalSplittingType:
     def degree(self):
         return sum(fac.degree for fac in self.factors)
 
-    def has_unresolved(self) -> bool:
-        return any(fac.kind == "unresolved" for fac in self.factors)
+
+def _local_factor(p, e, f, zlift, shift, scale, prec, note, root=None):
+    """The LocalFactor whose factor in Z, X = shift + p^scale Z, is zlift."""
+    m = p ** prec
+    deg = len(zlift) - 1
+    # the factor in X is p^(scale*deg) * zlift((X - shift) / p^scale)
+    lift = mp_shift([c * p ** (scale * (deg - i)) for i, c in enumerate(zlift)],
+                    -shift, m)
+    kind = "ramified" if e > 1 else "linear" if f == 1 else "unramified"
+    return LocalFactor(e, f, kind, prec, tuple(lift), root, note, shift % m,
+                       scale, tuple(c % m for c in zlift))
 
 
 def _np_lower_hull(points):
@@ -854,226 +811,165 @@ def _vp_bounded(n: int, p: int, N: int):
     return v
 
 
-def _quadratic_block_pieces(block, p, N) -> list[LocalFactor]:
-    """Resolve a monic quadratic over Z_p congruent to (X-r)^2 mod p."""
-    m = p ** N
-    b1, b0 = block[1] % m, block[0] % m
-    disc = (b1 * b1 - 4 * b0) % m
-    v = _vp_bounded(disc, p, N)
-    if v is None or v >= N - max(4, N // 4):
-        raise UnresolvedSplitting("quadratic block discriminant needs more precision")
-    unit = disc // p ** v
-    if v % 2 == 1:
-        return [LocalFactor(2, 1, "ramified", N, tuple(block),
-                            note=f"quadratic block, v(disc) = {v} odd")]
-    if p == 2:
-        cls = unit % 8
-        if cls == 5:
-            return [LocalFactor(1, 2, "unramified", N, tuple(block),
-                                note="inert quadratic block (disc unit = 5 mod 8)")]
-        if cls != 1:
-            return [LocalFactor(2, 1, "ramified", N, tuple(block),
-                                note=f"ramified quadratic block (disc unit = {cls} mod 8)")]
-        split_note = "split quadratic block (disc unit = 1 mod 8)"
+def _split_at_vertex(P, b, yb, gap, where, p, N):
+    """Monic A of degree b and B with P = A*B over Z_p, for the vertex
+    (b, yb) of the Newton polygon of the monic P known mod p^N: A takes the
+    roots of the steeper sides, B those of the shallower ones.
+
+    One Hensel lifting for the Gauss valuation v_c(sum a_i Y^i) =
+    min(v(a_i) + c*i), c between the two slopes at the vertex: the low part
+    of A is P / B as a power series mod Y^b (B(0) has valuation yb), then B
+    is P div A.  Each round gains the difference `gap` of the two slopes in
+    v_c.  Since v(Res(A, B)) = b*yb, A and B are good to p^(N - b*yb) once
+    P = A*B mod p^N (Hensel's lemma with the resultant, which needs
+    N > 2*b*yb).
+    """
+    loss = b * yb
+    step = f"{where}: the slope split at the vertex ({b}, {yb})"
+    if 2 * loss >= N:
+        raise _Shortfall(f"{step} needs more than p^{N}")
+    M, MW, pyb = p ** N, p ** (N + loss), p ** yb
+    B = P[b:]
+    # the weight v_c of the error starts near yb and must pass N + c*deg P,
+    # with c below the steeper slope
+    slope = gap + Fraction(yb, len(B) - 1)
+    for _ in range(int((N + len(P) * slope) / gap) + 3):
+        if B[0] % pyb or B[0] // pyb % p == 0:
+            raise _Shortfall(f"{step} lost the vertex at p^{N}")
+        inv = pow(B[0] // pyb, -1, MW)
+        q = []
+        for j in range(b):
+            num = P[j] - sum(q[i] * B[j - i]
+                             for i in range(max(0, j - len(B) + 1), j))
+            q.append(num // pyb * inv % MW)
+        A = q + [1]
+        B, R = mp_divmod(P, A, MW)
+        if all(c % M == 0 for c in R):
+            m = p ** (N - loss)
+            return [c % m for c in A], [c % m for c in B], N - loss
+    raise _Shortfall(f"{step} did not converge at p^{N}")
+
+
+def _block_pieces(F, g, m, p, N):
+    """Q_p-pieces of a monic block F = g^m mod p (g irreducible mod p,
+    m >= 2), known mod p^N, as (e, f, zlift, shift, scale, prec, note).
+
+    Order 1 of the Montes algorithm (Guardia, Montes and Nart, Trans. AMS
+    364 (2012)): the Newton polygon of the phi-adic expansion of F, phi the
+    lift of g.  For a linear phi = X - r the polygon is split side by side
+    (_split_at_vertex).  A side of slope h/e with e > 1 is one piece when
+    its residual polynomial is irreducible over F_p; a side with e = 1 is
+    rescaled to Z = (X - r)/p^h, where its roots are units whose residues
+    are the roots of the residual polynomial, and factored again, which
+    refines phi to X - (r + p^h rho) at a repeated residual root rho.  A
+    non-linear phi is resolved only when its polygon is one side of
+    residual degree 1: one piece with e = m and f = deg g.
+    """
+    M = p ** N
+    k = len(g) - 1
+    block = f"({RatPoly(g)})^{m} at p = {p}"
+    if k == 1:
+        r = -g[0] % p
+        coeffs = mp_shift(F, r, M)  # F(Y + r)
+        vals = [_vp_bounded(c, p, N) for c in coeffs]
     else:
-        if legendre(unit % p, p) == -1:
-            return [LocalFactor(1, 2, "unramified", N, tuple(block),
-                                note="inert quadratic block (disc unit non-residue)")]
-        split_note = "split quadratic block (disc unit is a residue)"
-    # split: recover the two roots to the precision available
-    prec = N - v - (3 if p == 2 else 0)
-    if prec < 3:
-        raise UnresolvedSplitting("split quadratic block: root precision too low")
-    s = sqrt_unit_mod(unit % p ** prec, p, prec) * p ** (v // 2)
-    mm = p ** prec
-    if p == 2:
-        r1 = ((-b1 + s) // 2) % (mm // 2)
-        r2 = ((-b1 - s) // 2) % (mm // 2)
-        prec -= 1
-    else:
-        inv2 = pow(2, -1, mm)
-        r1 = (-b1 + s) * inv2 % mm
-        r2 = (-b1 - s) * inv2 % mm
-    return [LocalFactor(1, 1, "linear", prec, ((-r) % p ** prec, 1), note=split_note)
-            for r in sorted((r1 % p ** prec, r2 % p ** prec))]
-
-
-def _scale_poly(a, p, s, N):
-    """a(p^s Z) / p^(s*deg): (coeffs, new_prec) or None if not integral."""
-    deg = len(a) - 1
-    m = p ** N
-    new_prec = N - s * deg
-    if new_prec < 6:
-        return None
-    out = []
-    for i, c in enumerate(a):
-        shift = s * (deg - i)
-        c %= m
-        if shift:
-            if c % p ** min(shift, N) != 0:
-                return None
-            c //= p ** shift
-        out.append(c % p ** new_prec)
-    return out, new_prec
-
-
-def _map_back(fac: LocalFactor, r: int, p: int, a: int) -> LocalFactor:
-    """Rewrite a piece found after X = r + p^a * Z in X-coordinates."""
-    prec = fac.prec
-    m = p ** prec
-    g = [c % m for c in fac.lift]
-    deg = len(g) - 1
-    scaled = [g[i] * pow(p, a * (deg - i), m) % m for i in range(len(g))]
-    mapped = mp_shift(scaled, (-r) % m, m)
-    while len(mapped) < deg + 1:
-        mapped.append(0)
-    note = fac.note + f"; coords X = {r} + {p}^{a} Z" if (r or a) else fac.note
-    return LocalFactor(fac.e, fac.f, fac.kind, prec, tuple(mapped), None, note)
-
-
-def _resolve_reversed(shifted, p, N, depth) -> list[LocalFactor]:
-    """Resolve t(X) = X^d f(c0/X)/c0, whose roots are c0/u_j for the roots
-    u_j of f = `shifted` (c0 its constant term).  Used when f's shallow
-    Newton slope is fractional but the steep one is integral: reversal
-    swaps steep and shallow."""
-    d = len(shifted) - 1
-    m = p ** N
-    c0 = shifted[0] % m
-    v0 = _vp_bounded(c0, p, N)
-    if v0 is None or v0 >= N - max(4, N // 4):
-        raise UnresolvedSplitting("block reversal: constant term too deep")
-    # t_j = f_(d-j) * c0^(d-j-1) for j < d; t_d = 1 (monic, integral)
-    t = [(shifted[d - j] * pow(c0, d - j - 1, m)) % m for j in range(d)] + [1]
-    return _factor_mod_pN(t, p, N, depth)
-
-
-def _reverse_back(fc: LocalFactor, shifted, r, p, N) -> LocalFactor:
-    """Map a piece tp of the reversed polynomial back to X-coordinates:
-    piece(X) = X^deg tp(c0/X) / tp(0), then shift by r."""
-    m0 = p ** N
-    c0 = shifted[0] % m0
-    dd = fc.degree
-    prec = min(fc.prec, N)
-    m = p ** prec
-    tp = [c % m for c in fc.lift]
-    t0 = tp[0]
-    v_t0 = _vp_bounded(t0, p, prec)
-    if v_t0 is None or prec - v_t0 < 6:
-        raise UnresolvedSplitting("block reversal mapping lost precision")
-    new_prec = prec - v_t0
-    num = [(tp[dd - j] * pow(c0, dd - j, m)) % m for j in range(dd + 1)]
-    out = []
-    for val in num:
-        if val % p ** v_t0 != 0:
-            raise UnresolvedSplitting("block reversal mapping not integral")
-        out.append(val // p ** v_t0)
-    mm = p ** new_prec
-    unit_inv = pow(t0 // p ** v_t0, -1, mm)
-    out = [(c * unit_inv) % mm for c in out]
-    mapped = mp_shift(out, (-r) % mm, mm)
-    while len(mapped) < dd + 1:
-        mapped.append(0)
-    return LocalFactor(fc.e, fc.f, fc.kind, new_prec, tuple(mapped), None,
-                       fc.note + "; via root reversal")
-
-
-def _resolve_block(block, r, p, N, depth, reversed_pass=False) -> list[LocalFactor]:
-    """Monic block over Z/p^N congruent to (X - r)^m mod p, m >= 2."""
-    if depth > 16:
-        raise UnresolvedSplitting("block resolution recursion too deep")
-    deg = len(block) - 1
-    if deg == 2:
-        return _quadratic_block_pieces(block, p, N)
-
-    m = p ** N
-    shifted = mp_shift(block, r, m)
-    while len(shifted) < deg + 1:
-        shifted.append(0)
-    vals = []
-    unknown_depth = False
-    for i in range(deg):
-        v = _vp_bounded(shifted[i], p, N)
-        if v is None:
-            v = N
-            unknown_depth = True
-        vals.append((i, v))
-    vals.append((deg, 0))
-    hull = _np_lower_hull(vals)
-    # trustworthiness: every hull vertex below the cap, except possibly
-    # interior points that sit above the hull anyway
-    if unknown_depth and any(y >= N - max(4, N // 4) for _, y in hull[:-1]):
-        raise UnresolvedSplitting("Newton polygon needs more precision")
-
-    segments = list(zip(hull, hull[1:]))
-    # rescale by the shallowest slope: its roots become units, the steeper
-    # segments stay as a residual block at zero, and plain mod-p
-    # factorization separates them
-    (x1, y1), (x2, y2) = segments[-1]
-    rise, run = y1 - y2, x2 - x1
-    gg = math.gcd(rise, run)
-    a, b = rise // gg, run // gg
-    if len(segments) == 1 and b == deg:
-        back = mp_shift(shifted, (-r) % m, m)
-        while len(back) < deg + 1:
-            back.append(0)
-        return [LocalFactor(deg, 1, "ramified", N, tuple(back),
-                            note=f"totally ramified block, slope {rise}/{run}")]
-    if b != 1:
-        if reversed_pass:
+        vals, rest = [], F
+        for _ in range(m):
+            rest, a = mp_divmod(rest, g, M)
+            vals.append(min((_vp_bounded(c, p, N) for c in a if c),
+                            default=None))
+        vals.append(0)
+    if vals[0] is None:
+        raise _Shortfall(f"{block}: the phi-adic constant term is 0 mod "
+                         f"p^{N}")
+    hull = _np_lower_hull([(i, v) for i, v in enumerate(vals) if v is not None])
+    if k > 1:
+        if len(hull) > 2:
             raise UnresolvedSplitting(
-                f"fractional Newton slope {rise}/{run} on both polygon ends")
-        return [_reverse_back(fc, shifted, r, p, N)
-                for fc in _resolve_reversed(shifted, p, N, depth + 1)]
-    scaled = _scale_poly(shifted, p, a, N)
-    if scaled is None:
-        raise UnresolvedSplitting("block rescaling exhausted precision")
-    sub = _factor_mod_pN(scaled[0], p, scaled[1], depth + 1)
-    return [_map_back(fc, r, p, a) for fc in sub]
-
-
-def _factor_mod_pN(g, p, N, depth=0) -> list[LocalFactor]:
-    """Q_p-pieces of a monic polynomial known mod p^N."""
-    deg = len(g) - 1
-    if deg <= 0:
-        return []
-    if deg == 1:
-        return [LocalFactor(1, 1, "linear", N, tuple(c % p ** N for c in g))]
-    red = [c % p for c in g]
-    fac = factor_mod_p(FpPoly(p, tuple(red)))
-    groups, kinds = [], []
-    for h, mult in fac:
-        hh = list(h.coeffs)
-        if mult == 1:
-            groups.append(hh)
-            kinds.append(("simple", h.degree))
-        else:
-            blk = [1]
-            for _ in range(mult):
-                blk = mp_mul(blk, hh, p)
-            groups.append(blk)
-            kinds.append(("block", h.degree, mult, -hh[0] % p))
-    lifted = (hensel_lift_factors([c % p ** N for c in g], groups, p, N)
-              if len(groups) > 1 else [[c % p ** N for c in g]])
+                f"{block}: the Newton polygon of the non-linear phi has "
+                f"{len(hull) - 1} sides; order 1 splits sides only for a "
+                "linear phi")
+        if math.gcd(hull[0][1], m) > 1:
+            raise UnresolvedSplitting(
+                f"{block}: residual polynomial of degree "
+                f"{math.gcd(hull[0][1], m)} over F_({p}^{k}); order 1 resolves "
+                "a non-linear phi only at residual degree 1")
+        return [(m, k, F, 0, 0, N, f"{block}: one side of slope "
+                 f"{hull[0][1]}/{m}")]
+    sides = []
+    while len(hull) > 2:  # peel off the shallowest side
+        (x0, y0), (b, yb), (x2, _) = hull[-3:]
+        gap = Fraction(y0 - yb, b - x0) - Fraction(yb, x2 - b)
+        coeffs, S, N = _split_at_vertex(coeffs, b, yb, gap, block, p, N)
+        sides.append((S, N))
+        hull = [(x, y - yb) for x, y in hull[:-1]]
+    sides.append((coeffs, N))
     out = []
-    for piece, kind in zip(lifted, kinds):
-        if kind[0] == "simple":
-            d = kind[1]
-            out.append(LocalFactor(1, d, "linear" if d == 1 else "unramified",
-                                   N, tuple(piece)))
-        elif kind[1] >= 2:
-            out.append(LocalFactor(0, 0, "unresolved", N, tuple(piece),
-                                   note="repeated non-linear factor mod p"))
+    for S, prec in sides:
+        run, rise = len(S) - 1, _vp_bounded(S[0], p, prec)
+        if rise is None:
+            raise _Shortfall(f"{block}: a side's constant term is 0 mod p^{prec}")
+        d = math.gcd(run, rise)
+        e, h = run // d, rise // d
+        where = f"{block}: side of slope {h}/{e}"
+        # a piece keeps at least HENSEL_START / 2 digits
+        zprec = prec - h * run if e == 1 else prec
+        if zprec < HENSEL_START // 2:
+            raise _Shortfall(f"{where}: too few digits left")
+        if e == 1:
+            Z = [c // p ** (h * (run - i)) for i, c in enumerate(S)]
+            if any(c % p ** min(h * (run - i), prec) for i, c in enumerate(S)):
+                raise _Shortfall(f"{where}: the side is not integral at p^{prec}")
+            for e2, f2, zlift, sh, sc, pr, note in _factor_mod_pN(Z, p, zprec):
+                out.append((e2, f2, zlift, r + p ** h * sh, h + sc, pr,
+                            f"{where}; {note}" if note else where))
+            continue
+        residual = [S[j * e] // p ** (rise - j * h) % p for j in range(d + 1)]
+        fac = factor_mod_p(FpPoly(p, tuple(residual)))
+        if len(fac) > 1 or fac[0][1] > 1:
+            step = ("has a repeated factor; order 2 is needed"
+                    if any(mult > 1 for _, mult in fac) else
+                    f"splits into {len(fac)} factors over F_{p}; the side "
+                    "needs a residual split")
+            raise UnresolvedSplitting(f"{where}: the residual polynomial "
+                                      f"{step}")
+        out.append((e, d, S, r, 0, prec, where))
+    return out
+
+
+def _factor_mod_pN(g, p, N):
+    """Q_p-pieces of a monic polynomial known mod p^N, as (e, f, zlift,
+    shift, scale, prec, note) in the coordinate X = shift + p^scale Z."""
+    fac = factor_mod_p(FpPoly(p, tuple(g)))
+    groups = []
+    for h, mult in fac:
+        blk = [1]
+        for _ in range(mult):
+            blk = mp_mul(blk, list(h.coeffs), p)
+        groups.append(blk)
+    out = []
+    for F, (h, mult) in zip(hensel_lift_factors(g, groups, p, N), fac):
+        if mult == 1:
+            out.append((1, h.degree, F, 0, 0, N, ""))
         else:
-            out.extend(_resolve_block(piece, kind[3], p, N, depth))
+            out.extend(_block_pieces(F, list(h.coeffs), mult, p, N))
     return out
 
 
 def local_splitting_type(f: RatPoly, p: int) -> LocalSplittingType:
     """Factorization type of a separable monic integer polynomial over Q_p.
 
-    Exact rational factors split off first; p-adic blocks go through Hensel
-    lifting and Newton-polygon resolution, escalating precision from p^20
-    up to the cap, after which the block is reported unresolved.
+    Exact rational factors split off first.  Each other one is factored mod
+    p and Hensel-lifted to p^N; a block F = g^m mod p with m >= 2 goes
+    through order 1 of the Montes algorithm (_block_pieces): the Newton
+    polygon of F with respect to a lift phi of g, split side by side, one
+    piece per irreducible factor of a side's residual polynomial, and a
+    rescaling Z = (X - r)/p^h that refines phi at an integral slope.  A
+    step short of digits doubles N, from p^HENSEL_START up to
+    p^HENSEL_CAP.  UnresolvedSplitting names p, the block and the step
+    when order 1 does not resolve a block (order 2, a non-linear phi with
+    more than one side or residual degree above 1, a ramified side whose
+    residual polynomial splits), or when the cap is reached.
     """
     if not f.is_monic() or not f.is_integral():
         raise ValueError("local_splitting_type expects a monic integer polynomial")
@@ -1086,28 +982,29 @@ def local_splitting_type(f: RatPoly, p: int) -> LocalSplittingType:
     rational_factors = factor_over_Z(f)
     N = HENSEL_START
     while True:
-        out: list[LocalFactor] = []
-        bail = None
-        for h in rational_factors:
-            if h.degree == 1:
+        try:
+            out: list[LocalFactor] = []
+            for h in rational_factors:
+                if h.degree > 1:
+                    m = p ** N
+                    out += [_local_factor(p, *piece) for piece in _factor_mod_pN(
+                        [int(c) % m for c in h.coeffs], p, N)]
+                    continue
                 root = -h.coeffs[0]
-                if root.denominator % p == 0:
-                    lift = (0, 1)  # negative-valuation root; lift unused
-                else:
-                    lift = (((-root.numerator)
-                             * pow(root.denominator, -1, p ** N)) % p ** N, 1)
-                out.append(LocalFactor(1, 1, "linear", N, lift, root))
-                continue
-            try:
-                out.extend(_factor_mod_pN([int(c) for c in h.coeffs], p, N))
-            except UnresolvedSplitting as exc:
-                bail = exc
-                out.append(LocalFactor(0, 0, "unresolved", N,
-                                       tuple(int(c) % p ** N for c in h.coeffs),
-                                       note=str(exc)))
-        if bail is None or N >= HENSEL_CAP:
+                lift = (0, 1) if root.denominator % p == 0 else (
+                    -root.numerator * pow(root.denominator, -1, p ** N) % p ** N, 1)
+                out.append(_local_factor(p, 1, 1, lift, 0, 0, N, "", root))
             break
-        N *= 2
+        except _Shortfall as exc:
+            if N >= HENSEL_CAP:
+                raise UnresolvedSplitting(
+                    f"{exc} (at the cap p^{HENSEL_CAP})") from None
+            N *= 2
+
+    # ties are broken mod p^kmin, so that the order does not depend on the
+    # precision each piece happens to come out with
+    kmin = p ** min(fc.prec for fc in out)
+
     def _order_key(fc: LocalFactor):
         root_res = -1
         if fc.degree == 1:
@@ -1116,13 +1013,12 @@ def local_splitting_type(f: RatPoly, p: int) -> LocalSplittingType:
             except ValueError:
                 root_res = -1
         return (fc.degree, fc.e, root_res,
-                tuple(c % p for c in fc.lift), fc.lift)
+                tuple(c % p for c in fc.lift), tuple(c % kmin for c in fc.lift))
 
     ordered = tuple(sorted(out, key=_order_key))
-    resolved = all(fc.kind != "unresolved" for fc in ordered)
     return LocalSplittingType(
         p, ordered,
-        splits_completely=resolved and all(fc.e == 1 and fc.f == 1 for fc in ordered),
+        splits_completely=all(fc.e == 1 and fc.f == 1 for fc in ordered),
         totally_ramified=len(ordered) == 1 and ordered[0].e == f.degree,
-        all_unramified=resolved and all(fc.e == 1 for fc in ordered),
+        all_unramified=all(fc.e == 1 for fc in ordered),
     )

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from qdescent.arith import (INFINITY, REAL_PLACE, all_square_classes,
-                            factor_integer, finite, is_padic_square, is_prime,
+from qdescent.arith import (INFINITY, REAL_PLACE, FactoringBudgetExceeded,
+                            all_square_classes, factor_integer, finite,
+                            is_padic_square, is_prime,
                             least_nonresidue, sc_identity, sc_mul,
                             square_class_at, squarefree_part, unit_part,
                             valuation)
@@ -51,6 +52,18 @@ def test_factor_large_prime_factors(deadline):
         f = factor_integer(mestre_disc)
     assert f.sign == -1
     assert f.as_dict() == {1217: 1, 381991: 1, 78031093338905335441668500509: 1}
+
+
+def test_factor_budget_names_the_size(deadline):
+    # no prime factor below 10^12: the rho budget runs out in about a
+    # second and the error gives the number of digits.  The 38-digit
+    # discriminant of Mestre's curve, the largest number an ell-ledger pass
+    # factors, splits within it (test_factor_large_prime_factors)
+    p = 1000000000000000000000000000057
+    q = 1000000000000000000000000000099
+    with deadline(20):
+        with pytest.raises(FactoringBudgetExceeded, match="61-digit"):
+            factor_integer(p * q)
 
 
 def test_valuation_basics():

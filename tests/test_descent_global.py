@@ -11,7 +11,7 @@ import pytest
 import forms_oracle
 from conftest import DeadlineExceeded
 from qdescent import poly, tate
-from qdescent.arith import squarefree_part
+from qdescent.arith import factor_integer, squarefree_part
 from qdescent.descent_global import (GlobalLedger, assemble_ledger_elliptic,
                                      assemble_ledger_hyper,
                                      fundamental_discriminant,
@@ -21,7 +21,7 @@ from qdescent.descent_global import (GlobalLedger, assemble_ledger_elliptic,
 from qdescent.elliptic import curve_from_string
 from qdescent.jacobian import HyperellipticCurve
 from qdescent.localfields import EtaleAlgebra
-from qdescent.poly import local_splitting_type, parse_poly
+from qdescent.poly import discriminant, local_splitting_type, parse_poly
 
 MESTRE = curve_from_string("[0,2597055,357573631,-549082,-19608054]")
 MESTRE_BIG = 78031093338905335441668500509
@@ -69,8 +69,29 @@ def test_hyper_ledger_at_large_bad_prime(deadline):
         ledger = assemble_ledger_hyper(HyperellipticCurve(f))
         split = local_splitting_type(f, p)
     assert str(p) in rows(ledger)
-    assert not split.has_unresolved() and split.degree == 5
+    assert split.degree == 5  # an unresolved block would have raised
     assert sorted(fc.e for fc in split.factors)[-2:] == [1, 2]
+
+
+@pytest.mark.parametrize("f, xs", [
+    ("X^5-6*X^4+9*X^3+4*X^2+X+4", []),
+    ("X^5-4*X^4+2*X^3+10*X^2-12*X+12", []),
+    ("X^5+5*X^4+9*X^3+7*X^2-2*X+12", [-1]),
+])
+def test_hyper_ledgers_with_blocks_at_2(f, xs):
+    # each failed at 2 while repeated factors mod 2 had no single method: a
+    # non-linear repeated factor, two fractional slopes, an inert quadratic
+    # block whose lift is X^2 mod 2.  Each ledger now has a row at oo, 2
+    # and every prime of the discriminant, and S = C * 2^g at 2, S = C at
+    # the odd primes (g = 2)
+    f = parse_poly(f)
+    points = [("rational", Fraction(x), None) for x in xs]
+    r = rows(assemble_ledger_hyper(HyperellipticCurve(f), points=points))
+    primes = {p for p, _ in factor_integer(int(discriminant(f))).factors}
+    assert set(r) == {"oo"} | {str(p) for p in primes | {2}}
+    for place, row in r.items():
+        if place != "oo":
+            assert row["S"] == row["C"] * (4 if place == "2" else 1)
 
 
 # ---------------------------------------------------------------------------

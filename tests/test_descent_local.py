@@ -204,6 +204,56 @@ def test_oracle_vs_i2_on_52_suite():
     assert applicable >= 2
 
 
+# the places where the oracle once read I = 2 from a model that was not
+# generated by its lift, against I = 1 from the Tate curve
+TATE_PLACES = [("[0,-26,0,135,-567]", 23), ("[0,26,0,135,567]", 23),
+               ("[0,7,0,-26,0]", 3), ("[1,0,-9,0,0]", 3)]
+
+
+@pytest.mark.parametrize("cs, p", TATE_PLACES)
+def test_oracle_does_not_contradict_the_tate_curve(cs, p):
+    got, ev = i2_oracle_halving(curve(cs), p)
+    assert got in ("inapplicable", 1), ev
+    assert i2(curve(cs), TWO_MAP, p)[0] == 1
+
+
+def test_oracle_vs_i2_at_odd_multiplicative_places():
+    # seeded curves with rational 2-torsion: wherever the oracle applies at
+    # an odd place of multiplicative reduction it gives the ledger's I
+    rng = random.Random(31)
+    compared = 0
+    for _ in range(60):
+        a, b = rng.randrange(-30, 31), rng.randrange(-30, 31)
+        try:
+            m = curve(f"[0,{a},0,{b},0]")
+        except ValueError:
+            continue
+        for p in bad_primes(m):
+            rd = tate_algorithm(m, p)
+            if p == 2 or rd.kodaira.letter != "I":
+                continue
+            got, ev = i2_oracle_halving(m, p)
+            if got != "inapplicable":
+                assert got == i2(m, TWO_MAP, p)[0], (a, b, p, ev)
+                compared += 1
+    assert compared >= 20
+
+
+def test_oracle_splits_the_cubic_once(monkeypatch):
+    from qdescent import descent_local, localfields, poly
+
+    calls = []
+
+    def counted(f, p):
+        calls.append((f, p))
+        return poly.local_splitting_type(f, p)
+
+    for mod in (descent_local, localfields):
+        monkeypatch.setattr(mod, "local_splitting_type", counted)
+    i2_oracle_halving(curve("[0,0,0,-25,0]"), 5)
+    assert len(calls) == 1
+
+
 def test_example_III_family():
     rng = random.Random(11)
     odd_primes = [q for q in range(5, 100) if is_prime(q)]

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from qdescent.arith import valuation
 from qdescent.localfields import (EtaleAlgebra, SqVector, echelon,
                                   isolate_real_roots, relations, span_closure,
                                   span_rank)
-from qdescent.poly import mp_divmod, mp_mul, parse_poly
+from qdescent.poly import (RatPoly, UnresolvedSplitting, discriminant,
+                           mp_divmod, mp_mul, mp_pow_mod, parse_poly)
 
 QUINTIC = parse_poly("X^5+16*X^4-274*X^3+817*X^2+178*X+1")
 # unramified pieces at 2: three linear; three linear and one of degree 2;
@@ -186,6 +188,82 @@ def unit_squares(h, k):
     return out
 
 
+def residue(a, h, k):
+    """a mod (h, 2^k) as a tuple of deg h coefficients."""
+    r = mp_divmod([c % 2 ** k for c in a], [c % 2 ** k for c in h], 2 ** k)[1]
+    return tuple(r + [0] * (len(h) - 1 - len(r)))
+
+
+def component_bits(alg, mask, i):
+    lo, hi = alg.basis.offsets[i], alg.basis.offsets[i + 1]
+    return mask >> lo & (1 << hi - lo) - 1, hi - lo
+
+
+@pytest.mark.parametrize("f", ["X^5-X+8", "X^5+X^4+X^3+8"])
+def test_dyadic_classes_in_the_Z_model(f):
+    # pieces whose factor in X is reducible mod 2 (it once raised here):
+    # brute force in the coordinate Z of each piece, theta = shift +
+    # 2^scale zeta, where the factor is irreducible mod 2.  The class of
+    # x - theta is trivial exactly when it is 2^(2j) times a unit that is a
+    # square mod 8, and unramified exactly when that unit is a square mod 4
+    f = parse_poly(f)
+    alg = EtaleAlgebra(f, 2)
+    assert any(piece.scale for piece in alg.pieces)
+    for x in range(-12, 13):
+        if f.eval(x) == 0:
+            continue
+        mask = alg.image_of_affine(Fraction(x)).mask
+        for i, piece in enumerate(alg.pieces):
+            if piece.kind == "ramified":
+                continue
+            m = 2 ** piece.prec
+            elem = mp_divmod([x - piece.shift, -2 ** piece.scale],
+                             [c % m for c in piece.zlift], m)[1]
+            v = min(valuation(c, 2) for c in elem if c)
+            unit = [c // 2 ** v for c in elem]
+            bits, width = component_bits(alg, mask, i)
+            assert (bits == 0) == (v % 2 == 0 and residue(unit, piece.zlift, 3)
+                                   in unit_squares(piece.zlift, 3)), (x, i)
+            # every bit but the trace bit clear: the class is unramified
+            assert (bits & ~(1 << width - 1) == 0) == (
+                v % 2 == 0 and residue(unit, piece.zlift, 2)
+                in unit_squares(piece.zlift, 2)), (x, i)
+
+
+def test_odd_classes_from_norms_match_residue_characters():
+    # at odd p the class is read from the norm; check it against the
+    # quadratic character of the unit part in the residue field
+    # F_p[t]/(zlift mod p) of the Z model, on random elements of the
+    # unramified pieces of a seeded family of quintics
+    rng = random.Random(3)
+    checked = 0
+    while checked < 600:
+        f = RatPoly([rng.randint(-12, 12) for _ in range(5)] + [1])
+        p = rng.choice((3, 5, 7))
+        if discriminant(f) == 0:
+            continue
+        try:
+            alg = EtaleAlgebra(f, p)
+        except UnresolvedSplitting:
+            continue
+        for i, piece in enumerate(alg.pieces):
+            if piece.kind != "unramified":
+                continue
+            h = [c % p for c in piece.zlift]
+            q = p ** piece.f
+            for _ in range(10):
+                v = rng.randrange(3)
+                unit = [rng.randrange(p ** 4) for _ in range(piece.f)]
+                if not mp_divmod([c % p for c in unit], h, p)[1]:
+                    continue
+                elem = [c * p ** v for c in unit]
+                chi = mp_pow_mod([c % p for c in unit], (q - 1) // 2, h, p)
+                want = v % 2 | (0 if chi == [1] else 2)
+                got = alg.class_of_element(i, elem, piece.prec)
+                assert got == want << alg.basis.offsets[i], (f, p, elem)
+                checked += 1
+
+
 @pytest.mark.parametrize("f", DYADIC, ids=str)
 def test_dyadic_square_classes_are_an_F2_space(f):
     # the classes at 2 form a group of exponent 2 on which the class map
@@ -202,7 +280,7 @@ def test_dyadic_square_classes_are_an_F2_space(f):
         if piece.kind == "ramified":
             continue
         m = 2 ** piece.prec
-        squares = {k: unit_squares(piece.lift, k) for k in (2, 3)}
+        squares = {k: unit_squares(piece.zlift, k) for k in (2, 3)}
 
         def unit():
             while True:
@@ -210,20 +288,15 @@ def test_dyadic_square_classes_are_an_F2_space(f):
                 if any(c % 2 for c in a):
                     return a
 
-        def residue(a, k):
-            r = mp_divmod([c % 2 ** k for c in a],
-                          [c % 2 ** k for c in piece.lift], 2 ** k)[1]
-            return tuple(r + [0] * (piece.f - len(r)))
-
         for _ in range(40):
             a, b = unit(), unit()
             ca = alg.class_of_element(i, a, piece.prec)
             cb = alg.class_of_element(i, b, piece.prec)
             assert alg.class_of_element(i, mp_mul(a, b, m), piece.prec) \
                 == ca ^ cb
-            assert (ca == 0) == (residue(a, 3) in squares[3])
+            assert (ca == 0) == (residue(a, piece.zlift, 3) in squares[3])
             assert SqVector(ca, alg.basis).is_unramified() == \
-                (residue(a, 2) in squares[2])
+                (residue(a, piece.zlift, 2) in squares[2])
 
 
 def test_echelon_and_relations_against_subset_search():

@@ -1,13 +1,16 @@
+import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdescent.arith import factor_integer, valuation
-from qdescent.poly import (FpPoly, RatPoly, _rational_roots, discriminant,
-                           factor_mod_p, factor_over_Z, fp_poly,
-                           hensel_lift_factors, local_splitting_type, mp_mul,
-                           parse_poly, resultant, roots_in_Fp)
+from qdescent.poly import (HENSEL_START, FpPoly, RatPoly, UnresolvedSplitting,
+                           _rational_roots, discriminant, factor_mod_p,
+                           factor_over_Z, fp_poly, hensel_lift_factors,
+                           local_splitting_type, mp_mul, mp_shift, parse_poly,
+                           resultant, roots_in_Fp)
 
 QUINTIC = parse_poly("X^5+16*X^4-274*X^3+817*X^2+178*X+1")
 
@@ -208,8 +211,12 @@ def test_split_191_fully_split():
     deep = sorted(f.root_mod(191 ** 2) for f in st_.factors
                   if f.root_mod(191) == 159)
     assert deep[0] != deep[1]  # the double root separates at the next digit
-    note = [f.note for f in st_.factors if f.root_mod(191) == 159][0]
-    assert "split quadratic block" in note  # resolution recorded
+    # resolution recorded: the side of the (X - 159)^2 block it came from,
+    # and the coordinate X = 159 + 191 Z where its root is a unit
+    for fac in st_.factors:
+        if fac.root_mod(191) == 159:
+            assert fac.note == "(X + 32)^2 at p = 191: side of slope 1/1"
+            assert (fac.shift % 191, fac.scale) == (159, 1)
 
 
 def test_split_37_completely():
@@ -248,10 +255,111 @@ def test_split_good_prime_matches_mod_p():
 
 
 def test_split_structural_invariant():
+    # an unresolved block raises UnresolvedSplitting; none is left here
     for p in (2, 3, 5, 23, 37, 191, 941):
-        st_ = local_splitting_type(QUINTIC, p)
-        if not st_.has_unresolved():
-            assert st_.degree == 5
+        assert local_splitting_type(QUINTIC, p).degree == 5
+
+
+def sweep_pairs(stride):
+    """Every stride-th draw of a seeded family, at p = 2, 3, 5, 7:
+    random.Random(8) draws 600 monic polynomials of each degree 3, 5 and 7
+    with the other coefficients in -12..12, and those with discriminant 0
+    are dropped (7176 pairs in all at stride 1).  Yields (f, disc f, p)."""
+    rng = random.Random(8)
+    polys = []
+    for d in (3, 5, 7):
+        for i in range(600):
+            f = RatPoly([rng.randint(-12, 12) for _ in range(d)] + [1])
+            disc = discriminant(f) if i % stride == 0 else 0
+            if disc:
+                polys.append((f, disc))
+    return [(f, disc, p) for f, disc in polys for p in (2, 3, 5, 7)]
+
+
+def test_split_sweep_invariants():
+    # on every pair that resolves: the pieces multiply to f mod p^N, the
+    # degrees e*f add up, the factor in Z is irreducible mod p for e = 1
+    # and gives the factor in X, and when every piece is tame
+    # v_p(disc f) - sum f(e - 1) is twice the valuation of the index
+    pairs = sweep_pairs(8)
+    unresolved = 0
+    for f, disc, p in pairs:
+        try:
+            st_ = local_splitting_type(f, p)
+        except UnresolvedSplitting as exc:
+            # the message names the block, p and the step
+            assert re.match(rf"\(.+\)\^\d+ at p = {p}: .+", str(exc)), str(exc)
+            unresolved += 1
+            continue
+        m = p ** min(fc.prec for fc in st_.factors)
+        prod = [1]
+        for fc in st_.factors:
+            prod = mp_mul(prod, list(fc.lift), m)
+        assert prod == [int(c) % m for c in f.coeffs], (f, p)
+        assert sum(fc.e * fc.f for fc in st_.factors) == f.degree
+        for fc in st_.factors:
+            mz = p ** fc.prec
+            deg = fc.degree
+            x_at_z = mp_shift(list(fc.lift), fc.shift, mz)
+            assert x_at_z == [c * p ** (fc.scale * (deg - i)) % mz
+                              for i, c in enumerate(fc.zlift)], (f, p)
+            if fc.e == 1:
+                [(g, mult)] = factor_mod_p(FpPoly(p, fc.zlift))
+                assert (g.degree, mult) == (fc.f, 1), (f, p)
+        if all(fc.e % p for fc in st_.factors):
+            r = valuation(disc, p) - sum(fc.f * (fc.e - 1)
+                                         for fc in st_.factors)
+            assert r >= 0 and r % 2 == 0, (f, p)
+    assert unresolved <= len(pairs) // 100
+
+
+@pytest.mark.parametrize("f, p, kinds", [
+    # a repeated non-linear factor mod 2: one side of slope 1/2
+    ("X^5-6*X^4+9*X^3+4*X^2+X+4", 2, [(1, 1), (2, 2)]),
+    # two sides of the fractional slopes 1/2 and 1/3
+    ("X^5-4*X^4+2*X^3+10*X^2-12*X+12", 2, [(2, 1), (3, 1)]),
+    # an inert quadratic block whose lift is X^2 mod 2
+    ("X^5+5*X^4+9*X^3+7*X^2-2*X+12", 2, [(1, 1), (1, 1), (1, 1), (1, 2)]),
+    ("X^5-X+8", 2, [(1, 1), (1, 2), (2, 1)]),
+    ("X^5+X^4+X^3+8", 2, [(1, 1), (1, 2), (1, 2)]),
+])
+def test_split_blocks_that_once_failed(f, p, kinds):
+    st_ = local_splitting_type(parse_poly(f), p)
+    assert sorted((fc.e, fc.f) for fc in st_.factors) == kinds
+
+
+@pytest.mark.parametrize("coeffs, step", [
+    ([12, -8, 8, -10, 3, 1], "(X)^4 at p = 2: side of slope 1/2: the "
+     "residual polynomial has a repeated factor; order 2 is needed"),
+    ([4, 9, 12, 1, 12, 1], "(X^2 + X + 1)^2 at p = 2: the Newton polygon "
+     "of the non-linear phi has 2 sides"),
+    ([3, -1, 9, 3, 7, 1], "(X^2 + X + 1)^2 at p = 2: residual polynomial "
+     "of degree 2 over F_(2^2)"),
+])
+def test_split_names_the_step_order_one_cannot_take(coeffs, step):
+    with pytest.raises(UnresolvedSplitting, match=re.escape(step)):
+        local_splitting_type(RatPoly(coeffs), 2)
+
+
+def test_split_doubles_precision_for_close_roots():
+    # the roots +-2^20 sqrt(17) lie on one side of slope 20: rescaling it
+    # costs 40 digits, so N doubles from HENSEL_START until they are there
+    st_ = local_splitting_type(RatPoly([-17 * 2 ** 40, 0, 1]), 2)
+    assert st_.splits_completely
+    assert max(fc.prec for fc in st_.factors) > HENSEL_START
+
+
+def test_factor_mod_p_repeated_linear_factors_at_9973():
+    # (X + 3)^2 (X - 3)^3 (X^2 + 5): multiplicities from the squarefree
+    # decomposition, linear factors from distinct-degree splitting
+    p = 9973
+    f = [1]
+    for g, k in (([3, 1], 2), ([p - 3, 1], 3), ([5, 0, 1], 1)):
+        for _ in range(k):
+            f = mp_mul(f, g, p)
+    assert factor_mod_p(FpPoly(p, tuple(f))) == [
+        (FpPoly(p, (3, 1)), 2), (FpPoly(p, (p - 3, 1)), 3),
+        (FpPoly(p, (5, 0, 1)), 1)]
 
 
 def test_split_rejects_nonmonic():
