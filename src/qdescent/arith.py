@@ -1,8 +1,9 @@
 """Exact integer/rational arithmetic, factorization, and square classes.
 
-Everything is exact: rationals are `fractions.Fraction`, valuations are
-integers (with a distinguished infinity for 0), and square classes in
-Q_v*/Q_v*^2 are small canonical records.  No floating point anywhere.
+Everything is exact: rationals are `fractions.Fraction` and valuations are
+integers (with a distinguished infinity for 0).  A square class in
+Q_v*/Q_v*^2 is an F_2 bitmask (square_class), so that the class of a
+product is the XOR of the classes.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -210,30 +211,37 @@ def legendre(a: int, p: int) -> int:
     return 1 if t == 1 else -1
 
 
-def is_padic_square(q, p: int) -> bool:
-    """Is the nonzero rational q a square in Q_p?"""
+def square_class(q, p: int) -> int:
+    """The class of the nonzero rational q in Q_p*/Q_p*^2 as an F_2 bitmask;
+    p = 0 is the real place.
+
+    Bit 0 is the parity of v_p(q), then for the unit part u: at odd p one
+    bit, set when u is not a square mod p; at p = 2 the bits 1 and 2 of
+    u mod 8 (u is 3^a * 5^s times a square, with a, s those bits).  At the
+    real place the one bit is the sign.  The top bit spans the unramified
+    classes (unramified_class).  This is the layout of a component of
+    residue degree 1 of an etale algebra (localfields).
+    """
     q = Fraction(q)
     if q == 0:
-        raise ValueError("square test needs nonzero input")
+        raise ValueError("0 has no square class")
+    if p == 0:
+        return int(q < 0)
     v = valuation(q, p)
-    if v % 2 != 0:
-        return False
     u = unit_part(q, p)
     if p == 2:
-        return (u.numerator * pow(u.denominator, -1, 8)) % 8 == 1
-    return legendre((u.numerator * pow(u.denominator, -1, p)) % p, p) == 1
+        return v % 2 | u.numerator * u.denominator % 8 & 6
+    return v % 2 | (legendre(u.numerator * u.denominator, p) < 0) << 1
 
 
-def least_nonresidue(p: int) -> int:
-    """Smallest positive quadratic non-residue mod odd prime p."""
-    for n in range(2, p):
-        if legendre(n, p) == -1:
-            return n
-    raise ValueError(f"no non-residue mod {p}?")
+def unramified_class(p: int) -> int:
+    """The mask of the unit class of Q_p*/Q_p*^2 whose square root generates
+    the unramified quadratic extension: the top bit of square_class."""
+    return 4 if p == 2 else 2
 
 
 # ---------------------------------------------------------------------------
-# Places of Q and square classes
+# Places of Q
 
 
 @dataclass(frozen=True, order=True)
@@ -250,10 +258,6 @@ class Place:
     def is_real(self) -> bool:
         return self.p == 0
 
-    @property
-    def is_finite(self) -> bool:
-        return self.p != 0
-
     def __repr__(self):
         return "oo" if self.is_real else str(self.p)
 
@@ -263,75 +267,6 @@ REAL_PLACE = Place(0)
 
 def finite(p: int) -> Place:
     return Place(p)
-
-
-@dataclass(frozen=True)
-class SquareClass:
-    """An element of Q_v*/Q_v*^2 in canonical form.
-
-    Finite odd p: (val_parity, unit in {1, n_p}) with n_p the least
-    non-residue.  p = 2: (val_parity, unit mod 8 in {1,3,5,7}).  Real
-    place: the sign (val_parity fixed at 0).
-    """
-
-    place: Place
-    val_parity: int
-    unit: int  # canonical unit representative (sign for the real place)
-
-    @property
-    def representative(self) -> Fraction:
-        if self.place.is_real:
-            return Fraction(self.unit)
-        return Fraction(self.place.p) ** self.val_parity * self.unit
-
-    def is_trivial(self) -> bool:
-        return self.val_parity == 0 and self.unit == 1
-
-    def __repr__(self):
-        return f"cls({self.representative} at {self.place})"
-
-
-def square_class_at(q, v: Place) -> SquareClass:
-    """Canonical square class of nonzero rational q at the place v."""
-    q = Fraction(q)
-    if q == 0:
-        raise ValueError("0 has no square class")
-    if v.is_real:
-        return SquareClass(v, 0, 1 if q > 0 else -1)
-    p = v.p
-    val = valuation(q, p)
-    u = unit_part(q, p)
-    if p == 2:
-        ur = (u.numerator * pow(u.denominator, -1, 8)) % 8
-        return SquareClass(v, val % 2, ur)
-    ur = (u.numerator * pow(u.denominator, -1, p)) % p
-    unit = 1 if legendre(ur, p) == 1 else least_nonresidue(p)
-    return SquareClass(v, val % 2, unit)
-
-
-def sc_mul(a: SquareClass, b: SquareClass) -> SquareClass:
-    """Group law on square classes at a common place."""
-    if a.place != b.place:
-        raise ValueError("square classes at different places")
-    if a.place.is_real:
-        return SquareClass(a.place, 0, a.unit * b.unit)
-    return square_class_at(a.representative * b.representative, a.place)
-
-
-def sc_identity(v: Place) -> SquareClass:
-    return square_class_at(1, v)
-
-
-def all_square_classes(v: Place) -> list[SquareClass]:
-    """The full (finite) group Q_v*/Q_v*^2."""
-    if v.is_real:
-        return [square_class_at(1, v), square_class_at(-1, v)]
-    p = v.p
-    if p == 2:
-        return [square_class_at(Fraction(2) ** e * u, v)
-                for e in (0, 1) for u in (1, 3, 5, 7)]
-    n = least_nonresidue(p)
-    return [square_class_at(Fraction(p) ** e * u, v) for e in (0, 1) for u in (1, n)]
 
 
 def sqrt_exact(n: int):

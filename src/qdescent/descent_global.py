@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import (REAL_PLACE, factor_integer, finite, is_prime,
-                    squarefree_part, valuation)
+                    squarefree_part)
 from .descent_local import TWO_MAP, finite_descent_report, s2_real
 from .elliptic import WeierstrassModel, two_division_cubic_integral
 from .jacobian import (HyperellipticCurve, independence_rank, local_algebra,
@@ -157,10 +157,6 @@ class ClassRecord:
     narrow_eq_wide: bool
     provenance: str
 
-    def as_line(self) -> str:
-        return (f"{self.poly} | {self.two_rank} | "
-                f"{'yes' if self.narrow_eq_wide else 'no'} | {self.provenance}")
-
 
 def parse_class_data(text: str) -> list[ClassRecord]:
     """One record per line: "poly | 2rank | narrow_eq_wide | source"."""
@@ -276,25 +272,6 @@ class GlobalLedger:
             d["torsion_two_rank"], tuple(d["selmer_rank_interval"]),
             d["narrow_refinement_applied"], d["notes"])
 
-    def table(self) -> str:
-        lines = [f"curve: {self.curve} ({self.kind})"]
-        hdr = f"{'place':>8} {'C':>4} {'S':>4} {'I':>4}  notes"
-        lines.append(hdr)
-        for row in self.local_reports:
-            lines.append(f"{str(row.get('place')):>8} {row.get('C', '-'):>4} "
-                         f"{row.get('S', '-'):>4} {str(row.get('I', '-')):>4}  "
-                         f"{row.get('kodaira', '')}")
-        lines.append(f"rank bound S/I: {self.bound_rank_S_over_I}"
-                     f" (refined: {self.bound_rank_S_over_I_refined})")
-        lines.append(f"rank bound C/I: {self.bound_rank_C_over_I}")
-        lines.append(f"class-side rank: {self.class_side_rank} "
-                     f"[{self.class_side_provenance}]")
-        lines.append(f"points rank lower bound: {self.points_rank_lower}")
-        lines.append(f"Selmer rank interval: {list(self.selmer_rank_interval)}")
-        for n in self.notes:
-            lines.append(f"note: {n}")
-        return "\n".join(lines)
-
 
 def assemble_ledger_elliptic(m: WeierstrassModel, records=None,
                              points=None) -> GlobalLedger:
@@ -348,12 +325,13 @@ def _ledger(curve, kind, f, reports, rank_s, inf_contrib, rank_c, records,
 
 
 def _independence_primes(f: RatPoly, count: int, avoid=()):
-    """Smallest odd primes where f splits completely (full local data)."""
-    dsc = discriminant(f)
+    """Smallest odd primes where the monic f splits completely into
+    distinct linear factors mod p (full local data), so p does not divide
+    the discriminant."""
     out = []
     p = 3
     while len(out) < count and p < 10 ** 4:
-        if is_prime(p) and valuation(dsc, p) == 0 and p not in avoid:
+        if is_prime(p) and p not in avoid:
             fac = factor_mod_p(fp_poly(f, p))
             if all(g.degree == 1 and mult == 1 for g, mult in fac):
                 out.append(p)

@@ -25,10 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
-from .arith import (INFINITY, Place, finite, is_padic_square, legendre,
-                    square_class_at, valuation)
+from .arith import (INFINITY, Place, finite, square_class, unramified_class,
+                    valuation)
 from .elliptic import (IsogenyMap, WeierstrassModel, _depress,
                        two_division_cubic_integral)
 from .localfields import EtaleAlgebra, span_rank, unramified_rank
@@ -99,15 +99,11 @@ def _cubic_deg_L_data(split, cubic: RatPoly, p: int):
     """([L:Q_p], [L':Q_p]) for the splitting field L of the 2-division cubic."""
     fs = [fac.f for fac in split.factors]
     es = [fac.e for fac in split.factors]
-    disc = discriminant(cubic)
-    cls = square_class_at(disc, finite(p))
-    # unit non-square class contributes an unramified quadratic to L'
-    if p == 2:
-        extra_unram = cls.val_parity == 0 and cls.unit == 5
-        disc_ramified = not (cls.val_parity == 0 and cls.unit in (1, 5))
-    else:
-        extra_unram = cls.val_parity == 0 and cls.unit != 1
-        disc_ramified = cls.val_parity == 1
+    cls = square_class(discriminant(cubic), p)
+    # the unramified non-square class contributes an unramified quadratic
+    # to L'; any other non-square class a ramified one
+    extra_unram = cls == unramified_class(p)
+    disc_ramified = cls & ~unramified_class(p) != 0
     deg_Lp = lcm(*fs, 2 if extra_unram else 1)
     deg_L = deg_Lp * lcm(*es, 2 if disc_ramified else 1)
     return deg_L, deg_Lp
@@ -203,13 +199,12 @@ def _cyclic_kernel_profile(rd: ReductionData, phi: IsogenyMap) -> TorsionFieldPr
     D = dep.rhs(x0d)  # y0^2 on the depressed model
     if D == 0:
         raise ValueError("kernel point is 2-torsion on a 3-isogeny?")
-    if is_padic_square(D, p):
+    cls = square_class(D, p)
+    if cls == 0:
         pts = (KernelPoint("Q", 1, singular, _safe_val(x0, p), 0),
                KernelPoint("-Q", 1, singular, _safe_val(x0, p), 0))
         return TorsionFieldProfile(p, pts, 3, 1, 1, 3, (("Q",), ("-Q",)))
-    cls = square_class_at(D, finite(p))
-    unram = cls.val_parity == 0 and (cls.unit == 5 if p == 2 else cls.unit != 1)
-    if unram:
+    if cls == unramified_class(p):
         pts = (KernelPoint("Q", 2, singular, _safe_val(x0, p), 0),
                KernelPoint("-Q", 2, singular, _safe_val(x0, p), 0))
         return TorsionFieldProfile(p, pts, 3, 2, 2, 6, (("Q", "-Q"),))
@@ -310,78 +305,48 @@ def _torsion_count(m: WeierstrassModel, n: int, p: int) -> int:
     """#E(Q_p)[n] for n in {2, 3, 4}."""
     if n == 2:
         return c2_order(m, TWO_MAP, finite(p))
+    if n == 3:
+        # the 3-division polynomial and (2y + a1 x + a3)^2 on m itself: on
+        # an integral model the roots need the scaling X = 3x only
+        psi3 = RatPoly([m.b8, 3 * m.b6, 3 * m.b4, m.b2, 3])
+        rhs = RatPoly([m.b6, 2 * m.b4, m.b2, 4])
+        return 1 + 2 * _count_x_roots_with_square_rhs(psi3, rhs, p)
+    # n = 4: E[2] plus points of exact order 4, on the depressed model
     dep, _ = _depress(m)
     A, B = dep.a4, dep.a6
-    f = RatPoly([B, A, 0, 1])
-    if n == 3:
-        psi3 = RatPoly([-A * A, 12 * B, 6 * A, 0, 3])
-        return 1 + 2 * _count_x_roots_with_square_rhs(psi3, f, p)
-    # n = 4: E[2] plus points of exact order 4
     quo = RatPoly([-8 * B * B - A ** 3, -4 * A * B, -5 * A * A, 20 * B,
                    5 * A, 0, 1])
-    return _torsion_count(m, 2, p) + 2 * _count_x_roots_with_square_rhs(quo, f, p)
+    return _torsion_count(m, 2, p) + 2 * _count_x_roots_with_square_rhs(
+        quo, RatPoly([B, A, 0, 1]), p)
 
 
 def _count_x_roots_with_square_rhs(g: RatPoly, f: RatPoly, p: int) -> int:
     """Number of Q_p-roots x of g with f(x) a nonzero square in Q_p."""
     # scale to a monic integral polynomial: roots scale by lam
     g = g.monic()
-    den = 1
-    for c in g.coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    lam = Fraction(den)
-    # ensure integrality: successively multiply by p until integral
+    lam = Fraction(lcm(*(c.denominator for c in g.coeffs)))
     while True:
         scaled = RatPoly([g.coeffs[i] * lam ** (g.degree - i)
                           for i in range(g.degree + 1)])
         if scaled.is_integral():
             break
         lam *= p
-    split = local_splitting_type(scaled, p)
-    # D^2 * f has integer coefficients and the square classes of f
-    D = lcm(*(Fraction(c).denominator for c in f.coeffs))
-    f_int = [int(c * D * D) for c in f.coeffs]
+    alg = EtaleAlgebra(scaled, p)
+    # lam^even * D^2 * f(X / lam), with even the least even exponent
+    # >= deg f, has integer coefficients and the square classes of f(x)
+    D = lcm(*(c.denominator for c in f.coeffs))
+    even = f.degree + f.degree % 2
+    f_int = [int(c * D * D * lam ** (even - k))
+             for k, c in enumerate(f.coeffs)]
     count = 0
-    for fac in split.factors:
-        if fac.degree != 1:
+    for i, piece in enumerate(alg.pieces):
+        if piece.degree != 1:
             continue
-        if fac.root is not None:
-            x = fac.root / lam
-            val = f.eval(x)
-            if val != 0 and is_padic_square(val, p):
-                count += 1
-            continue
-        prec = fac.prec
-        mod = p ** prec
-        rootm = fac.root_mod(mod)
-        lam_int = int(lam)
-        # x = root/lam: acc = lam^even * D^2 * f(x) modulo p^prec, with
-        # even the least even exponent >= deg f, clears the denominators
-        # and keeps the square class of f(x)
-        num = rootm
-        denx = lam_int
-        even = f.degree + f.degree % 2
-        acc = 0
-        for k, c in enumerate(f_int):
-            acc = (acc + c * pow(num, k, mod)
-                   * pow(denx, even - k, mod)) % mod
-        v = 0
-        t = acc
-        if t == 0:
-            raise UnresolvedSplitting("torsion y-square test needs precision")
-        while t % p == 0:
-            t //= p
-            v += 1
-        if v >= prec - 6:
-            raise UnresolvedSplitting("torsion y-square test needs precision")
-        v -= even * valuation(lam_int, p) + 2 * valuation(D, p)
-        if v % 2 != 0:
-            continue
-        if p == 2:
-            if t % 8 == 1:
-                count += 1
-        elif legendre(t % p, p) == 1:
-            count += 1
+        if piece.root is not None:
+            elem = f.eval(piece.root / lam)
+        else:
+            elem = alg.to_z(i, f_int, p ** piece.prec)
+        count += alg.class_of_element(i, elem, piece.prec) == 0
     return count
 
 

@@ -5,30 +5,37 @@ pieces (poly.local_splitting_type); at the real place into real roots and
 complex pairs.  Each EtaleAlgebra fixes an F_2 basis of its group of
 square classes, component by component, so that the class of an element
 such as x - theta is one integer bitmask (SqVector.mask) and multiplying
-classes is XOR.  The bits of a component:
+classes is XOR.
 
-  * finite place: a valuation-parity bit, then
-      - odd p, unramified piece of residue degree f: the quadratic
-        character of the unit part.  Both bits are read from the norm N of
-        the element: (v(N)/f mod 2, Legendre symbol of the unit part of N),
-        since a unit of an unramified extension of Q_p, p odd, is a square
-        exactly when its norm is.  No residue-field arithmetic is needed;
-      - p = 2, unramified piece of residue degree f: the arithmetic runs in
-        the coordinate Z of the piece (theta = shift + 2^scale * Z), where
-        the factor is irreducible mod 2, so that Z generates the ring of
-        integers.  With t the root of that factor, a unit is a square times
-        prod_j (1 + 2 t^j)^(a_j) * (1 + 4 s) for j < f; the f bits a_j,
-        then the trace bit Tr(s mod 2);
-      - ramified piece: nothing (parity-only tracking, enough at odd
-        residue characteristic, where every unit class is unramified);
-  * real place: a sign bit per real root; complex pairs carry nothing.
+At a finite place one routine, EtaleAlgebra.class_of_element, gives the
+class of an element of a component, and it reads the class off the norm N
+of the element to Q_p: a valuation-parity bit v(N)/f mod 2 (f the residue
+degree), then the unit bits:
 
-The unramified subspace is spanned by a fixed set of coordinates, the
-quadratic-character bits at odd p and the trace bits at 2 (the algebra's
-`unramified` mask).  Spans, their unramified parts and relation spaces come
-from Gaussian elimination on the masks (echelon, relations), as in Stoll,
-"Implementing 2-descent for Jacobians of hyperelliptic curves", Acta
-Arith. 98 (2001).
+  * unramified piece at odd p: the quadratic character of the unit part of
+    N (arith.square_class), since a unit of an unramified extension of
+    Q_p, p odd, is a square exactly when its norm is;
+  * linear piece at p = 2: the bits of the unit part of N mod 8, as in
+    arith.square_class;
+  * unramified piece of residue degree f > 1 at p = 2: the arithmetic runs
+    in the coordinate Z of the piece (theta = shift + 2^scale * Z), where
+    the factor is irreducible mod 2, so that Z generates the ring of
+    integers.  With t the root of that factor, a unit is a square times
+    prod_j (1 + 2 t^j)^(a_j) * (1 + 4 s) for j < f; the f bits a_j, then
+    the trace bit Tr(s mod 2);
+  * ramified piece: nothing (parity-only tracking, enough at odd residue
+    characteristic, where every unit class is unramified).
+
+At the real place a component is a real root, with one sign bit, or a
+complex pair, with none.  The Sturm chain of f, kept on the algebra,
+counts the real roots and, at a rational x, the roots above x; the class
+of x - T has the bits of those roots set.
+
+The unramified subspace is spanned by a fixed set of coordinates, the top
+unit bit of each unramified component (the algebra's `unramified` mask).
+Spans, their unramified parts and relation spaces come from Gaussian
+elimination on the masks (echelon, relations), as in Stoll, "Implementing
+2-descent for Jacobians of hyperelliptic curves", Acta Arith. 98 (2001).
 """
 
 from __future__ import annotations
@@ -36,9 +43,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import INFINITY, is_padic_square, legendre, valuation
-from .poly import (RatPoly, UnresolvedSplitting, local_splitting_type,
-                   mp_divmod, mp_mul, mp_shift, mp_sub, mp_scal, mp_trim)
+from .arith import square_class, valuation
+from .poly import (RatPoly, UnresolvedSplitting, _vp_bounded,
+                   local_splitting_type, mp_divmod, mp_mul, mp_shift, mp_sub,
+                   mp_scal, mp_trim)
 
 
 class ResidueField:
@@ -196,78 +204,10 @@ def unramified_rank(vectors) -> int:
                                             for v in vectors))
 
 
-# ---------------------------------------------------------------------------
-# real root isolation (Sturm)
-
-
-_CHAIN_CACHE: dict = {}
-
-
-def _sturm_chain(f: RatPoly):
-    if f.coeffs in _CHAIN_CACHE:
-        return _CHAIN_CACHE[f.coeffs]
-    chain = [f, f.deriv()]
-    while chain[-1].degree >= 1:
-        r = -(chain[-2] % chain[-1])
-        if r.is_zero():
-            break
-        chain.append(r)
-    _CHAIN_CACHE[f.coeffs] = chain
-    return chain
-
-
-def _sign_changes(chain, x) -> int:
-    signs = []
-    for g in chain:
-        v = g.eval(x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def isolate_real_roots(f: RatPoly) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint open rational intervals, one per real root, ascending."""
-    if f.degree < 1:
-        return []
-    chain = _sturm_chain(f)
-    bound = 1 + max(abs(c) for c in f.coeffs) / abs(f.lead)
-    out = []
-
-    def split(a, b, count):
-        if count == 0:
-            return
-        if count == 1:
-            out.append((a, b))
-            return
-        mid = (a + b) / 2
-        while f.eval(mid) == 0:
-            mid = (a + mid) / 2
-        left = _sign_changes(chain, a) - _sign_changes(chain, mid)
-        split(a, mid, left)
-        split(mid, b, count - left)
-
-    lo, hi = -bound, bound
-    split(lo, hi, _sign_changes(chain, lo) - _sign_changes(chain, hi))
-    return sorted(out)
-
-
-def refine_away_from(f: RatPoly, interval, x: Fraction):
-    """Shrink an isolating interval until the rational x lies outside it."""
-    chain = _sturm_chain(f)
-    a, b = interval
-    guard = 0
-    while a < x < b:
-        mid = (a + b) / 2
-        while f.eval(mid) == 0:
-            mid = (a + mid) / 2
-        if _sign_changes(chain, a) - _sign_changes(chain, mid) == 1:
-            b = mid
-        else:
-            a = mid
-        guard += 1
-        if guard > 4000:
-            raise ArithmeticError("interval refinement did not separate")
-    return a, b
+def _sign_changes(values) -> int:
+    """Sign changes along a sequence of rationals, zeros skipped."""
+    signs = [v > 0 for v in values if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +228,18 @@ class EtaleAlgebra:
         self.f = f
         self.p = p
         if p == 0:
-            self.intervals = list(isolate_real_roots(f))
-            self.n_real = len(self.intervals)
+            # the Sturm chain: f, f', then the negated remainders
+            self.chain = [f, f.deriv()]
+            while self.chain[-1].degree >= 1:
+                r = -(self.chain[-2] % self.chain[-1])
+                if r.is_zero():
+                    break
+                self.chain.append(r)
+            # sign changes at +oo and -oo, read off the leading coefficients
+            self.changes_at_top = _sign_changes(g.lead for g in self.chain)
+            at_bottom = _sign_changes((-1) ** g.degree * g.lead
+                                      for g in self.chain)
+            self.n_real = at_bottom - self.changes_at_top
             self.n_complex = (f.degree - self.n_real) // 2
             self.n_comp = self.n_real + self.n_complex
             self.pieces = None
@@ -332,34 +282,25 @@ class EtaleAlgebra:
                 out.append(f"deg{piece.degree}[e={piece.e},f={piece.f}]")
         return out
 
-    # -- unit-class canonicalization ------------------------------------------
+    # -- square classes --------------------------------------------------------
 
-    def _class_int(self, i: int, v: int, uval: int, prec: int) -> int:
-        """Mask of the class of p^v * uval at a component with prime
-        residue field."""
-        p = self.p
-        if p != 2:
-            bits = v % 2 | (0 if legendre(uval % p, p) == 1 else 2)
-        elif prec < 3:
+    def _class_poly(self, i: int, elem, w: int, prec: int) -> int:
+        """The unit bits, unshifted, of the class of an element of valuation
+        w of the unramified component i at p = 2, of residue degree > 1,
+        given mod 2^prec in the coordinate Z of the piece."""
+        if prec < w + 3:
             raise UnresolvedSplitting("dyadic unit class needs 3 digits")
-        else:
-            # a unit is 3^a * 5^s times a square, with a and s its bits 1, 2
-            bits = v % 2 | uval % 8 & 6
-        return bits << self.basis.offsets[i]
-
-    def _class_poly(self, i: int, vW: int, unit, prec: int) -> int:
-        """Mask of the class of 2^vW * unit for a unit of the unramified
-        component i at p = 2, given mod 2^prec in the coordinate Z of the
-        piece."""
-        if prec < 3:
-            raise UnresolvedSplitting("dyadic unit class needs 3 digits")
-        rf = ResidueField(self.pieces[i].zlift)
-        h8 = [c % 8 for c in self.pieces[i].zlift]
+        zlift = self.pieces[i].zlift
+        rf = ResidueField(zlift)
+        h8 = [c % 8 for c in zlift]
+        m = 2 ** (w + 3)
+        # every coefficient in the basis 1, t, ..., t^(f-1) of the ring of
+        # integers has valuation >= w
+        u8 = [c >> w for c in mp_divmod(elem, zlift, m)[1]]
 
         def mul8(a, b):
             return mp_divmod(mp_mul(a, b, 8), h8, 8)[1]
 
-        u8 = mp_divmod([c % 8 for c in unit], h8, 8)[1]
         x0 = rf.sqrt([c % 2 for c in u8])
         up = mul8(u8, _invert_poly_mod(mul8(x0, x0), h8, 2, 3))
         up = up + [0] * (rf.f - len(up))
@@ -371,9 +312,8 @@ class EtaleAlgebra:
             if aj:
                 fac = mul8(fac, [3] if j == 0 else [1] + [0] * (j - 1) + [2])
         s = [c >> 2 & 1 for c in mul8(up, _invert_poly_mod(fac, h8, 2, 3))]
-        bits = vW % 2 | sum(aj << (j + 1) for j, aj in enumerate(a))
-        bits |= rf.trace(s) << (rf.f + 1)
-        return bits << self.basis.offsets[i]
+        return (sum(aj << (j + 1) for j, aj in enumerate(a))
+                | rf.trace(s) << (rf.f + 1))
 
     def to_z(self, i: int, elem, m: int):
         """A polynomial in the root theta of piece i rewritten in the
@@ -385,81 +325,60 @@ class EtaleAlgebra:
                 for j, c in enumerate(mp_shift(elem, piece.shift, m))]
 
     def class_of_element(self, i: int, elem, prec: int) -> int:
-        """Mask of the class of a nonzero element of unramified component i,
-        given mod p^prec as a polynomial in the root of the factor of the
-        piece in its coordinate Z (to_z rewrites a polynomial in theta);
-        the bits of the other components are zero."""
+        """Mask of the class of a nonzero element of finite component i; the
+        bits of the other components are zero.
+
+        The element is an exact rational (at a linear piece) or a polynomial
+        in the root of the factor of the piece in its coordinate Z (to_z
+        rewrites a polynomial in theta), known mod p^prec.  The class is
+        read off the norm N of the element: v(N)/f mod 2, then the unit
+        bits of N, except at an unramified piece of residue degree > 1 at
+        p = 2 (module docstring).
+        """
         p, piece = self.p, self.pieces[i]
-        m = p ** prec
-        if p != 2:
-            # a unit of an unramified extension of Q_p, p odd, is a square
-            # exactly when its norm is
-            norm = _norm_mod(piece.zlift, elem, m)
-            v = _v_bounded(norm, p, prec)
-            if v is None or v >= prec:
+        if isinstance(elem, Fraction):
+            if elem == 0:
+                raise ZeroDivisionError("the element is zero")
+            norm, v = elem, valuation(elem, p)
+        else:
+            norm = _norm_mod(piece.zlift, elem, p ** prec)
+            v = _vp_bounded(norm, p, prec)
+            # the unit part of N is needed mod p, mod 8 at 2
+            if v is None or (p == 2 and piece.kind == "linear"
+                             and prec - v < 3):
                 raise UnresolvedSplitting(
                     f"the norm of an element at {p} needs more precision")
-            if v % piece.f:
-                raise ArithmeticError("norm valuation vs residue degree")
-            return self._class_int(i, v // piece.f, norm // p ** v, prec - v)
-        elem = mp_divmod([c % m for c in elem], [c % m for c in piece.zlift],
-                         m)[1]
-        vW = min((v for v in (_v_bounded(c, 2, prec) for c in elem)
-                  if v is not None), default=None)
-        if vW is None or vW >= prec:
-            raise UnresolvedSplitting(
-                "the valuation of an element at 2 needs more precision")
-        unit = [c // 2 ** vW for c in elem]
-        if piece.degree == 1:
-            return self._class_int(i, vW, unit[0], prec - vW)
-        return self._class_poly(i, vW, unit, prec - vW)
+        if v % piece.f:
+            raise ArithmeticError("norm valuation vs residue degree")
+        bits = v // piece.f % 2
+        if p == 2 and piece.kind == "unramified":
+            bits |= self._class_poly(i, elem, v // piece.f, prec)
+        elif piece.kind != "ramified":
+            bits |= square_class(norm, p) & ~1
+        return bits << self.basis.offsets[i]
 
     # -- images ----------------------------------------------------------------
 
     def image_of_affine(self, x: Fraction) -> SqVector:
         """(x - T) componentwise: the descent image of an affine point."""
         x = Fraction(x)
-        mask = 0
         if self.p == 0:
-            for i in range(self.n_real):
-                iv = refine_away_from(self.f, self.intervals[i], x)
-                self.intervals[i] = iv
-                mask |= (x < iv[1]) << i
-            return SqVector(mask, self.basis)
-        p = self.p
-        den = x.denominator
-        num = x.numerator
-        vden = valuation(den, p)
+            values = [g.eval(x) for g in self.chain]
+            if values[0] == 0:
+                raise ZeroDivisionError("x coincides with a real root")
+            # x - alpha < 0 for the k largest real roots alpha
+            k = _sign_changes(values) - self.changes_at_top
+            return SqVector((1 << self.n_real) - (1 << self.n_real - k),
+                            self.basis)
+        mask = 0
         for i, piece in enumerate(self.pieces):
-            exact = x - piece.root if piece.root is not None else None
-            if exact is not None:
-                if exact == 0:
-                    raise ZeroDivisionError("x coincides with a component root")
-                v = valuation(exact, p)
-                u = exact / Fraction(p) ** v
-                prec = max(4, piece.prec)
-                uval = (u.numerator * pow(u.denominator, -1, p ** prec)) % p ** prec
-                mask |= self._class_int(i, v, uval, prec)
+            if piece.root is not None:
+                mask |= self.class_of_element(i, x - piece.root, piece.prec)
                 continue
-            prec = piece.prec
-            m = p ** prec
-            if piece.kind == "ramified":
-                # valuation from the exact norm den^deg * h(x)
-                acc = 0
-                for k, c in enumerate(piece.lift):
-                    acc = (acc + c * pow(num, k, m)
-                           * pow(den, piece.degree - k, m)) % m
-                vnorm = _v_bounded(acc, p, prec)
-                if vnorm is None or vnorm >= prec:
-                    raise UnresolvedSplitting("ramified norm needs more precision")
-                vnorm -= piece.degree * vden
-                if vnorm % piece.f != 0:
-                    raise ArithmeticError("norm valuation vs residue degree")
-                mask |= (vnorm // piece.f) % 2 << self.basis.offsets[i]
-                continue
-            # unramified piece: clear denominators by the square den^2
-            elem = [(num * den) % m, (-den * den) % m]
-            mask |= self.class_of_element(i, self.to_z(i, elem, m), prec)
+            m = self.p ** piece.prec
+            # x - theta times the square den^2, to clear the denominator
+            elem = [x.numerator * x.denominator, -x.denominator ** 2]
+            mask |= self.class_of_element(i, self.to_z(i, elem, m), piece.prec)
         return SqVector(mask, self.basis)
 
     def image_of_torsion_root(self, i: int) -> SqVector:
@@ -478,71 +397,30 @@ class EtaleAlgebra:
             above = (1 << self.n_real) - (2 << i)
             home = (self.n_real - 1 - i) % 2 << i
             return SqVector(above | home, self.basis)
-        p = self.p
         piece_i = self.pieces[i]
         if piece_i.kind == "ramified":
             raise ValueError("torsion root lives in a ramified component")
         mask = 0
         for j, piece_j in enumerate(self.pieces):
             prec = min(piece_i.prec, piece_j.prec)
-            m = p ** prec
-            if j == i:
-                acc = [1]
-                for k, pk in enumerate(self.pieces):
-                    if k != i:
-                        acc = mp_divmod(mp_mul(acc, [c % m for c in pk.lift], m),
-                                        [c % m for c in piece_i.lift], m)[1]
-                if (piece_i.degree - 1) % 2:
-                    acc = [(-c) % m for c in acc]
-                mask |= self.class_of_element(i, self.to_z(i, acc, m), prec)
-                continue
-            gi = [c % m for c in piece_i.lift]
-            sign = -1 if piece_i.degree % 2 else 1
-            if piece_j.root is not None:
-                ev = sign * RatPoly([Fraction(c) for c in gi]).eval(piece_j.root)
-                v = valuation(ev, p)
-                if v is INFINITY or v >= prec:
-                    raise UnresolvedSplitting("torsion image needs more precision")
-                u = ev / Fraction(p) ** v
-                uval = (u.numerator * pow(u.denominator, -1, m)) % m
-                mask |= self._class_int(j, v, uval, prec - v)
-            elif piece_j.kind == "ramified":
-                res = _norm_mod(list(piece_j.lift), gi, m)
-                v = _v_bounded(res, p, prec)
-                if v is None or v >= prec:
-                    raise UnresolvedSplitting("ramified norm needs more precision")
-                if v % piece_j.f != 0:
-                    raise ArithmeticError("norm valuation vs residue degree")
-                mask |= (v // piece_j.f) % 2 << self.basis.offsets[j]
-            else:
-                val = mp_divmod(gi, [c % m for c in piece_j.lift], m)[1]
-                if sign < 0:
-                    val = [(-c) % m for c in val]
-                mask |= self.class_of_element(j, self.to_z(j, val, m), prec)
+            m = self.p ** prec
+            factors = ([k for k in range(self.n_comp) if k != i] if j == i
+                       else [i])
+            elem = [1]
+            for k in factors:
+                elem = mp_divmod(mp_mul(elem, self.pieces[k].lift, m),
+                                 piece_j.lift, m)[1]
+            if (piece_i.degree - (j == i)) % 2:
+                elem = [-c % m for c in elem]
+            mask |= self.class_of_element(j, self.to_z(j, elem, m), prec)
         return SqVector(mask, self.basis)
-
-    def identity_vector(self) -> SqVector:
-        return SqVector(0, self.basis)
 
     def norm_class_is_square(self, x: Fraction) -> bool:
         """Is N(x - T) = f(x) a square in Q_v (the norm-kernel condition)?"""
         val = self.f.eval(x)
         if val == 0:
             raise ZeroDivisionError
-        if self.p == 0:
-            return val > 0
-        return is_padic_square(val, self.p)
-
-
-def _v_bounded(n: int, p: int, prec: int):
-    n %= p ** prec
-    if n == 0:
-        return None
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+        return square_class(val, self.p) == 0
 
 
 def _invert_poly_mod(a, h, p: int, k: int):

@@ -977,9 +977,9 @@ def local_splitting_type(f: RatPoly, p: int) -> LocalSplittingType:
         raise ValueError("degree capped at 8")
     if f.degree < 1:
         raise ValueError("degree must be at least 1")
-    if discriminant(f) == 0 and f.degree > 1:
-        raise ValueError("polynomial not separable")
     rational_factors = factor_over_Z(f)
+    if len(set(rational_factors)) < len(rational_factors):
+        raise ValueError("polynomial not separable")
     N = HENSEL_START
     while True:
         try:

@@ -34,10 +34,6 @@ class KodairaType:
     def is_multiplicative(self):
         return self.letter == "I"
 
-    @property
-    def is_additive(self):
-        return self.letter not in ("I0", "I")
-
     def __repr__(self):
         return self.symbol()
 
@@ -73,20 +69,6 @@ class ReductionData:
     split: object  # True / False / None (not applicable)
     frobenius_order_on_components: int
     transform: tuple  # (r, s, t, u) taking the input model to minimal_model
-
-    def summary(self) -> dict:
-        g = self.geometric_component_group
-        return {
-            "p": self.p,
-            "kodaira": self.kodaira.symbol(),
-            "v_disc_min": self.v_disc_min,
-            "conductor_exponent": self.conductor_exponent,
-            "component_group": (g if isinstance(g, str) else f"cyclic({g[1]})"),
-            "c_p": self.c_p,
-            "split": self.split,
-            "frobenius_order": self.frobenius_order_on_components,
-            "minimal_model": [str(a) for a in self.minimal_model.ainvs()],
-        }
 
 
 def _vp(x, p):

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import factor_integer, is_prime, rational_sqrt, squarefree_part
+from .localfields import echelon
 from .poly import (RatPoly, discriminant, factor_mod_p, factor_over_Z,
                    fp_poly, hensel_lift_factors, roots_in_Fp)
 
@@ -147,31 +148,17 @@ def _reducible_verdict(factors) -> TfaeResult:
 
 
 def _f2_rank_of_squarefree(vals) -> int:
-    """Rank of squarefree integers in Q*/Q*^2 (prime-support F_2 algebra).
-
-    Each value becomes the set of primes in its support (with -1 for the
-    sign); reduction is by symmetric difference against pivots.
-    """
-    basis = []  # frozensets with pairwise-distinct maxima
+    """Rank of squarefree integers in Q*/Q*^2: each value is a bitmask over
+    its prime support, with bit 0 for the sign."""
+    bit: dict[int, int] = {}
+    masks = []
     for v in vals:
-        if v == 1:
-            continue
-        vec = {-1} if v < 0 else set()
+        mask = int(v < 0)
         for pr, e in factor_integer(v).factors:
             if e % 2:
-                vec.add(pr)
-        cur = frozenset(vec)
-        reduced = True
-        while reduced and cur:
-            reduced = False
-            for b in basis:
-                if max(cur) == max(b):
-                    cur = cur ^ b
-                    reduced = True
-                    break
-        if cur:
-            basis.append(cur)
-    return len(basis)
+                mask |= 1 << bit.setdefault(pr, len(bit) + 1)
+        masks.append(mask)
+    return len(echelon(masks))
 
 
 def _theta_terms(d: int):

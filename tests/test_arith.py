@@ -3,12 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from qdescent.arith import (INFINITY, REAL_PLACE, FactoringBudgetExceeded,
-                            all_square_classes, factor_integer, finite,
-                            is_padic_square, is_prime,
-                            least_nonresidue, sc_identity, sc_mul,
-                            square_class_at, squarefree_part, unit_part,
-                            valuation)
+from qdescent.arith import (INFINITY, FactoringBudgetExceeded, factor_integer,
+                            is_prime, square_class, squarefree_part,
+                            unramified_class, unit_part, valuation)
 
 
 def test_factor_small():
@@ -81,34 +78,36 @@ def test_valuation_additive():
 
 def test_square_class_examples():
     # -23 is a square in Q_2 (= 1 mod 8)
-    assert square_class_at(-23, finite(2)).is_trivial()
-    assert square_class_at(1, finite(7)).is_trivial()
-    assert square_class_at(1, REAL_PLACE).is_trivial()
-    assert not square_class_at(-1, REAL_PLACE).is_trivial()
-
-
-def test_sc_mul_examples():
-    v = finite(5)
-    a = square_class_at(3, v)
-    assert sc_mul(a, a).is_trivial()
-    b = square_class_at(2, v)
-    assert sc_mul(sc_identity(v), b) == b
-    assert sc_mul(a, b) == square_class_at(6, v)
-
-
-def test_sc_mul_place_mismatch():
+    assert square_class(-23, 2) == 0
+    assert square_class(1, 7) == 0
+    assert square_class(1, 0) == 0
+    assert square_class(-1, 0) == 1
+    # bit 0 the valuation parity, then the unit bits; the top bit is the
+    # unramified class
+    assert [square_class(u, 2) for u in (1, 3, 5, 7, 2)] == [0, 2, 4, 6, 1]
+    assert unramified_class(2) == 4
+    assert [square_class(q, 5) for q in (4, 2, 10, Fraction(2, 25))] \
+        == [0, 2, 3, 2]
+    assert unramified_class(5) == 2
     with pytest.raises(ValueError):
-        sc_mul(square_class_at(2, finite(3)), square_class_at(2, finite(5)))
+        square_class(0, 3)
+
+
+def test_square_class_product_examples():
+    a, b = square_class(3, 5), square_class(2, 5)
+    assert a ^ a == 0
+    assert square_class(1, 5) ^ b == b
+    assert a ^ b == square_class(6, 5)
 
 
 def test_group_sizes():
-    assert len(all_square_classes(REAL_PLACE)) == 2
-    assert len(all_square_classes(finite(2))) == 8
+    # 2 classes at the real place, 8 at 2 and 4 at an odd prime
+    assert {square_class(q, 0) for q in (1, -1, 2, Fraction(-1, 3))} == {0, 1}
+    assert {square_class(2 ** e * u, 2) for e in range(4)
+            for u in range(1, 32, 2)} == set(range(8))
     for p in (3, 5, 7, 11, 13):
-        cls = all_square_classes(finite(p))
-        assert len(cls) == 4
-        for c in cls:
-            assert sc_mul(c, c).is_trivial()
+        assert {square_class(p ** e * u, p) for e in range(4)
+                for u in range(1, p)} == set(range(4))
 
 
 @given(st.fractions(min_value=Fraction(-200), max_value=Fraction(200))
@@ -116,27 +115,24 @@ def test_group_sizes():
        st.fractions(min_value=Fraction(-200), max_value=Fraction(200))
        .filter(lambda q: q != 0),
        st.sampled_from([0, 2, 3, 5, 7, 23]))
-def test_square_class_homomorphism(a, b, pp):
-    v = REAL_PLACE if pp == 0 else finite(pp)
-    assert square_class_at(a * b, v) == sc_mul(square_class_at(a, v),
-                                               square_class_at(b, v))
+def test_square_class_homomorphism(a, b, p):
+    assert square_class(a * b, p) == square_class(a, p) ^ square_class(b, p)
 
 
 @given(st.fractions(min_value=Fraction(-100), max_value=Fraction(100))
        .filter(lambda q: q != 0),
        st.fractions(min_value=Fraction(-30), max_value=Fraction(30))
        .filter(lambda q: q != 0),
-       st.sampled_from([2, 3, 5, 7]))
+       st.sampled_from([0, 2, 3, 5, 7]))
 def test_square_class_invariant_under_squares(q, s, p):
-    v = finite(p)
-    assert square_class_at(q * s * s, v) == square_class_at(q, v)
+    assert square_class(q * s * s, p) == square_class(q, p)
 
 
 def test_padic_square_mod8():
-    assert is_padic_square(17, 2)
-    assert not is_padic_square(3, 2)
-    assert not is_padic_square(2, 2)
-    assert is_padic_square(Fraction(9, 4), 2)
+    assert square_class(17, 2) == 0
+    assert square_class(3, 2) != 0
+    assert square_class(2, 2) != 0
+    assert square_class(Fraction(9, 4), 2) == 0
 
 
 def test_prime_test():
@@ -147,5 +143,4 @@ def test_prime_test():
 
 def test_misc():
     assert unit_part(Fraction(50, 3), 5) == Fraction(2, 3)
-    assert least_nonresidue(191) in range(2, 191)
     assert squarefree_part(-2592) == -2 * 1  # -2^5 3^4 -> -2

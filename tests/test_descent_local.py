@@ -128,6 +128,25 @@ def test_torsion_count_at_2_and_3():
     assert checked >= 40
 
 
+def test_three_torsion_at_3_resolves_and_ignores_the_model():
+    # psi_3 on an integral model needs only the scaling X = 3x, so the
+    # y-square test keeps the digits of the roots; the count is a property
+    # of the curve, unchanged by a change of coordinates
+    rng = random.Random(5)
+    done = 0
+    while done < 200:
+        a = [rng.randrange(-9, 10) for _ in range(5)]
+        try:
+            m = compute_invariants(*a)
+        except ValueError:
+            continue
+        r, s, t = (rng.randrange(-9, 10) for _ in range(3))
+        u = rng.choice((1, -1, 2, -2))
+        assert _torsion_count(m.transform(r, s, t, u), 3, 3) \
+            == _torsion_count(m, 3, 3), (a, r, s, t, u)
+        done += 1
+
+
 def test_s2_orders():
     assert s2_order_two_map(profile(MESTRE, TWO_MAP, 2)) == 2
     assert s2_order_two_map(profile(curve("[0,0,0,-25,0]"), TWO_MAP, 5)) == 4

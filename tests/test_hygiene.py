@@ -1,8 +1,9 @@
 """Source hygiene of the qdescent package, read from its syntax trees:
 imports at module level and from the standard library only, no
-__import__, and no dead functions or classes; pyproject.toml declares no
-runtime dependency and every console script it declares resolves; and
-every helper module of the tests is imported by a test module."""
+__import__, no dead functions, classes or methods, and no module-level
+mutable container (a global registry); pyproject.toml declares no runtime
+dependency and every console script it declares resolves; and every helper
+module of the tests is imported by a test module."""
 
 import ast
 import importlib
@@ -87,9 +88,9 @@ def test_every_private_function_is_referenced():
     assert not unused
 
 
-def test_every_public_definition_is_referenced():
-    # a public module-level function or class must be used by other code of
-    # src/, or by tests/ or perfbench/, which also name functions in strings
+def names_outside_src() -> set:
+    """Every name tests/ and perfbench/ reference, and every string they
+    hold (they also name functions in strings)."""
     outside = set()
     for path in [*TESTS.glob("*.py"), *(ROOT / "perfbench").rglob("*.py")]:
         tree = ast.parse(path.read_text())
@@ -97,11 +98,53 @@ def test_every_public_definition_is_referenced():
         outside |= {node.value for node in ast.walk(tree)
                     if isinstance(node, ast.Constant)
                     and isinstance(node.value, str)}
+    return outside
+
+
+def test_every_public_definition_is_referenced():
+    # a public module-level function or class must be used by other code of
+    # src/, or by tests/ or perfbench/
+    outside = names_outside_src()
     unused = [f"{name}:{stmt.name}" for name, stmt, _ in STATEMENTS
               if isinstance(stmt, (*FUNCTIONS, ast.ClassDef))
               and not stmt.name.startswith("_")
               and stmt.name not in outside and not used_in_src(stmt)]
     assert not unused
+
+
+def test_every_public_method_is_referenced():
+    # a public method (or property) of a class of src/ must be referenced by
+    # code of src/ other than its own body, or by tests/ or perfbench/
+    outside = names_outside_src()
+    unused = []
+    for name, cls, _ in STATEMENTS:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for fn in cls.body:
+            if not isinstance(fn, FUNCTIONS) or fn.name.startswith("_") \
+                    or fn.name in outside:
+                continue
+            elsewhere = [names for _, stmt, names in STATEMENTS
+                         if stmt is not cls]
+            elsewhere += [referenced_names(other) for other in cls.body
+                          if other is not fn]
+            if not any(fn.name in names for names in elsewhere):
+                unused.append(f"{name}:{cls.name}.{fn.name}")
+    assert not unused
+
+
+def test_no_module_level_mutable_container():
+    # state shared by every caller in the process belongs to an object the
+    # caller creates: no dict, list or set at module level in src/
+    mutable = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+               ast.SetComp)
+    found = [f"{name}:{stmt.lineno}" for name, stmt, _ in STATEMENTS
+             if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+             and (isinstance(stmt.value, mutable)
+                  or isinstance(stmt.value, ast.Call)
+                  and isinstance(stmt.value.func, ast.Name)
+                  and stmt.value.func.id in ("dict", "list", "set"))]
+    assert not found
 
 
 def test_no_runtime_dependencies():

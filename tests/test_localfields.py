@@ -5,9 +5,8 @@ from fractions import Fraction
 import pytest
 
 from qdescent.arith import valuation
-from qdescent.localfields import (EtaleAlgebra, SqVector, echelon,
-                                  isolate_real_roots, relations, span_closure,
-                                  span_rank)
+from qdescent.localfields import (EtaleAlgebra, SqVector, echelon, relations,
+                                  span_closure, span_rank)
 from qdescent.poly import (RatPoly, UnresolvedSplitting, discriminant,
                            mp_divmod, mp_mul, mp_pow_mod, parse_poly)
 
@@ -114,17 +113,33 @@ def test_example_II_real_place():
     assert signs(0) == (1, 1, 1, -1, -1)
 
 
-def test_real_root_isolation():
-    ivs = isolate_real_roots(QUINTIC)
-    assert len(ivs) == 5
-    # paper: one root in (-28,-27), two in (-1,0), one in (5,6), one in (6,7)
-    assert QUINTIC.eval(-28) * QUINTIC.eval(-27) < 0
-    assert QUINTIC.eval(5) * QUINTIC.eval(6) < 0
-    assert QUINTIC.eval(6) * QUINTIC.eval(7) < 0
-    # two sign-change-free roots in (-1, 0): check via the isolation itself
-    inside = [iv for iv in ivs if iv[0] >= -2 and iv[1] <= 1]
-    for a, b in ivs:
-        assert QUINTIC.eval(a) * QUINTIC.eval(b) < 0
+def test_real_classes_against_rational_roots():
+    # paper: one root of the quintic in (-28,-27), two in (-1,0), one in
+    # (5,6), one in (6,7); x - alpha < 0 for the roots alpha above x
+    alg = EtaleAlgebra(QUINTIC, 0)
+    assert [alg.image_of_affine(Fraction(x)).mask
+            for x in (-28, -27, -1, 0, 5, 6, 7)] == [31, 30, 30, 24, 24, 16, 0]
+    # f = prod (X - r_i) * prod (X^2 + bX + c) with b^2 < 4c: the real
+    # roots are the r_i, and the bit of r_i is set exactly when r_i > x
+    rng = random.Random(12)
+    for _ in range(80):
+        roots = sorted(rng.sample(range(-30, 31), rng.randint(0, 5)))
+        f = RatPoly([1])
+        for r in roots:
+            f = f * RatPoly([-r, 1])
+        pairs = rng.randint(0 if roots else 1, 2)
+        for c in rng.sample(range(10, 40), pairs):
+            f = f * RatPoly([c, rng.randint(-6, 6), 1])
+        alg = EtaleAlgebra(f, 0)
+        assert (alg.n_real, alg.n_complex) == (len(roots), pairs), f
+        xs = [Fraction(rng.randint(-70, 70), rng.randint(1, 4))
+              for _ in range(10)] + [Fraction(r) + d for r in roots
+                                     for d in (Fraction(-1, 2), Fraction(1, 3))]
+        for x in xs:
+            if x in roots:
+                continue
+            want = sum(1 << k for k, r in enumerate(roots) if r > x)
+            assert alg.image_of_affine(x).mask == want, (f, x)
 
 
 def test_norm_kernel_condition():

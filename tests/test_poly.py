@@ -367,3 +367,10 @@ def test_split_rejects_nonmonic():
         local_splitting_type(RatPoly([1, 2]) * RatPoly([1, 2]), 5)
     with pytest.raises(ValueError):
         local_splitting_type(RatPoly([Fraction(1, 2), 0, 1]), 5)
+
+
+# (X - 1)^2 (X + 2), X (X^2 + 1)^2 and (X^3 - 2)^2
+@pytest.mark.parametrize("f", ["X^3-3*X+2", "X^5+2*X^3+X", "X^6-4*X^3+4"])
+def test_split_rejects_repeated_factors(f):
+    with pytest.raises(ValueError, match="not separable"):
+        local_splitting_type(parse_poly(f), 3)

@@ -1,11 +1,13 @@
 import itertools
+import math
 import random
 from collections import Counter
 
 from qdescent.arith import is_prime
 from qdescent.poly import RatPoly, discriminant, mp_pow_mod, parse_poly
-from qdescent.tfae import (_theta_terms, agl_resolvent_holds,
-                           quartic_galois_group, tfae_test)
+from qdescent.tfae import (_f2_rank_of_squarefree, _theta_terms,
+                           agl_resolvent_holds, quartic_galois_group,
+                           tfae_test)
 
 QUINTIC = parse_poly("X^5+16*X^4-274*X^3+817*X^2+178*X+1")
 
@@ -20,6 +22,21 @@ def test_cubics_always_hold():
         r = tfae_test(f)
         assert r.holds and r.certificate == "exact"
         done += 1
+
+
+def test_f2_rank_of_squarefree_against_subset_search():
+    # 2^(n - rank) of the 2^n subsets of n values multiply to a square
+    rng = random.Random(23)
+    for _ in range(40):
+        vals = [rng.choice((-1, 1)) * rng.choice((1, 2, 3, 5, 6, 7, 10, 15,
+                                                  21, 30, 35, 105))
+                for _ in range(rng.randint(1, 6))]
+        squares = sum(
+            1 for k in range(len(vals) + 1)
+            for sub in itertools.combinations(vals, k)
+            if math.prod(sub) > 0 and math.isqrt(math.prod(sub)) ** 2
+            == math.prod(sub))
+        assert squares == 2 ** (len(vals) - _f2_rank_of_squarefree(vals)), vals
 
 
 def test_example_II_quintic():
