@@ -19,6 +19,7 @@ Rat = Fraction
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _TRIAL_BOUND = 1000  # trial division below this; rho on the rest
 _RHO_BATCH = 128
+_RHO_SEED = 1  # fixed seed: reproducible rho walks
 # rho steps spent on one composite before factor_integer gives up: enough
 # for prime factors up to about 10^12, about a second at 60 digits
 _RHO_STEPS = 1 << 20
@@ -89,12 +90,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int, seed: int = 1) -> int:
+def _pollard_rho(n: int) -> int:
     """A nontrivial factor of composite n: Brent's cycle finding, with the
     gcd taken once per batch of _RHO_BATCH steps and the batch replayed
     one step at a time when it overshoots.  Raises FactoringBudgetExceeded
     after _RHO_STEPS steps."""
-    rng = random.Random(seed ^ n)
+    rng = random.Random(_RHO_SEED ^ n)
     steps = 0
     while True:
         c = rng.randrange(1, n)

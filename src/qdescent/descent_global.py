@@ -21,9 +21,11 @@ from .elliptic import WeierstrassModel, two_division_cubic_integral
 from .jacobian import (HyperellipticCurve, independence_rank, local_algebra,
                        local_intersection_rank, local_selmer_rank_hyper,
                        local_torsion_rank)
-from .poly import (RatPoly, discriminant, factor_mod_p, factor_over_Z,
-                   fp_poly, parse_poly)
+from .poly import (RatPoly, discriminant, factor_over_Z, fp_poly, mp_pow_mod,
+                   parse_poly)
 from .tate import tate_algorithm
+
+_PERIOD_BOUND = 10 ** 6  # longest continued-fraction period followed
 
 
 def _disc_primes(m: WeierstrassModel) -> list[int]:
@@ -38,15 +40,13 @@ def bad_primes(m: WeierstrassModel) -> list[int]:
             if tate_algorithm(m, p).kodaira.letter != "I0"]
 
 
-def divis_bounds(m: WeierstrassModel, phi=TWO_MAP):
-    """Upper bounds for rank S/I and rank C/I (2-map), with breakdown.
+def divis_bounds(m: WeierstrassModel):
+    """Upper bounds for rank S/I and rank C/I of the 2-map, with breakdown.
 
     Returns (rank_S_over_I, rank_C_over_I, breakdown) where breakdown lists
     per-place dictionaries.  The S/I sum runs over the infinite place and
     the divisors of 2 * conductor; the C/I sum over conductor primes.
     """
-    if phi != TWO_MAP:
-        raise ValueError("divisibility bounds are stated for the 2-map")
     # one ReductionData per prime: it decides badness and builds the report
     rds = {p: tate_algorithm(m, p) for p in sorted({2, *_disc_primes(m)})}
     bp = [p for p, rd in rds.items() if rd.kodaira.letter != "I0"]
@@ -114,11 +114,11 @@ def genus_2rank_quadratic(d: int) -> int:
     return t - 1
 
 
-def fundamental_unit_norm(d: int, bound: int = 10 ** 6) -> int:
+def fundamental_unit_norm(d: int) -> int:
     """Norm (+1 or -1) of the fundamental unit of Q(sqrt d), d > 1 squarefree.
 
     Continued-fraction criterion: the norm is -1 iff the period of sqrt(d)
-    is odd.  Raises if the period exceeds the bound.
+    is odd.  Raises if the period exceeds _PERIOD_BOUND.
     """
     if d <= 1:
         raise ValueError("d must be > 1")
@@ -127,7 +127,7 @@ def fundamental_unit_norm(d: int, bound: int = 10 ** 6) -> int:
         raise ValueError("d must not be a square")
     m, q, a = 0, 1, a0
     period = 0
-    while period <= bound:
+    while period <= _PERIOD_BOUND:
         m = q * a - m
         q = (d - m * m) // q
         a = (a0 + m) // q
@@ -276,7 +276,7 @@ class GlobalLedger:
 def assemble_ledger_elliptic(m: WeierstrassModel, records=None,
                              points=None) -> GlobalLedger:
     notes = []
-    rank_s, rank_c, breakdown = divis_bounds(m, TWO_MAP)
+    rank_s, rank_c, breakdown = divis_bounds(m)
     cubic = two_division_cubic_integral(m)
     tors2 = sum(1 for h in factor_over_Z(cubic) if h.degree == 1)
     tors2 = _log2({0: 1, 1: 2, 3: 4}[tors2])
@@ -324,17 +324,16 @@ def _ledger(curve, kind, f, reports, rank_s, inf_contrib, rank_c, records,
                         narrow_ok, notes)
 
 
-def _independence_primes(f: RatPoly, count: int, avoid=()):
-    """Smallest odd primes where the monic f splits completely into
-    distinct linear factors mod p (full local data), so p does not divide
-    the discriminant."""
+def _independence_primes(f: RatPoly, count: int):
+    """Smallest odd primes where the monic f of degree >= 2 splits
+    completely into distinct linear factors mod p (full local data), so p
+    does not divide the discriminant: those where f divides X^p - X."""
     out = []
     p = 3
     while len(out) < count and p < 10 ** 4:
-        if is_prime(p) and p not in avoid:
-            fac = factor_mod_p(fp_poly(f, p))
-            if all(g.degree == 1 and mult == 1 for g, mult in fac):
-                out.append(p)
+        if is_prime(p) and mp_pow_mod([0, 1], p, list(fp_poly(f, p).coeffs),
+                                      p) == [0, 1]:
+            out.append(p)
         p += 2
     if len(out) < count:
         raise ArithmeticError("could not find split primes for independence")
@@ -342,7 +341,7 @@ def _independence_primes(f: RatPoly, count: int, avoid=()):
 
 
 def assemble_ledger_hyper(c: HyperellipticCurve, records=None,
-                          points=None, indep_primes=None) -> GlobalLedger:
+                          points=None) -> GlobalLedger:
     points = points or []
     notes = []
     g = c.genus
@@ -380,7 +379,7 @@ def assemble_ledger_hyper(c: HyperellipticCurve, records=None,
     tors2 = len(factor_over_Z(c.f)) - 1
     pts_rank = None
     if points:
-        prs = indep_primes or _independence_primes(c.f, 2)
+        prs = _independence_primes(c.f, 2)
         pts_rank, _ = independence_rank(c, points, prs)
         notes.append(f"independence primes: {prs}")
     return _ledger(str(c.f), "hyperelliptic", c.f, reports, rank_s_bound,

@@ -32,7 +32,7 @@ from .arith import (INFINITY, Place, finite, square_class, unramified_class,
 from .elliptic import (IsogenyMap, WeierstrassModel, _depress,
                        two_division_cubic_integral)
 from .localfields import EtaleAlgebra, span_rank, unramified_rank
-from .poly import (LocalFactor, RatPoly, UnresolvedSplitting, discriminant,
+from .poly import (LocalFactor, RatPoly, UnresolvedSplitting,
                    local_splitting_type)
 from .tate import ReductionData, tate_algorithm
 
@@ -95,11 +95,13 @@ class TorsionFieldProfile:
         }
 
 
-def _cubic_deg_L_data(split, cubic: RatPoly, p: int):
-    """([L:Q_p], [L':Q_p]) for the splitting field L of the 2-division cubic."""
+def _cubic_deg_L_data(split, disc: Fraction, p: int):
+    """([L:Q_p], [L':Q_p]) for the splitting field L of the 2-division
+    cubic, split over Q_p as `split`, whose discriminant is disc up to a
+    square."""
     fs = [fac.f for fac in split.factors]
     es = [fac.e for fac in split.factors]
-    cls = square_class(discriminant(cubic), p)
+    cls = square_class(disc, p)
     # the unramified non-square class contributes an unramified quadratic
     # to L'; any other non-square class a ramified one
     extra_unram = cls == unramified_class(p)
@@ -129,23 +131,13 @@ def _piece_root_valuation(fac: LocalFactor, p: int):
     return v // fac.f
 
 
-def _piece_roots_reduce_to_zero(fac: LocalFactor, p: int) -> bool:
-    """Do all roots U = 4x of the piece reduce to 0 (mod 8 at p = 2)?
-
-    The test is that the lift is U^deg modulo p (8 at p = 2).  At p = 2
-    that is necessary but, for a piece of degree > 1, not sufficient.
-    """
-    mod = 8 if p == 2 else p
-    return all(c % mod == 0 for c in fac.lift[:fac.degree])
-
-
 def two_map_kernel_profile(rd: ReductionData, split) -> TorsionFieldProfile:
     """Torsion field data of E[2] over Q_p for the minimal model in rd, from
     the splitting `split` over Q_p of two_division_cubic_integral of that
     model (whose roots are 4 * x(T))."""
     p = rd.p
-    cubic = two_division_cubic_integral(rd.minimal_model)
-    deg_L, deg_Lp = _cubic_deg_L_data(split, cubic, p)
+    # two_division_cubic_integral has discriminant 2^8 * disc
+    deg_L, deg_Lp = _cubic_deg_L_data(split, rd.minimal_model.disc, p)
     pts = []
     cycles = []
     label_no = 1
@@ -158,11 +150,9 @@ def two_map_kernel_profile(rd: ReductionData, split) -> TorsionFieldProfile:
         m_exp = 2
         vu = _piece_root_valuation(fac, p)
         vx = None if vu is None else vu - (2 if p == 2 else 0)
-        # the reduced minimal model is singular at (0, 0) (tate_algorithm)
-        if rd.kodaira.letter == "I0" or (vx is not None and vx < 0):
-            singular = False
-        else:
-            singular = _piece_roots_reduce_to_zero(fac, p)
+        # the reduced minimal model is singular at (0, 0) (tate_algorithm),
+        # where a 2-torsion point reduces exactly when v(x) >= 1
+        singular = rd.kodaira.letter != "I0" and (vx is None or vx > 0)
         labels = [f"T{label_no + i}" for i in range(fac.f)]
         label_no += fac.f
         for lab in labels:

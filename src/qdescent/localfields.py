@@ -44,9 +44,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import square_class, valuation
-from .poly import (RatPoly, UnresolvedSplitting, _vp_bounded,
-                   local_splitting_type, mp_divmod, mp_mul, mp_shift, mp_sub,
-                   mp_scal, mp_trim)
+from .poly import (RatPoly, UnresolvedSplitting, _bezout_mod_p, _vp_bounded,
+                   local_splitting_type, mp_divmod, mp_mul, mp_shift, mp_sub)
 
 
 class ResidueField:
@@ -424,16 +423,9 @@ class EtaleAlgebra:
 
 
 def _invert_poly_mod(a, h, p: int, k: int):
-    """Inverse of a unit a modulo (h, p^k), Hensel-lifted from mod p."""
-    r0, r1 = [c % p for c in h], [c % p for c in a]
-    t0, t1 = [], [1]
-    while mp_trim(r1):
-        q, r = mp_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        t0, t1 = t1, mp_sub(t0, mp_mul(q, t1, p), p)
-    if len(mp_trim(r0)) != 1:
-        raise ValueError("element not invertible")
-    inv = mp_scal(t0, pow(r0[0], -1, p), p)
+    """Inverse of a unit a modulo (h, p^k), Newton-lifted from the inverse
+    mod p that the extended Euclid gives."""
+    inv = _bezout_mod_p(a, h, p)[0]
     mod = p
     target = p ** k
     while mod < target:

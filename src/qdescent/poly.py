@@ -2,7 +2,11 @@
 
 Conventions: coefficient lists are constant-term first.  Mod-m polynomial
 helpers work for any modulus m (used with m = p and m = p^N); gcd and
-factorization require m prime.
+factorization require m prime.  Factorization over Q (factor_over_Z) is one
+Zassenhaus pass: a factorization mod one good prime, one Hensel lift and
+recombination by exact trial division.  local_splitting_type gives the
+factorization type over Q_p by the same lift and order 1 of the Montes
+algorithm.
 """
 
 from __future__ import annotations
@@ -334,13 +338,6 @@ def mp_deriv(a, m):
     return mp_trim([(i * c) % m for i, c in enumerate(a)][1:])
 
 
-def mp_eval(a, x, m):
-    out = 0
-    for c in reversed(a):
-        out = (out * x + c) % m
-    return out
-
-
 def mp_shift(a, r, m):
     """a(X + r) mod m."""
     out: list[int] = []
@@ -459,7 +456,7 @@ def _equal_degree_split(a, d, p, rng):
                     + _equal_degree_split(rest, d, p, rng))
 
 
-def factor_mod_p(f: FpPoly, seed: int = FACTOR_SEED) -> list[tuple[FpPoly, int]]:
+def factor_mod_p(f: FpPoly) -> list[tuple[FpPoly, int]]:
     """Monic irreducible factorization over F_p, deterministically ordered."""
     p = f.p
     a = list(f.coeffs)
@@ -467,7 +464,7 @@ def factor_mod_p(f: FpPoly, seed: int = FACTOR_SEED) -> list[tuple[FpPoly, int]]
         raise ValueError("cannot factor the zero polynomial")
     if len(a) == 1:
         return []
-    rng = random.Random(seed)
+    rng = random.Random(FACTOR_SEED)
     out = []
     for g, mult in _sqfree_decomp(a, p):
         for h, d in _distinct_degree(g, p):
@@ -544,59 +541,7 @@ def hensel_lift_factors(f, factors, p, N):
 
 
 # ---------------------------------------------------------------------------
-# Factorization over Z/Q (Zassenhaus at desk degrees)
-
-
-def _rational_roots(f: RatPoly) -> list[Fraction]:
-    """Every rational root of the squarefree f, by p-adic lifting.
-
-    Cohen, ch. 3: clear denominators to g in Z[X] with leading coefficient
-    a; the monic h(Y) = a^(d-1) g(Y/a) has the integer roots a*r.  At the
-    smallest odd prime p where h is squarefree, every integer root of h is
-    a simple root mod p, so Newton's method lifts it uniquely to p^N past
-    2 * (1 + max|h_i|), twice Cauchy's bound.  The centred lift is kept
-    when h vanishes at it exactly.  No integer is factored.
-    """
-    den = 1
-    for c in f.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    g = [int(c * den) for c in f.coeffs]
-    k = next(i for i, c in enumerate(g) if c)
-    roots = [Fraction(0)] if k else []
-    g = g[k:]
-    content = math.gcd(*g)
-    g = [c // content for c in g]
-    d, a = len(g) - 1, g[-1]
-    if d == 0:
-        return roots
-    if d == 1:
-        return roots + [Fraction(-g[0], a)]
-    h = [c * a ** (d - 1 - i) for i, c in enumerate(g[:-1])] + [1]
-    p = 3
-    while mp_gcd(h, mp_deriv([c % p for c in h], p), p) != [1]:
-        # a repeated root leaves every p bad: check for one once, at 997
-        if p == 997 and poly_gcd(f, f.deriv()).degree > 0:
-            raise ValueError("_rational_roots needs a squarefree polynomial")
-        p += 2
-        while not is_prime(p):
-            p += 2
-    bound = 2 * (1 + max(abs(c) for c in h))
-    dh = [i * c for i, c in enumerate(h)][1:]
-    for lin, _ in factor_mod_p(FpPoly(p, tuple(h))):
-        if lin.degree != 1:
-            continue
-        x, m = -lin.coeffs[0] % p, p
-        while m <= bound:
-            m *= m
-            x = (x - mp_eval(h, x, m) * pow(mp_eval(dh, x, m), -1, m)) % m
-        if x > m // 2:
-            x -= m
-        hx = 0
-        for c in reversed(h):
-            hx = hx * x + c
-        if hx == 0:
-            roots.append(Fraction(x, a))
-    return roots
+# Factorization over Q: one Zassenhaus pass
 
 
 def _sqfree_over_Q(f: RatPoly) -> list[tuple[RatPoly, int]]:
@@ -618,102 +563,74 @@ def _sqfree_over_Q(f: RatPoly) -> list[tuple[RatPoly, int]]:
 
 
 def factor_over_Z(f: RatPoly) -> list[RatPoly]:
-    """Certified irreducible monic factorization over Q, degree <= 8.
+    """Certified irreducible monic factorization over Q, degree <= 8, sorted
+    by degree, then coefficients.
 
-    Squarefree parts first.  The linear factors of each come from its
-    rational roots, found by lifting the roots mod a small good prime and
-    checking them exactly (`_rational_roots`; no integer is factored, so
-    huge constant terms cost nothing extra).  What remains of degree >= 4
-    goes through Zassenhaus (mod-p factorization, Hensel lift past a
-    Mignotte-style bound, subset recombination with exact trial division).
-    "No subset divides" certifies irreducibility.
+    One Zassenhaus pass (Cohen, A Course in Computational Algebraic Number
+    Theory, 3.5; von zur Gathen and Gerhard, Modern Computer Algebra,
+    ch. 15).  f.monic() is scaled once to the monic integer g(Y) =
+    den^d f(Y/den), whose roots are den times those of f.  g is factored
+    mod odd primes: a prime is good when no factor repeats, which also
+    certifies that f is squarefree.  Of the first five good primes the one
+    with the fewest factors is kept, and the first with at most 3 ends the
+    search.  Its factors are Hensel-lifted once past a Mignotte bound and
+    recombined by exact trial division, subsets of one factor first; a
+    remainder that no subset divides is irreducible.  Each factor h of g
+    maps back to h(den X)/den^deg h.  No integer is factored.  When no odd
+    prime below 1000 is good and gcd(f, f') is not 1, f goes through Yun's
+    squarefree split and each part is factored on its own.
     """
     if f.degree > 8:
         raise ValueError("factor_over_Z is capped at degree 8")
     if f.degree <= 0:
         return []
-    parts = _sqfree_over_Q(f)
-    if len(parts) != 1 or parts[0][1] != 1:
-        out = []
-        for h, mult in parts:
-            out.extend(factor_over_Z(h) * mult)
-        return sorted(out, key=lambda g: (g.degree, g.coeffs))
     work = f.monic()
-    out: list[RatPoly] = []
-    for r in _rational_roots(work):
-        lin = RatPoly([-r, 1])
-        out.append(lin)
-        work = work // lin
-    if work.degree == 0:
-        return sorted(out, key=lambda g: (g.degree, g.coeffs))
-    if work.degree <= 3:
-        out.append(work)
-        return sorted(out, key=lambda g: (g.degree, g.coeffs))
-
-    # scale to a monic integer polynomial: roots multiply by den
-    den = 1
-    for c in work.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in work.coeffs))
     d = work.degree
-    g = [int(work.coeffs[i] * den ** (d - i)) for i in range(d + 1)]
-
-    disc = discriminant(RatPoly(g))
-    best = None
-    p = 3
-    while p < 5000:
-        if is_prime(p) and disc.numerator % p != 0:
+    g = [int(c * den ** (d - i)) for i, c in enumerate(work.coeffs)]
+    best, good, p = None, 0, 3
+    while good < 5 and (best is None or len(best[1]) > 3):
+        if is_prime(p):
             fac = factor_mod_p(FpPoly(p, tuple(g)))
-            if best is None or len(fac) < len(best[1]):
-                best = (p, fac)
-            if len(fac) <= 3:
-                break
+            if all(mult == 1 for _, mult in fac):
+                good += 1
+                if best is None or len(fac) < len(best[1]):
+                    best = (p, fac)
+            # a repeated factor over Q leaves every p bad: check for one once
+            elif p == 997 and not good and poly_gcd(work, work.deriv()).degree:
+                out = [h for part, mult in _sqfree_over_Q(work)
+                       for h in factor_over_Z(part) * mult]
+                return sorted(out, key=lambda h: (h.degree, h.coeffs))
         p += 2
     p, fac = best
-    modular = [list(h.coeffs) for h, _ in fac]
-    if len(modular) == 1:
-        out.append(work)
-        return sorted(out, key=lambda q: (q.degree, q.coeffs))
-    norm = max(abs(c) for c in g)
-    bound = 2 ** (d + 2) * norm
+    if len(fac) == 1:
+        return [work]
+    # a factor of g has coefficients below 2^d * |g|_2 <= 2^(d+2) * |g|_oo
+    bound = 2 ** (d + 2) * max(abs(c) for c in g)
     N = 1
     while p ** N < 2 * bound:
         N += 1
-    lifted = hensel_lift_factors(g, modular, p, N)
     m = p ** N
-
-    def centered(c):
-        c %= m
-        return c - m if c > m // 2 else c
-
-    remaining = list(range(len(lifted)))
-    rem_poly = g[:]
-    found_factors: list[RatPoly] = []
-    k = 1
-    while 2 * k <= len(remaining):
-        hit = False
-        for combo in combinations(remaining, k):
+    lifted = hensel_lift_factors(g, [list(h.coeffs) for h, _ in fac], p, N)
+    rest, found, k = RatPoly(g), [], 1
+    while 2 * k <= len(lifted):
+        for combo in combinations(range(len(lifted)), k):
             prod = [1]
             for i in combo:
                 prod = mp_mul(prod, lifted[i], m)
-            cand = RatPoly([centered(c) for c in prod])
-            q, r = RatPoly(rem_poly).divmod(cand)
-            if r.is_zero() and q.is_integral():
-                found_factors.append(cand)
-                rem_poly = [int(c) for c in q.coeffs]
-                remaining = [i for i in remaining if i not in combo]
-                hit = True
+            cand = RatPoly([c - m if c > m // 2 else c for c in prod])
+            q, r = rest.divmod(cand)
+            if r.is_zero():
+                found.append(cand)
+                rest = q
+                lifted = [h for i, h in enumerate(lifted) if i not in combo]
                 break
-        if not hit:
+        else:
             k += 1
-    if len(rem_poly) > 1:
-        found_factors.append(RatPoly(rem_poly))
-    # undo the root scaling: h(X) -> monic h(den*X)
-    for h in found_factors:
-        dd = h.degree
-        out.append(RatPoly([h.coeffs[i] * Fraction(den) ** (dd - i)
-                            for i in range(dd + 1)]).monic()
-                   if den != 1 else h)
-    return sorted(out, key=lambda q: (q.degree, q.coeffs))
+    found.append(rest)
+    out = [RatPoly([c / den ** (h.degree - i) for i, c in enumerate(h.coeffs)])
+           for h in found]
+    return sorted(out, key=lambda h: (h.degree, h.coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 imports at module level and from the standard library only, no
 __import__, no dead functions, classes or methods, and no module-level
 mutable container (a global registry); pyproject.toml declares no runtime
-dependency and every console script it declares resolves; and every helper
-module of the tests is imported by a test module."""
+dependency and every console script it declares resolves; every helper
+module of the tests is imported by a test module; and every defaulted
+parameter of src/ is set by some call."""
 
 import ast
 import importlib
@@ -88,12 +89,17 @@ def test_every_private_function_is_referenced():
     assert not unused
 
 
+def outside_trees() -> list:
+    """The syntax trees of tests/ and perfbench/."""
+    paths = [*TESTS.glob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
+    return [ast.parse(path.read_text()) for path in paths]
+
+
 def names_outside_src() -> set:
     """Every name tests/ and perfbench/ reference, and every string they
     hold (they also name functions in strings)."""
     outside = set()
-    for path in [*TESTS.glob("*.py"), *(ROOT / "perfbench").rglob("*.py")]:
-        tree = ast.parse(path.read_text())
+    for tree in outside_trees():
         outside |= referenced_names(tree)
         outside |= {node.value for node in ast.walk(tree)
                     if isinstance(node, ast.Constant)
@@ -174,3 +180,63 @@ def test_every_test_helper_module_is_imported():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
     assert not helpers - imported
+
+
+def defaulted_parameters():
+    """(file, function, parameter, the parameter's positional index in a
+    call or None when it is keyword-only) of every defaulted parameter of
+    src/; an __init__ is called by its class name, and self or cls takes
+    no position in a call."""
+    for name, tree in TREES.items():
+        owners = {fn: cls.name for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, FUNCTIONS):
+                continue
+            called = owners[fn] if fn.name == "__init__" else fn.name
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            skip = 1 if positional and positional[0].arg in ("self", "cls") \
+                else 0
+            first = len(positional) - len(a.defaults)
+            for i in range(first, len(positional)):
+                yield name, called, positional[i].arg, i - skip
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    yield name, called, arg.arg, None
+
+
+def calls_by_name() -> dict:
+    """{called name: [ast.Call]} over src/, tests/ and perfbench/."""
+    out = {}
+    for tree in [*TREES.values(), *outside_trees()]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = (func.id if isinstance(func, ast.Name) else
+                          func.attr if isinstance(func, ast.Attribute)
+                          else None)
+                out.setdefault(called, []).append(node)
+    return out
+
+
+def sets(call: ast.Call, param: str, index) -> bool:
+    """Does the call pass a value for the parameter, by keyword, by
+    position or by unpacking?"""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if index is None:
+        return False
+    return (len(call.args) > index
+            or any(isinstance(arg, ast.Starred) for arg in call.args))
+
+
+def test_every_defaulted_parameter_is_set():
+    # a parameter with a default that no call in src/, tests/ or perfbench/
+    # sets is an option nobody uses: make it a constant or delete it
+    calls = calls_by_name()
+    unset = [f"{name}:{fn}({param})"
+             for name, fn, param, index in defaulted_parameters()
+             if not any(sets(call, param, index)
+                        for call in calls.get(fn, []))]
+    assert not unset

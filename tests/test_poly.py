@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from qdescent.arith import factor_integer, valuation
 from qdescent.poly import (HENSEL_START, FpPoly, RatPoly, UnresolvedSplitting,
-                           _rational_roots, discriminant, factor_mod_p,
-                           factor_over_Z, fp_poly, hensel_lift_factors,
-                           local_splitting_type, mp_mul, mp_shift, parse_poly,
-                           resultant, roots_in_Fp)
+                           discriminant, factor_mod_p, factor_over_Z, fp_poly,
+                           hensel_lift_factors, local_splitting_type, mp_mul,
+                           mp_shift, parse_poly, resultant, roots_in_Fp)
 
 QUINTIC = parse_poly("X^5+16*X^4-274*X^3+817*X^2+178*X+1")
 
@@ -101,11 +100,22 @@ def test_factor_over_Z_quartics():
         sorted([RatPoly([1, 0, 1]), RatPoly([3, 3, 1])], key=lambda g: g.coeffs)
 
 
+def test_factor_over_Z_non_integral_monic():
+    # f.monic() is not integral: the factors of the scaled polynomial must
+    # be scaled back, X -> den * X, and divided by den^deg
+    half = Fraction(1, 2)
+    assert factor_over_Z(parse_poly("2*X^4+7*X^2+3")) == [
+        RatPoly([half, 0, 1]), RatPoly([3, 0, 1])]
+    assert factor_over_Z(parse_poly("3*X^4+3*X^3+4*X^2+X+1")) == [
+        RatPoly([Fraction(1, 3), 0, 1]), RatPoly([1, 1, 1])]
+
+
 @given(st.lists(st.integers(-20, 20), min_size=1, max_size=4),
-       st.lists(st.integers(-20, 20), min_size=1, max_size=4))
+       st.lists(st.integers(-20, 20), min_size=1, max_size=4),
+       st.integers(1, 5), st.integers(1, 5))
 @settings(max_examples=40)
-def test_factor_over_Z_multiplies_back(ac, bc):
-    f = RatPoly(ac + [1]) * RatPoly(bc + [1])
+def test_factor_over_Z_multiplies_back(ac, bc, a, b):
+    f = RatPoly(ac + [a]) * RatPoly(bc + [b])
     fac = factor_over_Z(f)
     prod = RatPoly([1])
     for g in fac:
@@ -115,7 +125,7 @@ def test_factor_over_Z_multiplies_back(ac, bc):
 
 # Inputs whose factorization is known by construction: seeded linear
 # factors b*X - a times irreducible tails (the last one a product of two
-# quadratics, so the quartic left after root stripping goes to Zassenhaus),
+# quadratics, so that recombination must try pairs of modular factors),
 # scaled by a rational so that the input is neither monic nor integral.
 TAILS = [[parse_poly("X^2+1")], [parse_poly("X^2-2")], [parse_poly("X^3-2")],
          [parse_poly("X^3+X+1")], [parse_poly("X^2+1"), parse_poly("X^2+3*X+3")]]
@@ -144,13 +154,17 @@ def test_factor_over_Z_recovers_construction(pairs, tail, scale):
        st.sampled_from(TAILS[:4]), st.fractions().filter(lambda q: q != 0))
 @settings(max_examples=40, deadline=None)
 def test_rational_roots_recovers_construction(pairs, tail, scale):
+    # the linear factors are exactly the constructed roots
     f, _ = by_construction(pairs, tail, scale)
-    assert sorted(_rational_roots(f)) == sorted(Fraction(a, b) for a, b in pairs)
+    roots = [-h.coeffs[0] for h in factor_over_Z(f) if h.degree == 1]
+    assert sorted(roots) == sorted(Fraction(a, b) for a, b in pairs)
 
 
 def test_rational_roots_rejects_repeated_root(deadline):
-    with deadline(30), pytest.raises(ValueError):
-        _rational_roots(parse_poly("X^3-3*X+2"))  # (X-1)^2 (X+2)
+    # (X-1)^2 (X+2): every prime is bad, so the squarefree split takes over
+    with deadline(30):
+        assert factor_over_Z(parse_poly("X^3-3*X+2")) == [
+            RatPoly([-1, 1]), RatPoly([-1, 1]), RatPoly([2, 1])]
 
 
 def test_rational_roots_88_digit_constant(deadline):
@@ -165,7 +179,6 @@ def test_rational_roots_88_digit_constant(deadline):
     assert len(str(abs(built.coeffs[0].numerator))) == 88
     with deadline(30):
         assert factor_over_Z(mestre) == [mestre]
-        assert _rational_roots(built) == [a]
         assert factor_over_Z(built) == [RatPoly([-a, 1]), RatPoly([k, 0, 1])]
 
 
