@@ -11,16 +11,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .arith import (REAL_PLACE, factor_integer, finite, is_prime,
                     squarefree_part)
 from .descent_local import TWO_MAP, finite_descent_report, s2_real
 from .elliptic import WeierstrassModel, two_division_cubic_integral
-from .jacobian import (HyperellipticCurve, independence_rank, local_algebra,
+from .jacobian import (HyperellipticCurve, independence_rank,
                        local_intersection_rank, local_selmer_rank_hyper,
                        local_torsion_rank)
+from .localfields import EtaleAlgebra
 from .poly import (RatPoly, discriminant, factor_over_Z, fp_poly, mp_pow_mod,
                    parse_poly)
 from .tate import tate_algorithm
@@ -242,35 +243,10 @@ class GlobalLedger:
     notes: list = field(default_factory=list)
 
     def as_dict(self):
-        return {
-            "curve": self.curve,
-            "kind": self.kind,
-            "local_reports": self.local_reports,
-            "bound_rank_S_over_I": self.bound_rank_S_over_I,
-            "bound_rank_S_over_I_refined": self.bound_rank_S_over_I_refined,
-            "bound_rank_C_over_I": self.bound_rank_C_over_I,
-            "class_side_rank": self.class_side_rank,
-            "class_side_provenance": self.class_side_provenance,
-            "points_rank_lower": self.points_rank_lower,
-            "torsion_two_rank": self.torsion_two_rank,
-            "selmer_rank_interval": list(self.selmer_rank_interval),
-            "narrow_refinement_applied": self.narrow_refinement_applied,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "GlobalLedger":
-        d = json.loads(text)
-        return GlobalLedger(
-            d["curve"], d["kind"], d["local_reports"],
-            d["bound_rank_S_over_I"], d["bound_rank_S_over_I_refined"],
-            d["bound_rank_C_over_I"], d["class_side_rank"],
-            d["class_side_provenance"], d["points_rank_lower"],
-            d["torsion_two_rank"], tuple(d["selmer_rank_interval"]),
-            d["narrow_refinement_applied"], d["notes"])
 
 
 def assemble_ledger_elliptic(m: WeierstrassModel, records=None,
@@ -331,8 +307,7 @@ def _independence_primes(f: RatPoly, count: int):
     out = []
     p = 3
     while len(out) < count and p < 10 ** 4:
-        if is_prime(p) and mp_pow_mod([0, 1], p, list(fp_poly(f, p).coeffs),
-                                      p) == [0, 1]:
+        if is_prime(p) and mp_pow_mod([0, 1], p, fp_poly(f, p), p) == [0, 1]:
             out.append(p)
         p += 2
     if len(out) < count:
@@ -344,7 +319,6 @@ def assemble_ledger_hyper(c: HyperellipticCurve, records=None,
                           points=None) -> GlobalLedger:
     points = points or []
     notes = []
-    g = c.genus
     bp = c.bad_primes()
     places = [REAL_PLACE] + [finite(p) for p in sorted(set(bp) | {2})]
     reports = []
@@ -352,8 +326,8 @@ def assemble_ledger_hyper(c: HyperellipticCurve, records=None,
     rank_c_bound = 0
     inf_contrib = 0
     for v in places:
-        alg = local_algebra(c, v)
-        s_rank = local_selmer_rank_hyper(c, alg)
+        alg = EtaleAlgebra(c.f, v.p)
+        s_rank = local_selmer_rank_hyper(alg)
         if v.is_real:
             i_rank, complete = 0, True
             c_rank = 0
@@ -362,7 +336,7 @@ def assemble_ledger_hyper(c: HyperellipticCurve, records=None,
             if c_rank == 0:
                 i_rank, complete = 0, True
             else:
-                i_rank, complete = local_intersection_rank(c, points, alg)
+                i_rank, complete = local_intersection_rank(alg, points)
         contrib = s_rank - i_rank
         if not complete:
             notes.append(f"I at {v!r} is only a lower bound (span incomplete);"

@@ -1,7 +1,7 @@
 """Local descent groups C, S, I at each place of Q for elliptic curves.
 
-For an isogeny phi: E -> E' in desk scope (the 2-map, multiplication by
-n <= 4, cyclic 2-/3-isogenies) this computes the orders of
+For an isogeny phi: E -> E' in scope (the 2-map, given as TWO_MAP or as
+multiplication by 2, and cyclic 2-/3-isogenies) this computes the orders of
 
   C(Q_v)  -- unramified homomorphisms, = #E(Q_v)[phi] at finite places;
   S(Q_v)  -- E'(Q_v)/phi E(Q_v), by the Tamagawa-ratio formula;
@@ -19,6 +19,9 @@ Kodaira type and the change of coordinates to it.  The TorsionFieldProfile
 is the object for each (model, phi, p): the p-adic splitting of E[phi] and
 where its points reduce.  finite_descent_report builds the profile from the
 ReductionData and passes both to S and I; C is read off the profile.
+
+For multiplication by 3 or 4 only C is computed (c2_order, from the
+division polynomials); S and I are out of scope there.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ class KernelPoint:
     residue_degree: int      # over Q_p; 0 when only defined over a ramified ext
     singular: object         # True/False; None when not M-rational
     x_val: object            # v_p of the x-coordinate (int or None)
-    piece: int               # index of the local factor it came from
 
 
 @dataclass(frozen=True)
@@ -142,9 +144,9 @@ def two_map_kernel_profile(rd: ReductionData, split) -> TorsionFieldProfile:
     cycles = []
     label_no = 1
     m_exp = 1
-    for idx, fac in enumerate(split.factors):
+    for fac in split.factors:
         if fac.e != 1:
-            pts.append(KernelPoint(f"T{label_no}(+conj)", 0, None, None, idx))
+            pts.append(KernelPoint(f"T{label_no}(+conj)", 0, None, None))
             label_no += 1
             continue
         m_exp = 2
@@ -156,7 +158,7 @@ def two_map_kernel_profile(rd: ReductionData, split) -> TorsionFieldProfile:
         labels = [f"T{label_no + i}" for i in range(fac.f)]
         label_no += fac.f
         for lab in labels:
-            pts.append(KernelPoint(lab, fac.f, singular, vx, idx))
+            pts.append(KernelPoint(lab, fac.f, singular, vx))
         cycles.append(tuple(labels))
     deg_M = deg_Lp * m_exp
     return TorsionFieldProfile(p, tuple(pts), m_exp, deg_L, deg_Lp, deg_M,
@@ -181,7 +183,7 @@ def _cyclic_kernel_profile(rd: ReductionData, phi: IsogenyMap) -> TorsionFieldPr
     x0 = Fraction(phi.kernel[0])
     singular = _kernel_point_singular(rd, x0)
     if phi.degree == 2:
-        pts = (KernelPoint("T1", 1, singular, _safe_val(x0, p), 0),)
+        pts = (KernelPoint("T1", 1, singular, _safe_val(x0, p)),)
         return TorsionFieldProfile(p, pts, 2, 1, 1, 2, (("T1",),))
     # degree 3: field of the kernel points is Q_p(sqrt(disc_y))
     dep = phi.depressed_domain()
@@ -191,14 +193,14 @@ def _cyclic_kernel_profile(rd: ReductionData, phi: IsogenyMap) -> TorsionFieldPr
         raise ValueError("kernel point is 2-torsion on a 3-isogeny?")
     cls = square_class(D, p)
     if cls == 0:
-        pts = (KernelPoint("Q", 1, singular, _safe_val(x0, p), 0),
-               KernelPoint("-Q", 1, singular, _safe_val(x0, p), 0))
+        pts = (KernelPoint("Q", 1, singular, _safe_val(x0, p)),
+               KernelPoint("-Q", 1, singular, _safe_val(x0, p)))
         return TorsionFieldProfile(p, pts, 3, 1, 1, 3, (("Q",), ("-Q",)))
     if cls == unramified_class(p):
-        pts = (KernelPoint("Q", 2, singular, _safe_val(x0, p), 0),
-               KernelPoint("-Q", 2, singular, _safe_val(x0, p), 0))
+        pts = (KernelPoint("Q", 2, singular, _safe_val(x0, p)),
+               KernelPoint("-Q", 2, singular, _safe_val(x0, p)))
         return TorsionFieldProfile(p, pts, 3, 2, 2, 6, (("Q", "-Q"),))
-    pts = (KernelPoint("Q(+conj)", 0, None, _safe_val(x0, p), 0),)
+    pts = (KernelPoint("Q(+conj)", 0, None, _safe_val(x0, p)),)
     return TorsionFieldProfile(p, pts, 1, 2, 1, 1, ())
 
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import INFINITY, legendre, valuation
-from .poly import RatPoly, factor_over_Z, poly_gcd
+from .poly import RatPoly, poly_gcd
 
 Rat = Fraction
 
@@ -233,63 +232,10 @@ def scalar_mul(m: WeierstrassModel, n: int, P, ctx=QCtx):
     return out
 
 
-def count_points_Fp(m: WeierstrassModel, p: int) -> int:
-    """#E(F_p) by exhaustive enumeration (needs good reduction, p <= 10^5)."""
-    if p > 10 ** 5:
-        raise ValueError("point counting capped at p = 10^5")
-    if not m.is_integral() or valuation(m.disc, p) != 0:
-        raise ValueError(f"bad reduction at {p} for the given model")
-    if p == 2:
-        cnt = 1
-        a1, a2, a3, a4, a6 = (int(a) for a in m.ainvs())
-        for x in range(2):
-            for y in range(2):
-                if (y * y + a1 * x * y + a3 * y
-                        - (x ** 3 + a2 * x * x + a4 * x + a6)) % 2 == 0:
-                    cnt += 1
-        return cnt
-    b2, b4, b6 = int(m.b2), int(m.b4) * 2, int(m.b6)
-    cnt = 1 + p
-    for x in range(p):
-        B = (4 * x ** 3 + int(m.b2) * x * x + 2 * int(m.b4) * x + int(m.b6)) % p
-        cnt += legendre(B, p)
-    return cnt
-
-
-def short_model(m: WeierstrassModel):
-    """Y^2 = g(X) model isomorphic to m, with the coordinate change.
-
-    Returns (g, (r, s, t, u)) where the transform maps m to the Y^2 = g
-    model; disc of that Weierstrass model is 16 * disc(g).
-    """
-    s = -m.a1 / 2
-    t = -m.a3 / 2
-    m2 = m.transform(0, s, t, 1)
-    assert m2.a1 == 0 and m2.a3 == 0
-    g = RatPoly([m2.a6, m2.a4, m2.a2, 1])
-    return g, (Fraction(0), s, t, Fraction(1))
-
-
-def two_division_cubic(m: WeierstrassModel) -> RatPoly:
-    """Monic cubic whose roots are the x-coordinates of E[2] \\ {O}."""
-    return RatPoly([m.b6 / 4, m.b4 / 2, m.b2 / 4, 1])
-
-
 def two_division_cubic_integral(m: WeierstrassModel) -> RatPoly:
-    """Integral variant in U = 4X (same splitting fields)."""
+    """Monic cubic in U = 4x whose roots are 4 times the x-coordinates of
+    E[2] minus O; integral when m is."""
     return RatPoly([16 * m.b6, 8 * m.b4, m.b2, 1])
-
-
-def two_torsion_points(m: WeierstrassModel) -> list:
-    """Rational 2-torsion (over Q) of an integral model."""
-    cubic = two_division_cubic(m)
-    pts = []
-    for fac in factor_over_Z(cubic):
-        if fac.degree == 1:
-            x = -fac.coeffs[0]
-            y = -(m.a1 * x + m.a3) / 2
-            pts.append(Pt(x, y))
-    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -497,17 +443,3 @@ def multiplication_isogeny(m: WeierstrassModel, n: int) -> IsogenyMap:
     ymap = Y.normalized()
     return IsogenyMap(m, dep, n * n, pre, xmap.num, xmap.den,
                       ymap.num, ymap.den, ("[%d]" % n,), n)
-
-
-def reduction_filtration_level(m: WeierstrassModel, P, p: int) -> int:
-    """Largest i with P in E_i(Q_p): v(x) = -2i for i >= 1, else 0."""
-    if P is INF:
-        raise ValueError("the point at infinity lies in every filtration level")
-    if not is_on_curve(m, P):
-        raise ValueError("point not on the curve")
-    v = valuation(P.x, p)
-    if v is INFINITY or v >= 0:
-        return 0
-    if v % 2 != 0:
-        raise ValueError(f"v_p(x) = {v} odd: model not minimal at {p}?")
-    return -v // 2

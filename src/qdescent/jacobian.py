@@ -5,6 +5,9 @@ dimension g = (d-1)/2.  J(Q_v)/2J(Q_v) embeds into the kernel of the norm
 from (Q_v[T]/f)^* / squares, by D = sum n_i R_i  |->  prod (X(R_i) - T)^n_i.
 Images are square-class vectors over the local etale components; ranks of
 spans and their unramified parts give local Selmer and intersection data.
+The local object of the curve at a place v is EtaleAlgebra(f, v.p), built
+once per place: it carries f, p (0 at the real place) and the local
+components, and the maps and ranks below read everything from it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Place, factor_integer, finite, rational_sqrt
+from .arith import Place, factor_integer, rational_sqrt
 from .localfields import (EtaleAlgebra, SqVector, relations, span_rank,
                           unramified_rank)
 from .poly import RatPoly, discriminant
@@ -67,20 +70,13 @@ def point_label(pt) -> str:
     return "+".join(point_label(q) for q in pt[1])
 
 
-def local_algebra(c: HyperellipticCurve, v: Place) -> EtaleAlgebra:
-    """Q_v[T]/f: the local object of the curve at v, built once per place."""
-    return EtaleAlgebra(c.f, 0 if v.is_real else v.p)
-
-
-def xt_image(c: HyperellipticCurve, D, v: Place,
-             alg: EtaleAlgebra | None = None) -> SqVector:
-    """Square-class vector of the divisor class D at the place v."""
-    if alg is None:
-        alg = local_algebra(c, v)
+def xt_image(alg: EtaleAlgebra, D) -> SqVector:
+    """Square-class vector of the divisor class D of y^2 = alg.f in the
+    algebra alg at its place."""
     kind = D[0]
     if kind == "rational":
         x = Fraction(D[1])
-        fx = c.f.eval(x)
+        fx = alg.f.eval(x)
         if fx == 0:
             raise ValueError("support meets y = 0: use the torsion rule")
         y = D[2]
@@ -91,7 +87,7 @@ def xt_image(c: HyperellipticCurve, D, v: Place,
         return alg.image_of_affine(x)
     if kind == "alpha":
         i = D[1] - 1
-        if v.is_real:
+        if alg.p == 0:
             if not 0 <= i < alg.n_real:
                 raise ValueError("torsion index outside the real roots")
         elif not 0 <= i < alg.n_comp:
@@ -100,7 +96,7 @@ def xt_image(c: HyperellipticCurve, D, v: Place,
     if kind == "sum":
         out = None
         for part in D[1]:
-            w = xt_image(c, part, v, alg)
+            w = xt_image(alg, part)
             out = w if out is None else out * w
         return out
     raise ValueError(f"unknown descent point {D!r}")
@@ -136,10 +132,10 @@ def image_table(c: HyperellipticCurve, points, v: Place):
     At odd p the symbol 'n' denotes a fixed quadratic non-residue and 'pi'
     a prime element; comparisons are up to square-class equality.
     """
-    alg = local_algebra(c, v)
+    alg = EtaleAlgebra(c.f, v.p)
     rows = []
     for pt in points:
-        vec = xt_image(c, pt, v, alg)
+        vec = xt_image(alg, pt)
         rows.append((point_label(pt), vec,
                      tuple(render_entry(e, alg.p) for e in vec.entries)))
     return alg.labels(), rows
@@ -149,11 +145,13 @@ def image_table(c: HyperellipticCurve, points, v: Place):
 # ranks
 
 
-def local_selmer_rank_hyper(c: HyperellipticCurve, alg: EtaleAlgebra) -> int:
-    """F_2-rank of J(Q_v)/2J(Q_v); alg is local_algebra(c, v)."""
+def local_selmer_rank_hyper(alg: EtaleAlgebra) -> int:
+    """F_2-rank of J(Q_v)/2J(Q_v) for the Jacobian of y^2 = alg.f, whose
+    genus is (deg f - 1)/2, at the place of alg."""
+    genus = (alg.f.degree - 1) // 2
     if alg.p == 0:
-        return alg.n_real + alg.n_complex - 1 - c.genus
-    return (alg.n_comp - 1) + (c.genus if alg.p == 2 else 0)
+        return alg.n_real + alg.n_complex - 1 - genus
+    return (alg.n_comp - 1) + (genus if alg.p == 2 else 0)
 
 
 def local_torsion_rank(alg: EtaleAlgebra) -> int:
@@ -163,27 +161,26 @@ def local_torsion_rank(alg: EtaleAlgebra) -> int:
     return alg.n_comp - 1
 
 
-def local_intersection_rank(c: HyperellipticCurve, points, alg: EtaleAlgebra):
+def local_intersection_rank(alg: EtaleAlgebra, points):
     """(rank of span(images) ∩ unramified subspace, completeness flag).
 
-    When the span of the supplied images fills J(Q_v)/2J(Q_v) the value is
-    exactly the rank of the local intersection group; otherwise it is a
-    lower bound.  alg is local_algebra(c, v) at a finite place v.
+    When the span of the images of the points in alg, the algebra of the
+    curve at a finite place, fills J(Q_v)/2J(Q_v) the value is exactly the
+    rank of the local intersection group; otherwise it is a lower bound.
     """
     if alg.p == 0:
         raise ValueError("intersection rank is a finite-place computation")
-    v = finite(alg.p)
-    vecs = [xt_image(c, pt, v, alg) for pt in points]
-    complete = span_rank(vecs) == local_selmer_rank_hyper(c, alg)
+    vecs = [xt_image(alg, pt) for pt in points]
+    complete = span_rank(vecs) == local_selmer_rank_hyper(alg)
     return unramified_rank(vecs), complete
 
 
 def unramified_images_check(c: HyperellipticCurve, points, v: Place):
     """Per-point verdicts: is the image unramified at v?"""
-    alg = local_algebra(c, v)
+    alg = EtaleAlgebra(c.f, v.p)
     out = []
     for pt in points:
-        vec = xt_image(c, pt, v, alg)
+        vec = xt_image(alg, pt)
         out.append((point_label(pt), vec.is_unramified()))
     return out
 
@@ -204,9 +201,8 @@ def independence_rank(c: HyperellipticCurve, points, primes):
     analysis = {}
     stacked = [0] * n
     for p in primes:
-        v = finite(p)
-        alg = local_algebra(c, v)
-        vecs = [xt_image(c, pt, v, alg) for pt in points]
+        alg = EtaleAlgebra(c.f, p)
+        vecs = [xt_image(alg, pt) for pt in points]
         analysis[p] = {
             "relations": relations(w.mask for w in vecs),
             "nontrivial_images": [point_label(points[i]) for i in range(n)

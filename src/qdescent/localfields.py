@@ -102,7 +102,6 @@ class CompClass:
     """Square class of a nonzero element of one local component, decoded
     from its bits for display."""
 
-    comp: int
     kind: str      # 'unramified' | 'ramified' | 'real' | 'complex'
     v_parity: int  # 0 at archimedean components
     unit: tuple
@@ -139,16 +138,16 @@ class SqVector:
             bits = [self.mask >> k & 1
                     for k in range(b.offsets[i], b.offsets[i + 1])]
             if kind == "real":
-                out.append(CompClass(i, kind, 0, (-1 if bits[0] else 1,)))
+                out.append(CompClass(kind, 0, (-1 if bits[0] else 1,)))
             elif kind == "complex":
-                out.append(CompClass(i, kind, 0, ()))
+                out.append(CompClass(kind, 0, ()))
             elif kind == "ramified":
-                out.append(CompClass(i, kind, bits[0], ()))
+                out.append(CompClass(kind, bits[0], ()))
             elif b.p == 2:
-                out.append(CompClass(i, kind, bits[0],
+                out.append(CompClass(kind, bits[0],
                                      ("u2", tuple(bits[1:-1]), bits[-1])))
             else:
-                out.append(CompClass(i, kind, bits[0], ("qr", bits[1])))
+                out.append(CompClass(kind, bits[0], ("qr", bits[1])))
         return tuple(out)
 
 
@@ -413,13 +412,6 @@ class EtaleAlgebra:
                 elem = [-c % m for c in elem]
             mask |= self.class_of_element(j, self.to_z(j, elem, m), prec)
         return SqVector(mask, self.basis)
-
-    def norm_class_is_square(self, x: Fraction) -> bool:
-        """Is N(x - T) = f(x) a square in Q_v (the norm-kernel condition)?"""
-        val = self.f.eval(x)
-        if val == 0:
-            raise ZeroDivisionError
-        return square_class(val, self.p) == 0
 
 
 def _invert_poly_mod(a, h, p: int, k: int):

@@ -346,33 +346,14 @@ def mp_shift(a, r, m):
     return out
 
 
-@dataclass(frozen=True)
-class FpPoly:
-    """Polynomial over F_p (thin wrapper used at module boundaries)."""
-
-    p: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        cs = [c % self.p for c in self.coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def __repr__(self):
-        return f"FpPoly(p={self.p}, {list(self.coeffs)})"
-
-
-def fp_poly(f: RatPoly, p: int) -> FpPoly:
+def fp_poly(f: RatPoly, p: int) -> list[int]:
+    """The coefficients of f mod p, trimmed; ValueError unless f is
+    p-integral."""
     for c in f.coeffs:
         if c.denominator % p == 0:
             raise ValueError(f"coefficient {c} is not p-integral at {p}")
-    return FpPoly(p, tuple(c.numerator * pow(c.denominator, -1, p) % p
-                           for c in f.coeffs))
+    return mp_trim([c.numerator * pow(c.denominator, -1, p) % p
+                    for c in f.coeffs])
 
 
 # ---------------------------------------------------------------------------
@@ -456,10 +437,10 @@ def _equal_degree_split(a, d, p, rng):
                     + _equal_degree_split(rest, d, p, rng))
 
 
-def factor_mod_p(f: FpPoly) -> list[tuple[FpPoly, int]]:
-    """Monic irreducible factorization over F_p, deterministically ordered."""
-    p = f.p
-    a = list(f.coeffs)
+def factor_mod_p(a, p: int) -> list[tuple[list[int], int]]:
+    """Monic irreducible factorization over F_p of the coefficient list a,
+    as [(factor, multiplicity)], deterministically ordered."""
+    a = mp_trim([c % p for c in a])
     if not a:
         raise ValueError("cannot factor the zero polynomial")
     if len(a) == 1:
@@ -469,21 +450,20 @@ def factor_mod_p(f: FpPoly) -> list[tuple[FpPoly, int]]:
     for g, mult in _sqfree_decomp(a, p):
         for h, d in _distinct_degree(g, p):
             for irr in _equal_degree_split(h, d, p, rng):
-                out.append((FpPoly(p, tuple(irr)), mult))
-    out.sort(key=lambda t: (t[0].degree, t[0].coeffs))
+                out.append((irr, mult))
+    out.sort(key=lambda t: (len(t[0]), t[0]))
     return out
 
 
 def roots_in_Fp(f: RatPoly, p: int) -> list[int]:
     """All roots of f mod p, with multiplicity, ascending residues."""
     fp = fp_poly(f, p)
-    if not fp.coeffs:
+    if not fp:
         raise ValueError("zero polynomial")
     out = []
-    for g, mult in factor_mod_p(fp):
-        if g.degree == 1:
-            r = (-g.coeffs[0] * pow(g.coeffs[1], -1, p)) % p
-            out += [r] * mult
+    for g, mult in factor_mod_p(fp, p):
+        if len(g) == 2:
+            out += [-g[0] % p] * mult
     return sorted(out)
 
 
@@ -576,9 +556,9 @@ def factor_over_Z(f: RatPoly) -> list[RatPoly]:
     search.  Its factors are Hensel-lifted once past a Mignotte bound and
     recombined by exact trial division, subsets of one factor first; a
     remainder that no subset divides is irreducible.  Each factor h of g
-    maps back to h(den X)/den^deg h.  No integer is factored.  When no odd
-    prime below 1000 is good and gcd(f, f') is not 1, f goes through Yun's
-    squarefree split and each part is factored on its own.
+    maps back to h(den X)/den^deg h.  No integer is factored.  When the
+    first four odd primes are all bad and gcd(f, f') is not 1, f goes
+    through Yun's squarefree split and each part is factored on its own.
     """
     if f.degree > 8:
         raise ValueError("factor_over_Z is capped at degree 8")
@@ -588,19 +568,23 @@ def factor_over_Z(f: RatPoly) -> list[RatPoly]:
     den = math.lcm(*(c.denominator for c in work.coeffs))
     d = work.degree
     g = [int(c * den ** (d - i)) for i, c in enumerate(work.coeffs)]
-    best, good, p = None, 0, 3
+    best, good, bad, p = None, 0, 0, 3
     while good < 5 and (best is None or len(best[1]) > 3):
         if is_prime(p):
-            fac = factor_mod_p(FpPoly(p, tuple(g)))
+            fac = factor_mod_p(g, p)
             if all(mult == 1 for _, mult in fac):
                 good += 1
                 if best is None or len(fac) < len(best[1]):
                     best = (p, fac)
-            # a repeated factor over Q leaves every p bad: check for one once
-            elif p == 997 and not good and poly_gcd(work, work.deriv()).degree:
-                out = [h for part, mult in _sqfree_over_Q(work)
-                       for h in factor_over_Z(part) * mult]
-                return sorted(out, key=lambda h: (h.degree, h.coeffs))
+            else:
+                bad += 1
+                # a repeated factor over Q leaves every p bad: check for
+                # one once, when the first four primes are bad
+                if bad == 4 and not good and poly_gcd(work,
+                                                      work.deriv()).degree:
+                    out = [h for part, mult in _sqfree_over_Q(work)
+                           for h in factor_over_Z(part) * mult]
+                    return sorted(out, key=lambda h: (h.degree, h.coeffs))
         p += 2
     p, fac = best
     if len(fac) == 1:
@@ -611,7 +595,7 @@ def factor_over_Z(f: RatPoly) -> list[RatPoly]:
     while p ** N < 2 * bound:
         N += 1
     m = p ** N
-    lifted = hensel_lift_factors(g, [list(h.coeffs) for h, _ in fac], p, N)
+    lifted = hensel_lift_factors(g, [h for h, _ in fac], p, N)
     rest, found, k = RatPoly(g), [], 1
     while 2 * k <= len(lifted):
         for combo in combinations(range(len(lifted)), k):
@@ -681,13 +665,6 @@ class LocalFactor:
 class LocalSplittingType:
     p: int
     factors: tuple[LocalFactor, ...]
-    splits_completely: bool
-    totally_ramified: bool
-    all_unramified: bool
-
-    @property
-    def degree(self):
-        return sum(fac.degree for fac in self.factors)
 
 
 def _local_factor(p, e, f, zlift, shift, scale, prec, note, root=None):
@@ -842,7 +819,7 @@ def _block_pieces(F, g, m, p, N):
                             f"{where}; {note}" if note else where))
             continue
         residual = [S[j * e] // p ** (rise - j * h) % p for j in range(d + 1)]
-        fac = factor_mod_p(FpPoly(p, tuple(residual)))
+        fac = factor_mod_p(residual, p)
         if len(fac) > 1 or fac[0][1] > 1:
             step = ("has a repeated factor; order 2 is needed"
                     if any(mult > 1 for _, mult in fac) else
@@ -857,19 +834,19 @@ def _block_pieces(F, g, m, p, N):
 def _factor_mod_pN(g, p, N):
     """Q_p-pieces of a monic polynomial known mod p^N, as (e, f, zlift,
     shift, scale, prec, note) in the coordinate X = shift + p^scale Z."""
-    fac = factor_mod_p(FpPoly(p, tuple(g)))
+    fac = factor_mod_p(g, p)
     groups = []
     for h, mult in fac:
         blk = [1]
         for _ in range(mult):
-            blk = mp_mul(blk, list(h.coeffs), p)
+            blk = mp_mul(blk, h, p)
         groups.append(blk)
     out = []
     for F, (h, mult) in zip(hensel_lift_factors(g, groups, p, N), fac):
         if mult == 1:
-            out.append((1, h.degree, F, 0, 0, N, ""))
+            out.append((1, len(h) - 1, F, 0, 0, N, ""))
         else:
-            out.extend(_block_pieces(F, list(h.coeffs), mult, p, N))
+            out.extend(_block_pieces(F, h, mult, p, N))
     return out
 
 
@@ -932,10 +909,4 @@ def local_splitting_type(f: RatPoly, p: int) -> LocalSplittingType:
         return (fc.degree, fc.e, root_res,
                 tuple(c % p for c in fc.lift), tuple(c % kmin for c in fc.lift))
 
-    ordered = tuple(sorted(out, key=_order_key))
-    return LocalSplittingType(
-        p, ordered,
-        splits_completely=all(fc.e == 1 and fc.f == 1 for fc in ordered),
-        totally_ramified=len(ordered) == 1 and ordered[0].e == f.degree,
-        all_unramified=all(fc.e == 1 for fc in ordered),
-    )
+    return LocalSplittingType(p, tuple(sorted(out, key=_order_key)))

@@ -1,9 +1,10 @@
 """Tate's algorithm over Q_p: minimal model, Kodaira type, component group.
 
 The full branch structure is implemented (no c4/c6 shortcuts), since the
-additive cases at p = 2 and p = 3 matter here.  Outputs carry the geometric
-component group together with the Frobenius action on it, which is what the
-local descent machinery consumes.
+additive cases at p = 2 and p = 3 matter here.  Local descent reads the
+Tamagawa number c_p, whether multiplicative reduction is split, and the
+order of Frobenius on the component group
+(frobenius_order_on_components).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 from .arith import INFINITY, legendre, valuation
 from .elliptic import WeierstrassModel
-from .poly import FpPoly, factor_mod_p
+from .poly import factor_mod_p
 
 
 @dataclass(frozen=True)
@@ -30,31 +31,8 @@ class KodairaType:
             return f"I{self.nu}*"
         return self.letter
 
-    @property
-    def is_multiplicative(self):
-        return self.letter == "I"
-
     def __repr__(self):
         return self.symbol()
-
-
-# geometric component groups: 'trivial', ('cyclic', n), 'klein4'
-
-
-def geometric_component_group(kt: KodairaType):
-    if kt.letter == "I0" or kt.letter in ("II", "II*"):
-        return "trivial"
-    if kt.letter == "I":
-        return ("cyclic", kt.nu) if kt.nu > 1 else ("trivial" if kt.nu == 1 else "trivial")
-    if kt.letter in ("III", "III*"):
-        return ("cyclic", 2)
-    if kt.letter in ("IV", "IV*"):
-        return ("cyclic", 3)
-    if kt.letter == "I*":
-        if kt.nu % 2 == 1:
-            return ("cyclic", 4)
-        return "klein4"
-    raise ValueError(kt)
 
 
 @dataclass(frozen=True)
@@ -64,7 +42,6 @@ class ReductionData:
     kodaira: KodairaType
     v_disc_min: int
     conductor_exponent: int
-    geometric_component_group: object
     c_p: int
     split: object  # True / False / None (not applicable)
     frobenius_order_on_components: int
@@ -101,10 +78,10 @@ def _singular_point(m: WeierstrassModel, p: int):
         raise ArithmeticError("no singular point found mod 2")
     # p odd: x0 is the multiple root of 4x^3 + b2 x^2 + 2 b4 x + b6 (the
     # multiple root is unique, hence F_p-rational)
-    B = FpPoly(p, (_red(m.b6, p), _red(2 * m.b4, p), _red(m.b2, p), 4 % p))
-    for g, mult in factor_mod_p(B):
-        if mult >= 2 and g.degree == 1:
-            x0 = (-g.coeffs[0] * pow(g.coeffs[1], -1, p)) % p
+    B = [_red(m.b6, p), _red(2 * m.b4, p), _red(m.b2, p), 4]
+    for g, mult in factor_mod_p(B, p):
+        if mult >= 2 and len(g) == 2:
+            x0 = -g[0] % p
             y0 = (-(_red(m.a1, p) * x0 + _red(m.a3, p)) * pow(2, -1, p)) % p
             return x0, y0
     raise ArithmeticError("no multiple root found mod p")
@@ -145,8 +122,8 @@ def tate_algorithm(m: WeierstrassModel, p: int) -> ReductionData:
     while True:
         n = _vp(m.disc, p)
         if n == 0:
-            return ReductionData(p, m, KodairaType("I0"), 0, 0, "trivial",
-                                 1, None, 1, tr)
+            return ReductionData(p, m, KodairaType("I0"), 0, 0, 1, None, 1,
+                                 tr)
         x0, y0 = _singular_point(m, p)
         m, tr = _move(m, tr, r=x0, t=y0)
         assert all(_vp(a, p) is INFINITY or _vp(a, p) >= 1
@@ -162,25 +139,23 @@ def tate_algorithm(m: WeierstrassModel, p: int) -> ReductionData:
             c = nu if split else (2 if nu % 2 == 0 else 1)
             kt = KodairaType("I", nu)
             frob = 1 if (split or nu <= 2) else 2
-            return ReductionData(p, m, kt, n, 1, geometric_component_group(kt),
-                                 c, split, frob, tr)
+            return ReductionData(p, m, kt, n, 1, c, split, frob, tr)
 
         # additive reduction from here on
         if _vp(m.a6, p) < 2:
             kt = KodairaType("II")
-            return ReductionData(p, m, kt, n, n, "trivial", 1, None, 1, tr)
+            return ReductionData(p, m, kt, n, n, 1, None, 1, tr)
         if _vp(m.b8, p) < 3:
             kt = KodairaType("III")
-            return ReductionData(p, m, kt, n, n - 1, ("cyclic", 2), 2, None, 1,
-                                 tr)
+            return ReductionData(p, m, kt, n, n - 1, 2, None, 1, tr)
         if _vp(m.b6, p) < 3:
             A = _red(m.a3 / p, p)
             B = _red(-m.a6 / p ** 2, p)
             split = _fp_quadratic_split(A, B, p)
             kt = KodairaType("IV")
             c = 3 if split else 1
-            return ReductionData(p, m, kt, n, n - 2, ("cyclic", 3), c,
-                                 None, 1 if split else 2, tr)
+            return ReductionData(p, m, kt, n, n - 2, c, None,
+                                 1 if split else 2, tr)
 
         # step 6 normalization: p | a1, a2; p^2 | a3, a4; p^3 | a6
         if p == 2:
@@ -204,21 +179,20 @@ def tate_algorithm(m: WeierstrassModel, p: int) -> ReductionData:
         # P(T) = T^3 + (a2/p) T^2 + (a4/p^2) T + (a6/p^3) over F_p
         Pc = [_red(m.a6 / p ** 3, p), _red(m.a4 / p ** 2, p),
               _red(m.a2 / p, p), 1]
-        fac = factor_mod_p(FpPoly(p, tuple(Pc)))
+        fac = factor_mod_p(Pc, p)
         mults = sorted(mlt for _, mlt in fac)
         if all(mlt == 1 for _, mlt in fac):
             # I0*: c = 1 + number of rational roots of P
-            nroots = sum(1 for g, _ in fac if g.degree == 1)
+            nroots = sum(1 for g, _ in fac if len(g) == 2)
             c = 1 + nroots
             kt = KodairaType("I*", 0)
             frob = {4: 1, 2: 2, 1: 3}[c]
-            return ReductionData(p, m, kt, n, n - 4, "klein4", c, None, frob,
-                                 tr)
+            return ReductionData(p, m, kt, n, n - 4, c, None, frob, tr)
 
         if mults[-1] == 2:
             # I_nu* subprocedure: double root of P translated to T = 0
-            r0 = next((-g.coeffs[0]) % p for g, mlt in fac
-                      if mlt == 2 and g.degree == 1)
+            r0 = next(-g[0] % p for g, mlt in fac
+                      if mlt == 2 and len(g) == 2)
             m, tr = _move(m, tr, r=p * r0)
             assert _vp(m.a2, p) == 1 and _vp(m.a4, p) >= 3 and _vp(m.a6, p) >= 4
             k = 1
@@ -232,10 +206,8 @@ def tate_algorithm(m: WeierstrassModel, p: int) -> ReductionData:
                         split = _fp_quadratic_split(_red(A, p), _red(B, p), p)
                         c = 4 if split else 2
                         kt = KodairaType("I*", k)
-                        return ReductionData(
-                            p, m, kt, n, n - 4 - k,
-                            geometric_component_group(kt), c, None,
-                            1 if c == 4 else 2, tr)
+                        return ReductionData(p, m, kt, n, n - 4 - k, c, None,
+                                             1 if c == 4 else 2, tr)
                     # double root: deepen a3, a6
                     if p == 2:
                         ybar = _red(B, 2)
@@ -257,10 +229,8 @@ def tate_algorithm(m: WeierstrassModel, p: int) -> ReductionData:
                             split = legendre(_red(disc, p), p) == 1
                         c = 4 if split else 2
                         kt = KodairaType("I*", k)
-                        return ReductionData(
-                            p, m, kt, n, n - 4 - k,
-                            geometric_component_group(kt), c, None,
-                            1 if c == 4 else 2, tr)
+                        return ReductionData(p, m, kt, n, n - 4 - k, c, None,
+                                             1 if c == 4 else 2, tr)
                     if p == 2:
                         xbar = (_red(cq, 2) * _red(a, 2)) % 2
                     else:
@@ -273,7 +243,7 @@ def tate_algorithm(m: WeierstrassModel, p: int) -> ReductionData:
             # not reached
 
         # triple root: translate to T = 0
-        r0 = next((-g.coeffs[0]) % p for g, mlt in fac if mlt == 3)
+        r0 = next(-g[0] % p for g, mlt in fac if mlt == 3)
         m, tr = _move(m, tr, r=p * r0)
         assert _vp(m.a2, p) >= 2 and _vp(m.a4, p) >= 3 and _vp(m.a6, p) >= 4
 
@@ -284,8 +254,8 @@ def tate_algorithm(m: WeierstrassModel, p: int) -> ReductionData:
             split = _fp_quadratic_split(_red(A, p), _red(B, p), p)
             kt = KodairaType("IV*")
             c = 3 if split else 1
-            return ReductionData(p, m, kt, n, n - 6, ("cyclic", 3), c,
-                                 None, 1 if split else 2, tr)
+            return ReductionData(p, m, kt, n, n - 6, c, None,
+                                 1 if split else 2, tr)
         if p == 2:
             ybar = _red(B, 2)
         else:
@@ -296,58 +266,10 @@ def tate_algorithm(m: WeierstrassModel, p: int) -> ReductionData:
 
         if _vp(m.a4, p) == 3:
             kt = KodairaType("III*")
-            return ReductionData(p, m, kt, n, n - 7, ("cyclic", 2), 2, None, 1,
-                                 tr)
+            return ReductionData(p, m, kt, n, n - 7, 2, None, 1, tr)
         if _vp(m.a6, p) == 5:
             kt = KodairaType("II*")
-            return ReductionData(p, m, kt, n, n - 8, "trivial", 1, None, 1, tr)
+            return ReductionData(p, m, kt, n, n - 8, 1, None, 1, tr)
 
         # non-minimal: rescale and start over
         m, tr = _move(m, tr, u=p)
-
-
-def component_group_over(rd: ReductionData, k: int):
-    """E(M)/E_0(M) for the unramified extension M of degree k, with the
-    action of the Frobenius generator tau of Gal(M/Q_p) on it.
-
-    Returns (group, action) with group 'trivial' | ('cyclic', n) | 'klein4'
-    and action one of 'trivial', 'inversion', 'order2', 'order3'.
-    """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    geo = rd.geometric_component_group
-    if geo == "trivial":
-        return "trivial", "trivial"
-    if isinstance(geo, tuple) and geo[0] == "cyclic":
-        n = geo[1]
-        eps_nontrivial = (rd.split is False) if rd.kodaira.is_multiplicative \
-            else (rd.frobenius_order_on_components == 2)
-        if not eps_nontrivial or k % 2 == 0:
-            # full group realized over M
-            if eps_nontrivial and n > 2:
-                return ("cyclic", n), "inversion"
-            return ("cyclic", n), "trivial"
-        # fixed points of -1 on Z/n
-        if n % 2 == 0:
-            return ("cyclic", 2), "trivial"
-        return "trivial", "trivial"
-    # klein4
-    o = rd.frobenius_order_on_components
-    if o == 1:
-        return "klein4", "trivial"
-    if o == 2:
-        if k % 2 == 0:
-            return "klein4", "order2"
-        return ("cyclic", 2), "trivial"
-    # o == 3
-    if k % 3 == 0:
-        return "klein4", "order3"
-    return "trivial", "trivial"
-
-
-def group_order(g) -> int:
-    if g == "trivial":
-        return 1
-    if g == "klein4":
-        return 4
-    return g[1]

@@ -71,12 +71,12 @@ def _is_rational_square(q: Fraction) -> bool:
 
 def _cycle_shape(f: RatPoly, p: int):
     try:
-        fac = factor_mod_p(fp_poly(f, p))
+        fac = factor_mod_p(fp_poly(f, p), p)
     except ValueError:
         return None
     if any(mult > 1 for _, mult in fac):
         return None
-    return tuple(sorted(g.degree for g, _ in fac))
+    return tuple(sorted(len(g) - 1 for g, _ in fac))
 
 
 def quartic_galois_group(g: RatPoly) -> str:

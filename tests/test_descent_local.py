@@ -13,8 +13,8 @@ from qdescent.descent_local import (TWO_MAP, _torsion_count, c2_order,
 from qdescent.elliptic import (INF, FpCtx, Pt, compute_invariants,
                                curve_from_string, is_on_curve,
                                multiplication_isogeny, scalar_mul,
-                               two_torsion_points, velu_isogeny)
-from qdescent.poly import UnresolvedSplitting
+                               two_division_cubic_integral, velu_isogeny)
+from qdescent.poly import UnresolvedSplitting, factor_over_Z
 from qdescent.tate import tate_algorithm
 
 MESTRE = curve_from_string("[0,2597055,357573631,-549082,-19608054]")
@@ -370,7 +370,11 @@ def test_two_isogeny_exact_sequence():
         m = curve(cs)
         phi = velu_isogeny(m, [Pt(Fraction(x), Fraction(0))])
         cod = phi.codomain
-        (t,) = [T for T in two_torsion_points(cod)
+        # rational 2-torsion of the depressed codomain: (root/4, 0) for the
+        # linear factors of its integral 2-division cubic
+        (t,) = [T for T in (Pt(-h.coeffs[0] / 4, Fraction(0)) for h in
+                            factor_over_Z(two_division_cubic_integral(cod))
+                            if h.degree == 1)
                 if velu_isogeny(cod, [T]).codomain.j == m.j]
         psi = velu_isogeny(cod, [t])
         for p in sorted(set(bad_primes(m)) | {2}):

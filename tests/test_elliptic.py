@@ -7,12 +7,11 @@ from pathlib import Path
 import pytest
 
 from qdescent.arith import factor_integer, valuation
-from qdescent.elliptic import (INF, FpCtx, Pt, add, compute_invariants,
-                               count_points_Fp, curve_from_string,
+from qdescent.elliptic import (INF, FpCtx, Pt, _depress, add,
+                               compute_invariants, curve_from_string,
                                is_on_curve, multiplication_isogeny, negate,
-                               reduction_filtration_level, scalar_mul,
-                               short_model, two_division_cubic,
-                               two_torsion_points, velu_isogeny)
+                               scalar_mul, two_division_cubic_integral,
+                               velu_isogeny)
 from qdescent.poly import RatPoly, discriminant, factor_over_Z
 
 E189 = curve_from_string("[0,0,0,-189,1269]")
@@ -58,38 +57,30 @@ def test_group_law_fp_random():
             assert add(m, P, negate(m, P, ctx), ctx) is INF
 
 
-def test_count_points():
-    assert count_points_Fp(MESTRE, 2) == 5
-    assert count_points_Fp(curve_from_string("[0,0,0,0,1]"), 5) == 6
-    for p in (3, 5, 7, 11, 13):
-        m = curve_from_string("[1,0,1,4,-6]")
-        if valuation(m.disc, p) == 0:
-            n = count_points_Fp(m, p)
-            assert abs(n - p - 1) ** 2 <= 4 * p  # Hasse
-
-
 def test_short_model():
-    g, tr = short_model(curve_from_string("[0,0,1,0,0]"))  # y^2 + y = x^3
-    assert g == RatPoly([Fraction(1, 4), 0, 0, 1])
+    # _depress takes a model to y^2 = x^3 + Ax + B
+    dep, _ = _depress(curve_from_string("[0,0,1,0,0]"))  # y^2 + y = x^3
+    assert dep.ainvs() == (0, 0, 0, 0, Fraction(1, 4))
     m = curve_from_string("[0,0,0,0,1]")
-    g2, _ = short_model(m)
-    assert g2 == RatPoly([1, 0, 0, 1])
+    assert _depress(m)[0] == m
     # j-invariant preserved by the change of coordinates
-    gm, trm = short_model(MESTRE)
-    short = MESTRE.transform(*trm)
-    assert short.j == MESTRE.j
-    assert short.disc == 16 * discriminant(gm)
+    dep, tr = _depress(MESTRE)
+    assert MESTRE.transform(*tr) == dep
+    assert dep.j == MESTRE.j
+    assert dep.disc == 16 * discriminant(RatPoly([dep.a6, dep.a4, 0, 1]))
 
 
 def test_two_division_cubic():
+    # roots U = 4x for the x-coordinates of the 2-torsion
     m = curve_from_string("[0,0,0,-25,0]")
-    assert two_division_cubic(m) == RatPoly([0, -25, 0, 1])
-    xs = sorted(P.x for P in two_torsion_points(m))
+    cubic = two_division_cubic_integral(m)
+    assert cubic == RatPoly([0, -400, 0, 1])
+    xs = sorted(-h.coeffs[0] / 4 for h in factor_over_Z(cubic))
     assert xs == [-5, 0, 5]
-    m2 = curve_from_string("[0,1,0,4,12]")
-    fac = factor_over_Z(two_division_cubic(m2))
-    assert RatPoly([2, 1]) in fac
-    assert RatPoly([6, -1, 1]) in fac
+    m2 = curve_from_string("[0,1,0,4,12]")  # x^3 + x^2 + 4x + 12
+    fac = factor_over_Z(two_division_cubic_integral(m2))
+    assert RatPoly([8, 1]) in fac
+    assert RatPoly([96, -4, 1]) in fac
 
 
 def test_velu_3_isogeny_matches_paper():
@@ -212,37 +203,3 @@ def test_differential_identity():
                - phi.x_num * phi.x_den.deriv()) * phi.y_den
         assert lhs == phi.phi_prime_0 * phi.x_den ** 2 * phi.y_num, \
             (phi.domain, phi.kernel)
-
-
-def test_filtration_level_mestre():
-    x = Fraction(-2561042)
-    rhs = MESTRE.rhs(x)
-    D = MESTRE.a3 ** 2 + 4 * rhs
-    from qdescent.arith import rational_sqrt
-
-    y = (-MESTRE.a3 + rational_sqrt(D)) / 2
-    P = Pt(x, y)
-    assert is_on_curve(MESTRE, P)
-    fiveP = scalar_mul(MESTRE, 5, P)
-    assert valuation(fiveP.x, 2) == -2
-    assert reduction_filtration_level(MESTRE, fiveP, 2) == 1
-    assert reduction_filtration_level(MESTRE, P, 2) == 0
-    with pytest.raises(ValueError):
-        reduction_filtration_level(MESTRE, INF, 2)
-
-
-def test_filtration_deeper_level():
-    # any point with v_2(x) = -4 sits at level 2; fabricate via the formula
-    m = curve_from_string("[0,0,0,-1,1]")
-    P = None
-    # search a rational point with even 2-denominator by doubling
-    Q = Pt(Fraction(1), Fraction(1))
-    assert is_on_curve(m, Q)
-    for _ in range(6):
-        Q = scalar_mul(m, 2, Q)
-        v = valuation(Q.x, 2)
-        if v == -4:
-            P = Q
-            break
-    if P is not None:
-        assert reduction_filtration_level(m, P, 2) == 2

@@ -3,8 +3,8 @@ imports at module level and from the standard library only, no
 __import__, no dead functions, classes or methods, and no module-level
 mutable container (a global registry); pyproject.toml declares no runtime
 dependency and every console script it declares resolves; every helper
-module of the tests is imported by a test module; and every defaulted
-parameter of src/ is set by some call."""
+module of the tests is imported by a test module; every defaulted
+parameter of src/ is set by some call; and every dataclass field is read."""
 
 import ast
 import importlib
@@ -137,6 +137,31 @@ def test_every_public_method_is_referenced():
             if not any(fn.name in names for names in elsewhere):
                 unused.append(f"{name}:{cls.name}.{fn.name}")
     assert not unused
+
+
+def is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in cls.decorator_list)
+
+
+def test_every_dataclass_field_is_read():
+    # a field of a src/ dataclass must be read as an attribute by src/,
+    # tests/ or perfbench/; a class that serializes itself with asdict
+    # reads every field
+    reads = {node.attr for tree in [*TREES.values(), *outside_trees()]
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load)}
+    unread = [f"{name}:{cls.name}.{stmt.target.id}"
+              for name, cls, names in STATEMENTS
+              if isinstance(cls, ast.ClassDef) and is_dataclass(cls)
+              and "asdict" not in names
+              for stmt in cls.body
+              if isinstance(stmt, ast.AnnAssign)
+              and isinstance(stmt.target, ast.Name)
+              and stmt.target.id not in reads]
+    assert not unread
 
 
 def test_no_module_level_mutable_container():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qdescent.arith import valuation
+from qdescent.arith import square_class, valuation
 from qdescent.localfields import (EtaleAlgebra, SqVector, echelon, relations,
                                   span_closure, span_rank)
 from qdescent.poly import (RatPoly, UnresolvedSplitting, discriminant,
@@ -143,11 +143,16 @@ def test_real_classes_against_rational_roots():
 
 
 def test_norm_kernel_condition():
-    # each table row satisfies the kernel-of-norm condition
+    # each table row satisfies the kernel-of-norm condition: f(x) is a
+    # square, and at these primes f splits into linear pieces, so the
+    # valuation parities and the quadratic-character bits each sum to 0
     for p in (37, 73, 191):
         alg = EtaleAlgebra(QUINTIC, p)
         for x in (-17, -9, -6, -2, 0, 4):
-            assert alg.norm_class_is_square(Fraction(x))
+            assert square_class(QUINTIC.eval(Fraction(x)), p) == 0
+            entries = alg.image_of_affine(Fraction(x)).entries
+            assert sum(e.v_parity for e in entries) % 2 == 0
+            assert sum(e.unit[1] for e in entries) % 2 == 0
         # torsion rows: product of all norms is disc-like, checked via the
         # vector itself multiplying to a norm-square; verified by doubling
         for i in range(alg.n_comp):

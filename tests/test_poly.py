@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qdescent import poly
 from qdescent.arith import factor_integer, valuation
-from qdescent.poly import (HENSEL_START, FpPoly, RatPoly, UnresolvedSplitting,
+from qdescent.poly import (HENSEL_START, RatPoly, UnresolvedSplitting,
                            discriminant, factor_mod_p, factor_over_Z, fp_poly,
                            hensel_lift_factors, local_splitting_type, mp_mul,
                            mp_shift, parse_poly, resultant, roots_in_Fp)
@@ -42,30 +43,30 @@ def test_discriminant_product_identity(ac, bc):
 
 
 def test_factor_mod_p_quintic_37():
-    fac = factor_mod_p(fp_poly(QUINTIC, 37))
-    assert all(m == 1 and g.degree == 1 for g, m in fac)
-    roots = sorted((-g.coeffs[0]) % 37 for g, _ in fac)
+    fac = factor_mod_p(fp_poly(QUINTIC, 37), 37)
+    assert all(m == 1 and len(g) == 2 for g, m in fac)
+    roots = sorted(-g[0] % 37 for g, _ in fac)
     assert roots == [4, 8, 12, 16, 18]
 
 
 def test_factor_mod_p_quintic_191():
-    fac = factor_mod_p(fp_poly(QUINTIC, 191))
-    by_mult = sorted(((-g.coeffs[0]) % 191, m) for g, m in fac if g.degree == 1)
+    fac = factor_mod_p(fp_poly(QUINTIC, 191), 191)
+    by_mult = sorted((-g[0] % 191, m) for g, m in fac if len(g) == 2)
     assert by_mult == [(5, 1), (6, 1), (37, 1), (159, 2)]
 
 
 def test_factor_mod_2():
-    fac = factor_mod_p(FpPoly(2, (1, 0, 1)))  # X^2 + 1 = (X+1)^2
-    assert fac == [(FpPoly(2, (1, 1)), 2)]
+    fac = factor_mod_p([1, 0, 1], 2)  # X^2 + 1 = (X+1)^2
+    assert fac == [([1, 1], 2)]
 
 
 def test_factor_mod_p_reconstructs():
     for p in (2, 3, 5, 37, 191):
-        fac = factor_mod_p(fp_poly(QUINTIC, p))
+        fac = factor_mod_p(fp_poly(QUINTIC, p), p)
         prod = [1]
         for g, m in fac:
             for _ in range(m):
-                prod = mp_mul(prod, list(g.coeffs), p)
+                prod = mp_mul(prod, g, p)
         assert prod == [c % p for c in [1, 178, 817, -274, 16, 1]]
 
 
@@ -86,6 +87,11 @@ def test_factor_over_Z_cubic():
 def test_factor_over_Z_simple():
     assert factor_over_Z(RatPoly([-4, 0, 1])) == [RatPoly([-2, 1]), RatPoly([2, 1])]
     assert factor_over_Z(QUINTIC) == [QUINTIC]
+    # squarefree, but bad at 3, 5, 7 and 11: the search goes on after the
+    # gcd test
+    assert factor_over_Z(parse_poly("X^2-1155")) == [parse_poly("X^2-1155")]
+    assert factor_over_Z(RatPoly([1156, -1157, 1])) == [RatPoly([-1156, 1]),
+                                                        RatPoly([-1, 1])]
 
 
 def test_factor_over_Z_quartics():
@@ -167,6 +173,26 @@ def test_rational_roots_rejects_repeated_root(deadline):
             RatPoly([-1, 1]), RatPoly([-1, 1]), RatPoly([2, 1])]
 
 
+# (X - 1)^2 (X + 2) and (X^3 - 2)^2
+@pytest.mark.parametrize("f", ["X^3-3*X+2", "X^6-4*X^3+4"])
+def test_factor_over_Z_tests_gcd_early(monkeypatch, f):
+    # a repeated factor over Q leaves every prime bad: gcd(f, f') is tested
+    # after a few bad primes, not after every odd prime below 1000
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return factor_mod_p(*args)
+
+    monkeypatch.setattr(poly, "factor_mod_p", counted)
+    fac = factor_over_Z(parse_poly(f))
+    prod = RatPoly([1])
+    for g in fac:
+        prod = prod * g
+    assert prod == parse_poly(f)
+    assert len(calls) <= 6
+
+
 def test_rational_roots_88_digit_constant(deadline):
     # the 2-division cubic of Mestre's curve at its 29-digit place: no root
     mestre = parse_poly(
@@ -184,8 +210,8 @@ def test_rational_roots_88_digit_constant(deadline):
 
 def test_hensel_lift_roundtrip():
     f = [c % 7 ** 12 for c in [1, 178, 817, -274, 16, 1]]
-    red = factor_mod_p(fp_poly(QUINTIC, 7))
-    parts = [list(g.coeffs) for g, _ in red]
+    red = factor_mod_p(fp_poly(QUINTIC, 7), 7)
+    parts = [g for g, _ in red]
     assert all(m == 1 for _, m in red)
     lifted = hensel_lift_factors(f, parts, 7, 12)
     prod = [1]
@@ -200,9 +226,12 @@ def test_hensel_lift_roundtrip():
 # local splitting types
 
 
+def splits_completely(st_) -> bool:
+    return all(fc.degree == 1 for fc in st_.factors)
+
+
 def test_split_941_totally_ramified():
     st_ = local_splitting_type(QUINTIC, 941)
-    assert st_.totally_ramified
     assert len(st_.factors) == 1
     assert (st_.factors[0].e, st_.factors[0].f) == (5, 1)
 
@@ -212,12 +241,13 @@ def test_split_2_inert():
     assert len(st_.factors) == 1
     fac = st_.factors[0]
     assert (fac.e, fac.f) == (1, 5)
-    assert st_.all_unramified and not st_.splits_completely
+    assert all(fc.e == 1 for fc in st_.factors)
+    assert not splits_completely(st_)
 
 
 def test_split_191_fully_split():
     st_ = local_splitting_type(QUINTIC, 191)
-    assert st_.splits_completely
+    assert splits_completely(st_)
     assert len(st_.factors) == 5
     roots = sorted(f.root_mod(191) for f in st_.factors)
     assert roots == [5, 6, 37, 159, 159]
@@ -234,13 +264,13 @@ def test_split_191_fully_split():
 
 def test_split_37_completely():
     st_ = local_splitting_type(QUINTIC, 37)
-    assert st_.splits_completely
+    assert splits_completely(st_)
     assert sorted(f.root_mod(37) for f in st_.factors) == [4, 8, 12, 16, 18]
 
 
 def test_split_quadratic_at_2():
     st_ = local_splitting_type(parse_poly("X^2-X+6"), 2)
-    assert st_.splits_completely  # disc = -23 = 1 mod 8
+    assert splits_completely(st_)  # disc = -23 = 1 mod 8
 
 
 def test_split_shifted_inert_cubic():
@@ -248,7 +278,7 @@ def test_split_shifted_inert_cubic():
     st_ = local_splitting_type(parse_poly("X^3-75*X+125"), 5)
     assert len(st_.factors) == 1
     assert (st_.factors[0].e, st_.factors[0].f) == (1, 3)
-    assert st_.all_unramified
+    assert all(fc.e == 1 for fc in st_.factors)
 
 
 def test_split_totally_ramified_shifted():
@@ -262,15 +292,17 @@ def test_split_totally_ramified_shifted():
 def test_split_good_prime_matches_mod_p():
     for p in (7, 11, 13, 37, 73):
         st_ = local_splitting_type(QUINTIC, p)
-        fac = factor_mod_p(fp_poly(QUINTIC, p))
-        assert sorted(f.f for f in st_.factors) == sorted(g.degree for g, _ in fac)
+        fac = factor_mod_p(fp_poly(QUINTIC, p), p)
+        assert sorted(f.f for f in st_.factors) == sorted(len(g) - 1
+                                                          for g, _ in fac)
         assert all(f.e == 1 for f in st_.factors)
 
 
 def test_split_structural_invariant():
     # an unresolved block raises UnresolvedSplitting; none is left here
     for p in (2, 3, 5, 23, 37, 191, 941):
-        assert local_splitting_type(QUINTIC, p).degree == 5
+        st_ = local_splitting_type(QUINTIC, p)
+        assert sum(fc.degree for fc in st_.factors) == 5
 
 
 def sweep_pairs(stride):
@@ -317,8 +349,8 @@ def test_split_sweep_invariants():
             assert x_at_z == [c * p ** (fc.scale * (deg - i)) % mz
                               for i, c in enumerate(fc.zlift)], (f, p)
             if fc.e == 1:
-                [(g, mult)] = factor_mod_p(FpPoly(p, fc.zlift))
-                assert (g.degree, mult) == (fc.f, 1), (f, p)
+                [(g, mult)] = factor_mod_p(fc.zlift, p)
+                assert (len(g) - 1, mult) == (fc.f, 1), (f, p)
         if all(fc.e % p for fc in st_.factors):
             r = valuation(disc, p) - sum(fc.f * (fc.e - 1)
                                          for fc in st_.factors)
@@ -358,7 +390,7 @@ def test_split_doubles_precision_for_close_roots():
     # the roots +-2^20 sqrt(17) lie on one side of slope 20: rescaling it
     # costs 40 digits, so N doubles from HENSEL_START until they are there
     st_ = local_splitting_type(RatPoly([-17 * 2 ** 40, 0, 1]), 2)
-    assert st_.splits_completely
+    assert splits_completely(st_)
     assert max(fc.prec for fc in st_.factors) > HENSEL_START
 
 
@@ -370,9 +402,8 @@ def test_factor_mod_p_repeated_linear_factors_at_9973():
     for g, k in (([3, 1], 2), ([p - 3, 1], 3), ([5, 0, 1], 1)):
         for _ in range(k):
             f = mp_mul(f, g, p)
-    assert factor_mod_p(FpPoly(p, tuple(f))) == [
-        (FpPoly(p, (3, 1)), 2), (FpPoly(p, (p - 3, 1)), 3),
-        (FpPoly(p, (5, 0, 1)), 1)]
+    assert factor_mod_p(f, p) == [
+        ([3, 1], 2), ([p - 3, 1], 3), ([5, 0, 1], 1)]
 
 
 def test_split_rejects_nonmonic():

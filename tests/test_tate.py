@@ -3,8 +3,7 @@ from fractions import Fraction
 
 from qdescent.arith import is_prime, valuation
 from qdescent.elliptic import compute_invariants, curve_from_string
-from qdescent.tate import (ReductionData, _singular_point,
-                           component_group_over, group_order, tate_algorithm)
+from qdescent.tate import _singular_point, tate_algorithm
 
 MESTRE = curve_from_string("[0,2597055,357573631,-549082,-19608054]")
 
@@ -16,7 +15,6 @@ def rd(curve, p):
 def test_paper_I4_pair_at_3():
     a = rd("[0,-26,0,135,-567]", 3)
     assert a.kodaira.symbol() == "I4" and a.split is True and a.c_p == 4
-    assert a.geometric_component_group == ("cyclic", 4)
     b = rd("[0,26,0,135,567]", 3)
     assert b.kodaira.symbol() == "I4" and b.split is False and b.c_p == 2
 
@@ -31,7 +29,6 @@ def test_paper_isogeny_pair_at_31():
 def test_paper_I1star_pair_at_23():
     a = rd("[0,0,0,-529,12167]", 23)
     assert a.kodaira.symbol() == "I1*" and a.c_p == 4
-    assert a.geometric_component_group == ("cyclic", 4)
     b = rd("[0,0,0,-529,-12167]", 23)
     assert b.kodaira.symbol() == "I1*" and b.c_p == 2
 
@@ -42,7 +39,6 @@ def test_paper_I0star_examples():
     assert a.v_disc_min == 8
     b = rd("[0,0,0,-25,0]", 5)
     assert b.kodaira.symbol() == "I0*" and b.c_p == 4
-    assert b.geometric_component_group == "klein4"
     assert b.frobenius_order_on_components == 1
     c = rd("[0,0,0,-75,125]", 5)
     assert c.kodaira.symbol() == "I0*" and c.c_p == 1
@@ -96,7 +92,7 @@ def test_multiplicative_invariants():
             if v == 0 or v > 8:
                 continue
             r = tate_algorithm(m, p)
-            if not r.kodaira.is_multiplicative:
+            if r.kodaira.letter != "I":
                 continue
             seen += 1
             nu = r.kodaira.nu
@@ -106,40 +102,6 @@ def test_multiplicative_invariants():
             else:
                 assert r.c_p == (2 if nu % 2 == 0 else 1)
     assert seen > 20
-
-
-def test_cp_equals_frobenius_fixed_points():
-    cases = [("[0,-26,0,135,-567]", 3), ("[0,26,0,135,567]", 3),
-             ("[0,0,0,-189,1269]", 31), ("[0,0,0,1431,-12339]", 31),
-             ("[0,0,0,-529,12167]", 23), ("[0,0,0,-529,-12167]", 23),
-             ("[0,1,0,4,12]", 2), ("[0,0,0,-25,0]", 5),
-             ("[0,0,0,-75,125]", 5)]
-    for cs, p in cases:
-        r = rd(cs, p)
-        g, act = component_group_over(r, 1)
-        assert group_order(g) == r.c_p
-
-
-def test_component_group_over_examples():
-    split = rd("[0,-26,0,135,-567]", 3)
-    nonsplit = rd("[0,26,0,135,567]", 3)
-    g, act = component_group_over(nonsplit, 2)
-    assert g == ("cyclic", 4) and act == "inversion"
-    g, act = component_group_over(split, 2)
-    assert g == ("cyclic", 4) and act == "trivial"
-    # k a multiple of the frobenius order realizes the full geometric group
-    for cs, p in [("[0,0,0,-25,0]", 5), ("[0,0,0,-75,125]", 5)]:
-        r = rd(cs, p)
-        o = r.frobenius_order_on_components
-        g, act = component_group_over(r, o if o > 1 else 1)
-        assert group_order(g) == group_order(r.geometric_component_group)
-    r = rd("[0,0,0,-75,125]", 5)
-    g, act = component_group_over(r, 3)
-    assert g == "klein4" and act == "order3"
-    g, act = component_group_over(r, 6)
-    assert g == "klein4" and act == "order3"
-    g, act = component_group_over(r, 1)
-    assert g == "trivial"
 
 
 def test_known_database_anchors():
