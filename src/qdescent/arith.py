@@ -195,6 +195,12 @@ def valuation(q, p: int):
     return v
 
 
+def residue(q, m: int) -> int:
+    """The residue mod m of q, an int or a Fraction whose denominator is
+    prime to m."""
+    return q.numerator * pow(q.denominator, -1, m) % m
+
+
 def unit_part(q, p: int) -> Fraction:
     """q / p^{v_p(q)}; a p-adic unit."""
     q = Fraction(q)

@@ -1,8 +1,10 @@
-"""Global assembly: divisibility bounds, class-group input, rank ledgers.
+"""Global assembly: rank ledgers from local reports and class-group input.
 
-The global quotients S/I and C/I inject into the product of their local
-counterparts; summing F_2-ranks of the local quotients over the relevant
-places gives upper bounds.  Combining the C-side bound with class-group
+Each ledger builds one LocalDescentReport per place: the real place first,
+then 2 and the primes of bad reduction.  The global quotients S/I and C/I
+inject into the product of their local counterparts, so _ledger sums the
+F_2-ranks of the local S/I over every place and of the local C/I over the
+bad primes to bound them.  Combining the C-side bound with class-group
 2-rank input and a point-independence lower bound yields an interval for
 the 2-Selmer rank.
 """
@@ -16,7 +18,8 @@ from fractions import Fraction
 
 from .arith import (REAL_PLACE, factor_integer, finite, is_prime,
                     squarefree_part)
-from .descent_local import TWO_MAP, finite_descent_report, s2_real
+from .descent_local import (TWO_MAP, LocalDescentReport,
+                            finite_descent_report, local_descent_report)
 from .elliptic import WeierstrassModel, two_division_cubic_integral
 from .jacobian import (HyperellipticCurve, independence_rank,
                        local_intersection_rank, local_selmer_rank_hyper,
@@ -39,50 +42,6 @@ def bad_primes(m: WeierstrassModel) -> list[int]:
     """Primes of bad reduction: disc support filtered through minimality."""
     return [p for p in _disc_primes(m)
             if tate_algorithm(m, p).kodaira.letter != "I0"]
-
-
-def divis_bounds(m: WeierstrassModel):
-    """Upper bounds for rank S/I and rank C/I of the 2-map, with breakdown.
-
-    Returns (rank_S_over_I, rank_C_over_I, breakdown) where breakdown lists
-    per-place dictionaries.  The S/I sum runs over the infinite place and
-    the divisors of 2 * conductor; the C/I sum over conductor primes.
-    """
-    # one ReductionData per prime: it decides badness and builds the report
-    rds = {p: tate_algorithm(m, p) for p in sorted({2, *_disc_primes(m)})}
-    bp = [p for p, rd in rds.items() if rd.kodaira.letter != "I0"]
-    places = sorted(set(bp) | {2})
-    breakdown = []
-    rank_s = 0
-    rank_c = 0
-    # real place
-    s_inf = s2_real(m, TWO_MAP)
-    a2_inf = 4 if m.disc > 0 else 2
-    rank_s += _log2(s_inf)
-    breakdown.append({"place": "oo", "C": 1, "S": s_inf, "I": 1,
-                      "torsion2": a2_inf, "rank_S_over_I": _log2(s_inf),
-                      "rank_C_over_I": 0})
-    for p in places:
-        rep = finite_descent_report(m, TWO_MAP, rds[p])
-        rs = _log2(rep.order_S // rep.order_I)
-        rc = _log2(rep.order_C // rep.order_I)
-        rank_s += rs
-        if p in bp:
-            rank_c += rc
-        breakdown.append({"place": p, "C": rep.order_C, "S": rep.order_S,
-                          "I": rep.order_I, "kodaira": rep.kodaira,
-                          "torsion2": rep.order_C,
-                          "rank_S_over_I": rs,
-                          "rank_C_over_I": rc if p in bp else 0})
-    # internal consistency with the product over #E[2]/#I (the two product
-    # forms agree after redistributing the factors at 2 and infinity)
-    prod_a = a2_inf
-    prod_b = s_inf
-    for row in breakdown[1:]:
-        prod_a *= row["torsion2"] // row["I"]
-        prod_b *= row["S"] // row["I"]
-    assert prod_a == prod_b, "divisibility product forms disagree"
-    return rank_s, rank_c, breakdown
 
 
 def _log2(n: int) -> int:
@@ -251,31 +210,49 @@ class GlobalLedger:
 
 def assemble_ledger_elliptic(m: WeierstrassModel, records=None,
                              points=None) -> GlobalLedger:
-    notes = []
-    rank_s, rank_c, breakdown = divis_bounds(m)
+    """The ledger of the 2-map on m; points are x-coordinates.  One Tate
+    run per prime decides badness and builds the report."""
+    rds = {p: tate_algorithm(m, p) for p in sorted({2, *_disc_primes(m)})}
+    bad = [p for p, rd in rds.items() if rd.kodaira.letter != "I0"]
+    reports = [local_descent_report(m, TWO_MAP, REAL_PLACE)] + [
+        finite_descent_report(m, TWO_MAP, rd) for p, rd in rds.items()
+        if p == 2 or p in bad]
+    # #E(R)[2] * prod C/I = S(R) * prod S/I: the two product forms agree
+    # after redistributing the factors at 2 and infinity
+    assert (4 if m.disc > 0 else 2) * math.prod(
+        r.order_C // r.order_I for r in reports[1:]) == math.prod(
+        r.order_S // r.order_I for r in reports), \
+        "divisibility product forms disagree"
+    # y^2 = cubic is the curve in U = 4x
     cubic = two_division_cubic_integral(m)
-    tors2 = sum(1 for h in factor_over_Z(cubic) if h.degree == 1)
-    tors2 = _log2({0: 1, 1: 2, 3: 4}[tors2])
-    pts_rank = None
-    if points:
-        hc = HyperellipticCurve(cubic)
-        prs = _independence_primes(cubic, 2)
-        upts = [("rational", 4 * Fraction(x), None) for x in points]
-        pts_rank, _ = independence_rank(hc, upts, prs)
-        notes.append(f"independence primes: {prs}")
-    return _ledger(str(m), "elliptic", cubic, breakdown, rank_s,
-                   breakdown[0]["rank_S_over_I"], rank_c, records, pts_rank,
-                   tors2, notes)
+    hc = HyperellipticCurve(cubic) if points else None
+    upts = [("rational", 4 * Fraction(x), None) for x in points or []]
+    return _ledger(str(m), "elliptic", cubic, reports, bad, records, hc, upts)
 
 
-def _ledger(curve, kind, f, reports, rank_s, inf_contrib, rank_c, records,
-            pts_rank, tors2, notes) -> GlobalLedger:
-    """The class side, the narrow refinement and the Selmer interval.
+def _ledger(curve, kind, f, reports, bad, records, hc,
+            points) -> GlobalLedger:
+    """Every sum of the ledger of y^2 = f: rank S/I over the reports (the
+    real place first), rank C/I over the bad primes, the torsion rank and
+    the rank of the points (descent points of hc, the curve y^2 = f).
 
     narrow = wide for every class field lets the infinite place drop out of
     the S/I bound.  Only the records that the class side used certify it,
     so nothing is refined when the class data do not apply to f.
     """
+    notes = [f"I at {r.place!r} is only a lower bound (span incomplete); "
+             "the S/I contribution stays an upper bound"
+             for r in reports if r.I_is_lower_bound]
+    s_over_i = [_log2(r.order_S) - _log2(r.order_I) for r in reports]
+    rank_s, inf_contrib = sum(s_over_i), s_over_i[0]
+    rank_c = sum(_log2(r.order_C) - _log2(r.order_I) for r in reports
+                 if r.place.p in bad)
+    tors2 = len(factor_over_Z(f)) - 1
+    pts_rank = None
+    if points:
+        prs = _independence_primes(f, 2)
+        pts_rank, _ = independence_rank(hc, points, prs)
+        notes.append(f"independence primes: {prs}")
     used = []
     if records:
         try:
@@ -295,9 +272,9 @@ def _ledger(curve, kind, f, reports, rank_s, inf_contrib, rank_c, records,
         prov = "; ".join(sorted({r.provenance for r in used}))
         lo = max(lo, class_side - rank_c)
         hi = class_side + refined
-    return GlobalLedger(curve, kind, reports, rank_s, refined, rank_c,
-                        class_side, prov, pts_rank, tors2, (lo, hi),
-                        narrow_ok, notes)
+    return GlobalLedger(curve, kind, [r.as_dict() for r in reports], rank_s,
+                        refined, rank_c, class_side, prov, pts_rank, tors2,
+                        (lo, hi), narrow_ok, notes)
 
 
 def _independence_primes(f: RatPoly, count: int):
@@ -317,44 +294,17 @@ def _independence_primes(f: RatPoly, count: int):
 
 def assemble_ledger_hyper(c: HyperellipticCurve, records=None,
                           points=None) -> GlobalLedger:
+    """The ledger of the Jacobian of c, from one EtaleAlgebra per place."""
     points = points or []
-    notes = []
-    bp = c.bad_primes()
-    places = [REAL_PLACE] + [finite(p) for p in sorted(set(bp) | {2})]
+    bad = c.bad_primes()
     reports = []
-    rank_s_bound = 0
-    rank_c_bound = 0
-    inf_contrib = 0
-    for v in places:
+    for v in [REAL_PLACE] + [finite(p) for p in sorted({2, *bad})]:
         alg = EtaleAlgebra(c.f, v.p)
-        s_rank = local_selmer_rank_hyper(alg)
-        if v.is_real:
-            i_rank, complete = 0, True
-            c_rank = 0
-        else:
-            c_rank = local_torsion_rank(alg)
-            if c_rank == 0:
-                i_rank, complete = 0, True
-            else:
-                i_rank, complete = local_intersection_rank(alg, points)
-        contrib = s_rank - i_rank
-        if not complete:
-            notes.append(f"I at {v!r} is only a lower bound (span incomplete);"
-                         " the S/I contribution stays an upper bound")
-        rank_s_bound += contrib
-        if v.is_real:
-            inf_contrib = contrib
-        elif v.p in bp:
-            rank_c_bound += c_rank - i_rank
-        reports.append({"place": repr(v), "C": 2 ** c_rank, "S": 2 ** s_rank,
-                        "I": (2 ** i_rank if complete else
-                              f">={2 ** i_rank}"),
-                        "kodaira": "-"})
-    tors2 = len(factor_over_Z(c.f)) - 1
-    pts_rank = None
-    if points:
-        prs = _independence_primes(c.f, 2)
-        pts_rank, _ = independence_rank(c, points, prs)
-        notes.append(f"independence primes: {prs}")
-    return _ledger(str(c.f), "hyperelliptic", c.f, reports, rank_s_bound,
-                   inf_contrib, rank_c_bound, records, pts_rank, tors2, notes)
+        c_rank = 0 if v.is_real else local_torsion_rank(alg)
+        i_rank, complete = (local_intersection_rank(alg, points) if c_rank
+                            else (0, True))
+        reports.append(LocalDescentReport(
+            v, 2 ** c_rank, 2 ** local_selmer_rank_hyper(alg), 2 ** i_rank,
+            "-", None, I_is_lower_bound=not complete))
+    return _ledger(str(c.f), "hyperelliptic", c.f, reports, bad, records, c,
+                   points)

@@ -1,7 +1,7 @@
 """Local descent groups C, S, I at each place of Q for elliptic curves.
 
-For an isogeny phi: E -> E' in scope (the 2-map, given as TWO_MAP or as
-multiplication by 2, and cyclic 2-/3-isogenies) this computes the orders of
+For an isogeny phi: E -> E' in scope (the 2-map, given as TWO_MAP, and
+cyclic 2-/3-isogenies) this computes the orders of
 
   C(Q_v)  -- unramified homomorphisms, = #E(Q_v)[phi] at finite places;
   S(Q_v)  -- E'(Q_v)/phi E(Q_v), by the Tamagawa-ratio formula;
@@ -35,17 +35,11 @@ from .arith import (INFINITY, Place, finite, square_class, unramified_class,
 from .elliptic import (IsogenyMap, WeierstrassModel, _depress,
                        two_division_cubic_integral)
 from .localfields import EtaleAlgebra, span_rank, unramified_rank
-from .poly import (LocalFactor, RatPoly, UnresolvedSplitting,
-                   local_splitting_type)
+from .poly import (LocalFactor, RatPoly, UnresolvedSplitting, _vp_bounded,
+                   local_splitting_type, monic_integral)
 from .tate import ReductionData, tate_algorithm
 
 TWO_MAP = "two-map"
-
-
-def _is_two_map(phi) -> bool:
-    if phi == TWO_MAP:
-        return True
-    return isinstance(phi, IsogenyMap) and phi.kernel == ("[2]",)
 
 
 def phi_degree(phi) -> int:
@@ -116,17 +110,9 @@ def _cubic_deg_L_data(split, disc: Fraction, p: int):
 def _piece_root_valuation(fac: LocalFactor, p: int):
     """v_p of (any) root of an unramified piece; None if out of reach."""
     if fac.root is not None:
-        v = valuation(fac.root, p)
-        return None if v is INFINITY else v
-    m = p ** fac.prec
-    c0 = fac.lift[0] % m
-    if c0 == 0:
-        return None
-    v = 0
-    while c0 % p == 0:
-        c0 //= p
-        v += 1
-    if v >= fac.prec - 4:
+        return _safe_val(fac.root, p)
+    v = _vp_bounded(fac.lift[0], p, fac.prec)
+    if v is None or v >= fac.prec - 4:
         return None
     if v % fac.f != 0:
         raise ArithmeticError("root valuation incompatible with residue degree")
@@ -168,13 +154,14 @@ def two_map_kernel_profile(rd: ReductionData, split) -> TorsionFieldProfile:
 def torsion_field_profile(rd: ReductionData, phi) -> TorsionFieldProfile:
     """Field-of-definition data of E[phi] over Q_p (desk-scope phi), for the
     model and prime that rd was computed for."""
-    if _is_two_map(phi):
+    if phi == TWO_MAP:
         cubic = two_division_cubic_integral(rd.minimal_model)
         return two_map_kernel_profile(rd, local_splitting_type(cubic, rd.p))
     if not isinstance(phi, IsogenyMap):
         raise ValueError("phi must be the 2-map or an IsogenyMap")
     if phi.kernel and isinstance(phi.kernel[0], str):
-        raise ValueError("torsion field profile for [n], n > 2: out of scope")
+        raise ValueError(f"torsion field profile for {phi.kernel[0]}: out of "
+                         "scope (the 2-map is TWO_MAP)")
     return _cyclic_kernel_profile(rd, phi)
 
 
@@ -182,8 +169,9 @@ def _cyclic_kernel_profile(rd: ReductionData, phi: IsogenyMap) -> TorsionFieldPr
     p = rd.p
     x0 = Fraction(phi.kernel[0])
     singular = _kernel_point_singular(rd, x0)
+    vx = _safe_val(x0, p)
     if phi.degree == 2:
-        pts = (KernelPoint("T1", 1, singular, _safe_val(x0, p)),)
+        pts = (KernelPoint("T1", 1, singular, vx),)
         return TorsionFieldProfile(p, pts, 2, 1, 1, 2, (("T1",),))
     # degree 3: field of the kernel points is Q_p(sqrt(disc_y))
     dep = phi.depressed_domain()
@@ -193,14 +181,12 @@ def _cyclic_kernel_profile(rd: ReductionData, phi: IsogenyMap) -> TorsionFieldPr
         raise ValueError("kernel point is 2-torsion on a 3-isogeny?")
     cls = square_class(D, p)
     if cls == 0:
-        pts = (KernelPoint("Q", 1, singular, _safe_val(x0, p)),
-               KernelPoint("-Q", 1, singular, _safe_val(x0, p)))
+        pts = tuple(KernelPoint(q, 1, singular, vx) for q in ("Q", "-Q"))
         return TorsionFieldProfile(p, pts, 3, 1, 1, 3, (("Q",), ("-Q",)))
     if cls == unramified_class(p):
-        pts = (KernelPoint("Q", 2, singular, _safe_val(x0, p)),
-               KernelPoint("-Q", 2, singular, _safe_val(x0, p)))
+        pts = tuple(KernelPoint(q, 2, singular, vx) for q in ("Q", "-Q"))
         return TorsionFieldProfile(p, pts, 3, 2, 2, 6, (("Q", "-Q"),))
-    pts = (KernelPoint("Q(+conj)", 0, None, _safe_val(x0, p)),)
+    pts = (KernelPoint("Q(+conj)", 0, None, vx),)
     return TorsionFieldProfile(p, pts, 1, 2, 1, 1, ())
 
 
@@ -269,13 +255,13 @@ def s2_order_isogeny(phi, rd: ReductionData, rd_cod: ReductionData,
 
 def s2_real(m: WeierstrassModel, phi) -> int:
     """#E'(R)/phi E(R) per the archimedean case analysis."""
-    deg = phi_degree(phi)
-    if deg % 2 == 1:
-        return 1
-    if _is_two_map(phi):
+    if phi == TWO_MAP:
         return 2 if m.disc > 0 else 1
-    if isinstance(phi, IsogenyMap) and phi.kernel == ("[4]",):
-        return 1  # E[4] is never all-real
+    if phi.kernel and isinstance(phi.kernel[0], str):
+        raise ValueError(f"S at the real place for {phi.kernel[0]}: out of "
+                         "scope (the 2-map is TWO_MAP)")
+    if phi.degree % 2 == 1:
+        return 1
     # cyclic 2-isogeny: kernel (e, 0) is always real
     x0 = Fraction(phi.kernel[0])
     if m.disc < 0:
@@ -314,15 +300,8 @@ def _torsion_count(m: WeierstrassModel, n: int, p: int) -> int:
 
 def _count_x_roots_with_square_rhs(g: RatPoly, f: RatPoly, p: int) -> int:
     """Number of Q_p-roots x of g with f(x) a nonzero square in Q_p."""
-    # scale to a monic integral polynomial: roots scale by lam
-    g = g.monic()
-    lam = Fraction(lcm(*(c.denominator for c in g.coeffs)))
-    while True:
-        scaled = RatPoly([g.coeffs[i] * lam ** (g.degree - i)
-                          for i in range(g.degree + 1)])
-        if scaled.is_integral():
-            break
-        lam *= p
+    # X -> X/lam: a monic integral polynomial whose roots are lam x
+    scaled, lam = monic_integral(g.monic())
     alg = EtaleAlgebra(scaled, p)
     # lam^even * D^2 * f(X / lam), with even the least even exponent
     # >= deg f, has integer coefficients and the square classes of f(x)
@@ -504,6 +483,11 @@ def i2_oracle_halving(m: WeierstrassModel, p: int):
 
 @dataclass
 class LocalDescentReport:
+    """C, S and I at one place: a row of either ledger.  Elliptic rows come
+    from local_descent_report, with Kodaira symbol, profile and evidence;
+    hyperelliptic rows hold the orders only.  I_is_lower_bound marks an I
+    read off points whose images do not span S (as_dict shows ">=N")."""
+
     place: Place
     order_C: int
     order_S: int
@@ -512,13 +496,15 @@ class LocalDescentReport:
     profile: object
     evidence: list = field(default_factory=list)
     notes: str = ""
+    I_is_lower_bound: bool = False
 
     def as_dict(self):
         return {
             "place": repr(self.place),
             "C": self.order_C,
             "S": self.order_S,
-            "I": self.order_I,
+            "I": (f">={self.order_I}" if self.I_is_lower_bound
+                  else self.order_I),
             "kodaira": self.kodaira,
             "profile": (self.profile.as_dict() if self.profile else None),
             "evidence": self.evidence,
@@ -542,7 +528,7 @@ def finite_descent_report(m: WeierstrassModel, phi, rd: ReductionData
     algorithm runs once more, for the codomain of a cyclic isogeny.
     """
     prof = torsion_field_profile(rd, phi)
-    if _is_two_map(phi):
+    if phi == TWO_MAP:
         S = s2_order_two_map(prof)
     else:
         S = s2_order_isogeny(phi, rd, tate_algorithm(phi.codomain, rd.p), prof)

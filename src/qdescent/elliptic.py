@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import residue
 from .poly import RatPoly, poly_gcd
 
 Rat = Fraction
@@ -44,8 +45,7 @@ class FpCtx:
         self.name = f"F_{p}"
 
     def of(self, v):
-        v = Fraction(v)
-        return v.numerator * pow(v.denominator, -1, self.p) % self.p
+        return residue(v, self.p)
 
     def inv(self, v):
         return pow(v, -1, self.p)

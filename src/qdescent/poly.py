@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .arith import is_prime
+from .arith import is_prime, residue
 
 FACTOR_SEED = 20996011  # fixed seed: reproducible equal-degree splitting
 
@@ -352,8 +352,7 @@ def fp_poly(f: RatPoly, p: int) -> list[int]:
     for c in f.coeffs:
         if c.denominator % p == 0:
             raise ValueError(f"coefficient {c} is not p-integral at {p}")
-    return mp_trim([c.numerator * pow(c.denominator, -1, p) % p
-                    for c in f.coeffs])
+    return mp_trim([residue(c, p) for c in f.coeffs])
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +541,15 @@ def _sqfree_over_Q(f: RatPoly) -> list[tuple[RatPoly, int]]:
     return out
 
 
+def monic_integral(f: RatPoly) -> tuple[RatPoly, int]:
+    """(g, D) with g(X) = D^d f(X/D), for the monic f of degree d and D the
+    lcm of the denominators of f: g is monic with integer coefficients, and
+    its roots are D times those of f."""
+    D = math.lcm(*(c.denominator for c in f.coeffs))
+    d = f.degree
+    return RatPoly([c * D ** (d - i) for i, c in enumerate(f.coeffs)]), D
+
+
 def factor_over_Z(f: RatPoly) -> list[RatPoly]:
     """Certified irreducible monic factorization over Q, degree <= 8, sorted
     by degree, then coefficients.
@@ -565,9 +573,9 @@ def factor_over_Z(f: RatPoly) -> list[RatPoly]:
     if f.degree <= 0:
         return []
     work = f.monic()
-    den = math.lcm(*(c.denominator for c in work.coeffs))
+    scaled, den = monic_integral(work)
     d = work.degree
-    g = [int(c * den ** (d - i)) for i, c in enumerate(work.coeffs)]
+    g = [int(c) for c in scaled.coeffs]
     best, good, bad, p = None, 0, 0, 3
     while good < 5 and (best is None or len(best[1]) > 3):
         if is_prime(p):
@@ -596,7 +604,7 @@ def factor_over_Z(f: RatPoly) -> list[RatPoly]:
         N += 1
     m = p ** N
     lifted = hensel_lift_factors(g, [h for h, _ in fac], p, N)
-    rest, found, k = RatPoly(g), [], 1
+    rest, found, k = scaled, [], 1
     while 2 * k <= len(lifted):
         for combo in combinations(range(len(lifted)), k):
             prod = [1]
@@ -656,8 +664,7 @@ class LocalFactor:
         if self.degree != 1:
             raise ValueError("not a linear piece")
         if self.root is not None:
-            return (self.root.numerator
-                    * pow(self.root.denominator, -1, modulus)) % modulus
+            return residue(self.root, modulus)
         return (-self.lift[0]) % modulus
 
 
@@ -886,7 +893,7 @@ def local_splitting_type(f: RatPoly, p: int) -> LocalSplittingType:
                     continue
                 root = -h.coeffs[0]
                 lift = (0, 1) if root.denominator % p == 0 else (
-                    -root.numerator * pow(root.denominator, -1, p ** N) % p ** N, 1)
+                    residue(-root, p ** N), 1)
                 out.append(_local_factor(p, 1, 1, lift, 0, 0, N, "", root))
             break
         except _Shortfall as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import INFINITY, legendre, valuation
+from .arith import INFINITY, legendre, residue, valuation
 from .elliptic import WeierstrassModel
 from .poly import factor_mod_p
 
@@ -48,25 +48,10 @@ class ReductionData:
     transform: tuple  # (r, s, t, u) taking the input model to minimal_model
 
 
-def _vp(x, p):
-    return valuation(x, p)
-
-
-def _red(x, p):
-    """Residue of a p-integral rational mod p."""
-    x = Fraction(x)
-    return x.numerator * pow(x.denominator, -1, p) % p
-
-
-def _red_k(x, p, k):
-    x = Fraction(x)
-    return x.numerator * pow(x.denominator, -1, p ** k) % p ** k
-
-
 def _singular_point(m: WeierstrassModel, p: int):
     """The singular point of the reduction, as residues (x0, y0)."""
     if p == 2:
-        a1, a2, a3, a4, a6 = (_red(a, 2) for a in m.ainvs())
+        a1, a2, a3, a4, a6 = (residue(a, 2) for a in m.ainvs())
         for x0 in range(2):
             for y0 in range(2):
                 on = (y0 * y0 + a1 * x0 * y0 + a3 * y0
@@ -78,11 +63,12 @@ def _singular_point(m: WeierstrassModel, p: int):
         raise ArithmeticError("no singular point found mod 2")
     # p odd: x0 is the multiple root of 4x^3 + b2 x^2 + 2 b4 x + b6 (the
     # multiple root is unique, hence F_p-rational)
-    B = [_red(m.b6, p), _red(2 * m.b4, p), _red(m.b2, p), 4]
+    B = [residue(m.b6, p), residue(2 * m.b4, p), residue(m.b2, p), 4]
     for g, mult in factor_mod_p(B, p):
         if mult >= 2 and len(g) == 2:
             x0 = -g[0] % p
-            y0 = (-(_red(m.a1, p) * x0 + _red(m.a3, p)) * pow(2, -1, p)) % p
+            y0 = (-(residue(m.a1, p) * x0 + residue(m.a3, p))
+                  * pow(2, -1, p)) % p
             return x0, y0
     raise ArithmeticError("no multiple root found mod p")
 
@@ -116,25 +102,26 @@ def tate_algorithm(m: WeierstrassModel, p: int) -> ReductionData:
         raise ValueError("singular curve")
     tr = (Fraction(0), Fraction(0), Fraction(0), Fraction(1))
     # make the model p-integral
-    while any(_vp(a, p) is not INFINITY and _vp(a, p) < 0 for a in m.ainvs()):
+    while any(valuation(a, p) is not INFINITY and valuation(a, p) < 0
+              for a in m.ainvs()):
         m, tr = _move(m, tr, u=Fraction(1, p))
 
     while True:
-        n = _vp(m.disc, p)
+        n = valuation(m.disc, p)
         if n == 0:
             return ReductionData(p, m, KodairaType("I0"), 0, 0, 1, None, 1,
                                  tr)
         x0, y0 = _singular_point(m, p)
         m, tr = _move(m, tr, r=x0, t=y0)
-        assert all(_vp(a, p) is INFINITY or _vp(a, p) >= 1
+        assert all(valuation(a, p) is INFINITY or valuation(a, p) >= 1
                    for a in (m.a3, m.a4, m.a6))
 
-        if _vp(m.b2, p) == 0:
+        if valuation(m.b2, p) == 0:
             # multiplicative: tangent directions T^2 + a1 T - a2
             if p == 2:
-                split = _red(m.a2, 2) == 0  # T^2 + T + a2 splits iff a2 = 0
+                split = residue(m.a2, 2) == 0  # T^2 + T + a2 splits iff a2 = 0
             else:
-                split = legendre(_red(m.b2, p), p) == 1
+                split = legendre(residue(m.b2, p), p) == 1
             nu = n
             c = nu if split else (2 if nu % 2 == 0 else 1)
             kt = KodairaType("I", nu)
@@ -142,15 +129,15 @@ def tate_algorithm(m: WeierstrassModel, p: int) -> ReductionData:
             return ReductionData(p, m, kt, n, 1, c, split, frob, tr)
 
         # additive reduction from here on
-        if _vp(m.a6, p) < 2:
+        if valuation(m.a6, p) < 2:
             kt = KodairaType("II")
             return ReductionData(p, m, kt, n, n, 1, None, 1, tr)
-        if _vp(m.b8, p) < 3:
+        if valuation(m.b8, p) < 3:
             kt = KodairaType("III")
             return ReductionData(p, m, kt, n, n - 1, 2, None, 1, tr)
-        if _vp(m.b6, p) < 3:
-            A = _red(m.a3 / p, p)
-            B = _red(-m.a6 / p ** 2, p)
+        if valuation(m.b6, p) < 3:
+            A = residue(m.a3 / p, p)
+            B = residue(-m.a6 / p ** 2, p)
             split = _fp_quadratic_split(A, B, p)
             kt = KodairaType("IV")
             c = 3 if split else 1
@@ -159,26 +146,26 @@ def tate_algorithm(m: WeierstrassModel, p: int) -> ReductionData:
 
         # step 6 normalization: p | a1, a2; p^2 | a3, a4; p^3 | a6
         if p == 2:
-            if _red(m.a2, 2) == 1:
+            if residue(m.a2, 2) == 1:
                 m, tr = _move(m, tr, s=1)
-            if _vp(m.a6, p) == 2:
-                tfix = 2 * ((_red_k(m.a6, 2, 3) // 4) % 2)
+            if valuation(m.a6, p) == 2:
+                tfix = 2 * ((residue(m.a6, 8) // 4) % 2)
                 if tfix:
                     m, tr = _move(m, tr, t=tfix)
         else:
-            inv2 = pow(2, -1, p)
-            s = (-_red(m.a1, p) * inv2) % p
+            s = (-residue(m.a1, p) * pow(2, -1, p)) % p
             if s:
                 m, tr = _move(m, tr, s=s)
-            t = (-_red_k(m.a3, p, 2) * pow(2, -1, p ** 2)) % p ** 2
+            t = (-residue(m.a3, p ** 2) * pow(2, -1, p ** 2)) % p ** 2
             if t:
                 m, tr = _move(m, tr, t=t)
-        assert _vp(m.a1, p) >= 1 and _vp(m.a2, p) >= 1
-        assert _vp(m.a3, p) >= 2 and _vp(m.a4, p) >= 2 and _vp(m.a6, p) >= 3
+        assert valuation(m.a1, p) >= 1 and valuation(m.a2, p) >= 1
+        assert valuation(m.a3, p) >= 2 and valuation(m.a4, p) >= 2 \
+            and valuation(m.a6, p) >= 3
 
         # P(T) = T^3 + (a2/p) T^2 + (a4/p^2) T + (a6/p^3) over F_p
-        Pc = [_red(m.a6 / p ** 3, p), _red(m.a4 / p ** 2, p),
-              _red(m.a2 / p, p), 1]
+        Pc = [residue(m.a6 / p ** 3, p), residue(m.a4 / p ** 2, p),
+              residue(m.a2 / p, p), 1]
         fac = factor_mod_p(Pc, p)
         mults = sorted(mlt for _, mlt in fac)
         if all(mlt == 1 for _, mlt in fac):
@@ -194,7 +181,8 @@ def tate_algorithm(m: WeierstrassModel, p: int) -> ReductionData:
             r0 = next(-g[0] % p for g, mlt in fac
                       if mlt == 2 and len(g) == 2)
             m, tr = _move(m, tr, r=p * r0)
-            assert _vp(m.a2, p) == 1 and _vp(m.a4, p) >= 3 and _vp(m.a6, p) >= 4
+            assert valuation(m.a2, p) == 1 and valuation(m.a4, p) >= 3 \
+                and valuation(m.a6, p) >= 4
             k = 1
             while True:
                 if k % 2 == 1:
@@ -202,17 +190,18 @@ def tate_algorithm(m: WeierstrassModel, p: int) -> ReductionData:
                     A = m.a3 / p ** mm
                     B = -m.a6 / p ** (k + 3)
                     disc = A * A - 4 * B
-                    if _vp(disc, p) == 0:
-                        split = _fp_quadratic_split(_red(A, p), _red(B, p), p)
+                    if valuation(disc, p) == 0:
+                        split = _fp_quadratic_split(residue(A, p),
+                                                    residue(B, p), p)
                         c = 4 if split else 2
                         kt = KodairaType("I*", k)
                         return ReductionData(p, m, kt, n, n - 4 - k, c, None,
                                              1 if c == 4 else 2, tr)
                     # double root: deepen a3, a6
                     if p == 2:
-                        ybar = _red(B, 2)
+                        ybar = residue(B, 2)
                     else:
-                        ybar = (-_red(A, p) * pow(2, -1, p)) % p
+                        ybar = (-residue(A, p) * pow(2, -1, p)) % p
                     if ybar:
                         m, tr = _move(m, tr, t=ybar * p ** mm)
                 else:
@@ -221,20 +210,22 @@ def tate_algorithm(m: WeierstrassModel, p: int) -> ReductionData:
                     b = m.a4 / p ** mm
                     cq = m.a6 / p ** (k + 3)
                     disc = b * b - 4 * a * cq
-                    if _vp(disc, p) == 0:
-                        ra, rb, rc = _red(a, p), _red(b, p), _red(cq, p)
+                    if valuation(disc, p) == 0:
+                        ra, rb, rc = (residue(a, p), residue(b, p),
+                                      residue(cq, p))
                         if p == 2:
                             split = rc % 2 == 0 or (ra + rb + rc) % 2 == 0
                         else:
-                            split = legendre(_red(disc, p), p) == 1
+                            split = legendre(residue(disc, p), p) == 1
                         c = 4 if split else 2
                         kt = KodairaType("I*", k)
                         return ReductionData(p, m, kt, n, n - 4 - k, c, None,
                                              1 if c == 4 else 2, tr)
                     if p == 2:
-                        xbar = (_red(cq, 2) * _red(a, 2)) % 2
+                        xbar = (residue(cq, 2) * residue(a, 2)) % 2
                     else:
-                        xbar = (-_red(b, p) * pow(2 * _red(a, p), -1, p)) % p
+                        xbar = (-residue(b, p)
+                                * pow(2 * residue(a, p), -1, p)) % p
                     if xbar:
                         m, tr = _move(m, tr, r=xbar * p ** ((k + 2) // 2))
                 k += 1
@@ -245,29 +236,30 @@ def tate_algorithm(m: WeierstrassModel, p: int) -> ReductionData:
         # triple root: translate to T = 0
         r0 = next(-g[0] % p for g, mlt in fac if mlt == 3)
         m, tr = _move(m, tr, r=p * r0)
-        assert _vp(m.a2, p) >= 2 and _vp(m.a4, p) >= 3 and _vp(m.a6, p) >= 4
+        assert valuation(m.a2, p) >= 2 and valuation(m.a4, p) >= 3 \
+            and valuation(m.a6, p) >= 4
 
         A = m.a3 / p ** 2
         B = -m.a6 / p ** 4
         disc = A * A - 4 * B
-        if _vp(disc, p) == 0:
-            split = _fp_quadratic_split(_red(A, p), _red(B, p), p)
+        if valuation(disc, p) == 0:
+            split = _fp_quadratic_split(residue(A, p), residue(B, p), p)
             kt = KodairaType("IV*")
             c = 3 if split else 1
             return ReductionData(p, m, kt, n, n - 6, c, None,
                                  1 if split else 2, tr)
         if p == 2:
-            ybar = _red(B, 2)
+            ybar = residue(B, 2)
         else:
-            ybar = (-_red(A, p) * pow(2, -1, p)) % p
+            ybar = (-residue(A, p) * pow(2, -1, p)) % p
         if ybar:
             m, tr = _move(m, tr, t=ybar * p ** 2)
-        assert _vp(m.a3, p) >= 3 and _vp(m.a6, p) >= 5
+        assert valuation(m.a3, p) >= 3 and valuation(m.a6, p) >= 5
 
-        if _vp(m.a4, p) == 3:
+        if valuation(m.a4, p) == 3:
             kt = KodairaType("III*")
             return ReductionData(p, m, kt, n, n - 7, 2, None, 1, tr)
-        if _vp(m.a6, p) == 5:
+        if valuation(m.a6, p) == 5:
             kt = KodairaType("II*")
             return ReductionData(p, m, kt, n, n - 8, 1, None, 1, tr)
 

@@ -41,7 +41,7 @@ from fractions import Fraction
 from .arith import factor_integer, is_prime, rational_sqrt, squarefree_part
 from .localfields import echelon
 from .poly import (RatPoly, discriminant, factor_mod_p, factor_over_Z,
-                   fp_poly, hensel_lift_factors, roots_in_Fp)
+                   fp_poly, hensel_lift_factors, monic_integral, roots_in_Fp)
 
 # Primes scanned for a decisive Frobenius; Chebotarev finds one far sooner.
 _SCAN_BOUND = 10 ** 5
@@ -266,6 +266,4 @@ def tfae_test(f: RatPoly) -> TfaeResult:
         return TfaeResult(True, "irreducible quintic, square "
                           "discriminant (group within A5)", "exact")
     # X -> X/D: a monic integral polynomial with the same splitting field
-    D = math.lcm(*(c.denominator for c in f.coeffs))
-    return _agl_verdict(RatPoly([c * D ** (d - i)
-                                 for i, c in enumerate(f.coeffs)]))
+    return _agl_verdict(monic_integral(f)[0])

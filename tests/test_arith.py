@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qdescent.arith import (INFINITY, FactoringBudgetExceeded, factor_integer,
-                            is_prime, square_class, squarefree_part,
+                            is_prime, residue, square_class, squarefree_part,
                             unramified_class, unit_part, valuation)
 
 
@@ -74,6 +74,15 @@ def test_valuation_additive():
     a, b = Fraction(18, 5), Fraction(50, 27)
     for p in (2, 3, 5):
         assert valuation(a * b, p) == valuation(a, p) + valuation(b, p)
+
+
+def test_residue_of_a_rational():
+    # n/d mod m is the r in [0, m) with d * r = n mod m
+    for q in (Fraction(-7, 3), Fraction(5, 4), 12, Fraction(-1, 11)):
+        n, d = Fraction(q).as_integer_ratio()
+        for m in (5, 7, 25, 49):
+            r = residue(q, m)
+            assert 0 <= r < m and (d * r - n) % m == 0
 
 
 def test_square_class_examples():

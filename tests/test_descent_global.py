@@ -20,7 +20,7 @@ from qdescent.descent_global import (GlobalLedger, assemble_ledger_elliptic,
                                      fundamental_unit_norm,
                                      genus_2rank_quadratic, parse_class_data,
                                      quadratic_class_record)
-from qdescent.descent_local import local_descent_report
+from qdescent.descent_local import TWO_MAP, local_descent_report
 from qdescent.elliptic import Pt, curve_from_string, velu_isogeny
 from qdescent.jacobian import HyperellipticCurve
 from qdescent.localfields import EtaleAlgebra
@@ -45,10 +45,10 @@ def test_mestre_ledger_finishes(deadline):
     with deadline(30):
         ledger = assemble_ledger_elliptic(MESTRE)
     r = rows(ledger)
-    assert set(r) == {"oo", 2, 1217, 381991, MESTRE_BIG}
-    assert r[1217]["C"] == r[381991]["C"] == 2
+    assert set(r) == {"oo", "2", "1217", "381991", str(MESTRE_BIG)}
+    assert r["1217"]["C"] == r["381991"]["C"] == 2
     for p in (1217, 381991, MESTRE_BIG):
-        assert r[p]["kodaira"] == "I1"
+        assert r[str(p)]["kodaira"] == "I1"
 
 
 def test_large_prime_with_small_coefficients(deadline):
@@ -58,7 +58,7 @@ def test_large_prime_with_small_coefficients(deadline):
         ledger = assemble_ledger_elliptic(
             curve_from_string("[-129,116,116,27,-136]"))
     r = rows(ledger)
-    for p in (3, 34271479325879):
+    for p in ("3", "34271479325879"):
         assert r[p]["kodaira"] == "I1"
         assert r[p]["I"] == 2
 
@@ -291,6 +291,17 @@ def test_paper_worked_example(case):
     assert iso == want_iso
 
 
+@pytest.mark.parametrize("case", ["worked-1", "worked-5", "worked-6"])
+def test_elliptic_ledger_rows_are_local_reports(case):
+    # every row keeps the profile and the evidence of its local report
+    m = curve_from_string(WORKED[case][0])
+    ledger = assemble_ledger_elliptic(m)
+    places = [REAL_PLACE] + [finite(p) for p in sorted({2, *bad_primes(m)})]
+    assert ledger.local_reports == [
+        local_descent_report(m, TWO_MAP, v).as_dict() for v in places]
+    assert all(r["evidence"] for r in ledger.local_reports[1:])
+
+
 def test_paper_example_II():
     # y^2 = X^5 + 16X^4 - 274X^3 + 817X^2 + 178X + 1 with its six integral
     # points: S = 4 at oo and 2, C = S = 16 and I at least 4 at 191, and
@@ -304,3 +315,13 @@ def test_paper_example_II():
         ("191", 16, 16, ">=4", "-"), ("941", 1, 1, 1, "-")]
     assert ledger.points_rank_lower == 6
     assert ledger.selmer_rank_interval == (6, None)
+    # one row shape for both ledgers; the bound sums the rows' S/I ranks,
+    # with I read as its lower bound where the span is incomplete
+    keys = set(local_descent_report(
+        curve_from_string("[0,0,0,-25,0]"), TWO_MAP, REAL_PLACE).as_dict())
+    assert all(set(r) == keys for r in ledger.local_reports)
+    lower_i = [int(str(r["I"]).removeprefix(">="))
+               for r in ledger.local_reports]
+    assert ledger.bound_rank_S_over_I == sum(
+        (r["S"] // i).bit_length() - 1
+        for r, i in zip(ledger.local_reports, lower_i)) == 6

@@ -174,15 +174,25 @@ def test_s2_isogeny_31():
     phi = velu_isogeny(E189, [Pt(Fraction(3), Fraction(27)),
                               Pt(Fraction(3), Fraction(-27))])
     assert s2_iso(phi, 31) == 9  # 1 * 3 * (3/1)
-    two = multiplication_isogeny(curve("[0,0,0,-25,0]"), 2)
-    # multiplication-by-2 at a good odd prime with full rational 2-torsion
-    assert s2_iso(two, 3) == 4
+    # the 2-map at a good odd prime with full rational 2-torsion: |2|_3 = 1
+    assert s2_order_two_map(profile(curve("[0,0,0,-25,0]"), TWO_MAP, 3)) == 4
     # 2-isogeny with rational kernel at a good odd prime
     m2 = curve("[0,-1,0,-2,0]")
     psi = velu_isogeny(m2, [Pt(Fraction(0), Fraction(0))])
     for p in (5, 7, 11):
         if valuation(m2.disc, p) == 0 and valuation(psi.codomain.disc, p) == 0:
             assert s2_iso(psi, p) == 2
+
+
+def test_multiplication_maps_have_no_profile_or_real_S():
+    # the 2-map is TWO_MAP; for [n] only C is in scope
+    m = curve("[0,0,0,-25,0]")
+    for n in (2, 3, 4):
+        phi = multiplication_isogeny(m, n)
+        with pytest.raises(ValueError, match=rf"\[{n}\]"):
+            profile(m, phi, 3)
+        with pytest.raises(ValueError, match=rf"\[{n}\]"):
+            s2_real(m, phi)
 
 
 def test_torsion_field_profile_examples():

@@ -9,8 +9,9 @@ from qdescent import poly
 from qdescent.arith import factor_integer, valuation
 from qdescent.poly import (HENSEL_START, RatPoly, UnresolvedSplitting,
                            discriminant, factor_mod_p, factor_over_Z, fp_poly,
-                           hensel_lift_factors, local_splitting_type, mp_mul,
-                           mp_shift, parse_poly, resultant, roots_in_Fp)
+                           hensel_lift_factors, local_splitting_type,
+                           monic_integral, mp_mul, mp_shift, parse_poly,
+                           resultant, roots_in_Fp)
 
 QUINTIC = parse_poly("X^5+16*X^4-274*X^3+817*X^2+178*X+1")
 
@@ -114,6 +115,15 @@ def test_factor_over_Z_non_integral_monic():
         RatPoly([half, 0, 1]), RatPoly([3, 0, 1])]
     assert factor_over_Z(parse_poly("3*X^4+3*X^3+4*X^2+X+1")) == [
         RatPoly([Fraction(1, 3), 0, 1]), RatPoly([1, 1, 1])]
+
+
+def test_monic_integral_scales_the_roots():
+    # X^3 - X^2/6 - X/6 has roots 0, 1/2, -1/3; X^3 - X^2 - 6X has 6 times
+    # them
+    g, D = monic_integral(RatPoly([0, -1, -1, 6]).monic())
+    assert (g, D) == (RatPoly([0, -6, -1, 1]), 6)
+    roots = (0, Fraction(1, 2), Fraction(-1, 3))
+    assert all(g.eval(D * r) == 0 for r in roots)
 
 
 @given(st.lists(st.integers(-20, 20), min_size=1, max_size=4),
