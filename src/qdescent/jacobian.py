@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .arith import Place, factor_integer, rational_sqrt
 from .localfields import (EtaleAlgebra, SqVector, relations, span_rank,
@@ -31,16 +32,20 @@ class HyperellipticCurve:
             raise ValueError("model must be monic and integral")
         if self.f.degree < 3 or self.f.degree % 2 == 0:
             raise ValueError("degree must be odd and at least 3")
-        if discriminant(self.f) == 0:
+        if self.discriminant == 0:
             raise ValueError("polynomial must be separable")
+
+    @cached_property
+    def discriminant(self) -> Fraction:
+        return discriminant(self.f)
 
     @property
     def genus(self) -> int:
         return (self.f.degree - 1) // 2
 
     def bad_primes(self) -> list[int]:
-        d = discriminant(self.f)
-        return [p for p, _ in factor_integer(d.numerator).factors]
+        return [p for p, _ in
+                factor_integer(self.discriminant.numerator).factors]
 
 
 # descent points: ("rational", x, y) | ("alpha", i) | ("sum", parts)

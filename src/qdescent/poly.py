@@ -2,8 +2,11 @@
 
 Conventions: coefficient lists are constant-term first.  Mod-m polynomial
 helpers work for any modulus m (used with m = p and m = p^N); gcd and
-factorization require m prime.  Factorization over Q (factor_over_Z) is one
-Zassenhaus pass: a factorization mod one good prime, one Hensel lift and
+factorization require m prime.  Resultants and discriminants are integer
+Sylvester determinants, by fraction-free (Bareiss) elimination.
+Factorization over Q (factor_over_Z) is one Zassenhaus pass: the prime is
+chosen from factor degrees mod p, read off distinct-degree factoring
+alone; then a factorization mod that one prime, one Hensel lift and
 recombination by exact trial division.  local_splitting_type gives the
 factorization type over Q_p by the same lift and order 1 of the Montes
 algorithm.
@@ -147,12 +150,14 @@ class RatPoly:
         return out
 
     def compose_linear(self, a, b) -> "RatPoly":
-        """self(a*X + b)."""
-        out = RatPoly([])
-        lin = RatPoly([Fraction(b), Fraction(a)])
+        """self(a*X + b), by Horner's rule on coefficient lists."""
+        a, b = Fraction(a), Fraction(b)
+        out: list[Fraction] = []
         for c in reversed(self.coeffs):
-            out = out * lin + RatPoly([c])
-        return out
+            # out * (a*X + b) + c
+            out = [b * x + a * y for x, y in zip(out + [0], [0] + out)]
+            out[0] += c
+        return RatPoly(out)
 
     def __repr__(self):
         if self.is_zero():
@@ -183,7 +188,10 @@ def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
 
 
 def resultant(f: RatPoly, g: RatPoly) -> Fraction:
-    """Sylvester determinant, exact over Q."""
+    """Res(f, g), exact.  With a and b the lcm of the denominators of f and
+    g, Res(f, g) = Res(af, bg) / (a^deg g * b^deg f); the integer Sylvester
+    determinant Res(af, bg) comes from fraction-free (Bareiss) elimination,
+    whose every division by the previous pivot is exact."""
     m, n = f.degree, g.degree
     if m < 0 or n < 0:
         return Fraction(0)
@@ -191,29 +199,27 @@ def resultant(f: RatPoly, g: RatPoly) -> Fraction:
         return f.coeffs[0] ** n
     if n == 0:
         return g.coeffs[0] ** m
+    a = math.lcm(*(c.denominator for c in f.coeffs))
+    b = math.lcm(*(c.denominator for c in g.coeffs))
+    fc = [c.numerator * (a // c.denominator) for c in reversed(f.coeffs)]
+    gc = [c.numerator * (b // c.denominator) for c in reversed(g.coeffs)]
     size = m + n
-    fc = list(reversed(f.coeffs))
-    gc = list(reversed(g.coeffs))
-    rows = [[Fraction(0)] * i + fc + [Fraction(0)] * (size - m - 1 - i)
-            for i in range(n)]
-    rows += [[Fraction(0)] * i + gc + [Fraction(0)] * (size - n - 1 - i)
-             for i in range(m)]
-    det = Fraction(1)
-    for col in range(size):
-        piv = next((r for r in range(col, size) if rows[r][col] != 0), None)
+    rows = [[0] * i + fc + [0] * (size - m - 1 - i) for i in range(n)]
+    rows += [[0] * i + gc + [0] * (size - n - 1 - i) for i in range(m)]
+    sign, prev = 1, 1
+    for k in range(size - 1):
+        piv = next((r for r in range(k, size) if rows[r][k]), None)
         if piv is None:
             return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, size):
-            if rows[r][col] != 0:
-                fct = rows[r][col] * inv
-                for c in range(col, size):
-                    rows[r][c] -= fct * rows[col][c]
-    return det
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        top, pk = rows[k], rows[k][k]
+        for i in range(k + 1, size):
+            row, rk = rows[i], rows[i][k]
+            rows[i] = [(pk * x - rk * y) // prev for x, y in zip(row, top)]
+        prev = pk
+    return Fraction(sign * rows[-1][-1], a ** n * b ** m)
 
 
 def discriminant(f: RatPoly) -> Fraction:
@@ -454,6 +460,21 @@ def factor_mod_p(a, p: int) -> list[tuple[list[int], int]]:
     return out
 
 
+def factor_degrees_mod_p(a, p: int) -> tuple[int, ...] | None:
+    """The ascending degrees of the irreducible factors over F_p of the
+    coefficient list a, read off distinct-degree factoring without
+    splitting equal degrees; None when a has a repeated factor mod p
+    (gcd(a, a') != 1)."""
+    a = mp_trim([c % p for c in a])
+    if not a:
+        raise ValueError("cannot factor the zero polynomial")
+    if len(mp_gcd(a, mp_deriv(a, p), p)) != 1:
+        return None
+    a = mp_scal(a, pow(a[-1], -1, p), p)
+    return tuple(sorted(d for g, d in _distinct_degree(a, p)
+                        for _ in range((len(g) - 1) // d)))
+
+
 def roots_in_Fp(f: RatPoly, p: int) -> list[int]:
     """All roots of f mod p, with multiplicity, ascending residues."""
     fp = fp_poly(f, p)
@@ -557,16 +578,19 @@ def factor_over_Z(f: RatPoly) -> list[RatPoly]:
     One Zassenhaus pass (Cohen, A Course in Computational Algebraic Number
     Theory, 3.5; von zur Gathen and Gerhard, Modern Computer Algebra,
     ch. 15).  f.monic() is scaled once to the monic integer g(Y) =
-    den^d f(Y/den), whose roots are den times those of f.  g is factored
-    mod odd primes: a prime is good when no factor repeats, which also
-    certifies that f is squarefree.  Of the first five good primes the one
-    with the fewest factors is kept, and the first with at most 3 ends the
-    search.  Its factors are Hensel-lifted once past a Mignotte bound and
-    recombined by exact trial division, subsets of one factor first; a
-    remainder that no subset divides is irreducible.  Each factor h of g
-    maps back to h(den X)/den^deg h.  No integer is factored.  When the
-    first four odd primes are all bad and gcd(f, f') is not 1, f goes
-    through Yun's squarefree split and each part is factored on its own.
+    den^d f(Y/den), whose roots are den times those of f.  The prime
+    search reads only the factor degrees of g mod odd primes, from
+    distinct-degree factoring (factor_degrees_mod_p): a prime is good when
+    gcd(g, g') = 1 mod p, which also certifies that f is squarefree.  Of
+    the first five good primes the one with the fewest factors is kept, and
+    the first with at most 3 ends the search.  g is fully factored mod that
+    prime alone, and not at all when it shows g irreducible.  The factors
+    are Hensel-lifted once past a Mignotte bound and recombined by exact
+    trial division, subsets of one factor first; a remainder that no subset
+    divides is irreducible.  Each factor h of g maps back to
+    h(den X)/den^deg h.  No integer is factored.  When the first four odd
+    primes are all bad and gcd(f, f') is not 1, f goes through Yun's
+    squarefree split and each part is factored on its own.
     """
     if f.degree > 8:
         raise ValueError("factor_over_Z is capped at degree 8")
@@ -579,11 +603,11 @@ def factor_over_Z(f: RatPoly) -> list[RatPoly]:
     best, good, bad, p = None, 0, 0, 3
     while good < 5 and (best is None or len(best[1]) > 3):
         if is_prime(p):
-            fac = factor_mod_p(g, p)
-            if all(mult == 1 for _, mult in fac):
+            degrees = factor_degrees_mod_p(g, p)
+            if degrees is not None:
                 good += 1
-                if best is None or len(fac) < len(best[1]):
-                    best = (p, fac)
+                if best is None or len(degrees) < len(best[1]):
+                    best = (p, degrees)
             else:
                 bad += 1
                 # a repeated factor over Q leaves every p bad: check for
@@ -594,9 +618,10 @@ def factor_over_Z(f: RatPoly) -> list[RatPoly]:
                            for h in factor_over_Z(part) * mult]
                     return sorted(out, key=lambda h: (h.degree, h.coeffs))
         p += 2
-    p, fac = best
-    if len(fac) == 1:
+    p, degrees = best
+    if len(degrees) == 1:
         return [work]
+    fac = factor_mod_p(g, p)
     # a factor of g has coefficients below 2^d * |g|_2 <= 2^(d+2) * |g|_oo
     bound = 2 ** (d + 2) * max(abs(c) for c in g)
     N = 1

@@ -29,6 +29,13 @@ Exactness here:
     `agl_resolvent_holds` decides (Stauduhar, Math. Comp. 27 (1973)).
   * reducible f with an irreducible factor of degree 5 or 6 beside other
     factors: the one unproved verdict, "fails", marked `sampled`.
+
+Each polynomial's discriminant is computed once: disc(f) serves both the
+separability check and the square test of irreducible quintics (scaling f
+to monic divides it by an even power of the leading coefficient), and
+disc(h) of a quadratic or cubic factor h serves both its square test and
+its square class.  Frobenius cycle shapes are factor degrees mod p from
+distinct-degree factoring, with no equal-degree splitting.
 """
 
 from __future__ import annotations
@@ -40,8 +47,9 @@ from fractions import Fraction
 
 from .arith import factor_integer, is_prime, rational_sqrt, squarefree_part
 from .localfields import echelon
-from .poly import (RatPoly, discriminant, factor_mod_p, factor_over_Z,
-                   fp_poly, hensel_lift_factors, monic_integral, roots_in_Fp)
+from .poly import (RatPoly, discriminant, factor_degrees_mod_p,
+                   factor_over_Z, fp_poly, hensel_lift_factors,
+                   monic_integral, roots_in_Fp)
 
 # Primes scanned for a decisive Frobenius; Chebotarev finds one far sooner.
 _SCAN_BOUND = 10 ** 5
@@ -67,16 +75,6 @@ class TfaeResult:
 
 def _is_rational_square(q: Fraction) -> bool:
     return q > 0 and rational_sqrt(q) is not None
-
-
-def _cycle_shape(f: RatPoly, p: int):
-    try:
-        fac = factor_mod_p(fp_poly(f, p), p)
-    except ValueError:
-        return None
-    if any(mult > 1 for _, mult in fac):
-        return None
-    return tuple(sorted(len(g) - 1 for g, _ in fac))
 
 
 def quartic_galois_group(g: RatPoly) -> str:
@@ -126,12 +124,15 @@ def _reducible_verdict(factors) -> TfaeResult:
         if h.degree == 4:
             orbits.append(4)
             sylow4 = 8 if quartic_galois_group(h) in ("D4", "S4") else 4
-        elif h.degree == 1 or _is_rational_square(discriminant(h)):
-            orbits += [1] * h.degree
+        elif h.degree == 1:
+            orbits.append(1)
         else:
             dsc = discriminant(h)
-            orbits += [1, 2] if h.degree == 3 else [2]
-            discs.add(squarefree_part(dsc.numerator * dsc.denominator))
+            if _is_rational_square(dsc):
+                orbits += [1] * h.degree
+            else:
+                orbits += [1, 2] if h.degree == 3 else [2]
+                discs.add(squarefree_part(dsc.numerator * dsc.denominator))
     moved = {o for o in orbits if o > 1}
     sizes = "+".join(str(o) for o in sorted(orbits))
     if not moved:
@@ -231,7 +232,7 @@ def _agl_verdict(f: RatPoly) -> TfaeResult:
     agl = {(d,)} | {(1,) + (k,) * ((d - 1) // k)
                     for k in range(1, d) if (d - 1) % k == 0}
     for p in range(2, _SCAN_BOUND):
-        sh = _cycle_shape(f, p) if is_prime(p) else None
+        sh = factor_degrees_mod_p(fp_poly(f, p), p) if is_prime(p) else None
         if sh is None:
             continue
         if sh not in agl:
@@ -250,7 +251,10 @@ def tfae_test(f: RatPoly) -> TfaeResult:
     d = f.degree
     if d > 7 or d % 2 == 0 or d < 3:
         raise ValueError("degree must be odd, between 3 and 7")
-    if discriminant(f) == 0:
+    # disc(f.monic()) = disc(f) / lead^(2d-2): one square class, so this
+    # one value serves separability and the square test of quintics
+    disc = discriminant(f)
+    if disc == 0:
         raise ValueError("f must be separable")
     f = f.monic()
     if d == 3:
@@ -262,7 +266,7 @@ def tfae_test(f: RatPoly) -> TfaeResult:
     factors = factor_over_Z(f)
     if len(factors) > 1:
         return _reducible_verdict(factors)
-    if d == 5 and _is_rational_square(discriminant(f)):
+    if d == 5 and _is_rational_square(disc):
         return TfaeResult(True, "irreducible quintic, square "
                           "discriminant (group within A5)", "exact")
     # X -> X/D: a monic integral polynomial with the same splitting field

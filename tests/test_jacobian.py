@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qdescent import jacobian
 from qdescent.arith import (REAL_PLACE, finite, legendre, square_class,
                             valuation)
 from qdescent.descent_global import _independence_primes
@@ -13,7 +14,7 @@ from qdescent.jacobian import (HyperellipticCurve, image_table,
                                parse_descent_point, unramified_images_check,
                                xt_image)
 from qdescent.localfields import EtaleAlgebra
-from qdescent.poly import RatPoly, parse_poly
+from qdescent.poly import RatPoly, discriminant, parse_poly
 
 C2 = HyperellipticCurve(parse_poly("X^5+16*X^4-274*X^3+817*X^2+178*X+1"))
 RATPTS = [("rational", Fraction(x), None) for x in (-17, -9, -6, -2, 0, 4)]
@@ -42,6 +43,21 @@ def test_parse_points():
     assert parse_descent_point("alpha:4") == ("alpha", 4)
     s = parse_descent_point("sum: -2 + -6")
     assert s[0] == "sum" and len(s[1]) == 2
+
+
+def test_one_discriminant_per_curve(monkeypatch):
+    # the separability check and bad_primes read the one the curve keeps
+    calls = []
+
+    def counted(f):
+        calls.append(f)
+        return discriminant(f)
+
+    monkeypatch.setattr(jacobian, "discriminant", counted)
+    curve = HyperellipticCurve(LEHMER_12.f)
+    assert curve.bad_primes() == LEHMER_12.bad_primes()
+    assert curve.bad_primes() == LEHMER_12.bad_primes()
+    assert calls == [LEHMER_12.f]
 
 
 def test_curve_invariants():

@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from qdescent import poly
 from qdescent.arith import factor_integer, valuation
 from qdescent.poly import (HENSEL_START, RatPoly, UnresolvedSplitting,
-                           discriminant, factor_mod_p, factor_over_Z, fp_poly,
-                           hensel_lift_factors, local_splitting_type,
-                           monic_integral, mp_mul, mp_shift, parse_poly,
-                           resultant, roots_in_Fp)
+                           discriminant, factor_degrees_mod_p, factor_mod_p,
+                           factor_over_Z, fp_poly, hensel_lift_factors,
+                           local_splitting_type, monic_integral, mp_mul,
+                           mp_shift, parse_poly, resultant, roots_in_Fp)
 
 QUINTIC = parse_poly("X^5+16*X^4-274*X^3+817*X^2+178*X+1")
 
@@ -31,8 +31,11 @@ def test_discriminant_small():
     assert discriminant(RatPoly([6, -1, 1])) == -23  # X^2 - X + 6
 
 
-@given(st.lists(st.integers(-9, 9), min_size=2, max_size=4),
-       st.lists(st.integers(-9, 9), min_size=2, max_size=4))
+RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@given(st.lists(RATIONALS, min_size=2, max_size=4),
+       st.lists(RATIONALS, min_size=2, max_size=4))
 @settings(max_examples=60)
 def test_discriminant_product_identity(ac, bc):
     f, g = RatPoly(ac), RatPoly(bc)
@@ -41,6 +44,93 @@ def test_discriminant_product_identity(ac, bc):
     fg = f * g
     assert discriminant(fg) == \
         discriminant(f) * discriminant(g) * resultant(f, g) ** 2
+
+
+def sylvester_det_over_Q(f, g):
+    """The oracle: Res(f, g) as the Sylvester determinant, by Gaussian
+    elimination over Fraction."""
+    m, n = f.degree, g.degree
+    if m < 0 or n < 0:
+        return Fraction(0)
+    if m == 0:
+        return f.coeffs[0] ** n
+    if n == 0:
+        return g.coeffs[0] ** m
+    size = m + n
+    fc, gc = list(reversed(f.coeffs)), list(reversed(g.coeffs))
+    rows = [[Fraction(0)] * i + fc + [Fraction(0)] * (size - m - 1 - i)
+            for i in range(n)]
+    rows += [[Fraction(0)] * i + gc + [Fraction(0)] * (size - n - 1 - i)
+             for i in range(m)]
+    det = Fraction(1)
+    for col in range(size):
+        piv = next((r for r in range(col, size) if rows[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, size):
+            fct = rows[r][col] / rows[col][col]
+            for c in range(col, size):
+                rows[r][c] -= fct * rows[col][c]
+    return det
+
+
+def random_rational_poly(rng, deg):
+    """Degree deg, non-integral and often non-monic; the leading
+    coefficient is negative about half the time."""
+    def coeff():
+        return Fraction(rng.randint(-30, 30), rng.choice([1, 1, 2, 3, 7, 12]))
+    lead = Fraction(rng.randint(1, 9), rng.choice([1, 2, 5])) * rng.choice([-1, 1])
+    return RatPoly([coeff() for _ in range(deg)] + [lead])
+
+
+def test_resultant_and_discriminant_match_the_fraction_oracle():
+    rng = random.Random(1507)
+    for _ in range(300):
+        f = random_rational_poly(rng, rng.randint(0, 8))
+        g = random_rational_poly(rng, rng.randint(0, 8))
+        assert resultant(f, g) == sylvester_det_over_Q(f, g)
+        if f.degree >= 2:
+            sign = -1 if f.degree * (f.degree - 1) // 2 % 2 else 1
+            assert discriminant(f) == \
+                sign * sylvester_det_over_Q(f, f.deriv()) / f.lead
+        # a common factor h makes Res(f*h, g*h) vanish, and a square
+        # factor makes the discriminant vanish
+        h = random_rational_poly(rng, rng.randint(1, 2))
+        assert resultant(f * h, g * h) == 0
+        if (f * h * h).degree <= 8:
+            assert discriminant(f * h * h) == 0
+
+
+def test_factor_degrees_mod_p_reads_factor_mod_p():
+    rng = random.Random(101)
+    polys = [[1, 0, 0, 0, 1], [1, 1, 1], [2, 0, 0, 1]]  # X^4 + 1, ...
+    polys += [[rng.randint(-50, 50) for _ in range(rng.randint(1, 8))] + [1]
+              for _ in range(120)]
+    seen = set()
+    for p in (2, 3, 5, 7, 101):
+        for a in polys:
+            fac = factor_mod_p(a, p)
+            degrees = factor_degrees_mod_p(a, p)
+            if all(mult == 1 for _, mult in fac):
+                assert degrees == tuple(sorted(len(g) - 1 for g, _ in fac))
+            else:
+                assert degrees is None
+            seen.add(degrees is None)
+    assert seen == {True, False}
+    # X^4 + 1 = (X + 1)^4 at 2, a square with derivative 0
+    assert factor_degrees_mod_p([1, 0, 0, 0, 1], 2) is None
+    assert factor_degrees_mod_p([1, 0, 0, 0, 1], 3) == (2, 2)
+
+
+@given(st.lists(RATIONALS, max_size=7), RATIONALS, RATIONALS, RATIONALS)
+@settings(max_examples=60)
+def test_compose_linear_evaluates_at_the_line(coeffs, a, b, x):
+    f = RatPoly(coeffs)
+    assert f.compose_linear(a, b).eval(x) == f.eval(a * x + b)
 
 
 def test_factor_mod_p_quintic_37():
@@ -187,14 +277,15 @@ def test_rational_roots_rejects_repeated_root(deadline):
 @pytest.mark.parametrize("f", ["X^3-3*X+2", "X^6-4*X^3+4"])
 def test_factor_over_Z_tests_gcd_early(monkeypatch, f):
     # a repeated factor over Q leaves every prime bad: gcd(f, f') is tested
-    # after a few bad primes, not after every odd prime below 1000
+    # after a few bad primes, not after every odd prime below 1000; each
+    # prime probed is one call of factor_degrees_mod_p
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return factor_mod_p(*args)
+        return factor_degrees_mod_p(*args)
 
-    monkeypatch.setattr(poly, "factor_mod_p", counted)
+    monkeypatch.setattr(poly, "factor_degrees_mod_p", counted)
     fac = factor_over_Z(parse_poly(f))
     prod = RatPoly([1])
     for g in fac:

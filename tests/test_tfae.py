@@ -3,11 +3,14 @@ import math
 import random
 from collections import Counter
 
+import pytest
+
+from qdescent import poly, tfae
 from qdescent.arith import is_prime
 from qdescent.poly import RatPoly, discriminant, mp_pow_mod, parse_poly
-from qdescent.tfae import (_f2_rank_of_squarefree, _theta_terms,
-                           agl_resolvent_holds, quartic_galois_group,
-                           tfae_test)
+from qdescent.tfae import (_agl_verdict, _f2_rank_of_squarefree,
+                           _theta_terms, agl_resolvent_holds,
+                           quartic_galois_group, tfae_test)
 
 QUINTIC = parse_poly("X^5+16*X^4-274*X^3+817*X^2+178*X+1")
 
@@ -140,6 +143,45 @@ def test_resolvent_path_f20():
     r = tfae_test(parse_poly("X^5+15*X+12"))
     assert r.holds and r.certificate == "exact"
     assert "resolvent" in r.pattern
+
+
+# S5, F20 (by the resolvent) and D5 (square discriminant)
+@pytest.mark.parametrize("f", ["X^5-X-1", "X^5+15*X+12", "X^5-5*X+12"])
+def test_one_discriminant_per_irreducible_quintic(monkeypatch, f):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return discriminant(g)
+
+    monkeypatch.setattr(poly, "discriminant", counted)
+    monkeypatch.setattr(tfae, "discriminant", counted)
+    assert tfae_test(parse_poly(f)).certificate == "exact"
+    assert calls == [parse_poly(f)]
+
+
+def test_agl_verdict_factors_mod_p_only_in_the_resolvent(monkeypatch):
+    # the cycle scan reads factor degrees alone; the one full factorization
+    # mod p is the resolvent's, at the prime where f splits completely
+    events = []
+    factor_mod_p, resolvent = poly.factor_mod_p, tfae.agl_resolvent_holds
+
+    def counted_factor(*args):
+        events.append("factor_mod_p")
+        return factor_mod_p(*args)
+
+    def counted_resolvent(*args):
+        events.append("resolvent")
+        return resolvent(*args)
+
+    # also under tfae, in case it ever imports the name itself
+    for mod in (poly, tfae):
+        monkeypatch.setattr(mod, "factor_mod_p", counted_factor, raising=False)
+    monkeypatch.setattr(tfae, "agl_resolvent_holds", counted_resolvent)
+    assert not _agl_verdict(parse_poly("X^7-X-1")).holds
+    assert events == []
+    assert _agl_verdict(parse_poly("X^5+15*X+12")).holds
+    assert events[0] == "resolvent" and "factor_mod_p" in events
 
 
 def test_theta_stabilizer_is_agl():
