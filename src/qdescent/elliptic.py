@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .arith import residue
 from .poly import RatPoly, poly_gcd
@@ -88,7 +89,7 @@ class WeierstrassModel:
     def c6(self):
         return -self.b2 ** 3 + 36 * self.b2 * self.b4 - 216 * self.b6
 
-    @property
+    @cached_property
     def disc(self):
         b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
         return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6

@@ -45,7 +45,8 @@ from fractions import Fraction
 
 from .arith import square_class, valuation
 from .poly import (RatPoly, UnresolvedSplitting, _bezout_mod_p, _vp_bounded,
-                   local_splitting_type, mp_divmod, mp_mul, mp_shift, mp_sub)
+                   local_splitting_type, mp_divmod_monic, mp_mulmod, mp_shift,
+                   mp_sub)
 
 
 class ResidueField:
@@ -56,18 +57,18 @@ class ResidueField:
         self.f = len(self.h) - 1
 
     def mul(self, a, b):
-        return mp_divmod(mp_mul(list(a), list(b), 2), self.h, 2)[1]
+        return mp_mulmod(a, b, self.h, 2)
 
     def sqrt(self, a):
         """The square root a^(2^(f-1)) of a."""
-        a = mp_divmod(list(a), self.h, 2)[1]
+        a = mp_divmod_monic(a, self.h, 2)[1]
         for _ in range(self.f - 1):
             a = self.mul(a, a)
         return a
 
     def trace(self, a) -> int:
         s = [0] * self.f
-        x = mp_divmod(list(a), self.h, 2)[1]
+        x = mp_divmod_monic(a, self.h, 2)[1]
         for _ in range(self.f):
             xx = x + [0] * (self.f - len(x))
             s = [(u + v) % 2 for u, v in zip(s, xx)]
@@ -294,10 +295,10 @@ class EtaleAlgebra:
         m = 2 ** (w + 3)
         # every coefficient in the basis 1, t, ..., t^(f-1) of the ring of
         # integers has valuation >= w
-        u8 = [c >> w for c in mp_divmod(elem, zlift, m)[1]]
+        u8 = [c >> w for c in mp_divmod_monic(elem, zlift, m)[1]]
 
         def mul8(a, b):
-            return mp_divmod(mp_mul(a, b, 8), h8, 8)[1]
+            return mp_mulmod(a, b, h8, 8)
 
         x0 = rf.sqrt([c % 2 for c in u8])
         up = mul8(u8, _invert_poly_mod(mul8(x0, x0), h8, 2, 3))
@@ -406,8 +407,7 @@ class EtaleAlgebra:
                        else [i])
             elem = [1]
             for k in factors:
-                elem = mp_divmod(mp_mul(elem, self.pieces[k].lift, m),
-                                 piece_j.lift, m)[1]
+                elem = mp_mulmod(elem, self.pieces[k].lift, piece_j.lift, m)
             if (piece_i.degree - (j == i)) % 2:
                 elem = [-c % m for c in elem]
             mask |= self.class_of_element(j, self.to_z(j, elem, m), prec)
@@ -422,9 +422,8 @@ def _invert_poly_mod(a, h, p: int, k: int):
     target = p ** k
     while mod < target:
         mod = min(mod * mod, target)
-        prod = mp_divmod(mp_mul(a, inv, mod), h, mod)[1]
-        err = mp_sub([2], prod, mod)
-        inv = mp_divmod(mp_mul(inv, err, mod), h, mod)[1]
+        err = mp_sub([2], mp_mulmod(a, inv, h, mod), mod)
+        inv = mp_mulmod(inv, err, h, mod)
     return inv
 
 
@@ -433,13 +432,13 @@ def _norm_mod(h, a, m: int) -> int:
     Bareiss's fraction-free elimination."""
     n = len(h) - 1
     h = [c % m for c in h]
-    a = mp_divmod([c % m for c in a], h, m)[1]
+    a = mp_divmod_monic(a, h, m)[1]
     rows = [[0] * n for _ in range(n)]
     col = a
     for j in range(n):
         for i, c in enumerate(col):
             rows[i][j] = c
-        col = mp_divmod([0] + col, h, m)[1]
+        col = mp_divmod_monic([0] + col, h, m)[1]
     sign, prev = 1, 1
     for k in range(n):
         piv = next((r for r in range(k, n) if rows[r][k]), None)

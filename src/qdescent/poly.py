@@ -2,12 +2,17 @@
 
 Conventions: coefficient lists are constant-term first.  Mod-m polynomial
 helpers work for any modulus m (used with m = p and m = p^N); gcd and
-factorization require m prime.  Resultants and discriminants are integer
-Sylvester determinants, by fraction-free (Bareiss) elimination.
-Factorization over Q (factor_over_Z) is one Zassenhaus pass: the prime is
-chosen from factor degrees mod p, read off distinct-degree factoring
-alone; then a factorization mod that one prime, one Hensel lift and
-recombination by exact trial division.  local_splitting_type gives the
+factorization require m prime.  Every product reduced by a monic modulus
+goes through one fused kernel, mp_mulmod on mp_divmod_monic: the product
+unreduced, then one reduction mod m per coefficient, no inverse of the
+leading 1 and no trimming between steps.  Resultants and discriminants
+are integer Sylvester determinants, by fraction-free (Bareiss)
+elimination.  Factorization over Q (factor_over_Z) is one Zassenhaus
+pass: the prime is chosen from factor degrees mod p, read off
+distinct-degree factoring alone; then a factorization mod that one prime,
+one Hensel lift and recombination by exact trial division.  The lift
+(hensel_lift_factors) takes each factor on its own by Newton's iteration,
+doubling the precision up to exactly p^N.  local_splitting_type gives the
 factorization type over Q_p by the same lift and order 1 of the Montes
 algorithm.
 """
@@ -263,7 +268,7 @@ def parse_poly(s: str) -> RatPoly:
 
 
 def mp_trim(a):
-    while a and a[-1] % 1 == 0 and a[-1] == 0:
+    while a and a[-1] == 0:
         a.pop()
     return a
 
@@ -280,42 +285,55 @@ def mp_sub(a, b, m):
                     for i in range(n)])
 
 
-def mp_mul(a, b, m):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
+def _convolve(a, b):
+    """The product of two coefficient lists, unreduced."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % m
-    return mp_trim(out)
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def mp_mul(a, b, m):
+    return mp_trim([c % m for c in _convolve(a, b)])
 
 
 def mp_scal(a, c, m):
     return mp_trim([(x * c) % m for x in a])
 
 
+def mp_divmod_monic(a, g, m):
+    """(q, r) with a = q*g + r mod m, for monic g (its leading 1 is not
+    read) and a of any integer coefficients: one reduction mod m per
+    coefficient, no trimming between steps."""
+    d = len(g) - 1
+    a = list(a)
+    q = [0] * max(0, len(a) - d)
+    for k in range(len(a) - d - 1, -1, -1):
+        c = a[k + d] % m
+        if c:
+            q[k] = c
+            for i in range(d):
+                a[k + i] -= c * g[i]
+    return mp_trim(q), mp_trim([c % m for c in a[:d]])
+
+
+def mp_mulmod(a, b, g, m):
+    """a*b rem g mod m, for monic g: the one multiply-then-reduce."""
+    return mp_divmod_monic(_convolve(a, b), g, m)[1]
+
+
 def mp_divmod(a, b, m):
     """Division by b whose leading coefficient is invertible mod m."""
-    a = [c % m for c in a]
-    b = [c % m for c in b]
-    mp_trim(b)
+    b = mp_trim([c % m for c in b])
     if not b:
         raise ZeroDivisionError
+    if b[-1] == 1:
+        return mp_divmod_monic(a, b, m)
     inv = pow(b[-1], -1, m)
-    d = len(b) - 1
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while True:
-        mp_trim(a)
-        if len(a) - 1 < d:
-            break
-        k = len(a) - 1 - d
-        c = a[-1] * inv % m
-        q[k] = c
-        for i, y in enumerate(b):
-            a[k + i] = (a[k + i] - c * y) % m
-    return mp_trim(q), a
+    q, r = mp_divmod_monic(a, mp_scal(b, inv, m), m)
+    return mp_scal(q, inv, m), r
 
 
 def mp_gcd(a, b, p):
@@ -329,14 +347,16 @@ def mp_gcd(a, b, p):
     return a
 
 
-def mp_pow_mod(a, n, mod_poly, m):
+def mp_pow_mod(a, n, g, m):
+    """a^n rem g mod m, for monic g."""
     out = [1]
-    a = mp_divmod(a, mod_poly, m)[1]
+    a = mp_divmod_monic(a, g, m)[1]
     while n:
         if n & 1:
-            out = mp_divmod(mp_mul(out, a, m), mod_poly, m)[1]
-        a = mp_divmod(mp_mul(a, a, m), mod_poly, m)[1]
+            out = mp_mulmod(out, a, g, m)
         n >>= 1
+        if n:
+            a = mp_mulmod(a, a, g, m)
     return out
 
 
@@ -345,11 +365,13 @@ def mp_deriv(a, m):
 
 
 def mp_shift(a, r, m):
-    """a(X + r) mod m."""
-    out: list[int] = []
-    for c in reversed(a):
-        out = mp_add(mp_mul(out, [r % m, 1], m), [c % m], m)
-    return out
+    """a(X + r) mod m: the Taylor shift by Horner's scheme, in place."""
+    a = [c % m for c in a]
+    r %= m
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] = (a[j] + r * a[j + 1]) % m
+    return mp_trim(a)
 
 
 def fp_poly(f: RatPoly, p: int) -> list[int]:
@@ -429,7 +451,7 @@ def _equal_degree_split(a, d, p, rng):
             t = b[:]
             acc = b[:]
             for _ in range(d - 1):
-                acc = mp_divmod(mp_mul(acc, acc, 2), a, 2)[1]
+                acc = mp_mulmod(acc, acc, a, 2)
                 t = mp_add(t, acc, 2)
             g = mp_gcd(t, a, 2)
         else:
@@ -491,20 +513,6 @@ def roots_in_Fp(f: RatPoly, p: int) -> list[int]:
 # Hensel lifting
 
 
-def _hensel_step(f, g, h, s, t, p, k):
-    """Quadratic step: f = g*h mod p^k, s*g + t*h = 1 mod p^k -> mod p^2k."""
-    m = p ** (2 * k)
-    e = mp_sub(f, mp_mul(g, h, m), m)
-    q, r = mp_divmod(mp_mul(s, e, m), h, m)
-    g1 = mp_add(mp_add(g, mp_mul(t, e, m), m), mp_mul(q, g, m), m)
-    h1 = mp_add(h, r, m)
-    b = mp_sub(mp_add(mp_mul(s, g1, m), mp_mul(t, h1, m), m), [1], m)
-    c, d = mp_divmod(mp_mul(s, b, m), h1, m)
-    s1 = mp_sub(s, d, m)
-    t1 = mp_sub(mp_sub(t, mp_mul(t, b, m), m), mp_mul(c, g1, m), m)
-    return g1, h1, s1, t1
-
-
 def _bezout_mod_p(g, h, p):
     r0, r1 = [c % p for c in g], [c % p for c in h]
     s0, s1 = [1], []
@@ -521,23 +529,28 @@ def _bezout_mod_p(g, h, p):
 
 
 def hensel_lift_factors(f, factors, p, N):
-    """Lift pairwise-coprime monic mod-p factors of monic f to mod p^N."""
-    mN = p ** N
-    f = [c % mN for c in f]
-    if len(factors) == 1:
-        return [f]
-    g = [c % p for c in factors[0]]
-    h = [1]
-    for other in factors[1:]:
-        h = mp_mul(h, other, p)
-    s, t = _bezout_mod_p(g, h, p)
-    k = 1
-    while k < N:
-        g, h, s, t = _hensel_step([c % p ** (2 * k) for c in f], g, h, s, t, p, k)
-        k *= 2
-    g = [c % mN for c in g]
-    h = [c % mN for c in h]
-    return [g] + hensel_lift_factors(h, factors[1:], p, N)
+    """Lift pairwise-coprime monic mod-p factors of monic f to mod p^N.
+
+    Each factor g is lifted on its own (single-factor Newton lifting: von
+    zur Gathen and Gerhard, Modern Computer Algebra, 15.4), with t the
+    inverse of f quo g modulo g, from the extended Euclid mod p.  Each step
+    doubles the precision, capped at exactly p^N: g <- g + (f rem g)*t rem
+    g, then t <- t*(2 - t*(f quo g)) rem g.  For a linear g this is
+    Newton's iteration on the root.  Monic lifts of pairwise-coprime factors
+    are unique mod p^N, so no factor depends on the others.
+    """
+    out = []
+    for g in factors:
+        g, t, k = [c % p for c in g], None, 1
+        while k < N:
+            k = min(2 * k, N)
+            m = p ** k
+            h, r = mp_divmod_monic(f, g, m)
+            t = (_bezout_mod_p(g, h, p)[1] if t is None else
+                 mp_mulmod(t, mp_sub([2], mp_mulmod(t, h, g, m), m), g, m))
+            g = mp_add(g, mp_mulmod(r, t, g, m), m)
+        out.append(g)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -769,7 +782,7 @@ def _split_at_vertex(P, b, yb, gap, where, p, N):
                              for i in range(max(0, j - len(B) + 1), j))
             q.append(num // pyb * inv % MW)
         A = q + [1]
-        B, R = mp_divmod(P, A, MW)
+        B, R = mp_divmod_monic(P, A, MW)
         if all(c % M == 0 for c in R):
             m = p ** (N - loss)
             return [c % m for c in A], [c % m for c in B], N - loss
@@ -801,7 +814,7 @@ def _block_pieces(F, g, m, p, N):
     else:
         vals, rest = [], F
         for _ in range(m):
-            rest, a = mp_divmod(rest, g, M)
+            rest, a = mp_divmod_monic(rest, g, M)
             vals.append(min((_vp_bounded(c, p, N) for c in a if c),
                             default=None))
         vals.append(0)

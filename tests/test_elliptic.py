@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 from qdescent.arith import factor_integer, valuation
-from qdescent.elliptic import (INF, FpCtx, Pt, _depress, add,
-                               compute_invariants, curve_from_string,
+from qdescent.elliptic import (INF, FpCtx, Pt, WeierstrassModel, _depress,
+                               add, compute_invariants, curve_from_string,
                                is_on_curve, multiplication_isogeny, negate,
                                scalar_mul, two_division_cubic_integral,
                                velu_isogeny)
@@ -23,6 +23,21 @@ def test_invariants_isogeny_pair():
     assert E189.disc == -(2 ** 4) * 3 ** 12 * 31
     assert E1431.disc == -(2 ** 4) * 3 ** 12 * 31 ** 3
     assert compute_invariants(0, 0, 0, -1, 0).disc == 64
+
+
+def test_one_discriminant_per_model(monkeypatch):
+    # disc is kept on the frozen model: repeated reads evaluate it once,
+    # and equality and hash still read the five coefficients only
+    reads = []
+    b8 = WeierstrassModel.b8
+    monkeypatch.setattr(WeierstrassModel, "b8",
+                        property(lambda m: reads.append(m) or b8.fget(m)))
+    ainvs = [Fraction(c) for c in (0, 0, 0, -189, 1269)]
+    m = WeierstrassModel(*ainvs)
+    assert [m.disc, m.disc, m.disc] == [E189.disc] * 3
+    assert reads == [m]
+    fresh = WeierstrassModel(*ainvs)
+    assert fresh == m and hash(fresh) == hash(m)
 
 
 def test_singular_rejected():

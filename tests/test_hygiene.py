@@ -1,7 +1,8 @@
 """Source hygiene of the qdescent package, read from its syntax trees:
 imports at module level and from the standard library only, no
 __import__, no dead functions, classes or methods, and no module-level
-mutable container (a global registry); pyproject.toml declares no runtime
+mutable container (a global registry), and no mod-m product reduced
+other than by the fused kernel; pyproject.toml declares no runtime
 dependency and every console script it declares resolves; every helper
 module of the tests is imported by a test module; every defaulted
 parameter of src/ is set by some call; and every dataclass field is read."""
@@ -58,6 +59,20 @@ def imported_modules(tree):
             yield from ((node.lineno, alias.name) for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             yield node.lineno, node.module
+
+
+def test_one_multiply_then_reduce():
+    # a product reduced by a monic modulus goes through poly.mp_mulmod, the
+    # one fused kernel, never through mp_divmod(mp_mul(...), ...)
+    divides = ("mp_divmod", "mp_divmod_monic")
+    found = [f"{name}:{node.lineno}"
+             for name, tree in TREES.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id in divides
+             and node.args and isinstance(node.args[0], ast.Call)
+             and isinstance(node.args[0].func, ast.Name)
+             and node.args[0].func.id == "mp_mul"]
+    assert not found
 
 
 def test_only_standard_library_imports():

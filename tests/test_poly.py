@@ -10,8 +10,9 @@ from qdescent.arith import factor_integer, valuation
 from qdescent.poly import (HENSEL_START, RatPoly, UnresolvedSplitting,
                            discriminant, factor_degrees_mod_p, factor_mod_p,
                            factor_over_Z, fp_poly, hensel_lift_factors,
-                           local_splitting_type, monic_integral, mp_mul,
-                           mp_shift, parse_poly, resultant, roots_in_Fp)
+                           local_splitting_type, monic_integral, mp_add,
+                           mp_divmod, mp_mul, mp_shift, mp_sub, parse_poly,
+                           resultant, roots_in_Fp)
 
 QUINTIC = parse_poly("X^5+16*X^4-274*X^3+817*X^2+178*X+1")
 
@@ -131,6 +132,16 @@ def test_factor_degrees_mod_p_reads_factor_mod_p():
 def test_compose_linear_evaluates_at_the_line(coeffs, a, b, x):
     f = RatPoly(coeffs)
     assert f.compose_linear(a, b).eval(x) == f.eval(a * x + b)
+
+
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=9),
+       st.integers(-10 ** 6, 10 ** 6), st.integers(2, 10 ** 12))
+@settings(max_examples=80)
+def test_mp_shift_is_compose_linear_mod_m(coeffs, r, m):
+    want = [int(c) % m for c in RatPoly(coeffs).compose_linear(1, r).coeffs]
+    while want and want[-1] == 0:
+        want.pop()
+    assert mp_shift(coeffs, r, m) == want
 
 
 def test_factor_mod_p_quintic_37():
@@ -307,6 +318,95 @@ def test_rational_roots_88_digit_constant(deadline):
     with deadline(30):
         assert factor_over_Z(mestre) == [mestre]
         assert factor_over_Z(built) == [RatPoly([-a, 1]), RatPoly([k, 0, 1])]
+
+
+def two_factor_lift(f, factors, p, N):
+    """The oracle: the textbook quadratic two-factor lift (von zur Gathen
+    and Gerhard, Modern Computer Algebra, Algorithm 15.10) of factors[0]
+    against the product of the others, with Bezout cofactors s and t,
+    recursing on the cofactor; its last step runs mod p^(2^ceil(log2 N))."""
+    mN = p ** N
+    f = [c % mN for c in f]
+    if len(factors) == 1:
+        return [f]
+    g = [c % p for c in factors[0]]
+    h = [1]
+    for other in factors[1:]:
+        h = mp_mul(h, other, p)
+    s, t = poly._bezout_mod_p(g, h, p)
+    k = 1
+    while k < N:
+        m = p ** (2 * k)
+        e = mp_sub([c % m for c in f], mp_mul(g, h, m), m)
+        q, r = mp_divmod(mp_mul(s, e, m), h, m)
+        g = mp_add(mp_add(g, mp_mul(t, e, m), m), mp_mul(q, g, m), m)
+        h = mp_add(h, r, m)
+        b = mp_sub(mp_add(mp_mul(s, g, m), mp_mul(t, h, m), m), [1], m)
+        c, d = mp_divmod(mp_mul(s, b, m), h, m)
+        s = mp_sub(s, d, m)
+        t = mp_sub(mp_sub(t, mp_mul(t, b, m), m), mp_mul(c, g, m), m)
+        k *= 2
+    return ([[c % mN for c in g]]
+            + two_factor_lift([c % mN for c in h], factors[1:], p, N))
+
+
+def lift_inputs(rng, count):
+    """(f, factors, p, N): random monic f split into the blocks g^m of its
+    factorization mod p, as _factor_mod_pN builds them, and every other
+    time an f that splits into distinct linear factors mod p, lifted root
+    by root as agl_resolvent_holds does."""
+    out = []
+    while len(out) < count:
+        p = rng.choice([2, 3, 5, 7, 37, 101, 941])
+        N = rng.choice([1, 2, 3, 5, 12, 20, 33, 40])
+        d = rng.randint(2, 8)
+        if len(out) % 2 and d <= p:
+            roots = rng.sample(range(p), d)
+            f = [1]
+            for r in roots:
+                f = mp_mul(f, [-r, 1], p ** N)
+            f = [c + p * rng.randint(-10 ** 9, 10 ** 9) for c in f[:-1]] + [1]
+            out.append((f, [[-r % p, 1] for r in roots], p, N))
+            continue
+        f = [rng.randint(-10 ** 9, 10 ** 9) for _ in range(d)] + [1]
+        blocks = []
+        for g, mult in factor_mod_p(f, p):
+            blk = [1]
+            for _ in range(mult):
+                blk = mp_mul(blk, g, p)
+            blocks.append(blk)
+        out.append((f, blocks, p, N))
+    return out
+
+
+def test_hensel_lift_matches_the_two_factor_oracle():
+    for f, factors, p, N in lift_inputs(random.Random(14), 600):
+        lifted = hensel_lift_factors(f, factors, p, N)
+        assert lifted == two_factor_lift(f, factors, p, N), (f, p, N)
+        # the lifts are monic, reduce to the factors and multiply back to f
+        prod = [1]
+        for g, g0 in zip(lifted, factors):
+            assert g[-1] == 1 and [c % p for c in g] == g0
+            prod = mp_mul(prod, g, p ** N)
+        assert prod == [c % p ** N for c in f]
+
+
+def test_hensel_lift_stops_at_exactly_p_to_the_N(monkeypatch):
+    # the five simple roots of the quintic at 37, lifted to 37^20: no step
+    # of the lift works mod a higher power (doubling would reach 37^32)
+    moduli = []
+    kernel = poly.mp_divmod_monic
+
+    def recorded(a, g, m):
+        moduli.append(m)
+        return kernel(a, g, m)
+
+    monkeypatch.setattr(poly, "mp_divmod_monic", recorded)
+    roots = [4, 8, 12, 16, 18]
+    lifted = hensel_lift_factors([1, 178, 817, -274, 16, 1],
+                                 [[-r % 37, 1] for r in roots], 37, 20)
+    assert max(moduli) == 37 ** 20
+    assert [-g[0] % 37 for g in lifted] == roots
 
 
 def test_hensel_lift_roundtrip():
