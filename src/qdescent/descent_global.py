@@ -1,12 +1,16 @@
 """Global assembly: rank ledgers from local reports and class-group input.
 
 Each ledger builds one LocalDescentReport per place: the real place first,
-then 2 and the primes of bad reduction.  The global quotients S/I and C/I
-inject into the product of their local counterparts, so _ledger sums the
-F_2-ranks of the local S/I over every place and of the local C/I over the
-bad primes to bound them.  Combining the C-side bound with class-group
-2-rank input and a point-independence lower bound yields an interval for
-the 2-Selmer rank.
+then 2 and the primes of bad reduction.  A ledger is that of a curve
+y^2 = f held as a HyperellipticCurve: the curve itself, or, for an
+elliptic curve, y^2 = the 2-division cubic of its model made integral.  f
+is factored over Q once, as the curve's `factors`, and the etale algebras
+of the places, the torsion rank and the class records all read them.  The
+global quotients S/I and C/I inject into the product of their local
+counterparts, so _ledger sums the F_2-ranks of the local S/I over every
+place and of the local C/I over the bad primes to bound them.  Combining
+the C-side bound with class-group 2-rank input and a point-independence
+lower bound yields an interval for the 2-Selmer rank.
 """
 
 from __future__ import annotations
@@ -25,8 +29,7 @@ from .jacobian import (HyperellipticCurve, independence_rank,
                        local_intersection_rank, local_selmer_rank_hyper,
                        local_torsion_rank)
 from .localfields import EtaleAlgebra
-from .poly import (RatPoly, discriminant, factor_over_Z, fp_poly, mp_pow_mod,
-                   parse_poly)
+from .poly import RatPoly, discriminant, fp_poly, mp_pow_mod, parse_poly
 from .tate import tate_algorithm
 
 _PERIOD_BOUND = 10 ** 6  # longest continued-fraction period followed
@@ -151,15 +154,14 @@ def quadratic_class_record(d: int) -> ClassRecord:
                        narrow_equals_wide(d), "computed-by-genus-theory")
 
 
-def _class_records(f: RatPoly, records: list[ClassRecord]) -> list[ClassRecord]:
+def _class_records(factors, records: list[ClassRecord]) -> list[ClassRecord]:
     """The records whose 2-ranks sum to the F_2-rank of the global
-    unramified group.
+    unramified group of f, given by its irreducible factors over Q.
 
     Supported patterns (base field Q): a single field F (f irreducible: the
     record of F) and one linear factor times k conjugate-field factors
     (the records of the constituents).  Raises ValueError otherwise.
     """
-    factors = factor_over_Z(f.monic())
     if len(factors) == 1:
         return [_find_record(records, factors[0])]
     if sum(1 for h in factors if h.degree == 1) != 1:
@@ -223,18 +225,21 @@ def assemble_ledger_elliptic(m: WeierstrassModel, records=None,
         r.order_C // r.order_I for r in reports[1:]) == math.prod(
         r.order_S // r.order_I for r in reports), \
         "divisibility product forms disagree"
-    # y^2 = cubic is the curve in U = 4x
-    cubic = two_division_cubic_integral(m)
-    hc = HyperellipticCurve(cubic) if points else None
-    upts = [("rational", 4 * Fraction(x), None) for x in points or []]
-    return _ledger(str(m), "elliptic", cubic, reports, bad, records, hc, upts)
+    # y^2 = cubic is the curve in U = 4x on the integral model
+    # m.transform(u=1/d), whose x is d^2 times that of m
+    d = math.lcm(*(a.denominator for a in m.ainvs()))
+    hc = HyperellipticCurve(two_division_cubic_integral(
+        m.transform(u=Fraction(1, d))))
+    upts = [("rational", 4 * d * d * Fraction(x), None)
+            for x in points or []]
+    return _ledger(str(m), "elliptic", hc, reports, bad, records, upts)
 
 
-def _ledger(curve, kind, f, reports, bad, records, hc,
-            points) -> GlobalLedger:
-    """Every sum of the ledger of y^2 = f: rank S/I over the reports (the
-    real place first), rank C/I over the bad primes, the torsion rank and
-    the rank of the points (descent points of hc, the curve y^2 = f).
+def _ledger(curve, kind, hc, reports, bad, records, points) -> GlobalLedger:
+    """Every sum of the ledger of hc, the curve y^2 = f: rank S/I over the
+    reports (the real place first), rank C/I over the bad primes, the
+    torsion rank and the rank of the points (descent points of hc), all
+    read off hc.f and its factors over Q, hc.factors.
 
     narrow = wide for every class field lets the infinite place drop out of
     the S/I bound.  Only the records that the class side used certify it,
@@ -247,16 +252,16 @@ def _ledger(curve, kind, f, reports, bad, records, hc,
     rank_s, inf_contrib = sum(s_over_i), s_over_i[0]
     rank_c = sum(_log2(r.order_C) - _log2(r.order_I) for r in reports
                  if r.place.p in bad)
-    tors2 = len(factor_over_Z(f)) - 1
+    tors2 = len(hc.factors) - 1
     pts_rank = None
     if points:
-        prs = _independence_primes(f, 2)
+        prs = _independence_primes(hc.f)
         pts_rank, _ = independence_rank(hc, points, prs)
         notes.append(f"independence primes: {prs}")
     used = []
     if records:
         try:
-            used = _class_records(f, records)
+            used = _class_records(hc.factors, records)
         except ValueError as exc:
             notes.append(f"class data not applicable: {exc}")
     narrow_ok = bool(used) and all(r.narrow_eq_wide for r in used)
@@ -277,17 +282,17 @@ def _ledger(curve, kind, f, reports, bad, records, hc,
                         (lo, hi), narrow_ok, notes)
 
 
-def _independence_primes(f: RatPoly, count: int):
-    """Smallest odd primes where the monic f of degree >= 2 splits
+def _independence_primes(f: RatPoly):
+    """The two smallest odd primes where the monic f of degree >= 2 splits
     completely into distinct linear factors mod p (full local data), so p
     does not divide the discriminant: those where f divides X^p - X."""
     out = []
     p = 3
-    while len(out) < count and p < 10 ** 4:
+    while len(out) < 2 and p < 10 ** 4:
         if is_prime(p) and mp_pow_mod([0, 1], p, fp_poly(f, p), p) == [0, 1]:
             out.append(p)
         p += 2
-    if len(out) < count:
+    if len(out) < 2:
         raise ArithmeticError("could not find split primes for independence")
     return out
 
@@ -299,12 +304,11 @@ def assemble_ledger_hyper(c: HyperellipticCurve, records=None,
     bad = c.bad_primes()
     reports = []
     for v in [REAL_PLACE] + [finite(p) for p in sorted({2, *bad})]:
-        alg = EtaleAlgebra(c.f, v.p)
+        alg = EtaleAlgebra(c.factors, v.p)
         c_rank = 0 if v.is_real else local_torsion_rank(alg)
         i_rank, complete = (local_intersection_rank(alg, points) if c_rank
                             else (0, True))
         reports.append(LocalDescentReport(
             v, 2 ** c_rank, 2 ** local_selmer_rank_hyper(alg), 2 ** i_rank,
             "-", None, I_is_lower_bound=not complete))
-    return _ledger(str(c.f), "hyperelliptic", c.f, reports, bad, records, c,
-                   points)
+    return _ledger(str(c.f), "hyperelliptic", c, reports, bad, records, points)

@@ -36,7 +36,7 @@ from .elliptic import (IsogenyMap, WeierstrassModel, _depress,
                        two_division_cubic_integral)
 from .localfields import EtaleAlgebra, span_rank, unramified_rank
 from .poly import (LocalFactor, RatPoly, UnresolvedSplitting, _vp_bounded,
-                   local_splitting_type, monic_integral)
+                   factor_over_Z, local_splitting_type, monic_integral)
 from .tate import ReductionData, tate_algorithm
 
 TWO_MAP = "two-map"
@@ -91,12 +91,12 @@ class TorsionFieldProfile:
         }
 
 
-def _cubic_deg_L_data(split, disc: Fraction, p: int):
+def _cubic_deg_L_data(pieces, disc: Fraction, p: int):
     """([L:Q_p], [L':Q_p]) for the splitting field L of the 2-division
-    cubic, split over Q_p as `split`, whose discriminant is disc up to a
-    square."""
-    fs = [fac.f for fac in split.factors]
-    es = [fac.e for fac in split.factors]
+    cubic, whose pieces over Q_p are `pieces` and whose discriminant is
+    disc up to a square."""
+    fs = [fac.f for fac in pieces]
+    es = [fac.e for fac in pieces]
     cls = square_class(disc, p)
     # the unramified non-square class contributes an unramified quadratic
     # to L'; any other non-square class a ramified one
@@ -119,18 +119,18 @@ def _piece_root_valuation(fac: LocalFactor, p: int):
     return v // fac.f
 
 
-def two_map_kernel_profile(rd: ReductionData, split) -> TorsionFieldProfile:
+def two_map_kernel_profile(rd: ReductionData, pieces) -> TorsionFieldProfile:
     """Torsion field data of E[2] over Q_p for the minimal model in rd, from
-    the splitting `split` over Q_p of two_division_cubic_integral of that
-    model (whose roots are 4 * x(T))."""
+    the pieces over Q_p (local_splitting_type) of
+    two_division_cubic_integral of that model (whose roots are 4 * x(T))."""
     p = rd.p
     # two_division_cubic_integral has discriminant 2^8 * disc
-    deg_L, deg_Lp = _cubic_deg_L_data(split, rd.minimal_model.disc, p)
+    deg_L, deg_Lp = _cubic_deg_L_data(pieces, rd.minimal_model.disc, p)
     pts = []
     cycles = []
     label_no = 1
     m_exp = 1
-    for fac in split.factors:
+    for fac in pieces:
         if fac.e != 1:
             pts.append(KernelPoint(f"T{label_no}(+conj)", 0, None, None))
             label_no += 1
@@ -156,7 +156,8 @@ def torsion_field_profile(rd: ReductionData, phi) -> TorsionFieldProfile:
     model and prime that rd was computed for."""
     if phi == TWO_MAP:
         cubic = two_division_cubic_integral(rd.minimal_model)
-        return two_map_kernel_profile(rd, local_splitting_type(cubic, rd.p))
+        return two_map_kernel_profile(
+            rd, local_splitting_type(factor_over_Z(cubic), rd.p))
     if not isinstance(phi, IsogenyMap):
         raise ValueError("phi must be the 2-map or an IsogenyMap")
     if phi.kernel and isinstance(phi.kernel[0], str):
@@ -302,7 +303,7 @@ def _count_x_roots_with_square_rhs(g: RatPoly, f: RatPoly, p: int) -> int:
     """Number of Q_p-roots x of g with f(x) a nonzero square in Q_p."""
     # X -> X/lam: a monic integral polynomial whose roots are lam x
     scaled, lam = monic_integral(g.monic())
-    alg = EtaleAlgebra(scaled, p)
+    alg = EtaleAlgebra(factor_over_Z(scaled), p)
     # lam^even * D^2 * f(X / lam), with even the least even exponent
     # >= deg f, has integer coefficients and the square classes of f(x)
     D = lcm(*(c.denominator for c in f.coeffs))
@@ -449,10 +450,10 @@ def i2_oracle_halving(m: WeierstrassModel, p: int):
     rd = tate_algorithm(m, p)
     cubic = two_division_cubic_integral(rd.minimal_model)
     try:
-        alg = EtaleAlgebra(cubic, p)
+        alg = EtaleAlgebra(factor_over_Z(cubic), p)
     except UnresolvedSplitting as exc:
         raise UnresolvedSplitting(f"halving oracle: {exc}")
-    s_order = s2_order_two_map(two_map_kernel_profile(rd, alg.split))
+    s_order = s2_order_two_map(two_map_kernel_profile(rd, alg.pieces))
     images = []
     evidence = []
     for i, piece in enumerate(alg.pieces):

@@ -272,15 +272,9 @@ class RatFunc:
     def __truediv__(self, o):
         return RatFunc(self.num * o.den, self.den * o.num).normalized()
 
-    def eval(self, x):
-        d = self.den.eval(x)
-        if d == 0:
-            raise ZeroDivisionError("pole")
-        return self.num.eval(x) / d
 
-
-def _rf(p) -> RatFunc:
-    return RatFunc(p if isinstance(p, RatPoly) else RatPoly([p]), RatPoly([1]))
+def _rf(p: RatPoly) -> RatFunc:
+    return RatFunc(p, RatPoly([1]))
 
 
 @dataclass(frozen=True)
@@ -327,26 +321,26 @@ class IsogenyMap:
 
 
 def _depress(m: WeierstrassModel):
-    """Transform (r, s, t, 1) taking m to y^2 = x^3 + Ax + B."""
-    s = -m.a1 / 2
-    t0 = -m.a3 / 2
-    m1 = m.transform(0, s, t0, 1)
-    r = -m1.b2 / 12
-    m2 = m1.transform(r, 0, 0, 1)
-    # compose (0,s,t0) then (r,0,0): total (r, s, t0 - s*r... ) do directly
-    # x = x2 + r, y = y2; then x0 = x, y0 = y - s x - t0 reversed:
-    # original -> m1: (0, s, t0); m1 -> m2: (r, 0, 0)
-    # combined transform parameters: x = u^2 x'' + R with R = r, S = s,
-    # T = t0 + s*r
-    comb = (r, s, t0 + s * r, Fraction(1))
-    m3 = m.transform(*comb)
-    assert m3 == m2 and m2.a1 == 0 and m2.a2 == 0 and m2.a3 == 0
-    return m2, comb
+    """Transform (r, s, t, 1) taking m to y^2 = x^3 + Ax + B: s and t
+    complete the square in y, and r = -b2/12 (b2 is unchanged by s and t)
+    removes the x^2 term."""
+    s, r = -m.a1 / 2, -m.b2 / 12
+    tr = (r, s, -m.a3 / 2 + s * r, Fraction(1))
+    dep = m.transform(*tr)
+    assert dep.a1 == 0 and dep.a2 == 0 and dep.a3 == 0
+    return dep, tr
 
 
 def velu_isogeny(m: WeierstrassModel, kernel_points) -> IsogenyMap:
     """Quotient by a finite subgroup of order 1, 2 or 3 given by its
-    nontrivial affine points (Velu's formulas on the depressed model)."""
+    nontrivial affine points (Velu's formulas on the depressed model).
+
+    One point P represents the kernel up to sign: v = 3x_P^2 + A, u = 0 at
+    order 2, v = 6x_P^2 + 2A, u = 4y_P^2 at order 3.  With l = x - x_P and
+    k = order - 1 the x-map is (x l^k + v l^(k-1) + u)/l^k, in lowest terms
+    (v or u is not 0), and the y-map its derivative (x_num' l - k x_num)/
+    l^(k+1), so that phi'(0) = 1.
+    """
     pts = [P for P in kernel_points if P is not INF]
     for P in pts:
         if not is_on_curve(m, P):
@@ -358,47 +352,29 @@ def velu_isogeny(m: WeierstrassModel, kernel_points) -> IsogenyMap:
     if order == 1:
         return IsogenyMap(m, dep, 1, pre, RatPoly([0, 1]), RatPoly([1]),
                           RatPoly([1]), RatPoly([1]), (), 1)
-    if order not in (2, 3):
-        raise ValueError("kernel order limited to 1, 2, 3")
-    xs = {P.x for P in dpts}
     if order == 2:
         (P,) = dpts
         if P.y != 0:
             raise ValueError("order-2 kernel point must be 2-torsion")
-        reps = [P]
-    else:
-        if len(xs) != 1:
-            raise ValueError("order-3 kernel must be {±Q}")
+        v, u = 3 * P.x ** 2 + A, Fraction(0)
+    elif order == 3:
         P, Q = dpts
         if P.x != Q.x or P.y != -Q.y:
             raise ValueError("order-3 kernel must be {Q, -Q}")
         # Galois-stability/subgroup check: 2*Q = -Q
         if scalar_mul(dep, 2, P) != Pt(P.x, -P.y):
             raise ValueError("kernel points do not form a subgroup of order 3")
-        reps = [P]
-    t = Fraction(0)
-    w = Fraction(0)
-    x_extra = _rf(RatPoly([0]))
-    for Q in reps:
-        gx = 3 * Q.x ** 2 + A
-        if Q.y == 0:
-            vq, uq = gx, Fraction(0)
-        else:
-            vq, uq = 2 * gx, 4 * Q.y ** 2
-        t += vq
-        w += uq + Q.x * vq
-        lin = RatPoly([-Q.x, 1])
-        x_extra = x_extra + RatFunc(RatPoly([vq]), lin) \
-            + RatFunc(RatPoly([uq]), lin * lin)
-    codomain = compute_invariants(0, 0, 0, A - 5 * t, B - 7 * w)
-    xmap = (_rf(RatPoly([0, 1])) + x_extra).normalized()
-    # normalized isogeny: y' = y * d/dx x'(x), so phi'(0) = 1 (Velu)
-    dnum = xmap.num.deriv() * xmap.den - xmap.num * xmap.den.deriv()
-    dden = xmap.den * xmap.den
-    ymap = RatFunc(dnum, dden).normalized()
+        v, u = 6 * P.x ** 2 + 2 * A, 4 * P.y ** 2
+    else:
+        raise ValueError("kernel order limited to 1, 2, 3")
+    codomain = compute_invariants(0, 0, 0, A - 5 * v, B - 7 * (u + P.x * v))
+    k = order - 1
+    lin = RatPoly([-P.x, 1])
+    x_num = RatPoly([0, 1]) * lin ** k + v * lin ** (k - 1) + u
+    y_num = x_num.deriv() * lin - k * x_num
     kern = tuple(sorted({P.x for P in pts}))
-    return IsogenyMap(m, codomain, order, pre, xmap.num, xmap.den,
-                      ymap.num, ymap.den, kern, 1)
+    return IsogenyMap(m, codomain, order, pre, x_num, lin ** k, y_num,
+                      lin ** (k + 1), kern, 1)
 
 
 def multiplication_isogeny(m: WeierstrassModel, n: int) -> IsogenyMap:
@@ -414,7 +390,7 @@ def multiplication_isogeny(m: WeierstrassModel, n: int) -> IsogenyMap:
         out = _rf(RatPoly([0]))
         for c in reversed(p.coeffs):
             out = out * Xf + _rf(RatPoly([c]))
-        return out.normalized()
+        return out
 
     # generic point functions: P = (X(x), y * Y(x)); addition stays in
     # this shape because the curve relation folds y^2 into f(x)
@@ -424,14 +400,13 @@ def multiplication_isogeny(m: WeierstrassModel, n: int) -> IsogenyMap:
         same_x = X1.num * X2.den == X2.num * X1.den
         if same_x and Y1.num * Y2.den == Y2.num * Y1.den:
             # tangent: lambda = f'(X) / (2 y Y) = y * f'(X) / (2 f Y)
-            L = (compose(f.deriv(), X1) / (_rf(RatPoly([2])) * fr * Y1)).normalized()
+            L = compose(f.deriv(), X1) / (_rf(RatPoly([2])) * fr * Y1)
         elif same_x:
             return None  # opposite points: sum is O
         else:
-            L = ((Y2 - Y1) / (X2 - X1)).normalized()
-        X3 = (fr * L * L - X1 - X2).normalized()
-        Y3 = (L * (X1 - X3) - Y1).normalized()
-        return (X3, Y3)
+            L = (Y2 - Y1) / (X2 - X1)
+        X3 = fr * L * L - X1 - X2
+        return (X3, L * (X1 - X3) - Y1)
 
     gen = (_rf(RatPoly([0, 1])), _rf(RatPoly([1])))
     acc = gen
@@ -440,7 +415,5 @@ def multiplication_isogeny(m: WeierstrassModel, n: int) -> IsogenyMap:
         if acc is None:
             raise ValueError("multiplication map degenerated")
     X, Y = acc
-    xmap = X.normalized()
-    ymap = Y.normalized()
-    return IsogenyMap(m, dep, n * n, pre, xmap.num, xmap.den,
-                      ymap.num, ymap.den, ("[%d]" % n,), n)
+    return IsogenyMap(m, dep, n * n, pre, X.num, X.den, Y.num, Y.den,
+                      ("[%d]" % n,), n)

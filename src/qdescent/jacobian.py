@@ -5,8 +5,9 @@ dimension g = (d-1)/2.  J(Q_v)/2J(Q_v) embeds into the kernel of the norm
 from (Q_v[T]/f)^* / squares, by D = sum n_i R_i  |->  prod (X(R_i) - T)^n_i.
 Images are square-class vectors over the local etale components; ranks of
 spans and their unramified parts give local Selmer and intersection data.
-The local object of the curve at a place v is EtaleAlgebra(f, v.p), built
-once per place: it carries f, p (0 at the real place) and the local
+The curve keeps its factors over Q (HyperellipticCurve.factors, found
+once), and its local object at a place v is EtaleAlgebra(c.factors, v.p),
+built once per place: it carries f, p (0 at the real place) and the local
 components, and the maps and ranks below read everything from it.
 """
 
@@ -20,7 +21,7 @@ from functools import cached_property
 from .arith import Place, factor_integer, rational_sqrt
 from .localfields import (EtaleAlgebra, SqVector, relations, span_rank,
                           unramified_rank)
-from .poly import RatPoly, discriminant
+from .poly import RatPoly, discriminant, factor_over_Z
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,11 @@ class HyperellipticCurve:
     @cached_property
     def discriminant(self) -> Fraction:
         return discriminant(self.f)
+
+    @cached_property
+    def factors(self) -> tuple:
+        """The monic irreducible factors of f over Q (factor_over_Z)."""
+        return tuple(factor_over_Z(self.f))
 
     @property
     def genus(self) -> int:
@@ -137,7 +143,7 @@ def image_table(c: HyperellipticCurve, points, v: Place):
     At odd p the symbol 'n' denotes a fixed quadratic non-residue and 'pi'
     a prime element; comparisons are up to square-class equality.
     """
-    alg = EtaleAlgebra(c.f, v.p)
+    alg = EtaleAlgebra(c.factors, v.p)
     rows = []
     for pt in points:
         vec = xt_image(alg, pt)
@@ -182,7 +188,7 @@ def local_intersection_rank(alg: EtaleAlgebra, points):
 
 def unramified_images_check(c: HyperellipticCurve, points, v: Place):
     """Per-point verdicts: is the image unramified at v?"""
-    alg = EtaleAlgebra(c.f, v.p)
+    alg = EtaleAlgebra(c.factors, v.p)
     out = []
     for pt in points:
         vec = xt_image(alg, pt)
@@ -206,7 +212,7 @@ def independence_rank(c: HyperellipticCurve, points, primes):
     analysis = {}
     stacked = [0] * n
     for p in primes:
-        alg = EtaleAlgebra(c.f, p)
+        alg = EtaleAlgebra(c.factors, p)
         vecs = [xt_image(alg, pt) for pt in points]
         analysis[p] = {
             "relations": relations(w.mask for w in vecs),

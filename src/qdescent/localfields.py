@@ -1,8 +1,10 @@
 """Square classes in the completions of etale algebras Q[T]/f at a place.
 
-A separable monic integer polynomial f splits at a finite p into local
-pieces (poly.local_splitting_type); at the real place into real roots and
-complex pairs.  Each EtaleAlgebra fixes an F_2 basis of its group of
+An EtaleAlgebra of a separable monic integer polynomial f is built from
+its factors h over Q (factor_over_Z), never by factoring f: Q_v[T]/f is the
+product of the Q_v[T]/h.  At a finite p each h splits into local pieces
+(poly.local_splitting_type); at the real place f splits into real roots
+and complex pairs.  Each EtaleAlgebra fixes an F_2 basis of its group of
 square classes, component by component, so that the class of an element
 such as x - theta is one integer bitmask (SqVector.mask) and multiplying
 classes is XOR.
@@ -40,11 +42,13 @@ elimination on the masks (echelon, relations), as in Stoll, "Implementing
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .arith import square_class, valuation
-from .poly import (RatPoly, UnresolvedSplitting, _bezout_mod_p, _vp_bounded,
+from .poly import (UnresolvedSplitting, _bezout_mod_p, _vp_bounded,
                    local_splitting_type, mp_divmod_monic, mp_mulmod, mp_shift,
                    mp_sub)
 
@@ -220,8 +224,10 @@ class EtaleAlgebra:
     place the components are the real roots ascending, then complex pairs.
     """
 
-    def __init__(self, f: RatPoly, p: int):
-        """p = 0 means the real place."""
+    def __init__(self, factors, p: int):
+        """The algebra of f, the product of `factors`, its irreducible
+        factors over Q (factor_over_Z); p = 0 means the real place."""
+        f = reduce(operator.mul, factors)
         if not f.is_monic() or not f.is_integral():
             raise ValueError("etale algebra needs a monic integer polynomial")
         self.f = f
@@ -242,15 +248,13 @@ class EtaleAlgebra:
             self.n_complex = (f.degree - self.n_real) // 2
             self.n_comp = self.n_real + self.n_complex
             self.pieces = None
-            self.split = None
             # one sign bit per real root, no bits for a complex pair
             self.basis = ClassBasis(
                 0, ("real",) * self.n_real + ("complex",) * self.n_complex,
                 tuple(range(self.n_real)) + (self.n_real,) * (self.n_complex + 1),
                 0)
             return
-        self.split = local_splitting_type(f, p)
-        self.pieces = list(self.split.factors)
+        self.pieces = local_splitting_type(factors, p)
         self.n_comp = len(self.pieces)
         kinds, offsets, unramified = [], [0], 0
         for piece in self.pieces:
@@ -301,7 +305,7 @@ class EtaleAlgebra:
             return mp_mulmod(a, b, h8, 8)
 
         x0 = rf.sqrt([c % 2 for c in u8])
-        up = mul8(u8, _invert_poly_mod(mul8(x0, x0), h8, 2, 3))
+        up = mul8(u8, _invert_mod_8(mul8(x0, x0), h8))
         up = up + [0] * (rf.f - len(up))
         # x0^2 = u mod 2, so up = 1 + 2 sum_j a_j t^j mod 4
         a = [(c - (j == 0)) // 2 % 2 for j, c in enumerate(up)]
@@ -310,7 +314,7 @@ class EtaleAlgebra:
         for j, aj in enumerate(a):
             if aj:
                 fac = mul8(fac, [3] if j == 0 else [1] + [0] * (j - 1) + [2])
-        s = [c >> 2 & 1 for c in mul8(up, _invert_poly_mod(fac, h8, 2, 3))]
+        s = [c >> 2 & 1 for c in mul8(up, _invert_mod_8(fac, h8))]
         return (sum(aj << (j + 1) for j, aj in enumerate(a))
                 | rf.trace(s) << (rf.f + 1))
 
@@ -414,14 +418,11 @@ class EtaleAlgebra:
         return SqVector(mask, self.basis)
 
 
-def _invert_poly_mod(a, h, p: int, k: int):
-    """Inverse of a unit a modulo (h, p^k), Newton-lifted from the inverse
-    mod p that the extended Euclid gives."""
-    inv = _bezout_mod_p(a, h, p)[0]
-    mod = p
-    target = p ** k
-    while mod < target:
-        mod = min(mod * mod, target)
+def _invert_mod_8(a, h):
+    """Inverse of a unit a modulo (h, 8), Newton-lifted from the inverse
+    mod 2 that the extended Euclid gives."""
+    inv = _bezout_mod_p(a, h, 2)[0]
+    for mod in (4, 8):
         err = mp_sub([2], mp_mulmod(a, inv, h, mod), mod)
         inv = mp_mulmod(inv, err, h, mod)
     return inv

@@ -14,7 +14,8 @@ one Hensel lift and recombination by exact trial division.  The lift
 (hensel_lift_factors) takes each factor on its own by Newton's iteration,
 doubling the precision up to exactly p^N.  local_splitting_type gives the
 factorization type over Q_p by the same lift and order 1 of the Montes
-algorithm.
+algorithm, from the factors of f over Q that factor_over_Z gives: it
+factors nothing over Q, so that one factorization serves every place.
 """
 
 from __future__ import annotations
@@ -78,6 +79,10 @@ class RatPoly:
 
     def __getitem__(self, i) -> Fraction:
         return self.coeffs[i] if 0 <= i <= self.degree else Fraction(0)
+
+    # f[i] is 0 past the top, so iterating by f[0], f[1], ... would never
+    # stop: a RatPoly is not iterable (its coefficients are f.coeffs)
+    __iter__ = None
 
     def __eq__(self, other):
         return isinstance(other, RatPoly) and self.coeffs == other.coeffs
@@ -706,12 +711,6 @@ class LocalFactor:
         return (-self.lift[0]) % modulus
 
 
-@dataclass(frozen=True)
-class LocalSplittingType:
-    p: int
-    factors: tuple[LocalFactor, ...]
-
-
 def _local_factor(p, e, f, zlift, shift, scale, prec, note, root=None):
     """The LocalFactor whose factor in Z, X = shift + p^scale Z, is zlift."""
     m = p ** prec
@@ -895,44 +894,44 @@ def _factor_mod_pN(g, p, N):
     return out
 
 
-def local_splitting_type(f: RatPoly, p: int) -> LocalSplittingType:
-    """Factorization type of a separable monic integer polynomial over Q_p.
+def local_splitting_type(factors, p: int) -> tuple[LocalFactor, ...]:
+    """The Q_p-irreducible pieces of a separable monic integer polynomial
+    f, given by its irreducible factors over Q (factor_over_Z of f), in a
+    fixed order: by degree, ramification, root mod p, then lift.
 
-    Exact rational factors split off first.  Each other one is factored mod
-    p and Hensel-lifted to p^N; a block F = g^m mod p with m >= 2 goes
-    through order 1 of the Montes algorithm (_block_pieces): the Newton
-    polygon of F with respect to a lift phi of g, split side by side, one
-    piece per irreducible factor of a side's residual polynomial, and a
-    rescaling Z = (X - r)/p^h that refines phi at an integral slope.  A
-    step short of digits doubles N, from p^HENSEL_START up to
-    p^HENSEL_CAP.  UnresolvedSplitting names p, the block and the step
-    when order 1 does not resolve a block (order 2, a non-linear phi with
-    more than one side or residual degree above 1, a ramified side whose
-    residual polynomial splits), or when the cap is reached.
+    Q_p[X]/f is the product of the Q_p[X]/h over the factors h, so each is
+    split on its own, and nothing here factors over Q.  A linear factor is
+    one piece, at its exact root.  Each other one is factored mod p and
+    Hensel-lifted to p^N; a block F = g^m mod p with m >= 2 goes through
+    order 1 of the Montes algorithm (_block_pieces): the Newton polygon of
+    F with respect to a lift phi of g, split side by side, one piece per
+    irreducible factor of a side's residual polynomial, and a rescaling
+    Z = (X - r)/p^h that refines phi at an integral slope.  A step short
+    of digits doubles N, from p^HENSEL_START up to p^HENSEL_CAP.
+    UnresolvedSplitting names p, the block and the step when order 1 does
+    not resolve a block (order 2, a non-linear phi with more than one side
+    or residual degree above 1, a ramified side whose residual polynomial
+    splits), or when the cap is reached.  The factors must be monic integer
+    polynomials of total degree 1 to 8, none repeated.
     """
-    if not f.is_monic() or not f.is_integral():
-        raise ValueError("local_splitting_type expects a monic integer polynomial")
-    if f.degree > 8:
-        raise ValueError("degree capped at 8")
-    if f.degree < 1:
-        raise ValueError("degree must be at least 1")
-    rational_factors = factor_over_Z(f)
-    if len(set(rational_factors)) < len(rational_factors):
+    if any(h.degree < 1 or not h.is_monic() or not h.is_integral()
+           for h in factors):
+        raise ValueError("local_splitting_type expects monic integer factors")
+    if not 1 <= sum(h.degree for h in factors) <= 8:
+        raise ValueError("total degree must be from 1 to 8")
+    if len(set(factors)) < len(factors):
         raise ValueError("polynomial not separable")
     N = HENSEL_START
     while True:
         try:
             out: list[LocalFactor] = []
-            for h in rational_factors:
-                if h.degree > 1:
-                    m = p ** N
+            for h in factors:
+                if h.degree == 1:
+                    out.append(_local_factor(p, 1, 1, (int(h.coeffs[0]), 1), 0,
+                                             0, N, "", -h.coeffs[0]))
+                else:
                     out += [_local_factor(p, *piece) for piece in _factor_mod_pN(
-                        [int(c) % m for c in h.coeffs], p, N)]
-                    continue
-                root = -h.coeffs[0]
-                lift = (0, 1) if root.denominator % p == 0 else (
-                    residue(-root, p ** N), 1)
-                out.append(_local_factor(p, 1, 1, lift, 0, 0, N, "", root))
+                        [int(c) % p ** N for c in h.coeffs], p, N)]
             break
         except _Shortfall as exc:
             if N >= HENSEL_CAP:
@@ -945,13 +944,7 @@ def local_splitting_type(f: RatPoly, p: int) -> LocalSplittingType:
     kmin = p ** min(fc.prec for fc in out)
 
     def _order_key(fc: LocalFactor):
-        root_res = -1
-        if fc.degree == 1:
-            try:
-                root_res = fc.root_mod(p)
-            except ValueError:
-                root_res = -1
-        return (fc.degree, fc.e, root_res,
+        return (fc.degree, fc.e, fc.root_mod(p) if fc.degree == 1 else -1,
                 tuple(c % p for c in fc.lift), tuple(c % kmin for c in fc.lift))
 
-    return LocalSplittingType(p, tuple(sorted(out, key=_order_key)))
+    return tuple(sorted(out, key=_order_key))

@@ -4,11 +4,14 @@ The full branch structure is implemented (no c4/c6 shortcuts), since the
 additive cases at p = 2 and p = 3 matter here.  Local descent reads the
 Tamagawa number c_p, whether multiplicative reduction is split, and the
 order of Frobenius on the component group
-(frobenius_order_on_components).
+(frobenius_order_on_components).  The minimal model is integral, not only
+p-integral, so that the local objects built on it, such as its 2-division
+cubic, have integer coefficients.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,6 +40,10 @@ class KodairaType:
 
 @dataclass(frozen=True)
 class ReductionData:
+    """Tate's algorithm at p for one model: the minimal model, integral and
+    minimal at p, its Kodaira type and Tamagawa number, and the change of
+    coordinates `transform` that takes the input model to it."""
+
     p: int
     minimal_model: WeierstrassModel
     kodaira: KodairaType
@@ -95,16 +102,21 @@ def tate_algorithm(m: WeierstrassModel, p: int) -> ReductionData:
     """Kodaira type, Tamagawa number and component-group data at p.
 
     The result records the change of coordinates (r, s, t, u) with
-    m.transform(r, s, t, u) == minimal_model.  Unless the reduction is
-    good (I0), the singular point of the reduced minimal model is (0, 0).
+    m.transform(r, s, t, u) == minimal_model, a model integral and minimal
+    at p.  Unless the reduction is good (I0), the singular point of the
+    reduced minimal model is (0, 0).
     """
     if m.disc == 0:
         raise ValueError("singular curve")
     tr = (Fraction(0), Fraction(0), Fraction(0), Fraction(1))
-    # make the model p-integral
+    # make the model p-integral, then integral: the lcm d of the
+    # denominators left is prime to p, so scaling by 1/d changes nothing at p
     while any(valuation(a, p) is not INFINITY and valuation(a, p) < 0
               for a in m.ainvs()):
         m, tr = _move(m, tr, u=Fraction(1, p))
+    d = math.lcm(*(a.denominator for a in m.ainvs()))
+    if d > 1:
+        m, tr = _move(m, tr, u=Fraction(1, d))
 
     while True:
         n = valuation(m.disc, p)

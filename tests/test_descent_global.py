@@ -21,10 +21,12 @@ from qdescent.descent_global import (GlobalLedger, assemble_ledger_elliptic,
                                      genus_2rank_quadratic, parse_class_data,
                                      quadratic_class_record)
 from qdescent.descent_local import TWO_MAP, local_descent_report
-from qdescent.elliptic import Pt, curve_from_string, velu_isogeny
+from qdescent.elliptic import (Pt, curve_from_string,
+                               two_division_cubic_integral, velu_isogeny)
 from qdescent.jacobian import HyperellipticCurve
 from qdescent.localfields import EtaleAlgebra
-from qdescent.poly import discriminant, local_splitting_type, parse_poly
+from qdescent.poly import (discriminant, factor_over_Z, local_splitting_type,
+                           parse_poly)
 
 MESTRE = curve_from_string("[0,2597055,357573631,-549082,-19608054]")
 MESTRE_BIG = 78031093338905335441668500509
@@ -70,11 +72,11 @@ def test_hyper_ledger_at_large_bad_prime(deadline):
     p = 145036349
     with deadline(30):
         ledger = assemble_ledger_hyper(HyperellipticCurve(f))
-        split = local_splitting_type(f, p)
+        pieces = local_splitting_type(factor_over_Z(f), p)
     assert str(p) in rows(ledger)
     # an unresolved block would have raised
-    assert sum(fc.degree for fc in split.factors) == 5
-    assert sorted(fc.e for fc in split.factors)[-2:] == [1, 2]
+    assert sum(fc.degree for fc in pieces) == 5
+    assert sorted(fc.e for fc in pieces)[-2:] == [1, 2]
 
 
 @pytest.mark.parametrize("f, xs", [
@@ -123,22 +125,51 @@ def test_one_tate_and_splitting_call_per_place(monkeypatch):
     assemble_ledger_elliptic(curve_from_string("[0,-26,0,135,-567]"))
     assert {p for _, p in tate_calls} == {2, 3, 23, 239}
     assert len(tate_calls) == len(set(tate_calls))
-    assert split_calls and len(split_calls) == len(set(split_calls))
+    split_keys = [(tuple(factors), p) for factors, p in split_calls]
+    assert split_keys and len(split_keys) == len(set(split_keys))
+
+
+EXAMPLE_II = parse_poly("X^5+16*X^4-274*X^3+817*X^2+178*X+1")
+EXAMPLE_II_POINTS = [("rational", Fraction(x), None)
+                     for x in (-17, -9, -6, -2, 0, 4)]
 
 
 def test_one_etale_algebra_per_place(monkeypatch):
     calls = []
     init = EtaleAlgebra.__init__
 
-    def counted(self, f, p):
-        calls.append((f, p))
-        init(self, f, p)
+    def counted(self, factors, p):
+        calls.append((tuple(factors), p))
+        init(self, factors, p)
 
     monkeypatch.setattr(EtaleAlgebra, "__init__", counted)
-    c = HyperellipticCurve(parse_poly("X^5+16*X^4-274*X^3+817*X^2+178*X+1"))
-    points = [("rational", Fraction(x), None) for x in (-17, -9, -6, -2, 0, 4)]
-    assemble_ledger_hyper(c, points=points)
+    assemble_ledger_hyper(HyperellipticCurve(EXAMPLE_II),
+                          points=EXAMPLE_II_POINTS)
     assert calls and len(calls) == len(set(calls))
+
+
+def test_hyper_ledger_factors_its_polynomial_once(monkeypatch):
+    # every place, the torsion rank and the class records read the
+    # factors the curve keeps
+    calls = record_calls(monkeypatch, poly.factor_over_Z)
+    assemble_ledger_hyper(HyperellipticCurve(EXAMPLE_II),
+                          points=EXAMPLE_II_POINTS)
+    assert calls == [(EXAMPLE_II,)]
+
+
+def test_elliptic_ledger_factors_its_cubic_once(monkeypatch):
+    # the torsion rank, the class records, the independence primes and the
+    # images of the points read one factorization of the 2-division cubic
+    # of the input model; a place's profile factors the cubic of its own
+    # minimal model, which is the same cubic where that model is the input
+    m = curve_from_string("[0,7,0,-26,0]")
+    cubic = two_division_cubic_integral(m)
+    same = sum(two_division_cubic_integral(tate.tate_algorithm(m, p)
+                                           .minimal_model) == cubic
+               for p in sorted({2, *bad_primes(m)}))
+    calls = record_calls(monkeypatch, poly.factor_over_Z)
+    assemble_ledger_elliptic(m, [quadratic_class_record(17)], [-8])
+    assert calls.count((cubic,)) == 1 + same
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +320,19 @@ def test_paper_worked_example(case):
             local_descent_report(m, phi, v).as_dict()
             for v in [REAL_PLACE] + [finite(p) for p in bad_primes(m)])
     assert iso == want_iso
+
+
+def test_rational_model_ledger_matches_its_integral_model():
+    # y^2 + xy/2 = x^3 - x is y^2 + xy = x^3 - 16x after x -> 4x: the
+    # ledger of the rational model (whose 2-division cubic at 5 and 41
+    # once kept a denominator) is the ledger of the integral one
+    a = assemble_ledger_elliptic(curve_from_string("[1/2,0,0,-1,0]"),
+                                 None, [1, -1])
+    b = assemble_ledger_elliptic(curve_from_string("[1,0,0,-16,0]"),
+                                 None, [4, -4])
+    assert report_rows(a.local_reports) == report_rows(b.local_reports)
+    assert (a.selmer_rank_interval, a.points_rank_lower) == \
+        (b.selmer_rank_interval, b.points_rank_lower)
 
 
 @pytest.mark.parametrize("case", ["worked-1", "worked-5", "worked-6"])

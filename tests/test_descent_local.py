@@ -273,9 +273,9 @@ def test_oracle_splits_the_cubic_once(monkeypatch):
 
     calls = []
 
-    def counted(f, p):
-        calls.append((f, p))
-        return poly.local_splitting_type(f, p)
+    def counted(factors, p):
+        calls.append((factors, p))
+        return poly.local_splitting_type(factors, p)
 
     for mod in (descent_local, localfields):
         monkeypatch.setattr(mod, "local_splitting_type", counted)

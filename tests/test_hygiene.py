@@ -5,7 +5,8 @@ mutable container (a global registry), and no mod-m product reduced
 other than by the fused kernel; pyproject.toml declares no runtime
 dependency and every console script it declares resolves; every helper
 module of the tests is imported by a test module; every defaulted
-parameter of src/ is set by some call; and every dataclass field is read."""
+parameter of src/ is set by some call, and no parameter is passed the same
+literal by every call; and every dataclass field is read."""
 
 import ast
 import importlib
@@ -222,11 +223,11 @@ def test_every_test_helper_module_is_imported():
     assert not helpers - imported
 
 
-def defaulted_parameters():
+def parameters():
     """(file, function, parameter, the parameter's positional index in a
-    call or None when it is keyword-only) of every defaulted parameter of
-    src/; an __init__ is called by its class name, and self or cls takes
-    no position in a call."""
+    call or None when it is keyword-only, whether it has a default) of
+    every named parameter of src/; an __init__ is called by its class
+    name, and self or cls takes no position in a call."""
     for name, tree in TREES.items():
         owners = {fn: cls.name for cls in ast.walk(tree)
                   if isinstance(cls, ast.ClassDef) for fn in cls.body}
@@ -239,11 +240,18 @@ def defaulted_parameters():
             skip = 1 if positional and positional[0].arg in ("self", "cls") \
                 else 0
             first = len(positional) - len(a.defaults)
-            for i in range(first, len(positional)):
-                yield name, called, positional[i].arg, i - skip
+            for i in range(skip, len(positional)):
+                yield name, called, positional[i].arg, i - skip, i >= first
             for arg, default in zip(a.kwonlyargs, a.kw_defaults):
-                if default is not None:
-                    yield name, called, arg.arg, None
+                yield name, called, arg.arg, None, default is not None
+
+
+def defaulted_parameters():
+    """(file, function, parameter, positional index) of every defaulted
+    parameter of src/, as parameters() gives them."""
+    for name, called, param, index, defaulted in parameters():
+        if defaulted:
+            yield name, called, param, index
 
 
 def calls_by_name() -> dict:
@@ -280,3 +288,38 @@ def test_every_defaulted_parameter_is_set():
              if not any(sets(call, param, index)
                         for call in calls.get(fn, []))]
     assert not unset
+
+
+NO_LITERAL = object()
+
+
+def passed_literal(call: ast.Call, param: str, index):
+    """The literal value the call passes for the parameter, or NO_LITERAL
+    when it passes an expression, unpacks, or leaves it to its default."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args) \
+            or any(kw.arg is None for kw in call.keywords):
+        return NO_LITERAL
+    node = next((kw.value for kw in call.keywords if kw.arg == param), None)
+    if node is None and index is not None and len(call.args) > index:
+        node = call.args[index]
+    if node is None:
+        return NO_LITERAL
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return NO_LITERAL
+
+
+def test_no_parameter_takes_one_literal():
+    # a parameter to which every call in src/, tests/ and perfbench/ passes
+    # the same literal is a constant in disguise: make it one
+    calls = calls_by_name()
+    fixed = []
+    for name, fn, param, index, _ in parameters():
+        values = [passed_literal(call, param, index)
+                  for call in calls.get(fn, [])]
+        if values and values[0] is not NO_LITERAL \
+                and all(v is not NO_LITERAL and v == values[0]
+                        and type(v) is type(values[0]) for v in values):
+            fixed.append(f"{name}:{fn}({param}={values[0]!r})")
+    assert not fixed

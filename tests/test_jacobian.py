@@ -70,7 +70,7 @@ def test_curve_invariants():
 
 
 def test_real_images():
-    real = EtaleAlgebra(C2.f, REAL_PLACE.p)
+    real = EtaleAlgebra(C2.factors, REAL_PLACE.p)
     v = xt_image(real, ("rational", Fraction(-2), None))
     assert tuple(e.unit[0] for e in v.entries) == (1, -1, -1, -1, -1)
     v = xt_image(real, ("rational", Fraction(0), None))
@@ -95,12 +95,13 @@ def test_table_at_191_matches_paper():
 
 def test_doubling_gives_identity():
     for v in (finite(37), finite(73), finite(191), REAL_PLACE, finite(2)):
-        im = xt_image(EtaleAlgebra(C2.f, v.p), ("sum", (RATPTS[0], RATPTS[0])))
+        im = xt_image(EtaleAlgebra(C2.factors, v.p),
+                      ("sum", (RATPTS[0], RATPTS[0])))
         assert im.is_trivial()
 
 
 def test_local_selmer_ranks_example_II():
-    alg = {p: EtaleAlgebra(C2.f, p) for p in (REAL_PLACE.p, 2, 191, 941)}
+    alg = {p: EtaleAlgebra(C2.factors, p) for p in (REAL_PLACE.p, 2, 191, 941)}
     assert local_selmer_rank_hyper(alg[2]) == 2
     assert local_selmer_rank_hyper(alg[REAL_PLACE.p]) == 2
     assert local_selmer_rank_hyper(alg[941]) == 0
@@ -112,12 +113,14 @@ def test_local_selmer_ranks_example_II():
 
 def test_intersection_rank_at_191():
     pts = [("alpha", 1), ("alpha", 4), RATPTS[3], RATPTS[4]]  # (-2), (0)
-    rank, complete = local_intersection_rank(EtaleAlgebra(C2.f, 191), pts)
+    rank, complete = local_intersection_rank(EtaleAlgebra(C2.factors, 191),
+                                             pts)
     assert (rank, complete) == (3, True)
 
 
 def test_intersection_rank_at_2():
-    rank, complete = local_intersection_rank(EtaleAlgebra(C2.f, 2), RATPTS)
+    rank, complete = local_intersection_rank(EtaleAlgebra(C2.factors, 2),
+                                             RATPTS)
     assert rank == 0
     # the six rational points only span a rank-<=2 space at 2; completeness
     # depends on the span filling S^2(Q_2, J)
@@ -150,14 +153,14 @@ def subset_products(vecs) -> dict:
                          ids=["example_II", "lehmer_12"])
 def test_ranks_against_subset_search(curve, pool):
     rng = random.Random(7)
-    primes = _independence_primes(curve.f, 2)
+    primes = _independence_primes(curve.f)
     places = [2] + curve.bad_primes()
     for _ in range(12):
         pts = rng.sample(pool, rng.randint(1, 10))
         bound, analysis = independence_rank(curve, pts, primes)
         common = None
         for p in primes:
-            alg = EtaleAlgebra(curve.f, p)
+            alg = EtaleAlgebra(curve.factors, p)
             prods = subset_products([xt_image(alg, pt) for pt in pts])
             rels = {m for m, w in prods.items() if w.is_trivial()}
             assert span_of(analysis[p]["relations"]) == rels
@@ -165,7 +168,7 @@ def test_ranks_against_subset_search(curve, pool):
         assert span_of(analysis["common_relations"]) == common
         assert 2 ** (len(pts) - bound) == len(common)
         for p in places:
-            alg = EtaleAlgebra(curve.f, p)
+            alg = EtaleAlgebra(curve.factors, p)
             span = set(subset_products([xt_image(alg, pt)
                                         for pt in pts]).values())
             n_unram = sum(w.is_unramified() for w in span)
@@ -216,7 +219,7 @@ def test_norm_condition_random():
     # class with valuation parities v_i and quadratic-character bits q_i
     # has valuation parity sum f_i v_i and quadratic character sum q_i.
     rng = random.Random(3)
-    algebras = {p: EtaleAlgebra(C2.f, p) for p in (3, 37, 73)}
+    algebras = {p: EtaleAlgebra(C2.factors, p) for p in (3, 37, 73)}
     checked = 0
     while checked < 200:
         x = Fraction(rng.randrange(-300, 300), rng.choice([1, 1, 2, 3, 5]))

@@ -8,7 +8,8 @@ from qdescent.arith import square_class, valuation
 from qdescent.localfields import (EtaleAlgebra, SqVector, echelon, relations,
                                   span_closure, span_rank)
 from qdescent.poly import (RatPoly, UnresolvedSplitting, discriminant,
-                           mp_divmod, mp_mul, mp_pow_mod, parse_poly)
+                           factor_over_Z, mp_divmod, mp_mul, mp_pow_mod,
+                           parse_poly)
 
 QUINTIC = parse_poly("X^5+16*X^4-274*X^3+817*X^2+178*X+1")
 # unramified pieces at 2: three linear; three linear and one of degree 2;
@@ -16,6 +17,11 @@ QUINTIC = parse_poly("X^5+16*X^4-274*X^3+817*X^2+178*X+1")
 # quintic, irreducible of degree 5
 DYADIC = [parse_poly(s) for s in ("X^3-X+8", "X^5+X^4-X^2-X+8",
                                   "X^5+X^3+X^2+X+8", "X^4+X+1")] + [QUINTIC]
+
+
+def algebra(f, p):
+    """The etale algebra of f at p, from its factors over Q."""
+    return EtaleAlgebra(factor_over_Z(f), p)
 
 
 def sym_odd(entry):
@@ -40,7 +46,7 @@ def row_of_root(alg, i):
 
 
 def test_example_II_table_at_191():
-    alg = EtaleAlgebra(QUINTIC, 191)
+    alg = algebra(QUINTIC, 191)
     roots = [f.root_mod(191) for f in alg.pieces]
     assert roots == [5, 6, 37, 159, 159]
     # rational point rows, paper order of columns x-5, x-6, x-37, x-a4, x-a5
@@ -62,7 +68,7 @@ def test_example_II_table_at_191():
 
 
 def test_example_II_table_at_37():
-    alg = EtaleAlgebra(QUINTIC, 37)
+    alg = algebra(QUINTIC, 37)
     roots = [f.root_mod(37) for f in alg.pieces]
     assert roots == [4, 8, 12, 16, 18]
     assert row_of_point(alg, -17) == (ONE, ONE, NR, ONE, NR)
@@ -85,7 +91,7 @@ def test_example_II_table_at_37():
 
 
 def test_example_II_table_at_73():
-    alg = EtaleAlgebra(QUINTIC, 73)
+    alg = algebra(QUINTIC, 73)
     # paper columns x+26, x+19, x+2, x-13, x-18 i.e. roots 47, 54, 71, 13, 18;
     # our components sort by ascending residue: 13, 18, 47, 54, 71
     roots = [f.root_mod(73) for f in alg.pieces]
@@ -105,7 +111,7 @@ def test_example_II_table_at_73():
 
 
 def test_example_II_real_place():
-    alg = EtaleAlgebra(QUINTIC, 0)
+    alg = algebra(QUINTIC, 0)
     assert alg.n_real == 5 and alg.n_complex == 0
     signs = lambda x: tuple(e.unit[0] for e in
                             alg.image_of_affine(Fraction(x)).entries)
@@ -116,21 +122,21 @@ def test_example_II_real_place():
 def test_real_classes_against_rational_roots():
     # paper: one root of the quintic in (-28,-27), two in (-1,0), one in
     # (5,6), one in (6,7); x - alpha < 0 for the roots alpha above x
-    alg = EtaleAlgebra(QUINTIC, 0)
+    alg = algebra(QUINTIC, 0)
     assert [alg.image_of_affine(Fraction(x)).mask
             for x in (-28, -27, -1, 0, 5, 6, 7)] == [31, 30, 30, 24, 24, 16, 0]
-    # f = prod (X - r_i) * prod (X^2 + bX + c) with b^2 < 4c: the real
-    # roots are the r_i, and the bit of r_i is set exactly when r_i > x
+    # f = prod (X - r_i) * prod (X^2 + bX + c) with b^2 < 4c, its
+    # factors over Q: the real roots are the r_i, and the bit of r_i is set
+    # exactly when r_i > x
     rng = random.Random(12)
     for _ in range(80):
         roots = sorted(rng.sample(range(-30, 31), rng.randint(0, 5)))
-        f = RatPoly([1])
-        for r in roots:
-            f = f * RatPoly([-r, 1])
+        factors = [RatPoly([-r, 1]) for r in roots]
         pairs = rng.randint(0 if roots else 1, 2)
         for c in rng.sample(range(10, 40), pairs):
-            f = f * RatPoly([c, rng.randint(-6, 6), 1])
-        alg = EtaleAlgebra(f, 0)
+            factors.append(RatPoly([c, rng.randint(-6, 6), 1]))
+        alg = EtaleAlgebra(factors, 0)
+        f = alg.f
         assert (alg.n_real, alg.n_complex) == (len(roots), pairs), f
         xs = [Fraction(rng.randint(-70, 70), rng.randint(1, 4))
               for _ in range(10)] + [Fraction(r) + d for r in roots
@@ -147,7 +153,7 @@ def test_norm_kernel_condition():
     # square, and at these primes f splits into linear pieces, so the
     # valuation parities and the quadratic-character bits each sum to 0
     for p in (37, 73, 191):
-        alg = EtaleAlgebra(QUINTIC, p)
+        alg = algebra(QUINTIC, p)
         for x in (-17, -9, -6, -2, 0, 4):
             assert square_class(QUINTIC.eval(Fraction(x)), p) == 0
             entries = alg.image_of_affine(Fraction(x)).entries
@@ -162,7 +168,7 @@ def test_norm_kernel_condition():
 
 def test_additivity_alpha5_row():
     # image(a5) = image(a1)*image(a2)*image(a3)*image(a4) at 191
-    alg = EtaleAlgebra(QUINTIC, 191)
+    alg = algebra(QUINTIC, 191)
     prod = alg.image_of_torsion_root(0)
     for i in (1, 2, 3):
         prod = prod * alg.image_of_torsion_root(i)
@@ -170,14 +176,14 @@ def test_additivity_alpha5_row():
 
 
 def test_span_at_191_and_2():
-    alg = EtaleAlgebra(QUINTIC, 191)
+    alg = algebra(QUINTIC, 191)
     vs = [alg.image_of_torsion_root(0), alg.image_of_torsion_root(3),
           alg.image_of_affine(Fraction(-2)), alg.image_of_affine(Fraction(0))]
     assert span_rank(vs) == 4  # the paper's basis of J(Q_191)/2J(Q_191)
     unram = [v for v in span_closure(vs) if v.is_unramified()]
     assert len(unram) == 2 ** 3  # I^2(Q_191, J) has rank 3
 
-    alg2 = EtaleAlgebra(QUINTIC, 2)
+    alg2 = algebra(QUINTIC, 2)
     vs2 = [alg2.image_of_affine(Fraction(x)) for x in (-17, -9, -6, -2, 0, 4)]
     assert span_rank(vs2) <= 2  # S^2(Q_2, J) has rank 2
     # none of the nontrivial span elements is unramified: C^2(Q_2,J) trivial
@@ -185,7 +191,7 @@ def test_span_at_191_and_2():
 
 
 def test_unramified_images_at_2():
-    alg2 = EtaleAlgebra(QUINTIC, 2)
+    alg2 = algebra(QUINTIC, 2)
     im = lambda x: alg2.image_of_affine(Fraction(x))
     # the four sums of the paper must be unramified at 2
     assert (im(-2) * im(-6)).is_unramified()
@@ -227,7 +233,7 @@ def test_dyadic_classes_in_the_Z_model(f):
     # x - theta is trivial exactly when it is 2^(2j) times a unit that is a
     # square mod 8, and unramified exactly when that unit is a square mod 4
     f = parse_poly(f)
-    alg = EtaleAlgebra(f, 2)
+    alg = algebra(f, 2)
     assert any(piece.scale for piece in alg.pieces)
     for x in range(-12, 13):
         if f.eval(x) == 0:
@@ -263,7 +269,7 @@ def test_odd_classes_from_norms_match_residue_characters():
         if discriminant(f) == 0:
             continue
         try:
-            alg = EtaleAlgebra(f, p)
+            alg = algebra(f, p)
         except UnresolvedSplitting:
             continue
         for i, piece in enumerate(alg.pieces):
@@ -290,7 +296,7 @@ def test_dyadic_square_classes_are_an_F2_space(f):
     # is a homomorphism; a unit's class is trivial exactly when the unit
     # is a square mod 8 (hence a square, by Hensel), and unramified exactly
     # when it is a square times 1 + 4s, i.e. a square mod 4
-    alg = EtaleAlgebra(f, 2)
+    alg = algebra(f, 2)
     for x in range(-12, 13):
         if f.eval(x) != 0:
             v = alg.image_of_affine(Fraction(x))

@@ -65,7 +65,8 @@ def test_minimalization():
     r = tate_algorithm(m, 31)
     assert r.kodaira.symbol() == "I1"
     assert r.v_disc_min == 1
-    assert r.minimal_model.is_integral() or valuation(r.minimal_model.disc, 31) == 1
+    assert r.minimal_model.is_integral()
+    assert valuation(r.minimal_model.disc, 31) == 1
 
 
 def test_conductor_exponents_on_paper_curves():
@@ -164,3 +165,17 @@ def test_transform_random_family():
         seen[p == 2].add(checked_transform(m, p).kodaira.letter)
         done += 1
     assert seen[True] == seen[False] == KODAIRA_LETTERS
+
+
+def test_minimal_model_is_integral():
+    # y^2 + xy/2 = x^3 - x is y^2 + xy = x^3 - 16x after x -> 4x.  At every
+    # p the denominators prime to p are scaled away, so the minimal model
+    # is integral, with the reduction data of the integral model
+    m = curve_from_string("[1/2,0,0,-1,0]")
+    n = curve_from_string("[1,0,0,-16,0]")
+    for p in (2, 3, 5, 41):
+        a, b = tate_algorithm(m, p), tate_algorithm(n, p)
+        assert a.minimal_model.is_integral()
+        assert m.transform(*a.transform) == a.minimal_model
+        assert (a.kodaira, a.v_disc_min, a.c_p, a.split) == \
+            (b.kodaira, b.v_disc_min, b.c_p, b.split)
