@@ -3,14 +3,18 @@
 Each ledger builds one LocalDescentReport per place: the real place first,
 then 2 and the primes of bad reduction.  A ledger is that of a curve
 y^2 = f held as a HyperellipticCurve: the curve itself, or, for an
-elliptic curve, y^2 = the 2-division cubic of its model made integral.  f
-is factored over Q once, as the curve's `factors`, and the etale algebras
-of the places, the torsion rank and the class records all read them.  The
-global quotients S/I and C/I inject into the product of their local
-counterparts, so _ledger sums the F_2-ranks of the local S/I over every
-place and of the local C/I over the bad primes to bound them.  Combining
-the C-side bound with class-group 2-rank input and a point-independence
-lower bound yields an interval for the 2-Selmer rank.
+elliptic curve, the model's two_division_curve, y^2 = the 2-division cubic
+of its model made integral.  An elliptic ledger reads everything from the
+model: bad_primes and every report use the reduction data it keeps per
+prime, and every place's profile its one factorization of the cubic.  f is
+factored over Q once, as the curve's `factors`, and the etale algebras of
+the places, the torsion rank, the images of the torsion and the class
+records all read them.  The global quotients S/I and C/I inject into the
+product of their local counterparts, so _ledger sums the F_2-ranks of the
+local S/I over every place and of the local C/I over the bad primes to
+bound them.  Combining the C-side bound with class-group 2-rank data and
+the rank of the images of the points and the rational 2-torsion yields an
+interval for the 2-Selmer rank.
 """
 
 from __future__ import annotations
@@ -22,15 +26,13 @@ from fractions import Fraction
 
 from .arith import (REAL_PLACE, factor_integer, finite, is_prime,
                     squarefree_part)
-from .descent_local import (TWO_MAP, LocalDescentReport,
-                            finite_descent_report, local_descent_report)
-from .elliptic import WeierstrassModel, two_division_cubic_integral
+from .descent_local import TWO_MAP, LocalDescentReport, local_descent_report
+from .elliptic import WeierstrassModel
 from .jacobian import (HyperellipticCurve, independence_rank,
                        local_intersection_rank, local_selmer_rank_hyper,
                        local_torsion_rank)
 from .localfields import EtaleAlgebra
 from .poly import RatPoly, discriminant, fp_poly, mp_pow_mod, parse_poly
-from .tate import tate_algorithm
 
 _PERIOD_BOUND = 10 ** 6  # longest continued-fraction period followed
 
@@ -44,7 +46,7 @@ def _disc_primes(m: WeierstrassModel) -> list[int]:
 def bad_primes(m: WeierstrassModel) -> list[int]:
     """Primes of bad reduction: disc support filtered through minimality."""
     return [p for p in _disc_primes(m)
-            if tate_algorithm(m, p).kodaira.letter != "I0"]
+            if m.reduction(p).kodaira.letter != "I0"]
 
 
 def _log2(n: int) -> int:
@@ -212,27 +214,25 @@ class GlobalLedger:
 
 def assemble_ledger_elliptic(m: WeierstrassModel, records=None,
                              points=None) -> GlobalLedger:
-    """The ledger of the 2-map on m; points are x-coordinates.  One Tate
-    run per prime decides badness and builds the report."""
-    rds = {p: tate_algorithm(m, p) for p in sorted({2, *_disc_primes(m)})}
-    bad = [p for p, rd in rds.items() if rd.kodaira.letter != "I0"]
-    reports = [local_descent_report(m, TWO_MAP, REAL_PLACE)] + [
-        finite_descent_report(m, TWO_MAP, rd) for p, rd in rds.items()
-        if p == 2 or p in bad]
+    """The ledger of the 2-map on m; points are x-coordinates.  The
+    reduction data that m keeps per prime decide badness and build the
+    reports, and the ledger's curve is m.two_division_curve."""
+    bad = bad_primes(m)
+    reports = [local_descent_report(m, TWO_MAP, v) for v in
+               [REAL_PLACE] + [finite(p) for p in sorted({2, *bad})]]
     # #E(R)[2] * prod C/I = S(R) * prod S/I: the two product forms agree
     # after redistributing the factors at 2 and infinity
     assert (4 if m.disc > 0 else 2) * math.prod(
         r.order_C // r.order_I for r in reports[1:]) == math.prod(
         r.order_S // r.order_I for r in reports), \
         "divisibility product forms disagree"
-    # y^2 = cubic is the curve in U = 4x on the integral model
-    # m.transform(u=1/d), whose x is d^2 times that of m
-    d = math.lcm(*(a.denominator for a in m.ainvs()))
-    hc = HyperellipticCurve(two_division_cubic_integral(
-        m.transform(u=Fraction(1, d))))
+    # the curve is in U = 4x on the integral model m.transform(u=1/d),
+    # whose x is d^2 times that of m
+    d = m.denominator
     upts = [("rational", 4 * d * d * Fraction(x), None)
             for x in points or []]
-    return _ledger(str(m), "elliptic", hc, reports, bad, records, upts)
+    return _ledger(str(m), "elliptic", m.two_division_curve, reports, bad,
+                   records, upts)
 
 
 def _ledger(curve, kind, hc, reports, bad, records, points) -> GlobalLedger:
@@ -240,6 +240,12 @@ def _ledger(curve, kind, hc, reports, bad, records, points) -> GlobalLedger:
     reports (the real place first), rank C/I over the bad primes, the
     torsion rank and the rank of the points (descent points of hc), all
     read off hc.f and its factors over Q, hc.factors.
+
+    The lower end of the interval is the larger of the torsion rank and
+    the rank of the images of the points together with the torsion
+    generators (independence_rank), and of the class side less rank C/I.
+    The class side comes from the records that apply to f; a quadratic
+    field needs none, genus theory gives its record.
 
     narrow = wide for every class field lets the infinite place drop out of
     the S/I bound.  Only the records that the class side used certify it,
@@ -253,17 +259,17 @@ def _ledger(curve, kind, hc, reports, bad, records, points) -> GlobalLedger:
     rank_c = sum(_log2(r.order_C) - _log2(r.order_I) for r in reports
                  if r.place.p in bad)
     tors2 = len(hc.factors) - 1
-    pts_rank = None
+    pts_rank, lo = None, tors2
     if points:
         prs = _independence_primes(hc.f)
-        pts_rank, _ = independence_rank(hc, points, prs)
+        pts_rank, analysis = independence_rank(hc, points, prs)
+        lo = max(tors2, analysis["rank_with_torsion"])
         notes.append(f"independence primes: {prs}")
     used = []
-    if records:
-        try:
-            used = _class_records(hc.factors, records)
-        except ValueError as exc:
-            notes.append(f"class data not applicable: {exc}")
+    try:
+        used = _class_records(hc.factors, records or [])
+    except ValueError as exc:
+        notes.append(f"class data not applicable: {exc}")
     narrow_ok = bool(used) and all(r.narrow_eq_wide for r in used)
     refined = rank_s - inf_contrib if narrow_ok else rank_s
     if narrow_ok and inf_contrib:
@@ -271,7 +277,6 @@ def _ledger(curve, kind, hc, reports, bad, records, points) -> GlobalLedger:
                      "dropped from the S/I bound")
     class_side, hi = None, None
     prov = "not supplied"
-    lo = 0 if pts_rank is None else pts_rank + tors2
     if used:
         class_side = sum(r.two_rank for r in used)
         prov = "; ".join(sorted({r.provenance for r in used}))

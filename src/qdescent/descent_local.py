@@ -13,15 +13,19 @@ M-rational kernel points lying in (tau - 1)E(M) (nonsingular reduction
 passes automatically; singular reduction is decided by the five reduction-
 type cases), the denominator is #(tau - 1)(E(M)[phi]).
 
-Each local object is computed once and passed down.  The ReductionData of
-tate_algorithm is the object for each (model, p): the minimal model, its
-Kodaira type and the change of coordinates to it.  The TorsionFieldProfile
-is the object for each (model, phi, p): the p-adic splitting of E[phi] and
-where its points reduce.  finite_descent_report builds the profile from the
-ReductionData and passes both to S and I; C is read off the profile.
+Each local object is computed once and passed down.  The model is the
+object of its curve: m.reduction(p), Tate's algorithm run once per prime,
+is the object for each (model, p): the minimal model, its Kodaira type and
+the change of coordinates to it; for the 2-map the factors of the
+2-division cubic at p are the model's one factorization over Q, moved to
+that minimal model (m.two_division_factors).  The TorsionFieldProfile is
+the object for each (model, phi, p): the p-adic splitting of E[phi] and
+where its points reduce.  local_descent_report builds the profile from the
+model and passes it to S and I; C is read off the profile.
 
-For multiplication by 3 or 4 only C is computed (c2_order, from the
-division polynomials); S and I are out of scope there.
+#E(Q_p)[3] (three_torsion_count, from the 3-division polynomial) stands
+apart: it is the order that the local exact sequence of a 3-isogeny and
+its dual needs.
 """
 
 from __future__ import annotations
@@ -30,14 +34,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .arith import (INFINITY, Place, finite, square_class, unramified_class,
-                    valuation)
-from .elliptic import (IsogenyMap, WeierstrassModel, _depress,
-                       two_division_cubic_integral)
+# finite and tate_algorithm are not called here (WeierstrassModel.reduction
+# runs Tate's algorithm); the layer tracer's tests read both off this module
+from .arith import (INFINITY, Place, finite,  # noqa: F401
+                    square_class, unramified_class, valuation)
+from .elliptic import IsogenyMap, WeierstrassModel
 from .localfields import EtaleAlgebra, span_rank, unramified_rank
 from .poly import (LocalFactor, RatPoly, UnresolvedSplitting, _vp_bounded,
                    factor_over_Z, local_splitting_type, monic_integral)
-from .tate import ReductionData, tate_algorithm
+from .tate import ReductionData, tate_algorithm  # noqa: F401
 
 TWO_MAP = "two-map"
 
@@ -122,7 +127,8 @@ def _piece_root_valuation(fac: LocalFactor, p: int):
 def two_map_kernel_profile(rd: ReductionData, pieces) -> TorsionFieldProfile:
     """Torsion field data of E[2] over Q_p for the minimal model in rd, from
     the pieces over Q_p (local_splitting_type) of
-    two_division_cubic_integral of that model (whose roots are 4 * x(T))."""
+    two_division_cubic_integral of that model (whose roots are 4 * x(T)),
+    given by its factors over Q (WeierstrassModel.two_division_factors)."""
     p = rd.p
     # two_division_cubic_integral has discriminant 2^8 * disc
     deg_L, deg_Lp = _cubic_deg_L_data(pieces, rd.minimal_model.disc, p)
@@ -151,18 +157,16 @@ def two_map_kernel_profile(rd: ReductionData, pieces) -> TorsionFieldProfile:
                                tuple(cycles))
 
 
-def torsion_field_profile(rd: ReductionData, phi) -> TorsionFieldProfile:
-    """Field-of-definition data of E[phi] over Q_p (desk-scope phi), for the
-    model and prime that rd was computed for."""
+def torsion_field_profile(m: WeierstrassModel, phi, p: int
+                          ) -> TorsionFieldProfile:
+    """Field-of-definition data of E[phi] over Q_p, for the 2-map or a
+    cyclic isogeny from m, read off m.reduction(p)."""
+    rd = m.reduction(p)
     if phi == TWO_MAP:
-        cubic = two_division_cubic_integral(rd.minimal_model)
         return two_map_kernel_profile(
-            rd, local_splitting_type(factor_over_Z(cubic), rd.p))
+            rd, local_splitting_type(m.two_division_factors(p), p))
     if not isinstance(phi, IsogenyMap):
         raise ValueError("phi must be the 2-map or an IsogenyMap")
-    if phi.kernel and isinstance(phi.kernel[0], str):
-        raise ValueError(f"torsion field profile for {phi.kernel[0]}: out of "
-                         "scope (the 2-map is TWO_MAP)")
     return _cyclic_kernel_profile(rd, phi)
 
 
@@ -216,14 +220,13 @@ def _kernel_point_singular(rd: ReductionData, x0: Fraction) -> bool:
 def c2_order(m: WeierstrassModel, phi, v: Place) -> int:
     """#E(Q_v)[phi] at finite places; 1 at the real place.
 
-    A standalone entry point: it runs Tate's algorithm itself.  Reports read
-    C from the profile they already hold (TorsionFieldProfile.rational_order).
+    A standalone entry point, on the reduction data the model keeps.
+    Reports read C from the profile they already hold
+    (TorsionFieldProfile.rational_order).
     """
     if v.is_real:
         return 1
-    if isinstance(phi, IsogenyMap) and phi.kernel in (("[3]",), ("[4]",)):
-        return _torsion_count(m, int(phi.kernel[0][1]), v.p)
-    return torsion_field_profile(tate_algorithm(m, v.p), phi).rational_order
+    return torsion_field_profile(m, phi, v.p).rational_order
 
 
 def s2_order_two_map(prof: TorsionFieldProfile) -> int:
@@ -231,13 +234,12 @@ def s2_order_two_map(prof: TorsionFieldProfile) -> int:
     return (2 if prof.p == 2 else 1) * prof.rational_order
 
 
-def s2_order_isogeny(phi, rd: ReductionData, rd_cod: ReductionData,
-                     prof: TorsionFieldProfile) -> int:
+def s2_order_isogeny(phi, prof: TorsionFieldProfile) -> int:
     """|phi'(0)|_p^-1 * #E(Q_p)[phi] * c_p(E') / c_p(E)
     (Schaefer, J. Number Theory 56 (1996)).
 
-    rd and rd_cod are the reduction data of phi.domain and phi.codomain at
-    p, prof the profile of phi there.  phi'(0) is taken on the Neron
+    prof is the profile of phi at p; the reduction data of phi.domain and
+    phi.codomain there come from the models.  phi'(0) is taken on the Neron
     differentials, those of the minimal models.  phi.phi_prime_0 is its
     value on the depressed models of phi.domain and phi.codomain (phi.pre
     has u = 1); the scalings u, u' that take these to their minimal models
@@ -245,7 +247,8 @@ def s2_order_isogeny(phi, rd: ReductionData, rd_cod: ReductionData,
     """
     if phi == TWO_MAP:
         raise ValueError("use s2_order_two_map for the 2-map")
-    p = rd.p
+    p = prof.p
+    rd, rd_cod = phi.domain.reduction(p), phi.codomain.reduction(p)
     abs_val = Fraction(p) ** (valuation(rd.transform[3], p)
                               - valuation(rd_cod.transform[3], p)
                               - valuation(phi.phi_prime_0, p))
@@ -258,9 +261,6 @@ def s2_real(m: WeierstrassModel, phi) -> int:
     """#E'(R)/phi E(R) per the archimedean case analysis."""
     if phi == TWO_MAP:
         return 2 if m.disc > 0 else 1
-    if phi.kernel and isinstance(phi.kernel[0], str):
-        raise ValueError(f"S at the real place for {phi.kernel[0]}: out of "
-                         "scope (the 2-map is TWO_MAP)")
     if phi.degree % 2 == 1:
         return 1
     # cyclic 2-isogeny: kernel (e, 0) is always real
@@ -280,23 +280,13 @@ def s2_real(m: WeierstrassModel, phi) -> int:
     return 2 if (q0 > 0 and x0d < mid) else 1
 
 
-def _torsion_count(m: WeierstrassModel, n: int, p: int) -> int:
-    """#E(Q_p)[n] for n in {2, 3, 4}."""
-    if n == 2:
-        return c2_order(m, TWO_MAP, finite(p))
-    if n == 3:
-        # the 3-division polynomial and (2y + a1 x + a3)^2 on m itself: on
-        # an integral model the roots need the scaling X = 3x only
-        psi3 = RatPoly([m.b8, 3 * m.b6, 3 * m.b4, m.b2, 3])
-        rhs = RatPoly([m.b6, 2 * m.b4, m.b2, 4])
-        return 1 + 2 * _count_x_roots_with_square_rhs(psi3, rhs, p)
-    # n = 4: E[2] plus points of exact order 4, on the depressed model
-    dep, _ = _depress(m)
-    A, B = dep.a4, dep.a6
-    quo = RatPoly([-8 * B * B - A ** 3, -4 * A * B, -5 * A * A, 20 * B,
-                   5 * A, 0, 1])
-    return _torsion_count(m, 2, p) + 2 * _count_x_roots_with_square_rhs(
-        quo, RatPoly([B, A, 0, 1]), p)
+def three_torsion_count(m: WeierstrassModel, p: int) -> int:
+    """#E(Q_p)[3], from the 3-division polynomial and (2y + a1 x + a3)^2
+    on m itself: on an integral model the roots need the scaling X = 3x
+    only."""
+    psi3 = RatPoly([m.b8, 3 * m.b6, 3 * m.b4, m.b2, 3])
+    rhs = RatPoly([m.b6, 2 * m.b4, m.b2, 4])
+    return 1 + 2 * _count_x_roots_with_square_rhs(psi3, rhs, p)
 
 
 def _count_x_roots_with_square_rhs(g: RatPoly, f: RatPoly, p: int) -> int:
@@ -447,13 +437,12 @@ def i2_oracle_halving(m: WeierstrassModel, p: int):
     """
     if p == 2:
         return "inapplicable", [{"reason": "oracle restricted to odd p"}]
-    rd = tate_algorithm(m, p)
-    cubic = two_division_cubic_integral(rd.minimal_model)
     try:
-        alg = EtaleAlgebra(factor_over_Z(cubic), p)
+        alg = EtaleAlgebra(m.two_division_factors(p), p)
     except UnresolvedSplitting as exc:
         raise UnresolvedSplitting(f"halving oracle: {exc}")
-    s_order = s2_order_two_map(two_map_kernel_profile(rd, alg.pieces))
+    s_order = s2_order_two_map(two_map_kernel_profile(m.reduction(p),
+                                                      alg.pieces))
     images = []
     evidence = []
     for i, piece in enumerate(alg.pieces):
@@ -515,26 +504,22 @@ class LocalDescentReport:
 
 def local_descent_report(m: WeierstrassModel, phi, place: Place
                          ) -> LocalDescentReport:
+    """The report of phi, the 2-map or a cyclic isogeny from m, at a place.
+
+    At a prime p the profile of phi is built once and passed to S and I,
+    which read the reduction data that m (and the codomain of a cyclic
+    isogeny) keeps for p.
+    """
     if place.is_real:
         return LocalDescentReport(place, 1, s2_real(m, phi), 1, "-", None,
                                   [], "archimedean place: C and I trivial")
-    return finite_descent_report(m, phi, tate_algorithm(m, place.p))
-
-
-def finite_descent_report(m: WeierstrassModel, phi, rd: ReductionData
-                          ) -> LocalDescentReport:
-    """The report at the prime of rd = tate_algorithm(m, p).
-
-    The profile of phi is built once here and passed to S and I; Tate's
-    algorithm runs once more, for the codomain of a cyclic isogeny.
-    """
-    prof = torsion_field_profile(rd, phi)
+    rd = m.reduction(place.p)
+    prof = torsion_field_profile(m, phi, place.p)
     if phi == TWO_MAP:
         S = s2_order_two_map(prof)
     else:
-        S = s2_order_isogeny(phi, rd, tate_algorithm(phi.codomain, rd.p), prof)
+        S = s2_order_isogeny(phi, prof)
     I, ev = i2_order(rd, phi, prof)
     C = prof.rational_order
     assert C % I == 0 and S % I == 0, "I must divide gcd(C, S)"
-    return LocalDescentReport(finite(rd.p), C, S, I, rd.kodaira.symbol(),
-                              prof, ev)
+    return LocalDescentReport(place, C, S, I, rd.kodaira.symbol(), prof, ev)

@@ -1,21 +1,28 @@
 """Weierstrass models, point arithmetic and isogenies.
 
 Models are exact ([a1,a2,a3,a4,a6] over Q); point arithmetic runs over Q or
-over F_p through a small field-context object.  Isogeny coordinate maps are
-rational functions in x (plus y times a rational function in x), stored on a
-depressed model y^2 = x^3 + Ax + B with the translation recorded, together
-with the scalar phi'(0) by which the map pulls back the invariant
+over F_p through a small field-context object.  A model is the one object
+of its curve: it keeps Tate's algorithm at each prime it was asked about
+(reduction) and the curve y^2 = its integral 2-division cubic, whose
+factors over Q are found once and moved to the minimal model of each prime
+(two_division_factors).  Isogenies are Velu's: the coordinate maps are
+rational functions in x (plus y times a rational function in x), stored on
+a depressed model y^2 = x^3 + Ax + B with the translation recorded,
+together with the scalar phi'(0) by which the map pulls back the invariant
 differential, fixed when the map is built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .arith import residue
-from .poly import RatPoly, poly_gcd
+from .jacobian import HyperellipticCurve
+from .poly import RatPoly
+from .tate import ReductionData, tate_algorithm
 
 Rat = Fraction
 
@@ -97,6 +104,45 @@ class WeierstrassModel:
     @property
     def j(self):
         return self.c4 ** 3 / self.disc
+
+    @cached_property
+    def _reductions(self) -> dict:
+        return {}
+
+    def reduction(self, p: int) -> ReductionData:
+        """Tate's algorithm at p, run once per prime and kept."""
+        rd = self._reductions.get(p)
+        if rd is None:
+            rd = self._reductions[p] = tate_algorithm(self, p)
+        return rd
+
+    @cached_property
+    def denominator(self) -> int:
+        """The lcm d of the denominators of the a_i: the model
+        self.transform(u=1/d), whose x is d^2 times ours, is integral."""
+        return math.lcm(*(a.denominator for a in self.ainvs()))
+
+    @cached_property
+    def two_division_curve(self) -> HyperellipticCurve:
+        """y^2 = two_division_cubic_integral of the integral model
+        self.transform(u=1/d); its factors are the one factorization of the
+        cubic over Q."""
+        return HyperellipticCurve(two_division_cubic_integral(
+            self.transform(u=Fraction(1, self.denominator))))
+
+    def two_division_factors(self, p: int) -> tuple:
+        """The monic irreducible factors over Q of two_division_cubic_integral
+        of the minimal model at p, moved from two_division_curve.
+
+        With (r, s, t, u) = reduction(p).transform, the roots U of the
+        curve's cubic and U' of the minimal model's are 4 d^2 x and
+        4 (x - r)/u^2, so each factor h becomes h(d^2 u^2 U' + 4 d^2 r),
+        made monic.  The factors are integral, as the minimal model is.
+        """
+        r, _, _, u = self.reduction(p).transform
+        d2 = self.denominator ** 2
+        return tuple(h.compose_linear(d2 * u * u, 4 * d2 * r).monic()
+                     for h in self.two_division_curve.factors)
 
     def ainvs(self):
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
@@ -239,44 +285,6 @@ def two_division_cubic_integral(m: WeierstrassModel) -> RatPoly:
     return RatPoly([16 * m.b6, 8 * m.b4, m.b2, 1])
 
 
-# ---------------------------------------------------------------------------
-# Rational maps on a curve (elements (X(x), y * Y(x)) used for [n])
-
-
-@dataclass(frozen=True)
-class RatFunc:
-    num: RatPoly
-    den: RatPoly
-
-    def normalized(self) -> "RatFunc":
-        g = poly_gcd(self.num, self.den)
-        if g.degree >= 1:
-            n, d = self.num // g, self.den // g
-        else:
-            n, d = self.num, self.den
-        lc = d.lead
-        return RatFunc(RatPoly([c / lc for c in n.coeffs]),
-                       RatPoly([c / lc for c in d.coeffs]))
-
-    def __add__(self, o):
-        return RatFunc(self.num * o.den + o.num * self.den,
-                       self.den * o.den).normalized()
-
-    def __sub__(self, o):
-        return RatFunc(self.num * o.den - o.num * self.den,
-                       self.den * o.den).normalized()
-
-    def __mul__(self, o):
-        return RatFunc(self.num * o.num, self.den * o.den).normalized()
-
-    def __truediv__(self, o):
-        return RatFunc(self.num * o.den, self.den * o.num).normalized()
-
-
-def _rf(p: RatPoly) -> RatFunc:
-    return RatFunc(p, RatPoly([1]))
-
-
 @dataclass(frozen=True)
 class IsogenyMap:
     """An isogeny with exact rational coordinate functions.
@@ -285,7 +293,7 @@ class IsogenyMap:
     the depressed coordinates are xd = x - r', ... recorded as a transform
     tuple; phi(x, y) = (xnum(xd)/xden(xd), yd * ynum(xd)/yden(xd)) on the
     codomain (itself depressed).  `kernel` lists the x-coordinates of the
-    kernel on the *original* domain, or the tag "[n]".
+    kernel on the *original* domain.
 
     `phi_prime_0` is phi'(0) on the depressed models: phi^*(dx'/2y') =
     phi_prime_0 * dx/2y, so X'(x) = phi_prime_0 * Y(x) for
@@ -375,45 +383,3 @@ def velu_isogeny(m: WeierstrassModel, kernel_points) -> IsogenyMap:
     kern = tuple(sorted({P.x for P in pts}))
     return IsogenyMap(m, codomain, order, pre, x_num, lin ** k, y_num,
                       lin ** (k + 1), kern, 1)
-
-
-def multiplication_isogeny(m: WeierstrassModel, n: int) -> IsogenyMap:
-    """[n] as an explicit isogeny (n <= 4), via iterated rational maps."""
-    if not 1 <= n <= 4:
-        raise ValueError("multiplication maps implemented for n <= 4")
-    dep, pre = _depress(m)
-    A, B = dep.a4, dep.a6
-    f = RatPoly([B, A, 0, 1])
-    fr = _rf(f)
-
-    def compose(p: RatPoly, Xf: RatFunc) -> RatFunc:
-        out = _rf(RatPoly([0]))
-        for c in reversed(p.coeffs):
-            out = out * Xf + _rf(RatPoly([c]))
-        return out
-
-    # generic point functions: P = (X(x), y * Y(x)); addition stays in
-    # this shape because the curve relation folds y^2 into f(x)
-    def add_funcs(P1, P2):
-        X1, Y1 = P1
-        X2, Y2 = P2
-        same_x = X1.num * X2.den == X2.num * X1.den
-        if same_x and Y1.num * Y2.den == Y2.num * Y1.den:
-            # tangent: lambda = f'(X) / (2 y Y) = y * f'(X) / (2 f Y)
-            L = compose(f.deriv(), X1) / (_rf(RatPoly([2])) * fr * Y1)
-        elif same_x:
-            return None  # opposite points: sum is O
-        else:
-            L = (Y2 - Y1) / (X2 - X1)
-        X3 = fr * L * L - X1 - X2
-        return (X3, L * (X1 - X3) - Y1)
-
-    gen = (_rf(RatPoly([0, 1])), _rf(RatPoly([1])))
-    acc = gen
-    for _ in range(n - 1):
-        acc = add_funcs(acc, gen)
-        if acc is None:
-            raise ValueError("multiplication map degenerated")
-    X, Y = acc
-    return IsogenyMap(m, dep, n * n, pre, X.num, X.den, Y.num, Y.den,
-                      ("[%d]" % n,), n)

@@ -207,10 +207,17 @@ def independence_rank(c: HyperellipticCurve, points, primes):
     relations are the kernel of the rows stacked across the primes, and
     the bound is #points - dim(common relations).  Relation spaces are
     given as reduced echelon bases (localfields.relations).
+
+    The same stacking, with the generators of J(Q)[2] added to the points,
+    bounds the rank of the subgroup the points and the rational 2-torsion
+    generate: analysis["rank_with_torsion"].  The generators are D_h, the
+    divisor of the roots of h, for every factor h of f over Q but the last
+    (the D_h of all factors sum to the divisor of y).
     """
     n = len(points)
+    t = len(c.factors) - 1
     analysis = {}
-    stacked = [0] * n
+    stacked = [0] * (n + t)
     for p in primes:
         alg = EtaleAlgebra(c.factors, p)
         vecs = [xt_image(alg, pt) for pt in points]
@@ -219,10 +226,12 @@ def independence_rank(c: HyperellipticCurve, points, primes):
             "nontrivial_images": [point_label(points[i]) for i in range(n)
                                   if not vecs[i].is_trivial()],
         }
+        vecs += [alg.image_of_factor_roots(k) for k in range(t)]
         stacked = [s << alg.basis.width | w.mask
                    for s, w in zip(stacked, vecs)]
-    common = relations(stacked)
+    common = relations(stacked[:n])
     bound = n - len(common)
     analysis["common_relations"] = common
     analysis["rank_lower_bound"] = bound
+    analysis["rank_with_torsion"] = n + t - len(relations(stacked))
     return bound, analysis

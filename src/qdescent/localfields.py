@@ -418,6 +418,18 @@ class EtaleAlgebra:
         return SqVector(mask, self.basis)
 
 
+    def image_of_factor_roots(self, k: int) -> SqVector:
+        """Descent image of the 2-torsion divisor of the roots of the k-th
+        factor h of f over Q (of the factors the algebra was built from),
+        at a finite place: the product of image_of_torsion_root over the
+        pieces above h."""
+        mask = 0
+        for i, piece in enumerate(self.pieces):
+            if piece.global_factor == k:
+                mask ^= self.image_of_torsion_root(i).mask
+        return SqVector(mask, self.basis)
+
+
 def _invert_mod_8(a, h):
     """Inverse of a unit a modulo (h, 8), Newton-lifted from the inverse
     mod 2 that the extended Euclid gives."""

@@ -683,9 +683,11 @@ class LocalFactor:
     The piece was found in the coordinate X = shift + p^scale * Z: `zlift`
     is its monic factor in Z and `lift` the same factor in X, both modulo
     p^prec, constant term first.  For e = 1 the factor in Z is irreducible
-    mod p, so its root generates the ring of integers of the piece.  For a
-    linear piece coming from an exact rational root, `root` is that root.
-    `note` records how a piece from a repeated factor mod p was resolved.
+    mod p, so its root generates the ring of integers of the piece.  The
+    piece lies above the factor over Q numbered `global_factor` in the
+    factors it was split from.  For a linear piece coming from an exact
+    rational root, `root` is that root.  `note` records how a piece from a
+    repeated factor mod p was resolved.
     """
 
     e: int
@@ -693,6 +695,7 @@ class LocalFactor:
     kind: str  # 'linear' | 'unramified' | 'ramified'
     prec: int
     lift: tuple[int, ...]
+    global_factor: int
     root: Fraction | None = None
     note: str = ""
     shift: int = 0
@@ -711,16 +714,17 @@ class LocalFactor:
         return (-self.lift[0]) % modulus
 
 
-def _local_factor(p, e, f, zlift, shift, scale, prec, note, root=None):
-    """The LocalFactor whose factor in Z, X = shift + p^scale Z, is zlift."""
+def _local_factor(p, k, e, f, zlift, shift, scale, prec, note, root=None):
+    """The LocalFactor above the k-th factor over Q whose factor in Z,
+    X = shift + p^scale Z, is zlift."""
     m = p ** prec
     deg = len(zlift) - 1
     # the factor in X is p^(scale*deg) * zlift((X - shift) / p^scale)
     lift = mp_shift([c * p ** (scale * (deg - i)) for i, c in enumerate(zlift)],
                     -shift, m)
     kind = "ramified" if e > 1 else "linear" if f == 1 else "unramified"
-    return LocalFactor(e, f, kind, prec, tuple(lift), root, note, shift % m,
-                       scale, tuple(c % m for c in zlift))
+    return LocalFactor(e, f, kind, prec, tuple(lift), k, root, note,
+                       shift % m, scale, tuple(c % m for c in zlift))
 
 
 def _np_lower_hull(points):
@@ -925,13 +929,14 @@ def local_splitting_type(factors, p: int) -> tuple[LocalFactor, ...]:
     while True:
         try:
             out: list[LocalFactor] = []
-            for h in factors:
+            for k, h in enumerate(factors):
                 if h.degree == 1:
-                    out.append(_local_factor(p, 1, 1, (int(h.coeffs[0]), 1), 0,
-                                             0, N, "", -h.coeffs[0]))
+                    out.append(_local_factor(p, k, 1, 1, (int(h.coeffs[0]), 1),
+                                             0, 0, N, "", -h.coeffs[0]))
                 else:
-                    out += [_local_factor(p, *piece) for piece in _factor_mod_pN(
-                        [int(c) % p ** N for c in h.coeffs], p, N)]
+                    out += [_local_factor(p, k, *piece)
+                            for piece in _factor_mod_pN(
+                                [int(c) % p ** N for c in h.coeffs], p, N)]
             break
         except _Shortfall as exc:
             if N >= HENSEL_CAP:

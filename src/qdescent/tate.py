@@ -6,7 +6,9 @@ Tamagawa number c_p, whether multiplicative reduction is split, and the
 order of Frobenius on the component group
 (frobenius_order_on_components).  The minimal model is integral, not only
 p-integral, so that the local objects built on it, such as its 2-division
-cubic, have integer coefficients.
+cubic, have integer coefficients.  WeierstrassModel.reduction runs it
+once per prime and keeps the result, so that each (model, prime) has one
+ReductionData.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import INFINITY, legendre, residue, valuation
-from .elliptic import WeierstrassModel
 from .poly import factor_mod_p
 
 

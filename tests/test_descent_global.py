@@ -4,6 +4,7 @@ against brute force, the JSON form of a ledger, and the ledgers of the
 paper's worked examples."""
 
 import json
+import random
 import sys
 from fractions import Fraction
 from math import isqrt
@@ -14,14 +15,15 @@ import forms_oracle
 from conftest import DeadlineExceeded
 from qdescent import poly, tate
 from qdescent.arith import REAL_PLACE, factor_integer, finite, squarefree_part
-from qdescent.descent_global import (GlobalLedger, assemble_ledger_elliptic,
+from qdescent.descent_global import (GlobalLedger, _disc_primes,
+                                     assemble_ledger_elliptic,
                                      assemble_ledger_hyper, bad_primes,
                                      fundamental_discriminant,
                                      fundamental_unit_norm,
                                      genus_2rank_quadratic, parse_class_data,
                                      quadratic_class_record)
 from qdescent.descent_local import TWO_MAP, local_descent_report
-from qdescent.elliptic import (Pt, curve_from_string,
+from qdescent.elliptic import (Pt, add, curve_from_string,
                                two_division_cubic_integral, velu_isogeny)
 from qdescent.jacobian import HyperellipticCurve
 from qdescent.localfields import EtaleAlgebra
@@ -158,18 +160,34 @@ def test_hyper_ledger_factors_its_polynomial_once(monkeypatch):
 
 
 def test_elliptic_ledger_factors_its_cubic_once(monkeypatch):
-    # the torsion rank, the class records, the independence primes and the
-    # images of the points read one factorization of the 2-division cubic
-    # of the input model; a place's profile factors the cubic of its own
-    # minimal model, which is the same cubic where that model is the input
+    # the torsion rank, the class records, the independence primes, the
+    # images of the points and every place's profile read one
+    # factorization of the 2-division cubic, kept on the model
     m = curve_from_string("[0,7,0,-26,0]")
-    cubic = two_division_cubic_integral(m)
-    same = sum(two_division_cubic_integral(tate.tate_algorithm(m, p)
-                                           .minimal_model) == cubic
-               for p in sorted({2, *bad_primes(m)}))
     calls = record_calls(monkeypatch, poly.factor_over_Z)
     assemble_ledger_elliptic(m, [quadratic_class_record(17)], [-8])
-    assert calls.count((cubic,)) == 1 + same
+    assert calls == [(two_division_cubic_integral(m),)]
+
+
+@pytest.mark.parametrize("cs, kernel, points", [
+    ("[-1,0,-8,0,0]", [(0, 8), (0, 0)], [-2, 0, 4, 8, 60]),  # iso3-2
+    ("[0,-6,0,11,0]", [(0, 0)], None)])                       # iso2-2
+def test_one_tate_call_per_model_and_prime(monkeypatch, cs, kernel, points):
+    # the ledger, bad_primes and the reports of an isogeny at every place
+    # read the reduction data that the domain and codomain models keep:
+    # Tate runs on the domain at 2 and at each prime of its discriminant,
+    # and on the codomain at each bad prime of the domain, once each
+    m = curve_from_string(cs)
+    phi = velu_isogeny(m, [Pt(Fraction(x), Fraction(y)) for x, y in kernel])
+    calls = record_calls(monkeypatch, tate.tate_algorithm)
+    assemble_ledger_elliptic(m, None, points)
+    bad = bad_primes(m)
+    for v in [REAL_PLACE] + [finite(p) for p in bad]:
+        local_descent_report(m, phi, v)
+    want = ([(m, p) for p in sorted({2, *_disc_primes(m)})]
+            + [(phi.codomain, p) for p in bad])
+    assert sorted(calls, key=repr) == sorted(want, key=repr)
+    assert all(model is m or model is phi.codomain for model, _ in calls)
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +297,12 @@ WORKED = {
                   ("23", 2, 2, 2, "I1*")], (1, None), []),
     "worked-5": ("[0,1,0,4,12]", -23, None, (-2, 0),
                  [("oo", 1, 1, 1, "-"), ("2", 4, 8, 4, "I0*"),
-                  ("3", 4, 4, 2, "I2"), ("23", 2, 2, 2, "I1")], (0, 2),
+                  ("3", 4, 4, 2, "I2"), ("23", 2, 2, 2, "I1")], (1, 2),
                  [("oo", 1, 2, 1, "-"), ("2", 2, 2, 2, "I0*"),
                   ("3", 2, 1, 1, "I2"), ("23", 2, 4, 2, "I1")]),
     "worked-6": ("[0,0,0,-25,0]", None, [-4, 45], (-5, 0),
                  [("oo", 1, 2, 1, "-"), ("2", 4, 8, 2, "III"),
-                  ("5", 4, 4, 1, "I0*")], (4, None),
+                  ("5", 4, 4, 1, "I0*")], (3, None),
                  [("oo", 1, 2, 1, "-"), ("2", 2, 2, 1, "III"),
                   ("5", 2, 1, 1, "I0*")]),
     "worked-7": ("[0,0,0,-75,125]", None, [-4], None,
@@ -344,6 +362,54 @@ def test_elliptic_ledger_rows_are_local_reports(case):
     assert ledger.local_reports == [
         local_descent_report(m, TWO_MAP, v).as_dict() for v in places]
     assert all(r["evidence"] for r in ledger.local_reports[1:])
+
+
+# the curves of the ell-ledger corpus whose 2-division cubic is a linear
+# times an irreducible quadratic factor: (curve, class_d, points)
+ONE_PLUS_TWO = [("[0,1,0,4,12]", -23, None), ("[0,7,0,-26,0]", 17, [-8]),
+                ("[0,-6,0,11,0]", -2, None), ("[0,5,0,-7,0]", 53, None),
+                ("[0,-6,0,-20,0]", 29, None), ("[0,18,0,-23,0]", 26, None)]
+
+
+@pytest.mark.parametrize("cs, class_d, points", ONE_PLUS_TWO)
+def test_quadratic_class_side_needs_no_records(cs, class_d, points):
+    # genus theory gives the record of the quadratic factor's field
+    m = curve_from_string(cs)
+    given = assemble_ledger_elliptic(m, [quadratic_class_record(class_d)],
+                                     points)
+    found = assemble_ledger_elliptic(m, None, points)
+    assert found.class_side_rank is not None
+    assert (found.class_side_rank, found.selmer_rank_interval[1]) == \
+        (given.class_side_rank, given.selmer_rank_interval[1])
+
+
+def test_points_and_torsion_are_counted_once():
+    # y^2 = x(x^2 + ax + b) with a point P and P + T, T = (0, 0): the
+    # points and E(Q)[2] span at most 1 + dim E(Q)[2] dimensions of
+    # E(Q)/2E(Q), so the points side of lo stays there; lo exceeds it only
+    # by the class side, where one applies
+    rng = random.Random(16)
+    checked = twice = 0
+    while checked < 30:
+        x0, y0, a = (rng.randrange(1, 13), rng.randrange(1, 40),
+                     rng.randrange(-9, 10))
+        if y0 * y0 % x0:
+            continue
+        b = y0 * y0 // x0 - x0 * x0 - a * x0
+        if b == 0 or a * a == 4 * b:
+            continue
+        m = curve_from_string(f"[0,{a},0,{b},0]")
+        P = Pt(Fraction(x0), Fraction(y0))
+        PT = add(m, P, Pt(Fraction(0), Fraction(0)))
+        ledger = assemble_ledger_elliptic(m, None, [P.x, PT.x])
+        tors2, lo = ledger.torsion_two_rank, ledger.selmer_rank_interval[0]
+        class_lo = (ledger.class_side_rank - ledger.bound_rank_C_over_I
+                    if ledger.class_side_rank is not None else 0)
+        assert tors2 <= lo <= max(1 + tors2, class_lo), (a, b, x0)
+        # the sum that counted the torsion twice
+        twice += ledger.points_rank_lower + tors2 > 1 + tors2
+        checked += 1
+    assert twice >= 10
 
 
 def test_paper_example_II():

@@ -1,7 +1,6 @@
 import json
 import random
 from fractions import Fraction
-from functools import cache
 from pathlib import Path
 
 import pytest
@@ -9,9 +8,8 @@ import pytest
 from qdescent.arith import factor_integer, valuation
 from qdescent.elliptic import (INF, FpCtx, Pt, WeierstrassModel, _depress,
                                add, compute_invariants, curve_from_string,
-                               is_on_curve, multiplication_isogeny, negate,
-                               scalar_mul, two_division_cubic_integral,
-                               velu_isogeny)
+                               is_on_curve, negate, scalar_mul,
+                               two_division_cubic_integral, velu_isogeny)
 from qdescent.poly import RatPoly, discriminant, factor_over_Z
 
 E189 = curve_from_string("[0,0,0,-189,1269]")
@@ -98,6 +96,33 @@ def test_two_division_cubic():
     assert RatPoly([96, -4, 1]) in fac
 
 
+def test_moved_factors_are_those_of_the_minimal_model():
+    # the one factorization of the cubic, moved by the change of
+    # coordinates of each prime, is the factorization of the minimal
+    # model's cubic: monic and integral, rational input models included
+    rng = random.Random(16)
+    models = [curve_from_string("[1/2,0,0,-1,0]")]
+    while len(models) < 40:
+        den = 1 if len(models) < 20 else rng.choice((2, 3, 4, 6))
+        try:
+            models.append(compute_invariants(
+                *(Fraction(rng.randrange(-9, 10), den) for _ in range(5))))
+        except ValueError:
+            continue
+    places = 0
+    for m in models:
+        primes = {p for n in (m.disc.numerator, m.disc.denominator)
+                  for p, _ in factor_integer(n).factors}
+        for p in sorted(primes | {2}):
+            moved = m.two_division_factors(p)
+            assert all(h.is_monic() and h.is_integral() for h in moved)
+            cubic = two_division_cubic_integral(m.reduction(p).minimal_model)
+            assert sorted(moved, key=repr) == \
+                sorted(factor_over_Z(cubic), key=repr), (m, p)
+            places += 1
+    assert places >= 140
+
+
 def test_velu_3_isogeny_matches_paper():
     phi = velu_isogeny(E189, [Pt(Fraction(3), Fraction(27)),
                               Pt(Fraction(3), Fraction(-27))])
@@ -154,43 +179,14 @@ def test_velu_points_map_to_codomain():
         assert hits > 0
 
 
-def test_multiplication_isogeny_agrees_with_scalar_mul():
-    for n in (2, 3, 4):
-        phi = multiplication_isogeny(E189, n)
-        assert phi.degree == n * n
-        for P in (Pt(Fraction(3), Fraction(27)),):
-            got = phi.apply(P)
-            dep = phi.depressed_domain()
-            r, s, t, u = phi.pre
-            Pd = E189.map_point(P, r, s, t, u)
-            want = scalar_mul(dep, n, Pd)
-            assert got == want
-
-
 def abs_p(c, p):
     return Fraction(p) ** -valuation(c, p)
 
 
-@cache
-def mult(n):
-    return multiplication_isogeny(E189, n)
-
-
 def test_phi_prime_abs():
-    two = mult(2)
-    assert abs_p(two.phi_prime_0, 2) == Fraction(1, 2)
-    assert abs_p(two.phi_prime_0, 31) == 1
     three = velu_isogeny(E189, [Pt(Fraction(3), Fraction(27)),
                                 Pt(Fraction(3), Fraction(-27))])
     assert abs_p(three.phi_prime_0, 31) == 1  # p does not divide deg(phi)
-    assert abs_p(mult(3).phi_prime_0, 3) == Fraction(1, 3)
-
-
-def test_phi_prime_multiplicativity():
-    # [4] = [2] o [2]
-    four = mult(4)
-    two = mult(2)
-    assert abs_p(four.phi_prime_0, 2) == abs_p(two.phi_prime_0, 2) ** 2
 
 
 def corpus_velu_maps():
@@ -211,8 +207,8 @@ def corpus_velu_maps():
 def test_differential_identity():
     # phi(x, y) = (X(x), y Y(x)) pulls dx'/2y' back to (X'(x)/Y(x)) dx/2y,
     # so X' = phi'(0) Y as rational functions
-    maps = corpus_velu_maps() + [mult(n) for n in (1, 2, 3, 4)]
-    assert len(maps) == 1 + 15 + 4
+    maps = corpus_velu_maps()
+    assert len(maps) == 1 + 15
     for phi in maps:
         lhs = (phi.x_num.deriv() * phi.x_den
                - phi.x_num * phi.x_den.deriv()) * phi.y_den

@@ -1,12 +1,14 @@
 """Source hygiene of the qdescent package, read from its syntax trees:
 imports at module level and from the standard library only, no
-__import__, no dead functions, classes or methods, and no module-level
-mutable container (a global registry), and no mod-m product reduced
-other than by the fused kernel; pyproject.toml declares no runtime
-dependency and every console script it declares resolves; every helper
-module of the tests is imported by a test module; every defaulted
-parameter of src/ is set by some call, and no parameter is passed the same
-literal by every call; and every dataclass field is read."""
+__import__, no dead functions, classes or methods, no module-level
+mutable container (a global registry) or per-process function cache, no
+mod-m product reduced other than by the fused kernel, and Tate's
+algorithm run only by the model that keeps its result; pyproject.toml
+declares no runtime dependency and every console script it declares
+resolves; every helper module of the tests is imported by a test module;
+every defaulted parameter of src/ is set by some call, and no parameter
+is passed the same literal by every call; and every dataclass field is
+read."""
 
 import ast
 import importlib
@@ -192,6 +194,33 @@ def test_no_module_level_mutable_container():
                   and isinstance(stmt.value.func, ast.Name)
                   and stmt.value.func.id in ("dict", "list", "set"))]
     assert not found
+
+
+def test_no_function_cache_decorator():
+    # functools.cache and lru_cache keep a per-process cache, a registry
+    # that the rule above does not see; results belong to the object that
+    # owns them (a cached_property, as WeierstrassModel.reduction keeps)
+    caches = ("cache", "lru_cache")
+    found = [f"{name}:{fn.lineno}:{fn.name}"
+             for name, tree in TREES.items() for fn in ast.walk(tree)
+             if isinstance(fn, (*FUNCTIONS, ast.ClassDef))
+             for d in fn.decorator_list
+             for node in [d.func if isinstance(d, ast.Call) else d]
+             if isinstance(node, ast.Name) and node.id in caches
+             or isinstance(node, ast.Attribute) and node.attr in caches]
+    assert not found
+
+
+def test_tate_runs_only_in_the_model_memo():
+    # each (model, prime) has one ReductionData: every caller reads
+    # WeierstrassModel.reduction, the one caller of tate_algorithm
+    callers = {f"{name}:{fn.name}"
+               for name, tree in TREES.items() for fn in ast.walk(tree)
+               if isinstance(fn, FUNCTIONS)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Call)
+               and "tate_algorithm" in referenced_names(node.func)}
+    assert callers == {"elliptic.py:reduction"}
 
 
 def test_no_runtime_dependencies():
