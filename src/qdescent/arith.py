@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 
-Rat = Fraction
-
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _TRIAL_BOUND = 1000  # trial division below this; rho on the rest
 _RHO_BATCH = 128

@@ -5,8 +5,10 @@ then 2 and the primes of bad reduction.  A ledger is that of a curve
 y^2 = f held as a HyperellipticCurve: the curve itself, or, for an
 elliptic curve, the model's two_division_curve, y^2 = the 2-division cubic
 of its model made integral.  An elliptic ledger reads everything from the
-model: bad_primes and every report use the reduction data it keeps per
-prime, and every place's profile its one factorization of the cubic.  f is
+model: bad_primes filters the primes of its discriminant, factored once
+(disc_primes), by the reduction data it keeps per prime, every report uses
+that data, and every place's profile its one factorization of the cubic.
+A hyperelliptic ledger's bad primes are the curve's disc_primes.  f is
 factored over Q once, as the curve's `factors`, and the etale algebras of
 the places, the torsion rank, the images of the torsion and the class
 records all read them.  The global quotients S/I and C/I inject into the
@@ -37,15 +39,9 @@ from .poly import RatPoly, discriminant, fp_poly, mp_pow_mod, parse_poly
 _PERIOD_BOUND = 10 ** 6  # longest continued-fraction period followed
 
 
-def _disc_primes(m: WeierstrassModel) -> list[int]:
-    """The primes dividing the discriminant of the model, ascending."""
-    return sorted({p for n in (m.disc.numerator, m.disc.denominator)
-                   for p, _ in factor_integer(n).factors})
-
-
 def bad_primes(m: WeierstrassModel) -> list[int]:
-    """Primes of bad reduction: disc support filtered through minimality."""
-    return [p for p in _disc_primes(m)
+    """Primes of bad reduction: m.disc_primes filtered through minimality."""
+    return [p for p in m.disc_primes
             if m.reduction(p).kodaira.letter != "I0"]
 
 
@@ -306,7 +302,7 @@ def assemble_ledger_hyper(c: HyperellipticCurve, records=None,
                           points=None) -> GlobalLedger:
     """The ledger of the Jacobian of c, from one EtaleAlgebra per place."""
     points = points or []
-    bad = c.bad_primes()
+    bad = c.disc_primes
     reports = []
     for v in [REAL_PLACE] + [finite(p) for p in sorted({2, *bad})]:
         alg = EtaleAlgebra(c.factors, v.p)

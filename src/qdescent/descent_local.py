@@ -11,7 +11,15 @@ cyclic 2-/3-isogenies) this computes the orders of
 The intersection order is numerator/denominator: the numerator counts
 M-rational kernel points lying in (tau - 1)E(M) (nonsingular reduction
 passes automatically; singular reduction is decided by the five reduction-
-type cases), the denominator is #(tau - 1)(E(M)[phi]).
+type cases), the denominator is #(tau - 1)(E(M)[phi]).  A kernel point is
+read on the minimal model at p (KernelPoint.x_val is v(x) there), so that
+C, S and I do not depend on the model: one rule (_kernel_point) decides
+whether it reduces to the singular point (0, 0).
+
+The halving oracle (i2_oracle_halving) checks I for the 2-map at odd p by
+another route: it is the Jacobian's intersection rank
+(local_intersection_rank) on the rational 2-torsion of y^2 = the
+2-division cubic of the minimal model.
 
 Each local object is computed once and passed down.  The model is the
 object of its curve: m.reduction(p), Tate's algorithm run once per prime,
@@ -39,7 +47,8 @@ from math import lcm
 from .arith import (INFINITY, Place, finite,  # noqa: F401
                     square_class, unramified_class, valuation)
 from .elliptic import IsogenyMap, WeierstrassModel
-from .localfields import EtaleAlgebra, span_rank, unramified_rank
+from .jacobian import local_intersection_rank, point_label
+from .localfields import EtaleAlgebra
 from .poly import (LocalFactor, RatPoly, UnresolvedSplitting, _vp_bounded,
                    factor_over_Z, local_splitting_type, monic_integral)
 from .tate import ReductionData, tate_algorithm  # noqa: F401
@@ -62,7 +71,7 @@ class KernelPoint:
     label: str
     residue_degree: int      # over Q_p; 0 when only defined over a ramified ext
     singular: object         # True/False; None when not M-rational
-    x_val: object            # v_p of the x-coordinate (int or None)
+    x_val: object            # v_p(x) on the minimal model (int or None)
 
 
 @dataclass(frozen=True)
@@ -144,13 +153,9 @@ def two_map_kernel_profile(rd: ReductionData, pieces) -> TorsionFieldProfile:
         m_exp = 2
         vu = _piece_root_valuation(fac, p)
         vx = None if vu is None else vu - (2 if p == 2 else 0)
-        # the reduced minimal model is singular at (0, 0) (tate_algorithm),
-        # where a 2-torsion point reduces exactly when v(x) >= 1
-        singular = rd.kodaira.letter != "I0" and (vx is None or vx > 0)
         labels = [f"T{label_no + i}" for i in range(fac.f)]
         label_no += fac.f
-        for lab in labels:
-            pts.append(KernelPoint(lab, fac.f, singular, vx))
+        pts += [_kernel_point(rd, lab, fac.f, vx) for lab in labels]
         cycles.append(tuple(labels))
     deg_M = deg_Lp * m_exp
     return TorsionFieldProfile(p, tuple(pts), m_exp, deg_L, deg_Lp, deg_M,
@@ -170,13 +175,23 @@ def torsion_field_profile(m: WeierstrassModel, phi, p: int
     return _cyclic_kernel_profile(rd, phi)
 
 
+def _kernel_point(rd: ReductionData, label: str, f: int, vx) -> KernelPoint:
+    """The M-rational kernel point `label` of residue degree f whose x has
+    valuation vx on the minimal model in rd (None: infinite or out of
+    reach).  The reduced minimal model is singular at (0, 0)
+    (tate_algorithm), where the point reduces exactly when v(x) >= 1."""
+    singular = rd.kodaira.letter != "I0" and (vx is None or vx > 0)
+    return KernelPoint(label, f, singular, vx)
+
+
 def _cyclic_kernel_profile(rd: ReductionData, phi: IsogenyMap) -> TorsionFieldProfile:
     p = rd.p
     x0 = Fraction(phi.kernel[0])
-    singular = _kernel_point_singular(rd, x0)
-    vx = _safe_val(x0, p)
+    # the kernel point has x = (x0 - r)/u^2 on the minimal model
+    r, _, _, u = rd.transform
+    vx = _safe_val((x0 - r) / u ** 2, p)
     if phi.degree == 2:
-        pts = (KernelPoint("T1", 1, singular, vx),)
+        pts = (_kernel_point(rd, "T1", 1, vx),)
         return TorsionFieldProfile(p, pts, 2, 1, 1, 2, (("T1",),))
     # degree 3: field of the kernel points is Q_p(sqrt(disc_y))
     dep = phi.depressed_domain()
@@ -186,10 +201,10 @@ def _cyclic_kernel_profile(rd: ReductionData, phi: IsogenyMap) -> TorsionFieldPr
         raise ValueError("kernel point is 2-torsion on a 3-isogeny?")
     cls = square_class(D, p)
     if cls == 0:
-        pts = tuple(KernelPoint(q, 1, singular, vx) for q in ("Q", "-Q"))
+        pts = tuple(_kernel_point(rd, q, 1, vx) for q in ("Q", "-Q"))
         return TorsionFieldProfile(p, pts, 3, 1, 1, 3, (("Q",), ("-Q",)))
     if cls == unramified_class(p):
-        pts = tuple(KernelPoint(q, 2, singular, vx) for q in ("Q", "-Q"))
+        pts = tuple(_kernel_point(rd, q, 2, vx) for q in ("Q", "-Q"))
         return TorsionFieldProfile(p, pts, 3, 2, 2, 6, (("Q", "-Q"),))
     pts = (KernelPoint("Q(+conj)", 0, None, vx),)
     return TorsionFieldProfile(p, pts, 1, 2, 1, 1, ())
@@ -198,19 +213,6 @@ def _cyclic_kernel_profile(rd: ReductionData, phi: IsogenyMap) -> TorsionFieldPr
 def _safe_val(x, p):
     v = valuation(x, p)
     return None if v is INFINITY else v
-
-
-def _kernel_point_singular(rd: ReductionData, x0: Fraction) -> bool:
-    """Does a point with x-coordinate x0, on the model that rd was computed
-    for, reduce to the singular point of the minimal model?
-
-    On the minimal model the point has x = (x0 - r)/u^2, and the singular
-    point of the reduction is (0, 0) (tate_algorithm).
-    """
-    if rd.kodaira.letter == "I0":
-        return False
-    r, _, _, u = rd.transform
-    return valuation((x0 - r) / u ** 2, rd.p) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +431,14 @@ def i2_order(rd: ReductionData, phi, prof: TorsionFieldProfile):
 def i2_oracle_halving(m: WeierstrassModel, p: int):
     """Independent computation of #I(Q_p) for the 2-map at odd p.
 
-    The images of the rational 2-torsion under the descent map must span
-    E(Q_p)/2E(Q_p) (equivalently: no rational 2-torsion is divisible by 2
-    without detection); then #I is the number of unramified classes in that
-    span.  Returns ('inapplicable', evidence) when the surjectivity check
-    fails.
+    The 2-division cubic of the minimal model at p is the f of a genus-1
+    y^2 = f, and its rational 2-torsion, the roots of the linear pieces,
+    are descent points ("alpha", i): #I is 2^local_intersection_rank of
+    their images in EtaleAlgebra(m.two_division_factors(p), p).  The rank
+    is exact when the images span J(Q_p)/2J(Q_p) = E(Q_p)/2E(Q_p); when
+    they do not (some rational 2-torsion is divisible by 2), returns
+    ('inapplicable', evidence).  Nothing is read from the Kodaira-side
+    computation (i2_order) that the oracle checks.
     """
     if p == 2:
         return "inapplicable", [{"reason": "oracle restricted to odd p"}]
@@ -441,30 +446,16 @@ def i2_oracle_halving(m: WeierstrassModel, p: int):
         alg = EtaleAlgebra(m.two_division_factors(p), p)
     except UnresolvedSplitting as exc:
         raise UnresolvedSplitting(f"halving oracle: {exc}")
-    s_order = s2_order_two_map(two_map_kernel_profile(m.reduction(p),
-                                                      alg.pieces))
-    images = []
-    evidence = []
-    for i, piece in enumerate(alg.pieces):
-        if piece.degree != 1:
-            continue
-        vec = alg.image_of_torsion_root(i)
-        images.append(vec)
-        evidence.append({
-            "torsion_x": f"(root of piece {i})/4",
-            "image_trivial": vec.is_trivial(),
-            "image_unramified": vec.is_unramified(),
-        })
-    span = 2 ** span_rank(images)
-    if span != s_order:
-        evidence.append({"span": span, "S_order": s_order,
-                         "reason": "2-torsion does not surject onto E/2E "
-                                   "(some rational 2-torsion is divisible)"})
-        return "inapplicable", evidence
-    order = 2 ** unramified_rank(images)
-    evidence.append({"span": span, "S_order": s_order,
-                     "unramified_in_span": order})
-    return order, evidence
+    torsion = [("alpha", i + 1) for i, piece in enumerate(alg.pieces)
+               if piece.degree == 1]
+    labels = [point_label(pt) for pt in torsion]
+    rank, complete = local_intersection_rank(alg, torsion)
+    if not complete:
+        return "inapplicable", [{
+            "torsion": labels,
+            "reason": "2-torsion does not surject onto E/2E (some rational "
+                      "2-torsion is divisible)"}]
+    return 2 ** rank, [{"torsion": labels, "unramified_in_span": 2 ** rank}]
 
 
 # ---------------------------------------------------------------------------

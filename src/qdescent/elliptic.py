@@ -2,14 +2,15 @@
 
 Models are exact ([a1,a2,a3,a4,a6] over Q); point arithmetic runs over Q or
 over F_p through a small field-context object.  A model is the one object
-of its curve: it keeps Tate's algorithm at each prime it was asked about
-(reduction) and the curve y^2 = its integral 2-division cubic, whose
-factors over Q are found once and moved to the minimal model of each prime
-(two_division_factors).  Isogenies are Velu's: the coordinate maps are
-rational functions in x (plus y times a rational function in x), stored on
-a depressed model y^2 = x^3 + Ax + B with the translation recorded,
-together with the scalar phi'(0) by which the map pulls back the invariant
-differential, fixed when the map is built.
+of its curve: it keeps the primes of its discriminant (disc_primes),
+Tate's algorithm at each prime it was asked about (reduction) and the
+curve y^2 = its integral 2-division cubic, whose factors over Q are found
+once and moved to the minimal model of each prime (two_division_factors).
+Isogenies are Velu's: the coordinate maps are rational functions in x
+(plus y times a rational function in x), stored on a depressed model
+y^2 = x^3 + Ax + B with the translation recorded, together with the
+scalar phi'(0) by which the map pulls back the invariant differential,
+fixed when the map is built.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .arith import residue
+from .arith import factor_integer, residue
 from .jacobian import HyperellipticCurve
 from .poly import RatPoly
 from .tate import ReductionData, tate_algorithm
@@ -64,6 +65,10 @@ class FpCtx:
 
 @dataclass(frozen=True)
 class WeierstrassModel:
+    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q.  The model
+    keeps what is computed once per model: disc, disc_primes (its primes,
+    from one factorization), reduction(p) and the 2-division curve."""
+
     a1: Rat
     a2: Rat
     a3: Rat
@@ -100,6 +105,15 @@ class WeierstrassModel:
     def disc(self):
         b2, b4, b6, b8 = self.b2, self.b4, self.b6, self.b8
         return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+
+    @cached_property
+    def disc_primes(self) -> tuple:
+        """The primes dividing the numerator or the denominator of disc,
+        ascending, factored once per model; descent_global.bad_primes
+        keeps those where the reduction is bad."""
+        return tuple(sorted({p for n in (self.disc.numerator,
+                                         self.disc.denominator)
+                             for p, _ in factor_integer(n).factors}))
 
     @property
     def j(self):

@@ -26,6 +26,10 @@ from .poly import RatPoly, discriminant, factor_over_Z
 
 @dataclass(frozen=True)
 class HyperellipticCurve:
+    """y^2 = f for f monic, integral, separable, of odd degree.  The curve
+    keeps what is computed once per curve: its discriminant, the factors
+    of f over Q and disc_primes, the primes of the discriminant."""
+
     f: RatPoly
 
     def __post_init__(self):
@@ -45,13 +49,16 @@ class HyperellipticCurve:
         """The monic irreducible factors of f over Q (factor_over_Z)."""
         return tuple(factor_over_Z(self.f))
 
+    @cached_property
+    def disc_primes(self) -> tuple:
+        """The primes dividing the discriminant of f, ascending: the bad
+        primes of the ledger."""
+        return tuple(p for p, _ in
+                     factor_integer(self.discriminant.numerator).factors)
+
     @property
     def genus(self) -> int:
         return (self.f.degree - 1) // 2
-
-    def bad_primes(self) -> list[int]:
-        return [p for p, _ in
-                factor_integer(self.discriminant.numerator).factors]
 
 
 # descent points: ("rational", x, y) | ("alpha", i) | ("sum", parts)
@@ -167,8 +174,6 @@ def local_selmer_rank_hyper(alg: EtaleAlgebra) -> int:
 
 def local_torsion_rank(alg: EtaleAlgebra) -> int:
     """F_2-rank of J(Q_v)[2] (the local C-group order at finite places)."""
-    if alg.p == 0:
-        return alg.n_real + alg.n_complex - 1
     return alg.n_comp - 1
 
 
@@ -184,16 +189,6 @@ def local_intersection_rank(alg: EtaleAlgebra, points):
     vecs = [xt_image(alg, pt) for pt in points]
     complete = span_rank(vecs) == local_selmer_rank_hyper(alg)
     return unramified_rank(vecs), complete
-
-
-def unramified_images_check(c: HyperellipticCurve, points, v: Place):
-    """Per-point verdicts: is the image unramified at v?"""
-    alg = EtaleAlgebra(c.factors, v.p)
-    out = []
-    for pt in points:
-        vec = xt_image(alg, pt)
-        out.append((point_label(pt), vec.is_unramified()))
-    return out
 
 
 def independence_rank(c: HyperellipticCurve, points, primes):

@@ -11,8 +11,10 @@ classes is XOR.
 
 At a finite place one routine, EtaleAlgebra.class_of_element, gives the
 class of an element of a component, and it reads the class off the norm N
-of the element to Q_p: a valuation-parity bit v(N)/f mod 2 (f the residue
-degree), then the unit bits:
+of the element to Q_p, the determinant of multiplication by it (from
+poly._bareiss_det, the one Bareiss determinant, which also gives
+resultants): a valuation-parity bit v(N)/f mod 2 (f the residue degree),
+then the unit bits:
 
   * unramified piece at odd p: the quadratic character of the unit part of
     N (arith.square_class), since a unit of an unramified extension of
@@ -48,9 +50,9 @@ from fractions import Fraction
 from functools import reduce
 
 from .arith import square_class, valuation
-from .poly import (UnresolvedSplitting, _bezout_mod_p, _vp_bounded,
-                   local_splitting_type, mp_divmod_monic, mp_mulmod, mp_shift,
-                   mp_sub)
+from .poly import (UnresolvedSplitting, _bareiss_det, _bezout_mod_p,
+                   _vp_bounded, local_splitting_type, mp_divmod_monic,
+                   mp_mulmod, mp_shift, mp_sub)
 
 
 class ResidueField:
@@ -441,28 +443,14 @@ def _invert_mod_8(a, h):
 
 
 def _norm_mod(h, a, m: int) -> int:
-    """Norm (det of multiplication by a) in Z/m[t]/h for monic h, by
-    Bareiss's fraction-free elimination."""
+    """Norm (det of multiplication by a) in Z/m[t]/h for monic h, in
+    [0, m): the integer determinant of the columns a t^j rem h, reduced
+    mod m (a matrix and its transpose have one determinant)."""
     n = len(h) - 1
     h = [c % m for c in h]
-    a = mp_divmod_monic(a, h, m)[1]
-    rows = [[0] * n for _ in range(n)]
-    col = a
-    for j in range(n):
-        for i, c in enumerate(col):
-            rows[i][j] = c
+    col = mp_divmod_monic(a, h, m)[1]
+    cols = []
+    for _ in range(n):
+        cols.append(col + [0] * (n - len(col)))
         col = mp_divmod_monic([0] + col, h, m)[1]
-    sign, prev = 1, 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if rows[r][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            rows[k], rows[piv] = rows[piv], rows[k]
-            sign = -sign
-        for r in range(k + 1, n):
-            for c in range(k + 1, n):
-                rows[r][c] = (rows[r][c] * rows[k][k]
-                              - rows[r][k] * rows[k][c]) // prev
-        prev = rows[k][k]
-    return sign * prev % m
+    return _bareiss_det(cols) % m

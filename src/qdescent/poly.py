@@ -5,9 +5,10 @@ helpers work for any modulus m (used with m = p and m = p^N); gcd and
 factorization require m prime.  Every product reduced by a monic modulus
 goes through one fused kernel, mp_mulmod on mp_divmod_monic: the product
 unreduced, then one reduction mod m per coefficient, no inverse of the
-leading 1 and no trimming between steps.  Resultants and discriminants
-are integer Sylvester determinants, by fraction-free (Bareiss)
-elimination.  Factorization over Q (factor_over_Z) is one Zassenhaus
+leading 1 and no trimming between steps.  One integer determinant,
+_bareiss_det (fraction-free Bareiss elimination), serves resultants and
+discriminants, as Sylvester determinants, and the norms of elements of
+etale algebras (localfields).  Factorization over Q (factor_over_Z) is one Zassenhaus
 pass: the prime is chosen from factor degrees mod p, read off
 distinct-degree factoring alone; then a factorization mod that one prime,
 one Hensel lift and recombination by exact trial division.  The lift
@@ -188,9 +189,6 @@ def _as_poly(x) -> RatPoly:
     return x if isinstance(x, RatPoly) else RatPoly([x])
 
 
-X = RatPoly([0, 1])
-
-
 def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
     while not b.is_zero():
         a, b = b, a % b
@@ -213,14 +211,22 @@ def resultant(f: RatPoly, g: RatPoly) -> Fraction:
     b = math.lcm(*(c.denominator for c in g.coeffs))
     fc = [c.numerator * (a // c.denominator) for c in reversed(f.coeffs)]
     gc = [c.numerator * (b // c.denominator) for c in reversed(g.coeffs)]
-    size = m + n
-    rows = [[0] * i + fc + [0] * (size - m - 1 - i) for i in range(n)]
-    rows += [[0] * i + gc + [0] * (size - n - 1 - i) for i in range(m)]
+    rows = [[0] * i + fc + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + gc + [0] * (m - 1 - i) for i in range(m)]
+    return Fraction(_bareiss_det(rows), a ** n * b ** m)
+
+
+def _bareiss_det(rows) -> int:
+    """Determinant of a square integer matrix, given as a list of rows that
+    it overwrites, by fraction-free (Bareiss) elimination: every division by
+    the previous pivot is exact.  It serves resultants here and norms in
+    etale algebras (localfields)."""
+    size = len(rows)
     sign, prev = 1, 1
-    for k in range(size - 1):
+    for k in range(size):
         piv = next((r for r in range(k, size) if rows[r][k]), None)
         if piv is None:
-            return Fraction(0)
+            return 0
         if piv != k:
             rows[k], rows[piv] = rows[piv], rows[k]
             sign = -sign
@@ -229,7 +235,7 @@ def resultant(f: RatPoly, g: RatPoly) -> Fraction:
             row, rk = rows[i], rows[i][k]
             rows[i] = [(pk * x - rk * y) // prev for x, y in zip(row, top)]
         prev = pk
-    return Fraction(sign * rows[-1][-1], a ** n * b ** m)
+    return sign * prev
 
 
 def discriminant(f: RatPoly) -> Fraction:
@@ -398,15 +404,13 @@ def _pth_root_poly(a, p):
 
 
 def _sqfree_decomp(a, p):
-    """Yun-style squarefree decomposition over F_p: [(monic part, mult)]."""
+    """Yun-style squarefree decomposition over F_p: [(monic part, mult)].
+
+    What the loop leaves of g = gcd(a, a') is a p-th power (all of a when
+    a' = 0), whose p-th root is decomposed in turn."""
     a = mp_scal(a, pow(a[-1], -1, p), p)
     out = []
-    da = mp_deriv(a, p)
-    if not da:
-        for g, m in _sqfree_decomp(_pth_root_poly(a, p), p):
-            out.append((g, m * p))
-        return out
-    g = mp_gcd(a, da, p)
+    g = mp_gcd(a, mp_deriv(a, p), p)
     w = mp_divmod(a, g, p)[0]
     i = 1
     while len(w) > 1:
@@ -418,9 +422,7 @@ def _sqfree_decomp(a, p):
         w = y
         i += 1
     if len(g) > 1:
-        for h, m in _sqfree_decomp(_pth_root_poly(g, p) if not mp_deriv(g, p)
-                                   else g, p):
-            out.append((h, m * (p if not mp_deriv(g, p) else 1)))
+        out += [(h, m * p) for h, m in _sqfree_decomp(_pth_root_poly(g, p), p)]
     return out
 
 

@@ -15,8 +15,7 @@ import forms_oracle
 from conftest import DeadlineExceeded
 from qdescent import poly, tate
 from qdescent.arith import REAL_PLACE, factor_integer, finite, squarefree_part
-from qdescent.descent_global import (GlobalLedger, _disc_primes,
-                                     assemble_ledger_elliptic,
+from qdescent.descent_global import (GlobalLedger, assemble_ledger_elliptic,
                                      assemble_ledger_hyper, bad_primes,
                                      fundamental_discriminant,
                                      fundamental_unit_norm,
@@ -169,6 +168,16 @@ def test_elliptic_ledger_factors_its_cubic_once(monkeypatch):
     assert calls == [(two_division_cubic_integral(m),)]
 
 
+def test_ledger_and_bad_primes_factor_the_discriminant_once(monkeypatch):
+    # the primes of the discriminant are kept on the model: the ledger and
+    # a later bad_primes read one factorization of its numerator
+    m = curve_from_string("[0,0,0,-25,0]")
+    calls = record_calls(monkeypatch, factor_integer)
+    assemble_ledger_elliptic(m, None, [-4, 45])
+    assert bad_primes(m) == [2, 5]
+    assert calls.count((m.disc.numerator,)) == 1
+
+
 @pytest.mark.parametrize("cs, kernel, points", [
     ("[-1,0,-8,0,0]", [(0, 8), (0, 0)], [-2, 0, 4, 8, 60]),  # iso3-2
     ("[0,-6,0,11,0]", [(0, 0)], None)])                       # iso2-2
@@ -184,7 +193,7 @@ def test_one_tate_call_per_model_and_prime(monkeypatch, cs, kernel, points):
     bad = bad_primes(m)
     for v in [REAL_PLACE] + [finite(p) for p in bad]:
         local_descent_report(m, phi, v)
-    want = ([(m, p) for p in sorted({2, *_disc_primes(m)})]
+    want = ([(m, p) for p in sorted({2, *m.disc_primes})]
             + [(phi.codomain, p) for p in bad])
     assert sorted(calls, key=repr) == sorted(want, key=repr)
     assert all(model is m or model is phi.codomain for model, _ in calls)
@@ -351,6 +360,28 @@ def test_rational_model_ledger_matches_its_integral_model():
     assert report_rows(a.local_reports) == report_rows(b.local_reports)
     assert (a.selmer_rank_interval, a.points_rank_lower) == \
         (b.selmer_rank_interval, b.points_rank_lower)
+
+
+@pytest.mark.parametrize("case", ["worked-1", "worked-4", "worked-5",
+                                  "worked-6"])
+def test_ledger_does_not_depend_on_the_model(case):
+    # the ledger of the model moved by (r, s, t, u), given the points moved
+    # by x -> (x - r)/u^2: the same rows, interval and torsion rank
+    cs, class_d, points = WORKED[case][:3]
+    m = curve_from_string(cs)
+    records = None if class_d is None else [quadratic_class_record(class_d)]
+    want = assemble_ledger_elliptic(m, records, points)
+    rng = random.Random(17)
+    for _ in range(3):
+        r, s, t = (rng.randrange(-9, 10) for _ in range(3))
+        u = rng.choice((1, Fraction(1, 2), Fraction(1, 3)))
+        moved = [(x - r) / u ** 2 for x in points or []] or None
+        got = assemble_ledger_elliptic(m.transform(r, s, t, u), records,
+                                       moved)
+        assert report_rows(got.local_reports) == \
+            report_rows(want.local_reports), (r, s, t, u)
+        assert (got.selmer_rank_interval, got.torsion_two_rank) == \
+            (want.selmer_rank_interval, want.torsion_two_rank), (r, s, t, u)
 
 
 @pytest.mark.parametrize("case", ["worked-1", "worked-5", "worked-6"])

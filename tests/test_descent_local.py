@@ -253,6 +253,23 @@ def test_oracle_vs_i2_at_odd_multiplicative_places():
     assert compared >= 20
 
 
+def test_oracle_reads_nothing_of_the_case_analysis(monkeypatch):
+    # the oracle is the Jacobian's intersection rank on the rational
+    # 2-torsion: no profile, S order or I of the Kodaira-side computation
+    from qdescent import descent_local
+
+    def refuse(*args):
+        raise AssertionError("the oracle read the case analysis")
+
+    for name in ("two_map_kernel_profile", "torsion_field_profile",
+                 "s2_order_two_map", "i2_order"):
+        monkeypatch.setattr(descent_local, name, refuse)
+    assert i2_oracle_halving(curve("[0,0,0,-25,0]"), 5)[0] == 1
+    assert i2_oracle_halving(curve("[0,0,0,-75,125]"), 5)[0] == 1
+    assert i2_oracle_halving(curve("[0,0,0,-529,12167]"), 23)[0] \
+        == "inapplicable"
+
+
 def test_oracle_splits_the_cubic_once(monkeypatch):
     from qdescent import descent_local, localfields, poly
 
@@ -408,3 +425,94 @@ def test_j0_three_isogeny_large_prime(deadline, q):
         rep = j0_report(q)
     assert (rep.kodaira, rep.order_C, rep.order_I) == ("IV", 3, 1)
     assert (rep.order_C, rep.order_I) == (small.order_C, small.order_I)
+
+
+# ---------------------------------------------------------------------------
+# C, S and I are invariants of the curve over Q_v, not of its model
+
+
+def moved_pair(m, kernel, change):
+    """The 2-map and the isogeny with the kernel, on m and on m moved by
+    the change (r, s, t, u), the kernel moved with it."""
+    m2 = m.transform(*change)
+    kernel2 = [m.map_point(P, *change) for P in kernel]
+    return m2, [(TWO_MAP, TWO_MAP),
+                (velu_isogeny(m, kernel), velu_isogeny(m2, kernel2))]
+
+
+def compare_models(m, kernel, change) -> list:
+    """Check that (C, S, I) agree on the two models at infinity and at
+    every bad prime; return the reasons of the evidence of m."""
+    m2, maps = moved_pair(m, kernel, change)
+    bad = bad_primes(m)
+    assert bad_primes(m2) == bad, (m, change)
+    reasons = []
+    for v in [REAL_PLACE] + [finite(p) for p in bad]:
+        for phi, phi2 in maps:
+            a = local_descent_report(m, phi, v)
+            b = local_descent_report(m2, phi2, v)
+            assert (b.order_C, b.order_S, b.order_I) == \
+                (a.order_C, a.order_S, a.order_I), (m, change, v, a.evidence)
+            reasons += [e["reason"] for e in a.evidence if "reason" in e]
+    return reasons
+
+
+ORIGIN = Pt(Fraction(0), Fraction(0))
+
+
+@pytest.mark.parametrize("change", [(0, 0, 0, 1), (6, -1, -4, 1)])
+def test_kernel_point_is_read_on_the_minimal_model(change):
+    # (0, 0) on [0,20,0,-20,0] has v(x) = 1 on the minimal model at 2 from
+    # either model (type I2*): the near-end component, which Frobenius
+    # fixes, so I = 2 for the 2-isogeny with that kernel
+    m = curve("[0,20,0,-20,0]")
+    m2, maps = moved_pair(m, [ORIGIN], change)
+    rep = local_descent_report(m2, maps[1][1], finite(2))
+    assert (rep.kodaira, rep.order_I) == ("I2*", 2)
+    assert rep.profile.kernel_points[0].x_val == 1
+
+
+def invariance_draw(rng):
+    """(ainvs, kernel, change): y^2 = x(x^2 + ax + b) with the kernel
+    (0, 0), or [a1,0,a3,0,0] with the 3-isogeny kernel {(0, 0), (0, -a3)};
+    the coefficients carry powers of p, and the change has u in {1, 1/p}."""
+    p = rng.choice((2, 3, 5, 7))
+    if rng.random() < 0.5:
+        a = p ** rng.randrange(4) * rng.randrange(-9, 10)
+        b = p ** rng.randrange(5) * rng.choice((1, -1)) * rng.randrange(1, 10)
+        ainvs, kernel = (0, a, 0, b, 0), [ORIGIN]
+    else:
+        a1 = p ** rng.randrange(3) * rng.randrange(-5, 6)
+        a3 = p ** rng.randrange(4) * rng.choice((1, -1)) * rng.randrange(1, 10)
+        ainvs = (a1, 0, a3, 0, 0)
+        kernel = [ORIGIN, Pt(Fraction(0), Fraction(-a3))]
+    r, s, t = (rng.randrange(-9, 10) for _ in range(3))
+    return ainvs, kernel, (r, s, t, rng.choice((1, Fraction(1, p))))
+
+
+def test_descent_orders_do_not_depend_on_the_model():
+    rng = random.Random(17)
+    reasons = []
+    # two curves whose 2-isogeny at 2 (type I2*) has its kernel point at
+    # v(x) = 1 on the minimal model but not on the input model, then the
+    # seeded family
+    for cs in ("[0,20,0,-20,0]", "[0,-12,0,108,0]"):
+        changes = [(6, -1, -4, 1)] + [
+            (*(rng.randrange(-9, 10) for _ in range(3)),
+             rng.choice((1, Fraction(1, 2)))) for _ in range(3)]
+        for change in changes:
+            reasons += compare_models(curve(cs), [ORIGIN], change)
+    done = 0
+    while done < 200:
+        ainvs, kernel, change = invariance_draw(rng)
+        try:
+            m = compute_invariants(*ainvs)
+        except ValueError:
+            continue
+        reasons += compare_models(m, kernel, change)
+        done += 1
+    # the I_nu* (nu >= 1) case with Frobenius of order 2, which reads v(x)
+    # on the minimal model, and the I_nu (nu even) case of a 3-isogeny
+    assert any("tau of order 2: point" in r and "v(x)" in r for r in reasons)
+    assert any("(even) case: image automatically even" in r
+               for r in reasons)

@@ -1,14 +1,14 @@
 """Source hygiene of the qdescent package, read from its syntax trees:
 imports at module level and from the standard library only, no
-__import__, no dead functions, classes or methods, no module-level
-mutable container (a global registry) or per-process function cache, no
-mod-m product reduced other than by the fused kernel, and Tate's
-algorithm run only by the model that keeps its result; pyproject.toml
-declares no runtime dependency and every console script it declares
-resolves; every helper module of the tests is imported by a test module;
-every defaulted parameter of src/ is set by some call, and no parameter
-is passed the same literal by every call; and every dataclass field is
-read."""
+__import__, no dead functions, classes, methods or module-level names, no
+module-level mutable container (a global registry) or per-process
+function cache, no mod-m product reduced other than by the fused kernel,
+and Tate's algorithm run only by the model that keeps its result;
+pyproject.toml declares no runtime dependency and every console script it
+declares resolves; every helper module of the tests is imported by a test
+module; every defaulted parameter of src/ is set by some call, and no
+parameter is passed the same literal by every call; and every dataclass
+field is read."""
 
 import ast
 import importlib
@@ -155,6 +155,61 @@ def test_every_public_method_is_referenced():
             if not any(fn.name in names for names in elsewhere):
                 unused.append(f"{name}:{cls.name}.{fn.name}")
     assert not unused
+
+
+def assigned_names(stmt) -> list:
+    """The names a module-level assignment binds, dunder names aside."""
+    targets = (stmt.targets if isinstance(stmt, ast.Assign) else
+               [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)
+            and not (node.id.startswith("__") and node.id.endswith("__"))]
+
+
+def module_reads(tree, module: str) -> set:
+    """The names tree imports by name from the qdescent module, or reads
+    as an attribute of it (module.name, qdescent.module.name, or through
+    an alias of the module)."""
+    aliases, out = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = (node.module or "").split(".")[-1]
+            if source == module:
+                out |= {alias.name for alias in node.names}
+            aliases |= {alias.asname or alias.name for alias in node.names
+                        if alias.name == module
+                        and source in ("qdescent", "")}
+        elif isinstance(node, ast.Import):
+            aliases |= {alias.asname for alias in node.names
+                        if alias.name == f"qdescent.{module}"
+                        and alias.asname}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (
+                isinstance(node.value, ast.Name) and node.value.id in aliases
+                or isinstance(node.value, ast.Attribute)
+                and node.value.attr == module):
+            out.add(node.attr)
+    return out
+
+
+def test_every_module_level_name_is_read():
+    # a name assigned at module level in src/ must be read by another
+    # statement of its module, imported by name from that module, or read
+    # as <module>.<name>, by src/, tests/ or perfbench/
+    trees = [*TREES.values(), *outside_trees()]
+    unread = []
+    for name, stmt, _ in STATEMENTS:
+        module = name.removesuffix(".py")
+        for target in assigned_names(stmt):
+            in_module = any(
+                isinstance(node, ast.Name) and node.id == target
+                and isinstance(node.ctx, ast.Load)
+                for other in TREES[name].body if other is not stmt
+                for node in ast.walk(other))
+            if not in_module and not any(target in module_reads(tree, module)
+                                         for tree in trees):
+                unread.append(f"{name}:{target}")
+    assert not unread
 
 
 def is_dataclass(cls: ast.ClassDef) -> bool:

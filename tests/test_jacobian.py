@@ -11,8 +11,7 @@ from qdescent.descent_global import _independence_primes
 from qdescent.jacobian import (HyperellipticCurve, image_table,
                                independence_rank, local_intersection_rank,
                                local_selmer_rank_hyper, local_torsion_rank,
-                               parse_descent_point, unramified_images_check,
-                               xt_image)
+                               parse_descent_point, xt_image)
 from qdescent.localfields import EtaleAlgebra
 from qdescent.poly import RatPoly, discriminant, parse_poly
 
@@ -46,7 +45,7 @@ def test_parse_points():
 
 
 def test_one_discriminant_per_curve(monkeypatch):
-    # the separability check and bad_primes read the one the curve keeps
+    # the separability check and disc_primes read the one the curve keeps
     calls = []
 
     def counted(f):
@@ -55,14 +54,14 @@ def test_one_discriminant_per_curve(monkeypatch):
 
     monkeypatch.setattr(jacobian, "discriminant", counted)
     curve = HyperellipticCurve(LEHMER_12.f)
-    assert curve.bad_primes() == LEHMER_12.bad_primes()
-    assert curve.bad_primes() == LEHMER_12.bad_primes()
+    assert curve.disc_primes == LEHMER_12.disc_primes
+    assert curve.disc_primes == LEHMER_12.disc_primes
     assert calls == [LEHMER_12.f]
 
 
 def test_curve_invariants():
     assert C2.genus == 2
-    assert sorted(C2.bad_primes()) == [191, 941]
+    assert sorted(C2.disc_primes) == [191, 941]
     with pytest.raises(ValueError):
         HyperellipticCurve(parse_poly("X^4+1"))
     with pytest.raises(ValueError):
@@ -154,7 +153,7 @@ def subset_products(vecs) -> dict:
 def test_ranks_against_subset_search(curve, pool):
     rng = random.Random(7)
     primes = _independence_primes(curve.f)
-    places = [2] + curve.bad_primes()
+    places = [2, *curve.disc_primes]
     for _ in range(12):
         pts = rng.sample(pool, rng.randint(1, 10))
         bound, analysis = independence_rank(curve, pts, primes)
@@ -207,11 +206,11 @@ def test_unramified_images_check_example_II():
             ("sum", (RATPTS[4], RATPTS[5]))]   # (0)+(4)
     # primes where images could ramify: bad primes, 2, and divisors of y
     for p in (2, 37, 73, 191, 941, 317, 557, 1223):
-        out = unramified_images_check(C2, sums, finite(p))
-        assert all(ok for _, ok in out), (p, out)
+        _, rows = image_table(C2, sums, finite(p))
+        assert all(vec.is_unramified() for _, vec, _ in rows), (p, rows)
     # a row that is genuinely ramified at 191
-    out = unramified_images_check(C2, [("alpha", 4)], finite(191))
-    assert out[0][1] is False
+    _, rows = image_table(C2, [("alpha", 4)], finite(191))
+    assert rows[0][1].is_unramified() is False
 
 
 def test_norm_condition_random():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qdescent import poly
 from qdescent.arith import factor_integer, valuation
+from qdescent.localfields import _norm_mod
 from qdescent.poly import (HENSEL_START, RatPoly, UnresolvedSplitting,
                            discriminant, factor_degrees_mod_p, factor_mod_p,
                            factor_over_Z, fp_poly, hensel_lift_factors,
@@ -104,6 +105,17 @@ def test_resultant_and_discriminant_match_the_fraction_oracle():
         assert resultant(f * h, g * h) == 0
         if (f * h * h).degree <= 8:
             assert discriminant(f * h * h) == 0
+
+
+def test_norm_mod_matches_the_fraction_oracle():
+    # the norm of a in Z/m[t]/h, h monic, is Res(h, a) reduced mod m
+    rng = random.Random(443)
+    for _ in range(500):
+        h = [rng.randint(-40, 40) for _ in range(rng.randint(1, 8))] + [1]
+        a = [rng.randint(-40, 40) for _ in range(rng.randint(0, 10))]
+        m = rng.choice((2, 3, 5, 7, 101)) ** rng.randint(1, 20)
+        want = sylvester_det_over_Q(RatPoly(h), RatPoly(a))
+        assert _norm_mod(h, a, m) == int(want) % m, (h, a, m)
 
 
 def test_factor_degrees_mod_p_reads_factor_mod_p():
