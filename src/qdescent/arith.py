@@ -176,21 +176,25 @@ def factor_integer(n: int) -> Factorization:
     return Factorization(sign, tuple(sorted(out.items())))
 
 
+def _split_p(q, p: int) -> tuple[int, int, int]:
+    """(v, a, b) with q = p^v * a / b and p dividing neither a nor b, for a
+    nonzero int or Fraction q, by integer division alone."""
+    a, b, v = q.numerator, q.denominator, 0
+    while a % p == 0:
+        a //= p
+        v += 1
+    while b % p == 0:
+        b //= p
+        v -= 1
+    return v, a, b
+
+
 def valuation(q, p: int):
     """v_p(q) for rational q; INFINITY for q = 0."""
     q = Fraction(q)
     if q == 0:
         return INFINITY
-    v = 0
-    n = q.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = q.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return _split_p(q, p)[0]
 
 
 def residue(q, m: int) -> int:
@@ -204,7 +208,8 @@ def unit_part(q, p: int) -> Fraction:
     q = Fraction(q)
     if q == 0:
         raise ValueError("0 has no unit part")
-    return q / Fraction(p) ** valuation(q, p)
+    _, a, b = _split_p(q, p)
+    return Fraction(a, b)
 
 
 def legendre(a: int, p: int) -> int:
@@ -217,8 +222,8 @@ def legendre(a: int, p: int) -> int:
 
 
 def square_class(q, p: int) -> int:
-    """The class of the nonzero rational q in Q_p*/Q_p*^2 as an F_2 bitmask;
-    p = 0 is the real place.
+    """The class of the nonzero rational q (an int or a Fraction) in
+    Q_p*/Q_p*^2 as an F_2 bitmask; p = 0 is the real place.
 
     Bit 0 is the parity of v_p(q), then for the unit part u: at odd p one
     bit, set when u is not a square mod p; at p = 2 the bits 1 and 2 of
@@ -227,16 +232,15 @@ def square_class(q, p: int) -> int:
     classes (unramified_class).  This is the layout of a component of
     residue degree 1 of an etale algebra (localfields).
     """
-    q = Fraction(q)
     if q == 0:
         raise ValueError("0 has no square class")
     if p == 0:
         return int(q < 0)
-    v = valuation(q, p)
-    u = unit_part(q, p)
+    # the unit part a/b is a square exactly when a*b is
+    v, a, b = _split_p(q, p)
     if p == 2:
-        return v % 2 | u.numerator * u.denominator % 8 & 6
-    return v % 2 | (legendre(u.numerator * u.denominator, p) < 0) << 1
+        return v % 2 | a * b % 8 & 6
+    return v % 2 | (legendre(a * b, p) < 0) << 1
 
 
 def unramified_class(p: int) -> int:

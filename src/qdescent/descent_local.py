@@ -125,6 +125,8 @@ def _piece_root_valuation(fac: LocalFactor, p: int):
     """v_p of (any) root of an unramified piece; None if out of reach."""
     if fac.root is not None:
         return _safe_val(fac.root, p)
+    if fac.residue[0]:
+        return 0  # the norm of a root is +-residue(0) mod p, a unit
     v = _vp_bounded(fac.lift[0], p, fac.prec)
     if v is None or v >= fac.prec - 4:
         return None

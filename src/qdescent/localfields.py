@@ -30,6 +30,18 @@ then the unit bits:
   * ramified piece: nothing (parity-only tracking, enough at odd residue
     characteristic, where every unit class is unramified).
 
+At odd p a class is read from residues first, and the lifts of the pieces
+(poly.LocalFactor) are read only when that cannot decide it.  For x - theta
+with x not p-integral, the class is that of x, whose norm is x^deg; for
+p-integral x the norm is g(x mod p) mod p, g the residue factor of the
+piece, and when that is nonzero x - theta is a unit, with valuation bit 0
+and the character of that residue as its unit bit.  A torsion-root entry
+is a unit when the residue factors in it are coprime to the piece's, with
+the character of its norm mod p.  Only when x mod p is a root of g, or the
+residue factors meet, is the norm taken mod p^prec, which lifts the pieces
+read (a simple piece is lifted on that first read, to the same p^prec).
+At p = 2 every class is read from the lifts.
+
 At the real place a component is a real root, with one sign bit, or a
 complex pair, with none.  The Sturm chain of f, kept on the algebra,
 counts the real roots and, at a rational x, the roots above x; the class
@@ -49,7 +61,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .arith import square_class, valuation
+from .arith import residue, square_class, valuation
 from .poly import (UnresolvedSplitting, _bareiss_det, _bezout_mod_p,
                    _vp_bounded, local_splitting_type, mp_divmod_monic,
                    mp_mulmod, mp_shift, mp_sub)
@@ -353,14 +365,43 @@ class EtaleAlgebra:
                              and prec - v < 3):
                 raise UnresolvedSplitting(
                     f"the norm of an element at {p} needs more precision")
+        bits = self._class_of_norm(i, norm, v)
+        if p == 2 and piece.kind == "unramified":
+            bits |= self._class_poly(i, elem, v // piece.f,
+                                     prec) << self.basis.offsets[i]
+        return bits
+
+    def _class_of_norm(self, i: int, norm, v: int) -> int:
+        """The bits of component i that the norm N of an element decides:
+        the valuation bit v(N)/f mod 2, v = v(N), and the unit bits of N
+        (square_class), which need N mod p times p^v at odd p, mod 8 times
+        2^v at a linear piece at 2.  At an unramified piece of residue
+        degree > 1 at p = 2 the unit bits need the element (_class_poly)."""
+        piece = self.pieces[i]
         if v % piece.f:
             raise ArithmeticError("norm valuation vs residue degree")
         bits = v // piece.f % 2
-        if p == 2 and piece.kind == "unramified":
-            bits |= self._class_poly(i, elem, v // piece.f, prec)
-        elif piece.kind != "ramified":
-            bits |= square_class(norm, p) & ~1
+        if piece.kind == "linear" or piece.kind == "unramified" and self.p != 2:
+            bits |= square_class(norm, self.p) & ~1
         return bits << self.basis.offsets[i]
+
+    def _residue_class_of_affine(self, i: int, x: Fraction):
+        """Mask of the class of x - theta in component i at odd p, read
+        from residues, or None when x mod p is a root of the residue factor
+        g of the piece.  For x not p-integral, x - theta = x (1 - theta/x)
+        is x times a unit = 1 mod p, a square: the class of x, whose norm is
+        x^deg.  For p-integral x the norm of x - theta is lift(x) =
+        g(x mod p) mod p; when that is nonzero, x - theta is a unit, a square
+        exactly when its norm is a square mod p."""
+        p, piece = self.p, self.pieces[i]
+        if x.denominator % p == 0:
+            norm = x ** piece.degree
+            return self._class_of_norm(i, norm, valuation(norm, p))
+        xbar = residue(x, p)
+        n = 0
+        for c in reversed(piece.residue):
+            n = (n * xbar + c) % p
+        return self._class_of_norm(i, n, 0) if n else None
 
     # -- images ----------------------------------------------------------------
 
@@ -380,6 +421,11 @@ class EtaleAlgebra:
             if piece.root is not None:
                 mask |= self.class_of_element(i, x - piece.root, piece.prec)
                 continue
+            if self.p != 2:
+                bits = self._residue_class_of_affine(i, x)
+                if bits is not None:
+                    mask |= bits
+                    continue
             m = self.p ** piece.prec
             # x - theta times the square den^2, to clear the denominator
             elem = [x.numerator * x.denominator, -x.denominator ** 2]
@@ -407,15 +453,24 @@ class EtaleAlgebra:
             raise ValueError("torsion root lives in a ramified component")
         mask = 0
         for j, piece_j in enumerate(self.pieces):
-            prec = min(piece_i.prec, piece_j.prec)
-            m = self.p ** prec
             factors = ([k for k in range(self.n_comp) if k != i] if j == i
                        else [i])
-            elem = [1]
-            for k in factors:
-                elem = mp_mulmod(elem, self.pieces[k].lift, piece_j.lift, m)
-            if (piece_i.degree - (j == i)) % 2:
-                elem = [-c % m for c in elem]
+            sign = (piece_i.degree - (j == i)) % 2
+            if self.p != 2:
+                # the entry is a unit when the residue factors of the pieces
+                # in it are coprime to that of piece j: its norm is then
+                # nonzero mod p
+                elem = _signed_product([self.pieces[k].residue
+                                        for k in factors],
+                                       piece_j.residue, self.p, sign)
+                n = _norm_mod(piece_j.residue, elem, self.p)
+                if n:
+                    mask |= self._class_of_norm(j, n, 0)
+                    continue
+            prec = min(piece_i.prec, piece_j.prec)
+            m = self.p ** prec
+            elem = _signed_product([self.pieces[k].lift for k in factors],
+                                   piece_j.lift, m, sign)
             mask |= self.class_of_element(j, self.to_z(j, elem, m), prec)
         return SqVector(mask, self.basis)
 
@@ -430,6 +485,14 @@ class EtaleAlgebra:
             if piece.global_factor == k:
                 mask ^= self.image_of_torsion_root(i).mask
         return SqVector(mask, self.basis)
+
+
+def _signed_product(polys, h, m: int, sign: int):
+    """(-1)^sign times the product of the polys, reduced mod (h, m)."""
+    elem = [1]
+    for g in polys:
+        elem = mp_mulmod(elem, g, h, m)
+    return [-c % m for c in elem] if sign else elem
 
 
 def _invert_mod_8(a, h):

@@ -16,7 +16,9 @@ one Hensel lift and recombination by exact trial division.  The lift
 doubling the precision up to exactly p^N.  local_splitting_type gives the
 factorization type over Q_p by the same lift and order 1 of the Montes
 algorithm, from the factors of f over Q that factor_over_Z gives: it
-factors nothing over Q, so that one factorization serves every place.
+factors nothing over Q, so that one factorization serves every place.  A
+piece from a simple factor mod p is lifted only when a caller first reads
+its lift, to the same p^N (LocalFactor).
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
+from itertools import combinations, groupby
 
 from .arith import is_prime, residue
 
@@ -684,49 +687,80 @@ class LocalFactor:
 
     The piece was found in the coordinate X = shift + p^scale * Z: `zlift`
     is its monic factor in Z and `lift` the same factor in X, both modulo
-    p^prec, constant term first.  For e = 1 the factor in Z is irreducible
-    mod p, so its root generates the ring of integers of the piece.  The
-    piece lies above the factor over Q numbered `global_factor` in the
-    factors it was split from.  For a linear piece coming from an exact
-    rational root, `root` is that root.  `note` records how a piece from a
-    repeated factor mod p was resolved.
+    p^prec, constant term first, and `residue` is lift mod p.  For e = 1
+    the factor in Z is irreducible mod p, so its root generates the ring
+    of integers of the piece.  The piece lies above the factor over Q
+    numbered `global_factor` in the factors it was split from.  For a
+    linear piece coming from an exact rational root, `root` is that root.
+    `note` records how a piece from a repeated factor mod p was resolved.
+
+    A simple piece, from a factor of multiplicity 1 mod p, is built from
+    that factor alone: `known` is the factor mod p and `whole` the
+    polynomial mod p^prec it divides once.  Its lift is computed on first
+    read, by single-factor lifting inside `whole` to the same p^prec that
+    an eager lift reaches, and kept on the piece; its residue needs no
+    lift.  Every other piece is built lifted: `known` is its factor in Z
+    mod p^prec and `whole` is empty.
     """
 
+    p: int
     e: int
     f: int
     kind: str  # 'linear' | 'unramified' | 'ramified'
     prec: int
-    lift: tuple[int, ...]
     global_factor: int
-    root: Fraction | None = None
-    note: str = ""
-    shift: int = 0
-    scale: int = 0
-    zlift: tuple[int, ...] = ()
+    root: Fraction | None
+    note: str
+    shift: int
+    scale: int
+    known: tuple[int, ...]
+    whole: tuple[int, ...]
 
     @property
     def degree(self):
         return self.e * self.f
+
+    @cached_property
+    def zlift(self) -> tuple[int, ...]:
+        if not self.whole:
+            return self.known
+        [g] = hensel_lift_factors(list(self.whole), [list(self.known)],
+                                  self.p, self.prec)
+        return tuple(g)
+
+    @cached_property
+    def lift(self) -> tuple[int, ...]:
+        # the factor in X is p^(scale*deg) * zlift((X - shift) / p^scale)
+        p, deg = self.p, self.degree
+        return tuple(mp_shift([c * p ** (self.scale * (deg - i))
+                               for i, c in enumerate(self.zlift)],
+                              -self.shift, p ** self.prec))
+
+    @cached_property
+    def residue(self) -> tuple[int, ...]:
+        if self.whole and not (self.shift or self.scale):
+            return self.known
+        return tuple(c % self.p for c in self.lift)
 
     def root_mod(self, modulus: int) -> int:
         if self.degree != 1:
             raise ValueError("not a linear piece")
         if self.root is not None:
             return residue(self.root, modulus)
-        return (-self.lift[0]) % modulus
+        return -(self.residue if modulus == self.p else self.lift)[0] % modulus
 
 
-def _local_factor(p, k, e, f, zlift, shift, scale, prec, note, root=None):
+def _local_factor(p, k, e, f, known, shift, scale, prec, note, whole,
+                  root=None):
     """The LocalFactor above the k-th factor over Q whose factor in Z,
-    X = shift + p^scale Z, is zlift."""
+    X = shift + p^scale Z, is known (mod p for a simple piece, else mod
+    p^prec)."""
     m = p ** prec
-    deg = len(zlift) - 1
-    # the factor in X is p^(scale*deg) * zlift((X - shift) / p^scale)
-    lift = mp_shift([c * p ** (scale * (deg - i)) for i, c in enumerate(zlift)],
-                    -shift, m)
     kind = "ramified" if e > 1 else "linear" if f == 1 else "unramified"
-    return LocalFactor(e, f, kind, prec, tuple(lift), k, root, note,
-                       shift % m, scale, tuple(c % m for c in zlift))
+    if not whole:
+        known = [c % m for c in known]
+    return LocalFactor(p, e, f, kind, prec, k, root, note, shift % m, scale,
+                       tuple(known), tuple(whole))
 
 
 def _np_lower_hull(points):
@@ -796,7 +830,7 @@ def _split_at_vertex(P, b, yb, gap, where, p, N):
 
 def _block_pieces(F, g, m, p, N):
     """Q_p-pieces of a monic block F = g^m mod p (g irreducible mod p,
-    m >= 2), known mod p^N, as (e, f, zlift, shift, scale, prec, note).
+    m >= 2), known mod p^N, as _factor_mod_pN gives them.
 
     Order 1 of the Montes algorithm (Guardia, Montes and Nart, Trans. AMS
     364 (2012)): the Newton polygon of the phi-adic expansion of F, phi the
@@ -839,7 +873,7 @@ def _block_pieces(F, g, m, p, N):
                 f"{math.gcd(hull[0][1], m)} over F_({p}^{k}); order 1 resolves "
                 "a non-linear phi only at residual degree 1")
         return [(m, k, F, 0, 0, N, f"{block}: one side of slope "
-                 f"{hull[0][1]}/{m}")]
+                 f"{hull[0][1]}/{m}", ())]
     sides = []
     while len(hull) > 2:  # peel off the shallowest side
         (x0, y0), (b, yb), (x2, _) = hull[-3:]
@@ -864,9 +898,10 @@ def _block_pieces(F, g, m, p, N):
             Z = [c // p ** (h * (run - i)) for i, c in enumerate(S)]
             if any(c % p ** min(h * (run - i), prec) for i, c in enumerate(S)):
                 raise _Shortfall(f"{where}: the side is not integral at p^{prec}")
-            for e2, f2, zlift, sh, sc, pr, note in _factor_mod_pN(Z, p, zprec):
-                out.append((e2, f2, zlift, r + p ** h * sh, h + sc, pr,
-                            f"{where}; {note}" if note else where))
+            for e2, f2, known, sh, sc, pr, note, whole in _factor_mod_pN(
+                    Z, p, zprec):
+                out.append((e2, f2, known, r + p ** h * sh, h + sc, pr,
+                            f"{where}; {note}" if note else where, whole))
             continue
         residual = [S[j * e] // p ** (rise - j * h) % p for j in range(d + 1)]
         fac = factor_mod_p(residual, p)
@@ -877,40 +912,44 @@ def _block_pieces(F, g, m, p, N):
                     "needs a residual split")
             raise UnresolvedSplitting(f"{where}: the residual polynomial "
                                       f"{step}")
-        out.append((e, d, S, r, 0, prec, where))
+        out.append((e, d, S, r, 0, prec, where, ()))
     return out
 
 
 def _factor_mod_pN(g, p, N):
-    """Q_p-pieces of a monic polynomial known mod p^N, as (e, f, zlift,
-    shift, scale, prec, note) in the coordinate X = shift + p^scale Z."""
-    fac = factor_mod_p(g, p)
-    groups = []
-    for h, mult in fac:
+    """Q_p-pieces of a monic polynomial g known mod p^N, as the arguments
+    (e, f, known, shift, scale, prec, note, whole) of _local_factor, in the
+    coordinate X = shift + p^scale Z.  A factor h of multiplicity 1 mod p
+    is one simple piece, left unlifted: known is h and whole is g.  A
+    block h^mult, mult >= 2, is lifted to p^N and split (_block_pieces)."""
+    out = []
+    for h, mult in factor_mod_p(g, p):
+        if mult == 1:
+            out.append((1, len(h) - 1, h, 0, 0, N, "", g))
+            continue
         blk = [1]
         for _ in range(mult):
             blk = mp_mul(blk, h, p)
-        groups.append(blk)
-    out = []
-    for F, (h, mult) in zip(hensel_lift_factors(g, groups, p, N), fac):
-        if mult == 1:
-            out.append((1, len(h) - 1, F, 0, 0, N, ""))
-        else:
-            out.extend(_block_pieces(F, h, mult, p, N))
+        [F] = hensel_lift_factors(g, [blk], p, N)
+        out.extend(_block_pieces(F, h, mult, p, N))
     return out
 
 
 def local_splitting_type(factors, p: int) -> tuple[LocalFactor, ...]:
     """The Q_p-irreducible pieces of a separable monic integer polynomial
     f, given by its irreducible factors over Q (factor_over_Z of f), in a
-    fixed order: by degree, ramification, root mod p, then lift.
+    fixed order: by degree, ramification, root mod p, residue factor, then
+    lift.
 
     Q_p[X]/f is the product of the Q_p[X]/h over the factors h, so each is
     split on its own, and nothing here factors over Q.  A linear factor is
-    one piece, at its exact root.  Each other one is factored mod p and
-    Hensel-lifted to p^N; a block F = g^m mod p with m >= 2 goes through
-    order 1 of the Montes algorithm (_block_pieces): the Newton polygon of
-    F with respect to a lift phi of g, split side by side, one piece per
+    one piece, at its exact root.  Each other one is factored mod p.  A
+    simple factor g mod p is one piece, kept unlifted: its lift to p^N is
+    computed on first read (LocalFactor.zlift), so that a caller that
+    reads only residues lifts nothing.  A block F = g^m mod p with m >= 2
+    is Hensel-lifted to p^N at once and goes through order 1 of the Montes
+    algorithm (_block_pieces): the Newton polygon of F with respect to a
+    lift phi of g, split side by side, one piece per
     irreducible factor of a side's residual polynomial, and a rescaling
     Z = (X - r)/p^h that refines phi at an integral slope.  A step short
     of digits doubles N, from p^HENSEL_START up to p^HENSEL_CAP.
@@ -934,7 +973,7 @@ def local_splitting_type(factors, p: int) -> tuple[LocalFactor, ...]:
             for k, h in enumerate(factors):
                 if h.degree == 1:
                     out.append(_local_factor(p, k, 1, 1, (int(h.coeffs[0]), 1),
-                                             0, 0, N, "", -h.coeffs[0]))
+                                             0, 0, N, "", (), -h.coeffs[0]))
                 else:
                     out += [_local_factor(p, k, *piece)
                             for piece in _factor_mod_pN(
@@ -946,12 +985,18 @@ def local_splitting_type(factors, p: int) -> tuple[LocalFactor, ...]:
                     f"{exc} (at the cap p^{HENSEL_CAP})") from None
             N *= 2
 
-    # ties are broken mod p^kmin, so that the order does not depend on the
-    # precision each piece happens to come out with
-    kmin = p ** min(fc.prec for fc in out)
-
     def _order_key(fc: LocalFactor):
         return (fc.degree, fc.e, fc.root_mod(p) if fc.degree == 1 else -1,
-                tuple(c % p for c in fc.lift), tuple(c % kmin for c in fc.lift))
+                fc.residue)
 
-    return tuple(sorted(out, key=_order_key))
+    # a tie mod p is broken by the lifts mod p^kmin, so that the order does
+    # not depend on the precision each piece happens to come out with; only
+    # tied pieces are lifted for it
+    kmin = p ** min(fc.prec for fc in out)
+    ordered = []
+    for _, tied in groupby(sorted(out, key=_order_key), key=_order_key):
+        tied = list(tied)
+        if len(tied) > 1:
+            tied.sort(key=lambda fc: tuple(c % kmin for c in fc.lift))
+        ordered += tied
+    return tuple(ordered)

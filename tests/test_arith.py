@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -135,6 +136,41 @@ def test_square_class_homomorphism(a, b, p):
        st.sampled_from([0, 2, 3, 5, 7]))
 def test_square_class_invariant_under_squares(q, s, p):
     assert square_class(q * s * s, p) == square_class(q, p)
+
+
+def fraction_unit_part(q, p):
+    """The oracle: q / p^v as a Fraction power, the earlier formula."""
+    q = Fraction(q)
+    return q / Fraction(p) ** valuation(q, p)
+
+
+def fraction_square_class(q, p):
+    """The oracle: the class read off fraction_unit_part."""
+    q = Fraction(q)
+    if p == 0:
+        return int(q < 0)
+    u = fraction_unit_part(q, p)
+    sym = u.numerator * u.denominator
+    if p == 2:
+        return valuation(q, p) % 2 | sym % 8 & 6
+    return valuation(q, p) % 2 | (pow(sym % p, (p - 1) // 2, p) != 1) << 1
+
+
+def test_square_class_and_unit_part_match_the_fraction_oracle():
+    # seeded rationals and integers, with powers of p in the numerator or
+    # the denominator, against the formulas with Fraction(p) ** v
+    rng = random.Random(18)
+    for p in (0, 2, 3, 5, 191):
+        base = p or rng.choice((2, 3, 7))
+        for _ in range(400):
+            q = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** 6),
+                         rng.randint(1, 10 ** 4))
+            q *= Fraction(base) ** rng.randint(-6, 6)
+            for x in (q, q.numerator):
+                assert square_class(x, p) == fraction_square_class(x, p), \
+                    (x, p)
+                if p:
+                    assert unit_part(x, p) == fraction_unit_part(x, p), (x, p)
 
 
 def test_padic_square_mod8():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qdescent import jacobian
+from qdescent import jacobian, poly
 from qdescent.arith import (REAL_PLACE, finite, legendre, square_class,
                             valuation)
 from qdescent.descent_global import _independence_primes
@@ -134,6 +134,29 @@ def test_independence_rank_example_II():
     m1 = (1 << idx[-2]) | (1 << idx[-9]) | (1 << idx[-6])
     m2 = (1 << idx[4]) | (1 << idx[-17])
     assert m1 in rel37 and m2 in rel37
+
+
+def test_independence_lifts_only_pieces_a_point_reduces_onto(monkeypatch):
+    # at a split prime a class is read from residues unless x mod p is a
+    # root of the piece's factor mod p: of the ten pieces at 37 and 73 only
+    # the root 4 mod 37 (x = 4) and the root 71 mod 73 (x = -2) are lifted
+    lifted = []
+    lift = poly.hensel_lift_factors
+
+    def counted(f, factors, p, N):
+        lifted.extend((p, tuple(g)) for g in factors)
+        return lift(f, factors, p, N)
+
+    monkeypatch.setattr(poly, "hensel_lift_factors", counted)
+    curve = HyperellipticCurve(C2.f)
+    bound, _ = independence_rank(curve, RATPTS, [37, 73])
+    assert bound == 6
+    assert sorted(lifted) == [(37, (33, 1)), (73, (2, 1))]
+    hit = [(p, piece.residue) for p in (37, 73)
+           for piece in EtaleAlgebra(curve.factors, p).pieces
+           if any((x * piece.residue[1] + piece.residue[0]) % p == 0
+                  for _, x, _ in RATPTS)]
+    assert sorted(hit) == sorted(lifted)
 
 
 def subset_products(vecs) -> dict:

@@ -1,15 +1,18 @@
 import itertools
+import operator
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 from qdescent.arith import square_class, valuation
+from qdescent.descent_local import _piece_root_valuation
 from qdescent.localfields import (EtaleAlgebra, SqVector, echelon, relations,
                                   span_closure, span_rank)
-from qdescent.poly import (RatPoly, UnresolvedSplitting, discriminant,
-                           factor_over_Z, mp_divmod, mp_mul, mp_pow_mod,
-                           parse_poly)
+from qdescent.poly import (RatPoly, UnresolvedSplitting, _vp_bounded,
+                           discriminant, factor_over_Z, mp_divmod, mp_mul,
+                           mp_pow_mod, parse_poly)
 
 QUINTIC = parse_poly("X^5+16*X^4-274*X^3+817*X^2+178*X+1")
 # unramified pieces at 2: three linear; three linear and one of degree 2;
@@ -345,3 +348,111 @@ def test_echelon_and_relations_against_subset_search():
             for b in basis:
                 span |= {x ^ b for x in span}
             assert span == space and len(span) == 2 ** len(basis)
+
+
+def lifted_image_of_affine(alg, x):
+    """The oracle: the mask of (x - T) read off the norm of every piece's
+    lift, mod p^prec, as at p = 2."""
+    mask = 0
+    for i, piece in enumerate(alg.pieces):
+        if piece.root is not None:
+            mask |= alg.class_of_element(i, x - piece.root, piece.prec)
+            continue
+        m = alg.p ** piece.prec
+        elem = [x.numerator * x.denominator, -x.denominator ** 2]
+        mask |= alg.class_of_element(i, alg.to_z(i, elem, m), piece.prec)
+    return mask
+
+
+def lifted_image_of_torsion_root(alg, i):
+    """The oracle: the mask of the torsion divisor of piece i, every entry
+    read off the norm of a product of lifts mod p^prec."""
+    if alg.pieces[i].kind == "ramified":
+        raise ValueError("torsion root lives in a ramified component")
+    mask = 0
+    for j, piece_j in enumerate(alg.pieces):
+        prec = min(alg.pieces[i].prec, piece_j.prec)
+        m = alg.p ** prec
+        elem = [1]
+        for k in ([k for k in range(alg.n_comp) if k != i] if j == i
+                  else [i]):
+            elem = mp_mul(elem, alg.pieces[k].lift, m)
+        elem = mp_divmod(elem, [c % m for c in piece_j.lift], m)[1]
+        if (alg.pieces[i].degree - (j == i)) % 2:
+            elem = [-c % m for c in elem]
+        mask |= alg.class_of_element(j, alg.to_z(j, elem, m), prec)
+    return mask
+
+
+def or_error(fn, *args):
+    """fn(*args), or the type of the error it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, UnresolvedSplitting) as exc:
+        return type(exc)
+
+
+def test_residue_reads_match_lifted_reads():
+    # seeded f of degree 3 to 7 at odd good and bad primes, and x of three
+    # kinds: p-integral, not p-integral, and congruent to a root mod p.
+    # A fresh algebra reads from residues; the oracle reads the same
+    # algebra with every lift forced.
+    rng = random.Random(18)
+    seen = {"integral": 0, "non-integral": 0, "root": 0, "bad": 0}
+    for _ in range(60):
+        d = rng.randint(3, 7)
+        f = RatPoly([rng.randint(-9, 9) for _ in range(d)] + [1])
+        disc = discriminant(f)
+        if disc == 0:
+            continue
+        bad = [p for p in (3, 5, 7) if disc % p == 0]
+        for p in sorted({rng.choice((3, 5, 7, 11, 13)), *bad[:1]}):
+            try:
+                lazy = algebra(f, p)
+            except UnresolvedSplitting:
+                continue
+            forced = algebra(f, p)
+            for piece in forced.pieces:
+                piece.lift
+            seen["bad"] += disc % p == 0
+            roots = [r for r in range(p)
+                     if sum(int(c) * r ** k for k, c in
+                            enumerate(f.coeffs)) % p == 0]
+            xs = {"integral": Fraction(rng.randint(-99, 99)),
+                  "non-integral": Fraction(rng.randint(-99, 99) * p + 1,
+                                           p ** rng.randint(1, 3)),
+                  "root": (Fraction(rng.choice(roots)
+                                    + p * rng.randint(-20, 20))
+                           if roots else None)}
+            for kind, x in xs.items():
+                if x is None or f.eval(x) == 0:
+                    continue
+                got = or_error(lambda: lazy.image_of_affine(x).mask)
+                want = or_error(lifted_image_of_affine, forced, x)
+                if UnresolvedSplitting not in (got, want):
+                    assert got == want, (f, p, x)
+                    seen[kind] += 1
+            for k in range(len(lazy.pieces)):
+                got = or_error(lambda: lazy.image_of_torsion_root(k).mask)
+                if got is ValueError:  # a ramified piece
+                    continue
+                want = or_error(lifted_image_of_torsion_root, forced, k)
+                if UnresolvedSplitting not in (got, want):
+                    assert got == want, (f, p, k)
+            for k in range(len(factor_over_Z(f))):
+                got = or_error(lambda: lazy.image_of_factor_roots(k).mask)
+                want = or_error(lambda: reduce(operator.xor, (
+                    lifted_image_of_torsion_root(forced, i)
+                    for i, piece in enumerate(forced.pieces)
+                    if piece.global_factor == k)))
+                if UnresolvedSplitting not in (got, want):
+                    assert got == want, (f, p, k)
+            for fresh, piece in zip(algebra(f, p).pieces, forced.pieces):
+                if piece.kind == "ramified":
+                    continue
+                v = _vp_bounded(piece.lift[0], p, piece.prec)
+                want = (None if v is None or v >= piece.prec - 4
+                        else v // piece.f)
+                if piece.root is None:
+                    assert _piece_root_valuation(fresh, p) == want, (f, p)
+    assert min(seen.values()) >= 10, seen

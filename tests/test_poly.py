@@ -576,6 +576,64 @@ def test_split_sweep_invariants():
     assert unresolved <= len(pairs) // 100
 
 
+def test_lazy_lifts_match_eager_lifts():
+    # a seeded slice of the sweep: a simple piece, at the top or inside a
+    # rescaled block, keeps its factor mod p until asked; then its zlift is
+    # what hensel_lift_factors gives when it lifts every factor of `whole`
+    # mod p at once, as an eager split does, it divides `whole` mod p^prec,
+    # and its lift is the factor in X; the order of the pieces is the one
+    # sorted with every lift read first
+    simple = rescaled = 0
+    for f, disc, p in sweep_pairs(8):
+        try:
+            st_ = split(f, p)
+        except UnresolvedSplitting:
+            continue
+        for fc in st_:
+            if not fc.whole:
+                continue
+            simple += 1
+            rescaled += fc.scale > 0
+            whole = list(fc.whole)
+            fac = factor_mod_p(whole, p)
+            blocks = []
+            for h, mult in fac:
+                blk = [1]
+                for _ in range(mult):
+                    blk = mp_mul(blk, h, p)
+                blocks.append(blk)
+            eager = hensel_lift_factors(whole, blocks, p, fc.prec)
+            [want] = [g for g, (h, mult) in zip(eager, fac)
+                      if (h, mult) == (list(fc.known), 1)]
+            assert fc.zlift == tuple(want), (f, p)
+            m = p ** fc.prec
+            assert mp_divmod(whole, list(fc.zlift), m)[1] == [], (f, p)
+            deg = fc.degree
+            assert fc.lift == tuple(mp_shift(
+                [c * p ** (fc.scale * (deg - i)) for i, c in
+                 enumerate(fc.zlift)], -fc.shift, m)), (f, p)
+            assert fc.residue == tuple(c % p for c in fc.lift), (f, p)
+        kmin = p ** min(fc.prec for fc in st_)
+        assert st_ == tuple(sorted(st_, key=lambda fc: (
+            fc.degree, fc.e, fc.root_mod(p) if fc.degree == 1 else -1,
+            tuple(c % p for c in fc.lift),
+            tuple(c % kmin for c in fc.lift)))), (f, p)
+    assert simple > 1000 and rescaled > 10, (simple, rescaled)
+
+
+def test_residues_and_order_need_no_lift(monkeypatch):
+    # the Example II quintic splits at 37 into five simple linear pieces:
+    # splitting, ordering and the roots mod p lift none of them
+    calls = []
+    monkeypatch.setattr(poly, "hensel_lift_factors",
+                        lambda *args: calls.append(args))
+    st_ = split(QUINTIC, 37)
+    assert [fc.root_mod(37) for fc in st_] == [4, 8, 12, 16, 18]
+    assert [fc.residue for fc in st_] == [(-r % 37, 1)
+                                          for r in (4, 8, 12, 16, 18)]
+    assert calls == []
+
+
 @pytest.mark.parametrize("f, p, kinds", [
     # a repeated non-linear factor mod 2: one side of slope 1/2
     ("X^5-6*X^4+9*X^3+4*X^2+X+4", 2, [(1, 1), (2, 2)]),
