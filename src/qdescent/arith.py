@@ -203,15 +203,6 @@ def residue(q, m: int) -> int:
     return q.numerator * pow(q.denominator, -1, m) % m
 
 
-def unit_part(q, p: int) -> Fraction:
-    """q / p^{v_p(q)}; a p-adic unit."""
-    q = Fraction(q)
-    if q == 0:
-        raise ValueError("0 has no unit part")
-    _, a, b = _split_p(q, p)
-    return Fraction(a, b)
-
-
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for odd prime p."""
     a %= p

@@ -29,9 +29,13 @@ the change of coordinates to it; for the 2-map the factors of the
 that minimal model (m.two_division_factors).  The TorsionFieldProfile is
 the object for each (model, phi, p): the p-adic splitting of E[phi] and
 where its points reduce.  local_descent_report builds the profile from the
-model and passes it to S and I; C is read off the profile.
+model and passes it to S and I; C is read off the profile.  A cyclic
+isogeny is read through the 2-division polynomial psi2 of its domain: a
+3-kernel {Q, -Q} is defined over Q_p(sqrt(psi2(x(Q)))), and at the real
+place S of a 2-isogeny asks whether x of its kernel point is the least
+real root of psi2.
 
-#E(Q_p)[3] (three_torsion_count, from the 3-division polynomial) stands
+#E(Q_p)[3] (three_torsion_count, from psi3 and psi2 of the model) stands
 apart: it is the order that the local exact sequence of a 3-isogeny and
 its dual needs.
 """
@@ -195,13 +199,9 @@ def _cyclic_kernel_profile(rd: ReductionData, phi: IsogenyMap) -> TorsionFieldPr
     if phi.degree == 2:
         pts = (_kernel_point(rd, "T1", 1, vx),)
         return TorsionFieldProfile(p, pts, 2, 1, 1, 2, (("T1",),))
-    # degree 3: field of the kernel points is Q_p(sqrt(disc_y))
-    dep = phi.depressed_domain()
-    x0d = x0 - phi.pre[0]
-    D = dep.rhs(x0d)  # y0^2 on the depressed model
-    if D == 0:
-        raise ValueError("kernel point is 2-torsion on a 3-isogeny?")
-    cls = square_class(D, p)
+    # degree 3: the kernel points are defined over Q_p(sqrt(psi2(x0))),
+    # as psi2(x0) = (2y0 + a1 x0 + a3)^2, not 0 since psi3(x0) = 0
+    cls = square_class(phi.domain.psi2.eval(x0), p)
     if cls == 0:
         pts = tuple(_kernel_point(rd, q, 1, vx) for q in ("Q", "-Q"))
         return TorsionFieldProfile(p, pts, 3, 1, 1, 3, (("Q",), ("-Q",)))
@@ -267,30 +267,21 @@ def s2_real(m: WeierstrassModel, phi) -> int:
         return 2 if m.disc > 0 else 1
     if phi.degree % 2 == 1:
         return 1
-    # cyclic 2-isogeny: kernel (e, 0) is always real
-    x0 = Fraction(phi.kernel[0])
+    # cyclic 2-isogeny: the kernel point, at a root x0 of psi2, is real
     if m.disc < 0:
         return 2
-    # disc > 0: order 2 iff (a, 0) in E[phi] with a the least real root
-    dep = phi.depressed_domain()
-    r, s, t, u = phi.pre
-    x0d = x0 - r
-    g = RatPoly([dep.a6, dep.a4, 0, 1])
-    others = (g // RatPoly([-x0d, 1]))
-    # x0d least root iff the other two roots are both larger: q(x0d) > 0
-    # and x0d below the stationary midpoint of q
-    q0 = others.eval(x0d)
-    mid = -others.coeffs[1] / 2
-    return 2 if (q0 > 0 and x0d < mid) else 1
+    # disc > 0: order 2 iff x0 is the least of the three real roots of
+    # psi2, the one where psi2 rises (psi2' > 0) and is concave (psi2'' < 0)
+    x0 = Fraction(phi.kernel[0])
+    d1 = m.psi2.deriv()
+    return 2 if d1.eval(x0) > 0 and d1.deriv().eval(x0) < 0 else 1
 
 
 def three_torsion_count(m: WeierstrassModel, p: int) -> int:
-    """#E(Q_p)[3], from the 3-division polynomial and (2y + a1 x + a3)^2
-    on m itself: on an integral model the roots need the scaling X = 3x
-    only."""
-    psi3 = RatPoly([m.b8, 3 * m.b6, 3 * m.b4, m.b2, 3])
-    rhs = RatPoly([m.b6, 2 * m.b4, m.b2, 4])
-    return 1 + 2 * _count_x_roots_with_square_rhs(psi3, rhs, p)
+    """#E(Q_p)[3]: the roots x of psi3 in Q_p at which psi2(x) =
+    (2y + a1 x + a3)^2 is a square, each giving two points, read on m
+    itself (on an integral model the roots need the scaling X = 3x only)."""
+    return 1 + 2 * _count_x_roots_with_square_rhs(m.psi3, m.psi2, p)
 
 
 def _count_x_roots_with_square_rhs(g: RatPoly, f: RatPoly, p: int) -> int:

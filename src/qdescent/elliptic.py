@@ -1,16 +1,17 @@
-"""Weierstrass models, point arithmetic and isogenies.
+"""Weierstrass models and isogenies.
 
-Models are exact ([a1,a2,a3,a4,a6] over Q); point arithmetic runs over Q or
-over F_p through a small field-context object.  A model is the one object
-of its curve: it keeps the primes of its discriminant (disc_primes),
-Tate's algorithm at each prime it was asked about (reduction) and the
-curve y^2 = its integral 2-division cubic, whose factors over Q are found
-once and moved to the minimal model of each prime (two_division_factors).
-Isogenies are Velu's: the coordinate maps are rational functions in x
-(plus y times a rational function in x), stored on a depressed model
-y^2 = x^3 + Ax + B with the translation recorded, together with the
-scalar phi'(0) by which the map pulls back the invariant differential,
-fixed when the map is built.
+Models are exact ([a1,a2,a3,a4,a6] over Q).  A model is the one object
+of its curve: it keeps its 2- and 3-division polynomials (psi2, psi3),
+the primes of its discriminant (disc_primes), Tate's algorithm at each
+prime it was asked about (reduction) and the curve y^2 = its integral
+2-division cubic, whose factors over Q are found once and moved to the
+minimal model of each prime (two_division_factors).  There is no group
+law: the descent reads x-coordinates, and a kernel of order 3 is checked
+by psi3.  Isogenies are Velu's: the coordinate maps are rational
+functions in x (plus y times a rational function in x), stored on a
+depressed model y^2 = x^3 + Ax + B with the translation recorded,
+together with the scalar phi'(0) by which the map pulls back the
+invariant differential, fixed when the map is built.
 """
 
 from __future__ import annotations
@@ -20,47 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .arith import factor_integer, residue
+from .arith import factor_integer
 from .jacobian import HyperellipticCurve
 from .poly import RatPoly
 from .tate import ReductionData, tate_algorithm
 
 Rat = Fraction
-
-
-# ---------------------------------------------------------------------------
-# Field contexts (Q and F_p share the group-law code)
-
-
-class QCtx:
-    name = "Q"
-
-    @staticmethod
-    def of(v):
-        return Fraction(v)
-
-    @staticmethod
-    def inv(v):
-        return 1 / Fraction(v)
-
-    @staticmethod
-    def eq(a, b):
-        return a == b
-
-
-class FpCtx:
-    def __init__(self, p: int):
-        self.p = p
-        self.name = f"F_{p}"
-
-    def of(self, v):
-        return residue(v, self.p)
-
-    def inv(self, v):
-        return pow(v, -1, self.p)
-
-    def eq(self, a, b):
-        return (a - b) % self.p == 0
 
 
 @dataclass(frozen=True)
@@ -100,6 +66,18 @@ class WeierstrassModel:
     @property
     def c6(self):
         return -self.b2 ** 3 + 36 * self.b2 * self.b4 - 216 * self.b6
+
+    @property
+    def psi2(self) -> RatPoly:
+        """The 2-division polynomial 4x^3 + b2 x^2 + 2 b4 x + b6, equal to
+        (2y + a1 x + a3)^2 on the curve; its roots are the x of E[2] - O."""
+        return RatPoly([self.b6, 2 * self.b4, self.b2, 4])
+
+    @property
+    def psi3(self) -> RatPoly:
+        """The 3-division polynomial 3x^4 + b2 x^3 + 3 b4 x^2 + 3 b6 x + b8;
+        its roots are the x of E[3] - O (Silverman, Ex. 3.7)."""
+        return RatPoly([self.b8, 3 * self.b6, 3 * self.b4, self.b2, 3])
 
     @cached_property
     def disc(self):
@@ -163,10 +141,6 @@ class WeierstrassModel:
 
     def is_integral(self) -> bool:
         return all(a.denominator == 1 for a in self.ainvs())
-
-    def rhs(self, x):
-        x = Fraction(x)
-        return x ** 3 + self.a2 * x ** 2 + self.a4 * x + self.a6
 
     def transform(self, r=0, s=0, t=0, u=1) -> "WeierstrassModel":
         """Standard change of variables x = u^2 x' + r, y = u^3 y' + s u^2 x' + t."""
@@ -240,63 +214,19 @@ class Pt:
         return f"({self.x}, {self.y})"
 
 
-def is_on_curve(m: WeierstrassModel, P, ctx=QCtx) -> bool:
+def is_on_curve(m: WeierstrassModel, P) -> bool:
     if P is INF:
         return True
-    a1, a2, a3, a4, a6 = (ctx.of(a) for a in m.ainvs())
+    a1, a2, a3, a4, a6 = m.ainvs()
     x, y = P.x, P.y
-    lhs = y * y + a1 * x * y + a3 * y
-    rhs = x ** 3 + a2 * x * x + a4 * x + a6
-    return ctx.eq(lhs, rhs)
-
-
-def negate(m: WeierstrassModel, P, ctx=QCtx):
-    if P is INF:
-        return INF
-    a1, a3 = ctx.of(m.a1), ctx.of(m.a3)
-    return Pt(P.x, -P.y - a1 * P.x - a3)
-
-
-def add(m: WeierstrassModel, P, Q, ctx=QCtx):
-    """Chord-tangent group law; Infinity is the identity."""
-    if P is INF:
-        return Q
-    if Q is INF:
-        return P
-    a1, a2, a3, a4, a6 = (ctx.of(a) for a in m.ainvs())
-    x1, y1, x2, y2 = P.x, P.y, Q.x, Q.y
-    if ctx.eq(x1, x2):
-        if ctx.eq(y1 + y2 + a1 * x2 + a3, 0):
-            return INF
-        lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) \
-            * ctx.inv(2 * y1 + a1 * x1 + a3)
-    else:
-        lam = (y2 - y1) * ctx.inv(x2 - x1)
-    nu = y1 - lam * x1
-    x3 = lam * lam + a1 * lam - a2 - x1 - x2
-    y3 = -(lam + a1) * x3 - nu - a3
-    if isinstance(ctx, FpCtx):
-        return Pt(x3 % ctx.p, y3 % ctx.p)
-    return Pt(x3, y3)
-
-
-def scalar_mul(m: WeierstrassModel, n: int, P, ctx=QCtx):
-    if n < 0:
-        return scalar_mul(m, -n, negate(m, P, ctx), ctx)
-    out = INF
-    base = P
-    while n:
-        if n & 1:
-            out = add(m, out, base, ctx)
-        base = add(m, base, base, ctx)
-        n >>= 1
-    return out
+    return y * y + a1 * x * y + a3 * y == x ** 3 + a2 * x * x + a4 * x + a6
 
 
 def two_division_cubic_integral(m: WeierstrassModel) -> RatPoly:
-    """Monic cubic in U = 4x whose roots are 4 times the x-coordinates of
-    E[2] minus O; integral when m is."""
-    return RatPoly([16 * m.b6, 8 * m.b4, m.b2, 1])
+    """16 psi2(U/4): the monic cubic in U = 4x whose roots are 4 times the
+    x-coordinates of E[2] minus O; integral when m is."""
+    return RatPoly([c * Fraction(4) ** (2 - i)
+                    for i, c in enumerate(m.psi2.coeffs)])
 
 
 @dataclass(frozen=True)
@@ -324,9 +254,6 @@ class IsogenyMap:
     y_den: RatPoly
     kernel: tuple
     phi_prime_0: int
-
-    def depressed_domain(self) -> WeierstrassModel:
-        return self.domain.transform(*self.pre)
 
     def apply(self, P):
         if P is INF:
@@ -361,7 +288,8 @@ def velu_isogeny(m: WeierstrassModel, kernel_points) -> IsogenyMap:
     order 2, v = 6x_P^2 + 2A, u = 4y_P^2 at order 3.  With l = x - x_P and
     k = order - 1 the x-map is (x l^k + v l^(k-1) + u)/l^k, in lowest terms
     (v or u is not 0), and the y-map its derivative (x_num' l - k x_num)/
-    l^(k+1), so that phi'(0) = 1.
+    l^(k+1), so that phi'(0) = 1.  An order-3 kernel {Q, -Q} is a
+    subgroup exactly when psi3(x_Q) = 0.
     """
     pts = [P for P in kernel_points if P is not INF]
     for P in pts:
@@ -383,8 +311,7 @@ def velu_isogeny(m: WeierstrassModel, kernel_points) -> IsogenyMap:
         P, Q = dpts
         if P.x != Q.x or P.y != -Q.y:
             raise ValueError("order-3 kernel must be {Q, -Q}")
-        # Galois-stability/subgroup check: 2*Q = -Q
-        if scalar_mul(dep, 2, P) != Pt(P.x, -P.y):
+        if m.psi3.eval(pts[0].x) != 0:
             raise ValueError("kernel points do not form a subgroup of order 3")
         v, u = 6 * P.x ** 2 + 2 * A, 4 * P.y ** 2
     else:

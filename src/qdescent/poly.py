@@ -728,19 +728,21 @@ class LocalFactor:
                                   self.p, self.prec)
         return tuple(g)
 
-    @cached_property
-    def lift(self) -> tuple[int, ...]:
-        # the factor in X is p^(scale*deg) * zlift((X - shift) / p^scale)
+    def _in_x(self, zfactor, modulus: int) -> tuple[int, ...]:
+        # the factor in X is p^(scale*deg) * zfactor((X - shift) / p^scale)
         p, deg = self.p, self.degree
         return tuple(mp_shift([c * p ** (self.scale * (deg - i))
-                               for i, c in enumerate(self.zlift)],
-                              -self.shift, p ** self.prec))
+                               for i, c in enumerate(zfactor)],
+                              -self.shift, modulus))
+
+    @cached_property
+    def lift(self) -> tuple[int, ...]:
+        return self._in_x(self.zlift, self.p ** self.prec)
 
     @cached_property
     def residue(self) -> tuple[int, ...]:
-        if self.whole and not (self.shift or self.scale):
-            return self.known
-        return tuple(c % self.p for c in self.lift)
+        # zlift is known mod p: (X - shift)^deg once scale >= 1
+        return self._in_x(self.known, self.p)
 
     def root_mod(self, modulus: int) -> int:
         if self.degree != 1:

@@ -6,9 +6,10 @@ Tamagawa number c_p, whether multiplicative reduction is split, and the
 order of Frobenius on the component group
 (frobenius_order_on_components).  The minimal model is integral, not only
 p-integral, so that the local objects built on it, such as its 2-division
-cubic, have integer coefficients.  WeierstrassModel.reduction runs it
-once per prime and keeps the result, so that each (model, prime) has one
-ReductionData.
+cubic, have integer coefficients.  At odd p the singular point of a
+reduction lies above the multiple root of the model's 2-division
+polynomial psi2 mod p.  WeierstrassModel.reduction runs it once per prime
+and keeps the result, so that each (model, prime) has one ReductionData.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import INFINITY, legendre, residue, valuation
+from .arith import legendre, residue, valuation
 from .poly import factor_mod_p
 
 
@@ -69,10 +70,9 @@ def _singular_point(m: WeierstrassModel, p: int):
                 if on and dx and dy:
                     return x0, y0
         raise ArithmeticError("no singular point found mod 2")
-    # p odd: x0 is the multiple root of 4x^3 + b2 x^2 + 2 b4 x + b6 (the
-    # multiple root is unique, hence F_p-rational)
-    B = [residue(m.b6, p), residue(2 * m.b4, p), residue(m.b2, p), 4]
-    for g, mult in factor_mod_p(B, p):
+    # p odd: x0 is the multiple root of psi2 mod p (the multiple root is
+    # unique, hence F_p-rational)
+    for g, mult in factor_mod_p([residue(c, p) for c in m.psi2.coeffs], p):
         if mult >= 2 and len(g) == 2:
             x0 = -g[0] % p
             y0 = (-(residue(m.a1, p) * x0 + residue(m.a3, p))
@@ -112,8 +112,7 @@ def tate_algorithm(m: WeierstrassModel, p: int) -> ReductionData:
     tr = (Fraction(0), Fraction(0), Fraction(0), Fraction(1))
     # make the model p-integral, then integral: the lcm d of the
     # denominators left is prime to p, so scaling by 1/d changes nothing at p
-    while any(valuation(a, p) is not INFINITY and valuation(a, p) < 0
-              for a in m.ainvs()):
+    while any(valuation(a, p) < 0 for a in m.ainvs()):
         m, tr = _move(m, tr, u=Fraction(1, p))
     d = math.lcm(*(a.denominator for a in m.ainvs()))
     if d > 1:
@@ -126,8 +125,7 @@ def tate_algorithm(m: WeierstrassModel, p: int) -> ReductionData:
                                  tr)
         x0, y0 = _singular_point(m, p)
         m, tr = _move(m, tr, r=x0, t=y0)
-        assert all(valuation(a, p) is INFINITY or valuation(a, p) >= 1
-                   for a in (m.a3, m.a4, m.a6))
+        assert all(valuation(a, p) >= 1 for a in (m.a3, m.a4, m.a6))
 
         if valuation(m.b2, p) == 0:
             # multiplicative: tangent directions T^2 + a1 T - a2

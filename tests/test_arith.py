@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from qdescent.arith import (INFINITY, FactoringBudgetExceeded, factor_integer,
                             is_prime, residue, square_class, squarefree_part,
-                            unramified_class, unit_part, valuation)
+                            unramified_class, valuation)
 
 
 def test_factor_small():
@@ -156,7 +156,7 @@ def fraction_square_class(q, p):
     return valuation(q, p) % 2 | (pow(sym % p, (p - 1) // 2, p) != 1) << 1
 
 
-def test_square_class_and_unit_part_match_the_fraction_oracle():
+def test_square_class_matches_the_fraction_oracle():
     # seeded rationals and integers, with powers of p in the numerator or
     # the denominator, against the formulas with Fraction(p) ** v
     rng = random.Random(18)
@@ -169,8 +169,6 @@ def test_square_class_and_unit_part_match_the_fraction_oracle():
             for x in (q, q.numerator):
                 assert square_class(x, p) == fraction_square_class(x, p), \
                     (x, p)
-                if p:
-                    assert unit_part(x, p) == fraction_unit_part(x, p), (x, p)
 
 
 def test_padic_square_mod8():
@@ -187,5 +185,4 @@ def test_prime_test():
 
 
 def test_misc():
-    assert unit_part(Fraction(50, 3), 5) == Fraction(2, 3)
     assert squarefree_part(-2592) == -2 * 1  # -2^5 3^4 -> -2

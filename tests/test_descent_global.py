@@ -13,6 +13,7 @@ import pytest
 
 import forms_oracle
 from conftest import DeadlineExceeded
+from group_law import add
 from qdescent import poly, tate
 from qdescent.arith import REAL_PLACE, factor_integer, finite, squarefree_part
 from qdescent.descent_global import (GlobalLedger, assemble_ledger_elliptic,
@@ -22,7 +23,7 @@ from qdescent.descent_global import (GlobalLedger, assemble_ledger_elliptic,
                                      genus_2rank_quadratic, parse_class_data,
                                      quadratic_class_record)
 from qdescent.descent_local import TWO_MAP, local_descent_report
-from qdescent.elliptic import (Pt, add, curve_from_string,
+from qdescent.elliptic import (Pt, curve_from_string,
                                two_division_cubic_integral, velu_isogeny)
 from qdescent.jacobian import HyperellipticCurve
 from qdescent.localfields import EtaleAlgebra

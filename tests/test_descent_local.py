@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from group_law import moved, points, scalar_mul
 from qdescent.arith import REAL_PLACE, finite, is_prime, valuation
 from qdescent.descent_global import bad_primes
 from qdescent.descent_local import (TWO_MAP, c2_order, i2_oracle_halving,
@@ -10,8 +12,7 @@ from qdescent.descent_local import (TWO_MAP, c2_order, i2_oracle_halving,
                                     s2_order_isogeny, s2_order_two_map,
                                     s2_real, three_torsion_count,
                                     torsion_field_profile)
-from qdescent.elliptic import (INF, FpCtx, Pt, compute_invariants,
-                               curve_from_string, is_on_curve, scalar_mul,
+from qdescent.elliptic import (INF, Pt, compute_invariants, curve_from_string,
                                two_division_cubic_integral, velu_isogeny)
 from qdescent.poly import UnresolvedSplitting, factor_over_Z
 
@@ -67,10 +68,7 @@ def test_c2_orders():
 
 def fp_torsion_count(m, n, p):
     """#E(F_p)[n] by enumerating E(F_p)."""
-    ctx = FpCtx(p)
-    pts = [INF] + [Pt(x, y) for x in range(p) for y in range(p)
-                   if is_on_curve(m, Pt(x, y), ctx)]
-    return sum(1 for P in pts if scalar_mul(m, n, P, ctx) is INF)
+    return sum(1 for P in points(m, p) if scalar_mul(m, n, P, p) is INF)
 
 
 def test_torsion_count_against_point_enumeration():
@@ -516,3 +514,61 @@ def test_descent_orders_do_not_depend_on_the_model():
     assert any("tau of order 2: point" in r and "v(x)" in r for r in reasons)
     assert any("(even) case: image automatically even" in r
                for r in reasons)
+
+
+def profile_shape(prof):
+    """A profile without v(x), which each model's minimal model may read
+    differently where the reduction is good."""
+    return (prof.m, prof.deg_L, prof.deg_Lprime, prof.deg_M,
+            prof.tau_permutation,
+            [(k.label, k.residue_degree, k.singular)
+             for k in prof.kernel_points])
+
+
+def test_s2_real_and_cyclic_profiles_on_moved_models():
+    # y^2 = (x - e)(x^2 + bx + c), moved so that a1, a3 != 0 and some
+    # coefficient is not an integer: the 2-isogeny with kernel (e, 0) has
+    # S = 2 at the real place exactly when disc < 0 or e is the least real
+    # root.  Its profile, and that of the 3-isogeny of
+    # y^2 + a1 xy + a3 y = x^3 with kernel {(0, 0), (0, -a3)}, has at every
+    # bad prime the shape it has on the unmoved model; the 3-kernel points
+    # are rational, so psi2 at their x is a square
+    rng = random.Random(23)
+    seen = set()
+    pairs = []
+    while len(pairs) < 30:
+        e, b, c = (rng.randrange(-6, 7) for _ in range(3))
+        if e * e + b * e + c == 0 or b * b == 4 * c:
+            continue
+        m0 = compute_invariants(0, b - e, 0, c - b * e, -c * e)
+        m, change = moved(m0, rng)
+        kernel = [Pt(Fraction(e), Fraction(0))]
+        phi = velu_isogeny(m, [m0.map_point(P, *change) for P in kernel])
+        if m.disc < 0:
+            want = 2
+        else:
+            want = 2 if e < (-b - math.sqrt(b * b - 4 * c)) / 2 else 1
+        assert s2_real(m, phi) == want, (m0, change)
+        seen.add((m.disc < 0, want))
+        pairs.append((m0, kernel, m, phi))
+    assert seen == {(True, 2), (False, 2), (False, 1)}
+    while len(pairs) < 50:
+        a1, a3 = rng.randrange(-5, 6), rng.choice((-6, -3, -2, -1, 1, 2, 4))
+        if a1 ** 3 == 27 * a3:  # disc = a3^3 (a1^3 - 27 a3)
+            continue
+        m0 = compute_invariants(a1, 0, a3, 0, 0)
+        m, change = moved(m0, rng)
+        kernel = [ORIGIN, Pt(Fraction(0), Fraction(-a3))]
+        phi = velu_isogeny(m, [m0.map_point(P, *change) for P in kernel])
+        assert s2_real(m, phi) == 1
+        pairs.append((m0, kernel, m, phi))
+    for m0, kernel, m, phi in pairs:
+        phi0 = velu_isogeny(m0, kernel)
+        assert bad_primes(m) == bad_primes(m0)
+        for p in bad_primes(m0):
+            prof = profile(m, phi, p)
+            assert profile_shape(prof) == \
+                profile_shape(profile(m0, phi0, p)), (m0, p)
+            if phi.degree == 3:
+                assert [k.residue_degree for k in prof.kernel_points] \
+                    == [1, 1]

@@ -5,11 +5,12 @@ from pathlib import Path
 
 import pytest
 
+from group_law import add, moved, negate, on_curve, points, scalar_mul
 from qdescent.arith import factor_integer, valuation
-from qdescent.elliptic import (INF, FpCtx, Pt, WeierstrassModel, _depress,
-                               add, compute_invariants, curve_from_string,
-                               is_on_curve, negate, scalar_mul,
-                               two_division_cubic_integral, velu_isogeny)
+from qdescent.elliptic import (INF, Pt, WeierstrassModel, _depress,
+                               compute_invariants, curve_from_string,
+                               is_on_curve, two_division_cubic_integral,
+                               velu_isogeny)
 from qdescent.poly import RatPoly, discriminant, factor_over_Z
 
 E189 = curve_from_string("[0,0,0,-189,1269]")
@@ -56,18 +57,13 @@ def test_group_law_fp_random():
     for p in (5, 13, 101):
         if valuation(m.disc, p) != 0:
             continue
-        ctx = FpCtx(p)
-        pts = [INF]
-        for x in range(p):
-            for y in range(p):
-                if is_on_curve(m, Pt(x, y), ctx):
-                    pts.append(Pt(x, y))
+        pts = points(m, p)
         rng = random.Random(7)
         for _ in range(60):
             P, Q, R = (rng.choice(pts) for _ in range(3))
-            assert add(m, add(m, P, Q, ctx), R, ctx) == \
-                add(m, P, add(m, Q, R, ctx), ctx)
-            assert add(m, P, negate(m, P, ctx), ctx) is INF
+            assert add(m, add(m, P, Q, p), R, p) == \
+                add(m, P, add(m, Q, R, p), p)
+            assert add(m, P, negate(m, P, p), p) is INF
 
 
 def test_short_model():
@@ -153,14 +149,12 @@ def test_velu_points_map_to_codomain():
     phi = velu_isogeny(E189, [Pt(Fraction(3), Fraction(27)),
                               Pt(Fraction(3), Fraction(-27))])
     for p in (5, 7, 11, 13):
-        ctx = FpCtx(p)
         if valuation(E189.disc, p) != 0 or valuation(phi.codomain.disc, p) != 0:
             continue
         hits = 0
         for x in range(p):
             for y in range(p):
-                P = Pt(x, y)
-                if not is_on_curve(E189, P, ctx):
+                if not on_curve(E189, Pt(x, y), p):
                     continue
                 xd = phi.x_den.eval(x)
                 if Fraction(xd).numerator % p == 0:
@@ -173,8 +167,7 @@ def test_velu_points_map_to_codomain():
                     continue
                 x2 = phi.x_num.eval(Pd.x) / den
                 y2 = Pd.y * phi.y_num.eval(Pd.x) / phi.y_den.eval(Pd.x)
-                Q = Pt(ctx.of(x2), ctx.of(y2))
-                assert is_on_curve(phi.codomain, Q, ctx)
+                assert on_curve(phi.codomain, Pt(x2, y2), p)
                 hits += 1
         assert hits > 0
 
@@ -214,3 +207,68 @@ def test_differential_identity():
                - phi.x_num * phi.x_den.deriv()) * phi.y_den
         assert lhs == phi.phi_prime_0 * phi.x_den ** 2 * phi.y_num, \
             (phi.domain, phi.kernel)
+
+
+def test_division_polynomials_at_points():
+    # psi2(x) = (2y + a1 x + a3)^2 at every point, and psi3(x) = 0 exactly
+    # at the x of the points of order 3, over F_p at good p >= 5 for seeded
+    # models with a1, a3 != 0, and at the order-3 point (0, 0) of
+    # y^2 + a1 xy + a3 y = x^3 moved to non-integral models
+    rng = random.Random(21)
+    order3 = 0
+    for p in (5, 7, 11, 13):
+        for _ in range(8):
+            a1, a2, a3, a4, a6 = (rng.randrange(lo, p)
+                                  for lo in (1, 0, 1, 0, 0))
+            m = WeierstrassModel(*map(Fraction, (a1, a2, a3, a4, a6)))
+            if m.disc % p == 0:
+                continue
+            for P in points(m, p)[1:]:
+                assert (m.psi2.eval(P.x)
+                        - (2 * P.y + m.a1 * P.x + m.a3) ** 2) % p == 0
+                is3 = scalar_mul(m, 3, P, p) is INF
+                assert (m.psi3.eval(P.x) % p == 0) == is3, (m, p, P)
+                order3 += is3
+    assert order3 >= 10
+    for _ in range(20):
+        a1, a3 = rng.choice((-3, -1, 1, 2)), rng.choice((-5, -2, 1, 4))
+        m, change = moved(compute_invariants(a1, 0, a3, 0, 0), rng)
+        Q = m.map_point(Pt(Fraction(0), Fraction(0)), *change)
+        assert is_on_curve(m, Q) and scalar_mul(m, 3, Q) is INF
+        assert m.psi2.eval(Q.x) == (2 * Q.y + m.a1 * Q.x + m.a3) ** 2
+        assert m.psi3.eval(Q.x) == 0
+
+
+def test_velu_checks_an_order_three_kernel_by_psi3():
+    # on models with a1, a3 != 0 and non-integral coefficients: {Q, -Q} is
+    # accepted when Q has order 3 and rejected when it has not
+    rng = random.Random(22)
+    for _ in range(20):
+        a1, a3 = rng.choice((-3, -1, 1, 2)), rng.choice((-5, -2, 1, 4))
+        m0 = compute_invariants(a1, 0, a3, 0, 0)
+        m, change = moved(m0, rng)
+        Q = m.map_point(Pt(Fraction(0), Fraction(0)), *change)
+        phi = velu_isogeny(m, [Q, negate(m, Q)])
+        assert phi.degree == 3
+        assert phi.codomain.j == velu_isogeny(
+            m0, [Pt(Fraction(0), Fraction(0)),
+                 Pt(Fraction(0), Fraction(-a3))]).codomain.j
+    rejected = 0
+    while rejected < 20:
+        # a curve through (x0, y0): a6 is what puts the point on it
+        a1, a2, a3, a4, x0, y0 = (Fraction(rng.randrange(-9, 10),
+                                           rng.choice((1, 2, 3)))
+                                  for _ in range(6))
+        a6 = y0 * y0 + a1 * x0 * y0 + a3 * y0 - x0 ** 3 - a2 * x0 ** 2 \
+            - a4 * x0
+        try:
+            m = compute_invariants(a1, a2, a3, a4, a6)
+        except ValueError:
+            continue
+        P = Pt(x0, y0)
+        if not a1 or not a3 or negate(m, P) == P \
+                or scalar_mul(m, 3, P) is INF:
+            continue
+        with pytest.raises(ValueError, match="subgroup of order 3"):
+            velu_isogeny(m, [P, negate(m, P)])
+        rejected += 1

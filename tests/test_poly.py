@@ -623,15 +623,23 @@ def test_lazy_lifts_match_eager_lifts():
 
 def test_residues_and_order_need_no_lift(monkeypatch):
     # the Example II quintic splits at 37 into five simple linear pieces:
-    # splitting, ordering and the roots mod p lift none of them
+    # splitting, ordering and the roots mod p lift none of them.  X^2 + 3 =
+    # (X + 1)^2 mod 2 lifts its block, and its one piece, a simple piece
+    # found at scale 1, has residue (X - shift)^2 mod 2 with no lift of its
+    # own
     calls = []
+    lift = poly.hensel_lift_factors
     monkeypatch.setattr(poly, "hensel_lift_factors",
-                        lambda *args: calls.append(args))
+                        lambda *args: calls.append(args) or lift(*args))
     st_ = split(QUINTIC, 37)
     assert [fc.root_mod(37) for fc in st_] == [4, 8, 12, 16, 18]
     assert [fc.residue for fc in st_] == [(-r % 37, 1)
                                           for r in (4, 8, 12, 16, 18)]
     assert calls == []
+    (fc,) = split(parse_poly("X^2+3"), 2)
+    assert (fc.e, fc.f, fc.shift, fc.scale) == (1, 2, 1, 1) and fc.whole
+    assert fc.residue == (1, 0, 1) and len(calls) == 1
+    assert fc.lift == (3, 0, 1) and len(calls) == 2
 
 
 @pytest.mark.parametrize("f, p, kinds", [
