@@ -240,12 +240,12 @@ def _ledger(curve, kind, hc, reports, bad, records, points) -> GlobalLedger:
     The lower end of the interval is the larger of the torsion rank and
     the rank of the images of the points together with the torsion
     generators (independence_rank), and of the class side less rank C/I.
-    The class side comes from the records that apply to f; a quadratic
+    The class side comes from the records that match f; a quadratic
     field needs none, genus theory gives its record.
 
     narrow = wide for every class field lets the infinite place drop out of
     the S/I bound.  Only the records that the class side used certify it,
-    so nothing is refined when the class data do not apply to f.
+    so nothing is refined when the class data do not match f.
     """
     notes = [f"I at {r.place!r} is only a lower bound (span incomplete); "
              "the S/I contribution stays an upper bound"

@@ -30,10 +30,13 @@ that minimal model (m.two_division_factors).  The TorsionFieldProfile is
 the object for each (model, phi, p): the p-adic splitting of E[phi] and
 where its points reduce.  local_descent_report builds the profile from the
 model and passes it to S and I; C is read off the profile.  A cyclic
-isogeny is read through the 2-division polynomial psi2 of its domain: a
-3-kernel {Q, -Q} is defined over Q_p(sqrt(psi2(x(Q)))), and at the real
-place S of a 2-isogeny asks whether x of its kernel point is the least
-real root of psi2.
+isogeny (elliptic.IsogenyMap) is read through two things only: its
+codomain, whose Tate data and Neron scaling enter S, and x0, the
+x-coordinate of its kernel on the domain, which must be the model the
+report is asked about (ValueError otherwise).  x0 is read against the
+2-division polynomial psi2 of the domain: a 3-kernel {Q, -Q} is defined
+over Q_p(sqrt(psi2(x0))), and at the real place S of a 2-isogeny asks
+whether x0 is the least real root of psi2.
 
 #E(Q_p)[3] (three_torsion_count, from psi3 and psi2 of the model) stands
 apart: it is the order that the local exact sequence of a 3-isogeny and
@@ -176,9 +179,17 @@ def torsion_field_profile(m: WeierstrassModel, phi, p: int
     if phi == TWO_MAP:
         return two_map_kernel_profile(
             rd, local_splitting_type(m.two_division_factors(p), p))
+    return _cyclic_kernel_profile(rd, _isogeny_from(m, phi))
+
+
+def _isogeny_from(m: WeierstrassModel, phi) -> IsogenyMap:
+    """phi, checked to be a cyclic isogeny with domain m: the report reads
+    m's reduction and psi2 at phi's kernel x."""
     if not isinstance(phi, IsogenyMap):
         raise ValueError("phi must be the 2-map or an IsogenyMap")
-    return _cyclic_kernel_profile(rd, phi)
+    if phi.domain != m:
+        raise ValueError(f"phi is an isogeny from {phi.domain}, not from {m}")
+    return phi
 
 
 def _kernel_point(rd: ReductionData, label: str, f: int, vx) -> KernelPoint:
@@ -191,8 +202,7 @@ def _kernel_point(rd: ReductionData, label: str, f: int, vx) -> KernelPoint:
 
 
 def _cyclic_kernel_profile(rd: ReductionData, phi: IsogenyMap) -> TorsionFieldProfile:
-    p = rd.p
-    x0 = Fraction(phi.kernel[0])
+    p, x0 = rd.p, phi.x0
     # the kernel point has x = (x0 - r)/u^2 on the minimal model
     r, _, _, u = rd.transform
     vx = _safe_val((x0 - r) / u ** 2, p)
@@ -244,18 +254,18 @@ def s2_order_isogeny(phi, prof: TorsionFieldProfile) -> int:
 
     prof is the profile of phi at p; the reduction data of phi.domain and
     phi.codomain there come from the models.  phi'(0) is taken on the Neron
-    differentials, those of the minimal models.  phi.phi_prime_0 is its
-    value on the depressed models of phi.domain and phi.codomain (phi.pre
-    has u = 1); the scalings u, u' that take these to their minimal models
-    multiply it by u'/u.
+    differentials, those of the minimal models.  Velu's maps have
+    phi'(0) = 1 on phi.domain and phi.codomain, and the scalings u and u'
+    that take these to their minimal models multiply the invariant
+    differentials by u and u', so on the Neron differentials phi'(0) is
+    u'/u and |phi'(0)|_p = p^(v(u) - v(u')).
     """
     if phi == TWO_MAP:
         raise ValueError("use s2_order_two_map for the 2-map")
     p = prof.p
     rd, rd_cod = phi.domain.reduction(p), phi.codomain.reduction(p)
     abs_val = Fraction(p) ** (valuation(rd.transform[3], p)
-                              - valuation(rd_cod.transform[3], p)
-                              - valuation(phi.phi_prime_0, p))
+                              - valuation(rd_cod.transform[3], p))
     order = 1 / abs_val * prof.rational_order * Fraction(rd_cod.c_p, rd.c_p)
     assert order.denominator == 1, "non-integral local Selmer order"
     return int(order)
@@ -265,6 +275,7 @@ def s2_real(m: WeierstrassModel, phi) -> int:
     """#E'(R)/phi E(R) per the archimedean case analysis."""
     if phi == TWO_MAP:
         return 2 if m.disc > 0 else 1
+    phi = _isogeny_from(m, phi)
     if phi.degree % 2 == 1:
         return 1
     # cyclic 2-isogeny: the kernel point, at a root x0 of psi2, is real
@@ -272,9 +283,8 @@ def s2_real(m: WeierstrassModel, phi) -> int:
         return 2
     # disc > 0: order 2 iff x0 is the least of the three real roots of
     # psi2, the one where psi2 rises (psi2' > 0) and is concave (psi2'' < 0)
-    x0 = Fraction(phi.kernel[0])
     d1 = m.psi2.deriv()
-    return 2 if d1.eval(x0) > 0 and d1.deriv().eval(x0) < 0 else 1
+    return 2 if d1.eval(phi.x0) > 0 and d1.deriv().eval(phi.x0) < 0 else 1
 
 
 def three_torsion_count(m: WeierstrassModel, p: int) -> int:

@@ -6,12 +6,10 @@ the primes of its discriminant (disc_primes), Tate's algorithm at each
 prime it was asked about (reduction) and the curve y^2 = its integral
 2-division cubic, whose factors over Q are found once and moved to the
 minimal model of each prime (two_division_factors).  There is no group
-law: the descent reads x-coordinates, and a kernel of order 3 is checked
-by psi3.  Isogenies are Velu's: the coordinate maps are rational
-functions in x (plus y times a rational function in x), stored on a
-depressed model y^2 = x^3 + Ax + B with the translation recorded,
-together with the scalar phi'(0) by which the map pulls back the
-invariant differential, fixed when the map is built.
+law and no point at infinity: the descent reads x-coordinates, a kernel
+of order 2 is checked by psi2 and one of order 3 by psi3.  An isogeny is
+its kernel's x: descent reads only the codomain, which Velu's formulas
+give from that x, psi2, c4 and c6, and the kernel's x itself.
 """
 
 from __future__ import annotations
@@ -26,8 +24,6 @@ from .jacobian import HyperellipticCurve
 from .poly import RatPoly
 from .tate import ReductionData, tate_algorithm
 
-Rat = Fraction
-
 
 @dataclass(frozen=True)
 class WeierstrassModel:
@@ -35,11 +31,11 @@ class WeierstrassModel:
     keeps what is computed once per model: disc, disc_primes (its primes,
     from one factorization), reduction(p) and the 2-division curve."""
 
-    a1: Rat
-    a2: Rat
-    a3: Rat
-    a4: Rat
-    a6: Rat
+    a1: Fraction
+    a2: Fraction
+    a3: Fraction
+    a4: Fraction
+    a6: Fraction
 
     @property
     def b2(self):
@@ -155,15 +151,6 @@ class WeierstrassModel:
               - r * t * a1) / u ** 6
         return WeierstrassModel(A1, A2, A3, A4, A6)
 
-    def map_point(self, P, r=0, s=0, t=0, u=1):
-        """Image of a point of self on self.transform(r, s, t, u)."""
-        if P is INF:
-            return INF
-        r, s, t, u = Fraction(r), Fraction(s), Fraction(t), Fraction(u)
-        x2 = (P.x - r) / u ** 2
-        y2 = (P.y - s * (P.x - r) - t) / u ** 3
-        return Pt(x2, y2)
-
     def __repr__(self):
         return f"[{self.a1},{self.a2},{self.a3},{self.a4},{self.a6}]"
 
@@ -190,21 +177,6 @@ def curve_from_string(s: str) -> WeierstrassModel:
     return compute_invariants(*parts)
 
 
-class _Infinity:
-    _inst = None
-
-    def __new__(cls):
-        if cls._inst is None:
-            cls._inst = super().__new__(cls)
-        return cls._inst
-
-    def __repr__(self):
-        return "O"
-
-
-INF = _Infinity()
-
-
 @dataclass(frozen=True)
 class Pt:
     x: object
@@ -215,8 +187,6 @@ class Pt:
 
 
 def is_on_curve(m: WeierstrassModel, P) -> bool:
-    if P is INF:
-        return True
     a1, a2, a3, a4, a6 = m.ainvs()
     x, y = P.x, P.y
     return y * y + a1 * x * y + a3 * y == x ** 3 + a2 * x * x + a4 * x + a6
@@ -231,96 +201,50 @@ def two_division_cubic_integral(m: WeierstrassModel) -> RatPoly:
 
 @dataclass(frozen=True)
 class IsogenyMap:
-    """An isogeny with exact rational coordinate functions.
-
-    The maps act on the depressed form of the domain: if (r, s, t) is `pre`,
-    the depressed coordinates are xd = x - r', ... recorded as a transform
-    tuple; phi(x, y) = (xnum(xd)/xden(xd), yd * ynum(xd)/yden(xd)) on the
-    codomain (itself depressed).  `kernel` lists the x-coordinates of the
-    kernel on the *original* domain.
-
-    `phi_prime_0` is phi'(0) on the depressed models: phi^*(dx'/2y') =
-    phi_prime_0 * dx/2y, so X'(x) = phi_prime_0 * Y(x) for
-    X = x_num/x_den and Y = y_num/y_den.
-    """
+    """The cyclic isogeny of degree 2 or 3 from domain whose kernel has
+    x-coordinate x0 on domain; codomain is Velu's model of the quotient.
+    Velu's maps pull the invariant differential of codomain back to that
+    of domain: phi'(0) = 1 on these two models."""
 
     domain: WeierstrassModel
     codomain: WeierstrassModel
     degree: int
-    pre: tuple  # (r, s, t, u) mapping domain -> depressed domain
-    x_num: RatPoly
-    x_den: RatPoly
-    y_num: RatPoly  # multiplies y_depressed
-    y_den: RatPoly
-    kernel: tuple
-    phi_prime_0: int
-
-    def apply(self, P):
-        if P is INF:
-            return INF
-        r, s, t, u = self.pre
-        Pd = self.domain.map_point(P, r, s, t, u)
-        xd, yd = Pd.x, Pd.y
-        den = self.x_den.eval(xd)
-        if den == 0:
-            return INF
-        x2 = self.x_num.eval(xd) / den
-        y2 = yd * self.y_num.eval(xd) / self.y_den.eval(xd)
-        return Pt(x2, y2)
-
-
-def _depress(m: WeierstrassModel):
-    """Transform (r, s, t, 1) taking m to y^2 = x^3 + Ax + B: s and t
-    complete the square in y, and r = -b2/12 (b2 is unchanged by s and t)
-    removes the x^2 term."""
-    s, r = -m.a1 / 2, -m.b2 / 12
-    tr = (r, s, -m.a3 / 2 + s * r, Fraction(1))
-    dep = m.transform(*tr)
-    assert dep.a1 == 0 and dep.a2 == 0 and dep.a3 == 0
-    return dep, tr
+    x0: Fraction
 
 
 def velu_isogeny(m: WeierstrassModel, kernel_points) -> IsogenyMap:
-    """Quotient by a finite subgroup of order 1, 2 or 3 given by its
-    nontrivial affine points (Velu's formulas on the depressed model).
+    """Quotient of m by a subgroup of order 2 or 3 given by its affine
+    points: [T] with T of order 2 (psi2(x_T) = 0), or [Q, -Q] with Q of
+    order 3 (psi3(x_Q) = 0).
 
-    One point P represents the kernel up to sign: v = 3x_P^2 + A, u = 0 at
-    order 2, v = 6x_P^2 + 2A, u = 4y_P^2 at order 3.  With l = x - x_P and
-    k = order - 1 the x-map is (x l^k + v l^(k-1) + u)/l^k, in lowest terms
-    (v or u is not 0), and the y-map its derivative (x_num' l - k x_num)/
-    l^(k+1), so that phi'(0) = 1.  An order-3 kernel {Q, -Q} is a
-    subgroup exactly when psi3(x_Q) = 0.
+    Velu's formulas read the kernel's x0 alone.  The depressed model
+    y^2 = x^3 + Ax + B, A = -c4/48 and B = -c6/864, is reached by
+    x -> xd = x + b2/12, and psi2(x) = 4(xd^3 + A xd + B).  With
+    v = psi2'(x0)/4 and u = 0 at order 2, v = psi2'(x0)/2 and
+    u = psi2(x0) (4y^2 on the depressed model) at order 3, the codomain is
+    y^2 = x^3 + (A - 5v)x + B - 7(u + xd v), xd = x0 + b2/12.
     """
-    pts = [P for P in kernel_points if P is not INF]
-    for P in pts:
+    for P in kernel_points:
         if not is_on_curve(m, P):
             raise ValueError(f"kernel point {P} not on the curve")
-    dep, pre = _depress(m)
-    A, B = dep.a4, dep.a6
-    dpts = [m.map_point(P, *pre) for P in pts]
-    order = len(dpts) + 1
-    if order == 1:
-        return IsogenyMap(m, dep, 1, pre, RatPoly([0, 1]), RatPoly([1]),
-                          RatPoly([1]), RatPoly([1]), (), 1)
+    order = len(kernel_points) + 1
     if order == 2:
-        (P,) = dpts
-        if P.y != 0:
+        (T,) = kernel_points
+        if m.psi2.eval(T.x) != 0:
             raise ValueError("order-2 kernel point must be 2-torsion")
-        v, u = 3 * P.x ** 2 + A, Fraction(0)
+        x0 = T.x
+        v, u = m.psi2.deriv().eval(x0) / 4, 0
     elif order == 3:
-        P, Q = dpts
-        if P.x != Q.x or P.y != -Q.y:
+        Q, R = kernel_points
+        if R != Pt(Q.x, -Q.y - m.a1 * Q.x - m.a3):
             raise ValueError("order-3 kernel must be {Q, -Q}")
-        if m.psi3.eval(pts[0].x) != 0:
+        if m.psi3.eval(Q.x) != 0:
             raise ValueError("kernel points do not form a subgroup of order 3")
-        v, u = 6 * P.x ** 2 + 2 * A, 4 * P.y ** 2
+        x0 = Q.x
+        v, u = m.psi2.deriv().eval(x0) / 2, m.psi2.eval(x0)
     else:
-        raise ValueError("kernel order limited to 1, 2, 3")
-    codomain = compute_invariants(0, 0, 0, A - 5 * v, B - 7 * (u + P.x * v))
-    k = order - 1
-    lin = RatPoly([-P.x, 1])
-    x_num = RatPoly([0, 1]) * lin ** k + v * lin ** (k - 1) + u
-    y_num = x_num.deriv() * lin - k * x_num
-    kern = tuple(sorted({P.x for P in pts}))
-    return IsogenyMap(m, codomain, order, pre, x_num, lin ** k, y_num,
-                      lin ** (k + 1), kern, 1)
+        raise ValueError("kernel order limited to 2, 3")
+    A, B = -m.c4 / 48, -m.c6 / 864
+    xd = x0 + m.b2 / 12
+    codomain = compute_invariants(0, 0, 0, A - 5 * v, B - 7 * (u + xd * v))
+    return IsogenyMap(m, codomain, order, Fraction(x0))

@@ -26,17 +26,17 @@ from .poly import RatPoly, discriminant, factor_over_Z
 
 @dataclass(frozen=True)
 class HyperellipticCurve:
-    """y^2 = f for f monic, integral, separable, of odd degree.  The curve
-    keeps what is computed once per curve: its discriminant, the factors
-    of f over Q and disc_primes, the primes of the discriminant."""
+    """y^2 = f for f monic, integral, separable, of degree 3, 5 or 7.
+    The curve keeps what is computed once per curve: its discriminant, the
+    factors of f over Q and disc_primes, the primes of the discriminant."""
 
     f: RatPoly
 
     def __post_init__(self):
         if not self.f.is_monic() or not self.f.is_integral():
             raise ValueError("model must be monic and integral")
-        if self.f.degree < 3 or self.f.degree % 2 == 0:
-            raise ValueError("degree must be odd and at least 3")
+        if self.f.degree not in (3, 5, 7):
+            raise ValueError("degree must be odd, from 3 to 7")
         if self.discriminant == 0:
             raise ValueError("polynomial must be separable")
 

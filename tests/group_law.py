@@ -1,18 +1,26 @@
 """The chord-tangent group law over Q or over F_p: an oracle for the tests.
 
 qdescent reads x-coordinates and has no group law.  The tests use this one
-to count the points of E(F_p)[n], to check Velu maps on points, and to
-check the 2- and 3-division polynomials at torsion points, on models that
-`moved` gives a1, a3 != 0 and non-integral coefficients.  Points are
-qdescent.elliptic.Pt, with INF the identity.  p = 0 is Q (Fraction
-coordinates); a prime p is F_p (coordinates the residues 0..p-1, on a
-p-integral model).
+to count the points of E(F_p) and E(F_p)[n], to check that isogenous
+curves have as many points, and to check the 2- and 3-division
+polynomials at torsion points, on models that `moved` gives a1, a3 != 0
+and non-integral coefficients.  Affine points are qdescent.elliptic.Pt;
+INF is the identity.  p = 0 is Q (Fraction coordinates); a prime p is F_p
+(coordinates the residues 0..p-1, on a p-integral model).
 """
 
 from fractions import Fraction
 
 from qdescent.arith import residue
-from qdescent.elliptic import INF, Pt
+from qdescent.elliptic import Pt
+
+
+class _Infinity:
+    def __repr__(self):
+        return "O"
+
+
+INF = _Infinity()
 
 
 def _of(v, p):
@@ -24,19 +32,13 @@ def _div(a, b, p):
     return Fraction(a) / b if p == 0 else _of(a, p) * pow(_of(b, p), -1, p) % p
 
 
-def on_curve(m, P, p=0) -> bool:
-    if P is INF:
-        return True
-    a1, a2, a3, a4, a6 = m.ainvs()
-    x, y = P.x, P.y
-    return _of(y * y + a1 * x * y + a3 * y
-               - (x ** 3 + a2 * x * x + a4 * x + a6), p) == 0
-
-
 def points(m, p):
-    """E(F_p), by search: INF and every affine (x, y) with 0 <= x, y < p."""
+    """E(F_p), by search: INF and every affine (x, y) with 0 <= x, y < p,
+    the equation read with its coefficients reduced mod p."""
+    a1, a2, a3, a4, a6 = (_of(a, p) for a in m.ainvs())
     return [INF] + [Pt(x, y) for x in range(p) for y in range(p)
-                    if on_curve(m, Pt(x, y), p)]
+                    if (y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x
+                        - a4 * x - a6) % p == 0]
 
 
 def negate(m, P, p=0):
@@ -88,3 +90,11 @@ def moved(m, rng):
         m2 = m.transform(*change)
         if m2.a1 and m2.a3 and not m2.is_integral():
             return m2, change
+
+
+def map_point(P, r=0, s=0, t=0, u=1):
+    """The image of a point of m on m.transform(r, s, t, u)."""
+    if P is INF:
+        return INF
+    r, s, t, u = map(Fraction, (r, s, t, u))
+    return Pt((P.x - r) / u ** 2, (P.y - s * (P.x - r) - t) / u ** 3)

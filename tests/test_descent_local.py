@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from group_law import moved, points, scalar_mul
+from group_law import INF, map_point, moved, points, scalar_mul
 from qdescent.arith import REAL_PLACE, finite, is_prime, valuation
 from qdescent.descent_global import bad_primes
 from qdescent.descent_local import (TWO_MAP, c2_order, i2_oracle_halving,
@@ -12,7 +12,7 @@ from qdescent.descent_local import (TWO_MAP, c2_order, i2_oracle_halving,
                                     s2_order_isogeny, s2_order_two_map,
                                     s2_real, three_torsion_count,
                                     torsion_field_profile)
-from qdescent.elliptic import (INF, Pt, compute_invariants, curve_from_string,
+from qdescent.elliptic import (Pt, compute_invariants, curve_from_string,
                                two_division_cubic_integral, velu_isogeny)
 from qdescent.poly import UnresolvedSplitting, factor_over_Z
 
@@ -176,6 +176,29 @@ def test_s2_isogeny_31():
     for p in (5, 7, 11):
         if valuation(m2.disc, p) == 0 and valuation(psi.codomain.disc, p) == 0:
             assert s2_iso(psi, p) == 2
+
+
+def test_an_isogeny_is_reported_on_its_own_domain():
+    # the report reads the model's reduction and psi2 at phi's kernel x, so
+    # a model other than phi.domain is refused: read on [0,-1,0,-2,0] moved
+    # by r = 5, phi's x0 gave S = 1 at infinity and I = 1 at 2, and broke
+    # "I must divide gcd(C, S)" at 3
+    m = curve("[0,-1,0,-2,0]")
+    phi = velu_isogeny(m, [Pt(Fraction(-1), Fraction(0))])
+    other = m.transform(r=5)
+    orders = {REAL_PLACE: (1, 2, 1), finite(2): (2, 4, 2),
+              finite(3): (2, 1, 1)}
+    for v, want in orders.items():
+        rep = local_descent_report(m, phi, v)
+        assert (rep.order_C, rep.order_S, rep.order_I) == want
+        with pytest.raises(ValueError, match="not from"):
+            local_descent_report(other, phi, v)
+    with pytest.raises(ValueError, match="not from"):
+        s2_real(other, phi)
+    with pytest.raises(ValueError, match="not from"):
+        torsion_field_profile(other, phi, 3)
+    with pytest.raises(ValueError, match="not from"):
+        c2_order(other, phi, finite(2))
 
 
 def test_torsion_field_profile_examples():
@@ -433,7 +456,7 @@ def moved_pair(m, kernel, change):
     """The 2-map and the isogeny with the kernel, on m and on m moved by
     the change (r, s, t, u), the kernel moved with it."""
     m2 = m.transform(*change)
-    kernel2 = [m.map_point(P, *change) for P in kernel]
+    kernel2 = [map_point(P, *change) for P in kernel]
     return m2, [(TWO_MAP, TWO_MAP),
                 (velu_isogeny(m, kernel), velu_isogeny(m2, kernel2))]
 
@@ -543,7 +566,7 @@ def test_s2_real_and_cyclic_profiles_on_moved_models():
         m0 = compute_invariants(0, b - e, 0, c - b * e, -c * e)
         m, change = moved(m0, rng)
         kernel = [Pt(Fraction(e), Fraction(0))]
-        phi = velu_isogeny(m, [m0.map_point(P, *change) for P in kernel])
+        phi = velu_isogeny(m, [map_point(P, *change) for P in kernel])
         if m.disc < 0:
             want = 2
         else:
@@ -559,7 +582,7 @@ def test_s2_real_and_cyclic_profiles_on_moved_models():
         m0 = compute_invariants(a1, 0, a3, 0, 0)
         m, change = moved(m0, rng)
         kernel = [ORIGIN, Pt(Fraction(0), Fraction(-a3))]
-        phi = velu_isogeny(m, [m0.map_point(P, *change) for P in kernel])
+        phi = velu_isogeny(m, [map_point(P, *change) for P in kernel])
         assert s2_real(m, phi) == 1
         pairs.append((m0, kernel, m, phi))
     for m0, kernel, m, phi in pairs:

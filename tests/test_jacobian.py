@@ -68,6 +68,16 @@ def test_curve_invariants():
         HyperellipticCurve(parse_poly("X^3-X-6/5"))
 
 
+def test_degree_is_checked_at_construction():
+    # odd degrees 3 to 7 are in scope; y^2 = X^9 + 1 is rejected when the
+    # curve is built, not when its f is first factored
+    assert HyperellipticCurve(parse_poly("X^7-X-1")).genus == 3
+    for f in ("X+1", "X^6+1", "X^8+1", "X^9+1", "X^11-X-1"):
+        with pytest.raises(ValueError, match="degree must be odd, from 3 "
+                                             "to 7"):
+            HyperellipticCurve(parse_poly(f))
+
+
 def test_real_images():
     real = EtaleAlgebra(C2.factors, REAL_PLACE.p)
     v = xt_image(real, ("rational", Fraction(-2), None))
