@@ -6,10 +6,15 @@ Tamagawa number c_p, whether multiplicative reduction is split, and the
 order of Frobenius on the component group
 (frobenius_order_on_components).  The minimal model is integral, not only
 p-integral, so that the local objects built on it, such as its 2-division
-cubic, have integer coefficients.  At odd p the singular point of a
-reduction lies above the multiple root of the model's 2-division
-polynomial psi2 mod p.  WeierstrassModel.reduction runs it once per prime
-and keeps the result, so that each (model, prime) has one ReductionData.
+cubic, have integer coefficients.  One scaling u = 1/(p^k d) makes the
+input integral; every step after it runs on five ints: translations by
+integers, the exact rescale by p of a non-minimal model, residues by % p
+and exact quotients such as a6/p^3.  v(disc) is read once and tracked: a
+translation keeps it and the rescale lowers it by 12.  At odd p the
+singular point of a reduction lies above the multiple root of the model's
+2-division polynomial psi2 mod p.  WeierstrassModel.reduction runs it once
+per prime and keeps the result, so that each (model, prime) has one
+ReductionData.
 """
 
 from __future__ import annotations
@@ -57,10 +62,27 @@ class ReductionData:
     transform: tuple  # (r, s, t, u) taking the input model to minimal_model
 
 
-def _singular_point(m: WeierstrassModel, p: int):
-    """The singular point of the reduction, as residues (x0, y0)."""
+WEIGHTS = (1, 2, 3, 4, 6)  # a_w scales by u^-w
+
+
+def _show(coeffs) -> str:
+    """A model's five coefficients as "[a1,a2,a3,a4,a6]"."""
+    return "[" + ",".join(map(str, coeffs)) + "]"
+
+
+def _exact(c: int, q: int) -> int:
+    """c / q, which must be an integer."""
+    x, rem = divmod(c, q)
+    assert rem == 0, (c, q)
+    return x
+
+
+def _singular_point(m, p: int):
+    """The singular point of the reduction mod p, as residues (x0, y0), of
+    m: a model, or its five coefficients (a1, a2, a3, a4, a6), p-integral."""
+    coeffs = m if isinstance(m, tuple) else m.ainvs()
+    a1, a2, a3, a4, a6 = (residue(a, p) for a in coeffs)
     if p == 2:
-        a1, a2, a3, a4, a6 = (residue(a, 2) for a in m.ainvs())
         for x0 in range(2):
             for y0 in range(2):
                 on = (y0 * y0 + a1 * x0 * y0 + a3 * y0
@@ -69,34 +91,47 @@ def _singular_point(m: WeierstrassModel, p: int):
                 dy = (a1 * x0 + a3) % 2 == 0
                 if on and dx and dy:
                     return x0, y0
-        raise ArithmeticError("no singular point found mod 2")
-    # p odd: x0 is the multiple root of psi2 mod p (the multiple root is
-    # unique, hence F_p-rational)
-    for g, mult in factor_mod_p([residue(c, p) for c in m.psi2.coeffs], p):
+        raise ArithmeticError(f"Tate at p = 2, singular point: no point of "
+                              f"{_show(coeffs)} mod 2 is singular")
+    # p odd: x0 is the multiple root of psi2 = 4x^3 + b2 x^2 + 2 b4 x + b6
+    # mod p (the multiple root is unique, hence F_p-rational)
+    b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
+    for g, mult in factor_mod_p([b6, 2 * b4, b2, 4], p):
         if mult >= 2 and len(g) == 2:
             x0 = -g[0] % p
-            y0 = (-(residue(m.a1, p) * x0 + residue(m.a3, p))
-                  * pow(2, -1, p)) % p
+            y0 = (-(a1 * x0 + a3) * pow(2, -1, p)) % p
             return x0, y0
-    raise ArithmeticError("no multiple root found mod p")
+    raise ArithmeticError(f"Tate at p = {p}, singular point: psi2 of "
+                          f"{_show(coeffs)} has no multiple root mod {p}")
 
 
-def _fp_quadratic_split(A, B, p):
-    """Does Y^2 + A Y + B have a root in F_p (A, B residues)?"""
+def _fp_quadratic_split(a, b, c, p):
+    """Does a Y^2 + b Y + c (integers, p not dividing a) have a root in
+    F_p?"""
     if p == 2:
-        return B % 2 == 0 or (1 + A + B) % 2 == 0
-    disc = (A * A - 4 * B) % p
+        return c % 2 == 0 or (a + b + c) % 2 == 0
+    disc = (b * b - 4 * a * c) % p
     return disc == 0 or legendre(disc, p) == 1
 
 
-def _move(m: WeierstrassModel, tr: tuple, r=0, s=0, t=0, u=1):
-    """m.transform(r, s, t, u), and tr (the change of coordinates that led
-    to m) composed with it."""
+def _move(a: tuple, tr: tuple, r=0, s=0, t=0):
+    """The integral model a = (a1, a2, a3, a4, a6) moved by the integers
+    x = x' + r, y = y' + s x' + t, and tr (the integral change of
+    coordinates that led to a) composed with it.
+
+    Tate's algorithm runs on these five ints after one scaling of its
+    input; a translation keeps v(disc), so v(disc) is read once and only
+    the non-minimal rescale changes it (by -12)."""
+    a1, a2, a3, a4, a6 = a
     r0, s0, t0, u0 = tr
-    r, s, t, u = Fraction(r), Fraction(s), Fraction(t), Fraction(u)
-    return (m.transform(r, s, t, u),
-            (r0 + u0 ** 2 * r, s0 + u0 * s,
-             t0 + u0 ** 3 * t + s0 * u0 ** 2 * r, u0 * u))
+    return ((a1 + 2 * s,
+             a2 - s * a1 + 3 * r - s * s,
+             a3 + r * a1 + 2 * t,
+             a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r
+             - 2 * s * t,
+             a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1),
+            (r0 + u0 * u0 * r, s0 + u0 * s,
+             t0 + u0 ** 3 * t + s0 * u0 * u0 * r, u0))
 
 
 def tate_algorithm(m: WeierstrassModel, p: int) -> ReductionData:
@@ -106,173 +141,178 @@ def tate_algorithm(m: WeierstrassModel, p: int) -> ReductionData:
     m.transform(r, s, t, u) == minimal_model, a model integral and minimal
     at p.  Unless the reduction is good (I0), the singular point of the
     reduced minimal model is (0, 0).
+
+    One scaling u = 1/(p^k d) makes m integral: k is the least with every
+    p^(k w) a_w p-integral, and d, the lcm of the denominators left, is
+    prime to p, so it changes nothing at p.  It multiplies disc by
+    (p^k d)^12, so v(disc) of the integral model is read off m.disc.  The
+    algorithm then runs on the five integer coefficients (_tate_integral),
+    and only the minimal model it ends on is built as a model.
     """
     if m.disc == 0:
         raise ValueError("singular curve")
-    tr = (Fraction(0), Fraction(0), Fraction(0), Fraction(1))
-    # make the model p-integral, then integral: the lcm d of the
-    # denominators left is prime to p, so scaling by 1/d changes nothing at p
-    while any(valuation(a, p) < 0 for a in m.ainvs()):
-        m, tr = _move(m, tr, u=Fraction(1, p))
-    d = math.lcm(*(a.denominator for a in m.ainvs()))
-    if d > 1:
-        m, tr = _move(m, tr, u=Fraction(1, d))
+    ainvs = m.ainvs()
+    k = max([0] + [-(valuation(a, p) // w)
+                   for a, w in zip(ainvs, WEIGHTS) if a])
+    d = math.lcm(*(a.denominator for a in ainvs))
+    scale = p ** k * (d // p ** valuation(d, p))
+    a = tuple(_exact(c.numerator * scale ** w, c.denominator)
+              for c, w in zip(ainvs, WEIGHTS))
+    a, (r, s, t, u), local = _tate_integral(
+        a, valuation(m.disc, p) + 12 * k, p)
+    v = Fraction(1, scale)
+    # an unmoved input is its own minimal model, and keeps what it cached
+    minimal = m if a == ainvs else type(m)(*map(Fraction, a))
+    return ReductionData(p, minimal, *local,
+                         (v * v * r, v * s, v ** 3 * t, v * u))
 
+
+def _tate_integral(a: tuple, n: int, p: int):
+    """Tate's algorithm on the integral model a = (a1, a2, a3, a4, a6) with
+    v_p(disc) = n: the minimal model's five ints, the change of coordinates
+    (r, s, t, u), integers with u a power of p, that takes a to it, and
+    (kodaira, v_disc_min, conductor_exponent, c_p, split,
+    frobenius_order_on_components)."""
+    tr = (0, 0, 0, 1)
     while True:
-        n = valuation(m.disc, p)
         if n == 0:
-            return ReductionData(p, m, KodairaType("I0"), 0, 0, 1, None, 1,
-                                 tr)
-        x0, y0 = _singular_point(m, p)
-        m, tr = _move(m, tr, r=x0, t=y0)
-        assert all(valuation(a, p) >= 1 for a in (m.a3, m.a4, m.a6))
+            return a, tr, (KodairaType("I0"), 0, 0, 1, None, 1)
+        x0, y0 = _singular_point(a, p)
+        a, tr = _move(a, tr, r=x0, t=y0)
+        a1, a2, a3, a4, a6 = a
+        assert a3 % p == 0 and a4 % p == 0 and a6 % p == 0
 
-        if valuation(m.b2, p) == 0:
+        b2 = a1 * a1 + 4 * a2
+        if b2 % p:
             # multiplicative: tangent directions T^2 + a1 T - a2
             if p == 2:
-                split = residue(m.a2, 2) == 0  # T^2 + T + a2 splits iff a2 = 0
+                split = a2 % 2 == 0  # T^2 + T + a2 splits iff a2 = 0
             else:
-                split = legendre(residue(m.b2, p), p) == 1
+                split = legendre(b2, p) == 1
             nu = n
             c = nu if split else (2 if nu % 2 == 0 else 1)
             kt = KodairaType("I", nu)
             frob = 1 if (split or nu <= 2) else 2
-            return ReductionData(p, m, kt, n, 1, c, split, frob, tr)
+            return a, tr, (kt, n, 1, c, split, frob)
 
         # additive reduction from here on
-        if valuation(m.a6, p) < 2:
-            kt = KodairaType("II")
-            return ReductionData(p, m, kt, n, n, 1, None, 1, tr)
-        if valuation(m.b8, p) < 3:
-            kt = KodairaType("III")
-            return ReductionData(p, m, kt, n, n - 1, 2, None, 1, tr)
-        if valuation(m.b6, p) < 3:
-            A = residue(m.a3 / p, p)
-            B = residue(-m.a6 / p ** 2, p)
-            split = _fp_quadratic_split(A, B, p)
-            kt = KodairaType("IV")
+        if a6 % p ** 2:
+            return a, tr, (KodairaType("II"), n, n, 1, None, 1)
+        b8 = (a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3
+              - a4 * a4)
+        if b8 % p ** 3:
+            return a, tr, (KodairaType("III"), n, n - 1, 2, None, 1)
+        b6 = a3 * a3 + 4 * a6
+        if b6 % p ** 3:
+            split = _fp_quadratic_split(1, _exact(a3, p),
+                                        -_exact(a6, p ** 2), p)
             c = 3 if split else 1
-            return ReductionData(p, m, kt, n, n - 2, c, None,
-                                 1 if split else 2, tr)
+            return a, tr, (KodairaType("IV"), n, n - 2, c, None,
+                           1 if split else 2)
 
         # step 6 normalization: p | a1, a2; p^2 | a3, a4; p^3 | a6
         if p == 2:
-            if residue(m.a2, 2) == 1:
-                m, tr = _move(m, tr, s=1)
-            if valuation(m.a6, p) == 2:
-                tfix = 2 * ((residue(m.a6, 8) // 4) % 2)
-                if tfix:
-                    m, tr = _move(m, tr, t=tfix)
+            if a2 % 2:
+                a, tr = _move(a, tr, s=1)
+            if a[4] % 8 == 4:  # v(a6) = 2: t = 2 makes 8 | a6
+                a, tr = _move(a, tr, t=2)
         else:
-            s = (-residue(m.a1, p) * pow(2, -1, p)) % p
+            s = (-a1 * pow(2, -1, p)) % p
             if s:
-                m, tr = _move(m, tr, s=s)
-            t = (-residue(m.a3, p ** 2) * pow(2, -1, p ** 2)) % p ** 2
+                a, tr = _move(a, tr, s=s)
+            t = (-a[2] * pow(2, -1, p ** 2)) % p ** 2
             if t:
-                m, tr = _move(m, tr, t=t)
-        assert valuation(m.a1, p) >= 1 and valuation(m.a2, p) >= 1
-        assert valuation(m.a3, p) >= 2 and valuation(m.a4, p) >= 2 \
-            and valuation(m.a6, p) >= 3
+                a, tr = _move(a, tr, t=t)
+        a1, a2, a3, a4, a6 = a
+        assert a1 % p == 0 and a2 % p == 0
+        assert a3 % p ** 2 == 0 and a4 % p ** 2 == 0 and a6 % p ** 3 == 0
 
         # P(T) = T^3 + (a2/p) T^2 + (a4/p^2) T + (a6/p^3) over F_p
-        Pc = [residue(m.a6 / p ** 3, p), residue(m.a4 / p ** 2, p),
-              residue(m.a2 / p, p), 1]
-        fac = factor_mod_p(Pc, p)
+        fac = factor_mod_p([a6 // p ** 3, a4 // p ** 2, a2 // p, 1], p)
         mults = sorted(mlt for _, mlt in fac)
         if all(mlt == 1 for _, mlt in fac):
             # I0*: c = 1 + number of rational roots of P
             nroots = sum(1 for g, _ in fac if len(g) == 2)
             c = 1 + nroots
-            kt = KodairaType("I*", 0)
             frob = {4: 1, 2: 2, 1: 3}[c]
-            return ReductionData(p, m, kt, n, n - 4, c, None, frob, tr)
+            return a, tr, (KodairaType("I*", 0), n, n - 4, c, None, frob)
 
         if mults[-1] == 2:
             # I_nu* subprocedure: double root of P translated to T = 0
             r0 = next(-g[0] % p for g, mlt in fac
                       if mlt == 2 and len(g) == 2)
-            m, tr = _move(m, tr, r=p * r0)
-            assert valuation(m.a2, p) == 1 and valuation(m.a4, p) >= 3 \
-                and valuation(m.a6, p) >= 4
+            a, tr = _move(a, tr, r=p * r0)
+            assert a[1] % p == 0 and a[1] % p ** 2 != 0 \
+                and a[3] % p ** 3 == 0 and a[4] % p ** 4 == 0
             k = 1
             while True:
                 if k % 2 == 1:
                     mm = (k + 3) // 2
-                    A = m.a3 / p ** mm
-                    B = -m.a6 / p ** (k + 3)
-                    disc = A * A - 4 * B
-                    if valuation(disc, p) == 0:
-                        split = _fp_quadratic_split(residue(A, p),
-                                                    residue(B, p), p)
+                    qb = _exact(a[2], p ** mm)
+                    qc = -_exact(a[4], p ** (k + 3))
+                    if (qb * qb - 4 * qc) % p:
+                        split = _fp_quadratic_split(1, qb, qc, p)
                         c = 4 if split else 2
-                        kt = KodairaType("I*", k)
-                        return ReductionData(p, m, kt, n, n - 4 - k, c, None,
-                                             1 if c == 4 else 2, tr)
+                        return a, tr, (KodairaType("I*", k), n, n - 4 - k,
+                                       c, None, 1 if c == 4 else 2)
                     # double root: deepen a3, a6
                     if p == 2:
-                        ybar = residue(B, 2)
+                        ybar = qc % 2
                     else:
-                        ybar = (-residue(A, p) * pow(2, -1, p)) % p
+                        ybar = (-qb * pow(2, -1, p)) % p
                     if ybar:
-                        m, tr = _move(m, tr, t=ybar * p ** mm)
+                        a, tr = _move(a, tr, t=ybar * p ** mm)
                 else:
                     mm = (k + 4) // 2
-                    a = m.a2 / p
-                    b = m.a4 / p ** mm
-                    cq = m.a6 / p ** (k + 3)
-                    disc = b * b - 4 * a * cq
-                    if valuation(disc, p) == 0:
-                        ra, rb, rc = (residue(a, p), residue(b, p),
-                                      residue(cq, p))
-                        if p == 2:
-                            split = rc % 2 == 0 or (ra + rb + rc) % 2 == 0
-                        else:
-                            split = legendre(residue(disc, p), p) == 1
+                    qa = _exact(a[1], p)
+                    qb = _exact(a[3], p ** mm)
+                    qc = _exact(a[4], p ** (k + 3))
+                    if (qb * qb - 4 * qa * qc) % p:
+                        split = _fp_quadratic_split(qa, qb, qc, p)
                         c = 4 if split else 2
-                        kt = KodairaType("I*", k)
-                        return ReductionData(p, m, kt, n, n - 4 - k, c, None,
-                                             1 if c == 4 else 2, tr)
+                        return a, tr, (KodairaType("I*", k), n, n - 4 - k,
+                                       c, None, 1 if c == 4 else 2)
                     if p == 2:
-                        xbar = (residue(cq, 2) * residue(a, 2)) % 2
+                        xbar = (qc * qa) % 2
                     else:
-                        xbar = (-residue(b, p)
-                                * pow(2 * residue(a, p), -1, p)) % p
+                        xbar = (-qb * pow(2 * qa, -1, p)) % p
                     if xbar:
-                        m, tr = _move(m, tr, r=xbar * p ** ((k + 2) // 2))
+                        a, tr = _move(a, tr, r=xbar * p ** ((k + 2) // 2))
                 k += 1
                 if k > n:
-                    raise ArithmeticError("runaway I_nu* subprocedure")
+                    raise ArithmeticError(
+                        f"Tate at p = {p}, I_nu* subprocedure: no simple "
+                        f"root by k = {k} on the integral model {_show(a)}, "
+                        f"v(disc) = {n}")
             # not reached
 
         # triple root: translate to T = 0
         r0 = next(-g[0] % p for g, mlt in fac if mlt == 3)
-        m, tr = _move(m, tr, r=p * r0)
-        assert valuation(m.a2, p) >= 2 and valuation(m.a4, p) >= 3 \
-            and valuation(m.a6, p) >= 4
+        a, tr = _move(a, tr, r=p * r0)
+        assert a[1] % p ** 2 == 0 and a[3] % p ** 3 == 0 \
+            and a[4] % p ** 4 == 0
 
-        A = m.a3 / p ** 2
-        B = -m.a6 / p ** 4
-        disc = A * A - 4 * B
-        if valuation(disc, p) == 0:
-            split = _fp_quadratic_split(residue(A, p), residue(B, p), p)
-            kt = KodairaType("IV*")
+        qb = _exact(a[2], p ** 2)
+        qc = -_exact(a[4], p ** 4)
+        if (qb * qb - 4 * qc) % p:
+            split = _fp_quadratic_split(1, qb, qc, p)
             c = 3 if split else 1
-            return ReductionData(p, m, kt, n, n - 6, c, None,
-                                 1 if split else 2, tr)
+            return a, tr, (KodairaType("IV*"), n, n - 6, c, None,
+                           1 if split else 2)
         if p == 2:
-            ybar = residue(B, 2)
+            ybar = qc % 2
         else:
-            ybar = (-residue(A, p) * pow(2, -1, p)) % p
+            ybar = (-qb * pow(2, -1, p)) % p
         if ybar:
-            m, tr = _move(m, tr, t=ybar * p ** 2)
-        assert valuation(m.a3, p) >= 3 and valuation(m.a6, p) >= 5
+            a, tr = _move(a, tr, t=ybar * p ** 2)
+        assert a[2] % p ** 3 == 0 and a[4] % p ** 5 == 0
 
-        if valuation(m.a4, p) == 3:
-            kt = KodairaType("III*")
-            return ReductionData(p, m, kt, n, n - 7, 2, None, 1, tr)
-        if valuation(m.a6, p) == 5:
-            kt = KodairaType("II*")
-            return ReductionData(p, m, kt, n, n - 8, 1, None, 1, tr)
+        if a[3] % p ** 4:  # v(a4) = 3
+            return a, tr, (KodairaType("III*"), n, n - 7, 2, None, 1)
+        if a[4] % p ** 6:  # v(a6) = 5
+            return a, tr, (KodairaType("II*"), n, n - 8, 1, None, 1)
 
-        # non-minimal: rescale and start over
-        m, tr = _move(m, tr, u=p)
+        # non-minimal: rescale by u = p, exactly, and start over
+        a = tuple(_exact(c, p ** w) for c, w in zip(a, WEIGHTS))
+        tr = (*tr[:3], tr[3] * p)
+        n -= 12

@@ -1,5 +1,9 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from qdescent.arith import is_prime, valuation
 from qdescent.elliptic import compute_invariants, curve_from_string
@@ -179,3 +183,88 @@ def test_minimal_model_is_integral():
         assert m.transform(*a.transform) == a.minimal_model
         assert (a.kodaira, a.v_disc_min, a.c_p, a.split) == \
             (b.kodaira, b.v_disc_min, b.c_p, b.split)
+
+
+def test_failed_singular_point_names_the_prime_and_the_model():
+    # a model with good reduction at p has no singular point mod p: the
+    # error names p, the step and the model
+    for curve, p in (("[0,0,0,-1,1]", 7), ("[0,0,1,-1,0]", 2)):
+        with pytest.raises(ArithmeticError) as err:
+            _singular_point(curve_from_string(curve), p)
+        message = str(err.value)
+        assert f"p = {p}" in message and f"mod {p}" in message
+        assert "singular point" in message and curve in message
+
+
+def rational_family(rng, count):
+    """count seeded (model, p), drawn as in test_transform_random_family:
+    coefficients divisible by powers of p, moved by a change of coordinates
+    whose r, s and t have p (and 6) in their denominators and whose u is a
+    power of p times 1, 1/2 or 3/5."""
+    out = []
+    while len(out) < count:
+        p = rng.choice([2, 2, 3, 5, 7])
+        a = [rng.randrange(-9, 10) * p ** rng.randrange(0, w + 2)
+             for w in (1, 2, 3, 4, 6)]
+        try:
+            m = compute_invariants(*a)
+        except ValueError:
+            continue
+        r, s, t = (Fraction(rng.randrange(-3, 4), rng.choice([1, p, 6 * p]))
+                   for _ in range(3))
+        u = Fraction(p) ** rng.randrange(-1, 2) \
+            * rng.choice([1, Fraction(1, 2), Fraction(3, 5)])
+        out.append((m.transform(r, s, t, u), p))
+    return out
+
+
+def corpus_disc_primes():
+    """(curve, p) at every prime of the discriminant of every curve of the
+    ell-ledger benchmark corpus."""
+    corpus = Path(__file__).resolve().parent.parent / "perfbench" / \
+        "corpus" / "ell-ledger.json"
+    curves = [curve_from_string(case["input"]["curve"])
+              for case in json.loads(corpus.read_text())["cases"]]
+    return [(m, p) for m in curves for p in m.disc_primes]
+
+
+def test_tracked_disc_valuation():
+    # v(disc) is read once and moved with the model: it is the valuation of
+    # the minimal model's discriminant, on a seeded rational family that
+    # reaches the non-minimal rescale (v_p(u) >= 1) at 2, at 3 and at some
+    # p >= 5, and at every disc prime of the benchmark corpus
+    rescaled = set()
+    pairs = rational_family(random.Random(21), 300) + corpus_disc_primes()
+    assert len(pairs) == 300 + 128
+    for m, p in pairs:
+        r = tate_algorithm(m, p)
+        assert r.v_disc_min == valuation(r.minimal_model.disc, p)
+        assert r.minimal_model.is_integral()
+        assert m.transform(*r.transform) == r.minimal_model
+        if valuation(r.transform[3], p) >= 1:
+            rescaled.add(min(p, 5))
+    assert rescaled == {2, 3, 5}
+
+
+def test_invariant_under_coordinate_changes():
+    # the local data do not depend on the model: a rational change of
+    # coordinates with u a p-adic unit or a power of p leaves them alone
+    rng = random.Random(22)
+    kinds = set()
+    for m, p in rational_family(rng, 300):
+        r, s, t = (Fraction(rng.randrange(-20, 21), rng.randrange(1, 13))
+                   for _ in range(3))
+        if rng.random() < 0.5:
+            u = Fraction(p) ** rng.randrange(-2, 3)
+        else:
+            u = Fraction(rng.choice([1, -1, 2, 3, 7, 11]),
+                         rng.choice([1, 2, 3, 5, 7]))
+            if valuation(u, p) != 0:
+                continue
+        data = [(x.kodaira, x.v_disc_min, x.conductor_exponent, x.c_p,
+                 x.split, x.frobenius_order_on_components)
+                for x in (tate_algorithm(m, p),
+                          tate_algorithm(m.transform(r, s, t, u), p))]
+        assert data[0] == data[1]
+        kinds.add(data[0][0].letter)
+    assert kinds == KODAIRA_LETTERS
