@@ -142,14 +142,17 @@ def _piece_root_valuation(fac: LocalFactor, p: int):
     return v // fac.f
 
 
-def two_map_kernel_profile(rd: ReductionData, pieces) -> TorsionFieldProfile:
+def two_map_kernel_profile(rd: ReductionData, pieces,
+                           disc: Fraction) -> TorsionFieldProfile:
     """Torsion field data of E[2] over Q_p for the minimal model in rd, from
     the pieces over Q_p (local_splitting_type) of
     two_division_cubic_integral of that model (whose roots are 4 * x(T)),
-    given by its factors over Q (WeierstrassModel.two_division_factors)."""
+    given by its factors over Q (WeierstrassModel.two_division_factors).
+    disc is the discriminant of any model of E: the minimal model's differs
+    from it by u^12, a square, and only its square class is read."""
     p = rd.p
     # two_division_cubic_integral has discriminant 2^8 * disc
-    deg_L, deg_Lp = _cubic_deg_L_data(pieces, rd.minimal_model.disc, p)
+    deg_L, deg_Lp = _cubic_deg_L_data(pieces, disc, p)
     pts = []
     cycles = []
     label_no = 1
@@ -178,7 +181,7 @@ def torsion_field_profile(m: WeierstrassModel, phi, p: int
     rd = m.reduction(p)
     if phi == TWO_MAP:
         return two_map_kernel_profile(
-            rd, local_splitting_type(m.two_division_factors(p), p))
+            rd, local_splitting_type(m.two_division_factors(p), p), m.disc)
     return _cyclic_kernel_profile(rd, _isogeny_from(m, phi))
 
 

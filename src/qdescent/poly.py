@@ -3,22 +3,23 @@
 Conventions: coefficient lists are constant-term first.  Mod-m polynomial
 helpers work for any modulus m (used with m = p and m = p^N); gcd and
 factorization require m prime.  Every product reduced by a monic modulus
-goes through one fused kernel, mp_mulmod on mp_divmod_monic: the product
-unreduced, then one reduction mod m per coefficient, no inverse of the
-leading 1 and no trimming between steps.  One integer determinant,
-_bareiss_det (fraction-free Bareiss elimination), serves resultants and
-discriminants, as Sylvester determinants, and the norms of elements of
-etale algebras (localfields).  Factorization over Q (factor_over_Z) is one Zassenhaus
-pass: the prime is chosen from factor degrees mod p, read off
-distinct-degree factoring alone; then a factorization mod that one prime,
-one Hensel lift and recombination by exact trial division.  The lift
-(hensel_lift_factors) takes each factor on its own by Newton's iteration,
-doubling the precision up to exactly p^N.  local_splitting_type gives the
-factorization type over Q_p by the same lift and order 1 of the Montes
-algorithm, from the factors of f over Q that factor_over_Z gives: it
-factors nothing over Q, so that one factorization serves every place.  A
-piece from a simple factor mod p is lifted only when a caller first reads
-its lift, to the same p^N (LocalFactor).
+goes through one fused kernel, mp_mulmod: the product unreduced, then
+reduced in place with one reduction mod m per coefficient, no quotient, no
+inverse of the leading 1 and no trimming between steps.  mp_gcd runs Euclid
+on monic remainders, and mp_pow_mod squares left to right, multiplying by
+X as a shift.  One integer determinant, _bareiss_det (fraction-free
+Bareiss elimination), serves resultants and discriminants, as Sylvester
+determinants, and the norms of elements of etale algebras (localfields).
+Factorization over Q (factor_over_Z) is one Zassenhaus pass: the prime is
+chosen from factor degrees mod p, read off distinct-degree factoring alone;
+then a factorization mod that one prime, one Hensel lift and recombination
+by exact trial division.  The lift (hensel_lift_factors) takes each factor
+on its own by Newton's iteration, doubling the precision up to exactly p^N.
+local_splitting_type gives the factorization type over Q_p by the same lift
+and order 1 of the Montes algorithm, from the factors of f over Q that
+factor_over_Z gives: it factors nothing over Q, so that one factorization
+serves every place.  A piece from a simple factor mod p is lifted only when
+a caller first reads its lift, to the same p^N (LocalFactor).
 """
 
 from __future__ import annotations
@@ -304,8 +305,8 @@ def _convolve(a, b):
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
+            for k, y in enumerate(b, i):
+                out[k] += x * y
     return out
 
 
@@ -334,8 +335,18 @@ def mp_divmod_monic(a, g, m):
 
 
 def mp_mulmod(a, b, g, m):
-    """a*b rem g mod m, for monic g: the one multiply-then-reduce."""
-    return mp_divmod_monic(_convolve(a, b), g, m)[1]
+    """a*b rem g mod m, for monic g: the one multiply-then-reduce.  The
+    product is reduced in place, top coefficient down, and no quotient is
+    kept."""
+    c = _convolve(a, b)
+    d = len(g) - 1
+    low = g[:d]
+    for k in range(len(c) - 1, d - 1, -1):
+        t = c[k] % m
+        if t:
+            for i, y in enumerate(low, k - d):
+                c[i] -= t * y
+    return mp_trim([x % m for x in c[:d]])
 
 
 def mp_divmod(a, b, m):
@@ -351,26 +362,39 @@ def mp_divmod(a, b, m):
 
 
 def mp_gcd(a, b, p):
-    """Monic gcd mod a prime p."""
-    a, b = [c % p for c in a], [c % p for c in b]
-    mp_trim(a), mp_trim(b)
+    """Monic gcd mod a prime p, by Euclid on monic remainders: each new
+    remainder is made monic and divided by with mp_divmod_monic."""
+    a, b = mp_trim([c % p for c in a]), mp_trim([c % p for c in b])
     while b:
-        a, b = b, mp_divmod(a, b, p)[1]
-    if a:
+        if b[-1] != 1:
+            b = mp_scal(b, pow(b[-1], -1, p), p)
+        a, b = b, mp_divmod_monic(a, b, p)[1]
+    if a and a[-1] != 1:
         a = mp_scal(a, pow(a[-1], -1, p), p)
     return a
 
 
 def mp_pow_mod(a, n, g, m):
-    """a^n rem g mod m, for monic g."""
-    out = [1]
+    """a^n rem g mod m, for monic g, by squaring left to right: one
+    squaring per bit of n after the first, and at a set bit one product
+    by a, which for a = X is a shift and one reduction step."""
+    if not n:
+        return [1]
     a = mp_divmod_monic(a, g, m)[1]
-    while n:
-        if n & 1:
+    shift, d = a == [0, 1], len(g) - 1
+    out = a
+    for bit in bin(n)[3:]:
+        out = mp_mulmod(out, out, g, m)
+        if bit == "0" or not out:
+            continue
+        if not shift:
             out = mp_mulmod(out, a, g, m)
-        n >>= 1
-        if n:
-            a = mp_mulmod(a, a, g, m)
+        elif len(out) < d:
+            out = [0] + out
+        else:  # X * out has degree d: subtract its top coefficient times g
+            t = out[-1]
+            out = mp_trim([(x - t * y) % m
+                           for x, y in zip([0] + out[:-1], g)])
     return out
 
 
@@ -409,11 +433,14 @@ def _pth_root_poly(a, p):
 def _sqfree_decomp(a, p):
     """Yun-style squarefree decomposition over F_p: [(monic part, mult)].
 
-    What the loop leaves of g = gcd(a, a') is a p-th power (all of a when
-    a' = 0), whose p-th root is decomposed in turn."""
+    A squarefree a (gcd(a, a') = 1, the common case) is returned at once.
+    Otherwise what the loop leaves of g = gcd(a, a') is a p-th power (all
+    of a when a' = 0), whose p-th root is decomposed in turn."""
     a = mp_scal(a, pow(a[-1], -1, p), p)
-    out = []
     g = mp_gcd(a, mp_deriv(a, p), p)
+    if len(g) == 1:
+        return [(a, 1)]
+    out = []
     w = mp_divmod(a, g, p)[0]
     i = 1
     while len(w) > 1:
@@ -476,18 +503,21 @@ def _equal_degree_split(a, d, p, rng):
 
 def factor_mod_p(a, p: int) -> list[tuple[list[int], int]]:
     """Monic irreducible factorization over F_p of the coefficient list a,
-    as [(factor, multiplicity)], deterministically ordered."""
+    as [(factor, multiplicity)], deterministically ordered.  The seeded
+    generator of equal-degree splitting is built only once a product of
+    equal-degree factors has more than one factor to split."""
     a = mp_trim([c % p for c in a])
     if not a:
         raise ValueError("cannot factor the zero polynomial")
     if len(a) == 1:
         return []
-    rng = random.Random(FACTOR_SEED)
+    rng = None
     out = []
     for g, mult in _sqfree_decomp(a, p):
         for h, d in _distinct_degree(g, p):
-            for irr in _equal_degree_split(h, d, p, rng):
-                out.append((irr, mult))
+            if rng is None and len(h) - 1 > d:
+                rng = random.Random(FACTOR_SEED)
+            out += [(irr, mult) for irr in _equal_degree_split(h, d, p, rng)]
     out.sort(key=lambda t: (len(t[0]), t[0]))
     return out
 

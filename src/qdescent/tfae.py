@@ -246,6 +246,16 @@ def _agl_verdict(f: RatPoly) -> TfaeResult:
     raise GaloisUndecided(f"no decisive prime below {_SCAN_BOUND} for {f}")
 
 
+def _is_translated_binomial(f: RatPoly) -> bool:
+    """Is f(X - c) = X^d + a, for the monic f of degree d and c = a_{d-1}/d?
+    Exactly when f = (X + c)^d + a: f_k = C(d, k) c^(d-k) for 1 <= k <= d-2,
+    read until the first coefficient that differs, with no Taylor shift."""
+    d, fc = f.degree, f.coeffs
+    c = fc[d - 1] / d
+    return all(fc[k] == math.comb(d, k) * c ** (d - k)
+               for k in range(d - 2, 0, -1))
+
+
 def tfae_test(f: RatPoly) -> TfaeResult:
     """Does the triviality condition hold for Y^2 = f?  See module docs."""
     d = f.degree
@@ -260,7 +270,7 @@ def tfae_test(f: RatPoly) -> TfaeResult:
     if d == 3:
         return TfaeResult(True, "cubic", "exact",
                           "holds for every separable cubic")
-    if not any(f.compose_linear(1, -f.coeffs[d - 1] / d).coeffs[1:-1]):
+    if _is_translated_binomial(f):
         return TfaeResult(True, f"binomial X^{d}+a up to translation",
                           "exact", "binomial: metacyclic splitting field")
     factors = factor_over_Z(f)

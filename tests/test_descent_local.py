@@ -7,14 +7,16 @@ import pytest
 from group_law import INF, map_point, moved, points, scalar_mul
 from qdescent.arith import REAL_PLACE, finite, is_prime, valuation
 from qdescent.descent_global import bad_primes
-from qdescent.descent_local import (TWO_MAP, c2_order, i2_oracle_halving,
-                                    i2_order, local_descent_report,
+from qdescent.descent_local import (TWO_MAP, _cubic_deg_L_data, c2_order,
+                                    i2_oracle_halving, i2_order,
+                                    local_descent_report,
                                     s2_order_isogeny, s2_order_two_map,
                                     s2_real, three_torsion_count,
                                     torsion_field_profile)
 from qdescent.elliptic import (Pt, compute_invariants, curve_from_string,
                                two_division_cubic_integral, velu_isogeny)
-from qdescent.poly import UnresolvedSplitting, factor_over_Z
+from qdescent.poly import (UnresolvedSplitting, factor_over_Z,
+                           local_splitting_type)
 
 MESTRE = curve_from_string("[0,2597055,357573631,-549082,-19608054]")
 E189 = curve_from_string("[0,0,0,-189,1269]")
@@ -546,6 +548,32 @@ def profile_shape(prof):
             prof.tau_permutation,
             [(k.label, k.residue_degree, k.singular)
              for k in prof.kernel_points])
+
+
+def test_deg_L_reads_any_models_discriminant():
+    # the 2-map profile reads the input model's discriminant for its square
+    # class: on seeded models moved by rational (r, s, t, u), it gives the
+    # (deg L, deg L') of the minimal model's discriminant, which differs by
+    # u^12, at 2 and at every prime of the discriminant
+    rng = random.Random(2205)
+    compared = moved_disc = 0
+    while compared < 150:
+        try:
+            m0 = compute_invariants(*(rng.randrange(-9, 10) for _ in range(5)))
+        except ValueError:  # singular
+            continue
+        m, _ = moved(m0, rng)
+        for p in sorted({2, *m.disc_primes}):
+            try:
+                pieces = local_splitting_type(m.two_division_factors(p), p)
+            except UnresolvedSplitting:
+                continue
+            minimal = m.reduction(p).minimal_model.disc
+            assert _cubic_deg_L_data(pieces, m.disc, p) \
+                == _cubic_deg_L_data(pieces, minimal, p), (m, p)
+            compared += 1
+            moved_disc += minimal != m.disc
+    assert moved_disc > 100
 
 
 def test_s2_real_and_cyclic_profiles_on_moved_models():

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -12,8 +13,9 @@ from qdescent.poly import (HENSEL_START, RatPoly, UnresolvedSplitting,
                            discriminant, factor_degrees_mod_p, factor_mod_p,
                            factor_over_Z, fp_poly, hensel_lift_factors,
                            local_splitting_type, monic_integral, mp_add,
-                           mp_divmod, mp_mul, mp_shift, mp_sub, parse_poly,
-                           resultant, roots_in_Fp)
+                           mp_divmod, mp_gcd, mp_mul, mp_mulmod, mp_pow_mod,
+                           mp_shift, mp_sub, parse_poly, resultant,
+                           roots_in_Fp)
 
 QUINTIC = parse_poly("X^5+16*X^4-274*X^3+817*X^2+178*X+1")
 
@@ -182,6 +184,92 @@ def test_factor_mod_p_reconstructs():
             for _ in range(m):
                 prod = mp_mul(prod, g, p)
         assert prod == [c % p for c in [1, 178, 817, -274, 16, 1]]
+
+
+def reduced_mod_p(a, p):
+    """The coefficients of a mod p, trimmed."""
+    a = [c % p for c in a]
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def rem_mod_p(a, b, p):
+    """The oracle: a rem b over F_p by schoolbook long division, for b with
+    a nonzero leading coefficient."""
+    a, inv = reduced_mod_p(a, p), pow(b[-1], -1, p)
+    while len(a) >= len(b):
+        c, s = a[-1] * inv % p, len(a) - len(b)
+        for i, y in enumerate(b):
+            a[s + i] = (a[s + i] - c * y) % p
+        a = reduced_mod_p(a, p)
+    return a
+
+
+def euclid_gcd(a, b, p):
+    """The oracle: the monic gcd over F_p by plain Euclid."""
+    a, b = reduced_mod_p(a, p), reduced_mod_p(b, p)
+    while b:
+        a, b = b, rem_mod_p(a, b, p)
+    return [c * pow(a[-1], -1, p) % p for c in a] if a else a
+
+
+def test_mp_pow_mod_is_repeated_mulmod():
+    # a^n rem g for n = 0..40, against n products by a starting from 1, for
+    # a = X and for random a (unreduced, of any degree), mod primes and
+    # prime powers
+    rng = random.Random(2201)
+    for m in (2, 3, 7, 101, 2 ** 61 - 1, 2 ** 10, 3 ** 5, 5 ** 4, 7 ** 20):
+        for _ in range(6):
+            g = [rng.randrange(-m, m) for _ in range(rng.randint(1, 7))] + [1]
+            for a in ([0, 1], [rng.randrange(-2 * m, 2 * m)
+                               for _ in range(rng.randint(0, 10))]):
+                power = [1]
+                for n in range(41):
+                    assert mp_pow_mod(a, n, g, m) == power, (a, n, g, m)
+                    power = mp_mulmod(power, a, g, m)
+
+
+def test_mp_gcd_matches_plain_euclid():
+    rng = random.Random(2202)
+    for p in (2, 3, 5, 7, 13, 101, 9973, 2 ** 61 - 1):
+        for _ in range(40):
+            common = [rng.randrange(p) for _ in range(rng.randint(0, 3))]
+            common.append(rng.randrange(1, p))
+            a, b = (mp_mul([rng.randrange(p)
+                            for _ in range(rng.randint(0, 6))], common, p)
+                     for _ in range(2))
+            a = [c + p * rng.randint(-3, 3) for c in a]  # unreduced
+            got = mp_gcd(a, b, p)
+            assert got == euclid_gcd(a, b, p), (a, b, p)
+            assert not got or got[-1] == 1
+    assert mp_gcd([], [], 5) == []
+    assert mp_gcd([0, 3], [], 5) == [0, 1]
+
+
+def test_factor_mod_p_factors_are_irreducible_and_multiply_back():
+    # 320 seeded (a, p): the factors, with multiplicity, multiply back to
+    # monic(a), and no monic polynomial of degree 1..deg/2 divides a factor
+    rng = random.Random(2203)
+    for p in (2, 3, 5, 7):
+        for _ in range(80):
+            degree = rng.randint(1, 8 if p < 5 else 6)
+            a = [rng.randrange(p) for _ in range(degree)]
+            a.append(rng.randrange(1, p))
+            if rng.random() < 0.3:  # a repeated factor
+                a = mp_mul(a, mp_mul(a[:2] + [1], a[:2] + [1], p), p)
+            fac = factor_mod_p(a, p)
+            prod = [1]
+            for g, mult in fac:
+                assert g[-1] == 1
+                d = len(g) - 1
+                for e in range(1, d // 2 + 1):
+                    for low in itertools.product(range(p), repeat=e):
+                        assert rem_mod_p(g, [*low, 1], p), (g, low, p)
+                for _ in range(mult):
+                    prod = mp_mul(prod, g, p)
+            inv = pow(a[-1], -1, p)
+            assert prod == [c * inv % p for c in a], (a, p)
 
 
 def test_roots_in_Fp():

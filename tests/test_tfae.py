@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -9,8 +10,9 @@ from qdescent import poly, tfae
 from qdescent.arith import is_prime
 from qdescent.poly import RatPoly, discriminant, mp_pow_mod, parse_poly
 from qdescent.tfae import (_agl_verdict, _f2_rank_of_squarefree,
-                           _theta_terms, agl_resolvent_holds,
-                           quartic_galois_group, tfae_test)
+                           _is_translated_binomial, _theta_terms,
+                           agl_resolvent_holds, quartic_galois_group,
+                           tfae_test)
 
 QUINTIC = parse_poly("X^5+16*X^4-274*X^3+817*X^2+178*X+1")
 
@@ -120,6 +122,42 @@ def test_binomial_septics():
               parse_poly("X^7-5").compose_linear(1, -2)):
         r = tfae_test(f)
         assert r.holds and r.certificate == "exact"
+
+
+def test_translated_binomials_are_read_off_the_coefficients():
+    # (X + c)^d + a is detected for rational c and a; changing any one
+    # middle coefficient (X^1 .. X^(d-2)) breaks it; and on 500 seeded
+    # monic polynomials the test agrees with the Taylor shift f(X - c)
+    rng = random.Random(2204)
+
+    def rational():
+        return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+
+    for d in (5, 7):
+        for _ in range(20):
+            c, a = rational(), rational()
+            f = RatPoly([c, 1]) ** d + RatPoly([a])
+            assert _is_translated_binomial(f), f
+            for k in range(1, d - 1):
+                g = list(f.coeffs)
+                g[k] += rng.choice((-1, 1)) * Fraction(1, rng.randint(1, 5))
+                assert not _is_translated_binomial(RatPoly(g)), (f, k)
+    binomials = 0
+    for _ in range(500):
+        d = rng.choice((3, 4, 5, 6, 7))
+        if rng.random() < 0.3:  # a binomial, translated, maybe disturbed
+            f = RatPoly([rational(), 1]) ** d + RatPoly([rational()])
+            if rng.random() < 0.5:
+                k = rng.randrange(d)
+                f = f + RatPoly([0] * k + [rng.randint(-1, 1)])
+        else:
+            f = RatPoly([rng.choice((0, 0, rational())) for _ in range(d)]
+                        + [1])
+        shifted = f.compose_linear(1, -f.coeffs[d - 1] / d)
+        want = not any(shifted.coeffs[1:-1])
+        assert _is_translated_binomial(f) == want, f
+        binomials += want
+    assert 100 < binomials < 400
 
 
 def test_septic_s7_fails():
