@@ -1,9 +1,9 @@
 """Exact integer/rational arithmetic, factorization, and square classes.
 
-Everything is exact: rationals are `fractions.Fraction` and valuations are
-integers (with a distinguished infinity for 0).  A square class in
-Q_v*/Q_v*^2 is an F_2 bitmask (square_class), so that the class of a
-product is the XOR of the classes.  No floating point anywhere.
+Everything is exact: rationals are `fractions.Fraction` and a valuation is
+an int, or None for 0 (valuation).  A square class in Q_v*/Q_v*^2 is an
+F_2 bitmask (square_class), so that the class of a product is the XOR of
+the classes.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _TRIAL_BOUND = 1000  # trial division below this; rho on the rest
@@ -25,38 +24,6 @@ _RHO_STEPS = 1 << 20
 
 class FactoringBudgetExceeded(ArithmeticError):
     """factor_integer found no factor of a composite within _RHO_STEPS."""
-
-
-@total_ordering
-class _Infinity:
-    """Valuation of zero.  Compares above every integer."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __eq__(self, other):
-        return isinstance(other, _Infinity)
-
-    def __gt__(self, other):
-        return not isinstance(other, _Infinity)
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __hash__(self):
-        return hash("valuation-infinity")
-
-    def __repr__(self):
-        return "oo"
-
-
-INFINITY = _Infinity()
 
 
 def is_prime(n: int) -> bool:
@@ -190,10 +157,10 @@ def _split_p(q, p: int) -> tuple[int, int, int]:
 
 
 def valuation(q, p: int):
-    """v_p(q) for rational q; INFINITY for q = 0."""
+    """v_p(q) for rational q; None for q = 0."""
     q = Fraction(q)
     if q == 0:
-        return INFINITY
+        return None
     return _split_p(q, p)[0]
 
 

@@ -51,8 +51,8 @@ from math import lcm
 
 # finite and tate_algorithm are not called here (WeierstrassModel.reduction
 # runs Tate's algorithm); the layer tracer's tests read both off this module
-from .arith import (INFINITY, Place, finite,  # noqa: F401
-                    square_class, unramified_class, valuation)
+from .arith import (Place, finite, square_class,  # noqa: F401
+                    unramified_class, valuation)
 from .elliptic import IsogenyMap, WeierstrassModel
 from .jacobian import local_intersection_rank, point_label
 from .localfields import EtaleAlgebra
@@ -131,7 +131,7 @@ def _cubic_deg_L_data(pieces, disc: Fraction, p: int):
 def _piece_root_valuation(fac: LocalFactor, p: int):
     """v_p of (any) root of an unramified piece; None if out of reach."""
     if fac.root is not None:
-        return _safe_val(fac.root, p)
+        return valuation(fac.root, p)
     if fac.residue[0]:
         return 0  # the norm of a root is +-residue(0) mod p, a unit
     v = _vp_bounded(fac.lift[0], p, fac.prec)
@@ -208,7 +208,7 @@ def _cyclic_kernel_profile(rd: ReductionData, phi: IsogenyMap) -> TorsionFieldPr
     p, x0 = rd.p, phi.x0
     # the kernel point has x = (x0 - r)/u^2 on the minimal model
     r, _, _, u = rd.transform
-    vx = _safe_val((x0 - r) / u ** 2, p)
+    vx = valuation((x0 - r) / u ** 2, p)
     if phi.degree == 2:
         pts = (_kernel_point(rd, "T1", 1, vx),)
         return TorsionFieldProfile(p, pts, 2, 1, 1, 2, (("T1",),))
@@ -223,11 +223,6 @@ def _cyclic_kernel_profile(rd: ReductionData, phi: IsogenyMap) -> TorsionFieldPr
         return TorsionFieldProfile(p, pts, 3, 2, 2, 6, (("Q", "-Q"),))
     pts = (KernelPoint("Q(+conj)", 0, None, vx),)
     return TorsionFieldProfile(p, pts, 1, 2, 1, 1, ())
-
-
-def _safe_val(x, p):
-    v = valuation(x, p)
-    return None if v is INFINITY else v
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from functools import cached_property
 from .arith import factor_integer
 from .jacobian import HyperellipticCurve
 from .poly import RatPoly
-from .tate import ReductionData, tate_algorithm
+from .tate import WEIGHTS, ReductionData, tate_algorithm, translate
 
 
 @dataclass(frozen=True)
@@ -139,17 +139,11 @@ class WeierstrassModel:
         return all(a.denominator == 1 for a in self.ainvs())
 
     def transform(self, r=0, s=0, t=0, u=1) -> "WeierstrassModel":
-        """Standard change of variables x = u^2 x' + r, y = u^3 y' + s u^2 x' + t."""
-        r, s, t, u = Fraction(r), Fraction(s), Fraction(t), Fraction(u)
-        a1, a2, a3, a4, a6 = self.ainvs()
-        A1 = (a1 + 2 * s) / u
-        A2 = (a2 - s * a1 + 3 * r - s * s) / u ** 2
-        A3 = (a3 + r * a1 + 2 * t) / u ** 3
-        A4 = (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r
-              - 2 * s * t) / u ** 4
-        A6 = (a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t
-              - r * t * a1) / u ** 6
-        return WeierstrassModel(A1, A2, A3, A4, A6)
+        """Standard change of variables x = u^2 x' + r, y = u^3 y' + s u^2 x' + t:
+        the translation by (r, s, t) (tate.translate), then a_w / u^w."""
+        u = Fraction(u)
+        moved = translate(self.ainvs(), Fraction(r), Fraction(s), Fraction(t))
+        return WeierstrassModel(*(c / u ** w for c, w in zip(moved, WEIGHTS)))
 
     def __repr__(self):
         return f"[{self.a1},{self.a2},{self.a3},{self.a4},{self.a6}]"

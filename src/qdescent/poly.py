@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, groupby
@@ -255,25 +255,35 @@ def discriminant(f: RatPoly) -> Fraction:
 
 
 def parse_poly(s: str) -> RatPoly:
-    """Accepts "X^5+16*X^4-274*X^3+..." or a coefficient list "[1,178,...]"."""
-    s = s.strip()
-    if s.startswith("["):
-        body = s[1:-1].strip()
-        if not body:
-            return RatPoly([])
-        return RatPoly([Fraction(t.strip()) for t in body.split(",")])
-    s = s.replace(" ", "").replace("**", "^").lower()
-    if not s:
-        raise ValueError("empty polynomial")
-    coeffs: dict[int, Fraction] = {}
-    for t in re.findall(r"[+-]?[^+-]+", s):
-        m = re.fullmatch(r"([+-]?)(\d+(?:/\d+)?)?(?:\*?x(?:\^(\d+))?)?", t)
-        if not m or (m.group(2) is None and "x" not in t):
-            raise ValueError(f"cannot parse term {t!r}")
-        sign = -1 if m.group(1) == "-" else 1
-        c = Fraction(m.group(2)) if m.group(2) else Fraction(1)
-        e = (int(m.group(3)) if m.group(3) else 1) if "x" in t else 0
-        coeffs[e] = coeffs.get(e, Fraction(0)) + sign * c
+    """Accepts "X^5+16*X^4-274*X^3+..." or a coefficient list "[1,178,...]",
+    constant term first.  Any other input raises a ValueError naming it."""
+    try:
+        text = s.strip()
+        if text.startswith("["):
+            if not text.endswith("]"):
+                raise ValueError("a coefficient list ends with ]")
+            body = text[1:-1].strip()
+            return RatPoly([Fraction(t.strip()) for t in body.split(",")]
+                           if body else [])
+        text = text.replace(" ", "").replace("**", "^").lower()
+        if not text:
+            raise ValueError("empty polynomial")
+        coeffs: dict[int, Fraction] = {}
+        # one term per sign: a sign with no term after it is a term of its own
+        terms = re.split(r"(?=[+-])", text)
+        for t in terms[1:] if terms[0] == "" else terms:
+            m = re.fullmatch(r"([+-]?)(\d+(?:/\d+)?)?(?:\*?x(?:\^(\d+))?)?", t)
+            if not m or (m.group(2) is None and "x" not in t):
+                raise ValueError(f"cannot parse term {t!r}")
+            sign = -1 if m.group(1) == "-" else 1
+            c = Fraction(m.group(2)) if m.group(2) else Fraction(1)
+            e = (int(m.group(3)) if m.group(3) else 1) if "x" in t else 0
+            coeffs[e] = coeffs.get(e, Fraction(0)) + sign * c
+    except ZeroDivisionError:
+        raise ValueError(f"cannot parse polynomial {s!r}: a zero denominator"
+                         ) from None
+    except ValueError as exc:
+        raise ValueError(f"cannot parse polynomial {s!r}: {exc}") from None
     deg = max(coeffs)
     return RatPoly([coeffs.get(i, Fraction(0)) for i in range(deg + 1)])
 
@@ -597,24 +607,6 @@ def hensel_lift_factors(f, factors, p, N):
 # Factorization over Q: one Zassenhaus pass
 
 
-def _sqfree_over_Q(f: RatPoly) -> list[tuple[RatPoly, int]]:
-    """Yun's algorithm: [(squarefree monic part, multiplicity)]."""
-    f = f.monic()
-    out = []
-    g = poly_gcd(f, f.deriv())
-    w = f // g
-    i = 1
-    while w.degree >= 1:
-        y = poly_gcd(w, g)
-        z = w // y
-        if z.degree >= 1:
-            out.append((z.monic(), i))
-        g = g // y
-        w = y
-        i += 1
-    return out
-
-
 def monic_integral(f: RatPoly) -> tuple[RatPoly, int]:
     """(g, D) with g(X) = D^d f(X/D), for the monic f of degree d and D the
     lcm of the denominators of f: g is monic with integer coefficients, and
@@ -642,8 +634,9 @@ def factor_over_Z(f: RatPoly) -> list[RatPoly]:
     trial division, subsets of one factor first; a remainder that no subset
     divides is irreducible.  Each factor h of g maps back to
     h(den X)/den^deg h.  No integer is factored.  When the first four odd
-    primes are all bad and gcd(f, f') is not 1, f goes through Yun's
-    squarefree split and each part is factored on its own.
+    primes are all bad and gcd(f, f') is not 1, f / gcd(f, f') (squarefree,
+    with the same irreducible factors) is factored, and each factor is
+    repeated as often as it divides f.
     """
     if f.degree > 8:
         raise ValueError("factor_over_Z is capped at degree 8")
@@ -665,11 +658,16 @@ def factor_over_Z(f: RatPoly) -> list[RatPoly]:
                 bad += 1
                 # a repeated factor over Q leaves every p bad: check for
                 # one once, when the first four primes are bad
-                if bad == 4 and not good and poly_gcd(work,
-                                                      work.deriv()).degree:
-                    out = [h for part, mult in _sqfree_over_Q(work)
-                           for h in factor_over_Z(part) * mult]
-                    return sorted(out, key=lambda h: (h.degree, h.coeffs))
+                if bad == 4 and not good:
+                    common = poly_gcd(work, work.deriv())
+                    if common.degree:
+                        out = []
+                        for h in factor_over_Z(work // common):
+                            q, r = work.divmod(h)
+                            while r.is_zero():
+                                out.append(h)
+                                q, r = q.divmod(h)
+                        return sorted(out, key=lambda h: (h.degree, h.coeffs))
         p += 2
     p, degrees = best
     if len(degrees) == 1:
@@ -722,7 +720,8 @@ class LocalFactor:
     of integers of the piece.  The piece lies above the factor over Q
     numbered `global_factor` in the factors it was split from.  For a
     linear piece coming from an exact rational root, `root` is that root.
-    `note` records how a piece from a repeated factor mod p was resolved.
+    `note` records how a piece from a repeated factor mod p was resolved;
+    `kind`, 'linear', 'unramified' or 'ramified', follows from e and f.
 
     A simple piece, from a factor of multiplicity 1 mod p, is built from
     that factor alone: `known` is the factor mod p and `whole` the
@@ -736,7 +735,6 @@ class LocalFactor:
     p: int
     e: int
     f: int
-    kind: str  # 'linear' | 'unramified' | 'ramified'
     prec: int
     global_factor: int
     root: Fraction | None
@@ -749,6 +747,11 @@ class LocalFactor:
     @property
     def degree(self):
         return self.e * self.f
+
+    @property
+    def kind(self) -> str:
+        return ("ramified" if self.e > 1 else
+                "linear" if self.f == 1 else "unramified")
 
     @cached_property
     def zlift(self) -> tuple[int, ...]:
@@ -780,19 +783,6 @@ class LocalFactor:
         if self.root is not None:
             return residue(self.root, modulus)
         return -(self.residue if modulus == self.p else self.lift)[0] % modulus
-
-
-def _local_factor(p, k, e, f, known, shift, scale, prec, note, whole,
-                  root=None):
-    """The LocalFactor above the k-th factor over Q whose factor in Z,
-    X = shift + p^scale Z, is known (mod p for a simple piece, else mod
-    p^prec)."""
-    m = p ** prec
-    kind = "ramified" if e > 1 else "linear" if f == 1 else "unramified"
-    if not whole:
-        known = [c % m for c in known]
-    return LocalFactor(p, e, f, kind, prec, k, root, note, shift % m, scale,
-                       tuple(known), tuple(whole))
 
 
 def _np_lower_hull(points):
@@ -860,9 +850,9 @@ def _split_at_vertex(P, b, yb, gap, where, p, N):
     raise _Shortfall(f"{step} did not converge at p^{N}")
 
 
-def _block_pieces(F, g, m, p, N):
-    """Q_p-pieces of a monic block F = g^m mod p (g irreducible mod p,
-    m >= 2), known mod p^N, as _factor_mod_pN gives them.
+def _block_pieces(F, g, m, p, N, k):
+    """The LocalFactors of a monic block F = g^m mod p (g irreducible mod
+    p, m >= 2) of the k-th factor over Q, known mod p^N.
 
     Order 1 of the Montes algorithm (Guardia, Montes and Nart, Trans. AMS
     364 (2012)): the Newton polygon of the phi-adic expansion of F, phi the
@@ -876,9 +866,9 @@ def _block_pieces(F, g, m, p, N):
     residual degree 1: one piece with e = m and f = deg g.
     """
     M = p ** N
-    k = len(g) - 1
+    deg = len(g) - 1
     block = f"({RatPoly(g)})^{m} at p = {p}"
-    if k == 1:
+    if deg == 1:
         r = -g[0] % p
         coeffs = mp_shift(F, r, M)  # F(Y + r)
         vals = [_vp_bounded(c, p, N) for c in coeffs]
@@ -893,7 +883,7 @@ def _block_pieces(F, g, m, p, N):
         raise _Shortfall(f"{block}: the phi-adic constant term is 0 mod "
                          f"p^{N}")
     hull = _np_lower_hull([(i, v) for i, v in enumerate(vals) if v is not None])
-    if k > 1:
+    if deg > 1:
         if len(hull) > 2:
             raise UnresolvedSplitting(
                 f"{block}: the Newton polygon of the non-linear phi has "
@@ -902,10 +892,10 @@ def _block_pieces(F, g, m, p, N):
         if math.gcd(hull[0][1], m) > 1:
             raise UnresolvedSplitting(
                 f"{block}: residual polynomial of degree "
-                f"{math.gcd(hull[0][1], m)} over F_({p}^{k}); order 1 resolves "
-                "a non-linear phi only at residual degree 1")
-        return [(m, k, F, 0, 0, N, f"{block}: one side of slope "
-                 f"{hull[0][1]}/{m}", ())]
+                f"{math.gcd(hull[0][1], m)} over F_({p}^{deg}); order 1 "
+                "resolves a non-linear phi only at residual degree 1")
+        return [LocalFactor(p, m, deg, N, k, None, f"{block}: one side of "
+                            f"slope {hull[0][1]}/{m}", 0, 0, tuple(F), ())]
     sides = []
     while len(hull) > 2:  # peel off the shallowest side
         (x0, y0), (b, yb), (x2, _) = hull[-3:]
@@ -930,10 +920,12 @@ def _block_pieces(F, g, m, p, N):
             Z = [c // p ** (h * (run - i)) for i, c in enumerate(S)]
             if any(c % p ** min(h * (run - i), prec) for i, c in enumerate(S)):
                 raise _Shortfall(f"{where}: the side is not integral at p^{prec}")
-            for e2, f2, known, sh, sc, pr, note, whole in _factor_mod_pN(
-                    Z, p, zprec):
-                out.append((e2, f2, known, r + p ** h * sh, h + sc, pr,
-                            f"{where}; {note}" if note else where, whole))
+            # a piece in Z = (X - r)/p^h is the same piece in X
+            for pc in _factor_mod_pN(Z, p, zprec, k):
+                note = f"{where}; {pc.note}" if pc.note else where
+                shift = (r + p ** h * pc.shift) % p ** pc.prec
+                out.append(replace(pc, shift=shift, scale=h + pc.scale,
+                                   note=note))
             continue
         residual = [S[j * e] // p ** (rise - j * h) % p for j in range(d + 1)]
         fac = factor_mod_p(residual, p)
@@ -944,26 +936,28 @@ def _block_pieces(F, g, m, p, N):
                     "needs a residual split")
             raise UnresolvedSplitting(f"{where}: the residual polynomial "
                                       f"{step}")
-        out.append((e, d, S, r, 0, prec, where, ()))
+        out.append(LocalFactor(p, e, d, prec, k, None, where, r, 0, tuple(S),
+                               ()))
     return out
 
 
-def _factor_mod_pN(g, p, N):
-    """Q_p-pieces of a monic polynomial g known mod p^N, as the arguments
-    (e, f, known, shift, scale, prec, note, whole) of _local_factor, in the
-    coordinate X = shift + p^scale Z.  A factor h of multiplicity 1 mod p
-    is one simple piece, left unlifted: known is h and whole is g.  A
-    block h^mult, mult >= 2, is lifted to p^N and split (_block_pieces)."""
+def _factor_mod_pN(g, p, N, k):
+    """The LocalFactors of a monic polynomial g known mod p^N, the k-th
+    factor over Q or a rescaling of a side of one.  A factor h of
+    multiplicity 1 mod p is one simple piece, left unlifted: known is h
+    and whole is g.  A block h^mult, mult >= 2, is lifted to p^N and split
+    (_block_pieces)."""
     out = []
     for h, mult in factor_mod_p(g, p):
         if mult == 1:
-            out.append((1, len(h) - 1, h, 0, 0, N, "", g))
+            out.append(LocalFactor(p, 1, len(h) - 1, N, k, None, "", 0, 0,
+                                   tuple(h), tuple(g)))
             continue
         blk = [1]
         for _ in range(mult):
             blk = mp_mul(blk, h, p)
         [F] = hensel_lift_factors(g, [blk], p, N)
-        out.extend(_block_pieces(F, h, mult, p, N))
+        out.extend(_block_pieces(F, h, mult, p, N, k))
     return out
 
 
@@ -1004,12 +998,12 @@ def local_splitting_type(factors, p: int) -> tuple[LocalFactor, ...]:
             out: list[LocalFactor] = []
             for k, h in enumerate(factors):
                 if h.degree == 1:
-                    out.append(_local_factor(p, k, 1, 1, (int(h.coeffs[0]), 1),
-                                             0, 0, N, "", (), -h.coeffs[0]))
+                    out.append(LocalFactor(
+                        p, 1, 1, N, k, -h.coeffs[0], "", 0, 0,
+                        (int(h.coeffs[0]) % p ** N, 1), ()))
                 else:
-                    out += [_local_factor(p, k, *piece)
-                            for piece in _factor_mod_pN(
-                                [int(c) % p ** N for c in h.coeffs], p, N)]
+                    out += _factor_mod_pN([int(c) % p ** N for c in h.coeffs],
+                                          p, N, k)
             break
         except _Shortfall as exc:
             if N >= HENSEL_CAP:

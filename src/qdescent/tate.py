@@ -10,7 +10,10 @@ cubic, have integer coefficients.  One scaling u = 1/(p^k d) makes the
 input integral; every step after it runs on five ints: translations by
 integers, the exact rescale by p of a non-minimal model, residues by % p
 and exact quotients such as a6/p^3.  v(disc) is read once and tracked: a
-translation keeps it and the rescale lowers it by 12.  At odd p the
+translation keeps it and the rescale lowers it by 12.  A translation is
+`translate` (u = 1), shared with WeierstrassModel.transform, and one rule,
+_fp_quadratic, decides every quadratic mod p: the tangents at a node and
+steps IV, IV* and I_nu*, odd and even k alike.  At odd p the
 singular point of a reduction lies above the multiple root of the model's
 2-division polynomial psi2 mod p.  WeierstrassModel.reduction runs it once
 per prime and keeps the result, so that each (model, prime) has one
@@ -105,13 +108,29 @@ def _singular_point(m, p: int):
                           f"{_show(coeffs)} has no multiple root mod {p}")
 
 
-def _fp_quadratic_split(a, b, c, p):
-    """Does a Y^2 + b Y + c (integers, p not dividing a) have a root in
-    F_p?"""
-    if p == 2:
-        return c % 2 == 0 or (a + b + c) % 2 == 0
+def _fp_quadratic(a, b, c, p):
+    """a Y^2 + b Y + c over F_p, for integers with p not dividing a:
+    (split, None) when its roots are distinct, split telling whether they
+    lie in F_p, and (None, root) with the double root as a residue."""
     disc = (b * b - 4 * a * c) % p
-    return disc == 0 or legendre(disc, p) == 1
+    if disc:
+        # at p = 2, a and b are odd: Y^2 + Y + c splits iff c = 0
+        return (c % 2 == 0 if p == 2 else legendre(disc, p) == 1), None
+    if p == 2:
+        return None, a * c % 2  # Y^2 = c / a = a c mod 2
+    return None, -b * pow(2 * a, -1, p) % p
+
+
+def translate(a: tuple, r=0, s=0, t=0) -> tuple:
+    """The coefficients a = (a1, a2, a3, a4, a6) of a model moved by
+    x = x' + r, y = y' + s x' + t (the change of coordinates with u = 1)."""
+    a1, a2, a3, a4, a6 = a
+    return (a1 + 2 * s,
+            a2 - s * a1 + 3 * r - s * s,
+            a3 + r * a1 + 2 * t,
+            a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r
+            - 2 * s * t,
+            a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1)
 
 
 def _move(a: tuple, tr: tuple, r=0, s=0, t=0):
@@ -122,14 +141,8 @@ def _move(a: tuple, tr: tuple, r=0, s=0, t=0):
     Tate's algorithm runs on these five ints after one scaling of its
     input; a translation keeps v(disc), so v(disc) is read once and only
     the non-minimal rescale changes it (by -12)."""
-    a1, a2, a3, a4, a6 = a
     r0, s0, t0, u0 = tr
-    return ((a1 + 2 * s,
-             a2 - s * a1 + 3 * r - s * s,
-             a3 + r * a1 + 2 * t,
-             a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r
-             - 2 * s * t,
-             a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t - r * t * a1),
+    return (translate(a, r, s, t),
             (r0 + u0 * u0 * r, s0 + u0 * s,
              t0 + u0 ** 3 * t + s0 * u0 * u0 * r, u0))
 
@@ -184,11 +197,9 @@ def _tate_integral(a: tuple, n: int, p: int):
 
         b2 = a1 * a1 + 4 * a2
         if b2 % p:
-            # multiplicative: tangent directions T^2 + a1 T - a2
-            if p == 2:
-                split = a2 % 2 == 0  # T^2 + T + a2 splits iff a2 = 0
-            else:
-                split = legendre(b2, p) == 1
+            # multiplicative: tangent directions T^2 + a1 T - a2, of
+            # discriminant b2
+            split, _ = _fp_quadratic(1, a1, -a2, p)
             nu = n
             c = nu if split else (2 if nu % 2 == 0 else 1)
             kt = KodairaType("I", nu)
@@ -204,8 +215,7 @@ def _tate_integral(a: tuple, n: int, p: int):
             return a, tr, (KodairaType("III"), n, n - 1, 2, None, 1)
         b6 = a3 * a3 + 4 * a6
         if b6 % p ** 3:
-            split = _fp_quadratic_split(1, _exact(a3, p),
-                                        -_exact(a6, p ** 2), p)
+            split, _ = _fp_quadratic(1, _exact(a3, p), -_exact(a6, p ** 2), p)
             c = 3 if split else 1
             return a, tr, (KodairaType("IV"), n, n - 2, c, None,
                            1 if split else 2)
@@ -246,38 +256,22 @@ def _tate_integral(a: tuple, n: int, p: int):
                 and a[3] % p ** 3 == 0 and a[4] % p ** 4 == 0
             k = 1
             while True:
-                if k % 2 == 1:
-                    mm = (k + 3) // 2
-                    qb = _exact(a[2], p ** mm)
-                    qc = -_exact(a[4], p ** (k + 3))
-                    if (qb * qb - 4 * qc) % p:
-                        split = _fp_quadratic_split(1, qb, qc, p)
-                        c = 4 if split else 2
-                        return a, tr, (KodairaType("I*", k), n, n - 4 - k,
-                                       c, None, 1 if c == 4 else 2)
-                    # double root: deepen a3, a6
-                    if p == 2:
-                        ybar = qc % 2
-                    else:
-                        ybar = (-qb * pow(2, -1, p)) % p
-                    if ybar:
-                        a, tr = _move(a, tr, t=ybar * p ** mm)
-                else:
-                    mm = (k + 4) // 2
-                    qa = _exact(a[1], p)
-                    qb = _exact(a[3], p ** mm)
-                    qc = _exact(a[4], p ** (k + 3))
-                    if (qb * qb - 4 * qa * qc) % p:
-                        split = _fp_quadratic_split(qa, qb, qc, p)
-                        c = 4 if split else 2
-                        return a, tr, (KodairaType("I*", k), n, n - 4 - k,
-                                       c, None, 1 if c == 4 else 2)
-                    if p == 2:
-                        xbar = (qc * qa) % 2
-                    else:
-                        xbar = (-qb * pow(2 * qa, -1, p)) % p
-                    if xbar:
-                        a, tr = _move(a, tr, r=xbar * p ** ((k + 2) // 2))
+                # j = (k + 4) // 2; odd k: Y^2 + (a3/p^j) Y - a6/p^(k+3),
+                # even k: (a2/p) X^2 + (a4/p^j) X + a6/p^(k+3); a double root
+                # times p^((k + 3) // 2) is moved to 0 by t, resp. by r
+                odd = k % 2 == 1
+                qb = _exact(a[2 if odd else 3], p ** ((k + 4) // 2))
+                qc = _exact(a[4], p ** (k + 3))
+                split, root = (_fp_quadratic(1, qb, -qc, p) if odd else
+                               _fp_quadratic(_exact(a[1], p), qb, qc, p))
+                if root is None:
+                    c = 4 if split else 2
+                    return a, tr, (KodairaType("I*", k), n, n - 4 - k,
+                                   c, None, 1 if split else 2)
+                if root:
+                    step = root * p ** ((k + 3) // 2)
+                    a, tr = (_move(a, tr, t=step) if odd else
+                             _move(a, tr, r=step))
                 k += 1
                 if k > n:
                     raise ArithmeticError(
@@ -292,19 +286,14 @@ def _tate_integral(a: tuple, n: int, p: int):
         assert a[1] % p ** 2 == 0 and a[3] % p ** 3 == 0 \
             and a[4] % p ** 4 == 0
 
-        qb = _exact(a[2], p ** 2)
-        qc = -_exact(a[4], p ** 4)
-        if (qb * qb - 4 * qc) % p:
-            split = _fp_quadratic_split(1, qb, qc, p)
+        split, root = _fp_quadratic(1, _exact(a[2], p ** 2),
+                                    -_exact(a[4], p ** 4), p)
+        if root is None:
             c = 3 if split else 1
             return a, tr, (KodairaType("IV*"), n, n - 6, c, None,
                            1 if split else 2)
-        if p == 2:
-            ybar = qc % 2
-        else:
-            ybar = (-qb * pow(2, -1, p)) % p
-        if ybar:
-            a, tr = _move(a, tr, t=ybar * p ** 2)
+        if root:
+            a, tr = _move(a, tr, t=root * p ** 2)
         assert a[2] % p ** 3 == 0 and a[4] % p ** 5 == 0
 
         if a[3] % p ** 4:  # v(a4) = 3

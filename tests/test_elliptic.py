@@ -272,3 +272,25 @@ def test_velu_checks_an_order_three_kernel_by_psi3():
         with pytest.raises(ValueError, match="subgroup of order 3"):
             velu_isogeny(m, [P, negate(m, P)])
         rejected += 1
+
+
+def test_transform_keeps_j_scales_disc_and_inverts():
+    # seeded rational (r, s, t, u): j is unchanged, disc is multiplied by
+    # u^-12, and the inverse move (-r/u^2, -s/u, (r s - t)/u^3, 1/u) gives
+    # the model back
+    rng = random.Random(2323)
+    done = 0
+    while done < 200:
+        a = [Fraction(rng.randint(-20, 20), rng.choice([1, 2, 3]))
+             for _ in range(5)]
+        m = WeierstrassModel(*a)
+        if m.disc == 0:
+            continue
+        r, s, t = (Fraction(rng.randint(-9, 9), rng.choice([1, 2, 5]))
+                   for _ in range(3))
+        u = Fraction(rng.choice([1, -1, 2, -3, 5]), rng.choice([1, 2, 7]))
+        n = m.transform(r, s, t, u)
+        assert n.j == m.j and n.disc == m.disc / u ** 12
+        assert n.transform(-r / u ** 2, -s / u, (r * s - t) / u ** 3,
+                           1 / u) == m
+        done += 1

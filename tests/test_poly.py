@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -316,6 +317,61 @@ def test_factor_over_Z_non_integral_monic():
         RatPoly([half, 0, 1]), RatPoly([3, 0, 1])]
     assert factor_over_Z(parse_poly("3*X^4+3*X^3+4*X^2+X+1")) == [
         RatPoly([Fraction(1, 3), 0, 1]), RatPoly([1, 1, 1])]
+
+
+def _irreducible(rng, degree):
+    """A seeded monic irreducible polynomial over Q of degree 1 to 3: a
+    linear one with a rational root, a quadratic of non-square
+    discriminant, a cubic with no integer root (hence none over Q)."""
+    while True:
+        if degree == 1:
+            return RatPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 4)), 1])
+        h = RatPoly([rng.randint(-9, 9) for _ in range(degree)] + [1])
+        if degree == 2:
+            d = h.coeffs[1] ** 2 - 4 * h.coeffs[0]
+            if d < 0 or math.isqrt(int(d)) ** 2 != d:
+                return h
+        elif h.coeffs[0] and not any(h.eval(x) == 0 for x in range(
+                -abs(int(h.coeffs[0])), abs(int(h.coeffs[0])) + 1)):
+            return h
+
+
+def test_factor_over_Z_repeats_each_factor_by_its_multiplicity():
+    # seeded products of distinct irreducible h_i^m_i, m_i from 1 to 3 and
+    # total degree at most 8, times a rational unit: each h_i comes back
+    # m_i times, in sorted order; a repeated factor leaves every prime bad
+    rng = random.Random(23)
+    repeated = 0
+    for _ in range(150):
+        parts, total, count = {}, 0, rng.randint(1, 3)
+        while len(parts) < count:
+            h, m = _irreducible(rng, rng.randint(1, 3)), rng.randint(1, 3)
+            if h not in parts and total + m * h.degree <= 8:
+                parts[h] = m
+                total += m * h.degree
+            elif total > 5:
+                break
+        f = RatPoly([Fraction(rng.choice([1, -2, 3]), rng.choice([1, 5]))])
+        for h, m in parts.items():
+            f = f * h ** m
+        want = sorted((h for h, m in parts.items() for _ in range(m)),
+                      key=lambda h: (h.degree, h.coeffs))
+        assert factor_over_Z(f) == want, f
+        repeated += max(parts.values()) > 1
+    assert repeated >= 50
+
+
+def test_parse_poly_names_malformed_input():
+    # a list must end with ], every sign needs a term after it, and a zero
+    # denominator is an error of the input: each raises a ValueError that
+    # names the input
+    for text in ("X^2+", "x^2 - ", "X^2++1", "[1,2,", "-", "+", "3/0",
+                 "[1/0,1]", "X^2+-1", ""):
+        with pytest.raises(ValueError) as err:
+            parse_poly(text)
+        assert repr(text) in str(err.value)
+    assert parse_poly("-X^2 + 3/2") == RatPoly([Fraction(3, 2), 0, -1])
+    assert parse_poly("[ ]") == RatPoly([])
 
 
 def test_monic_integral_scales_the_roots():

@@ -7,7 +7,7 @@ import pytest
 
 from qdescent.arith import is_prime, valuation
 from qdescent.elliptic import compute_invariants, curve_from_string
-from qdescent.tate import _singular_point, tate_algorithm
+from qdescent.tate import _fp_quadratic, _singular_point, tate_algorithm
 
 MESTRE = curve_from_string("[0,2597055,357573631,-549082,-19608054]")
 
@@ -268,3 +268,26 @@ def test_invariant_under_coordinate_changes():
         assert data[0] == data[1]
         kinds.add(data[0][0].letter)
     assert kinds == KODAIRA_LETTERS
+
+
+def test_fp_quadratic_against_brute_force():
+    # every a Y^2 + b Y + c mod p with p not dividing a: distinct roots give
+    # split, true exactly when a root lies in F_p; a double root is a root
+    # and the only one.  By brute force: the roots are double exactly when
+    # F_p holds one root, since distinct roots are both in F_p or neither
+    for p in (2, 3, 5, 7):
+        for a in range(1, p):
+            for b in range(p):
+                for c in range(p):
+                    roots = [y for y in range(p)
+                             if (a * y * y + b * y + c) % p == 0]
+                    double = len(roots) == 1
+                    for shift in (0, p, -3 * p):  # any integer lift
+                        split, root = _fp_quadratic(a + shift, b - shift,
+                                                    c + 2 * shift, p)
+                        if double:
+                            assert split is None and roots == [root], \
+                                (a, b, c, p)
+                        else:
+                            assert root is None and split is not None
+                            assert split == bool(roots), (a, b, c, p)
