@@ -161,13 +161,20 @@ def compute_invariants(a1, a2, a3, a4, a6) -> WeierstrassModel:
 
 
 def curve_from_string(s: str) -> WeierstrassModel:
-    """Parse "[a1,a2,a3,a4,a6]" with rational entries."""
-    s = s.strip()
-    if not (s.startswith("[") and s.endswith("]")):
-        raise ValueError("curve must be given as [a1,a2,a3,a4,a6]")
-    parts = [Fraction(t.strip()) for t in s[1:-1].split(",")]
-    if len(parts) != 5:
-        raise ValueError("curve needs exactly five coefficients")
+    """Parse "[a1,a2,a3,a4,a6]" with rational entries.  Any other input
+    raises a ValueError naming it."""
+    try:
+        text = s.strip()
+        if not (text.startswith("[") and text.endswith("]")):
+            raise ValueError("curve must be given as [a1,a2,a3,a4,a6]")
+        parts = [Fraction(t.strip()) for t in text[1:-1].split(",")]
+        if len(parts) != 5:
+            raise ValueError("curve needs exactly five coefficients")
+    except ZeroDivisionError:
+        raise ValueError(f"cannot parse curve {s!r}: a zero denominator"
+                         ) from None
+    except ValueError as exc:
+        raise ValueError(f"cannot parse curve {s!r}: {exc}") from None
     return compute_invariants(*parts)
 
 

@@ -65,18 +65,32 @@ class HyperellipticCurve:
 
 
 def parse_descent_point(line: str):
-    line = line.strip()
-    if not line or line.startswith("#"):
+    """One line of points: "x" (f(x) a rational square), "(x,y)", "alpha:i"
+    (the i-th root of f) or "sum: P + Q + ...", a sum of such points; None
+    for a blank line or a "#" comment.  Any other input raises a ValueError
+    naming it."""
+    text = line.strip()
+    if not text or text.startswith("#"):
         return None
-    if line.startswith("sum:"):
-        parts = [t.strip() for t in line[4:].split("+")]
-        return ("sum", tuple(parse_descent_point(t) for t in parts))
-    if line.startswith("alpha:"):
-        return ("alpha", int(line[6:]))
-    m = re.fullmatch(r"\(([^,]+),([^)]+)\)", line)
+    try:
+        return _descent_point(text)
+    except ZeroDivisionError:
+        raise ValueError(f"cannot parse point {line!r}: a zero denominator"
+                         ) from None
+    except ValueError as exc:
+        raise ValueError(f"cannot parse point {line!r}: {exc}") from None
+
+
+def _descent_point(text: str):
+    if text.startswith("sum:"):
+        return ("sum", tuple(_descent_point(t.strip())
+                             for t in text[4:].split("+")))
+    if text.startswith("alpha:"):
+        return ("alpha", int(text[6:]))
+    m = re.fullmatch(r"\(([^,]+),([^)]+)\)", text)
     if m:
         return ("rational", Fraction(m.group(1)), Fraction(m.group(2)))
-    return ("rational", Fraction(line), None)
+    return ("rational", Fraction(text), None)
 
 
 def point_label(pt) -> str:

@@ -36,6 +36,10 @@ from .arith import is_prime, residue
 
 FACTOR_SEED = 20996011  # fixed seed: reproducible equal-degree splitting
 
+# good primes a prime search reads before it settles (factor_over_Z, and
+# the irreducibility scan of tfae_test)
+SEARCH_PRIMES = 5
+
 HENSEL_START = 20
 HENSEL_CAP = 320
 
@@ -532,19 +536,23 @@ def factor_mod_p(a, p: int) -> list[tuple[list[int], int]]:
     return out
 
 
+def distinct_degree_shape(a, p: int) -> tuple[int, ...]:
+    """The ascending degrees of the irreducible factors over F_p of a, a
+    monic coefficient list reduced mod p and squarefree there, read off
+    distinct-degree factoring without splitting equal degrees."""
+    return tuple(sorted(d for g, d in _distinct_degree(a, p)
+                        for _ in range((len(g) - 1) // d)))
+
+
 def factor_degrees_mod_p(a, p: int) -> tuple[int, ...] | None:
-    """The ascending degrees of the irreducible factors over F_p of the
-    coefficient list a, read off distinct-degree factoring without
-    splitting equal degrees; None when a has a repeated factor mod p
-    (gcd(a, a') != 1)."""
+    """The distinct_degree_shape of the coefficient list a mod p; None when
+    a has a repeated factor mod p (gcd(a, a') != 1)."""
     a = mp_trim([c % p for c in a])
     if not a:
         raise ValueError("cannot factor the zero polynomial")
     if len(mp_gcd(a, mp_deriv(a, p), p)) != 1:
         return None
-    a = mp_scal(a, pow(a[-1], -1, p), p)
-    return tuple(sorted(d for g, d in _distinct_degree(a, p)
-                        for _ in range((len(g) - 1) // d)))
+    return distinct_degree_shape(mp_scal(a, pow(a[-1], -1, p), p), p)
 
 
 def roots_in_Fp(f: RatPoly, p: int) -> list[int]:
@@ -627,16 +635,16 @@ def factor_over_Z(f: RatPoly) -> list[RatPoly]:
     search reads only the factor degrees of g mod odd primes, from
     distinct-degree factoring (factor_degrees_mod_p): a prime is good when
     gcd(g, g') = 1 mod p, which also certifies that f is squarefree.  Of
-    the first five good primes the one with the fewest factors is kept, and
-    the first with at most 3 ends the search.  g is fully factored mod that
-    prime alone, and not at all when it shows g irreducible.  The factors
-    are Hensel-lifted once past a Mignotte bound and recombined by exact
-    trial division, subsets of one factor first; a remainder that no subset
-    divides is irreducible.  Each factor h of g maps back to
-    h(den X)/den^deg h.  No integer is factored.  When the first four odd
-    primes are all bad and gcd(f, f') is not 1, f / gcd(f, f') (squarefree,
-    with the same irreducible factors) is factored, and each factor is
-    repeated as often as it divides f.
+    the first SEARCH_PRIMES (five) good primes the one with the fewest
+    factors is kept, and the first with at most 3 ends the search.  g is
+    fully factored mod that prime alone, and not at all when it shows g
+    irreducible.  The factors are Hensel-lifted once past a Mignotte bound
+    and recombined by exact trial division, subsets of one factor first; a
+    remainder that no subset divides is irreducible.  Each factor h of g
+    maps back to h(den X)/den^deg h.  No integer is factored.  When the
+    first four odd primes are all bad and gcd(f, f') is not 1, f / gcd(f,
+    f') (squarefree, with the same irreducible factors) is factored, and
+    each factor is repeated as often as it divides f.
     """
     if f.degree > 8:
         raise ValueError("factor_over_Z is capped at degree 8")
@@ -647,7 +655,7 @@ def factor_over_Z(f: RatPoly) -> list[RatPoly]:
     d = work.degree
     g = [int(c) for c in scaled.coeffs]
     best, good, bad, p = None, 0, 0, 3
-    while good < 5 and (best is None or len(best[1]) > 3):
+    while good < SEARCH_PRIMES and (best is None or len(best[1]) > 3):
         if is_prime(p):
             degrees = factor_degrees_mod_p(g, p)
             if degrees is not None:

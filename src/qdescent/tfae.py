@@ -30,12 +30,19 @@ Exactness here:
   * reducible f with an irreducible factor of degree 5 or 6 beside other
     factors: the one unproved verdict, "fails", marked `sampled`.
 
-Each polynomial's discriminant is computed once: disc(f) serves both the
-separability check and the square test of irreducible quintics (scaling f
-to monic divides it by an even power of the leading coefficient), and
-disc(h) of a quadratic or cubic factor h serves both its square test and
-its square class.  Frobenius cycle shapes are factor degrees mod p from
-distinct-degree factoring, with no equal-degree splitting.
+Each polynomial's discriminant is computed once: disc(f) serves the
+separability check, the square test of irreducible quintics (scaling f to
+monic divides it by an even power of the leading coefficient) and the
+choice of good primes (p is good for the monic integral g(X) = D^d f(X/D)
+exactly when p does not divide disc(g), which disc(f) gives), and disc(h)
+of a quadratic or cubic factor h serves both its square test and its
+square class.  Frobenius cycle shapes are factor degrees mod p from
+distinct-degree factoring, with no gcd and no equal-degree splitting.  One
+lazy scan of (p, shape) over the good primes 2, 3, 5, ... serves both
+questions about d = 5 and 7.  Shapes whose subset sums have only 0 and d
+in common prove f irreducible with no lift (Musser, J. ACM 25 (1978));
+when the first SEARCH_PRIMES good primes do not, factor_over_Z decides.
+The AGL test replays the shapes already read and continues the same scan.
 """
 
 from __future__ import annotations
@@ -47,8 +54,8 @@ from fractions import Fraction
 
 from .arith import factor_integer, is_prime, rational_sqrt, squarefree_part
 from .localfields import echelon
-from .poly import (RatPoly, discriminant, factor_degrees_mod_p,
-                   factor_over_Z, fp_poly, hensel_lift_factors,
+from .poly import (SEARCH_PRIMES, RatPoly, discriminant,
+                   distinct_degree_shape, factor_over_Z, hensel_lift_factors,
                    monic_integral, roots_in_Fp)
 
 # Primes scanned for a decisive Frobenius; Chebotarev finds one far sooner.
@@ -224,17 +231,39 @@ def agl_resolvent_holds(f: RatPoly, p: int) -> bool:
     raise GaloisUndecided(f"no separating Tschirnhaus map for {f} at {p}")
 
 
-def _agl_verdict(f: RatPoly) -> TfaeResult:
-    """Irreducible monic integral f of degree 5 or 7 outside A5."""
+def _frobenius_scan(f: RatPoly, disc: Fraction):
+    """(g, shapes): g = monic_integral(f.monic())[0], and shapes the lazy
+    (p, Frobenius cycle shape of g mod p) over the good primes p = 2, 3, 5,
+    ... of g, from disc = disc(f).  disc(g) = disc(f) * D^(d(d-1)) /
+    lead(f)^(2d-2) is an integer, and p is good exactly when it does not
+    divide it, so a shape is read off distinct-degree factoring alone."""
+    d = f.degree
+    g, den = monic_integral(f.monic())
+    disc_g = int(disc * den ** (d * (d - 1)) / f.lead ** (2 * d - 2))
+    a = [int(c) for c in g.coeffs]
+    return g, ((p, distinct_degree_shape([c % p for c in a], p))
+               for p in range(2, _SCAN_BOUND) if disc_g % p and is_prime(p))
+
+
+def _degree_sums(shape) -> int:
+    """The subset sums of a cycle shape, as the bits of an integer: the
+    degrees a factor over Q of the polynomial can have."""
+    sums = 1
+    for k in shape:
+        sums |= sums << k
+    return sums
+
+
+def _agl_verdict(f: RatPoly, shapes) -> TfaeResult:
+    """Irreducible monic integral f of degree 5 or 7 outside A5, and its
+    (p, shape) scan from _frobenius_scan: the verdict of the first decisive
+    prime."""
     d = f.degree
     name = {5: "quintic", 7: "septic"}[d]
     # x -> ux + b: the d-cycle, and (1, k, ..., k) for each k | d - 1
     agl = {(d,)} | {(1,) + (k,) * ((d - 1) // k)
                     for k in range(1, d) if (d - 1) % k == 0}
-    for p in range(2, _SCAN_BOUND):
-        sh = factor_degrees_mod_p(fp_poly(f, p), p) if is_prime(p) else None
-        if sh is None:
-            continue
+    for p, sh in shapes:
         if sh not in agl:
             return TfaeResult(False, f"irreducible {name}: group outside "
                               f"AGL(1,{d}) (shape {sh} mod {p})", "exact")
@@ -262,22 +291,32 @@ def tfae_test(f: RatPoly) -> TfaeResult:
     if d > 7 or d % 2 == 0 or d < 3:
         raise ValueError("degree must be odd, between 3 and 7")
     # disc(f.monic()) = disc(f) / lead^(2d-2): one square class, so this
-    # one value serves separability and the square test of quintics
+    # one value serves separability, the square test of quintics and the
+    # good primes of the scan
     disc = discriminant(f)
     if disc == 0:
         raise ValueError("f must be separable")
-    f = f.monic()
     if d == 3:
         return TfaeResult(True, "cubic", "exact",
                           "holds for every separable cubic")
-    if _is_translated_binomial(f):
+    if _is_translated_binomial(f.monic()):
         return TfaeResult(True, f"binomial X^{d}+a up to translation",
                           "exact", "binomial: metacyclic splitting field")
-    factors = factor_over_Z(f)
-    if len(factors) > 1:
-        return _reducible_verdict(factors)
+    # X -> X/D: g is monic integral with the same splitting field.  A factor
+    # over Q has a degree that is a subset sum of every shape, so shapes
+    # whose common sums are {0, d} prove f irreducible with no lift.
+    g, shapes = _frobenius_scan(f, disc)
+    seen, common = [], -1  # -1: every bit set
+    for p, sh in shapes:
+        seen.append((p, sh))
+        common &= _degree_sums(sh)
+        if common == 1 | 1 << d or len(seen) == SEARCH_PRIMES:
+            break
+    if common != 1 | 1 << d:
+        factors = factor_over_Z(f)
+        if len(factors) > 1:
+            return _reducible_verdict(factors)
     if d == 5 and _is_rational_square(disc):
         return TfaeResult(True, "irreducible quintic, square "
                           "discriminant (group within A5)", "exact")
-    # X -> X/D: a monic integral polynomial with the same splitting field
-    return _agl_verdict(monic_integral(f)[0])
+    return _agl_verdict(g, itertools.chain(seen, shapes))

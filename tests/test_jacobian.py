@@ -8,6 +8,7 @@ from qdescent import jacobian, poly
 from qdescent.arith import (REAL_PLACE, finite, legendre, square_class,
                             valuation)
 from qdescent.descent_global import _independence_primes
+from qdescent.elliptic import curve_from_string
 from qdescent.jacobian import (HyperellipticCurve, image_table,
                                independence_rank, local_intersection_rank,
                                local_selmer_rank_hyper, local_torsion_rank,
@@ -42,6 +43,23 @@ def test_parse_points():
     assert parse_descent_point("alpha:4") == ("alpha", 4)
     s = parse_descent_point("sum: -2 + -6")
     assert s[0] == "sum" and len(s[1]) == 2
+
+
+def test_text_parsers_name_malformed_input():
+    # an empty summand, a zero denominator, an empty coefficient and an
+    # unclosed pair each raise a ValueError that names the input
+    for parse, text in ((parse_descent_point, "sum: 1 +"),
+                        (parse_descent_point, "(1/0, 2)"),
+                        (parse_descent_point, "(3"),
+                        (parse_descent_point, "alpha:x"),
+                        (curve_from_string, "[1/0,0,0,1,1]"),
+                        (curve_from_string, "[0,,0,1,1]"),
+                        (curve_from_string, "[0,0,0,1]")):
+        with pytest.raises(ValueError) as err:
+            parse(text)
+        assert repr(text) in str(err.value)
+    assert parse_descent_point("# comment") is None
+    assert curve_from_string(" [0,0,0,-1/4,0] ").ainvs()[3] == Fraction(-1, 4)
 
 
 def test_one_discriminant_per_curve(monkeypatch):

@@ -142,6 +142,17 @@ def test_factor_degrees_mod_p_reads_factor_mod_p():
     assert factor_degrees_mod_p([1, 0, 0, 0, 1], 3) == (2, 2)
 
 
+def test_factor_degrees_mod_p_of_a_list_that_is_not_monic():
+    # a leading coefficient prime to p changes no factor degree
+    rng = random.Random(102)
+    for _ in range(100):
+        a = [rng.randint(-50, 50) for _ in range(rng.randint(2, 8))] + [1]
+        for p in (3, 5, 7, 101):
+            u = rng.randint(2, p - 1)
+            assert factor_degrees_mod_p([u * c for c in a], p) \
+                == factor_degrees_mod_p(a, p), (a, u, p)
+
+
 @given(st.lists(RATIONALS, max_size=7), RATIONALS, RATIONALS, RATIONALS)
 @settings(max_examples=60)
 def test_compose_linear_evaluates_at_the_line(coeffs, a, b, x):

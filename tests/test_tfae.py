@@ -8,8 +8,11 @@ import pytest
 
 from qdescent import poly, tfae
 from qdescent.arith import is_prime
-from qdescent.poly import RatPoly, discriminant, mp_pow_mod, parse_poly
-from qdescent.tfae import (_agl_verdict, _f2_rank_of_squarefree,
+from qdescent.poly import (SEARCH_PRIMES, RatPoly, discriminant,
+                           factor_degrees_mod_p, factor_over_Z,
+                           monic_integral, mp_pow_mod, parse_poly)
+from qdescent.tfae import (_agl_verdict, _degree_sums,
+                           _f2_rank_of_squarefree, _frobenius_scan,
                            _is_translated_binomial, _theta_terms,
                            agl_resolvent_holds, quartic_galois_group,
                            tfae_test)
@@ -216,9 +219,11 @@ def test_agl_verdict_factors_mod_p_only_in_the_resolvent(monkeypatch):
     for mod in (poly, tfae):
         monkeypatch.setattr(mod, "factor_mod_p", counted_factor, raising=False)
     monkeypatch.setattr(tfae, "agl_resolvent_holds", counted_resolvent)
-    assert not _agl_verdict(parse_poly("X^7-X-1")).holds
+    f = parse_poly("X^7-X-1")
+    assert not _agl_verdict(*_frobenius_scan(f, discriminant(f))).holds
     assert events == []
-    assert _agl_verdict(parse_poly("X^5+15*X+12")).holds
+    f = parse_poly("X^5+15*X+12")
+    assert _agl_verdict(*_frobenius_scan(f, discriminant(f))).holds
     assert events[0] == "resolvent" and "factor_mod_p" in events
 
 
@@ -277,3 +282,130 @@ def test_reducible_septics_are_exact():
                      (c3a * s4, False), (s3a * s4, False)):
         r = tfae_test(f)
         assert (r.holds, r.certificate) == (holds, "exact"), f
+
+
+def scan_family(seed, count):
+    """Seeded separable f of degree 3 to 8 with rational coefficients whose
+    denominators and leading coefficient are divisible by 2, 3, 5 or 7; a
+    third of them products of two factors."""
+    rng = random.Random(seed)
+
+    def draw(d):
+        coeffs = [Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3, 5, 6)))
+                  for _ in range(d)]
+        lead = Fraction(rng.choice((1, -2, 3, 5, 6, 7, 14)),
+                        rng.choice((1, 2, 3, 5)))
+        return RatPoly(coeffs + [lead])
+
+    out = []
+    while len(out) < count:
+        d = rng.randint(3, 8)
+        f = draw(d) if rng.random() < 0.67 else draw(d // 2) * draw(d - d // 2)
+        if discriminant(f) != 0:
+            out.append(f)
+    return out
+
+
+def test_scan_reads_the_good_primes_off_the_discriminant():
+    # the primes the discriminant calls good are exactly those where g has
+    # no repeated factor mod p, and the shapes agree with
+    # factor_degrees_mod_p there; primes dividing the denominators or the
+    # leading coefficient of f are met on both sides
+    met = Counter()
+    for f in scan_family(2401, 150):
+        g, shapes = _frobenius_scan(f, discriminant(f))
+        assert g == monic_integral(f.monic())[0]
+        a = [int(c) for c in g.coeffs]
+        scanned = dict(itertools.takewhile(lambda t: t[0] < 60, shapes))
+        direct = {p: sh for p in range(2, 60) if is_prime(p)
+                  for sh in [factor_degrees_mod_p(a, p)] if sh is not None}
+        assert scanned == direct, f
+        lead_den = math.lcm(*(c.denominator for c in f.coeffs)) \
+            * f.lead.numerator
+        for p in range(2, 60):
+            if is_prime(p) and lead_den % p == 0:
+                met[p in scanned] += 1
+    assert met[True] >= 10 and met[False] >= 100
+
+
+def test_degree_sums_prove_irreducibility():
+    # a factor of f over Q has a degree that is a subset sum of every
+    # shape: so the common sums of the scan's first SEARCH_PRIMES shapes
+    # hold every factor degree, and where they are {0, d} f is irreducible
+    proved = reducible = 0
+    for f in scan_family(2402, 200):
+        d = f.degree
+        factors = factor_over_Z(f)
+        common = -1
+        for _, sh in itertools.islice(_frobenius_scan(f, discriminant(f))[1],
+                                      SEARCH_PRIMES):
+            common &= _degree_sums(sh)
+            assert all(common >> h.degree & 1 for h in factors), f
+            if common == 1 | 1 << d:
+                assert len(factors) == 1, f
+                proved += 1
+                break
+        reducible += len(factors) > 1
+    assert proved > 60 and reducible > 40
+    assert _degree_sums((1, 2, 2)) == 0b111111
+    assert _degree_sums((2, 3)) == 1 | 1 << 2 | 1 << 3 | 1 << 5
+
+
+AGL_SHAPES = {5: {(5,), (1, 4), (1, 2, 2), (1,) * 5},
+              7: {(7,), (1, 6), (1, 3, 3), (1, 2, 2, 2), (1,) * 7}}
+
+
+def test_agl_verdict_names_the_least_decisive_prime():
+    # for irreducible quintics and septics outside A5 the verdict names the
+    # least prime whose shape is outside AGL(1, d) or splits completely,
+    # recomputed here by brute force from factor_degrees_mod_p
+    rng = random.Random(2403)
+    fams = [parse_poly("X^5+15*X+12"), parse_poly("X^5-X-1"),
+            parse_poly("X^7-X-1")]
+    checked = resolvent = 0
+    while checked < 120:
+        if rng.random() < 0.1:  # F20, S5 and S7 moved by X -> aX + b
+            f = rng.choice(fams).compose_linear(
+                Fraction(rng.choice((1, -1, 2, 3)), rng.choice((1, 2, 5))),
+                Fraction(rng.randint(-3, 3), rng.choice((1, 2))))
+        else:
+            d = rng.choice((5, 7))
+            f = RatPoly([Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3)))
+                         for _ in range(d)] + [rng.choice((1, 2, -3))])
+        d = f.degree
+        if (discriminant(f) == 0 or len(factor_over_Z(f)) > 1
+                or d == 5 and tfae._is_rational_square(discriminant(f))
+                or _is_translated_binomial(f.monic())):
+            continue
+        a = [int(c) for c in monic_integral(f.monic())[0].coeffs]
+        p = 2
+        while not (is_prime(p) and (sh := factor_degrees_mod_p(a, p))
+                   and (sh not in AGL_SHAPES[d] or sh == (1,) * d)):
+            p += 1
+        pattern = tfae_test(f).pattern
+        assert pattern.endswith(f" {p})"), (f, pattern, p)
+        assert ("resolvent" in pattern) == (sh == (1,) * d), (f, pattern)
+        checked += 1
+        resolvent += "resolvent" in pattern
+    assert resolvent >= 3
+
+
+@pytest.mark.parametrize("f", ["X^7-X-1", "X^5+X+3", "X^5-5*X+12"])
+def test_scan_proves_irreducibility_without_a_lift(monkeypatch, f):
+    # the shapes prove each of these irreducible, so nothing is factored
+    # over Q and nothing is lifted; the one discriminant also picks the
+    # good primes
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("discriminant", "factor_over_Z", "hensel_lift_factors"):
+        wrapped = counted(name, getattr(poly, name))
+        for mod in (poly, tfae):
+            monkeypatch.setattr(mod, name, wrapped)
+    assert tfae_test(parse_poly(f)).certificate == "exact"
+    assert calls == {"discriminant": 1}
