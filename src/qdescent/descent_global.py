@@ -34,7 +34,8 @@ from .jacobian import (HyperellipticCurve, independence_rank,
                        local_intersection_rank, local_selmer_rank_hyper,
                        local_torsion_rank)
 from .localfields import EtaleAlgebra
-from .poly import RatPoly, discriminant, fp_poly, mp_pow_mod, parse_poly
+from .poly import (RatPoly, discriminant, factor_over_Z, fp_poly, mp_pow_mod,
+                   parse_poly)
 
 _PERIOD_BOUND = 10 ** 6  # longest continued-fraction period followed
 
@@ -120,30 +121,46 @@ class ClassRecord:
 
 
 def parse_class_data(text: str) -> list[ClassRecord]:
-    """One record per line: "poly | 2rank | narrow_eq_wide | source"."""
+    """One record per line: "poly | 2rank | narrow_eq_wide | source", with
+    poly irreducible over Q, 2rank an integer >= 0 and narrow_eq_wide one
+    of yes/no, true/false, 1/0.  A quadratic record is checked against
+    genus theory.  Blank lines and "#" comments are skipped; any other
+    malformed line raises a ValueError naming it."""
     out = []
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        parts = [t.strip() for t in line.split("|")]
-        if len(parts) != 4:
-            raise ValueError(f"bad class-data line: {line!r}")
-        poly = parse_poly(parts[0])
-        rec = ClassRecord(poly, int(parts[1]),
-                          parts[2].lower() in ("yes", "true", "1"), parts[3])
-        if poly.degree == 2:
-            dsc = discriminant(poly)
-            d = squarefree_part(dsc.numerator * dsc.denominator)
-            expected = genus_2rank_quadratic(d)
-            if rec.two_rank != expected:
-                raise ValueError(
-                    f"quadratic record {parts[0]}: 2-rank {rec.two_rank} "
-                    f"contradicts genus theory ({expected})")
-            rec = ClassRecord(poly, expected, narrow_equals_wide(d),
-                              "computed-by-genus-theory")
-        out.append(rec)
+        try:
+            out.append(_class_record(line))
+        except ValueError as exc:
+            raise ValueError(f"bad class-data line {line!r}: {exc}") from None
     return out
+
+
+def _class_record(line: str) -> ClassRecord:
+    parts = [t.strip() for t in line.split("|")]
+    if len(parts) != 4:
+        raise ValueError("a record has four fields")
+    poly, two_rank = parse_poly(parts[0]), int(parts[1])
+    narrow = {"yes": True, "true": True, "1": True, "no": False,
+              "false": False, "0": False}.get(parts[2].lower())
+    if two_rank < 0:
+        raise ValueError(f"negative 2-rank {two_rank}")
+    if narrow is None:
+        raise ValueError(f"narrow_eq_wide {parts[2]!r} is not yes or no")
+    if len(factor_over_Z(poly)) != 1:
+        raise ValueError(f"{poly} is not irreducible over Q")
+    if poly.degree != 2:
+        return ClassRecord(poly, two_rank, narrow, parts[3])
+    dsc = discriminant(poly)
+    d = squarefree_part(dsc.numerator * dsc.denominator)
+    expected = genus_2rank_quadratic(d)
+    if two_rank != expected:
+        raise ValueError(f"quadratic record {parts[0]}: 2-rank {two_rank} "
+                         f"contradicts genus theory ({expected})")
+    return ClassRecord(poly, expected, narrow_equals_wide(d),
+                       "computed-by-genus-theory")
 
 
 def quadratic_class_record(d: int) -> ClassRecord:

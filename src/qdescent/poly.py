@@ -10,16 +10,19 @@ on monic remainders, and mp_pow_mod squares left to right, multiplying by
 X as a shift.  One integer determinant, _bareiss_det (fraction-free
 Bareiss elimination), serves resultants and discriminants, as Sylvester
 determinants, and the norms of elements of etale algebras (localfields).
-Factorization over Q (factor_over_Z) is one Zassenhaus pass: the prime is
-chosen from factor degrees mod p, read off distinct-degree factoring alone;
-then a factorization mod that one prime, one Hensel lift and recombination
-by exact trial division.  The lift (hensel_lift_factors) takes each factor
-on its own by Newton's iteration, doubling the precision up to exactly p^N.
-local_splitting_type gives the factorization type over Q_p by the same lift
-and order 1 of the Montes algorithm, from the factors of f over Q that
-factor_over_Z gives: it factors nothing over Q, so that one factorization
-serves every place.  A piece from a simple factor mod p is lifted only when
-a caller first reads its lift, to the same p^N (LocalFactor).
+There is one prime search over Q, the Frobenius scan of factor_and_scan:
+cycle shapes mod the good primes 2, 3, 5, ... (those prime to the
+discriminant), read off distinct-degree factoring.  The shapes prove
+irreducibility or choose the prime of one Zassenhaus pass; factor_over_Z
+is that pass, with disc = 0 sending a repeated factor to the squarefree
+part, and tfae reads the same scan.  The lift (hensel_lift_factors) takes
+each factor on its own by Newton's iteration, doubling the precision up to
+exactly p^N.  local_splitting_type gives the factorization type over Q_p
+by the same lift and order 1 of the Montes algorithm, from the factors of
+f over Q that factor_over_Z gives: it factors nothing over Q, so that one
+factorization serves every place.  A piece from a simple factor mod p is
+lifted only when a caller first reads its lift, to the same p^N
+(LocalFactor).
 """
 
 from __future__ import annotations
@@ -30,15 +33,17 @@ import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, groupby
+from itertools import chain, combinations, groupby
 
 from .arith import is_prime, residue
 
 FACTOR_SEED = 20996011  # fixed seed: reproducible equal-degree splitting
 
-# good primes a prime search reads before it settles (factor_over_Z, and
-# the irreducibility scan of tfae_test)
+# good primes the Frobenius scan of factor_and_scan reads before a
+# Zassenhaus pass, unless their shapes prove irreducibility first
 SEARCH_PRIMES = 5
+# primes the scan runs through; Chebotarev finds a decisive one far sooner
+SCAN_BOUND = 10 ** 5
 
 HENSEL_START = 20
 HENSEL_CAP = 320
@@ -126,6 +131,8 @@ class RatPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError(f"negative power {n} of a polynomial")
         out, base = RatPoly([1]), self
         while n:
             if n & 1:
@@ -544,17 +551,6 @@ def distinct_degree_shape(a, p: int) -> tuple[int, ...]:
                         for _ in range((len(g) - 1) // d)))
 
 
-def factor_degrees_mod_p(a, p: int) -> tuple[int, ...] | None:
-    """The distinct_degree_shape of the coefficient list a mod p; None when
-    a has a repeated factor mod p (gcd(a, a') != 1)."""
-    a = mp_trim([c % p for c in a])
-    if not a:
-        raise ValueError("cannot factor the zero polynomial")
-    if len(mp_gcd(a, mp_deriv(a, p), p)) != 1:
-        return None
-    return distinct_degree_shape(mp_scal(a, pow(a[-1], -1, p), p), p)
-
-
 def roots_in_Fp(f: RatPoly, p: int) -> list[int]:
     """All roots of f mod p, with multiplicity, ascending residues."""
     fp = fp_poly(f, p)
@@ -624,62 +620,53 @@ def monic_integral(f: RatPoly) -> tuple[RatPoly, int]:
     return RatPoly([c * D ** (d - i) for i, c in enumerate(f.coeffs)]), D
 
 
-def factor_over_Z(f: RatPoly) -> list[RatPoly]:
-    """Certified irreducible monic factorization over Q, degree <= 8, sorted
-    by degree, then coefficients.
+def _degree_sums(shape) -> int:
+    """The subset sums of a cycle shape, as the bits of an integer: the
+    degrees a factor over Q of the polynomial can have."""
+    sums = 1
+    for k in shape:
+        sums |= sums << k
+    return sums
 
-    One Zassenhaus pass (Cohen, A Course in Computational Algebraic Number
-    Theory, 3.5; von zur Gathen and Gerhard, Modern Computer Algebra,
-    ch. 15).  f.monic() is scaled once to the monic integer g(Y) =
-    den^d f(Y/den), whose roots are den times those of f.  The prime
-    search reads only the factor degrees of g mod odd primes, from
-    distinct-degree factoring (factor_degrees_mod_p): a prime is good when
-    gcd(g, g') = 1 mod p, which also certifies that f is squarefree.  Of
-    the first SEARCH_PRIMES (five) good primes the one with the fewest
-    factors is kept, and the first with at most 3 ends the search.  g is
-    fully factored mod that prime alone, and not at all when it shows g
-    irreducible.  The factors are Hensel-lifted once past a Mignotte bound
-    and recombined by exact trial division, subsets of one factor first; a
-    remainder that no subset divides is irreducible.  Each factor h of g
-    maps back to h(den X)/den^deg h.  No integer is factored.  When the
-    first four odd primes are all bad and gcd(f, f') is not 1, f / gcd(f,
-    f') (squarefree, with the same irreducible factors) is factored, and
-    each factor is repeated as often as it divides f.
+
+def factor_and_scan(f: RatPoly, disc: Fraction):
+    """(factors, shapes) for a separable f of degree 1 to 8, from disc =
+    disc(f) != 0: factors is factor_over_Z(f), and shapes the one Frobenius
+    scan over Q, replayed from its start.
+
+    The scan is the lazy (p, Frobenius cycle shape of g mod p) over the
+    good primes p = 2, 3, 5, ... below SCAN_BOUND of g = D^d f(X/D)
+    (monic_integral of f.monic()).  disc(g) = disc(f) * D^(d(d-1)) /
+    lead(f)^(2d-2) is an integer, and p is good exactly when it does not
+    divide it, so each shape is read off distinct-degree factoring alone.
+    A factor over Q has a degree that is a subset sum of every shape: the
+    scan is read until the common sums are {0, d}, which proves f
+    irreducible (Musser, J. ACM 25 (1978)), or until SEARCH_PRIMES good
+    primes are read.  Then one Zassenhaus pass (Cohen, A Course in
+    Computational Algebraic Number Theory, 3.5; von zur Gathen and Gerhard,
+    Modern Computer Algebra, ch. 15) runs at the read prime with the fewest
+    factors, 2 included: g is factored mod that prime, Hensel-lifted once
+    past a Mignotte bound and recombined by exact trial division, subsets
+    of one factor first; a remainder that no subset divides is irreducible.
+    Each factor h of g maps back to h(D X)/D^deg h.  No integer is factored.
     """
-    if f.degree > 8:
-        raise ValueError("factor_over_Z is capped at degree 8")
-    if f.degree <= 0:
-        return []
+    d = f.degree
     work = f.monic()
     scaled, den = monic_integral(work)
-    d = work.degree
     g = [int(c) for c in scaled.coeffs]
-    best, good, bad, p = None, 0, 0, 3
-    while good < SEARCH_PRIMES and (best is None or len(best[1]) > 3):
-        if is_prime(p):
-            degrees = factor_degrees_mod_p(g, p)
-            if degrees is not None:
-                good += 1
-                if best is None or len(degrees) < len(best[1]):
-                    best = (p, degrees)
-            else:
-                bad += 1
-                # a repeated factor over Q leaves every p bad: check for
-                # one once, when the first four primes are bad
-                if bad == 4 and not good:
-                    common = poly_gcd(work, work.deriv())
-                    if common.degree:
-                        out = []
-                        for h in factor_over_Z(work // common):
-                            q, r = work.divmod(h)
-                            while r.is_zero():
-                                out.append(h)
-                                q, r = q.divmod(h)
-                        return sorted(out, key=lambda h: (h.degree, h.coeffs))
-        p += 2
-    p, degrees = best
-    if len(degrees) == 1:
-        return [work]
+    disc_g = int(disc * den ** (d * (d - 1)) / f.lead ** (2 * d - 2))
+    scan = ((p, distinct_degree_shape([c % p for c in g], p))
+            for p in range(2, SCAN_BOUND) if disc_g % p and is_prime(p))
+    seen, common = [], -1  # -1: every bit set
+    for p, sh in scan:
+        seen.append((p, sh))
+        common &= _degree_sums(sh)
+        if common == 1 | 1 << d or len(seen) == SEARCH_PRIMES:
+            break
+    shapes = chain(seen, scan)
+    if common == 1 | 1 << d:
+        return [work], shapes
+    p = min(seen, key=lambda t: len(t[1]))[0]
     fac = factor_mod_p(g, p)
     # a factor of g has coefficients below 2^d * |g|_2 <= 2^(d+2) * |g|_oo
     bound = 2 ** (d + 2) * max(abs(c) for c in g)
@@ -706,6 +693,29 @@ def factor_over_Z(f: RatPoly) -> list[RatPoly]:
     found.append(rest)
     out = [RatPoly([c / den ** (h.degree - i) for i, c in enumerate(h.coeffs)])
            for h in found]
+    return sorted(out, key=lambda h: (h.degree, h.coeffs)), shapes
+
+
+def factor_over_Z(f: RatPoly) -> list[RatPoly]:
+    """Certified irreducible monic factorization over Q, degree <= 8, sorted
+    by degree, then coefficients: the Zassenhaus pass of factor_and_scan.
+    disc(f) = 0 means a repeated factor: f / gcd(f, f') (squarefree, with
+    the same irreducible factors) is factored, and each factor is repeated
+    as often as it divides f."""
+    if f.degree > 8:
+        raise ValueError("factor_over_Z is capped at degree 8")
+    if f.degree <= 0:
+        return []
+    disc = discriminant(f)
+    if disc:
+        return factor_and_scan(f, disc)[0]
+    work = f.monic()
+    out = []
+    for h in factor_over_Z(work // poly_gcd(work, work.deriv())):
+        q, r = work.divmod(h)
+        while r.is_zero():
+            out.append(h)
+            q, r = q.divmod(h)
     return sorted(out, key=lambda h: (h.degree, h.coeffs))
 
 

@@ -33,16 +33,14 @@ Exactness here:
 Each polynomial's discriminant is computed once: disc(f) serves the
 separability check, the square test of irreducible quintics (scaling f to
 monic divides it by an even power of the leading coefficient) and the
-choice of good primes (p is good for the monic integral g(X) = D^d f(X/D)
-exactly when p does not divide disc(g), which disc(f) gives), and disc(h)
-of a quadratic or cubic factor h serves both its square test and its
-square class.  Frobenius cycle shapes are factor degrees mod p from
-distinct-degree factoring, with no gcd and no equal-degree splitting.  One
-lazy scan of (p, shape) over the good primes 2, 3, 5, ... serves both
-questions about d = 5 and 7.  Shapes whose subset sums have only 0 and d
-in common prove f irreducible with no lift (Musser, J. ACM 25 (1978));
-when the first SEARCH_PRIMES good primes do not, factor_over_Z decides.
-The AGL test replays the shapes already read and continues the same scan.
+choice of good primes, and disc(h) of a quadratic or cubic factor h serves
+both its square test and its square class.  Frobenius cycle shapes come
+from the one prime search over Q, the scan of poly.factor_and_scan over
+the good primes 2, 3, 5, ... that disc(f) gives, and each good prime's
+shape is computed once.  The scan proves f irreducible when the shapes'
+common subset sums are {0, d}; otherwise the Zassenhaus pass that factors
+f over Q runs on the shapes already read.  The AGL test replays those
+shapes and continues the same scan.
 """
 
 from __future__ import annotations
@@ -52,14 +50,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import factor_integer, is_prime, rational_sqrt, squarefree_part
+from .arith import factor_integer, rational_sqrt, squarefree_part
 from .localfields import echelon
-from .poly import (SEARCH_PRIMES, RatPoly, discriminant,
-                   distinct_degree_shape, factor_over_Z, hensel_lift_factors,
-                   monic_integral, roots_in_Fp)
+from .poly import (SCAN_BOUND, RatPoly, discriminant, factor_and_scan,
+                   factor_over_Z, hensel_lift_factors, monic_integral,
+                   roots_in_Fp)
 
-# Primes scanned for a decisive Frobenius; Chebotarev finds one far sooner.
-_SCAN_BOUND = 10 ** 5
 # Tschirnhaus maps t = r^2 + r + c tried, c = 1, 2, ..., before giving up.
 _TSCHIRNHAUS_TRIES = 16
 
@@ -231,33 +227,9 @@ def agl_resolvent_holds(f: RatPoly, p: int) -> bool:
     raise GaloisUndecided(f"no separating Tschirnhaus map for {f} at {p}")
 
 
-def _frobenius_scan(f: RatPoly, disc: Fraction):
-    """(g, shapes): g = monic_integral(f.monic())[0], and shapes the lazy
-    (p, Frobenius cycle shape of g mod p) over the good primes p = 2, 3, 5,
-    ... of g, from disc = disc(f).  disc(g) = disc(f) * D^(d(d-1)) /
-    lead(f)^(2d-2) is an integer, and p is good exactly when it does not
-    divide it, so a shape is read off distinct-degree factoring alone."""
-    d = f.degree
-    g, den = monic_integral(f.monic())
-    disc_g = int(disc * den ** (d * (d - 1)) / f.lead ** (2 * d - 2))
-    a = [int(c) for c in g.coeffs]
-    return g, ((p, distinct_degree_shape([c % p for c in a], p))
-               for p in range(2, _SCAN_BOUND) if disc_g % p and is_prime(p))
-
-
-def _degree_sums(shape) -> int:
-    """The subset sums of a cycle shape, as the bits of an integer: the
-    degrees a factor over Q of the polynomial can have."""
-    sums = 1
-    for k in shape:
-        sums |= sums << k
-    return sums
-
-
 def _agl_verdict(f: RatPoly, shapes) -> TfaeResult:
-    """Irreducible monic integral f of degree 5 or 7 outside A5, and its
-    (p, shape) scan from _frobenius_scan: the verdict of the first decisive
-    prime."""
+    """Irreducible f of degree 5 or 7 outside A5, and its (p, shape) scan
+    from factor_and_scan: the verdict of the first decisive prime."""
     d = f.degree
     name = {5: "quintic", 7: "septic"}[d]
     # x -> ux + b: the d-cycle, and (1, k, ..., k) for each k | d - 1
@@ -268,11 +240,11 @@ def _agl_verdict(f: RatPoly, shapes) -> TfaeResult:
             return TfaeResult(False, f"irreducible {name}: group outside "
                               f"AGL(1,{d}) (shape {sh} mod {p})", "exact")
         if len(sh) == d:
-            holds = agl_resolvent_holds(f, p)
+            holds = agl_resolvent_holds(monic_integral(f.monic())[0], p)
             return TfaeResult(holds, f"irreducible {name}: group "
                               f"{'inside' if holds else 'outside'} AGL(1,{d}) "
                               f"(resolvent at {p})", "exact")
-    raise GaloisUndecided(f"no decisive prime below {_SCAN_BOUND} for {f}")
+    raise GaloisUndecided(f"no decisive prime below {SCAN_BOUND} for {f}")
 
 
 def _is_translated_binomial(f: RatPoly) -> bool:
@@ -302,21 +274,12 @@ def tfae_test(f: RatPoly) -> TfaeResult:
     if _is_translated_binomial(f.monic()):
         return TfaeResult(True, f"binomial X^{d}+a up to translation",
                           "exact", "binomial: metacyclic splitting field")
-    # X -> X/D: g is monic integral with the same splitting field.  A factor
-    # over Q has a degree that is a subset sum of every shape, so shapes
-    # whose common sums are {0, d} prove f irreducible with no lift.
-    g, shapes = _frobenius_scan(f, disc)
-    seen, common = [], -1  # -1: every bit set
-    for p, sh in shapes:
-        seen.append((p, sh))
-        common &= _degree_sums(sh)
-        if common == 1 | 1 << d or len(seen) == SEARCH_PRIMES:
-            break
-    if common != 1 | 1 << d:
-        factors = factor_over_Z(f)
-        if len(factors) > 1:
-            return _reducible_verdict(factors)
+    # one scan of Frobenius shapes proves f irreducible or, failing that,
+    # feeds the one Zassenhaus pass; the AGL test replays it
+    factors, shapes = factor_and_scan(f, disc)
+    if len(factors) > 1:
+        return _reducible_verdict(factors)
     if d == 5 and _is_rational_square(disc):
         return TfaeResult(True, "irreducible quintic, square "
                           "discriminant (group within A5)", "exact")
-    return _agl_verdict(g, itertools.chain(seen, shapes))
+    return _agl_verdict(f, shapes)

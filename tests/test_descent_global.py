@@ -263,6 +263,21 @@ def test_parse_class_data_checks_genus_theory():
         parse_class_data("X^2+5 | 0 | yes | table")
 
 
+def test_parse_class_data_names_each_malformed_line():
+    # a flag other than yes/no, a negative or non-integer 2-rank, a
+    # reducible polynomial and a wrong field count each raise a ValueError
+    # that names the line
+    for line in ("X^3-2 | 1 | maybe | src", "X^3-2 | -3 | yes | src",
+                 "X^3-X | 0 | no | s", "X^3-2 | one | yes | src",
+                 "X^2-4 | 0 | yes | s", "X^2+5 | 1 | yes",
+                 "X^9-2 | 0 | yes | s"):
+        with pytest.raises(ValueError) as err:
+            parse_class_data(f"# a comment\n{line}\n")
+        assert repr(line) in str(err.value), line
+    (rec,) = parse_class_data("X^3-2 | 0 | No | table")
+    assert (rec.two_rank, rec.narrow_eq_wide) == (0, False)
+
+
 def test_narrow_refinement_only_from_applicable_class_data():
     # y^2 = x^3 - 25x: the 2-division cubic splits over Q, so no record
     # applies and the infinite place stays in the S/I bound

@@ -11,7 +11,7 @@ from qdescent import poly
 from qdescent.arith import factor_integer, valuation
 from qdescent.localfields import _norm_mod
 from qdescent.poly import (HENSEL_START, RatPoly, UnresolvedSplitting,
-                           discriminant, factor_degrees_mod_p, factor_mod_p,
+                           discriminant, distinct_degree_shape, factor_mod_p,
                            factor_over_Z, fp_poly, hensel_lift_factors,
                            local_splitting_type, monic_integral, mp_add,
                            mp_divmod, mp_gcd, mp_mul, mp_mulmod, mp_pow_mod,
@@ -121,7 +121,9 @@ def test_norm_mod_matches_the_fraction_oracle():
         assert _norm_mod(h, a, m) == int(want) % m, (h, a, m)
 
 
-def test_factor_degrees_mod_p_reads_factor_mod_p():
+def test_distinct_degree_shape_reads_factor_mod_p():
+    # wherever a monic a is squarefree mod p, its shape is the ascending
+    # degrees of the factors factor_mod_p finds
     rng = random.Random(101)
     polys = [[1, 0, 0, 0, 1], [1, 1, 1], [2, 0, 0, 1]]  # X^4 + 1, ...
     polys += [[rng.randint(-50, 50) for _ in range(rng.randint(1, 8))] + [1]
@@ -130,27 +132,13 @@ def test_factor_degrees_mod_p_reads_factor_mod_p():
     for p in (2, 3, 5, 7, 101):
         for a in polys:
             fac = factor_mod_p(a, p)
-            degrees = factor_degrees_mod_p(a, p)
-            if all(mult == 1 for _, mult in fac):
-                assert degrees == tuple(sorted(len(g) - 1 for g, _ in fac))
-            else:
-                assert degrees is None
-            seen.add(degrees is None)
+            squarefree = all(mult == 1 for _, mult in fac)
+            if squarefree:
+                assert distinct_degree_shape([c % p for c in a], p) \
+                    == tuple(sorted(len(g) - 1 for g, _ in fac)), (a, p)
+            seen.add(squarefree)
     assert seen == {True, False}
-    # X^4 + 1 = (X + 1)^4 at 2, a square with derivative 0
-    assert factor_degrees_mod_p([1, 0, 0, 0, 1], 2) is None
-    assert factor_degrees_mod_p([1, 0, 0, 0, 1], 3) == (2, 2)
-
-
-def test_factor_degrees_mod_p_of_a_list_that_is_not_monic():
-    # a leading coefficient prime to p changes no factor degree
-    rng = random.Random(102)
-    for _ in range(100):
-        a = [rng.randint(-50, 50) for _ in range(rng.randint(2, 8))] + [1]
-        for p in (3, 5, 7, 101):
-            u = rng.randint(2, p - 1)
-            assert factor_degrees_mod_p([u * c for c in a], p) \
-                == factor_degrees_mod_p(a, p), (a, u, p)
+    assert distinct_degree_shape([1, 0, 0, 0, 1], 3) == (2, 2)
 
 
 @given(st.lists(RATIONALS, max_size=7), RATIONALS, RATIONALS, RATIONALS)
@@ -454,22 +442,79 @@ def test_rational_roots_rejects_repeated_root(deadline):
 # (X - 1)^2 (X + 2) and (X^3 - 2)^2
 @pytest.mark.parametrize("f", ["X^3-3*X+2", "X^6-4*X^3+4"])
 def test_factor_over_Z_tests_gcd_early(monkeypatch, f):
-    # a repeated factor over Q leaves every prime bad: gcd(f, f') is tested
-    # after a few bad primes, not after every odd prime below 1000; each
-    # prime probed is one call of factor_degrees_mod_p
+    # a repeated factor over Q makes the discriminant 0, and the scan then
+    # runs on the squarefree part alone: a few primes, not every odd prime
+    # below 1000; each prime scanned is one call of distinct_degree_shape
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return factor_degrees_mod_p(*args)
+        return distinct_degree_shape(*args)
 
-    monkeypatch.setattr(poly, "factor_degrees_mod_p", counted)
+    monkeypatch.setattr(poly, "distinct_degree_shape", counted)
     fac = factor_over_Z(parse_poly(f))
     prod = RatPoly([1])
     for g in fac:
         prod = prod * g
     assert prod == parse_poly(f)
     assert len(calls) <= 6
+
+
+def test_factor_over_Z_runs_zassenhaus_at_2(monkeypatch):
+    # the scan reads 2 first and keeps the first prime of fewest factors:
+    # on seeded products of distinct irreducibles, scaled by a rational
+    # unit, Zassenhaus often runs at 2 and returns the factors that built
+    # the product
+    rng = random.Random(25)
+    primes = []
+
+    def counted(a, p):
+        primes.append(p)
+        return factor_mod_p(a, p)
+
+    monkeypatch.setattr(poly, "factor_mod_p", counted)
+    at_2 = 0
+    for _ in range(150):
+        parts = {_irreducible(rng, rng.randint(1, 3))
+                 for _ in range(rng.randint(2, 3))}
+        if len(parts) < 2 or sum(h.degree for h in parts) > 8:
+            continue
+        f = RatPoly([Fraction(rng.choice([1, -2, 3]), rng.choice([1, 5]))])
+        for h in parts:
+            f = f * h
+        primes.clear()
+        assert factor_over_Z(f) == sorted(
+            parts, key=lambda h: (h.degree, h.coeffs)), f
+        at_2 += primes == [2]
+    assert at_2 >= 10
+
+
+def test_factor_over_Z_finds_a_repeated_factor_by_the_discriminant(
+        monkeypatch):
+    # disc(f) = 0 sends f to its squarefree part before any prime is looked
+    # at: the discriminant of the squarefree part comes right after f's
+    events = []
+
+    def counted(name, fn):
+        def wrapper(x):
+            events.append((name, x.degree if name == "disc" else x))
+            return fn(x)
+        return wrapper
+
+    monkeypatch.setattr(poly, "discriminant", counted("disc", discriminant))
+    monkeypatch.setattr(poly, "is_prime", counted("prime", poly.is_prime))
+    quad = parse_poly("X^2+1")
+    f = quad ** 2 * parse_poly("3*X-1")
+    assert factor_over_Z(f) == [RatPoly([Fraction(-1, 3), 1]), quad, quad]
+    assert events[:2] == [("disc", 5), ("disc", 3)]
+    assert any(name == "prime" for name, _ in events)
+
+
+def test_negative_power_raises(deadline):
+    with deadline(5), pytest.raises(ValueError, match="negative power"):
+        RatPoly([1, 1]) ** -1
+    assert RatPoly([1, 1]) ** 0 == RatPoly([1])
+    assert RatPoly([1, 1]) ** 3 == RatPoly([1, 3, 3, 1])
 
 
 def test_rational_roots_88_digit_constant(deadline):

@@ -8,11 +8,11 @@ import pytest
 
 from qdescent import poly, tfae
 from qdescent.arith import is_prime
-from qdescent.poly import (SEARCH_PRIMES, RatPoly, discriminant,
-                           factor_degrees_mod_p, factor_over_Z,
+from qdescent.poly import (SEARCH_PRIMES, RatPoly, _degree_sums,
+                           discriminant, distinct_degree_shape,
+                           factor_and_scan, factor_mod_p, factor_over_Z,
                            monic_integral, mp_pow_mod, parse_poly)
-from qdescent.tfae import (_agl_verdict, _degree_sums,
-                           _f2_rank_of_squarefree, _frobenius_scan,
+from qdescent.tfae import (_agl_verdict, _f2_rank_of_squarefree,
                            _is_translated_binomial, _theta_terms,
                            agl_resolvent_holds, quartic_galois_group,
                            tfae_test)
@@ -220,10 +220,10 @@ def test_agl_verdict_factors_mod_p_only_in_the_resolvent(monkeypatch):
         monkeypatch.setattr(mod, "factor_mod_p", counted_factor, raising=False)
     monkeypatch.setattr(tfae, "agl_resolvent_holds", counted_resolvent)
     f = parse_poly("X^7-X-1")
-    assert not _agl_verdict(*_frobenius_scan(f, discriminant(f))).holds
+    assert not _agl_verdict(f, factor_and_scan(f, discriminant(f))[1]).holds
     assert events == []
     f = parse_poly("X^5+15*X+12")
-    assert _agl_verdict(*_frobenius_scan(f, discriminant(f))).holds
+    assert _agl_verdict(f, factor_and_scan(f, discriminant(f))[1]).holds
     assert events[0] == "resolvent" and "factor_mod_p" in events
 
 
@@ -306,19 +306,27 @@ def scan_family(seed, count):
     return out
 
 
+def shape_mod(a, p):
+    """The ascending factor degrees of a mod p from factor_mod_p; None when
+    a has a repeated factor mod p."""
+    fac = factor_mod_p(a, p)
+    if any(mult > 1 for _, mult in fac):
+        return None
+    return tuple(sorted(len(h) - 1 for h, _ in fac))
+
+
 def test_scan_reads_the_good_primes_off_the_discriminant():
     # the primes the discriminant calls good are exactly those where g has
-    # no repeated factor mod p, and the shapes agree with
-    # factor_degrees_mod_p there; primes dividing the denominators or the
-    # leading coefficient of f are met on both sides
+    # no repeated factor mod p, and the shapes agree with factor_mod_p
+    # there; primes dividing the denominators or the leading coefficient of
+    # f are met on both sides
     met = Counter()
     for f in scan_family(2401, 150):
-        g, shapes = _frobenius_scan(f, discriminant(f))
-        assert g == monic_integral(f.monic())[0]
-        a = [int(c) for c in g.coeffs]
+        shapes = factor_and_scan(f, discriminant(f))[1]
+        a = [int(c) for c in monic_integral(f.monic())[0].coeffs]
         scanned = dict(itertools.takewhile(lambda t: t[0] < 60, shapes))
         direct = {p: sh for p in range(2, 60) if is_prime(p)
-                  for sh in [factor_degrees_mod_p(a, p)] if sh is not None}
+                  for sh in [shape_mod(a, p)] if sh is not None}
         assert scanned == direct, f
         lead_den = math.lcm(*(c.denominator for c in f.coeffs)) \
             * f.lead.numerator
@@ -335,10 +343,10 @@ def test_degree_sums_prove_irreducibility():
     proved = reducible = 0
     for f in scan_family(2402, 200):
         d = f.degree
-        factors = factor_over_Z(f)
+        factors, shapes = factor_and_scan(f, discriminant(f))
+        assert factors == factor_over_Z(f), f
         common = -1
-        for _, sh in itertools.islice(_frobenius_scan(f, discriminant(f))[1],
-                                      SEARCH_PRIMES):
+        for _, sh in itertools.islice(shapes, SEARCH_PRIMES):
             common &= _degree_sums(sh)
             assert all(common >> h.degree & 1 for h in factors), f
             if common == 1 | 1 << d:
@@ -351,6 +359,37 @@ def test_degree_sums_prove_irreducibility():
     assert _degree_sums((2, 3)) == 1 | 1 << 2 | 1 << 3 | 1 << 5
 
 
+@pytest.mark.parametrize("parts", [
+    ["X^2+X-1", "X^3+X^2-1"],                # quintic, 2 is good
+    ["X-1", "X^3-3*X+1", "X^3+X^2-2*X-1"]])  # septic, 2 is good
+def test_reducible_input_reads_each_good_prime_once(monkeypatch, parts):
+    # a reducible f is scanned once, from 2: its first SEARCH_PRIMES good
+    # primes each give one distinct-degree shape, the Zassenhaus pass
+    # runs on them, and factor_over_Z, with its own discriminant, is not
+    # called
+    f = RatPoly([3])
+    for h in parts:
+        f = f * parse_poly(h)
+    primes, over_Z = [], []
+
+    def counted_shape(a, p):
+        primes.append(p)
+        return distinct_degree_shape(a, p)
+
+    def counted_over_Z(*args):
+        over_Z.append(args)
+        return factor_over_Z(*args)
+
+    monkeypatch.setattr(poly, "distinct_degree_shape", counted_shape)
+    for mod in (poly, tfae):
+        monkeypatch.setattr(mod, "factor_over_Z", counted_over_Z)
+    assert tfae_test(f).certificate == "exact"
+    disc_g = discriminant(monic_integral(f.monic())[0])
+    good = [p for p in range(2, 100) if is_prime(p) and disc_g % p]
+    assert primes == good[:SEARCH_PRIMES] and good[0] == 2
+    assert over_Z == []
+
+
 AGL_SHAPES = {5: {(5,), (1, 4), (1, 2, 2), (1,) * 5},
               7: {(7,), (1, 6), (1, 3, 3), (1, 2, 2, 2), (1,) * 7}}
 
@@ -358,7 +397,7 @@ AGL_SHAPES = {5: {(5,), (1, 4), (1, 2, 2), (1,) * 5},
 def test_agl_verdict_names_the_least_decisive_prime():
     # for irreducible quintics and septics outside A5 the verdict names the
     # least prime whose shape is outside AGL(1, d) or splits completely,
-    # recomputed here by brute force from factor_degrees_mod_p
+    # recomputed here by brute force from factor_mod_p
     rng = random.Random(2403)
     fams = [parse_poly("X^5+15*X+12"), parse_poly("X^5-X-1"),
             parse_poly("X^7-X-1")]
@@ -379,7 +418,7 @@ def test_agl_verdict_names_the_least_decisive_prime():
             continue
         a = [int(c) for c in monic_integral(f.monic())[0].coeffs]
         p = 2
-        while not (is_prime(p) and (sh := factor_degrees_mod_p(a, p))
+        while not (is_prime(p) and (sh := shape_mod(a, p))
                    and (sh not in AGL_SHAPES[d] or sh == (1,) * d)):
             p += 1
         pattern = tfae_test(f).pattern
@@ -392,9 +431,9 @@ def test_agl_verdict_names_the_least_decisive_prime():
 
 @pytest.mark.parametrize("f", ["X^7-X-1", "X^5+X+3", "X^5-5*X+12"])
 def test_scan_proves_irreducibility_without_a_lift(monkeypatch, f):
-    # the shapes prove each of these irreducible, so nothing is factored
-    # over Q and nothing is lifted; the one discriminant also picks the
-    # good primes
+    # the shapes prove each of these irreducible, so no Zassenhaus pass
+    # runs (nothing is factored mod p) and nothing is lifted; the one
+    # discriminant also picks the good primes
     calls = Counter()
 
     def counted(name, fn):
@@ -403,9 +442,10 @@ def test_scan_proves_irreducibility_without_a_lift(monkeypatch, f):
             return fn(*args)
         return wrapper
 
-    for name in ("discriminant", "factor_over_Z", "hensel_lift_factors"):
+    for name in ("discriminant", "factor_over_Z", "factor_mod_p",
+                 "hensel_lift_factors"):
         wrapped = counted(name, getattr(poly, name))
         for mod in (poly, tfae):
-            monkeypatch.setattr(mod, name, wrapped)
+            monkeypatch.setattr(mod, name, wrapped, raising=False)
     assert tfae_test(parse_poly(f)).certificate == "exact"
     assert calls == {"discriminant": 1}
