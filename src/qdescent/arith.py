@@ -109,12 +109,6 @@ class Factorization:
     def as_dict(self) -> dict[int, int]:
         return dict(self.factors)
 
-    def __str__(self):
-        if not self.factors:
-            return str(self.sign)
-        body = "*".join(f"{p}^{e}" if e != 1 else str(p) for p, e in self.factors)
-        return ("-" if self.sign < 0 else "") + body
-
 
 def factor_integer(n: int) -> Factorization:
     """Exact prime factorization; rejects 0.  Raises FactoringBudgetExceeded

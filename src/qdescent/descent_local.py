@@ -321,27 +321,21 @@ def _count_x_roots_with_square_rhs(g: RatPoly, f: RatPoly, p: int) -> int:
 
 def _singular_membership_two_torsion(rd: ReductionData, pt: KernelPoint,
                                      k: int, deg_Lp: int):
-    """(in_image, reason) for a singular M-rational 2-torsion point."""
+    """(in_image, reason) for a singular M-rational 2-torsion point.  Its
+    image in the component group has order 2 (Silverman, Advanced Topics,
+    IV.9), so the type is I_nu with nu even, III, III* or I_nu^*."""
     kt = rd.kodaira
+    assert kt.letter in ("III", "III*", "I*") or (
+        kt.letter == "I" and kt.nu % 2 == 0), \
+        f"{kt.symbol()}: no element of order 2 in the component group"
     if kt.letter == "I":
         nu = kt.nu
-        if nu % 2 == 1:
-            ok = (rd.split is False) and k % 2 == 0 and deg_Lp % 2 == 0 \
-                and nu >= 3
-            return ok, (f"I{nu} (odd): needs tau = -1 over M and "
-                        f"2 | [L':Q_p]; got split={rd.split}, deg_M={k}, "
-                        f"[L':Q_p]={deg_Lp}")
         ok = (rd.split is False) and k % 2 == 0 and (nu // 2) % 2 == 0
         return ok, (f"I{nu} (even): image nu/2={nu // 2} "
                     f"{'even' if (nu // 2) % 2 == 0 else 'odd'}, "
                     f"tau{'= -1' if rd.split is False else ' trivial'}, deg_M={k}")
     if kt.letter in ("III", "III*"):
         return False, f"{kt.symbol()}: Aut(Z/2) trivial, tau fixes the image"
-    if kt.letter in ("II", "II*"):
-        return False, f"{kt.symbol()}: trivial component group (unexpected)"
-    if kt.letter in ("IV", "IV*"):
-        return False, (f"{kt.symbol()}: Z/3 component group has no 2-torsion "
-                       "(unexpected for a 2-torsion point)")
     # I_nu^*
     nu = kt.nu
     if nu % 2 == 1:
@@ -370,23 +364,23 @@ def _singular_membership_two_torsion(rd: ReductionData, pt: KernelPoint,
 
 
 def _singular_membership_odd_kernel(rd: ReductionData, k: int, deg_Lp: int):
-    """Membership for a singular kernel point of odd prime order d (= 3)."""
+    """Membership for a singular kernel point of order 3.  Its image in the
+    component group has order 3, so the type is I_nu with 3 | nu, IV or IV*."""
     kt = rd.kodaira
+    assert kt.letter in ("IV", "IV*") or (
+        kt.letter == "I" and kt.nu % 3 == 0), \
+        f"{kt.symbol()}: no element of order 3 in the component group"
     if kt.letter == "I":
         nu = kt.nu
-        if nu % 3 != 0:
-            return False, f"I{nu}: no 3-torsion in Z/{nu} (unexpected)"
         inv = (rd.split is False) and k % 2 == 0
         if nu % 2 == 1:
             ok = inv and deg_Lp % 2 == 0
             return ok, f"I{nu} (odd) case: tau=-1 {inv}, [L':Q_p]={deg_Lp}"
         return inv, f"I{nu} (even) case: image automatically even; tau=-1 {inv}"
-    if kt.letter in ("IV", "IV*"):
-        ok = rd.frobenius_order_on_components == 2 and deg_Lp % 2 == 0
-        return ok, (f"{kt.symbol()}: needs tau = -1 on Z/3 and 2 | [L':Q_p]; "
-                    f"frobenius order {rd.frobenius_order_on_components}, "
-                    f"[L':Q_p]={deg_Lp}")
-    return False, f"{kt.symbol()}: component group has no 3-torsion (unexpected)"
+    ok = rd.frobenius_order_on_components == 2 and deg_Lp % 2 == 0
+    return ok, (f"{kt.symbol()}: needs tau = -1 on Z/3 and 2 | [L':Q_p]; "
+                f"frobenius order {rd.frobenius_order_on_components}, "
+                f"[L':Q_p]={deg_Lp}")
 
 
 def i2_order(rd: ReductionData, phi, prof: TorsionFieldProfile):

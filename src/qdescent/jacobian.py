@@ -21,7 +21,7 @@ from functools import cached_property
 from .arith import Place, factor_integer, rational_sqrt
 from .localfields import (EtaleAlgebra, SqVector, relations, span_rank,
                           unramified_rank)
-from .poly import RatPoly, discriminant, factor_over_Z
+from .poly import RatPoly, discriminant, factor_and_scan
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,9 @@ class HyperellipticCurve:
 
     @cached_property
     def factors(self) -> tuple:
-        """The monic irreducible factors of f over Q (factor_over_Z)."""
-        return tuple(factor_over_Z(self.f))
+        """The monic irreducible factors of f over Q, from the discriminant
+        the curve keeps (poly.factor_and_scan)."""
+        return tuple(factor_and_scan(self.f, self.discriminant)[0])
 
     @cached_property
     def disc_primes(self) -> tuple:

@@ -26,7 +26,8 @@ then the unit bits:
     the factor is irreducible mod 2, so that Z generates the ring of
     integers.  With t the root of that factor, a unit is a square times
     prod_j (1 + 2 t^j)^(a_j) * (1 + 4 s) for j < f; the f bits a_j, then
-    the trace bit Tr(s mod 2);
+    the trace bit Tr(s mod 2).  The root mod 2 and the inverse mod 8 are
+    powers: a^(2^(f-1)) in F_2[t]/h, and a^(#(O/8)^* - 1) mod (h, 8);
   * ramified piece: nothing (parity-only tracking, enough at odd residue
     characteristic, where every unit class is unramified).
 
@@ -62,36 +63,9 @@ from fractions import Fraction
 from functools import reduce
 
 from .arith import residue, square_class, valuation
-from .poly import (UnresolvedSplitting, _bareiss_det, _bezout_mod_p,
-                   _vp_bounded, local_splitting_type, mp_divmod_monic,
-                   mp_mulmod, mp_shift, mp_sub)
-
-
-class ResidueField:
-    """F_2[t]/h for h irreducible mod 2."""
-
-    def __init__(self, hbar):
-        self.h = [c % 2 for c in hbar]
-        self.f = len(self.h) - 1
-
-    def mul(self, a, b):
-        return mp_mulmod(a, b, self.h, 2)
-
-    def sqrt(self, a):
-        """The square root a^(2^(f-1)) of a."""
-        a = mp_divmod_monic(a, self.h, 2)[1]
-        for _ in range(self.f - 1):
-            a = self.mul(a, a)
-        return a
-
-    def trace(self, a) -> int:
-        s = [0] * self.f
-        x = mp_divmod_monic(a, self.h, 2)[1]
-        for _ in range(self.f):
-            xx = x + [0] * (self.f - len(x))
-            s = [(u + v) % 2 for u, v in zip(s, xx)]
-            x = self.mul(x, x)
-        return s[0] if s else 0
+from .poly import (UnresolvedSplitting, _bareiss_det, _vp_bounded,
+                   local_splitting_type, mp_divmod_monic, mp_mulmod,
+                   mp_pow_mod, mp_shift)
 
 
 # ---------------------------------------------------------------------------
@@ -308,19 +282,21 @@ class EtaleAlgebra:
         if prec < w + 3:
             raise UnresolvedSplitting("dyadic unit class needs 3 digits")
         zlift = self.pieces[i].zlift
-        rf = ResidueField(zlift)
-        h8 = [c % 8 for c in zlift]
+        f = len(zlift) - 1
         m = 2 ** (w + 3)
         # every coefficient in the basis 1, t, ..., t^(f-1) of the ring of
         # integers has valuation >= w
         u8 = [c >> w for c in mp_divmod_monic(elem, zlift, m)[1]]
 
         def mul8(a, b):
-            return mp_mulmod(a, b, h8, 8)
+            return mp_mulmod(a, b, zlift, 8)
 
-        x0 = rf.sqrt([c % 2 for c in u8])
-        up = mul8(u8, _invert_mod_8(mul8(x0, x0), h8))
-        up = up + [0] * (rf.f - len(up))
+        def inv8(a):  # (O/8)^* has order 4^f (2^f - 1)
+            return mp_pow_mod(a, 4 ** f * (2 ** f - 1) - 1, zlift, 8)
+
+        x0 = mp_pow_mod(u8, 2 ** (f - 1), zlift, 2)  # the square root mod 2
+        up = mul8(u8, inv8(mul8(x0, x0)))
+        up = up + [0] * (f - len(up))
         # x0^2 = u mod 2, so up = 1 + 2 sum_j a_j t^j mod 4
         a = [(c - (j == 0)) // 2 % 2 for j, c in enumerate(up)]
         # divide out prod_j (1 + 2 t^j)^(a_j); 1 + 4s mod 8 remains
@@ -328,9 +304,13 @@ class EtaleAlgebra:
         for j, aj in enumerate(a):
             if aj:
                 fac = mul8(fac, [3] if j == 0 else [1] + [0] * (j - 1) + [2])
-        s = [c >> 2 & 1 for c in mul8(up, _invert_mod_8(fac, h8))]
-        return (sum(aj << (j + 1) for j, aj in enumerate(a))
-                | rf.trace(s) << (rf.f + 1))
+        s = [c >> 2 & 1 for c in mul8(up, inv8(fac))]
+        # Tr(s) = s + s^2 + ... + s^(2^(f-1)) is constant: add constant terms
+        trace = 0
+        for _ in range(f):
+            trace ^= s[0] if s else 0
+            s = mp_mulmod(s, s, zlift, 2)
+        return sum(aj << (j + 1) for j, aj in enumerate(a)) | trace << (f + 1)
 
     def to_z(self, i: int, elem, m: int):
         """A polynomial in the root theta of piece i rewritten in the
@@ -493,16 +473,6 @@ def _signed_product(polys, h, m: int, sign: int):
     for g in polys:
         elem = mp_mulmod(elem, g, h, m)
     return [-c % m for c in elem] if sign else elem
-
-
-def _invert_mod_8(a, h):
-    """Inverse of a unit a modulo (h, 8), Newton-lifted from the inverse
-    mod 2 that the extended Euclid gives."""
-    inv = _bezout_mod_p(a, h, 2)[0]
-    for mod in (4, 8):
-        err = mp_sub([2], mp_mulmod(a, inv, h, mod), mod)
-        inv = mp_mulmod(inv, err, h, mod)
-    return inv
 
 
 def _norm_mod(h, a, m: int) -> int:

@@ -5,11 +5,13 @@ helpers work for any modulus m (used with m = p and m = p^N); gcd and
 factorization require m prime.  Every product reduced by a monic modulus
 goes through one fused kernel, mp_mulmod: the product unreduced, then
 reduced in place with one reduction mod m per coefficient, no quotient, no
-inverse of the leading 1 and no trimming between steps.  mp_gcd runs Euclid
-on monic remainders, and mp_pow_mod squares left to right, multiplying by
-X as a shift.  One integer determinant, _bareiss_det (fraction-free
-Bareiss elimination), serves resultants and discriminants, as Sylvester
-determinants, and the norms of elements of etale algebras (localfields).
+inverse of the leading 1 and no trimming between steps.  There is one
+division, mp_divmod_monic, always by a monic divisor.  mp_gcd runs Euclid
+on monic remainders, and so does _inverse_mod_p, the one inverse mod
+(g, p), keeping one cofactor.  mp_pow_mod squares left to
+right, multiplying by X as a shift.  One integer determinant, _bareiss_det
+(fraction-free Bareiss elimination), serves resultants and discriminants,
+as Sylvester determinants, and the norms of elements of etale algebras.
 There is one prime search over Q, the Frobenius scan of factor_and_scan:
 cycle shapes mod the good primes 2, 3, 5, ... (those prime to the
 discriminant), read off distinct-degree factoring.  The shapes prove
@@ -370,18 +372,6 @@ def mp_mulmod(a, b, g, m):
     return mp_trim([x % m for x in c[:d]])
 
 
-def mp_divmod(a, b, m):
-    """Division by b whose leading coefficient is invertible mod m."""
-    b = mp_trim([c % m for c in b])
-    if not b:
-        raise ZeroDivisionError
-    if b[-1] == 1:
-        return mp_divmod_monic(a, b, m)
-    inv = pow(b[-1], -1, m)
-    q, r = mp_divmod_monic(a, mp_scal(b, inv, m), m)
-    return mp_scal(q, inv, m), r
-
-
 def mp_gcd(a, b, p):
     """Monic gcd mod a prime p, by Euclid on monic remainders: each new
     remainder is made monic and divided by with mp_divmod_monic."""
@@ -462,14 +452,14 @@ def _sqfree_decomp(a, p):
     if len(g) == 1:
         return [(a, 1)]
     out = []
-    w = mp_divmod(a, g, p)[0]
+    w = mp_divmod_monic(a, g, p)[0]
     i = 1
     while len(w) > 1:
         y = mp_gcd(w, g, p)
-        z = mp_divmod(w, y, p)[0]
+        z = mp_divmod_monic(w, y, p)[0]
         if len(z) > 1:
             out.append((z, i))
-        g = mp_divmod(g, y, p)[0]
+        g = mp_divmod_monic(g, y, p)[0]
         w = y
         i += 1
     if len(g) > 1:
@@ -490,9 +480,9 @@ def _distinct_degree(a, p):
         g = mp_gcd(mp_sub(h, x, p), f, p)
         if len(g) > 1:
             out.append((g, d))
-            f = mp_divmod(f, g, p)[0]
+            f = mp_divmod_monic(f, g, p)[0]
             if len(f) > 1:
-                h = mp_divmod(h, f, p)[1]
+                h = mp_divmod_monic(h, f, p)[1]
     if len(f) > 1:
         out.append((f, len(f) - 1))
     return out
@@ -517,7 +507,7 @@ def _equal_degree_split(a, d, p, rng):
             t = mp_sub(mp_pow_mod(b, e, a, p), [1], p)
             g = mp_gcd(t, a, p)
         if 0 < len(g) - 1 < n:
-            rest = mp_divmod(a, g, p)[0]
+            rest = mp_divmod_monic(a, g, p)[0]
             return (_equal_degree_split(g, d, p, rng)
                     + _equal_degree_split(rest, d, p, rng))
 
@@ -567,19 +557,20 @@ def roots_in_Fp(f: RatPoly, p: int) -> list[int]:
 # Hensel lifting
 
 
-def _bezout_mod_p(g, h, p):
-    r0, r1 = [c % p for c in g], [c % p for c in h]
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while mp_trim(r1):
-        q, r = mp_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, mp_sub(s0, mp_mul(q, s1, p), p)
-        t0, t1 = t1, mp_sub(t0, mp_mul(q, t1, p), p)
-    if len(mp_trim(r0)) != 1:
-        raise ValueError("factors not coprime mod p")
-    inv = pow(r0[0], -1, p)
-    return mp_scal(s0, inv, p), mp_scal(t0, inv, p)
+def _inverse_mod_p(a, g, p):
+    """The inverse of a mod the monic g over F_p, by Euclid on monic
+    remainders r = s*a mod g, keeping the cofactor s of a.  ValueError
+    when a and g have a common factor mod p."""
+    r0, r1 = g, mp_divmod_monic(a, g, p)[1]
+    s0, s1 = [], [1]
+    while r1:
+        inv = pow(r1[-1], -1, p)
+        r1, s1 = mp_scal(r1, inv, p), mp_scal(s1, inv, p)
+        q, r = mp_divmod_monic(r0, r1, p)
+        r0, r1, s0, s1 = r1, r, s1, mp_sub(s0, mp_mul(q, s1, p), p)
+    if len(r0) != 1:
+        raise ValueError("not coprime mod p")
+    return s0
 
 
 def hensel_lift_factors(f, factors, p, N):
@@ -587,7 +578,7 @@ def hensel_lift_factors(f, factors, p, N):
 
     Each factor g is lifted on its own (single-factor Newton lifting: von
     zur Gathen and Gerhard, Modern Computer Algebra, 15.4), with t the
-    inverse of f quo g modulo g, from the extended Euclid mod p.  Each step
+    inverse of f quo g modulo g, from _inverse_mod_p.  Each step
     doubles the precision, capped at exactly p^N: g <- g + (f rem g)*t rem
     g, then t <- t*(2 - t*(f quo g)) rem g.  For a linear g this is
     Newton's iteration on the root.  Monic lifts of pairwise-coprime factors
@@ -600,7 +591,7 @@ def hensel_lift_factors(f, factors, p, N):
             k = min(2 * k, N)
             m = p ** k
             h, r = mp_divmod_monic(f, g, m)
-            t = (_bezout_mod_p(g, h, p)[1] if t is None else
+            t = (_inverse_mod_p(h, g, p) if t is None else
                  mp_mulmod(t, mp_sub([2], mp_mulmod(t, h, g, m), m), g, m))
             g = mp_add(g, mp_mulmod(r, t, g, m), m)
         out.append(g)

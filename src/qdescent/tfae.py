@@ -98,12 +98,9 @@ def quartic_galois_group(g: RatPoly) -> str:
         return "V4"
     z0 = zroots[0]
     if z0 == 0:
-        # biquadratic x^4 + p x^2 + r
-        if q_ != 0:
-            # z = 0 is a root only when q = 0
-            return "D4"
-        if _is_rational_square(r_):
-            return "V4"
+        # biquadratic x^4 + p x^2 + r: z = 0 is a root only when q = 0, and
+        # r is not a square, or z^2 + 2p z + p^2 - 4r, of discriminant 16r,
+        # would have rational roots too
         return "C4" if _is_rational_square(r_ * (p_ * p_ - 4 * r_)) else "D4"
     return "C4" if _is_rational_square(z0 * disc) else "D4"
 

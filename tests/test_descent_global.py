@@ -152,11 +152,15 @@ def test_one_etale_algebra_per_place(monkeypatch):
 
 def test_hyper_ledger_factors_its_polynomial_once(monkeypatch):
     # every place, the torsion rank and the class records read the
-    # factors the curve keeps
-    calls = record_calls(monkeypatch, poly.factor_over_Z)
+    # factors the curve keeps, found from the discriminant it keeps:
+    # factor_over_Z, which would compute a second one, also goes through
+    # factor_and_scan
+    calls = record_calls(monkeypatch, poly.factor_and_scan)
+    discs = record_calls(monkeypatch, poly.discriminant)
     assemble_ledger_hyper(HyperellipticCurve(EXAMPLE_II),
                           points=EXAMPLE_II_POINTS)
-    assert calls == [(EXAMPLE_II,)]
+    assert [args[0] for args in calls] == [EXAMPLE_II]
+    assert discs.count((EXAMPLE_II,)) == 1
 
 
 def test_elliptic_ledger_factors_its_cubic_once(monkeypatch):
@@ -164,9 +168,12 @@ def test_elliptic_ledger_factors_its_cubic_once(monkeypatch):
     # images of the points and every place's profile read one
     # factorization of the 2-division cubic, kept on the model
     m = curve_from_string("[0,7,0,-26,0]")
-    calls = record_calls(monkeypatch, poly.factor_over_Z)
+    calls = record_calls(monkeypatch, poly.factor_and_scan)
+    discs = record_calls(monkeypatch, poly.discriminant)
     assemble_ledger_elliptic(m, [quadratic_class_record(17)], [-8])
-    assert calls == [(two_division_cubic_integral(m),)]
+    cubic = two_division_cubic_integral(m)
+    assert [args[0] for args in calls] == [cubic]
+    assert discs.count((cubic,)) == 1
 
 
 def test_ledger_and_bad_primes_factor_the_discriminant_once(monkeypatch):
@@ -276,6 +283,23 @@ def test_parse_class_data_names_each_malformed_line():
         assert repr(line) in str(err.value), line
     (rec,) = parse_class_data("X^3-2 | 0 | No | table")
     assert (rec.two_rank, rec.narrow_eq_wide) == (0, False)
+
+
+def test_a_cubic_record_sets_the_class_side():
+    # y^2 = X^3 - X - 1: f is irreducible, so its one field, of
+    # discriminant -23 and class number 1, takes the supplied record that
+    # matches f up to a scalar, and skips the one that does not
+    records = parse_class_data("X^3-2 | 0 | no | other field\n"
+                               "2*X^3-2*X-2 | 0 | yes | cubic tables\n")
+    ledger = assemble_ledger_hyper(HyperellipticCurve(parse_poly("X^3-X-1")),
+                                   records)
+    assert (ledger.class_side_rank, ledger.class_side_provenance) == \
+        (0, "cubic tables")
+    assert ledger.narrow_refinement_applied
+    bare = assemble_ledger_hyper(HyperellipticCurve(parse_poly("X^3-X-1")),
+                                 records[:1])
+    assert bare.class_side_rank is None
+    assert any("no class-group record" in n for n in bare.notes)
 
 
 def test_narrow_refinement_only_from_applicable_class_data():

@@ -386,6 +386,63 @@ def test_local_report_shape():
 
 
 # ---------------------------------------------------------------------------
+# the membership cases a singular kernel point cannot reach
+
+
+def seeded_curves(rng, count, invariants, singular):
+    """count curves [a1, a2, a3, a4, a6] = invariants(a, b), with |a|, |b|
+    <= 60 drawn from rng, skipping those for which singular(a, b) holds."""
+    out = []
+    while len(out) < count:
+        a, b = rng.randint(-60, 60), rng.randint(-60, 60)
+        if not singular(a, b):
+            out.append((b, curve(str(invariants(a, b)))))
+    return out
+
+
+def test_odd_I_nu_has_no_singular_two_torsion():
+    # y^2 = x(x^2 + ax + b): a singular 2-torsion point maps to an element
+    # of order 2 of the component group, which Z/nu lacks for odd nu, so
+    # every report, of the 2-map and of the 2-isogeny with kernel (0, 0),
+    # completes without reaching the assertion that names the type
+    family = seeded_curves(random.Random(26), 60,
+                           lambda a, b: [0, a, 0, b, 0],
+                           lambda a, b: b == 0 or a * a == 4 * b)
+    odd = 0
+    for _, m in family:
+        phi = velu_isogeny(m, [Pt(Fraction(0), Fraction(0))])
+        for p in sorted({2, *bad_primes(m)}):
+            kt = m.reduction(p).kodaira
+            if kt.letter == "I" and kt.nu % 2:
+                odd += 1
+                prof = profile(m, TWO_MAP, p)
+                assert not any(pt.singular for pt in prof.kernel_points
+                               if pt.residue_degree >= 1), (m, p)
+            for map_ in (TWO_MAP, phi):
+                local_descent_report(m, map_, finite(p))
+    assert odd >= 50
+
+
+def test_three_isogeny_reports_past_types_without_order_three():
+    # y^2 + axy + by = x^3 with kernel {(0, 0), (0, -b)}: the family
+    # reaches I_nu with 3 not dividing nu and II, whose component groups
+    # have no element of order 3, and IV, whose group Z/3 has; every
+    # report completes
+    family = seeded_curves(random.Random(27), 60,
+                           lambda a, b: [a, 0, b, 0, 0],
+                           lambda a, b: b == 0 or a ** 3 == 27 * b)
+    types = set()
+    for b, m in family:
+        phi = velu_isogeny(m, [Pt(Fraction(0), Fraction(0)),
+                               Pt(Fraction(0), Fraction(-b))])
+        for p in sorted({2, 3, *bad_primes(m)}):
+            kt = m.reduction(p).kodaira
+            types.add("I" if kt.letter == "I" and kt.nu % 3 else kt.letter)
+            local_descent_report(m, phi, finite(p))
+    assert {"I", "II", "IV"} <= types
+
+
+# ---------------------------------------------------------------------------
 # S for cyclic isogenies against the local exact sequence
 
 

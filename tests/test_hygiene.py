@@ -66,8 +66,8 @@ def imported_modules(tree):
 
 def test_one_multiply_then_reduce():
     # a product reduced by a monic modulus goes through poly.mp_mulmod, the
-    # one fused kernel, never through mp_divmod(mp_mul(...), ...)
-    divides = ("mp_divmod", "mp_divmod_monic")
+    # one fused kernel, never through mp_divmod_monic(mp_mul(...), ...)
+    divides = ("mp_divmod_monic",)
     found = [f"{name}:{node.lineno}"
              for name, tree in TREES.items() for node in ast.walk(tree)
              if isinstance(node, ast.Call)
@@ -75,6 +75,18 @@ def test_one_multiply_then_reduce():
              and node.args and isinstance(node.args[0], ast.Call)
              and isinstance(node.args[0].func, ast.Name)
              and node.args[0].func.id == "mp_mul"]
+    assert not found
+
+
+def test_private_names_cross_modules_only_from_an_allowlist():
+    # a module's private helpers are its own; the shared kernels another
+    # module of src/ may import by name are listed here
+    allowed = {"_bareiss_det", "_vp_bounded"}
+    found = [f"{name}:{node.lineno}:{alias.name}"
+             for name, tree in TREES.items() for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level > 0
+             for alias in node.names
+             if alias.name.startswith("_") and alias.name not in allowed]
     assert not found
 
 

@@ -104,6 +104,65 @@ def test_real_images():
     assert tuple(e.unit[0] for e in v.entries) == (1, 1, 1, -1, -1)
 
 
+def isolating_points(f):
+    """A rational x just above each real root of f, ascending, with no root
+    of f or f' between the two: the sign changes of f on a grid of step
+    1/4 (offset by 1/97, so that no grid point is a root; the roots are
+    further apart), each bisected to width 2^-20 and on until f' has one
+    sign at both ends."""
+    bound = 1 + int(max(abs(c) for c in f.coeffs))
+    df, off = f.deriv(), Fraction(1, 97)
+    out = []
+    for k in range(-4 * bound, 4 * bound):
+        lo, hi = Fraction(k, 4) + off, Fraction(k + 1, 4) + off
+        if f.eval(lo) * f.eval(hi) > 0:
+            continue
+        while hi - lo > 2 ** -20 or df.eval(lo) * df.eval(hi) <= 0:
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if f.eval(lo) * f.eval(mid) < 0 else (mid, hi)
+        out.append(hi)
+    return out
+
+
+@pytest.mark.parametrize("f", [
+    "X^5-X^4-4*X^3+3*X^2+3*X-1", "X^3-2", "X^5-5*X+1", "X^7-7*X^3+X^2+1",
+    "X^5-X^4-X^3+X^2-2*X+2"])
+def test_real_torsion_images_against_an_isolating_point(f):
+    # at x just above alpha_i, x - alpha_j and alpha_i - alpha_j have one
+    # sign for j != i, and the home entry of the torsion image, the product
+    # of alpha_i - alpha_j over the other roots, has the sign of f'(x)
+    f = parse_poly(f)
+    alg = EtaleAlgebra(poly.factor_over_Z(f), REAL_PLACE.p)
+    xs = isolating_points(f)
+    assert len(xs) == alg.n_real
+    for i, x in enumerate(xs):
+        tors = alg.image_of_torsion_root(i).mask
+        assert xt_image(alg, ("alpha", i + 1)).mask == tors
+        near = alg.image_of_affine(x).mask
+        assert near >> i & 1 == 0
+        assert (tors ^ near) & ~(1 << i) == 0, (f, i)
+        assert tors >> i & 1 == (f.deriv().eval(x) < 0), (f, i)
+
+
+def test_image_table_at_the_real_place():
+    # y^2 = X^5 - 5X + 1: real roots near -1.54, 0.20 and 1.44, one complex
+    # pair, and the point (0, 1); a real entry renders as its sign, a
+    # complex pair as 1
+    c = HyperellipticCurve(parse_poly("X^5-5*X+1"))
+    pts = [("alpha", 1), ("alpha", 2), ("alpha", 3), ("rational", 0, None)]
+    labels, rows = image_table(c, pts, REAL_PLACE)
+    assert labels == ["alpha_1", "alpha_2", "alpha_3", "pair_1"]
+    assert [(lab, syms) for lab, _, syms in rows] == [
+        ("(alpha_1)", ("1", "-1", "-1", "1")),
+        ("(alpha_2)", ("1", "-1", "-1", "1")),
+        ("(alpha_3)", ("1", "1", "1", "1")),
+        ("(0)", ("1", "-1", "-1", "1"))]
+    for _, vec, syms in rows:
+        assert [e.kind for e in vec.entries] == ["real"] * 3 + ["complex"]
+        assert syms[:3] == tuple("-1" if vec.mask >> j & 1 else "1"
+                                 for j in range(3))
+
+
 def test_table_at_191_matches_paper():
     pts = [("alpha", i) for i in (1, 2, 3, 4, 5)] + RATPTS
     labels, rows = image_table(C2, pts, finite(191))

@@ -11,8 +11,8 @@ from qdescent.descent_local import _piece_root_valuation
 from qdescent.localfields import (EtaleAlgebra, SqVector, echelon, relations,
                                   span_closure, span_rank)
 from qdescent.poly import (RatPoly, UnresolvedSplitting, _vp_bounded,
-                           discriminant, factor_over_Z, mp_divmod, mp_mul,
-                           mp_pow_mod, parse_poly)
+                           discriminant, factor_over_Z, mp_divmod_monic,
+                           mp_mul, mp_pow_mod, parse_poly)
 
 QUINTIC = parse_poly("X^5+16*X^4-274*X^3+817*X^2+178*X+1")
 # unramified pieces at 2: three linear; three linear and one of degree 2;
@@ -212,14 +212,15 @@ def unit_squares(h, k):
     out = set()
     for x in itertools.product(range(m // 2), repeat=f):
         if any(c % 2 for c in x):
-            sq = mp_divmod(mp_mul(list(x), list(x), m), hm, m)[1]
+            sq = mp_divmod_monic(mp_mul(list(x), list(x), m), hm, m)[1]
             out.add(tuple(sq + [0] * (f - len(sq))))
     return out
 
 
 def residue(a, h, k):
     """a mod (h, 2^k) as a tuple of deg h coefficients."""
-    r = mp_divmod([c % 2 ** k for c in a], [c % 2 ** k for c in h], 2 ** k)[1]
+    m = 2 ** k
+    r = mp_divmod_monic([c % m for c in a], [c % m for c in h], m)[1]
     return tuple(r + [0] * (len(h) - 1 - len(r)))
 
 
@@ -246,7 +247,7 @@ def test_dyadic_classes_in_the_Z_model(f):
             if piece.kind == "ramified":
                 continue
             m = 2 ** piece.prec
-            elem = mp_divmod([x - piece.shift, -2 ** piece.scale],
+            elem = mp_divmod_monic([x - piece.shift, -2 ** piece.scale],
                              [c % m for c in piece.zlift], m)[1]
             v = min(valuation(c, 2) for c in elem if c)
             unit = [c // 2 ** v for c in elem]
@@ -283,7 +284,7 @@ def test_odd_classes_from_norms_match_residue_characters():
             for _ in range(10):
                 v = rng.randrange(3)
                 unit = [rng.randrange(p ** 4) for _ in range(piece.f)]
-                if not mp_divmod([c % p for c in unit], h, p)[1]:
+                if not mp_divmod_monic([c % p for c in unit], h, p)[1]:
                     continue
                 elem = [c * p ** v for c in unit]
                 chi = mp_pow_mod([c % p for c in unit], (q - 1) // 2, h, p)
@@ -377,7 +378,7 @@ def lifted_image_of_torsion_root(alg, i):
         for k in ([k for k in range(alg.n_comp) if k != i] if j == i
                   else [i]):
             elem = mp_mul(elem, alg.pieces[k].lift, m)
-        elem = mp_divmod(elem, [c % m for c in piece_j.lift], m)[1]
+        elem = mp_divmod_monic(elem, [c % m for c in piece_j.lift], m)[1]
         if (alg.pieces[i].degree - (j == i)) % 2:
             elem = [-c % m for c in elem]
         mask |= alg.class_of_element(j, alg.to_z(j, elem, m), prec)

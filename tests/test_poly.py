@@ -14,9 +14,9 @@ from qdescent.poly import (HENSEL_START, RatPoly, UnresolvedSplitting,
                            discriminant, distinct_degree_shape, factor_mod_p,
                            factor_over_Z, fp_poly, hensel_lift_factors,
                            local_splitting_type, monic_integral, mp_add,
-                           mp_divmod, mp_gcd, mp_mul, mp_mulmod, mp_pow_mod,
-                           mp_shift, mp_sub, parse_poly, resultant,
-                           roots_in_Fp)
+                           mp_divmod_monic, mp_gcd, mp_mul, mp_mulmod,
+                           mp_pow_mod, mp_scal, mp_shift, mp_sub, mp_trim,
+                           parse_poly, resultant, roots_in_Fp)
 
 QUINTIC = parse_poly("X^5+16*X^4-274*X^3+817*X^2+178*X+1")
 
@@ -228,6 +228,29 @@ def test_mp_pow_mod_is_repeated_mulmod():
                 for n in range(41):
                     assert mp_pow_mod(a, n, g, m) == power, (a, n, g, m)
                     power = mp_mulmod(power, a, g, m)
+
+
+def test_inverse_mod_p_inverts_and_names_a_common_factor():
+    rng = random.Random(26)
+    for p in (2, 3, 5, 101, 2 ** 61 - 1):
+        done = 0
+        while done < 30:
+            g = [rng.randrange(p) for _ in range(rng.randint(1, 6))] + [1]
+            a = [rng.randrange(-p, 2 * p) for _ in range(rng.randint(1, 9))]
+            if mp_gcd(a, g, p) != [1]:
+                with pytest.raises(ValueError):
+                    poly._inverse_mod_p(a, g, p)
+                continue
+            inv = poly._inverse_mod_p(a, g, p)
+            assert len(inv) < len(g), (a, g, p)
+            assert mp_mulmod(a, inv, g, p) == [1], (a, g, p)
+            done += 1
+        # a and g that share a monic factor h mod p
+        h = [rng.randrange(p) for _ in range(rng.randint(1, 3))] + [1]
+        a = mp_mul(h, [rng.randrange(1, p) for _ in range(3)], p)
+        g = mp_mul(h, [rng.randrange(p) for _ in range(2)] + [1], p)
+        with pytest.raises(ValueError):
+            poly._inverse_mod_p(a, g, p)
 
 
 def test_mp_gcd_matches_plain_euclid():
@@ -532,11 +555,39 @@ def test_rational_roots_88_digit_constant(deadline):
         assert factor_over_Z(built) == [RatPoly([-a, 1]), RatPoly([k, 0, 1])]
 
 
+def long_divmod(a, b, p):
+    """(q, r) with a = q*b + r mod p, by schoolbook long division with the
+    inverse of the leading coefficient of b."""
+    q, r = [0] * max(0, len(a) - len(b) + 1), mp_trim([c % p for c in a])
+    inv = pow(b[-1], -1, p)
+    while len(r) >= len(b):
+        c, k = r[-1] * inv % p, len(r) - len(b)
+        q[k] = c
+        r = mp_sub(r, [0] * k + [c * x for x in b], p)
+    return q, r
+
+
+def bezout_mod_p(g, h, p):
+    """(s, t) with s*g + t*h = 1 mod p: the textbook extended Euclid on
+    remainders that are not made monic."""
+    r0, r1 = mp_trim([c % p for c in g]), mp_trim([c % p for c in h])
+    s0, s1, t0, t1 = [1], [], [], [1]
+    while r1:
+        q, r = long_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, mp_sub(s0, mp_mul(q, s1, p), p)
+        t0, t1 = t1, mp_sub(t0, mp_mul(q, t1, p), p)
+    assert len(r0) == 1, "factors not coprime mod p"
+    inv = pow(r0[0], -1, p)
+    return mp_scal(s0, inv, p), mp_scal(t0, inv, p)
+
+
 def two_factor_lift(f, factors, p, N):
     """The oracle: the textbook quadratic two-factor lift (von zur Gathen
     and Gerhard, Modern Computer Algebra, Algorithm 15.10) of factors[0]
-    against the product of the others, with Bezout cofactors s and t,
-    recursing on the cofactor; its last step runs mod p^(2^ceil(log2 N))."""
+    against the product of the others, with Bezout cofactors s and t from
+    bezout_mod_p, recursing on the cofactor; its last step runs mod
+    p^(2^ceil(log2 N))."""
     mN = p ** N
     f = [c % mN for c in f]
     if len(factors) == 1:
@@ -545,16 +596,16 @@ def two_factor_lift(f, factors, p, N):
     h = [1]
     for other in factors[1:]:
         h = mp_mul(h, other, p)
-    s, t = poly._bezout_mod_p(g, h, p)
+    s, t = bezout_mod_p(g, h, p)
     k = 1
     while k < N:
         m = p ** (2 * k)
         e = mp_sub([c % m for c in f], mp_mul(g, h, m), m)
-        q, r = mp_divmod(mp_mul(s, e, m), h, m)
+        q, r = mp_divmod_monic(mp_mul(s, e, m), h, m)
         g = mp_add(mp_add(g, mp_mul(t, e, m), m), mp_mul(q, g, m), m)
         h = mp_add(h, r, m)
         b = mp_sub(mp_add(mp_mul(s, g, m), mp_mul(t, h, m), m), [1], m)
-        c, d = mp_divmod(mp_mul(s, b, m), h, m)
+        c, d = mp_divmod_monic(mp_mul(s, b, m), h, m)
         s = mp_sub(s, d, m)
         t = mp_sub(mp_sub(t, mp_mul(t, b, m), m), mp_mul(c, g, m), m)
         k *= 2
@@ -807,7 +858,7 @@ def test_lazy_lifts_match_eager_lifts():
                       if (h, mult) == (list(fc.known), 1)]
             assert fc.zlift == tuple(want), (f, p)
             m = p ** fc.prec
-            assert mp_divmod(whole, list(fc.zlift), m)[1] == [], (f, p)
+            assert mp_divmod_monic(whole, list(fc.zlift), m)[1] == [], (f, p)
             deg = fc.degree
             assert fc.lift == tuple(mp_shift(
                 [c * p ** (fc.scale * (deg - i)) for i, c in
