@@ -13,7 +13,7 @@ At a finite place one routine, EtaleAlgebra.class_of_element, gives the
 class of an element of a component, and it reads the class off the norm N
 of the element to Q_p, the determinant of multiplication by it (from
 poly._bareiss_det, the one Bareiss determinant, which also gives
-resultants): a valuation-parity bit v(N)/f mod 2 (f the residue degree),
+discriminants): a valuation-parity bit v(N)/f mod 2 (f the residue degree),
 then the unit bits:
 
   * unramified piece at odd p: the quadratic character of the unit part of

@@ -10,8 +10,9 @@ division, mp_divmod_monic, always by a monic divisor.  mp_gcd runs Euclid
 on monic remainders, and so does _inverse_mod_p, the one inverse mod
 (g, p), keeping one cofactor.  mp_pow_mod squares left to
 right, multiplying by X as a shift.  One integer determinant, _bareiss_det
-(fraction-free Bareiss elimination), serves resultants and discriminants,
-as Sylvester determinants, and the norms of elements of etale algebras.
+(fraction-free Bareiss elimination), serves the discriminant, as the
+determinant of the n x n Bezout matrix of f and f', and the norms of
+elements of etale algebras.
 There is one prime search over Q, the Frobenius scan of factor_and_scan:
 cycle shapes mod the good primes 2, 3, 5, ... (those prime to the
 discriminant), read off distinct-degree factoring.  The shapes prove
@@ -212,32 +213,11 @@ def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
     return a.monic() if not a.is_zero() else a
 
 
-def resultant(f: RatPoly, g: RatPoly) -> Fraction:
-    """Res(f, g), exact.  With a and b the lcm of the denominators of f and
-    g, Res(f, g) = Res(af, bg) / (a^deg g * b^deg f); the integer Sylvester
-    determinant Res(af, bg) comes from fraction-free (Bareiss) elimination,
-    whose every division by the previous pivot is exact."""
-    m, n = f.degree, g.degree
-    if m < 0 or n < 0:
-        return Fraction(0)
-    if m == 0:
-        return f.coeffs[0] ** n
-    if n == 0:
-        return g.coeffs[0] ** m
-    a = math.lcm(*(c.denominator for c in f.coeffs))
-    b = math.lcm(*(c.denominator for c in g.coeffs))
-    fc = [c.numerator * (a // c.denominator) for c in reversed(f.coeffs)]
-    gc = [c.numerator * (b // c.denominator) for c in reversed(g.coeffs)]
-    rows = [[0] * i + fc + [0] * (n - 1 - i) for i in range(n)]
-    rows += [[0] * i + gc + [0] * (m - 1 - i) for i in range(m)]
-    return Fraction(_bareiss_det(rows), a ** n * b ** m)
-
-
 def _bareiss_det(rows) -> int:
     """Determinant of a square integer matrix, given as a list of rows that
     it overwrites, by fraction-free (Bareiss) elimination: every division by
-    the previous pivot is exact.  It serves resultants here and norms in
-    etale algebras (localfields)."""
+    the previous pivot is exact.  It serves the Bezout discriminant here and
+    norms in etale algebras (localfields)."""
     size = len(rows)
     sign, prev = 1, 1
     for k in range(size):
@@ -256,15 +236,28 @@ def _bareiss_det(rows) -> int:
 
 
 def discriminant(f: RatPoly) -> Fraction:
-    """Resultant-based discriminant; rejects constants."""
-    d = f.degree
-    if d < 1:
+    """disc(f) for deg f = n >= 1 (a degree-1 f gives 1); rejects constants.
+
+    With a the lcm of the denominators of f, F = a*f has integer
+    coefficients u, and v are those of F' (v[n] = 0).  The n x n Bezout
+    matrix B of F and F', (u(x)v(y) - u(y)v(x))/(x - y) = sum B[i][j] x^i y^j,
+    is built from its last row up, B[i][j] = u[i+1] v[j] - u[j] v[i+1]
+    + B[i+1][j-1], and det B = lead(F)^2 disc(F), with no sign (Helmke and
+    Fuhrmann, "Bezoutians", Linear Algebra Appl. 122-124 (1989)).  Since
+    disc(F) = a^(2n-2) disc(f), disc(f) = det B / (lead(F)^2 a^(2n-2))."""
+    n = f.degree
+    if n < 1:
         raise ValueError("discriminant needs degree >= 1")
-    if d == 1:
-        return Fraction(1)
-    r = resultant(f, f.deriv())
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * r / f.lead
+    a = math.lcm(*(c.denominator for c in f.coeffs))
+    u = [c.numerator * (a // c.denominator) for c in f.coeffs]
+    v = [i * c for i, c in enumerate(u)][1:] + [0]
+    rows = [[0] * n for _ in range(n + 1)]  # row n lies outside B
+    for i in reversed(range(n)):
+        below = rows[i + 1]
+        rows[i] = [u[i + 1] * v[j] - u[j] * v[i + 1] + (below[j - 1] if j else 0)
+                   for j in range(n)]
+    rows.pop()
+    return Fraction(_bareiss_det(rows), u[n] ** 2 * a ** (2 * n - 2))
 
 
 def parse_poly(s: str) -> RatPoly:

@@ -16,7 +16,7 @@ from qdescent.poly import (HENSEL_START, RatPoly, UnresolvedSplitting,
                            local_splitting_type, monic_integral, mp_add,
                            mp_divmod_monic, mp_gcd, mp_mul, mp_mulmod,
                            mp_pow_mod, mp_scal, mp_shift, mp_sub, mp_trim,
-                           parse_poly, resultant, roots_in_Fp)
+                           parse_poly, roots_in_Fp)
 
 QUINTIC = parse_poly("X^5+16*X^4-274*X^3+817*X^2+178*X+1")
 
@@ -48,7 +48,7 @@ def test_discriminant_product_identity(ac, bc):
         return
     fg = f * g
     assert discriminant(fg) == \
-        discriminant(f) * discriminant(g) * resultant(f, g) ** 2
+        discriminant(f) * discriminant(g) * sylvester_det_over_Q(f, g) ** 2
 
 
 def sylvester_det_over_Q(f, g):
@@ -92,22 +92,72 @@ def random_rational_poly(rng, deg):
     return RatPoly([coeff() for _ in range(deg)] + [lead])
 
 
-def test_resultant_and_discriminant_match_the_fraction_oracle():
+def test_discriminant_matches_the_fraction_oracle():
+    # degree 0 to 8, non-integral, leading coefficient often negative
     rng = random.Random(1507)
     for _ in range(300):
         f = random_rational_poly(rng, rng.randint(0, 8))
         g = random_rational_poly(rng, rng.randint(0, 8))
-        assert resultant(f, g) == sylvester_det_over_Q(f, g)
-        if f.degree >= 2:
-            sign = -1 if f.degree * (f.degree - 1) // 2 % 2 else 1
-            assert discriminant(f) == \
-                sign * sylvester_det_over_Q(f, f.deriv()) / f.lead
-        # a common factor h makes Res(f*h, g*h) vanish, and a square
-        # factor makes the discriminant vanish
+        for q in (f, g):
+            if q.degree < 1:
+                with pytest.raises(ValueError):
+                    discriminant(q)
+                continue
+            sign = -1 if q.degree * (q.degree - 1) // 2 % 2 else 1
+            assert discriminant(q) == \
+                sign * sylvester_det_over_Q(q, q.deriv()) / q.lead
+        # a square factor makes the discriminant vanish
         h = random_rational_poly(rng, rng.randint(1, 2))
-        assert resultant(f * h, g * h) == 0
         if (f * h * h).degree <= 8:
             assert discriminant(f * h * h) == 0
+
+
+def test_discriminant_takes_one_n_by_n_determinant(monkeypatch):
+    # the n x n Bezout matrix, not the (2n - 1) x (2n - 1) Sylvester one
+    sizes, bareiss_det = [], poly._bareiss_det
+
+    def spy(rows):
+        sizes.append(len(rows))
+        return bareiss_det(rows)
+
+    monkeypatch.setattr(poly, "_bareiss_det", spy)
+    rng = random.Random(27)
+    for n in range(2, 9):
+        sizes.clear()
+        discriminant(random_rational_poly(rng, n))
+        assert sizes == [n]
+
+
+NONZERO = RATIONALS.filter(bool)
+
+
+@given(st.lists(RATIONALS, min_size=1, max_size=8), NONZERO, NONZERO)
+@settings(max_examples=60)
+def test_discriminant_scales_as_a_form(cs, lead, c):
+    # disc(c f) = c^(2n-2) disc(f), for every degree n = 1, ..., 8
+    f = RatPoly(cs + [lead])
+    n = f.degree
+    assert discriminant(c * f) == c ** (2 * n - 2) * discriminant(f)
+
+
+@given(st.lists(RATIONALS, min_size=1, max_size=8), NONZERO, NONZERO,
+       RATIONALS)
+@settings(max_examples=60)
+def test_discriminant_under_a_linear_substitution(cs, lead, a, b):
+    # disc(f(aX + b)) = a^(n(n-1)) disc(f): the roots move to (r - b)/a
+    f = RatPoly(cs + [lead])
+    n = f.degree
+    assert discriminant(f.compose_linear(a, b)) == \
+        a ** (n * (n - 1)) * discriminant(f)
+
+
+@given(RATIONALS, NONZERO)
+def test_discriminant_of_a_linear_polynomial_and_of_a_constant(b, a):
+    assert discriminant(RatPoly([b, a])) == 1
+    with pytest.raises(ValueError):
+        discriminant(RatPoly([a]))
+    with pytest.raises(ValueError):
+        discriminant(RatPoly([]))
 
 
 def test_norm_mod_matches_the_fraction_oracle():
