@@ -26,16 +26,15 @@ import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from .arith import (REAL_PLACE, factor_integer, finite, is_prime,
-                    squarefree_part)
+from .arith import REAL_PLACE, factor_integer, finite, squarefree_part
 from .descent_local import TWO_MAP, LocalDescentReport, local_descent_report
 from .elliptic import WeierstrassModel
 from .jacobian import (HyperellipticCurve, independence_rank,
                        local_intersection_rank, local_selmer_rank_hyper,
                        local_torsion_rank)
 from .localfields import EtaleAlgebra
-from .poly import (RatPoly, discriminant, factor_over_Z, fp_poly, mp_pow_mod,
-                   parse_poly)
+from .poly import (RatPoly, discriminant, factor_over_Z, parse_poly,
+                   split_primes)
 
 _PERIOD_BOUND = 10 ** 6  # longest continued-fraction period followed
 
@@ -274,7 +273,7 @@ def _ledger(curve, kind, hc, reports, bad, records, points) -> GlobalLedger:
     tors2 = len(hc.factors) - 1
     pts_rank, lo = None, tors2
     if points:
-        prs = _independence_primes(hc.f)
+        prs = split_primes(hc.f)
         pts_rank, analysis = independence_rank(hc, points, prs)
         lo = max(tors2, analysis["rank_with_torsion"])
         notes.append(f"independence primes: {prs}")
@@ -298,21 +297,6 @@ def _ledger(curve, kind, hc, reports, bad, records, points) -> GlobalLedger:
     return GlobalLedger(curve, kind, [r.as_dict() for r in reports], rank_s,
                         refined, rank_c, class_side, prov, pts_rank, tors2,
                         (lo, hi), narrow_ok, notes)
-
-
-def _independence_primes(f: RatPoly):
-    """The two smallest odd primes where the monic f of degree >= 2 splits
-    completely into distinct linear factors mod p (full local data), so p
-    does not divide the discriminant: those where f divides X^p - X."""
-    out = []
-    p = 3
-    while len(out) < 2 and p < 10 ** 4:
-        if is_prime(p) and mp_pow_mod([0, 1], p, fp_poly(f, p), p) == [0, 1]:
-            out.append(p)
-        p += 2
-    if len(out) < 2:
-        raise ArithmeticError("could not find split primes for independence")
-    return out
 
 
 def assemble_ledger_hyper(c: HyperellipticCurve, records=None,

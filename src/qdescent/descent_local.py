@@ -320,7 +320,7 @@ def _count_x_roots_with_square_rhs(g: RatPoly, f: RatPoly, p: int) -> int:
 
 
 def _singular_membership_two_torsion(rd: ReductionData, pt: KernelPoint,
-                                     k: int, deg_Lp: int):
+                                     k: int):
     """(in_image, reason) for a singular M-rational 2-torsion point.  Its
     image in the component group has order 2 (Silverman, Advanced Topics,
     IV.9), so the type is I_nu with nu even, III, III* or I_nu^*."""
@@ -405,7 +405,7 @@ def i2_order(rd: ReductionData, phi, prof: TorsionFieldProfile):
         if phi_degree(phi) == 3:
             ok, reason = _singular_membership_odd_kernel(rd, k, deg_Lp)
         else:
-            ok, reason = _singular_membership_two_torsion(rd, pt, k, deg_Lp)
+            ok, reason = _singular_membership_two_torsion(rd, pt, k)
         if ok:
             numerator += 1
         evidence.append({"point": pt.label, "singular": True,

@@ -139,7 +139,7 @@ def xt_image(alg: EtaleAlgebra, D) -> SqVector:
 # rendering
 
 
-def render_entry(entry, p: int) -> str:
+def render_entry(entry) -> str:
     """Human-readable symbol for one component class (pi = p itself)."""
     if entry.kind == "real":
         return "1" if entry.unit[0] == 1 else "-1"
@@ -170,7 +170,7 @@ def image_table(c: HyperellipticCurve, points, v: Place):
     for pt in points:
         vec = xt_image(alg, pt)
         rows.append((point_label(pt), vec,
-                     tuple(render_entry(e, alg.p) for e in vec.entries)))
+                     tuple(render_entry(e) for e in vec.entries)))
     return alg.labels(), rows
 
 
@@ -231,17 +231,12 @@ def independence_rank(c: HyperellipticCurve, points, primes):
     for p in primes:
         alg = EtaleAlgebra(c.factors, p)
         vecs = [xt_image(alg, pt) for pt in points]
-        analysis[p] = {
-            "relations": relations(w.mask for w in vecs),
-            "nontrivial_images": [point_label(points[i]) for i in range(n)
-                                  if not vecs[i].is_trivial()],
-        }
+        analysis[p] = {"relations": relations(w.mask for w in vecs)}
         vecs += [alg.image_of_factor_roots(k) for k in range(t)]
         stacked = [s << alg.basis.width | w.mask
                    for s, w in zip(stacked, vecs)]
     common = relations(stacked[:n])
     bound = n - len(common)
     analysis["common_relations"] = common
-    analysis["rank_lower_bound"] = bound
     analysis["rank_with_torsion"] = n + t - len(relations(stacked))
     return bound, analysis

@@ -13,19 +13,24 @@ right, multiplying by X as a shift.  One integer determinant, _bareiss_det
 (fraction-free Bareiss elimination), serves the discriminant, as the
 determinant of the n x n Bezout matrix of f and f', and the norms of
 elements of etale algebras.
-There is one prime search over Q, the Frobenius scan of factor_and_scan:
-cycle shapes mod the good primes 2, 3, 5, ... (those prime to the
-discriminant), read off distinct-degree factoring.  The shapes prove
-irreducibility or choose the prime of one Zassenhaus pass; factor_over_Z
-is that pass, with disc = 0 sending a repeated factor to the squarefree
-part, and tfae reads the same scan.  The lift (hensel_lift_factors) takes
+There are two prime searches over Q.  The Frobenius scan of
+factor_and_scan reads cycle shapes mod the good primes 2, 3, 5, ...
+(those prime to the discriminant) off distinct-degree factoring.  The
+shapes prove irreducibility or choose the prime of one Zassenhaus pass;
+factor_over_Z is that pass, with disc = 0 sending a repeated factor to the
+squarefree part, and tfae reads the same scan.  split_primes, for the
+hyperelliptic ledger, looks only for primes where f splits completely,
+and stays a search of its own: it costs one power X^p mod f per prime,
+where a shape costs about two.  The lift (hensel_lift_factors) takes
 each factor on its own by Newton's iteration, doubling the precision up to
 exactly p^N.  local_splitting_type gives the factorization type over Q_p
 by the same lift and order 1 of the Montes algorithm, from the factors of
 f over Q that factor_over_Z gives: it factors nothing over Q, so that one
-factorization serves every place.  A piece from a simple factor mod p is
-lifted only when a caller first reads its lift, to the same p^N
-(LocalFactor).
+factorization serves every place.  Its pieces are ordered by what is read
+mod p and off the Newton polygon, never by a lift, so the order is the
+same at every precision and beside any other factor.  A piece from a
+simple factor mod p is lifted only when a caller first reads its lift, to
+the same p^N (LocalFactor).
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations, groupby
+from itertools import chain, combinations
 
 from .arith import is_prime, residue
 
@@ -680,6 +685,21 @@ def factor_and_scan(f: RatPoly, disc: Fraction):
     return sorted(out, key=lambda h: (h.degree, h.coeffs)), shapes
 
 
+def split_primes(f: RatPoly) -> list[int]:
+    """The two smallest odd primes where the monic integer f of degree >= 2
+    splits completely into distinct linear factors mod p, so that p does
+    not divide disc(f): those where f divides X^p - X, one power each."""
+    out = []
+    p = 3
+    while len(out) < 2 and p < 10 ** 4:
+        if is_prime(p) and mp_pow_mod([0, 1], p, fp_poly(f, p), p) == [0, 1]:
+            out.append(p)
+        p += 2
+    if len(out) < 2:
+        raise ArithmeticError("could not find split primes for independence")
+    return out
+
+
 def factor_over_Z(f: RatPoly) -> list[RatPoly]:
     """Certified irreducible monic factorization over Q, degree <= 8, sorted
     by degree, then coefficients: the Zassenhaus pass of factor_and_scan.
@@ -966,8 +986,11 @@ def _factor_mod_pN(g, p, N, k):
 def local_splitting_type(factors, p: int) -> tuple[LocalFactor, ...]:
     """The Q_p-irreducible pieces of a separable monic integer polynomial
     f, given by its irreducible factors over Q (factor_over_Z of f), in a
-    fixed order: by degree, ramification, root mod p, residue factor, then
-    lift.
+    fixed order: by degree, ramification, root mod p, residue factor and
+    factor over Q, then in the order the split finds them.  Pieces tied so
+    far lie in one block of one factor over Q: they come side by side from
+    the shallowest side of its Newton polygon, and inside a rescaled side
+    in the order of factor_mod_p.  No piece is lifted to be ordered.
 
     Q_p[X]/f is the product of the Q_p[X]/h over the factors h, so each is
     split on its own, and nothing here factors over Q.  A linear factor is
@@ -1013,18 +1036,9 @@ def local_splitting_type(factors, p: int) -> tuple[LocalFactor, ...]:
                     f"{exc} (at the cap p^{HENSEL_CAP})") from None
             N *= 2
 
-    def _order_key(fc: LocalFactor):
-        return (fc.degree, fc.e, fc.root_mod(p) if fc.degree == 1 else -1,
-                fc.residue)
-
-    # a tie mod p is broken by the lifts mod p^kmin, so that the order does
-    # not depend on the precision each piece happens to come out with; only
-    # tied pieces are lifted for it
-    kmin = p ** min(fc.prec for fc in out)
-    ordered = []
-    for _, tied in groupby(sorted(out, key=_order_key), key=_order_key):
-        tied = list(tied)
-        if len(tied) > 1:
-            tied.sort(key=lambda fc: tuple(c % kmin for c in fc.lift))
-        ordered += tied
-    return tuple(ordered)
+    # a stable sort on what is read mod p: pieces still tied lie in one
+    # block of one factor over Q and keep the order of the split, so the
+    # order depends neither on N nor on the other factors
+    return tuple(sorted(out, key=lambda fc: (
+        fc.degree, fc.e, fc.root_mod(p) if fc.degree == 1 else -1,
+        fc.residue, fc.global_factor)))

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from group_law import INF, map_point, moved, points, scalar_mul
-from qdescent.arith import REAL_PLACE, finite, is_prime, valuation
+from qdescent.arith import (REAL_PLACE, finite, is_prime, square_class,
+                            valuation)
 from qdescent.descent_global import bad_primes
 from qdescent.descent_local import (TWO_MAP, _cubic_deg_L_data, c2_order,
                                     i2_oracle_halving, i2_order,
@@ -13,8 +14,9 @@ from qdescent.descent_local import (TWO_MAP, _cubic_deg_L_data, c2_order,
                                     s2_order_isogeny, s2_order_two_map,
                                     s2_real, three_torsion_count,
                                     torsion_field_profile)
-from qdescent.elliptic import (Pt, compute_invariants, curve_from_string,
-                               two_division_cubic_integral, velu_isogeny)
+from qdescent.elliptic import (IsogenyMap, Pt, compute_invariants,
+                               curve_from_string, two_division_cubic_integral,
+                               velu_isogeny)
 from qdescent.poly import (UnresolvedSplitting, factor_over_Z,
                            local_splitting_type)
 
@@ -505,6 +507,49 @@ def test_j0_three_isogeny_large_prime(deadline, q):
         rep = j0_report(q)
     assert (rep.kodaira, rep.order_C, rep.order_I) == ("IV", 3, 1)
     assert (rep.order_C, rep.order_I) == (small.order_C, small.order_I)
+
+
+def twisted_three_isogeny(d):
+    """The 3-isogeny from E_d: y^2 = x^3 + 16d^3 with kernel x0 = 0, built
+    by hand: psi2(0) = 64d^3 lies in the square class of d, so the kernel
+    points need not be rational, and the codomain is y^2 = x^3 - 432d^3."""
+    return IsogenyMap(compute_invariants(0, 0, 0, 0, 16 * d ** 3),
+                      compute_invariants(0, 0, 0, 0, -432 * d ** 3), 3,
+                      Fraction(0))
+
+
+def test_twisted_three_isogeny_is_velus_map_at_d_1():
+    phi = twisted_three_isogeny(1)
+    assert phi == velu_isogeny(phi.domain, [Pt(Fraction(0), Fraction(4)),
+                                            Pt(Fraction(0), Fraction(-4))])
+
+
+# residue degrees of the kernel points where Q_p(sqrt d) is a field: 2, 2
+# when it is unramified, and 0 for the one point and its conjugate when it
+# is ramified
+NON_RATIONAL_KERNEL = {
+    (2, 3): [2, 2], (2, 5): [2, 2], (2, 11): [2, 2], (2, 13): [2, 2],
+    (5, 2): [2, 2], (5, 3): [2, 2], (7, 5): [2, 2],
+    (2, 2): [0], (5, 5): [0], (7, 7): [0], (7, 2): [0],
+}
+
+
+@pytest.mark.parametrize("d", [2, 5, 7])
+def test_twisted_three_isogeny_reports(d):
+    # at every prime below 40 the report completes, C is 1 where psi2(0) is
+    # not a square, C divides #E(Q_p)[3], and at a good prime S = I = C
+    phi = twisted_three_isogeny(d)
+    for p in filter(is_prime, range(2, 40)):
+        rep = local_descent_report(phi.domain, phi, finite(p))
+        C = rep.order_C
+        if (d, p) in NON_RATIONAL_KERNEL:
+            assert [k.residue_degree for k in rep.profile.kernel_points] \
+                == NON_RATIONAL_KERNEL[d, p], (d, p)
+        if square_class(64 * d ** 3, p) != 0:
+            assert C == 1, (d, p)
+        assert three_torsion_count(phi.domain, p) % C == 0, (d, p)
+        if 6 * d % p:
+            assert rep.order_S == rep.order_I == C, (d, p)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ and Tate's algorithm run only by the model that keeps its result;
 pyproject.toml declares no runtime dependency and every console script it
 declares resolves; every helper module of the tests is imported by a test
 module; every defaulted parameter of src/ is set by some call, and no
-parameter is passed the same literal by every call; and every dataclass
-field is read."""
+parameter is passed the same literal by every call; every parameter is
+read by its function; and every dataclass field is read."""
 
 import ast
 import importlib
@@ -419,3 +419,24 @@ def test_no_parameter_takes_one_literal():
                         and type(v) is type(values[0]) for v in values):
             fixed.append(f"{name}:{fn}({param}={values[0]!r})")
     assert not fixed
+
+
+def test_every_parameter_is_read():
+    # a parameter of a src/ function that its body never reads is an
+    # argument every caller computes for nothing: drop it; self and cls
+    # are exempt
+    unread = []
+    for name, tree in TREES.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, FUNCTIONS):
+                continue
+            a = fn.args
+            params = [arg.arg for arg in (*a.posonlyargs, *a.args,
+                                          *a.kwonlyargs, a.vararg, a.kwarg)
+                      if arg is not None and arg.arg not in ("self", "cls")]
+            loaded = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                      if isinstance(node, ast.Name)
+                      and isinstance(node.ctx, ast.Load)}
+            unread += [f"{name}:{fn.name}({param})" for param in params
+                       if param not in loaded]
+    assert not unread

@@ -7,14 +7,13 @@ import pytest
 from qdescent import jacobian, poly
 from qdescent.arith import (REAL_PLACE, finite, legendre, square_class,
                             valuation)
-from qdescent.descent_global import _independence_primes
 from qdescent.elliptic import curve_from_string
 from qdescent.jacobian import (HyperellipticCurve, image_table,
                                independence_rank, local_intersection_rank,
                                local_selmer_rank_hyper, local_torsion_rank,
                                parse_descent_point, xt_image)
 from qdescent.localfields import EtaleAlgebra
-from qdescent.poly import RatPoly, discriminant, parse_poly
+from qdescent.poly import RatPoly, discriminant, parse_poly, split_primes
 
 C2 = HyperellipticCurve(parse_poly("X^5+16*X^4-274*X^3+817*X^2+178*X+1"))
 RATPTS = [("rational", Fraction(x), None) for x in (-17, -9, -6, -2, 0, 4)]
@@ -262,7 +261,7 @@ def subset_products(vecs) -> dict:
                          ids=["example_II", "lehmer_12"])
 def test_ranks_against_subset_search(curve, pool):
     rng = random.Random(7)
-    primes = _independence_primes(curve.f)
+    primes = split_primes(curve.f)
     places = [2, *curve.disc_primes]
     for _ in range(12):
         pts = rng.sample(pool, rng.randint(1, 10))

@@ -19,6 +19,8 @@ from qdescent.poly import (HENSEL_START, RatPoly, UnresolvedSplitting,
                            parse_poly, roots_in_Fp)
 
 QUINTIC = parse_poly("X^5+16*X^4-274*X^3+817*X^2+178*X+1")
+# X^3 - 11X^2 + 5X - 10 = (X + 2)(X + 1)^2 mod 3
+B_CUBIC = parse_poly("X^3-11*X^2+5*X-10")
 
 
 def test_parse_forms_agree():
@@ -882,8 +884,8 @@ def test_lazy_lifts_match_eager_lifts():
     # rescaled block, keeps its factor mod p until asked; then its zlift is
     # what hensel_lift_factors gives when it lifts every factor of `whole`
     # mod p at once, as an eager split does, it divides `whole` mod p^prec,
-    # and its lift is the factor in X; the order of the pieces is the one
-    # sorted with every lift read first
+    # and its lift is the factor in X; the pieces are sorted by degree, e,
+    # root mod p, residue and factor over Q, none of which reads a lift
     simple = rescaled = 0
     for f, disc, p in sweep_pairs(8):
         try:
@@ -914,11 +916,9 @@ def test_lazy_lifts_match_eager_lifts():
                 [c * p ** (fc.scale * (deg - i)) for i, c in
                  enumerate(fc.zlift)], -fc.shift, m)), (f, p)
             assert fc.residue == tuple(c % p for c in fc.lift), (f, p)
-        kmin = p ** min(fc.prec for fc in st_)
         assert st_ == tuple(sorted(st_, key=lambda fc: (
             fc.degree, fc.e, fc.root_mod(p) if fc.degree == 1 else -1,
-            tuple(c % p for c in fc.lift),
-            tuple(c % kmin for c in fc.lift)))), (f, p)
+            fc.residue, fc.global_factor))), (f, p)
     assert simple > 1000 and rescaled > 10, (simple, rescaled)
 
 
@@ -941,6 +941,44 @@ def test_residues_and_order_need_no_lift(monkeypatch):
     assert (fc.e, fc.f, fc.shift, fc.scale) == (1, 2, 1, 1) and fc.whole
     assert fc.residue == (1, 0, 1) and len(calls) == 1
     assert fc.lift == (3, 0, 1) and len(calls) == 2
+    # B has the block (X + 1)^2 at 3: it is lifted once, and its two
+    # pieces are ordered without a lift of their own
+    calls.clear()
+    st_ = split(B_CUBIC, 3)
+    assert [fc.residue for fc in st_] == [(2, 1), (1, 1), (1, 1)]
+    assert len(calls) == 1
+
+
+def piece_sequence(f, p):
+    """(e, f, residue, lift mod p^10) of each piece of f at p, in order, or
+    None when the split does not resolve: every piece keeps at least 10
+    digits."""
+    try:
+        st_ = split(f, p)
+    except UnresolvedSplitting:
+        return None
+    return [(fc.e, fc.f, fc.residue, tuple(c % p ** 10 for c in fc.lift))
+            for fc in st_]
+
+
+def test_order_does_not_move_with_the_precision(monkeypatch):
+    # the order is read mod p and off the Newton polygon: starting the
+    # lifts at p^40 instead of p^20 moves no piece
+    pairs = sweep_pairs(8)
+    at_20 = [piece_sequence(f, p) for f, _, p in pairs]
+    monkeypatch.setattr(poly, "HENSEL_START", 40)
+    assert [piece_sequence(f, p) for f, _, p in pairs] == at_20
+
+
+def test_order_does_not_move_with_the_other_factors():
+    # beside X^2 - 2*3^10, a factor with few digits left, B's two pieces
+    # with residue X + 1 at 3 keep the order they have alone
+    def lifts(st_):
+        return [tuple(c % 3 ** 10 for c in fc.lift) for fc in st_]
+
+    alone = local_splitting_type([B_CUBIC], 3)
+    beside = local_splitting_type([parse_poly("X^2-118098"), B_CUBIC], 3)
+    assert lifts(alone) == lifts(fc for fc in beside if fc.global_factor == 1)
 
 
 @pytest.mark.parametrize("f, p, kinds", [
