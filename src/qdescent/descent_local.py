@@ -299,10 +299,8 @@ def _count_x_roots_with_square_rhs(g: RatPoly, f: RatPoly, p: int) -> int:
     alg = EtaleAlgebra(factor_over_Z(scaled), p)
     # lam^even * D^2 * f(X / lam), with even the least even exponent
     # >= deg f, has integer coefficients and the square classes of f(x)
-    D = lcm(*(c.denominator for c in f.coeffs))
     even = f.degree + f.degree % 2
-    f_int = [int(c * D * D * lam ** (even - k))
-             for k, c in enumerate(f.coeffs)]
+    f_int = [c * f.den * lam ** (even - k) for k, c in enumerate(f.num)]
     count = 0
     for i, piece in enumerate(alg.pieces):
         if piece.degree != 1:

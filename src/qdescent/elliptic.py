@@ -196,8 +196,7 @@ def is_on_curve(m: WeierstrassModel, P) -> bool:
 def two_division_cubic_integral(m: WeierstrassModel) -> RatPoly:
     """16 psi2(U/4): the monic cubic in U = 4x whose roots are 4 times the
     x-coordinates of E[2] minus O; integral when m is."""
-    return RatPoly([c * Fraction(4) ** (2 - i)
-                    for i, c in enumerate(m.psi2.coeffs)])
+    return RatPoly([16 * m.b6, 8 * m.b4, m.b2, 1])
 
 
 @dataclass(frozen=True)

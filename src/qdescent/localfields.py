@@ -228,9 +228,10 @@ class EtaleAlgebra:
                 if r.is_zero():
                     break
                 self.chain.append(r)
-            # sign changes at +oo and -oo, read off the leading coefficients
-            self.changes_at_top = _sign_changes(g.lead for g in self.chain)
-            at_bottom = _sign_changes((-1) ** g.degree * g.lead
+            # sign changes at +oo and -oo, read off the leading numerators
+            # (a denominator is positive)
+            self.changes_at_top = _sign_changes(g.num[-1] for g in self.chain)
+            at_bottom = _sign_changes((-1) ** g.degree * g.num[-1]
                                       for g in self.chain)
             self.n_real = at_bottom - self.changes_at_top
             self.n_complex = (f.degree - self.n_real) // 2

@@ -1,14 +1,20 @@
 """Polynomials over Q and over Z/m, factorization, and p-adic splitting types.
 
-Conventions: coefficient lists are constant-term first.  Mod-m polynomial
-helpers work for any modulus m (used with m = p and m = p^N); gcd and
-factorization require m prime.  Every product reduced by a monic modulus
-goes through one fused kernel, mp_mulmod: the product unreduced, then
-reduced in place with one reduction mod m per coefficient, no quotient, no
-inverse of the leading 1 and no trimming between steps.  There is one
-division, mp_divmod_monic, always by a monic divisor.  mp_gcd runs Euclid
-on monic remainders, and so does _inverse_mod_p, the one inverse mod
-(g, p), keeping one cofactor.  mp_pow_mod squares left to
+Conventions: coefficient lists are constant-term first.  A polynomial over
+Q (RatPoly) is integer numerators over one positive denominator, in lowest
+terms, and its arithmetic runs on ints: Q[x] and (Z/m)[x] multiply by the
+one convolution _convolve, and division over Q is pseudo-division, the
+dividend scaled once by a power of the divisor's leading numerator so that
+every quotient step is an exact integer division.  Fractions are built
+only where a value leaves the arithmetic (RatPoly.coeffs, lead, eval).
+Mod-m polynomial helpers work for any modulus m (used with m = p and
+m = p^N); gcd and factorization require m prime.  Every product reduced by
+a monic modulus goes through one fused kernel, mp_mulmod: the product
+unreduced, then reduced in place with one reduction mod m per coefficient,
+no quotient, no inverse of the leading 1 and no trimming between steps.
+There is one division mod m, mp_divmod_monic, always by a monic divisor.
+mp_gcd runs Euclid on monic remainders, and so does _inverse_mod_p, the
+one inverse mod (g, p), keeping one cofactor.  mp_pow_mod squares left to
 right, multiplying by X as a shift.  One integer determinant, _bareiss_det
 (fraction-free Bareiss elimination), serves the discriminant, as the
 determinant of the n x n Bezout matrix of f and f', and the norms of
@@ -23,10 +29,10 @@ hyperelliptic ledger, looks only for primes where f splits completely,
 and stays a search of its own: it costs one power X^p mod f per prime,
 where a shape costs about two.  The lift (hensel_lift_factors) takes
 each factor on its own by Newton's iteration, doubling the precision up to
-exactly p^N.  local_splitting_type gives the factorization type over Q_p
-by the same lift and order 1 of the Montes algorithm, from the factors of
-f over Q that factor_over_Z gives: it factors nothing over Q, so that one
-factorization serves every place.  Its pieces are ordered by what is read
+exactly p^N; a factor of full degree is f itself.  local_splitting_type
+gives the factorization type over Q_p by the same lift and order 1 of the
+Montes algorithm, from the factors of f over Q that factor_over_Z gives:
+it factors nothing over Q, so that one factorization serves every place.  Its pieces are ordered by what is read
 mod p and off the Newton polygon, never by a lift, so the order is the
 same at every precision and beside any other factor.  A piece from a
 simple factor mod p is lifted only when a caller first reads its lift, to
@@ -41,7 +47,7 @@ import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain, combinations, zip_longest
 
 from .arith import is_prime, residue
 
@@ -67,73 +73,80 @@ class UnresolvedSplitting(Exception):
 
 
 class RatPoly:
-    """Dense polynomial over Q, constant term first."""
+    """Dense polynomial over Q, num / den: num is a tuple of ints, constant
+    term first, with no trailing zero, and den a positive int with
+    gcd(den, *num) = 1, so each polynomial has one form (the zero
+    polynomial is ((), 1)).  The constructor takes ints, Fractions and
+    strings; coeffs builds the Fractions on each read, for callers outside
+    the arithmetic.  Every operation runs on ints: the product is
+    _convolve, the one convolution of Q[x] and (Z/m)[x]; eval,
+    compose_linear and divmod clear denominators first, divmod by
+    pseudo-division."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c)
+              for c in coeffs]
+        # with den the lcm of the denominators, gcd(den, *num) is 1
+        den = math.lcm(*(c.denominator for c in cs))
+        self.num = tuple(mp_trim([c.numerator * (den // c.denominator)
+                                  for c in cs]))
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        return len(self.num) - 1  # -1 for the zero polynomial
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     @property
     def lead(self) -> Fraction:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     def is_monic(self) -> bool:
-        return not self.is_zero() and self.lead == 1
+        return self.den == 1 and self.num[-1:] == (1,)
 
     def monic(self) -> "RatPoly":
-        return RatPoly([c / self.lead for c in self.coeffs])
+        if self.is_monic():
+            return self
+        if self.is_zero():
+            raise ValueError("zero polynomial has no leading coefficient")
+        return _ratpoly(self.num, self.num[-1])
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
-    def __getitem__(self, i) -> Fraction:
-        return self.coeffs[i] if 0 <= i <= self.degree else Fraction(0)
-
-    # f[i] is 0 past the top, so iterating by f[0], f[1], ... would never
-    # stop: a RatPoly is not iterable (its coefficients are f.coeffs)
-    __iter__ = None
+        return self.den == 1
 
     def __eq__(self, other):
-        return isinstance(other, RatPoly) and self.coeffs == other.coeffs
+        return (isinstance(other, RatPoly) and self.num == other.num
+                and self.den == other.den)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __add__(self, other):
         other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RatPoly([self[i] + other[i] for i in range(n)])
+        den = math.lcm(self.den, other.den)
+        x, y = den // self.den, den // other.den
+        return _ratpoly([a * x + b * y for a, b in
+                         zip_longest(self.num, other.num, fillvalue=0)], den)
 
     def __neg__(self):
-        return RatPoly([-c for c in self.coeffs])
+        return _ratpoly([-c for c in self.num], self.den)
 
     def __sub__(self, other):
         return self + (-_as_poly(other))
 
     def __mul__(self, other):
         other = _as_poly(other)
-        if self.is_zero() or other.is_zero():
-            return RatPoly([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RatPoly(out)
+        return _ratpoly(_convolve(self.num, other.num), self.den * other.den)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -141,7 +154,7 @@ class RatPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError(f"negative power {n} of a polynomial")
-        out, base = RatPoly([1]), self
+        out, base = _ratpoly([1], 1), self
         while n:
             if n & 1:
                 out = out * base
@@ -150,22 +163,28 @@ class RatPoly:
         return out
 
     def divmod(self, other: "RatPoly"):
+        """(q, r) with self = q*other + r and deg r < deg other, by
+        pseudo-division on the numerators A and B (Knuth, TAOCP 2, 4.6.1):
+        A is scaled once by lead(B)^k, k = deg A - deg B + 1, so that every
+        quotient step is an exact integer division."""
         if other.is_zero():
             raise ZeroDivisionError
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        r = list(self.coeffs)
-        d, lc = other.degree, other.lead
-        while True:
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) - 1 < d:
-                break
-            k = len(r) - 1 - d
-            c = r[-1] / lc
-            q[k] = c
-            for i, b in enumerate(other.coeffs):
-                r[k + i] -= c * b
-        return RatPoly(q), RatPoly(r)
+        d, k = other.degree, self.degree - other.degree + 1
+        if k <= 0:
+            return _ratpoly([], 1), self
+        B, lc = other.num, other.num[-1]
+        scale = lc ** k
+        r = [c * scale for c in self.num]
+        q = [0] * k
+        for j in reversed(range(k)):
+            c = q[j] = r[j + d] // lc
+            if c:
+                for i in range(d):
+                    r[j + i] -= c * B[i]
+        # lc^k A = Q B + R: self = A/a = (Q b / (a lc^k)) (B/b) + R/(a lc^k)
+        den = self.den * scale
+        return (_ratpoly([c * other.den for c in q], den),
+                _ratpoly(r[:d], den))
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -174,38 +193,63 @@ class RatPoly:
         return self.divmod(other)[0]
 
     def deriv(self) -> "RatPoly":
-        return RatPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return _ratpoly([i * c for i, c in enumerate(self.num)][1:], self.den)
 
     def eval(self, x) -> Fraction:
-        x = Fraction(x)
-        out = Fraction(0)
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
+        """self(x) for an int or Fraction x = s/t: Horner on the numerators,
+        homogenised by t, then one Fraction."""
+        s, t = x.numerator, x.denominator
+        out, tk = 0, 1
+        for c in reversed(self.num):
+            out = out * s + c * tk
+            tk *= t
+        # out = sum c_i s^i t^(n-i) and tk = t^(n+1)
+        return Fraction(out * t, self.den * tk)
 
     def compose_linear(self, a, b) -> "RatPoly":
-        """self(a*X + b), by Horner's rule on coefficient lists."""
-        a, b = Fraction(a), Fraction(b)
-        out: list[Fraction] = []
-        for c in reversed(self.coeffs):
-            # out * (a*X + b) + c
-            out = [b * x + a * y for x, y in zip(out + [0], [0] + out)]
-            out[0] += c
-        return RatPoly(out)
+        """self(a*X + b), for ints or Fractions a = A/E and b = B/E, by
+        Horner's rule on integer lists: the sum of c_i (A X + B)^i E^(n-i),
+        over den E^n."""
+        if self.is_zero():
+            return self
+        E = math.lcm(a.denominator, b.denominator)
+        A = a.numerator * (E // a.denominator)
+        B = b.numerator * (E // b.denominator)
+        out: list[int] = []
+        Ek = 1
+        for c in reversed(self.num):
+            # out * (A X + B) + c E^k
+            out = [B * x + A * y for x, y in zip(out + [0], [0] + out)]
+            out[0] += c * Ek
+            Ek *= E
+        return _ratpoly(out, self.den * Ek // E)
 
     def __repr__(self):
         if self.is_zero():
             return "0"
         parts = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self.num):
             if c == 0:
                 continue
+            g = math.gcd(c, self.den)
+            s = str(c // g) if g == self.den else f"{c // g}/{self.den // g}"
             if i == 0:
-                parts.append(str(c))
+                parts.append(s)
             else:
                 xs = "X" if i == 1 else f"X^{i}"
-                parts.append(xs if c == 1 else f"{c}*{xs}")
+                parts.append(xs if c == self.den else f"{s}*{xs}")
         return " + ".join(reversed(parts))
+
+
+def _ratpoly(num, den: int) -> RatPoly:
+    """num / den as a RatPoly, from an int list num and a nonzero int den:
+    trims num and divides out gcd(den, *num), so that den is positive."""
+    num = mp_trim(list(num))
+    g = math.gcd(den, *num) if den > 0 else -math.gcd(den, *num)
+    out = object.__new__(RatPoly)
+    out.num = tuple(num) if g == 1 else tuple(c // g for c in num)
+    out.den = den // g
+    return out
 
 
 def _as_poly(x) -> RatPoly:
@@ -253,8 +297,7 @@ def discriminant(f: RatPoly) -> Fraction:
     n = f.degree
     if n < 1:
         raise ValueError("discriminant needs degree >= 1")
-    a = math.lcm(*(c.denominator for c in f.coeffs))
-    u = [c.numerator * (a // c.denominator) for c in f.coeffs]
+    a, u = f.den, f.num
     v = [i * c for i, c in enumerate(u)][1:] + [0]
     rows = [[0] * n for _ in range(n + 1)]  # row n lies outside B
     for i in reversed(range(n)):
@@ -424,10 +467,11 @@ def mp_shift(a, r, m):
 def fp_poly(f: RatPoly, p: int) -> list[int]:
     """The coefficients of f mod p, trimmed; ValueError unless f is
     p-integral."""
-    for c in f.coeffs:
-        if c.denominator % p == 0:
-            raise ValueError(f"coefficient {c} is not p-integral at {p}")
-    return mp_trim([residue(c, p) for c in f.coeffs])
+    if f.den % p == 0:
+        c = next(c for c in f.coeffs if c.denominator % p == 0)
+        raise ValueError(f"coefficient {c} is not p-integral at {p}")
+    inv = pow(f.den, -1, p)
+    return mp_trim([c * inv % p for c in f.num])
 
 
 # ---------------------------------------------------------------------------
@@ -580,10 +624,14 @@ def hensel_lift_factors(f, factors, p, N):
     doubles the precision, capped at exactly p^N: g <- g + (f rem g)*t rem
     g, then t <- t*(2 - t*(f quo g)) rem g.  For a linear g this is
     Newton's iteration on the root.  Monic lifts of pairwise-coprime factors
-    are unique mod p^N, so no factor depends on the others.
+    are unique mod p^N, so no factor depends on the others, and a factor of
+    the degree of f lifts to f mod p^N itself, with no inverse and no step.
     """
     out = []
     for g in factors:
+        if len(g) == len(f):
+            out.append([c % p ** N for c in f])
+            continue
         g, t, k = [c % p for c in g], None, 1
         while k < N:
             k = min(2 * k, N)
@@ -604,9 +652,12 @@ def monic_integral(f: RatPoly) -> tuple[RatPoly, int]:
     """(g, D) with g(X) = D^d f(X/D), for the monic f of degree d and D the
     lcm of the denominators of f: g is monic with integer coefficients, and
     its roots are D times those of f."""
-    D = math.lcm(*(c.denominator for c in f.coeffs))
-    d = f.degree
-    return RatPoly([c * D ** (d - i) for i, c in enumerate(f.coeffs)]), D
+    D, d = f.den, f.degree
+    if D == 1:
+        return f, 1
+    # c_i = num_i / D, and num_d = D
+    return _ratpoly([c * D ** (d - 1 - i) for i, c in enumerate(f.num[:-1])]
+                    + [1], 1), D
 
 
 def _degree_sums(shape) -> int:
@@ -642,8 +693,9 @@ def factor_and_scan(f: RatPoly, disc: Fraction):
     d = f.degree
     work = f.monic()
     scaled, den = monic_integral(work)
-    g = [int(c) for c in scaled.coeffs]
-    disc_g = int(disc * den ** (d * (d - 1)) / f.lead ** (2 * d - 2))
+    g = list(scaled.num)
+    disc_g = (disc.numerator * den ** (d * (d - 1)) * f.den ** (2 * d - 2)
+              // (disc.denominator * f.num[-1] ** (2 * d - 2)))
     scan = ((p, distinct_degree_shape([c % p for c in g], p))
             for p in range(2, SCAN_BOUND) if disc_g % p and is_prime(p))
     seen, common = [], -1  # -1: every bit set
@@ -680,9 +732,9 @@ def factor_and_scan(f: RatPoly, disc: Fraction):
         else:
             k += 1
     found.append(rest)
-    out = [RatPoly([c / den ** (h.degree - i) for i, c in enumerate(h.coeffs)])
-           for h in found]
-    return sorted(out, key=lambda h: (h.degree, h.coeffs)), shapes
+    out = [_ratpoly([c * den ** i for i, c in enumerate(h.num)],
+                    den ** h.degree) for h in found]
+    return _sorted_factors(out), shapes
 
 
 def split_primes(f: RatPoly) -> list[int]:
@@ -720,7 +772,15 @@ def factor_over_Z(f: RatPoly) -> list[RatPoly]:
         while r.is_zero():
             out.append(h)
             q, r = q.divmod(h)
-    return sorted(out, key=lambda h: (h.degree, h.coeffs))
+    return _sorted_factors(out)
+
+
+def _sorted_factors(hs) -> list[RatPoly]:
+    """The polynomials hs sorted by degree, then by coefficients from the
+    constant term up, compared as integers over one common denominator."""
+    den = math.lcm(*(h.den for h in hs))
+    return sorted(hs, key=lambda h: (
+        h.degree, [c * (den // h.den) for c in h.num]))
 
 
 # ---------------------------------------------------------------------------
@@ -1024,11 +1084,11 @@ def local_splitting_type(factors, p: int) -> tuple[LocalFactor, ...]:
             for k, h in enumerate(factors):
                 if h.degree == 1:
                     out.append(LocalFactor(
-                        p, 1, 1, N, k, -h.coeffs[0], "", 0, 0,
-                        (int(h.coeffs[0]) % p ** N, 1), ()))
+                        p, 1, 1, N, k, Fraction(-h.num[0]), "", 0, 0,
+                        (h.num[0] % p ** N, 1), ()))
                 else:
-                    out += _factor_mod_pN([int(c) % p ** N for c in h.coeffs],
-                                          p, N, k)
+                    out += _factor_mod_pN([c % p ** N for c in h.num], p, N,
+                                          k)
             break
         except _Shortfall as exc:
             if N >= HENSEL_CAP:

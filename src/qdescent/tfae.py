@@ -201,7 +201,7 @@ def agl_resolvent_holds(f: RatPoly, p: int) -> bool:
     the search to the next c.
     """
     d = f.degree
-    a = [int(c) for c in f.coeffs]
+    a = list(f.num)
     roots = roots_in_Fp(f, p)
     if len(set(roots)) != d:
         raise ValueError(f"f does not split into distinct factors mod {p}")
@@ -247,10 +247,11 @@ def _agl_verdict(f: RatPoly, shapes) -> TfaeResult:
 def _is_translated_binomial(f: RatPoly) -> bool:
     """Is f(X - c) = X^d + a, for the monic f of degree d and c = a_{d-1}/d?
     Exactly when f = (X + c)^d + a: f_k = C(d, k) c^(d-k) for 1 <= k <= d-2,
-    read until the first coefficient that differs, with no Taylor shift."""
-    d, fc = f.degree, f.coeffs
-    c = fc[d - 1] / d
-    return all(fc[k] == math.comb(d, k) * c ** (d - k)
+    read until the first coefficient that differs, with no Taylor shift.
+    With f_k = n_k / D, that is n_k (d D)^(d-k) = C(d, k) n_{d-1}^(d-k) D."""
+    d, n, D = f.degree, f.num, f.den
+    return all(n[k] * (d * D) ** (d - k)
+               == math.comb(d, k) * n[d - 1] ** (d - k) * D
                for k in range(d - 2, 0, -1))
 
 

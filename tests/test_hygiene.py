@@ -3,7 +3,8 @@ imports at module level and from the standard library only, no
 __import__, no dead functions, classes, methods or module-level names, no
 module-level mutable container (a global registry) or per-process
 function cache, no mod-m product reduced other than by the fused kernel,
-and Tate's algorithm run only by the model that keeps its result;
+no Fraction per coefficient in RatPoly's arithmetic, and Tate's algorithm
+run only by the model that keeps its result;
 pyproject.toml declares no runtime dependency and every console script it
 declares resolves; every helper module of the tests is imported by a test
 module; every defaulted parameter of src/ is set by some call, and no
@@ -75,6 +76,26 @@ def test_one_multiply_then_reduce():
              and node.args and isinstance(node.args[0], ast.Call)
              and isinstance(node.args[0].func, ast.Name)
              and node.args[0].func.id == "mp_mul"]
+    assert not found
+
+
+def test_ratpoly_builds_no_fraction_per_coefficient():
+    # RatPoly's arithmetic runs on its integer numerators over one
+    # denominator: no method but __init__ and coeffs calls Fraction, or
+    # reads coeffs (one Fraction per coefficient), inside a loop or a
+    # comprehension, the iterables they run over included
+    [cls] = [node for node in TREES["poly.py"].body
+             if isinstance(node, ast.ClassDef) and node.name == "RatPoly"]
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    found = {f"{fn.name}:{node.lineno}"
+             for fn in cls.body if isinstance(fn, FUNCTIONS)
+             and fn.name not in ("__init__", "coeffs")
+             for loop in ast.walk(fn) if isinstance(loop, loops)
+             for node in ast.walk(loop)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "Fraction"
+             or isinstance(node, ast.Attribute) and node.attr == "coeffs"}
     assert not found
 
 

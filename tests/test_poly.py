@@ -5,6 +5,7 @@ import re
 from fractions import Fraction
 
 import pytest
+import ratpoly_oracle as oracle
 from hypothesis import given, settings, strategies as st
 
 from qdescent import poly
@@ -208,6 +209,88 @@ def test_mp_shift_is_compose_linear_mod_m(coeffs, r, m):
     while want and want[-1] == 0:
         want.pop()
     assert mp_shift(coeffs, r, m) == want
+
+
+def oracle_pairs(rng, count):
+    """count pairs (f, g) over Q of degree -1 (the zero polynomial) to 8:
+    constants, negative leads, non-integral and non-monic polynomials, and
+    g of higher degree than f about half the time."""
+    for _ in range(count):
+        yield tuple(random_rational_poly(rng, d) if d >= 0 else RatPoly([])
+                    for d in (rng.randint(-1, 8), rng.randint(-1, 8)))
+
+
+def random_rational(rng):
+    return rng.choice([rng.randint(-7, 7),
+                       Fraction(rng.randint(-9, 9), rng.randint(1, 12))])
+
+
+def test_ratpoly_arithmetic_matches_the_fraction_oracle():
+    rng = random.Random(2901)
+    for f, g in oracle_pairs(rng, 1500):
+        a, b = list(f.coeffs), list(g.coeffs)
+        x, s, t = (random_rational(rng) for _ in range(3))
+        assert repr(f) == oracle.render(a)
+        assert list((f + g).coeffs) == oracle.add(a, b), (f, g)
+        assert list((f - g).coeffs) == oracle.sub(a, b), (f, g)
+        assert list((f * g).coeffs) == oracle.mul(a, b), (f, g)
+        assert list((f ** 2).coeffs) == oracle.mul(a, a), f
+        assert list(f.deriv().coeffs) == oracle.deriv(a), f
+        assert f.eval(x) == oracle.evaluate(a, x), (f, x)
+        assert list(f.compose_linear(s, t).coeffs) \
+            == oracle.compose_linear(a, s, t), (f, s, t)
+        if f.is_zero():
+            with pytest.raises(ValueError):
+                f.monic()
+        else:
+            assert list(f.monic().coeffs) == oracle.monic(a), f
+        if g.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                f.divmod(g)
+        else:
+            q, r = f.divmod(g)
+            assert (list(q.coeffs), list(r.coeffs)) \
+                == oracle.divmod_(a, b), (f, g)
+
+
+def assert_one_form(f):
+    assert type(f.num) is tuple and all(type(c) is int for c in f.num)
+    assert f.num[-1:] != (0,) and f.den > 0
+    assert math.gcd(f.den, *f.num) == 1, f
+
+
+def test_ratpoly_keeps_one_form():
+    # den > 0, gcd(den, *num) = 1 and no trailing zero, after every
+    # operation; equal inputs as ints, Fractions or strings give equal
+    # (num, den) and equal hashes
+    rng = random.Random(2902)
+    for f, g in oracle_pairs(rng, 400):
+        s, t = random_rational(rng), random_rational(rng)
+        made = [f, g, f + g, f - g, f * g, -f, f.deriv(),
+                f.compose_linear(s, t), f + s]
+        made += [] if g.is_zero() else [*f.divmod(g), g.monic()]
+        for h in made:
+            assert_one_form(h)
+        forms = [list(f.coeffs) + [0], [str(c) for c in f.coeffs] + ["0/3"]]
+        if f.is_integral():
+            forms.append([int(c) for c in f.coeffs])
+        for cs in forms:
+            h = RatPoly(cs)
+            assert (h.num, h.den) == (f.num, f.den) and hash(h) == hash(f)
+    zero = RatPoly([0, Fraction(0, 5), "0"])
+    assert (zero.num, zero.den) == ((), 1) and zero == RatPoly([])
+    half = RatPoly(["1/2", Fraction(3, 4), 2])
+    assert (half.num, half.den) == ((2, 3, 8), 4)
+
+
+def test_fp_poly_names_the_coefficient_that_is_not_p_integral():
+    f = RatPoly([Fraction(1, 3), Fraction(-5, 2), 7])
+    assert fp_poly(f, 5) == [2, 0, 2]
+    assert fp_poly(f, 7) == [5, 1]
+    for p, c in ((2, "-5/2"), (3, "1/3")):
+        with pytest.raises(ValueError,
+                           match=f"coefficient {c} is not p-integral at {p}"):
+            fp_poly(f, p)
 
 
 def test_factor_mod_p_quintic_37():
@@ -722,6 +805,21 @@ def test_hensel_lift_stops_at_exactly_p_to_the_N(monkeypatch):
                                  [[-r % 37, 1] for r in roots], 37, 20)
     assert max(moduli) == 37 ** 20
     assert [-g[0] % 37 for g in lifted] == roots
+
+
+def test_hensel_lift_of_a_whole_polynomial_is_the_polynomial(monkeypatch):
+    # a factor of full degree lifts to f mod p^N, the one monic lift, with
+    # no inverse and no Newton step
+    def refused(*args):
+        raise AssertionError("a whole polynomial takes no lifting step")
+
+    monkeypatch.setattr(poly, "_inverse_mod_p", refused)
+    monkeypatch.setattr(poly, "mp_divmod_monic", refused)
+    f = [1, 178, 817, -274, 16, 1]
+    for p, N in ((2, 20), (3, 1), (941, 7)):
+        whole = mp_trim([c % p for c in f])
+        assert hensel_lift_factors(f, [whole], p, N) == \
+            [[c % p ** N for c in f]]
 
 
 def test_hensel_lift_roundtrip():
