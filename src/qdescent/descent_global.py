@@ -238,7 +238,7 @@ def assemble_ledger_elliptic(m: WeierstrassModel, records=None,
         r.order_C // r.order_I for r in reports[1:]) == math.prod(
         r.order_S // r.order_I for r in reports), \
         "divisibility product forms disagree"
-    # the curve is in U = 4x on the integral model m.transform(u=1/d),
+    # the curve is in U = 4x on m.integral_model, m.transform(u=1/d),
     # whose x is d^2 times that of m
     d = m.denominator
     upts = [("rational", 4 * d * d * Fraction(x), None)

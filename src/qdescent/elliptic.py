@@ -1,15 +1,16 @@
 """Weierstrass models and isogenies.
 
-Models are exact ([a1,a2,a3,a4,a6] over Q).  A model is the one object
-of its curve: it keeps its 2- and 3-division polynomials (psi2, psi3),
-the primes of its discriminant (disc_primes), Tate's algorithm at each
-prime it was asked about (reduction) and the curve y^2 = its integral
-2-division cubic, whose factors over Q are found once and moved to the
+Models are exact ([a1,a2,a3,a4,a6] over Q; ints on integral and minimal
+models).  A model is the one object of its curve: it keeps its invariants,
+2- and 3-division polynomials (psi2, psi3), the primes of its discriminant
+(disc_primes), its one integral model u = 1/d (integral_model), Tate's
+algorithm from it at each prime asked about (reduction) and the curve y^2 =
+its 2-division cubic, whose factors over Q are found once and moved to the
 minimal model of each prime (two_division_factors).  There is no group
-law and no point at infinity: the descent reads x-coordinates, a kernel
-of order 2 is checked by psi2 and one of order 3 by psi3.  An isogeny is
-its kernel's x: descent reads only the codomain, which Velu's formulas
-give from that x, psi2, c4 and c6, and the kernel's x itself.
+law and no point at infinity: the descent reads x-coordinates, a kernel of
+order 2 is checked by psi2 and one of order 3 by psi3.  An isogeny is its
+kernel's x: descent reads only the codomain, which Velu's formulas give
+from that x, psi2, c4 and c6, and the kernel's x itself.
 """
 
 from __future__ import annotations
@@ -27,9 +28,11 @@ from .tate import WEIGHTS, ReductionData, tate_algorithm, translate
 
 @dataclass(frozen=True)
 class WeierstrassModel:
-    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q.  The model
-    keeps what is computed once per model: disc, disc_primes (its primes,
-    from one factorization), reduction(p) and the 2-division curve."""
+    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q, the a_i
+    Fractions or, on integral and minimal models, ints.  The model keeps
+    what is computed once per model: the b- and c-invariants, psi2, psi3,
+    disc, disc_primes (its primes, from one factorization), the one
+    integral model, reduction(p) and the 2-division curve."""
 
     a1: Fraction
     a2: Fraction
@@ -37,39 +40,39 @@ class WeierstrassModel:
     a4: Fraction
     a6: Fraction
 
-    @property
+    @cached_property
     def b2(self):
         return self.a1 ** 2 + 4 * self.a2
 
-    @property
+    @cached_property
     def b4(self):
         return 2 * self.a4 + self.a1 * self.a3
 
-    @property
+    @cached_property
     def b6(self):
         return self.a3 ** 2 + 4 * self.a6
 
-    @property
+    @cached_property
     def b8(self):
         return (self.a1 ** 2 * self.a6 + 4 * self.a2 * self.a6
                 - self.a1 * self.a3 * self.a4 + self.a2 * self.a3 ** 2
                 - self.a4 ** 2)
 
-    @property
+    @cached_property
     def c4(self):
         return self.b2 ** 2 - 24 * self.b4
 
-    @property
+    @cached_property
     def c6(self):
         return -self.b2 ** 3 + 36 * self.b2 * self.b4 - 216 * self.b6
 
-    @property
+    @cached_property
     def psi2(self) -> RatPoly:
         """The 2-division polynomial 4x^3 + b2 x^2 + 2 b4 x + b6, equal to
         (2y + a1 x + a3)^2 on the curve; its roots are the x of E[2] - O."""
         return RatPoly([self.b6, 2 * self.b4, self.b2, 4])
 
-    @property
+    @cached_property
     def psi3(self) -> RatPoly:
         """The 3-division polynomial 3x^4 + b2 x^3 + 3 b4 x^2 + 3 b6 x + b8;
         its roots are the x of E[3] - O (Silverman, Ex. 3.7)."""
@@ -91,7 +94,7 @@ class WeierstrassModel:
 
     @property
     def j(self):
-        return self.c4 ** 3 / self.disc
+        return Fraction(self.c4 ** 3, self.disc)
 
     @cached_property
     def _reductions(self) -> dict:
@@ -106,17 +109,24 @@ class WeierstrassModel:
 
     @cached_property
     def denominator(self) -> int:
-        """The lcm d of the denominators of the a_i: the model
-        self.transform(u=1/d), whose x is d^2 times ours, is integral."""
+        """The lcm d of the denominators of the a_i."""
         return math.lcm(*(a.denominator for a in self.ainvs()))
 
     @cached_property
+    def integral_model(self) -> "WeierstrassModel":
+        """The one integral model of the curve: self.transform(u=1/d),
+        d = denominator, on five ints a_w d^w.  Its x is d^2 times ours;
+        Tate's algorithm starts from it at every prime."""
+        d = self.denominator
+        return WeierstrassModel(*(a.numerator * (d ** w // a.denominator)
+                                  for a, w in zip(self.ainvs(), WEIGHTS)))
+
+    @cached_property
     def two_division_curve(self) -> HyperellipticCurve:
-        """y^2 = two_division_cubic_integral of the integral model
-        self.transform(u=1/d); its factors are the one factorization of the
-        cubic over Q."""
-        return HyperellipticCurve(two_division_cubic_integral(
-            self.transform(u=Fraction(1, self.denominator))))
+        """y^2 = two_division_cubic_integral of integral_model; its factors
+        are the one factorization of the cubic over Q."""
+        return HyperellipticCurve(
+            two_division_cubic_integral(self.integral_model))
 
     def two_division_factors(self, p: int) -> tuple:
         """The monic irreducible factors over Q of two_division_cubic_integral
@@ -129,7 +139,8 @@ class WeierstrassModel:
         """
         r, _, _, u = self.reduction(p).transform
         d2 = self.denominator ** 2
-        return tuple(h.compose_linear(d2 * u * u, 4 * d2 * r).monic()
+        a, b = d2 * u * u, 4 * d2 * r
+        return tuple(h.compose_linear(a, b).monic()
                      for h in self.two_division_curve.factors)
 
     def ainvs(self):
@@ -244,7 +255,7 @@ def velu_isogeny(m: WeierstrassModel, kernel_points) -> IsogenyMap:
         v, u = m.psi2.deriv().eval(x0) / 2, m.psi2.eval(x0)
     else:
         raise ValueError("kernel order limited to 2, 3")
-    A, B = -m.c4 / 48, -m.c6 / 864
-    xd = x0 + m.b2 / 12
+    A, B = Fraction(-m.c4, 48), Fraction(-m.c6, 864)
+    xd = x0 + Fraction(m.b2, 12)
     codomain = compute_invariants(0, 0, 0, A - 5 * v, B - 7 * (u + xd * v))
     return IsogenyMap(m, codomain, order, Fraction(x0))

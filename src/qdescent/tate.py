@@ -6,10 +6,11 @@ Tamagawa number c_p, whether multiplicative reduction is split, and the
 order of Frobenius on the component group
 (frobenius_order_on_components).  The minimal model is integral, not only
 p-integral, so that the local objects built on it, such as its 2-division
-cubic, have integer coefficients.  One scaling u = 1/(p^k d) makes the
-input integral; every step after it runs on five ints: translations by
-integers, the exact rescale by p of a non-minimal model, residues by % p
-and exact quotients such as a6/p^3.  v(disc) is read once and tracked: a
+cubic, have integer coefficients.  It starts at every prime from the
+model's one integral form, integral_model, and runs on its five ints:
+translations by integers, the exact rescale by p of a non-minimal model
+(a start non-minimal at p goes through it), residues by % p and exact
+quotients such as a6/p^3.  v(disc) is read once and tracked: a
 translation keeps it and the rescale lowers it by 12.  A translation is
 `translate` (u = 1), shared with WeierstrassModel.transform, and one rule,
 _fp_quadratic, decides every quadratic mod p: the tangents at a node and
@@ -22,7 +23,6 @@ ReductionData.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -138,8 +138,8 @@ def _move(a: tuple, tr: tuple, r=0, s=0, t=0):
     x = x' + r, y = y' + s x' + t, and tr (the integral change of
     coordinates that led to a) composed with it.
 
-    Tate's algorithm runs on these five ints after one scaling of its
-    input; a translation keeps v(disc), so v(disc) is read once and only
+    Tate's algorithm runs on these five ints from the model's integral
+    form; a translation keeps v(disc), so v(disc) is read once and only
     the non-minimal rescale changes it (by -12)."""
     r0, s0, t0, u0 = tr
     return (translate(a, r, s, t),
@@ -152,32 +152,25 @@ def tate_algorithm(m: WeierstrassModel, p: int) -> ReductionData:
 
     The result records the change of coordinates (r, s, t, u) with
     m.transform(r, s, t, u) == minimal_model, a model integral and minimal
-    at p.  Unless the reduction is good (I0), the singular point of the
-    reduced minimal model is (0, 0).
+    at p, on ints.  Unless the reduction is good (I0), the singular point of
+    the reduced minimal model is (0, 0).
 
-    One scaling u = 1/(p^k d) makes m integral: k is the least with every
-    p^(k w) a_w p-integral, and d, the lcm of the denominators left, is
-    prime to p, so it changes nothing at p.  It multiplies disc by
-    (p^k d)^12, so v(disc) of the integral model is read off m.disc.  The
-    algorithm then runs on the five integer coefficients (_tate_integral),
-    and only the minimal model it ends on is built as a model.
+    It starts from m.integral_model, m.transform(u=1/d) on five ints,
+    reads v(disc) off its integer discriminant, and composes u = 1/d with
+    the change of coordinates that _tate_integral finds on the ints.  A
+    start not minimal at p (d holds more of p than m needs) goes through
+    the rescale step, by u = p a round.
     """
     if m.disc == 0:
         raise ValueError("singular curve")
-    ainvs = m.ainvs()
-    k = max([0] + [-(valuation(a, p) // w)
-                   for a, w in zip(ainvs, WEIGHTS) if a])
-    d = math.lcm(*(a.denominator for a in ainvs))
-    scale = p ** k * (d // p ** valuation(d, p))
-    a = tuple(_exact(c.numerator * scale ** w, c.denominator)
-              for c, w in zip(ainvs, WEIGHTS))
+    start = m.integral_model
     a, (r, s, t, u), local = _tate_integral(
-        a, valuation(m.disc, p) + 12 * k, p)
-    v = Fraction(1, scale)
-    # an unmoved input is its own minimal model, and keeps what it cached
-    minimal = m if a == ainvs else type(m)(*map(Fraction, a))
-    return ReductionData(p, minimal, *local,
-                         (v * v * r, v * s, v ** 3 * t, v * u))
+        start.ainvs(), valuation(start.disc, p), p)
+    d = m.denominator
+    # an unmoved start is the minimal model, and keeps what it cached
+    minimal = start if a == start.ainvs() else type(m)(*a)
+    transform = tuple(map(Fraction, (r, s, t, u), (d * d, d, d ** 3, d)))
+    return ReductionData(p, minimal, *local, transform)
 
 
 def _tate_integral(a: tuple, n: int, p: int):

@@ -50,8 +50,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import factor_integer, rational_sqrt, squarefree_part
-from .localfields import echelon
+from .arith import rational_sqrt, sqrt_exact
 from .poly import (SCAN_BOUND, RatPoly, discriminant, factor_and_scan,
                    factor_over_Z, hensel_lift_factors, monic_integral,
                    roots_in_Fp)
@@ -119,7 +118,7 @@ def _reducible_verdict(factors) -> TfaeResult:
     if any(h.degree > 4 for h in factors):
         return TfaeResult(False, "sampled", "sampled",
                           "reducible shape beyond the exact table")
-    orbits, discs, sylow4 = [], set(), 1
+    orbits, discs, sylow4 = [], [], 1
     for h in factors:
         if h.degree == 4:
             orbits.append(4)
@@ -132,7 +131,7 @@ def _reducible_verdict(factors) -> TfaeResult:
                 orbits += [1] * h.degree
             else:
                 orbits += [1, 2] if h.degree == 3 else [2]
-                discs.add(squarefree_part(dsc.numerator * dsc.denominator))
+                discs.append(dsc.numerator * dsc.denominator)
     moved = {o for o in orbits if o > 1}
     sizes = "+".join(str(o) for o in sorted(orbits))
     if not moved:
@@ -140,7 +139,7 @@ def _reducible_verdict(factors) -> TfaeResult:
                           "group)", "exact")
     order = 0
     if orbits.count(1) == 1 and moved == {2}:
-        order = 2 ** _f2_rank_of_squarefree(discs)
+        order = 2 ** _f2_rank(discs)
     elif orbits.count(1) == 1 and moved == {4}:
         order = sylow4
     holds = order == max(moved)
@@ -148,18 +147,13 @@ def _reducible_verdict(factors) -> TfaeResult:
                       + (f", order {order}" if order else ""), "exact")
 
 
-def _f2_rank_of_squarefree(vals) -> int:
-    """Rank of squarefree integers in Q*/Q*^2: each value is a bitmask over
-    its prime support, with bit 0 for the sign."""
-    bit: dict[int, int] = {}
-    masks = []
-    for v in vals:
-        mask = int(v < 0)
-        for pr, e in factor_integer(v).factors:
-            if e % 2:
-                mask |= 1 << bit.setdefault(pr, len(bit) + 1)
-        masks.append(mask)
-    return len(echelon(masks))
+def _f2_rank(vals) -> int:
+    """Rank of the nonzero integers vals in Q*/Q*^2, with no factoring:
+    of the 2^k subset products, 2^(k - rank) are squares."""
+    squares = sum(sqrt_exact(math.prod(sub)) is not None
+                  for n in range(len(vals) + 1)
+                  for sub in itertools.combinations(vals, n))
+    return len(vals) + 1 - squares.bit_length()
 
 
 def _theta_terms(d: int):

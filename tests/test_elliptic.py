@@ -24,18 +24,33 @@ def test_invariants_isogeny_pair():
 
 
 def test_one_discriminant_per_model(monkeypatch):
-    # disc is kept on the frozen model: repeated reads evaluate it once,
-    # and equality and hash still read the five coefficients only
+    # disc and b8 are kept on the frozen model: repeated reads evaluate
+    # each once, and equality and hash still read the five coefficients only
     reads = []
-    b8 = WeierstrassModel.b8
-    monkeypatch.setattr(WeierstrassModel, "b8",
-                        property(lambda m: reads.append(m) or b8.fget(m)))
+    b8 = WeierstrassModel.b8.func
+    monkeypatch.setattr(WeierstrassModel.b8, "func",
+                        lambda m: reads.append(m) or b8(m))
     ainvs = [Fraction(c) for c in (0, 0, 0, -189, 1269)]
     m = WeierstrassModel(*ainvs)
     assert [m.disc, m.disc, m.disc] == [E189.disc] * 3
+    assert [m.b8, m.b8] == [E189.b8] * 2
     assert reads == [m]
     fresh = WeierstrassModel(*ainvs)
     assert fresh == m and hash(fresh) == hash(m)
+
+
+def test_int_models_keep_exact_arithmetic():
+    # integral and minimal models hold ints: j, the integral model and
+    # Velu's codomain stay exact on them and equal those of Fractions
+    m, parsed = WeierstrassModel(-1, 0, -8, 0, 0), \
+        curve_from_string("[-1,0,-8,0,0]")
+    assert m == parsed and parsed.integral_model == parsed
+    assert all(type(c) is int for c in parsed.integral_model.ainvs())
+    assert type(m.j) is Fraction and m.j == parsed.j
+    kernel = [Pt(Fraction(0), Fraction(8)), Pt(Fraction(0), Fraction(0))]
+    phi = velu_isogeny(m, kernel)
+    assert phi.codomain == velu_isogeny(parsed, kernel).codomain
+    assert all(type(c) is Fraction for c in phi.codomain.ainvs())
 
 
 def test_singular_rejected():

@@ -4,9 +4,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import tate_oracle
+from test_elliptic import corpus_velu_maps
 
 from qdescent.arith import is_prime, valuation
-from qdescent.elliptic import compute_invariants, curve_from_string
+from qdescent.elliptic import (compute_invariants, curve_from_string,
+                               two_division_cubic_integral)
 from qdescent.tate import _fp_quadratic, _singular_point, tate_algorithm
 
 MESTRE = curve_from_string("[0,2597055,357573631,-549082,-19608054]")
@@ -244,6 +247,46 @@ def test_tracked_disc_valuation():
         if valuation(r.transform[3], p) >= 1:
             rescaled.add(min(p, 5))
     assert rescaled == {2, 3, 5}
+
+
+# denominators whose p-parts often exceed the least scaling that makes a
+# model p-integral, p^k with k = max ceil(-v(a_w) / w): a_6 = c/64 asks
+# for k = 1 but makes d = 64, a start 2^5-fold non-minimal at 2
+DENOMINATORS = (1, 2, 4, 8, 16, 32, 64, 3, 9, 27, 81, 5, 25, 6, 12, 36, 48,
+                864)
+
+
+def test_integral_model_start_against_per_prime_scaling():
+    # Tate's algorithm from the model's one integral form gives the
+    # Kodaira symbol, c_p, minimal model and transform of the per-prime
+    # scaling it replaced, at every disc prime of a seeded rational family
+    # and of the corpus' Velu codomains; where d holds more of p than the
+    # least scaling, the rescale step takes the extra rounds.  The
+    # 2-division curve is that of m.transform(u=1/d)
+    rng = random.Random(3001)
+    models = [phi.codomain for phi in corpus_velu_maps()]
+    assert len(models) == 15
+    while len(models) < 15 + 500:
+        try:
+            models.append(compute_invariants(
+                *(Fraction(rng.randrange(-12, 13), rng.choice(DENOMINATORS))
+                  for _ in range(5))))
+        except ValueError:
+            continue
+    extra_rounds = {}
+    for m in models:
+        d = m.denominator
+        assert m.two_division_curve.f == \
+            two_division_cubic_integral(m.transform(u=Fraction(1, d)))
+        for p in m.disc_primes:
+            r = m.reduction(p)
+            assert (r.kodaira.symbol(), r.c_p, r.minimal_model.ainvs(),
+                    r.transform) == tate_oracle.reduction(m, p), (m, p)
+            assert all(type(c) is int for c in r.minimal_model.ainvs())
+            extra = valuation(d, p) - tate_oracle.least_k(m, p)
+            key = min(p, 5)
+            extra_rounds[key] = max(extra, extra_rounds.get(key, 0))
+    assert extra_rounds == {2: 5, 3: 3, 5: 1}
 
 
 def test_invariant_under_coordinate_changes():

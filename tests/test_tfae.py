@@ -7,12 +7,13 @@ from fractions import Fraction
 import pytest
 
 from qdescent import poly, tfae
-from qdescent.arith import is_prime
+from qdescent.arith import factor_integer, is_prime
+from qdescent.localfields import echelon
 from qdescent.poly import (SEARCH_PRIMES, RatPoly, _degree_sums,
                            discriminant, distinct_degree_shape,
                            factor_and_scan, factor_mod_p, factor_over_Z,
                            monic_integral, mp_pow_mod, parse_poly)
-from qdescent.tfae import (_agl_verdict, _f2_rank_of_squarefree,
+from qdescent.tfae import (_agl_verdict, _f2_rank,
                            _is_translated_binomial, _theta_terms,
                            agl_resolvent_holds, quartic_galois_group,
                            tfae_test)
@@ -32,19 +33,43 @@ def test_cubics_always_hold():
         done += 1
 
 
-def test_f2_rank_of_squarefree_against_subset_search():
-    # 2^(n - rank) of the 2^n subsets of n values multiply to a square
+def prime_support_rank(vals) -> int:
+    """Rank of nonzero integers in Q*/Q*^2 by factoring: each value is a
+    bitmask over the primes of odd exponent, with bit 0 for the sign, and
+    the rank is that of the masks' span."""
+    bit: dict[int, int] = {}
+    masks = []
+    for v in vals:
+        mask = int(v < 0)
+        for pr, e in factor_integer(v).factors:
+            if e % 2:
+                mask |= 1 << bit.setdefault(pr, len(bit) + 1)
+        masks.append(mask)
+    return len(echelon(masks))
+
+
+def test_f2_rank_against_prime_support_echelon():
+    # integers with square factors, squares and repeated classes among
+    # them, ranked by subset squares against their factored prime supports
     rng = random.Random(23)
-    for _ in range(40):
+    for _ in range(200):
         vals = [rng.choice((-1, 1)) * rng.choice((1, 2, 3, 5, 6, 7, 10, 15,
                                                   21, 30, 35, 105))
-                for _ in range(rng.randint(1, 6))]
-        squares = sum(
-            1 for k in range(len(vals) + 1)
-            for sub in itertools.combinations(vals, k)
-            if math.prod(sub) > 0 and math.isqrt(math.prod(sub)) ** 2
-            == math.prod(sub))
-        assert squares == 2 ** (len(vals) - _f2_rank_of_squarefree(vals)), vals
+                * rng.randint(1, 6) ** 2 for _ in range(rng.randint(1, 6))]
+        assert _f2_rank(vals) == prime_support_rank(vals), vals
+
+
+def test_square_classes_of_large_discriminants_need_no_factoring():
+    # (X - 1)(X^2 - n)(X^2 - 2) with n a 44-digit semiprime: the classes of
+    # 4n and 8 are independent, so the 2-Sylow has order 4 > 2 and the
+    # condition fails, with no factoring of n
+    p, q = 4000000000000000000013, 5000000000000000000059
+    assert is_prime(p) and is_prime(q)
+    n = p * q
+    f = RatPoly([-1, 1]) * RatPoly([-n, 0, 1]) * RatPoly([-2, 0, 1])
+    r = tfae_test(f)
+    assert not r.holds and r.certificate == "exact"
+    assert r.pattern == "1+2+2: 2-Sylow orbits 1+2+2, order 4"
 
 
 def test_example_II_quintic():
