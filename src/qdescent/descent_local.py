@@ -24,16 +24,16 @@ another route: it is the Jacobian's intersection rank
 Each local object is computed once and passed down.  The model is the
 object of its curve: m.reduction(p), Tate's algorithm run once per prime,
 is the object for each (model, p): the minimal model, its Kodaira type and
-the change of coordinates to it; for the 2-map the factors of the
-2-division cubic at p are the model's one factorization over Q, moved to
-that minimal model (m.two_division_factors).  The TorsionFieldProfile is
-the object for each (model, phi, p): the p-adic splitting of E[phi] and
-where its points reduce.  local_descent_report builds the profile from the
-model and passes it to S and I; C is read off the profile.  A cyclic
-isogeny (elliptic.IsogenyMap) is read through two things only: its
-codomain, whose Tate data and Neron scaling enter S, and x0, the
-x-coordinate of its kernel on the domain, which must be the model the
-report is asked about (ValueError otherwise).  x0 is read against the
+the integer change of coordinates to it from the model's integral_model;
+for the 2-map the factors of the 2-division cubic at p are the model's one
+factorization over Q, moved to that minimal model (m.two_division_factors).
+The TorsionFieldProfile is the object for each (model, phi, p): the p-adic
+splitting of E[phi] and where its points reduce.  local_descent_report
+builds the profile from the model and passes it to S and I; C is read off
+the profile.  A cyclic isogeny (elliptic.IsogenyMap) is read through two
+things only: its codomain, whose Tate data and Neron scaling enter S, and
+x0, the x-coordinate of its kernel on the domain, which must be the model
+the report is asked about (ValueError otherwise).  x0 is read against the
 2-division polynomial psi2 of the domain: a 3-kernel {Q, -Q} is defined
 over Q_p(sqrt(psi2(x0))), and at the real place S of a 2-isogeny asks
 whether x0 is the least real root of psi2.
@@ -206,9 +206,10 @@ def _kernel_point(rd: ReductionData, label: str, f: int, vx) -> KernelPoint:
 
 def _cyclic_kernel_profile(rd: ReductionData, phi: IsogenyMap) -> TorsionFieldProfile:
     p, x0 = rd.p, phi.x0
-    # the kernel point has x = (x0 - r)/u^2 on the minimal model
+    # the kernel's x: d^2 x0 on the integral model, (d^2 x0 - r)/u^2 here
     r, _, _, u = rd.transform
-    vx = valuation((x0 - r) / u ** 2, p)
+    d = phi.domain.denominator
+    vx = valuation((d * d * x0 - r) / u ** 2, p)
     if phi.degree == 2:
         pts = (_kernel_point(rd, "T1", 1, vx),)
         return TorsionFieldProfile(p, pts, 2, 1, 1, 2, (("T1",),))
@@ -256,17 +257,19 @@ def s2_order_isogeny(phi, prof: TorsionFieldProfile) -> int:
     phi'(0) = 1 on phi.domain and phi.codomain, and the scalings u and u'
     that take these to their minimal models multiply the invariant
     differentials by u and u', so on the Neron differentials phi'(0) is
-    u'/u and |phi'(0)|_p = p^(v(u) - v(u')).
+    u'/u and |phi'(0)|_p^-1 = p^e, e = v(u') - v(u), each Neron scaling
+    read off disc = u^12 disc_min as v(u) = (v(disc) - v_disc_min)/12.
     """
     if phi == TWO_MAP:
         raise ValueError("use s2_order_two_map for the 2-map")
     p = prof.p
     rd, rd_cod = phi.domain.reduction(p), phi.codomain.reduction(p)
-    abs_val = Fraction(p) ** (valuation(rd.transform[3], p)
-                              - valuation(rd_cod.transform[3], p))
-    order = 1 / abs_val * prof.rational_order * Fraction(rd_cod.c_p, rd.c_p)
-    assert order.denominator == 1, "non-integral local Selmer order"
-    return int(order)
+    e = (valuation(phi.codomain.disc, p) - rd_cod.v_disc_min
+         - valuation(phi.domain.disc, p) + rd.v_disc_min) // 12
+    assert e >= 0, "phi'(0) not integral on the Neron differentials"
+    order, rem = divmod(p ** e * prof.rational_order * rd_cod.c_p, rd.c_p)
+    assert rem == 0, "non-integral local Selmer order"
+    return order
 
 
 def s2_real(m: WeierstrassModel, phi) -> int:

@@ -132,15 +132,13 @@ class WeierstrassModel:
         """The monic irreducible factors over Q of two_division_cubic_integral
         of the minimal model at p, moved from two_division_curve.
 
-        With (r, s, t, u) = reduction(p).transform, the roots U of the
-        curve's cubic and U' of the minimal model's are 4 d^2 x and
-        4 (x - r)/u^2, so each factor h becomes h(d^2 u^2 U' + 4 d^2 r),
-        made monic.  The factors are integral, as the minimal model is.
+        The roots U of the curve's cubic and U' of the minimal model's are
+        4x on each, so with the integer (r, s, t, u) = reduction(p).transform
+        U = u^2 U' + 4r, and each factor h becomes h(u^2 U' + 4r), made
+        monic.  The factors are integral, as the minimal model is.
         """
         r, _, _, u = self.reduction(p).transform
-        d2 = self.denominator ** 2
-        a, b = d2 * u * u, 4 * d2 * r
-        return tuple(h.compose_linear(a, b).monic()
+        return tuple(h.compose_linear(u * u, 4 * r).monic()
                      for h in self.two_division_curve.factors)
 
     def ainvs(self):

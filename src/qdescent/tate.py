@@ -3,28 +3,28 @@
 The full branch structure is implemented (no c4/c6 shortcuts), since the
 additive cases at p = 2 and p = 3 matter here.  Local descent reads the
 Tamagawa number c_p, whether multiplicative reduction is split, and the
-order of Frobenius on the component group
-(frobenius_order_on_components).  The minimal model is integral, not only
-p-integral, so that the local objects built on it, such as its 2-division
-cubic, have integer coefficients.  It starts at every prime from the
-model's one integral form, integral_model, and runs on its five ints:
-translations by integers, the exact rescale by p of a non-minimal model
-(a start non-minimal at p goes through it), residues by % p and exact
-quotients such as a6/p^3.  v(disc) is read once and tracked: a
-translation keeps it and the rescale lowers it by 12.  A translation is
-`translate` (u = 1), shared with WeierstrassModel.transform, and one rule,
-_fp_quadratic, decides every quadratic mod p: the tangents at a node and
-steps IV, IV* and I_nu*, odd and even k alike.  At odd p the
-singular point of a reduction lies above the multiple root of the model's
-2-division polynomial psi2 mod p.  WeierstrassModel.reduction runs it once
-per prime and keeps the result, so that each (model, prime) has one
-ReductionData.
+order of Frobenius on the component group (frobenius_order_on_components).
+The minimal model is integral, not only p-integral, so that the local
+objects built on it, such as its 2-division cubic, have integer
+coefficients.  It starts at every prime from the model's one integral form,
+integral_model, in whose coordinates it answers: the change of coordinates
+to the minimal model is four ints, u a power of p.  It runs on five ints:
+translations by integers, residues by % p, exact quotients such as a6/p^3,
+and the exact rescale by p that opens each round while p^w divides every
+a_w, so a start that is only a p-power scaling is trimmed before its first
+round.  v(disc) is read once and tracked: a translation keeps it and the
+rescale lowers it by 12.  A translation is `translate` (u = 1), shared with
+WeierstrassModel.transform, and one rule, _fp_quadratic, decides every
+quadratic mod p: the tangents at a node and steps IV, IV* and I_nu*, odd
+and even k alike.  At odd p the singular point of a reduction lies above
+the multiple root of the model's 2-division polynomial psi2 mod p.
+WeierstrassModel.reduction runs it once per prime and keeps the result, so
+that each (model, prime) has one ReductionData.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import legendre, residue, valuation
 from .poly import factor_mod_p
@@ -51,8 +51,8 @@ class KodairaType:
 @dataclass(frozen=True)
 class ReductionData:
     """Tate's algorithm at p for one model: the minimal model, integral and
-    minimal at p, its Kodaira type and Tamagawa number, and the change of
-    coordinates `transform` that takes the input model to it."""
+    minimal at p, its Kodaira type and Tamagawa number, and the integer
+    change of coordinates `transform` to it from integral_model."""
 
     p: int
     minimal_model: WeierstrassModel
@@ -62,7 +62,7 @@ class ReductionData:
     c_p: int
     split: object  # True / False / None (not applicable)
     frobenius_order_on_components: int
-    transform: tuple  # (r, s, t, u) taking the input model to minimal_model
+    transform: tuple  # ints (r, s, t, u = p^k), integral -> minimal model
 
 
 WEIGHTS = (1, 2, 3, 4, 6)  # a_w scales by u^-w
@@ -135,12 +135,11 @@ def translate(a: tuple, r=0, s=0, t=0) -> tuple:
 
 def _move(a: tuple, tr: tuple, r=0, s=0, t=0):
     """The integral model a = (a1, a2, a3, a4, a6) moved by the integers
-    x = x' + r, y = y' + s x' + t, and tr (the integral change of
-    coordinates that led to a) composed with it.
+    x = x' + r, y = y' + s x' + t, and tr, the integer change of
+    coordinates (r, s, t, u) from the start to a, composed with it.
 
-    Tate's algorithm runs on these five ints from the model's integral
-    form; a translation keeps v(disc), so v(disc) is read once and only
-    the non-minimal rescale changes it (by -12)."""
+    A translation keeps v(disc); only the rescale at the top of a round of
+    _tate_integral changes it (by -12) and u (by a factor p)."""
     r0, s0, t0, u0 = tr
     return (translate(a, r, s, t),
             (r0 + u0 * u0 * r, s0 + u0 * s,
@@ -150,26 +149,20 @@ def _move(a: tuple, tr: tuple, r=0, s=0, t=0):
 def tate_algorithm(m: WeierstrassModel, p: int) -> ReductionData:
     """Kodaira type, Tamagawa number and component-group data at p.
 
-    The result records the change of coordinates (r, s, t, u) with
-    m.transform(r, s, t, u) == minimal_model, a model integral and minimal
-    at p, on ints.  Unless the reduction is good (I0), the singular point of
-    the reduced minimal model is (0, 0).
-
-    It starts from m.integral_model, m.transform(u=1/d) on five ints,
-    reads v(disc) off its integer discriminant, and composes u = 1/d with
-    the change of coordinates that _tate_integral finds on the ints.  A
-    start not minimal at p (d holds more of p than m needs) goes through
-    the rescale step, by u = p a round.
+    It runs _tate_integral on m.integral_model, m.transform(u=1/d) on five
+    ints, with v(disc) read off its integer discriminant, and returns what
+    that finds: the integer change of coordinates (r, s, t, u), u = p^k,
+    with m.integral_model.transform(r, s, t, u) == minimal_model, a model
+    integral and minimal at p, on ints.  Unless the reduction is good (I0),
+    the singular point of the reduced minimal model is (0, 0).
     """
     if m.disc == 0:
         raise ValueError("singular curve")
     start = m.integral_model
-    a, (r, s, t, u), local = _tate_integral(
+    a, transform, local = _tate_integral(
         start.ainvs(), valuation(start.disc, p), p)
-    d = m.denominator
     # an unmoved start is the minimal model, and keeps what it cached
     minimal = start if a == start.ainvs() else type(m)(*a)
-    transform = tuple(map(Fraction, (r, s, t, u), (d * d, d, d ** 3, d)))
     return ReductionData(p, minimal, *local, transform)
 
 
@@ -178,9 +171,15 @@ def _tate_integral(a: tuple, n: int, p: int):
     v_p(disc) = n: the minimal model's five ints, the change of coordinates
     (r, s, t, u), integers with u a power of p, that takes a to it, and
     (kodaira, v_disc_min, conductor_exponent, c_p, split,
-    frobenius_order_on_components)."""
+    frobenius_order_on_components).  The one rescale site opens each round:
+    by u = p, exactly, while p^w | a_w for every w (a start that is only a
+    p-power scaling, or the end of a cascade past II*)."""
     tr = (0, 0, 0, 1)
     while True:
+        while all(c % p ** w == 0 for c, w in zip(a, WEIGHTS)):
+            a = tuple(c // p ** w for c, w in zip(a, WEIGHTS))
+            tr = (*tr[:3], tr[3] * p)
+            n -= 12
         if n == 0:
             return a, tr, (KodairaType("I0"), 0, 0, 1, None, 1)
         x0, y0 = _singular_point(a, p)
@@ -293,8 +292,4 @@ def _tate_integral(a: tuple, n: int, p: int):
             return a, tr, (KodairaType("III*"), n, n - 7, 2, None, 1)
         if a[4] % p ** 6:  # v(a6) = 5
             return a, tr, (KodairaType("II*"), n, n - 8, 1, None, 1)
-
-        # non-minimal: rescale by u = p, exactly, and start over
-        a = tuple(_exact(c, p ** w) for c, w in zip(a, WEIGHTS))
-        tr = (*tr[:3], tr[3] * p)
-        n -= 12
+        # past II*: p^w divides every a_w, and the next round rescales

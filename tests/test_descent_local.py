@@ -19,6 +19,7 @@ from qdescent.elliptic import (IsogenyMap, Pt, compute_invariants,
                                velu_isogeny)
 from qdescent.poly import (UnresolvedSplitting, factor_over_Z,
                            local_splitting_type)
+from test_elliptic import corpus_velu_maps
 
 MESTRE = curve_from_string("[0,2597055,357573631,-549082,-19608054]")
 E189 = curve_from_string("[0,0,0,-189,1269]")
@@ -38,6 +39,20 @@ def i2(m, phi, p):
 
 def s2_iso(phi, p):
     return s2_order_isogeny(phi, profile(phi.domain, phi, p))
+
+
+def s2_iso_rational(phi, p):
+    """The oracle for s2_order_isogeny: its formula on the rational Neron
+    scalings u/d, the u of each model's integer change of coordinates to
+    its minimal model over the model's denominator d."""
+    prof = profile(phi.domain, phi, p)
+    rd, rd_cod = phi.domain.reduction(p), phi.codomain.reduction(p)
+    u, u_cod = (Fraction(x.transform[3], e.denominator)
+                for x, e in ((rd, phi.domain), (rd_cod, phi.codomain)))
+    abs_val = Fraction(p) ** (valuation(u, p) - valuation(u_cod, p))
+    order = 1 / abs_val * prof.rational_order * Fraction(rd_cod.c_p, rd.c_p)
+    assert order.denominator == 1
+    return int(order)
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +195,16 @@ def test_s2_isogeny_31():
     for p in (5, 7, 11):
         if valuation(m2.disc, p) == 0 and valuation(psi.codomain.disc, p) == 0:
             assert s2_iso(psi, p) == 2
+    # the order in ints, with each Neron scaling read off v(disc), is the
+    # oracle's at 2, at 3 and at every disc prime of both curves of the
+    # benchmark corpus' Velu maps
+    checked = 0
+    for phi in corpus_velu_maps():
+        for p in sorted({2, 3, *phi.domain.disc_primes,
+                         *phi.codomain.disc_primes}):
+            assert s2_iso(phi, p) == s2_iso_rational(phi, p), (phi.domain, p)
+            checked += 1
+    assert checked == 56
 
 
 def test_an_isogeny_is_reported_on_its_own_domain():

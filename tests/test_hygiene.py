@@ -4,7 +4,8 @@ __import__, no dead functions, classes, methods or module-level names, no
 module-level mutable container (a global registry) or per-process
 function cache, no mod-m product reduced other than by the fused kernel,
 no Fraction per coefficient in RatPoly's arithmetic, and Tate's algorithm
-run only by the model that keeps its result;
+run only by the model that keeps its result and on ints, with nothing
+from fractions;
 pyproject.toml declares no runtime dependency and every console script it
 declares resolves; every helper module of the tests is imported by a test
 module; every defaulted parameter of src/ is set by some call, and no
@@ -297,6 +298,13 @@ def test_no_function_cache_decorator():
              if isinstance(node, ast.Name) and node.id in caches
              or isinstance(node, ast.Attribute) and node.attr in caches]
     assert not found
+
+
+def test_tate_imports_nothing_from_fractions():
+    # Tate's algorithm answers in the integral model's integers: its change
+    # of coordinates is four ints, with no second, rational, system
+    assert "fractions" not in {module for _, module in
+                               imported_modules(TREES["tate.py"])}
 
 
 def test_tate_runs_only_in_the_model_memo():

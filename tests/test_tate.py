@@ -7,6 +7,7 @@ import pytest
 import tate_oracle
 from test_elliptic import corpus_velu_maps
 
+from qdescent import tate
 from qdescent.arith import is_prime, valuation
 from qdescent.elliptic import (compute_invariants, curve_from_string,
                                two_division_cubic_integral)
@@ -126,10 +127,13 @@ KODAIRA_LETTERS = {"I0", "I", "II", "III", "IV", "I*", "IV*", "III*", "II*"}
 
 
 def checked_transform(m, p):
-    """tate_algorithm(m, p), after checking that its transform takes m to the
-    minimal model and that a bad reduction is singular at (0, 0)."""
+    """tate_algorithm(m, p), after checking that its transform is four ints,
+    u a power of p, that takes m.integral_model to the minimal model, and
+    that a bad reduction is singular at (0, 0)."""
     r = tate_algorithm(m, p)
-    assert m.transform(*r.transform) == r.minimal_model
+    assert all(type(c) is int for c in r.transform)
+    assert r.transform[3] == p ** valuation(r.transform[3], p)
+    assert m.integral_model.transform(*r.transform) == r.minimal_model
     if r.kodaira.letter != "I0":
         assert _singular_point(r.minimal_model, p) == (0, 0)
     return r
@@ -183,7 +187,7 @@ def test_minimal_model_is_integral():
     for p in (2, 3, 5, 41):
         a, b = tate_algorithm(m, p), tate_algorithm(n, p)
         assert a.minimal_model.is_integral()
-        assert m.transform(*a.transform) == a.minimal_model
+        assert m.integral_model.transform(*a.transform) == a.minimal_model
         assert (a.kodaira, a.v_disc_min, a.c_p, a.split) == \
             (b.kodaira, b.v_disc_min, b.c_p, b.split)
 
@@ -234,17 +238,24 @@ def corpus_disc_primes():
 def test_tracked_disc_valuation():
     # v(disc) is read once and moved with the model: it is the valuation of
     # the minimal model's discriminant, on a seeded rational family that
-    # reaches the non-minimal rescale (v_p(u) >= 1) at 2, at 3 and at some
-    # p >= 5, and at every disc prime of the benchmark corpus
+    # reaches a true rescale of the input model (v_p(u) - v_p(d) >= 1, u
+    # the transform's from integral_model, d the denominator) at 2, at 3
+    # and at some p >= 5, at every disc prime of the benchmark corpus and
+    # of its Velu codomains.  The Neron scaling u/d is read two ways: off
+    # the transform and off disc = (u/d)^12 disc_min
     rescaled = set()
     pairs = rational_family(random.Random(21), 300) + corpus_disc_primes()
     assert len(pairs) == 300 + 128
+    pairs += [(phi.codomain, p) for phi in corpus_velu_maps()
+              for p in phi.codomain.disc_primes]
     for m, p in pairs:
         r = tate_algorithm(m, p)
         assert r.v_disc_min == valuation(r.minimal_model.disc, p)
         assert r.minimal_model.is_integral()
-        assert m.transform(*r.transform) == r.minimal_model
-        if valuation(r.transform[3], p) >= 1:
+        assert m.integral_model.transform(*r.transform) == r.minimal_model
+        scaling = valuation(r.transform[3], p) - valuation(m.denominator, p)
+        assert 12 * scaling == valuation(m.disc, p) - r.v_disc_min, (m, p)
+        if scaling >= 1:
             rescaled.add(min(p, 5))
     assert rescaled == {2, 3, 5}
 
@@ -256,13 +267,23 @@ DENOMINATORS = (1, 2, 4, 8, 16, 32, 64, 3, 9, 27, 81, 5, 25, 6, 12, 36, 48,
                 864)
 
 
-def test_integral_model_start_against_per_prime_scaling():
+def test_integral_model_start_against_per_prime_scaling(monkeypatch):
     # Tate's algorithm from the model's one integral form gives the
-    # Kodaira symbol, c_p, minimal model and transform of the per-prime
-    # scaling it replaced, at every disc prime of a seeded rational family
-    # and of the corpus' Velu codomains; where d holds more of p than the
-    # least scaling, the rescale step takes the extra rounds.  The
-    # 2-division curve is that of m.transform(u=1/d)
+    # Kodaira symbol, c_p, minimal model and transform (composed with
+    # u = 1/d) of the per-prime scaling it replaced, at every disc prime of
+    # a seeded rational family and of the corpus' Velu codomains.  Where d
+    # holds more of p than the least scaling, the rescale that opens the
+    # first round trims it: the start reads the singular point as often
+    # as the per-prime start does.  The 2-division curve is that of
+    # m.transform(u=1/d)
+    calls = []
+    singular_point = tate._singular_point
+
+    def counted(a, p):
+        calls.append(p)
+        return singular_point(a, p)
+
+    monkeypatch.setattr(tate, "_singular_point", counted)
     rng = random.Random(3001)
     models = [phi.codomain for phi in corpus_velu_maps()]
     assert len(models) == 15
@@ -279,9 +300,16 @@ def test_integral_model_start_against_per_prime_scaling():
         assert m.two_division_curve.f == \
             two_division_cubic_integral(m.transform(u=Fraction(1, d)))
         for p in m.disc_primes:
+            calls.clear()
             r = m.reduction(p)
+            rounds = len(calls)
+            calls.clear()
+            oracle = tate_oracle.reduction(m, p)
+            assert rounds == len(calls), (m, p)
+            v = Fraction(1, d)
+            rr, s, t, u = r.transform
             assert (r.kodaira.symbol(), r.c_p, r.minimal_model.ainvs(),
-                    r.transform) == tate_oracle.reduction(m, p), (m, p)
+                    (v * v * rr, v * s, v ** 3 * t, v * u)) == oracle, (m, p)
             assert all(type(c) is int for c in r.minimal_model.ainvs())
             extra = valuation(d, p) - tate_oracle.least_k(m, p)
             key = min(p, 5)
