@@ -13,30 +13,33 @@ a monic modulus goes through one fused kernel, mp_mulmod: the product
 unreduced, then reduced in place with one reduction mod m per coefficient,
 no quotient, no inverse of the leading 1 and no trimming between steps.
 There is one division mod m, mp_divmod_monic, always by a monic divisor.
-mp_gcd runs Euclid on monic remainders, and so does _inverse_mod_p, the
-one inverse mod (g, p), keeping one cofactor.  mp_pow_mod squares left to
-right, multiplying by X as a shift.  One integer determinant, _bareiss_det
-(fraction-free Bareiss elimination), serves the discriminant, as the
-determinant of the n x n Bezout matrix of f and f', and the norms of
-elements of etale algebras.
-There are two prime searches over Q.  The Frobenius scan of
-factor_and_scan reads cycle shapes mod the good primes 2, 3, 5, ...
-(those prime to the discriminant) off distinct-degree factoring.  The
-shapes prove irreducibility or choose the prime of one Zassenhaus pass;
-factor_over_Z is that pass, with disc = 0 sending a repeated factor to the
-squarefree part, and tfae reads the same scan.  split_primes, for the
-hyperelliptic ledger, looks only for primes where f splits completely,
-and stays a search of its own: it costs one power X^p mod f per prime,
-where a shape costs about two.  The lift (hensel_lift_factors) takes
+mp_gcd runs Euclid on monic remainders, and so does _inverse_mod_p, the one
+inverse mod (g, p), keeping one cofactor.  mp_pow_mod squares left to
+right, multiplying by X as a shift and one subtraction (_times_x).
+factor_mod_p reads the roots mod p below ROOT_EVAL_BOUND by evaluating at
+every residue, and splits by Cantor-Zassenhaus otherwise.  One integer
+determinant, _bareiss_det (fraction-free Bareiss elimination), serves the
+discriminant, as the determinant of the n x n Bezout matrix of f and f',
+and the norms of elements of etale algebras.
+There are two prime searches over Q.  The Frobenius scan of factor_and_scan
+reads cycle shapes mod the good primes 2, 3, 5, ... (those prime to the
+discriminant) off distinct-degree factoring.  The shapes prove
+irreducibility or choose the prime of one Zassenhaus pass; factor_over_Z is
+that pass, with disc = 0 sending a repeated factor to the squarefree part,
+and tfae reads the same scan.  split_primes, for the hyperelliptic ledger,
+looks only for primes where f splits completely, and stays a search of its
+own, cheaper per prime than a shape: one sequence X^n mod f, n = 3, 4, ...,
+stepped by _times_x on integers mod the product of the primes of a dyadic
+block, and read mod each of them.  The lift (hensel_lift_factors) takes
 each factor on its own by Newton's iteration, doubling the precision up to
 exactly p^N; a factor of full degree is f itself.  local_splitting_type
 gives the factorization type over Q_p by the same lift and order 1 of the
-Montes algorithm, from the factors of f over Q that factor_over_Z gives:
-it factors nothing over Q, so that one factorization serves every place.  Its pieces are ordered by what is read
-mod p and off the Newton polygon, never by a lift, so the order is the
-same at every precision and beside any other factor.  A piece from a
-simple factor mod p is lifted only when a caller first reads its lift, to
-the same p^N (LocalFactor).
+Montes algorithm, from the factors of f over Q that factor_over_Z gives: it
+factors nothing over Q, so that one factorization serves every place.  Its
+pieces are ordered by what is read mod p and off the Newton polygon, never
+by a lift, so the order is the same at every precision and beside any other
+factor.  A piece from a simple factor mod p is lifted only when a caller
+first reads its lift, to the same p^N (LocalFactor).
 """
 
 from __future__ import annotations
@@ -58,6 +61,15 @@ FACTOR_SEED = 20996011  # fixed seed: reproducible equal-degree splitting
 SEARCH_PRIMES = 5
 # primes the scan runs through; Chebotarev finds a decisive one far sooner
 SCAN_BOUND = 10 ** 5
+# odd primes split_primes runs through: the primes that split f completely
+# have density 1/#Gal(f) (Chebotarev), from 1/6 for a cubic to 1/5040 for
+# a degree-7 f with group S_7, so a search past this could run for ever
+SPLIT_BOUND = 10 ** 4
+# roots mod p below this are read by evaluating at every residue (p Horner
+# evaluations), above it by Cantor-Zassenhaus (about log p products per
+# split).  Measured, evaluation is the faster below about 400 for two
+# roots, 600 for three and 1000 for five to eight
+ROOT_EVAL_BOUND = 512
 
 HENSEL_START = 20
 HENSEL_CAP = 320
@@ -353,15 +365,11 @@ def mp_trim(a):
 
 
 def mp_add(a, b, m):
-    n = max(len(a), len(b))
-    return mp_trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % m
-                    for i in range(n)])
+    return mp_trim([(x + y) % m for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def mp_sub(a, b, m):
-    n = max(len(a), len(b))
-    return mp_trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % m
-                    for i in range(n)])
+    return mp_trim([(x - y) % m for x, y in zip_longest(a, b, fillvalue=0)])
 
 
 def _convolve(a, b):
@@ -426,27 +434,29 @@ def mp_gcd(a, b, p):
     return a
 
 
+def _times_x(a, g, m):
+    """X*a rem g mod m, for monic g and a reduced mod g and m: a shift, and
+    when X*a has degree deg g, one subtraction of its top coefficient
+    times g."""
+    if len(a) < len(g) - 1:
+        return [0] + a
+    t = a[-1]
+    return mp_trim([(x - t * y) % m for x, y in zip([0] + a[:-1], g)])
+
+
 def mp_pow_mod(a, n, g, m):
     """a^n rem g mod m, for monic g, by squaring left to right: one
     squaring per bit of n after the first, and at a set bit one product
-    by a, which for a = X is a shift and one reduction step."""
+    by a, which for a = X is _times_x."""
     if not n:
         return [1]
     a = mp_divmod_monic(a, g, m)[1]
-    shift, d = a == [0, 1], len(g) - 1
+    shift = a == [0, 1]
     out = a
     for bit in bin(n)[3:]:
         out = mp_mulmod(out, out, g, m)
-        if bit == "0" or not out:
-            continue
-        if not shift:
-            out = mp_mulmod(out, a, g, m)
-        elif len(out) < d:
-            out = [0] + out
-        else:  # X * out has degree d: subtract its top coefficient times g
-            t = out[-1]
-            out = mp_trim([(x - t * y) % m
-                           for x, y in zip([0] + out[:-1], g)])
+        if bit == "1" and out:
+            out = _times_x(out, g, m) if shift else mp_mulmod(out, a, g, m)
     return out
 
 
@@ -511,15 +521,11 @@ def _sqfree_decomp(a, p):
 
 def _distinct_degree(a, p):
     """[(product of irreducibles of degree d, d)], a squarefree monic."""
-    out = []
-    x = [0, 1]
-    h = x[:]
-    f = a[:]
-    d = 0
+    out, h, f, d = [], [0, 1], a, 0
     while len(f) - 1 >= 2 * (d + 1):
         d += 1
         h = mp_pow_mod(h, p, f, p)
-        g = mp_gcd(mp_sub(h, x, p), f, p)
+        g = mp_gcd(mp_sub(h, [0, 1], p), f, p)
         if len(g) > 1:
             out.append((g, d))
             f = mp_divmod_monic(f, g, p)[0]
@@ -530,16 +536,32 @@ def _distinct_degree(a, p):
     return out
 
 
-def _equal_degree_split(a, d, p, rng):
-    """Cantor-Zassenhaus split of a product of degree-d irreducibles."""
+def _equal_degree_split(a, d, p, rng=None):
+    """The monic irreducible factors of a, a monic product of distinct
+    irreducibles of degree d over F_p, in no fixed order.  For d = 1 and
+    p < ROOT_EVAL_BOUND the roots are read by evaluating a at every
+    residue, Horner on ints with one reduction mod p per value.  Every
+    other split is Cantor-Zassenhaus: the seeded generator
+    random.Random(FACTOR_SEED) is built at its first split and passed down
+    its recursion."""
     n = len(a) - 1
     if n == d:
         return [a]
+    if d == 1 and p < ROOT_EVAL_BOUND:
+        out, rev = [], a[::-1]
+        for r in range(p):
+            v = 0
+            for c in rev:
+                v = v * r + c
+            if v % p == 0:
+                out.append([-r % p, 1])
+        return out
+    if rng is None:
+        rng = random.Random(FACTOR_SEED)
     while True:
         b = [rng.randrange(p) for _ in range(n)] + [1]
         if p == 2:
-            t = b[:]
-            acc = b[:]
+            t = acc = b
             for _ in range(d - 1):
                 acc = mp_mulmod(acc, acc, a, 2)
                 t = mp_add(t, acc, 2)
@@ -556,23 +578,19 @@ def _equal_degree_split(a, d, p, rng):
 
 def factor_mod_p(a, p: int) -> list[tuple[list[int], int]]:
     """Monic irreducible factorization over F_p of the coefficient list a,
-    as [(factor, multiplicity)], deterministically ordered.  The seeded
-    generator of equal-degree splitting is built only once a product of
-    equal-degree factors has more than one factor to split."""
+    as [(factor, multiplicity)], sorted by degree, then coefficients:
+    squarefree parts, then distinct degrees, then _equal_degree_split,
+    which evaluates roots below ROOT_EVAL_BOUND and builds its seeded
+    generator only for a Cantor-Zassenhaus split."""
     a = mp_trim([c % p for c in a])
     if not a:
         raise ValueError("cannot factor the zero polynomial")
     if len(a) == 1:
         return []
-    rng = None
-    out = []
-    for g, mult in _sqfree_decomp(a, p):
-        for h, d in _distinct_degree(g, p):
-            if rng is None and len(h) - 1 > d:
-                rng = random.Random(FACTOR_SEED)
-            out += [(irr, mult) for irr in _equal_degree_split(h, d, p, rng)]
-    out.sort(key=lambda t: (len(t[0]), t[0]))
-    return out
+    return sorted(((irr, mult) for g, mult in _sqfree_decomp(a, p)
+                   for h, d in _distinct_degree(g, p)
+                   for irr in _equal_degree_split(h, d, p)),
+                  key=lambda t: (len(t[0]), t[0]))
 
 
 def distinct_degree_shape(a, p: int) -> tuple[int, ...]:
@@ -738,18 +756,33 @@ def factor_and_scan(f: RatPoly, disc: Fraction):
 
 
 def split_primes(f: RatPoly) -> list[int]:
-    """The two smallest odd primes where the monic integer f of degree >= 2
-    splits completely into distinct linear factors mod p, so that p does
-    not divide disc(f): those where f divides X^p - X, one power each."""
-    out = []
-    p = 3
-    while len(out) < 2 and p < 10 ** 4:
-        if is_prime(p) and mp_pow_mod([0, 1], p, fp_poly(f, p), p) == [0, 1]:
-            out.append(p)
-        p += 2
-    if len(out) < 2:
-        raise ArithmeticError("could not find split primes for independence")
-    return out
+    """The two smallest odd primes q < SPLIT_BOUND where the monic integer
+    f of degree >= 2 splits completely into distinct linear factors mod q,
+    so that q does not divide disc(f): those where X^q = X mod (f, q).
+
+    One sequence h = X^n rem f is stepped by _times_x, n = n + 1, with its
+    coefficients mod Q, the product of the odd primes of the dyadic block
+    [lo, 2 lo) that n is in; a block starts with one mp_pow_mod, and h mod
+    q is read at each prime q of it.  So an integer's size is set by the
+    block, not by the roots of f.  ArithmeticError when fewer than two
+    primes below SPLIT_BOUND split f."""
+    # f stays unreduced: mod Q a coefficient -c would be the Q-sized Q - c
+    g, out, lo = f.num, [], 2
+    while lo < SPLIT_BOUND:
+        block = [q for q in range(lo + 1, min(2 * lo, SPLIT_BOUND), 2)
+                 if is_prime(q)]
+        Q, n = math.prod(block), block[0]
+        h = mp_pow_mod([0, 1], n, g, Q)
+        for q in block:
+            for _ in range(q - n):
+                h = _times_x(h, g, Q)
+            n = q
+            if mp_trim([c % q for c in h]) == [0, 1]:
+                out.append(q)
+                if len(out) == 2:
+                    return out
+        lo *= 2
+    raise ArithmeticError("could not find split primes for independence")
 
 
 def factor_over_Z(f: RatPoly) -> list[RatPoly]:

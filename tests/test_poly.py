@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ import ratpoly_oracle as oracle
 from hypothesis import given, settings, strategies as st
 
 from qdescent import poly
-from qdescent.arith import factor_integer, valuation
+from qdescent.arith import factor_integer, is_prime, valuation
 from qdescent.localfields import _norm_mod
 from qdescent.poly import (HENSEL_START, RatPoly, UnresolvedSplitting,
                            discriminant, distinct_degree_shape, factor_mod_p,
@@ -17,7 +18,7 @@ from qdescent.poly import (HENSEL_START, RatPoly, UnresolvedSplitting,
                            local_splitting_type, monic_integral, mp_add,
                            mp_divmod_monic, mp_gcd, mp_mul, mp_mulmod,
                            mp_pow_mod, mp_scal, mp_shift, mp_sub, mp_trim,
-                           parse_poly, roots_in_Fp)
+                           parse_poly, roots_in_Fp, split_primes)
 
 QUINTIC = parse_poly("X^5+16*X^4-274*X^3+817*X^2+178*X+1")
 # X^3 - 11X^2 + 5X - 10 = (X + 2)(X + 1)^2 mod 3
@@ -405,10 +406,9 @@ def test_mp_gcd_matches_plain_euclid():
     assert mp_gcd([0, 3], [], 5) == [0, 1]
 
 
-def test_factor_mod_p_factors_are_irreducible_and_multiply_back():
-    # 320 seeded (a, p): the factors, with multiplicity, multiply back to
-    # monic(a), and no monic polynomial of degree 1..deg/2 divides a factor
-    rng = random.Random(2203)
+def small_prime_inputs(rng):
+    """80 seeded a at each of p = 2, 3, 5, 7, some with a repeated factor:
+    every root split takes the evaluation route."""
     for p in (2, 3, 5, 7):
         for _ in range(80):
             degree = rng.randint(1, 8 if p < 5 else 6)
@@ -416,18 +416,155 @@ def test_factor_mod_p_factors_are_irreducible_and_multiply_back():
             a.append(rng.randrange(1, p))
             if rng.random() < 0.3:  # a repeated factor
                 a = mp_mul(a, mp_mul(a[:2] + [1], a[:2] + [1], p), p)
-            fac = factor_mod_p(a, p)
-            prod = [1]
-            for g, mult in fac:
-                assert g[-1] == 1
-                d = len(g) - 1
-                for e in range(1, d // 2 + 1):
-                    for low in itertools.product(range(p), repeat=e):
-                        assert rem_mod_p(g, [*low, 1], p), (g, low, p)
-                for _ in range(mult):
-                    prod = mp_mul(prod, g, p)
-            inv = pow(a[-1], -1, p)
-            assert prod == [c * inv % p for c in a], (a, p)
+            yield a, p
+
+
+def linear_products(rng, primes, count):
+    """count seeded a at each p of primes: a nonzero constant times 1 to 8
+    distinct linear factors, so that every factor comes from a root
+    split."""
+    for p in primes:
+        for _ in range(count):
+            a = [rng.randrange(1, p)]
+            for r in rng.sample(range(p), rng.randint(1, 8)):
+                a = mp_mul(a, [-r, 1], p)
+            yield a, p
+
+
+def test_factor_mod_p_factors_are_irreducible_and_multiply_back():
+    # seeded (a, p): the factors, with multiplicity, multiply back to
+    # monic(a), and no monic polynomial of degree 1..deg/2 divides a
+    # factor.  The products of linear factors at p = 509 take the
+    # evaluation route, those at 521, 1031 and 9973 Cantor-Zassenhaus.
+    cases = itertools.chain(small_prime_inputs(random.Random(2203)),
+                            linear_products(random.Random(3202),
+                                            (509, 521, 1031, 9973), 30))
+    for a, p in cases:
+        fac = factor_mod_p(a, p)
+        prod = [1]
+        for g, mult in fac:
+            assert g[-1] == 1
+            d = len(g) - 1
+            for e in range(1, d // 2 + 1):
+                for low in itertools.product(range(p), repeat=e):
+                    assert rem_mod_p(g, [*low, 1], p), (g, low, p)
+            for _ in range(mult):
+                prod = mp_mul(prod, g, p)
+        inv = pow(a[-1], -1, p)
+        assert prod == [c * inv % p for c in a], (a, p)
+
+
+def test_root_routes_agree_at_the_cutoff(monkeypatch):
+    # seeded (a, p) just below and just above ROOT_EVAL_BOUND: evaluation
+    # at every residue and Cantor-Zassenhaus give the same factorization.
+    # By default a product of distinct linear factors is split by
+    # evaluation below the bound, with no seeded generator built, and by
+    # Cantor-Zassenhaus at or above it, with one
+    built = []
+
+    class Counted(random.Random):
+        def __init__(self, seed):
+            built.append(seed)
+            super().__init__(seed)
+
+    bound, rng = poly.ROOT_EVAL_BOUND, random.Random(3203)
+    monkeypatch.setattr(poly.random, "Random", Counted)
+    near = (499, 503, 509, 521, 523, 541)
+    assert max(near[:3]) < bound <= min(near[3:])
+    cases = list(linear_products(rng, near, 25))
+    for a, p in cases:
+        del built[:]
+        fac = factor_mod_p(a, p)
+        assert built == ([] if p < bound or len(fac) == 1
+                         else [poly.FACTOR_SEED]), (a, p)
+    for p in near:
+        for _ in range(25):  # any a, with a root or two more often
+            a = [rng.randrange(p) for _ in range(rng.randint(1, 7))]
+            a.append(rng.randrange(1, p))
+            if rng.random() < 0.5:
+                a = mp_mul(a, [rng.randrange(p), 1], p)
+            cases.append((a, p))
+    for a, p in cases:
+        got = factor_mod_p(a, p)
+        for route in (0, 10 ** 6):  # all Cantor-Zassenhaus, all evaluation
+            monkeypatch.setattr(poly, "ROOT_EVAL_BOUND", route)
+            assert factor_mod_p(a, p) == got, (a, p, route)
+        monkeypatch.setattr(poly, "ROOT_EVAL_BOUND", bound)
+
+
+def split_primes_oracle(f):
+    """The rule split_primes replaces: the two smallest odd primes p below
+    SPLIT_BOUND with X^p = X mod (f, p), one mp_pow_mod per prime."""
+    out = []
+    for p in range(3, poly.SPLIT_BOUND, 2):
+        if is_prime(p) and mp_pow_mod([0, 1], p, fp_poly(f, p), p) == [0, 1]:
+            out.append(p)
+            if len(out) == 2:
+                return out
+    raise ArithmeticError("could not find split primes for independence")
+
+
+def split_family(rng, count):
+    """count seeded separable monic f of degrees 3, 5 and 7 in turn, with
+    coefficients up to 10^6: products of monic factors of degree at most
+    4, and every 75th f a random monic septic, which in most draws has
+    Galois group S_7 and too few split primes below SPLIT_BOUND."""
+    out = []
+    while len(out) < count:
+        n = (3, 5, 7)[len(out) % 3]
+        parts = [7] if len(out) % 75 == 2 else []
+        while sum(parts) < n:
+            parts.append(rng.randint(1, min(n - sum(parts), 4)))
+        size = 10 ** rng.randint(0, 6 // len(parts))
+        f = RatPoly([1])
+        for k in parts:
+            f = f * RatPoly([rng.randint(-size, size) for _ in range(k)] + [1])
+        if max(map(abs, f.num)) <= 10 ** 6 and discriminant(f):
+            out.append(f)
+    return out
+
+
+def test_split_primes_against_one_power_per_prime():
+    # 300 seeded f: the same two primes as the oracle, or the same
+    # ArithmeticError at the cap
+    raised = 0
+    for f in split_family(random.Random(3201), 300):
+        try:
+            want = split_primes_oracle(f)
+        except ArithmeticError:
+            raised += 1
+            with pytest.raises(ArithmeticError):
+                split_primes(f)
+        else:
+            assert split_primes(f) == want, f
+    assert raised >= 3
+
+
+def test_split_primes_near_the_cap(deadline, monkeypatch):
+    # a root near 10^6 and no two split primes below SPLIT_BOUND: the
+    # stepped sequence raises at the cap in no more process time than one
+    # power per prime, and takes one mp_pow_mod per dyadic block
+    f = parse_poly("X^7-1000000*X^6+5*X^2-3*X+7")
+    searches = (split_primes, split_primes_oracle)
+    times = {search: [] for search in searches}
+    with deadline(20):
+        for _ in range(3):  # alternating, so that both meet the same load
+            for search in searches:
+                start = time.process_time()
+                with pytest.raises(ArithmeticError):
+                    search(f)
+                times[search].append(time.process_time() - start)
+    assert min(times[split_primes]) <= min(times[split_primes_oracle])
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return mp_pow_mod(*args)
+
+    monkeypatch.setattr(poly, "mp_pow_mod", counted)
+    with pytest.raises(ArithmeticError):
+        split_primes(f)
+    assert len(calls) == poly.SPLIT_BOUND.bit_length() - 1
 
 
 def test_roots_in_Fp():
