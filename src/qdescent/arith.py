@@ -151,13 +151,8 @@ def _split_p(q, p: int) -> tuple[int, int, int]:
 
 
 def valuation(q, p: int):
-    """v_p(q) for rational q, an int or a Fraction as it is, any other
-    type converted; None for q = 0."""
-    if not isinstance(q, (int, Fraction)):
-        q = Fraction(q)
-    if q == 0:
-        return None
-    return _split_p(q, p)[0]
+    """v_p(q) for an int or a Fraction q; None for q = 0."""
+    return None if q == 0 else _split_p(q, p)[0]
 
 
 def residue(q, m: int) -> int:

@@ -21,20 +21,21 @@ interval for the 2-Selmer rank.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 
-from .arith import REAL_PLACE, factor_integer, finite, squarefree_part
+from .arith import (REAL_PLACE, factor_integer, finite, is_prime,
+                    squarefree_part)
 from .descent_local import TWO_MAP, LocalDescentReport, local_descent_report
 from .elliptic import WeierstrassModel
 from .jacobian import (HyperellipticCurve, independence_rank,
                        local_intersection_rank, local_selmer_rank_hyper,
                        local_torsion_rank)
 from .localfields import EtaleAlgebra
-from .poly import (RatPoly, discriminant, factor_over_Z, parse_poly,
-                   split_primes)
+from .poly import (SPLIT_BOUND, RatPoly, discriminant, factor_over_Z,
+                   parse_poly, split_primes)
 
 _PERIOD_BOUND = 10 ** 6  # longest continued-fraction period followed
 
@@ -123,8 +124,8 @@ def parse_class_data(text: str) -> list[ClassRecord]:
     """One record per line: "poly | 2rank | narrow_eq_wide | source", with
     poly irreducible over Q, 2rank an integer >= 0 and narrow_eq_wide one
     of yes/no, true/false, 1/0.  A quadratic record is checked against
-    genus theory.  Blank lines and "#" comments are skipped; any other
-    malformed line raises a ValueError naming it."""
+    genus theory, whose record it returns.  Blank lines and "#" comments
+    are skipped; any other malformed line raises a ValueError naming it."""
     out = []
     for line in text.splitlines():
         line = line.strip()
@@ -152,14 +153,11 @@ def _class_record(line: str) -> ClassRecord:
         raise ValueError(f"{poly} is not irreducible over Q")
     if poly.degree != 2:
         return ClassRecord(poly, two_rank, narrow, parts[3])
-    dsc = discriminant(poly)
-    d = squarefree_part(dsc.numerator * dsc.denominator)
-    expected = genus_2rank_quadratic(d)
-    if two_rank != expected:
+    rec = _find_record([], poly)
+    if two_rank != rec.two_rank:
         raise ValueError(f"quadratic record {parts[0]}: 2-rank {two_rank} "
-                         f"contradicts genus theory ({expected})")
-    return ClassRecord(poly, expected, narrow_equals_wide(d),
-                       "computed-by-genus-theory")
+                         f"contradicts genus theory ({rec.two_rank})")
+    return rec
 
 
 def quadratic_class_record(d: int) -> ClassRecord:
@@ -176,9 +174,7 @@ def _class_records(factors, records: list[ClassRecord]) -> list[ClassRecord]:
     record of F) and one linear factor times k conjugate-field factors
     (the records of the constituents).  Raises ValueError otherwise.
     """
-    if len(factors) == 1:
-        return [_find_record(records, factors[0])]
-    if sum(1 for h in factors if h.degree == 1) != 1:
+    if len(factors) > 1 and sum(h.degree == 1 for h in factors) != 1:
         raise ValueError("pattern outside the supported shapes: need one "
                          "linear factor (or irreducible f); explicit "
                          "unramified generators are not supported")
@@ -186,13 +182,15 @@ def _class_records(factors, records: list[ClassRecord]) -> list[ClassRecord]:
 
 
 def _find_record(records, h: RatPoly) -> ClassRecord:
-    for rec in records:
-        if rec.poly.monic() == h.monic():
-            return rec
+    """The record of the field of h: genus theory's for a quadratic h,
+    whatever is supplied, and the supplied record matching h otherwise."""
     if h.degree == 2:
         dsc = discriminant(h)
         return quadratic_class_record(squarefree_part(dsc.numerator
                                                       * dsc.denominator))
+    for rec in records:
+        if rec.poly.monic() == h.monic():
+            return rec
     raise ValueError(f"no class-group record supplied for {h} "
                      "(degree >= 3 fields need external input)")
 
@@ -238,11 +236,7 @@ def assemble_ledger_elliptic(m: WeierstrassModel, records=None,
         r.order_C // r.order_I for r in reports[1:]) == math.prod(
         r.order_S // r.order_I for r in reports), \
         "divisibility product forms disagree"
-    # the curve is in U = 4x on m.integral_model, m.transform(u=1/d),
-    # whose x is d^2 times that of m
-    d = m.denominator
-    upts = [("rational", 4 * d * d * Fraction(x), None)
-            for x in points or []]
+    upts = [("rational", m.two_division_x(x), None) for x in points or []]
     return _ledger(str(m), "elliptic", m.two_division_curve, reports, bad,
                    records, upts)
 
@@ -256,8 +250,13 @@ def _ledger(curve, kind, hc, reports, bad, records, points) -> GlobalLedger:
     The lower end of the interval is the larger of the torsion rank and
     the rank of the images of the points together with the torsion
     generators (independence_rank), and of the class side less rank C/I.
-    The class side comes from the records that match f; a quadratic
-    field needs none, genus theory gives its record.
+    The points are imaged at the two primes of split_primes, or, when
+    fewer than two below SPLIT_BOUND split f, at the two smallest odd
+    primes prime to disc(f): the bound holds at any primes where the
+    images are computed, and complete splitting only makes each local
+    group as large as it can be.  The class side reads genus theory's
+    record for each quadratic factor, whatever is supplied, and a supplied
+    record for each field of degree >= 3.
 
     narrow = wide for every class field lets the infinite place drop out of
     the S/I bound.  Only the records that the class side used certify it,
@@ -273,10 +272,17 @@ def _ledger(curve, kind, hc, reports, bad, records, points) -> GlobalLedger:
     tors2 = len(hc.factors) - 1
     pts_rank, lo = None, tors2
     if points:
-        prs = split_primes(hc.f)
+        try:
+            prs, why = split_primes(hc.f), ""
+        except ArithmeticError:
+            good = (q for q in itertools.count(3, 2)
+                    if hc.discriminant.numerator % q and is_prime(q))
+            prs, why = [next(good), next(good)], (
+                ", the smallest odd primes prime to disc(f): fewer than two "
+                f"below {SPLIT_BOUND} split f")
         pts_rank, analysis = independence_rank(hc, points, prs)
         lo = max(tors2, analysis["rank_with_torsion"])
-        notes.append(f"independence primes: {prs}")
+        notes.append(f"independence primes: {prs}{why}")
     used = []
     try:
         used = _class_records(hc.factors, records or [])

@@ -12,7 +12,8 @@ The intersection order is numerator/denominator: the numerator counts
 M-rational kernel points lying in (tau - 1)E(M) (nonsingular reduction
 passes automatically; singular reduction is decided by the five reduction-
 type cases), the denominator is #(tau - 1)(E(M)[phi]).  A kernel point is
-read on the minimal model at p (KernelPoint.x_val is v(x) there), so that
+read on the minimal model at p (KernelPoint.x_val is v(x) there, the x
+moved by WeierstrassModel.minimal_model_x for a cyclic kernel), so that
 C, S and I do not depend on the model: one rule (_kernel_point) decides
 whether it reduces to the singular point (0, 0).
 
@@ -206,10 +207,7 @@ def _kernel_point(rd: ReductionData, label: str, f: int, vx) -> KernelPoint:
 
 def _cyclic_kernel_profile(rd: ReductionData, phi: IsogenyMap) -> TorsionFieldProfile:
     p, x0 = rd.p, phi.x0
-    # the kernel's x: d^2 x0 on the integral model, (d^2 x0 - r)/u^2 here
-    r, _, _, u = rd.transform
-    d = phi.domain.denominator
-    vx = valuation((d * d * x0 - r) / u ** 2, p)
+    vx = valuation(phi.domain.minimal_model_x(x0, p), p)
     if phi.degree == 2:
         pts = (_kernel_point(rd, "T1", 1, vx),)
         return TorsionFieldProfile(p, pts, 2, 1, 1, 2, (("T1",),))

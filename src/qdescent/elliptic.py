@@ -6,11 +6,13 @@ models).  A model is the one object of its curve: it keeps its invariants,
 (disc_primes), its one integral model u = 1/d (integral_model), Tate's
 algorithm from it at each prime asked about (reduction) and the curve y^2 =
 its 2-division cubic, whose factors over Q are found once and moved to the
-minimal model of each prime (two_division_factors).  There is no group
-law and no point at infinity: the descent reads x-coordinates, a kernel of
-order 2 is checked by psi2 and one of order 3 by psi3.  An isogeny is its
-kernel's x: descent reads only the codomain, which Velu's formulas give
-from that x, psi2, c4 and c6, and the kernel's x itself.
+minimal model of each prime (two_division_factors).  A point's x moves
+only through the model: to the minimal model at p by minimal_model_x, to
+the 2-division curve by two_division_x.  There is no group law and no
+point at infinity: the descent reads x-coordinates, a kernel of order 2 is
+checked by psi2 and one of order 3 by psi3.  An isogeny is its kernel's x:
+descent reads only the codomain, which Velu's formulas give from that x,
+psi2, c4 and c6, and the kernel's x itself.
 """
 
 from __future__ import annotations
@@ -127,6 +129,16 @@ class WeierstrassModel:
         are the one factorization of the cubic over Q."""
         return HyperellipticCurve(
             two_division_cubic_integral(self.integral_model))
+
+    def minimal_model_x(self, x, p: int) -> Fraction:
+        """x moved to reduction(p).minimal_model: (d^2 x - r)/u^2, with
+        d = denominator and (r, s, t, u) = reduction(p).transform."""
+        r, _, _, u = self.reduction(p).transform
+        return Fraction(self.denominator ** 2 * x - r, u * u)
+
+    def two_division_x(self, x) -> Fraction:
+        """x moved to two_division_curve: U = 4 d^2 x, d = denominator."""
+        return 4 * self.denominator ** 2 * Fraction(x)
 
     def two_division_factors(self, p: int) -> tuple:
         """The monic irreducible factors over Q of two_division_cubic_integral

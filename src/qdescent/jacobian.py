@@ -67,9 +67,12 @@ class HyperellipticCurve:
 
 def parse_descent_point(line: str):
     """One line of points: "x" (f(x) a rational square), "(x,y)", "alpha:i"
-    (the i-th root of f) or "sum: P + Q + ...", a sum of such points; None
-    for a blank line or a "#" comment.  Any other input raises a ValueError
-    naming it."""
+    or "sum: P + Q + ...", a sum of such points; None for a blank line or a
+    "#" comment.  Any other input raises a ValueError naming it.  alpha:i
+    is local: the root of the i-th piece of f at the place where the point
+    is imaged (the i-th real root at the real place), so image_table,
+    local_intersection_rank and the halving oracle read it, and
+    independence_rank refuses it."""
     text = line.strip()
     if not text or text.startswith("#"):
         return None
@@ -101,6 +104,10 @@ def point_label(pt) -> str:
     if kind == "alpha":
         return f"(alpha_{pt[1]})"
     return "+".join(point_label(q) for q in pt[1])
+
+
+def _uses_alpha(pt) -> bool:
+    return pt[0] == "alpha" or pt[0] == "sum" and any(map(_uses_alpha, pt[1]))
 
 
 def xt_image(alg: EtaleAlgebra, D) -> SqVector:
@@ -223,7 +230,13 @@ def independence_rank(c: HyperellipticCurve, points, primes):
     generate: analysis["rank_with_torsion"].  The generators are D_h, the
     divisor of the roots of h, for every factor h of f over Q but the last
     (the D_h of all factors sum to the divisor of y).
+
+    ("alpha", i) is local (parse_descent_point), so a point that uses it
+    raises a ValueError naming it.
     """
+    for pt in filter(_uses_alpha, points):
+        raise ValueError(f"point {point_label(pt)} names a local root "
+                         "(alpha:i), which no global bound can use")
     n = len(points)
     t = len(c.factors) - 1
     analysis = {}

@@ -17,7 +17,8 @@ mp_gcd runs Euclid on monic remainders, and so does _inverse_mod_p, the one
 inverse mod (g, p), keeping one cofactor.  mp_pow_mod squares left to
 right, multiplying by X as a shift and one subtraction (_times_x).
 factor_mod_p reads the roots mod p below ROOT_EVAL_BOUND by evaluating at
-every residue, and splits by Cantor-Zassenhaus otherwise.  One integer
+every residue, and splits by Cantor-Zassenhaus otherwise; a caller that
+wants the roots mod p reads its linear factors.  One integer
 determinant, _bareiss_det (fraction-free Bareiss elimination), serves the
 discriminant, as the determinant of the n x n Bezout matrix of f and f',
 and the norms of elements of etale algebras.
@@ -474,16 +475,6 @@ def mp_shift(a, r, m):
     return mp_trim(a)
 
 
-def fp_poly(f: RatPoly, p: int) -> list[int]:
-    """The coefficients of f mod p, trimmed; ValueError unless f is
-    p-integral."""
-    if f.den % p == 0:
-        c = next(c for c in f.coeffs if c.denominator % p == 0)
-        raise ValueError(f"coefficient {c} is not p-integral at {p}")
-    inv = pow(f.den, -1, p)
-    return mp_trim([c * inv % p for c in f.num])
-
-
 # ---------------------------------------------------------------------------
 # Factorization over F_p
 
@@ -599,18 +590,6 @@ def distinct_degree_shape(a, p: int) -> tuple[int, ...]:
     distinct-degree factoring without splitting equal degrees."""
     return tuple(sorted(d for g, d in _distinct_degree(a, p)
                         for _ in range((len(g) - 1) // d)))
-
-
-def roots_in_Fp(f: RatPoly, p: int) -> list[int]:
-    """All roots of f mod p, with multiplicity, ascending residues."""
-    fp = fp_poly(f, p)
-    if not fp:
-        raise ValueError("zero polynomial")
-    out = []
-    for g, mult in factor_mod_p(fp, p):
-        if len(g) == 2:
-            out += [-g[0] % p] * mult
-    return sorted(out)
 
 
 # ---------------------------------------------------------------------------

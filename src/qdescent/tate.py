@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import legendre, residue, valuation
+from .arith import legendre, valuation
 from .poly import factor_mod_p
 
 
@@ -80,11 +80,10 @@ def _exact(c: int, q: int) -> int:
     return x
 
 
-def _singular_point(m, p: int):
+def _singular_point(a: tuple, p: int):
     """The singular point of the reduction mod p, as residues (x0, y0), of
-    m: a model, or its five coefficients (a1, a2, a3, a4, a6), p-integral."""
-    coeffs = m if isinstance(m, tuple) else m.ainvs()
-    a1, a2, a3, a4, a6 = (residue(a, p) for a in coeffs)
+    the model with the five ints a = (a1, a2, a3, a4, a6)."""
+    a1, a2, a3, a4, a6 = (c % p for c in a)
     if p == 2:
         for x0 in range(2):
             for y0 in range(2):
@@ -95,7 +94,7 @@ def _singular_point(m, p: int):
                 if on and dx and dy:
                     return x0, y0
         raise ArithmeticError(f"Tate at p = 2, singular point: no point of "
-                              f"{_show(coeffs)} mod 2 is singular")
+                              f"{_show(a)} mod 2 is singular")
     # p odd: x0 is the multiple root of psi2 = 4x^3 + b2 x^2 + 2 b4 x + b6
     # mod p (the multiple root is unique, hence F_p-rational)
     b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
@@ -105,7 +104,7 @@ def _singular_point(m, p: int):
             y0 = (-(a1 * x0 + a3) * pow(2, -1, p)) % p
             return x0, y0
     raise ArithmeticError(f"Tate at p = {p}, singular point: psi2 of "
-                          f"{_show(coeffs)} has no multiple root mod {p}")
+                          f"{_show(a)} has no multiple root mod {p}")
 
 
 def _fp_quadratic(a, b, c, p):

@@ -21,12 +21,14 @@ Exactness here:
     regular iff the discriminants of the quadratics and non-square cubics
     span rank 1 in Q*/Q*^2 (G2 embeds in their characters); orbits of
     size 4 beside one fixed root mean 1+4, regular iff the quartic's group
-    is C4, V4 or A4.
+    is C4, V4 or A4 (quartic_galois_group, from the linear factors over Q
+    of the resolvent cubic).
   * irreducible d = 5, 7: f holds iff Gal(f) lies in A5 (d = 5, square
     discriminant) or in a conjugate of AGL(1, d), which is F20 or F42.  A
     Frobenius cycle shape outside AGL(1, d) proves that f fails; at the
     first prime where f splits completely, the p-adic resolvent of
-    `agl_resolvent_holds` decides (Stauduhar, Math. Comp. 27 (1973)).
+    `agl_resolvent_holds` decides (Stauduhar, Math. Comp. 27 (1973)) on
+    the linear factors of factor_mod_p there, Hensel-lifted.
   * reducible f with an irreducible factor of degree 5 or 6 beside other
     factors: the one unproved verdict, "fails", marked `sampled`.
 
@@ -52,8 +54,8 @@ from fractions import Fraction
 
 from .arith import rational_sqrt, sqrt_exact
 from .poly import (SCAN_BOUND, RatPoly, discriminant, factor_and_scan,
-                   factor_over_Z, hensel_lift_factors, monic_integral,
-                   roots_in_Fp)
+                   factor_mod_p, factor_over_Z, hensel_lift_factors,
+                   monic_integral)
 
 # Tschirnhaus maps t = r^2 + r + c tried, c = 1, 2, ..., before giving up.
 _TSCHIRNHAUS_TRIES = 16
@@ -90,7 +92,7 @@ def quartic_galois_group(g: RatPoly) -> str:
     disc = discriminant(g)
     # cubic whose roots are the a^2 of factorizations into quadratics
     zcubic = RatPoly([-q_ * q_, p_ * p_ - 4 * r_, 2 * p_, 1])
-    zroots = [z for z in _rational_poly_roots(zcubic)]
+    zroots = [-h.coeffs[0] for h in factor_over_Z(zcubic) if h.degree == 1]
     if len(zroots) == 0:
         return "A4" if _is_rational_square(disc) else "S4"
     if len(zroots) >= 2:
@@ -102,14 +104,6 @@ def quartic_galois_group(g: RatPoly) -> str:
         # would have rational roots too
         return "C4" if _is_rational_square(r_ * (p_ * p_ - 4 * r_)) else "D4"
     return "C4" if _is_rational_square(z0 * disc) else "D4"
-
-
-def _rational_poly_roots(g: RatPoly):
-    out = []
-    for fac in factor_over_Z(g):
-        if fac.degree == 1:
-            out.append(-fac.coeffs[0])
-    return out
 
 
 def _reducible_verdict(factors) -> TfaeResult:
@@ -179,8 +173,9 @@ def _root_ceil(a: int, k: int) -> int:
 def agl_resolvent_holds(f: RatPoly, p: int) -> bool:
     """Does Gal(f) lie in a conjugate of AGL(1, d)?  Exact.
 
-    f is monic and integral of prime degree d in {5, 7}, and has d distinct
-    roots mod p, so its roots lie in Z_p.  AGL(1, d), the stabilizer of
+    f is monic and integral of prime degree d in {5, 7}, and factor_mod_p
+    gives it d simple linear factors mod p (ValueError otherwise), which
+    Hensel lifting takes to its d roots in Z_p.  AGL(1, d), the stabilizer of
     theta (`_theta_terms`), is sharply 2-transitive, so the n = (d-2)!
     orderings of the roots that keep the first two in place meet each of
     its cosets once.  On the Tschirnhaus images t = r^2 + r + c, bounded
@@ -196,8 +191,9 @@ def agl_resolvent_holds(f: RatPoly, p: int) -> bool:
     """
     d = f.degree
     a = list(f.num)
-    roots = roots_in_Fp(f, p)
-    if len(set(roots)) != d:
+    linear = [g for g, mult in factor_mod_p(a, p)
+              if len(g) == 2 and mult == 1]
+    if len(linear) != d:
         raise ValueError(f"f does not split into distinct factors mod {p}")
     B = 2 * max([_root_ceil((abs(a[0]) + 1) // 2, d)]
                 + [_root_ceil(abs(a[d - k]), k) for k in range(1, d)])
@@ -208,7 +204,7 @@ def agl_resolvent_holds(f: RatPoly, p: int) -> bool:
         bound = d * (d - 1) * (B * B + B + c) ** 4
         N = n * (2 * bound).bit_length() // (p.bit_length() - 1) + 1
         mod = p ** N
-        lifted = hensel_lift_factors(a, [[-r % p, 1] for r in roots], p, N)
+        lifted = hensel_lift_factors(a, linear, p, N)
         t = [(r * r + r + c) % mod for r in (-g[0] % mod for g in lifted)]
         sq = [x * x % mod for x in t]
         vals = {sum(t[o[i]] * sq[o[j]] * t[o[k]] for i, j, k in terms) % mod

@@ -16,7 +16,8 @@ from conftest import DeadlineExceeded
 from group_law import add
 from qdescent import poly, tate
 from qdescent.arith import REAL_PLACE, factor_integer, finite, squarefree_part
-from qdescent.descent_global import (GlobalLedger, assemble_ledger_elliptic,
+from qdescent.descent_global import (ClassRecord, GlobalLedger,
+                                     assemble_ledger_elliptic,
                                      assemble_ledger_hyper, bad_primes,
                                      fundamental_discriminant,
                                      fundamental_unit_norm,
@@ -506,3 +507,43 @@ def test_paper_example_II():
     assert ledger.bound_rank_S_over_I == sum(
         (r["S"] // i).bit_length() - 1
         for r, i in zip(ledger.local_reports, lower_i)) == 6
+
+
+def test_a_local_root_gives_no_ledger_bound():
+    # y^2 = (x-7)(x-3)(x-8)(x-6)(x+10): the torsion rank is 4, and alpha:1
+    # and alpha:2, which name different roots at the two independence
+    # primes, once raised lo to 6
+    curve = HyperellipticCurve(
+        parse_poly("X^5-14*X^4-31*X^3+1316*X^2-6732*X+10080"))
+    assert assemble_ledger_hyper(curve).selmer_rank_interval == (4, None)
+    with pytest.raises(ValueError, match=r"point \(alpha_1\)"):
+        assemble_ledger_hyper(curve, points=[("alpha", 1), ("alpha", 2)])
+
+
+def test_genus_theory_wins_over_a_supplied_quadratic_record():
+    # y^2 = x^3 - 2x: the 2-division cubic is U(U^2 - 32), and a supplied
+    # record for X^2 - 32 with a wrong 2-rank is not read
+    m = curve_from_string("[0,0,0,-2,0]")
+    bogus = ClassRecord(parse_poly("X^2-32"), 5, True, "bogus")
+    ledger = assemble_ledger_elliptic(m, [bogus])
+    assert ledger.selmer_rank_interval == (1, 2)
+    assert (ledger.class_side_rank, ledger.class_side_provenance) == \
+        (0, "computed-by-genus-theory")
+    assert ledger == assemble_ledger_elliptic(m)
+
+
+def test_a_septic_ledger_without_split_primes():
+    # no two primes below SPLIT_BOUND split this septic, so the points are
+    # imaged at the two smallest odd primes prime to disc(f), 5 and 7 (3
+    # divides it), and the ledger completes
+    f = parse_poly("X^7+3*X^5-2*X^4+5*X^3-X^2+4*X+1")
+    with pytest.raises(ArithmeticError):
+        poly.split_primes(f)
+    curve = HyperellipticCurve(f)
+    assert curve.disc_primes[0] == 3
+    ledger = assemble_ledger_hyper(
+        curve, points=[("rational", Fraction(0), Fraction(1))])
+    assert ledger.points_rank_lower == 1
+    assert ledger.selmer_rank_interval == (1, None)
+    assert any(n.startswith("independence primes: [5, 7], the smallest odd "
+                            "primes prime to disc(f)") for n in ledger.notes)

@@ -289,6 +289,30 @@ def test_velu_checks_an_order_three_kernel_by_psi3():
         rejected += 1
 
 
+def test_points_move_to_the_minimal_and_two_division_models():
+    # a point of a seeded move of y^2 = x^3 - 25x: minimal_model_x is
+    # the x of its image on the minimal model at p, through integral_model
+    # (u = 1/d) and the integer change reduction(p).transform, and
+    # two_division_x is 4 times its x on integral_model
+    rng = random.Random(3301)
+    base = curve_from_string("[0,0,0,-25,0]")
+    checked = 0
+    for _ in range(20):
+        m, change = moved(base, rng)
+        for P in (Pt(Fraction(-4), Fraction(6)), Pt(Fraction(0), Fraction(0))):
+            Q = map_point(P, *change)
+            assert is_on_curve(m, Q)
+            on_integral = map_point(Q, u=Fraction(1, m.denominator))
+            assert m.two_division_x(Q.x) == 4 * on_integral.x
+            for p in m.disc_primes:
+                rd = m.reduction(p)
+                R = map_point(on_integral, *rd.transform)
+                assert is_on_curve(rd.minimal_model, R)
+                assert m.minimal_model_x(Q.x, p) == R.x
+                checked += 1
+    assert checked >= 40
+
+
 def test_transform_keeps_j_scales_disc_and_inverts():
     # seeded rational (r, s, t, u): j is unchanged, disc is multiplied by
     # u^-12, and the inverse move (-r/u^2, -s/u, (r s - t)/u^3, 1/u) gives

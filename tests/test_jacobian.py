@@ -222,6 +222,22 @@ def test_independence_rank_example_II():
     assert m1 in rel37 and m2 in rel37
 
 
+def test_independence_rank_refuses_a_local_root():
+    # alpha:i names the i-th piece at the place where it is imaged: on
+    # y^2 = (x-7)(x-3)(x-8)(x-6)(x+10) the pieces are ordered
+    # (7, 8, 3, -10, 6) at 7 and (-10, 3, 6, 7, 8) at 11, so alpha:1 is the
+    # root 7 at one prime and -10 at the other
+    curve = HyperellipticCurve(
+        parse_poly("X^5-14*X^4-31*X^3+1316*X^2-6732*X+10080"))
+    roots = {p: [piece.root for piece in EtaleAlgebra(curve.factors, p).pieces]
+             for p in (7, 11)}
+    assert roots == {7: [7, 8, 3, -10, 6], 11: [-10, 3, 6, 7, 8]}
+    for pts in ([("alpha", 1), ("alpha", 2)],
+                [("sum", (("alpha", 1), ("alpha", 3)))]):
+        with pytest.raises(ValueError, match=r"alpha_"):
+            independence_rank(curve, pts, [7, 11])
+
+
 def test_independence_lifts_only_pieces_a_point_reduces_onto(monkeypatch):
     # at a split prime a class is read from residues unless x mod p is a
     # root of the piece's factor mod p: of the ten pieces at 37 and 73 only

@@ -14,11 +14,11 @@ from qdescent.arith import factor_integer, is_prime, valuation
 from qdescent.localfields import _norm_mod
 from qdescent.poly import (HENSEL_START, RatPoly, UnresolvedSplitting,
                            discriminant, distinct_degree_shape, factor_mod_p,
-                           factor_over_Z, fp_poly, hensel_lift_factors,
+                           factor_over_Z, hensel_lift_factors,
                            local_splitting_type, monic_integral, mp_add,
                            mp_divmod_monic, mp_gcd, mp_mul, mp_mulmod,
                            mp_pow_mod, mp_scal, mp_shift, mp_sub, mp_trim,
-                           parse_poly, roots_in_Fp, split_primes)
+                           parse_poly, split_primes)
 
 QUINTIC = parse_poly("X^5+16*X^4-274*X^3+817*X^2+178*X+1")
 # X^3 - 11X^2 + 5X - 10 = (X + 2)(X + 1)^2 mod 3
@@ -284,25 +284,21 @@ def test_ratpoly_keeps_one_form():
     assert (half.num, half.den) == ((2, 3, 8), 4)
 
 
-def test_fp_poly_names_the_coefficient_that_is_not_p_integral():
-    f = RatPoly([Fraction(1, 3), Fraction(-5, 2), 7])
-    assert fp_poly(f, 5) == [2, 0, 2]
-    assert fp_poly(f, 7) == [5, 1]
-    for p, c in ((2, "-5/2"), (3, "1/3")):
-        with pytest.raises(ValueError,
-                           match=f"coefficient {c} is not p-integral at {p}"):
-            fp_poly(f, p)
-
-
 def test_factor_mod_p_quintic_37():
-    fac = factor_mod_p(fp_poly(QUINTIC, 37), 37)
+    fac = factor_mod_p(QUINTIC.num, 37)
     assert all(m == 1 and len(g) == 2 for g, m in fac)
     roots = sorted(-g[0] % 37 for g, _ in fac)
     assert roots == [4, 8, 12, 16, 18]
+    # the roots mod p are the linear factors: five at 73, none of X^2 + 1
+    # at 3
+    fac = factor_mod_p(QUINTIC.num, 73)
+    assert sorted(-g[0] % 73 for g, _ in fac if len(g) == 2) == \
+        sorted(x % 73 for x in (-26, -19, -2, 13, 18))
+    assert factor_mod_p([1, 0, 1], 3) == [([1, 0, 1], 1)]
 
 
 def test_factor_mod_p_quintic_191():
-    fac = factor_mod_p(fp_poly(QUINTIC, 191), 191)
+    fac = factor_mod_p(QUINTIC.num, 191)
     by_mult = sorted((-g[0] % 191, m) for g, m in fac if len(g) == 2)
     assert by_mult == [(5, 1), (6, 1), (37, 1), (159, 2)]
 
@@ -314,7 +310,7 @@ def test_factor_mod_2():
 
 def test_factor_mod_p_reconstructs():
     for p in (2, 3, 5, 37, 191):
-        fac = factor_mod_p(fp_poly(QUINTIC, p), p)
+        fac = factor_mod_p(QUINTIC.num, p)
         prod = [1]
         for g, m in fac:
             for _ in range(m):
@@ -497,7 +493,8 @@ def split_primes_oracle(f):
     SPLIT_BOUND with X^p = X mod (f, p), one mp_pow_mod per prime."""
     out = []
     for p in range(3, poly.SPLIT_BOUND, 2):
-        if is_prime(p) and mp_pow_mod([0, 1], p, fp_poly(f, p), p) == [0, 1]:
+        if is_prime(p) and mp_pow_mod([0, 1], p, [c % p for c in f.num],
+                                      p) == [0, 1]:
             out.append(p)
             if len(out) == 2:
                 return out
@@ -565,12 +562,6 @@ def test_split_primes_near_the_cap(deadline, monkeypatch):
     with pytest.raises(ArithmeticError):
         split_primes(f)
     assert len(calls) == poly.SPLIT_BOUND.bit_length() - 1
-
-
-def test_roots_in_Fp():
-    assert roots_in_Fp(QUINTIC, 37) == [4, 8, 12, 16, 18]
-    assert roots_in_Fp(QUINTIC, 73) == sorted(x % 73 for x in (-26, -19, -2, 13, 18))
-    assert roots_in_Fp(RatPoly([1, 0, 1]), 3) == []
 
 
 def test_factor_over_Z_cubic():
@@ -961,7 +952,7 @@ def test_hensel_lift_of_a_whole_polynomial_is_the_polynomial(monkeypatch):
 
 def test_hensel_lift_roundtrip():
     f = [c % 7 ** 12 for c in [1, 178, 817, -274, 16, 1]]
-    red = factor_mod_p(fp_poly(QUINTIC, 7), 7)
+    red = factor_mod_p(QUINTIC.num, 7)
     parts = [g for g, _ in red]
     assert all(m == 1 for _, m in red)
     lifted = hensel_lift_factors(f, parts, 7, 12)
@@ -1048,7 +1039,7 @@ def test_split_totally_ramified_shifted():
 def test_split_good_prime_matches_mod_p():
     for p in (7, 11, 13, 37, 73):
         st_ = split(QUINTIC, p)
-        fac = factor_mod_p(fp_poly(QUINTIC, p), p)
+        fac = factor_mod_p(QUINTIC.num, p)
         assert sorted(f.f for f in st_) == sorted(len(g) - 1
                                                           for g, _ in fac)
         assert all(f.e == 1 for f in st_)

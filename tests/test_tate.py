@@ -135,7 +135,7 @@ def checked_transform(m, p):
     assert r.transform[3] == p ** valuation(r.transform[3], p)
     assert m.integral_model.transform(*r.transform) == r.minimal_model
     if r.kodaira.letter != "I0":
-        assert _singular_point(r.minimal_model, p) == (0, 0)
+        assert _singular_point(r.minimal_model.ainvs(), p) == (0, 0)
     return r
 
 
@@ -197,7 +197,8 @@ def test_failed_singular_point_names_the_prime_and_the_model():
     # error names p, the step and the model
     for curve, p in (("[0,0,0,-1,1]", 7), ("[0,0,1,-1,0]", 2)):
         with pytest.raises(ArithmeticError) as err:
-            _singular_point(curve_from_string(curve), p)
+            _singular_point(curve_from_string(curve).integral_model.ainvs(),
+                            p)
         message = str(err.value)
         assert f"p = {p}" in message and f"mod {p}" in message
         assert "singular point" in message and curve in message

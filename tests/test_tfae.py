@@ -290,6 +290,15 @@ def test_agl_resolvent_at_a_split_prime():
         assert not agl_resolvent_holds(f, split_prime(f)), s
 
 
+def test_agl_resolvent_needs_d_simple_roots_mod_p():
+    # X^5 + 15X + 12 is X(X + 1)^4 mod 2, X^5 mod 3 and a linear factor
+    # times an irreducible quartic mod 7: fewer than five simple roots
+    f = parse_poly("X^5+15*X+12")
+    for p in (2, 3, 7):
+        with pytest.raises(ValueError, match=f"distinct factors mod {p}"):
+            agl_resolvent_holds(f, p)
+
+
 def test_psl32_septic_fails():
     # Trinks' x^7 - 7x + 3 has group PSL(3,2), whose 2-Sylow has order 8
     r = tfae_test(parse_poly("X^7-7*X+3"))
