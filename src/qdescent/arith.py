@@ -55,6 +55,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def odd_primes(lo: int, hi: int) -> list[int]:
+    """The odd primes q with lo <= q < hi, read from a bytearray sieve of
+    Eratosthenes to hi: only the block [lo, hi) is listed."""
+    hi = max(hi, 2)
+    s = bytearray([1]) * hi
+    s[:2] = b"\0\0"
+    for q in range(2, math.isqrt(hi - 1) + 1):
+        if s[q]:
+            s[q * q::q] = bytes(len(range(q * q, hi, q)))
+    return [q for q in range(lo | 1, hi, 2) if s[q]]
+
+
 def _pollard_rho(n: int) -> int:
     """A nontrivial factor of composite n: Brent's cycle finding, with the
     gcd taken once per batch of _RHO_BATCH steps and the batch replayed

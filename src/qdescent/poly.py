@@ -13,12 +13,16 @@ a monic modulus goes through one fused kernel, mp_mulmod: the product
 unreduced, then reduced in place with one reduction mod m per coefficient,
 no quotient, no inverse of the leading 1 and no trimming between steps.
 There is one division mod m, mp_divmod_monic, always by a monic divisor.
-mp_gcd runs Euclid on monic remainders, and so does _inverse_mod_p, the one
-inverse mod (g, p), keeping one cofactor.  mp_pow_mod squares left to
-right, multiplying by X as a shift and one subtraction (_times_x).
-factor_mod_p reads the roots mod p below ROOT_EVAL_BOUND by evaluating at
-every residue, and splits by Cantor-Zassenhaus otherwise; a caller that
-wants the roots mod p reads its linear factors.  One integer
+mp_gcd takes each remainder in place, scaled by the inverse of the
+divisor's leading coefficient, and makes only the gcd monic;
+_inverse_mod_p, the one inverse mod (g, p), runs Euclid on monic
+remainders, keeping one cofactor.  mp_pow_mod squares left to right,
+multiplying by X as a shift and one subtraction (_times_x).  Roots mod p
+are read by evaluating at every residue (_linear_factors) where that is
+the cheaper route, p*deg below ROOT_EVAL_BOUND in distinct-degree
+factoring and p below it in a root split, and otherwise by X^p, a gcd and
+Cantor-Zassenhaus; a caller that wants the roots mod p reads the linear
+factors of factor_mod_p.  One integer
 determinant, _bareiss_det (fraction-free Bareiss elimination), serves the
 discriminant, as the determinant of the n x n Bezout matrix of f and f',
 and the norms of elements of etale algebras.
@@ -53,7 +57,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, zip_longest
 
-from .arith import is_prime, residue
+from .arith import is_prime, odd_primes, residue
 
 FACTOR_SEED = 20996011  # fixed seed: reproducible equal-degree splitting
 
@@ -66,10 +70,15 @@ SCAN_BOUND = 10 ** 5
 # have density 1/#Gal(f) (Chebotarev), from 1/6 for a cubic to 1/5040 for
 # a degree-7 f with group S_7, so a search past this could run for ever
 SPLIT_BOUND = 10 ** 4
-# roots mod p below this are read by evaluating at every residue (p Horner
-# evaluations), above it by Cantor-Zassenhaus (about log p products per
-# split).  Measured, evaluation is the faster below about 400 for two
-# roots, 600 for three and 1000 for five to eight
+# roots mod p are read by evaluating at every residue (_linear_factors, p
+# Horner evaluations) below this, in two places.  A root split (the d = 1
+# case of _equal_degree_split) evaluates for p below it, and above it runs
+# Cantor-Zassenhaus (about log p products per split): measured, evaluation
+# is the faster below about 400 for two roots, 600 for three and 1000 for
+# five to eight.  The degree-1 stage of _distinct_degree evaluates for
+# p*deg below it, and above it takes X^p and one gcd: measured on seeded
+# squarefree a (Python 3.11.7, a shared 2-vCPU VM), the two routes cross
+# between p*deg = 500 and 700 for degrees 3, 5 and 7
 ROOT_EVAL_BOUND = 512
 
 HENSEL_START = 20
@@ -238,20 +247,18 @@ class RatPoly:
         return _ratpoly(out, self.den * Ek // E)
 
     def __repr__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i, c in enumerate(self.num):
-            if c == 0:
-                continue
-            g = math.gcd(c, self.den)
-            s = str(c // g) if g == self.den else f"{c // g}/{self.den // g}"
-            if i == 0:
-                parts.append(s)
-            else:
+        # highest term first, each after its sign, so that parse_poly
+        # reads the text back
+        out = ""
+        for i in reversed(range(len(self.num))):
+            c = abs(self.num[i])
+            if c:
+                g = math.gcd(c, self.den)
+                s = str(c // g) if g == self.den else f"{c // g}/{self.den // g}"
                 xs = "X" if i == 1 else f"X^{i}"
-                parts.append(xs if c == self.den else f"{s}*{xs}")
-        return " + ".join(reversed(parts))
+                out += " - " if self.num[i] < 0 else " + "
+                out += s if not i else xs if c == self.den else f"{s}*{xs}"
+        return "0" if not out else out[3:] if out[1] == "+" else "-" + out[3:]
 
 
 def _ratpoly(num, den: int) -> RatPoly:
@@ -423,16 +430,21 @@ def mp_mulmod(a, b, g, m):
 
 
 def mp_gcd(a, b, p):
-    """Monic gcd mod a prime p, by Euclid on monic remainders: each new
-    remainder is made monic and divided by with mp_divmod_monic."""
+    """Monic gcd mod a prime p, by Euclid: each remainder is taken in place
+    in the dividend, its steps scaled by the inverse of the divisor's
+    leading coefficient, with one reduction mod p per coefficient at the
+    end, and only the gcd is made monic."""
     a, b = mp_trim([c % p for c in a]), mp_trim([c % p for c in b])
     while b:
-        if b[-1] != 1:
-            b = mp_scal(b, pow(b[-1], -1, p), p)
-        a, b = b, mp_divmod_monic(a, b, p)[1]
-    if a and a[-1] != 1:
-        a = mp_scal(a, pow(a[-1], -1, p), p)
-    return a
+        d, inv = len(b) - 1, pow(b[-1], -1, p)
+        low = b[:d]
+        for k in range(len(a) - 1, d - 1, -1):
+            t = a[k] * inv % p
+            if t:
+                for i, y in enumerate(low, k - d):
+                    a[i] -= t * y
+        a, b = b, mp_trim([c % p for c in a[:d]])
+    return mp_scal(a, pow(a[-1], -1, p), p) if a else a
 
 
 def _times_x(a, g, m):
@@ -479,17 +491,13 @@ def mp_shift(a, r, m):
 # Factorization over F_p
 
 
-def _pth_root_poly(a, p):
-    """For a = h(X^p) over F_p return h (Frobenius fixes prime-field coeffs)."""
-    return [a[i] for i in range(0, len(a), p)]
-
-
 def _sqfree_decomp(a, p):
     """Yun-style squarefree decomposition over F_p: [(monic part, mult)].
 
     A squarefree a (gcd(a, a') = 1, the common case) is returned at once.
-    Otherwise what the loop leaves of g = gcd(a, a') is a p-th power (all
-    of a when a' = 0), whose p-th root is decomposed in turn."""
+    Otherwise what the loop leaves of g = gcd(a, a') is h(X^p) for some h
+    (all of a when a' = 0), so that g is h^p, and h = g[::p], since
+    Frobenius fixes the coefficients in F_p, is decomposed in turn."""
     a = mp_scal(a, pow(a[-1], -1, p), p)
     g = mp_gcd(a, mp_deriv(a, p), p)
     if len(g) == 1:
@@ -506,16 +514,40 @@ def _sqfree_decomp(a, p):
         w = y
         i += 1
     if len(g) > 1:
-        out += [(h, m * p) for h, m in _sqfree_decomp(_pth_root_poly(g, p), p)]
+        out += [(h, m * p) for h, m in _sqfree_decomp(g[::p], p)]
+    return out
+
+
+def _linear_factors(a, p):
+    """The factors X - r of a over F_p, r ascending: a is evaluated at
+    every residue, Horner on ints with one reduction mod p per value."""
+    out, rev = [], a[::-1]
+    for r in range(p):
+        v = 0
+        for c in rev:
+            v = v * r + c
+        if v % p == 0:
+            out.append([-r % p, 1])
     return out
 
 
 def _distinct_degree(a, p):
-    """[(product of irreducibles of degree d, d)], a squarefree monic."""
-    out, h, f, d = [], [0, 1], a, 0
+    """[(product of the irreducibles of degree d, d)] for a squarefree
+    monic a over F_p: at each d, h = X^(p^d) rem f and gcd(h - X, f), f
+    what is left of a (von zur Gathen and Gerhard, Modern Computer Algebra,
+    14.2).  Where p*deg a < ROOT_EVAL_BOUND the degree-1 stage is read by
+    evaluation instead (_linear_factors), each X - r an entry of its own,
+    so that no caller evaluates again, and degree 2 starts from X^(p^2) rem
+    f, one mp_pow_mod of X."""
+    out, h, f, d, n = [], [0, 1], a, 0, p
+    if p * (len(a) - 1) < ROOT_EVAL_BOUND:
+        for g in _linear_factors(a, p):
+            out.append((g, 1))
+            f = mp_divmod_monic(f, g, p)[0]
+        d, n = 1, p * p
     while len(f) - 1 >= 2 * (d + 1):
         d += 1
-        h = mp_pow_mod(h, p, f, p)
+        h, n = mp_pow_mod(h, n, f, p), p
         g = mp_gcd(mp_sub(h, [0, 1], p), f, p)
         if len(g) > 1:
             out.append((g, d))
@@ -531,22 +563,14 @@ def _equal_degree_split(a, d, p, rng=None):
     """The monic irreducible factors of a, a monic product of distinct
     irreducibles of degree d over F_p, in no fixed order.  For d = 1 and
     p < ROOT_EVAL_BOUND the roots are read by evaluating a at every
-    residue, Horner on ints with one reduction mod p per value.  Every
-    other split is Cantor-Zassenhaus: the seeded generator
-    random.Random(FACTOR_SEED) is built at its first split and passed down
-    its recursion."""
+    residue (_linear_factors).  Every other split is Cantor-Zassenhaus:
+    the seeded generator random.Random(FACTOR_SEED) is built at its first
+    split and passed down its recursion."""
     n = len(a) - 1
     if n == d:
         return [a]
     if d == 1 and p < ROOT_EVAL_BOUND:
-        out, rev = [], a[::-1]
-        for r in range(p):
-            v = 0
-            for c in rev:
-                v = v * r + c
-            if v % p == 0:
-                out.append([-r % p, 1])
-        return out
+        return _linear_factors(a, p)
     if rng is None:
         rng = random.Random(FACTOR_SEED)
     while True:
@@ -570,9 +594,12 @@ def _equal_degree_split(a, d, p, rng=None):
 def factor_mod_p(a, p: int) -> list[tuple[list[int], int]]:
     """Monic irreducible factorization over F_p of the coefficient list a,
     as [(factor, multiplicity)], sorted by degree, then coefficients:
-    squarefree parts, then distinct degrees, then _equal_degree_split,
-    which evaluates roots below ROOT_EVAL_BOUND and builds its seeded
-    generator only for a Cantor-Zassenhaus split."""
+    squarefree parts, then distinct degrees, then _equal_degree_split.
+    Where p*deg of a squarefree part is below ROOT_EVAL_BOUND its roots
+    come from _distinct_degree, one factor X - r each, and are evaluated
+    once; otherwise a product of linear factors is split by evaluation for
+    p below ROOT_EVAL_BOUND.  The seeded generator is built only for a
+    Cantor-Zassenhaus split."""
     a = mp_trim([c % p for c in a])
     if not a:
         raise ValueError("cannot factor the zero polynomial")
@@ -587,7 +614,10 @@ def factor_mod_p(a, p: int) -> list[tuple[list[int], int]]:
 def distinct_degree_shape(a, p: int) -> tuple[int, ...]:
     """The ascending degrees of the irreducible factors over F_p of a, a
     monic coefficient list reduced mod p and squarefree there, read off
-    distinct-degree factoring without splitting equal degrees."""
+    distinct-degree factoring without splitting equal degrees: by
+    evaluation at every residue and then X^(p^2) where p*deg a is below
+    ROOT_EVAL_BOUND (_distinct_degree), so that a small p takes no gcd for
+    the roots."""
     return tuple(sorted(d for g, d in _distinct_degree(a, p)
                         for _ in range((len(g) - 1) // d)))
 
@@ -741,15 +771,15 @@ def split_primes(f: RatPoly) -> list[int]:
 
     One sequence h = X^n rem f is stepped by _times_x, n = n + 1, with its
     coefficients mod Q, the product of the odd primes of the dyadic block
-    [lo, 2 lo) that n is in; a block starts with one mp_pow_mod, and h mod
-    q is read at each prime q of it.  So an integer's size is set by the
-    block, not by the roots of f.  ArithmeticError when fewer than two
-    primes below SPLIT_BOUND split f."""
+    [lo, 2 lo) that n is in (odd_primes, one sieve per block); a block
+    starts with one mp_pow_mod, and h mod q is read at each prime q of it.
+    So an integer's size is set by the block, not by the roots of f.
+    ArithmeticError when fewer than two primes below SPLIT_BOUND split
+    f."""
     # f stays unreduced: mod Q a coefficient -c would be the Q-sized Q - c
     g, out, lo = f.num, [], 2
     while lo < SPLIT_BOUND:
-        block = [q for q in range(lo + 1, min(2 * lo, SPLIT_BOUND), 2)
-                 if is_prime(q)]
+        block = odd_primes(lo, min(2 * lo, SPLIT_BOUND))
         Q, n = math.prod(block), block[0]
         h = mp_pow_mod([0, 1], n, g, Q)
         for q in block:

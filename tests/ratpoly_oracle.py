@@ -79,14 +79,18 @@ def monic(a) -> list:
 
 
 def render(a) -> str:
-    """The text of a polynomial, highest term first, as RatPoly prints it."""
-    parts = []
-    for i, c in enumerate(a):
+    """The text of a polynomial, highest term first, each term after its
+    sign ("X^2 - 3/2*X - 1"), as RatPoly prints it."""
+    terms = []
+    for i, c in reversed(list(enumerate(a))):
         if c == 0:
             continue
-        if i == 0:
-            parts.append(str(c))
-        else:
+        body = str(abs(c))
+        if i:
             xs = "X" if i == 1 else f"X^{i}"
-            parts.append(xs if c == 1 else f"{c}*{xs}")
-    return " + ".join(reversed(parts)) or "0"
+            body = xs if abs(c) == 1 else f"{body}*{xs}"
+        terms.append(("-" if c < 0 else "+", body))
+    if not terms:
+        return "0"
+    head = ("-" if terms[0][0] == "-" else "") + terms[0][1]
+    return " ".join([head] + [f"{sign} {body}" for sign, body in terms[1:]])

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qdescent.arith import (FactoringBudgetExceeded, factor_integer, is_prime,
-                            residue, square_class, squarefree_part,
-                            unramified_class, valuation)
+                            odd_primes, residue, square_class,
+                            squarefree_part, unramified_class, valuation)
+from qdescent.poly import SPLIT_BOUND
 
 
 def test_factor_small():
@@ -181,6 +182,20 @@ def test_prime_test():
     assert is_prime(941) and is_prime(191) and is_prime(239)
     assert not is_prime(941 * 191)
     assert is_prime(78031093338905335441668500509)
+
+
+def test_odd_primes_against_is_prime():
+    # the dyadic blocks that split_primes reads, seeded ranges below
+    # SPLIT_BOUND, and empty and tiny ones
+    rng = random.Random(3403)
+    ranges = [(2 ** k, min(2 ** (k + 1), SPLIT_BOUND))
+              for k in range(1, SPLIT_BOUND.bit_length())]
+    ranges += [sorted(rng.randrange(SPLIT_BOUND) for _ in range(2))
+               for _ in range(100)]
+    ranges += [(lo, hi) for lo in range(6) for hi in range(-1, 12)]
+    for lo, hi in ranges:
+        assert odd_primes(lo, hi) == [q for q in range(lo, hi)
+                                      if q % 2 and is_prime(q)], (lo, hi)
 
 
 def test_misc():

@@ -5,6 +5,7 @@ import re
 import time
 from fractions import Fraction
 
+import distinct_degree_oracle
 import pytest
 import ratpoly_oracle as oracle
 from hypothesis import given, settings, strategies as st
@@ -254,6 +255,19 @@ def test_ratpoly_arithmetic_matches_the_fraction_oracle():
                 == oracle.divmod_(a, b), (f, g)
 
 
+def test_printed_polynomials_read_back():
+    # every term after its sign, so that parse_poly reads the text back:
+    # the seeded pairs of the fraction oracle test, their negatives, and a
+    # septic with negative coefficients
+    for f, g in oracle_pairs(random.Random(2901), 1500):
+        for h in (f, g, -f):
+            assert parse_poly(repr(h)) == h, repr(h)
+    septic = RatPoly([1, 4, -1, 5, -2, 3, 0, 1])
+    assert repr(septic) == "X^7 + 3*X^5 - 2*X^4 + 5*X^3 - X^2 + 4*X + 1"
+    assert repr(RatPoly(["-1/2", 0, -3])) == "-3*X^2 - 1/2"
+    assert repr(-septic).startswith("-X^7 - 3*X^5 + 2*X^4")
+
+
 def assert_one_form(f):
     assert type(f.num) is tuple and all(type(c) is int for c in f.num)
     assert f.num[-1:] != (0,) and f.den > 0
@@ -398,6 +412,20 @@ def test_mp_gcd_matches_plain_euclid():
             got = mp_gcd(a, b, p)
             assert got == euclid_gcd(a, b, p), (a, b, p)
             assert not got or got[-1] == 1
+        for _ in range(40):
+            # a divisor that is not monic and not reduced, of any degree,
+            # with multiples of p on top that reduce away
+            common = [rng.randrange(p) for _ in range(rng.randint(0, 3))]
+            common.append(rng.randrange(1, p))
+            a, b = (mp_mul([rng.randrange(p)
+                            for _ in range(rng.randint(0, 6))], common, p)
+                     for _ in range(2))
+            scale = rng.randrange(1, p)
+            b = [c * scale + p * rng.randint(-3, 3) for c in b]
+            b += [p * rng.randint(-2, 2) for _ in range(rng.randint(0, 2))]
+            got = mp_gcd(a, b, p)
+            assert got == euclid_gcd(a, b, p), (a, b, p)
+            assert got == mp_gcd(b, a, p), (a, b, p)
     assert mp_gcd([], [], 5) == []
     assert mp_gcd([0, 3], [], 5) == [0, 1]
 
@@ -451,11 +479,12 @@ def test_factor_mod_p_factors_are_irreducible_and_multiply_back():
 
 
 def test_root_routes_agree_at_the_cutoff(monkeypatch):
-    # seeded (a, p) just below and just above ROOT_EVAL_BOUND: evaluation
-    # at every residue and Cantor-Zassenhaus give the same factorization.
-    # By default a product of distinct linear factors is split by
-    # evaluation below the bound, with no seeded generator built, and by
-    # Cantor-Zassenhaus at or above it, with one
+    # seeded (a, p) with p or p*deg just below and just above
+    # ROOT_EVAL_BOUND: evaluation at every residue and X^p with a gcd and
+    # Cantor-Zassenhaus give the same factorization, and the same shape in
+    # distinct-degree factoring.  By default a product of distinct linear
+    # factors is split by evaluation below the bound, with no seeded
+    # generator built, and by Cantor-Zassenhaus at or above it, with one
     built = []
 
     class Counted(random.Random):
@@ -480,12 +509,122 @@ def test_root_routes_agree_at_the_cutoff(monkeypatch):
             if rng.random() < 0.5:
                 a = mp_mul(a, [rng.randrange(p), 1], p)
             cases.append((a, p))
+    # the linear stage of distinct-degree factoring: degree 5 to 9, so that
+    # p*deg falls on both sides of the bound
+    for p in (53, 59, 61, 67, 71, 73):
+        for _ in range(15):
+            a = [rng.randrange(p) for _ in range(rng.randint(5, 7))]
+            a.append(rng.randrange(1, p))
+            for _ in range(rng.randint(0, 2)):
+                a = mp_mul(a, [rng.randrange(p), 1], p)
+            cases.append((a, p))
+    assert {len(a) - 1 < bound / p for a, p in cases[-90:]} == {True, False}
     for a, p in cases:
         got = factor_mod_p(a, p)
-        for route in (0, 10 ** 6):  # all Cantor-Zassenhaus, all evaluation
+        monic = [c * pow(a[-1], -1, p) % p for c in a]
+        simple = all(mult == 1 for _, mult in got)
+        shape = distinct_degree_shape(monic, p) if simple else None
+        # all by gcd and Cantor-Zassenhaus, then all by evaluation
+        for route in (0, 10 ** 6):
             monkeypatch.setattr(poly, "ROOT_EVAL_BOUND", route)
             assert factor_mod_p(a, p) == got, (a, p, route)
+            if simple:
+                assert distinct_degree_shape(monic, p) == shape, (a, p, route)
         monkeypatch.setattr(poly, "ROOT_EVAL_BOUND", bound)
+
+
+def has_root(a, p):
+    return any(sum(c * r ** i for i, c in enumerate(a)) % p == 0
+               for r in range(p))
+
+
+def distinct_degree_family(rng):
+    """40 seeded (a, p) at each (p, deg) below, p*deg on both sides of
+    ROOT_EVAL_BOUND and p = 2 at degree 8 among them, a monic of degree
+    deg in four kinds in turn: random, with one to three roots, with no
+    root, and with a repeated factor."""
+    pairs = [(2, 8), (2, 5), (3, 8), (5, 7), (13, 8), (31, 8), (61, 8),
+             (67, 8), (73, 7), (101, 5), (103, 5), (127, 4), (131, 4),
+             (167, 3), (173, 3), (251, 2), (257, 2), (499, 1), (521, 1),
+             (1031, 3)]
+    for p, deg in pairs:
+        for kind in range(40):
+            kind %= 4
+            if kind == 3 and deg >= 2:
+                e = rng.randint(1, deg // 2)
+                h = [rng.randrange(p) for _ in range(e)] + [1]
+                a = mp_mul(mp_mul(h, h, p), [rng.randrange(p) for _ in
+                                             range(deg - 2 * e)] + [1], p)
+            else:
+                roots = rng.randint(1, min(3, deg)) if kind == 1 else 0
+                while True:
+                    a = [rng.randrange(p) for _ in range(deg - roots)] + [1]
+                    if kind != 2 or deg == 1 or not has_root(a, p):
+                        break
+                for _ in range(roots):
+                    a = mp_mul(a, [rng.randrange(p), 1], p)
+            yield a, p
+
+
+def test_distinct_degree_matches_the_gcd_route():
+    # factor_mod_p and distinct_degree_shape agree with the gcd route at
+    # every degree, d = 1 included (distinct_degree_oracle), on both sides
+    # of the bound, with and without roots and with and without a repeated
+    # factor
+    seen = set()
+    for a, p in distinct_degree_family(random.Random(3401)):
+        fac = factor_mod_p(a, p)
+        assert fac == distinct_degree_oracle.factor_mod_p(a, p), (a, p)
+        simple = all(mult == 1 for _, mult in fac)
+        if simple:
+            assert distinct_degree_shape(a, p) == \
+                distinct_degree_oracle.distinct_degree_shape(a, p), (a, p)
+        seen.add((p * (len(a) - 1) < poly.ROOT_EVAL_BOUND, has_root(a, p),
+                  simple))
+    assert len(seen) == 8
+
+
+def test_small_p_reads_the_roots_with_no_gcd(monkeypatch):
+    # below the bound the degree-1 stage takes no power X^p and no gcd: the
+    # first power is X^(p^2), each gcd belongs to a degree d >= 2, and a
+    # squarefree a of degree 3 or less takes neither.  factor_mod_p
+    # evaluates a squarefree a once.  Above the bound the first power of an
+    # a of degree 2 or more is X^p
+    family = [(a, p) for a, p in distinct_degree_family(random.Random(3402))
+              if all(mult == 1 for _, mult in factor_mod_p(a, p))]
+    calls = []
+
+    def spy(name):
+        real = getattr(poly, name)
+
+        def counted(*args):
+            calls.append((name, args))
+            return real(*args)
+        monkeypatch.setattr(poly, name, counted)
+
+    spy("mp_gcd")
+    spy("mp_pow_mod")
+    below = []
+    for a, p in family:
+        del calls[:]
+        distinct_degree_shape(a, p)
+        powers = [args[1] for name, args in calls if name == "mp_pow_mod"]
+        gcds = sum(name == "mp_gcd" for name, _ in calls)
+        assert gcds == len(powers), (a, p)
+        if p * (len(a) - 1) >= poly.ROOT_EVAL_BOUND:
+            assert powers[:1] == ([p] if len(a) > 2 else []), (a, p)
+            continue
+        below.append((a, p))
+        assert powers[:1] in ([], [p * p]), (a, p)
+        assert powers[1:] == [p] * (len(powers) - 1), (a, p)
+        if len(a) <= 4:
+            assert not powers and not gcds, (a, p)
+    assert len(below) >= 300
+    spy("_linear_factors")
+    for a, p in below:
+        del calls[:]
+        factor_mod_p(a, p)
+        assert sum(name == "_linear_factors" for name, _ in calls) == 1
 
 
 def split_primes_oracle(f):
