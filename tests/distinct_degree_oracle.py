@@ -5,7 +5,8 @@ oracle the evaluation route is checked against, and factor_mod_p and
 distinct_degree_shape are rebuilt on it."""
 
 from qdescent import poly
-from qdescent.poly import mp_divmod_monic, mp_gcd, mp_pow_mod, mp_sub
+from qdescent.poly import (mp_divmod_monic, mp_gcd, mp_pow_mod, mp_sub,
+                           mp_trim)
 
 
 def distinct_degree(a, p):
@@ -29,9 +30,7 @@ def distinct_degree(a, p):
 
 def factor_mod_p(a, p):
     """poly.factor_mod_p with the distinct-degree stage above."""
-    a = [c % p for c in a]
-    while a and a[-1] == 0:
-        a.pop()
+    a = mp_trim([c % p for c in a])
     if len(a) <= 1:
         return []
     return sorted(((irr, mult) for g, mult in poly._sqfree_decomp(a, p)
