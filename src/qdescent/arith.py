@@ -1,9 +1,10 @@
 """Exact integer/rational arithmetic, factorization, and square classes.
 
 Everything is exact: rationals are `fractions.Fraction` and a valuation is
-an int, or None for 0 (valuation).  A square class in Q_v*/Q_v*^2 is an
-F_2 bitmask (square_class), so that the class of a product is the XOR of
-the classes.  No floating point anywhere.
+an int, or None for 0 (valuation).  A place of Q is an int too: a prime
+p, or 0 for the real place (REAL_PLACE).  A square class in Q_v*/Q_v*^2 is
+an F_2 bitmask (square_class), so that the class of a product is the XOR
+of the classes.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -112,15 +113,6 @@ class Factorization:
     sign: int
     factors: tuple[tuple[int, int], ...]
 
-    def value(self) -> Fraction:
-        v = Fraction(self.sign)
-        for p, e in self.factors:
-            v *= Fraction(p) ** e
-        return v
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.factors)
-
 
 def factor_integer(n: int) -> Factorization:
     """Exact prime factorization; rejects 0.  Raises FactoringBudgetExceeded
@@ -211,32 +203,22 @@ def unramified_class(p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Places of Q
+# Places of Q: a place is its prime, and 0 is the real place, as for
+# square_class and the etale algebras of localfields
+
+REAL_PLACE = 0
 
 
-@dataclass(frozen=True, order=True)
-class Place:
-    """A place of Q: Finite(p) or the real place."""
-
-    p: int  # 0 encodes the real infinite place
-
-    def __post_init__(self):
-        if self.p != 0 and not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-
-    @property
-    def is_real(self) -> bool:
-        return self.p == 0
-
-    def __repr__(self):
-        return "oo" if self.is_real else str(self.p)
+def finite(p: int) -> int:
+    """The finite place p: p itself, once it is checked to be prime."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return p
 
 
-REAL_PLACE = Place(0)
-
-
-def finite(p: int) -> Place:
-    return Place(p)
+def place_name(p: int) -> str:
+    """How reports print a place: "oo" for the real place, else p."""
+    return "oo" if p == REAL_PLACE else str(p)
 
 
 def sqrt_exact(n: int):

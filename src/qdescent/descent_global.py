@@ -26,7 +26,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 
-from .arith import (REAL_PLACE, factor_integer, finite, is_prime,
+from .arith import (REAL_PLACE, factor_integer, is_prime, place_name,
                     squarefree_part)
 from .descent_local import TWO_MAP, LocalDescentReport, local_descent_report
 from .elliptic import WeierstrassModel
@@ -56,7 +56,7 @@ def _log2(n: int) -> int:
 
 
 def fundamental_discriminant(d: int) -> int:
-    d = squarefree_part(d)
+    """The discriminant of Q(sqrt d), d squarefree."""
     return d if d % 4 == 1 else 4 * d
 
 
@@ -64,16 +64,17 @@ def genus_2rank_quadratic(d: int) -> int:
     """2-rank of the narrow class group of Q(sqrt d), d squarefree != 0, 1.
 
     Genus theory: t - 1, with t the number of primes dividing the
-    fundamental discriminant.
+    fundamental discriminant D, read off one factorization of d: the
+    primes of d, and 2 when D = 4d with d odd (d = 3 mod 4).
     """
     d = int(d)
     if d in (0, 1):
         raise ValueError("d must be squarefree and different from 0, 1")
-    if squarefree_part(d) != d:
+    primes = factor_integer(d).factors
+    if any(e > 1 for _, e in primes):
         raise ValueError("d must be squarefree")
-    D = fundamental_discriminant(d)
-    t = len(factor_integer(abs(D)).factors)
-    return t - 1
+    two_joins = fundamental_discriminant(d) != d and d % 2
+    return len(primes) + two_joins - 1
 
 
 def fundamental_unit_norm(d: int) -> int:
@@ -228,8 +229,8 @@ def assemble_ledger_elliptic(m: WeierstrassModel, records=None,
     reduction data that m keeps per prime decide badness and build the
     reports, and the ledger's curve is m.two_division_curve."""
     bad = bad_primes(m)
-    reports = [local_descent_report(m, TWO_MAP, v) for v in
-               [REAL_PLACE] + [finite(p) for p in sorted({2, *bad})]]
+    reports = [local_descent_report(m, TWO_MAP, v)
+               for v in [REAL_PLACE, *sorted({2, *bad})]]
     # #E(R)[2] * prod C/I = S(R) * prod S/I: the two product forms agree
     # after redistributing the factors at 2 and infinity
     assert (4 if m.disc > 0 else 2) * math.prod(
@@ -262,13 +263,13 @@ def _ledger(curve, kind, hc, reports, bad, records, points) -> GlobalLedger:
     the S/I bound.  Only the records that the class side used certify it,
     so nothing is refined when the class data do not match f.
     """
-    notes = [f"I at {r.place!r} is only a lower bound (span incomplete); "
-             "the S/I contribution stays an upper bound"
+    notes = [f"I at {place_name(r.place)} is only a lower bound (span "
+             "incomplete); the S/I contribution stays an upper bound"
              for r in reports if r.I_is_lower_bound]
     s_over_i = [_log2(r.order_S) - _log2(r.order_I) for r in reports]
     rank_s, inf_contrib = sum(s_over_i), s_over_i[0]
     rank_c = sum(_log2(r.order_C) - _log2(r.order_I) for r in reports
-                 if r.place.p in bad)
+                 if r.place in bad)
     tors2 = len(hc.factors) - 1
     pts_rank, lo = None, tors2
     if points:
@@ -311,12 +312,12 @@ def assemble_ledger_hyper(c: HyperellipticCurve, records=None,
     points = points or []
     bad = c.disc_primes
     reports = []
-    for v in [REAL_PLACE] + [finite(p) for p in sorted({2, *bad})]:
-        alg = EtaleAlgebra(c.factors, v.p)
-        c_rank = 0 if v.is_real else local_torsion_rank(alg)
+    for p in [REAL_PLACE, *sorted({2, *bad})]:
+        alg = EtaleAlgebra(c.factors, p)
+        c_rank = 0 if p == REAL_PLACE else local_torsion_rank(alg)
         i_rank, complete = (local_intersection_rank(alg, points) if c_rank
                             else (0, True))
         reports.append(LocalDescentReport(
-            v, 2 ** c_rank, 2 ** local_selmer_rank_hyper(alg), 2 ** i_rank,
+            p, 2 ** c_rank, 2 ** local_selmer_rank_hyper(alg), 2 ** i_rank,
             "-", None, I_is_lower_bound=not complete))
     return _ledger(str(c.f), "hyperelliptic", c, reports, bad, records, points)

@@ -50,15 +50,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-# finite and tate_algorithm are not called here (WeierstrassModel.reduction
-# runs Tate's algorithm); the layer tracer's tests read both off this module
-from .arith import (Place, finite, square_class,  # noqa: F401
+from .arith import (REAL_PLACE, finite, place_name, square_class,
                     unramified_class, valuation)
 from .elliptic import IsogenyMap, WeierstrassModel
 from .jacobian import local_intersection_rank, point_label
 from .localfields import EtaleAlgebra
 from .poly import (LocalFactor, RatPoly, UnresolvedSplitting, _vp_bounded,
                    factor_over_Z, local_splitting_type, monic_integral)
+# tate_algorithm is not called here (WeierstrassModel.reduction runs it);
+# the layer tracer's tests read it off this module
 from .tate import ReductionData, tate_algorithm  # noqa: F401
 
 TWO_MAP = "two-map"
@@ -228,16 +228,16 @@ def _cyclic_kernel_profile(rd: ReductionData, phi: IsogenyMap) -> TorsionFieldPr
 # C and S orders
 
 
-def c2_order(m: WeierstrassModel, phi, v: Place) -> int:
-    """#E(Q_v)[phi] at finite places; 1 at the real place.
+def c2_order(m: WeierstrassModel, phi, v: int) -> int:
+    """#E(Q_v)[phi] at finite places; 1 at the real place (v = 0).
 
     A standalone entry point, on the reduction data the model keeps.
     Reports read C from the profile they already hold
     (TorsionFieldProfile.rational_order).
     """
-    if v.is_real:
+    if v == REAL_PLACE:
         return 1
-    return torsion_field_profile(m, phi, v.p).rational_order
+    return torsion_field_profile(m, phi, finite(v)).rational_order
 
 
 def s2_order_two_map(prof: TorsionFieldProfile) -> int:
@@ -463,7 +463,7 @@ class LocalDescentReport:
     hyperelliptic rows hold the orders only.  I_is_lower_bound marks an I
     read off points whose images do not span S (as_dict shows ">=N")."""
 
-    place: Place
+    place: int  # the prime, 0 for the real place
     order_C: int
     order_S: int
     order_I: int
@@ -475,7 +475,7 @@ class LocalDescentReport:
 
     def as_dict(self):
         return {
-            "place": repr(self.place),
+            "place": place_name(self.place),
             "C": self.order_C,
             "S": self.order_S,
             "I": (f">={self.order_I}" if self.I_is_lower_bound
@@ -487,19 +487,20 @@ class LocalDescentReport:
         }
 
 
-def local_descent_report(m: WeierstrassModel, phi, place: Place
+def local_descent_report(m: WeierstrassModel, phi, place: int
                          ) -> LocalDescentReport:
-    """The report of phi, the 2-map or a cyclic isogeny from m, at a place.
+    """The report of phi, the 2-map or a cyclic isogeny from m, at a place:
+    a prime, or 0 for the real place.
 
     At a prime p the profile of phi is built once and passed to S and I,
     which read the reduction data that m (and the codomain of a cyclic
     isogeny) keeps for p.
     """
-    if place.is_real:
+    if place == REAL_PLACE:
         return LocalDescentReport(place, 1, s2_real(m, phi), 1, "-", None,
                                   [], "archimedean place: C and I trivial")
-    rd = m.reduction(place.p)
-    prof = torsion_field_profile(m, phi, place.p)
+    rd = m.reduction(finite(place))
+    prof = torsion_field_profile(m, phi, place)
     if phi == TWO_MAP:
         S = s2_order_two_map(prof)
     else:

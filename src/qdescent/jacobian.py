@@ -3,12 +3,14 @@
 A curve Y^2 = f with f monic separable of odd degree d has Jacobian J of
 dimension g = (d-1)/2.  J(Q_v)/2J(Q_v) embeds into the kernel of the norm
 from (Q_v[T]/f)^* / squares, by D = sum n_i R_i  |->  prod (X(R_i) - T)^n_i.
-Images are square-class vectors over the local etale components; ranks of
-spans and their unramified parts give local Selmer and intersection data.
-The curve keeps its factors over Q (HyperellipticCurve.factors, found
-once), and its local object at a place v is EtaleAlgebra(c.factors, v.p),
-built once per place: it carries f, p (0 at the real place) and the local
-components, and the maps and ranks below read everything from it.
+An image is a square class of the algebra, an int whose bits are its
+coordinates over the local etale components (localfields), so the image
+of a sum is the XOR of the images of its parts; ranks of spans and their
+unramified parts give local Selmer and intersection data.  The curve keeps
+its factors over Q (HyperellipticCurve.factors, found once), and its local
+object at a place p (0 for the real place) is EtaleAlgebra(c.factors, p),
+built once per place: it carries f, p and the local components, and the
+maps and ranks below read everything from it.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .arith import Place, factor_integer, rational_sqrt
-from .localfields import (EtaleAlgebra, SqVector, relations, span_rank,
-                          unramified_rank)
+from .arith import factor_integer, rational_sqrt
+from .localfields import EtaleAlgebra, echelon, relations, unramified_rank
 from .poly import RatPoly, discriminant, factor_and_scan
 
 
@@ -110,8 +111,8 @@ def _uses_alpha(pt) -> bool:
     return pt[0] == "alpha" or pt[0] == "sum" and any(map(_uses_alpha, pt[1]))
 
 
-def xt_image(alg: EtaleAlgebra, D) -> SqVector:
-    """Square-class vector of the divisor class D of y^2 = alg.f in the
+def xt_image(alg: EtaleAlgebra, D) -> int:
+    """Square class (mask) of the divisor class D of y^2 = alg.f in the
     algebra alg at its place."""
     kind = D[0]
     if kind == "rational":
@@ -134,10 +135,9 @@ def xt_image(alg: EtaleAlgebra, D) -> SqVector:
             raise ValueError("torsion index outside the local components")
         return alg.image_of_torsion_root(i)
     if kind == "sum":
-        out = None
+        out = 0
         for part in D[1]:
-            w = xt_image(alg, part)
-            out = w if out is None else out * w
+            out ^= xt_image(alg, part)
         return out
     raise ValueError(f"unknown descent point {D!r}")
 
@@ -146,38 +146,20 @@ def xt_image(alg: EtaleAlgebra, D) -> SqVector:
 # rendering
 
 
-def render_entry(entry) -> str:
-    """Human-readable symbol for one component class (pi = p itself)."""
-    if entry.kind == "real":
-        return "1" if entry.unit[0] == 1 else "-1"
-    if entry.kind == "complex":
-        return "1"
-    if entry.kind == "ramified":
-        return "sq" if entry.v_parity == 0 else "pi*sq"
-    if entry.unit[0] == "qr":
-        u = entry.unit[1]
-        if entry.v_parity == 0:
-            return "1" if u == 0 else "n"
-        return "pi" if u == 0 else "n*pi"
-    w_triv = all(cc == 0 for cc in entry.unit[1])
-    ulab = "1" if (w_triv and entry.unit[2] == 0) else \
-        ("u" if w_triv else f"w{''.join(str(cc) for cc in entry.unit[1])}t{entry.unit[2]}")
-    return ulab if entry.v_parity == 0 else f"pi*{ulab}"
+def image_table(c: HyperellipticCurve, points, p: int):
+    """Rows of square classes with the paper's conventions, at the place p
+    (0 for the real place).
 
-
-def image_table(c: HyperellipticCurve, points, v: Place):
-    """Rows of square-class vectors with the paper's conventions.
-
-    Returns (labels, rows) with rows = (point label, vector, symbols).
-    At odd p the symbol 'n' denotes a fixed quadratic non-residue and 'pi'
-    a prime element; comparisons are up to square-class equality.
+    Returns (labels, rows) with rows = (point label, mask, symbols), the
+    symbols of ClassBasis.symbols: at odd p, 'n' denotes a fixed quadratic
+    non-residue and 'pi' a prime element; comparisons are up to
+    square-class equality.
     """
-    alg = EtaleAlgebra(c.factors, v.p)
+    alg = EtaleAlgebra(c.factors, p)
     rows = []
     for pt in points:
-        vec = xt_image(alg, pt)
-        rows.append((point_label(pt), vec,
-                     tuple(render_entry(e) for e in vec.entries)))
+        mask = xt_image(alg, pt)
+        rows.append((point_label(pt), mask, alg.basis.symbols(mask)))
     return alg.labels(), rows
 
 
@@ -208,9 +190,9 @@ def local_intersection_rank(alg: EtaleAlgebra, points):
     """
     if alg.p == 0:
         raise ValueError("intersection rank is a finite-place computation")
-    vecs = [xt_image(alg, pt) for pt in points]
-    complete = span_rank(vecs) == local_selmer_rank_hyper(alg)
-    return unramified_rank(vecs), complete
+    masks = [xt_image(alg, pt) for pt in points]
+    complete = len(echelon(masks)) == local_selmer_rank_hyper(alg)
+    return unramified_rank(masks, alg.basis.unramified), complete
 
 
 def independence_rank(c: HyperellipticCurve, points, primes):
@@ -243,11 +225,10 @@ def independence_rank(c: HyperellipticCurve, points, primes):
     stacked = [0] * (n + t)
     for p in primes:
         alg = EtaleAlgebra(c.factors, p)
-        vecs = [xt_image(alg, pt) for pt in points]
-        analysis[p] = {"relations": relations(w.mask for w in vecs)}
-        vecs += [alg.image_of_factor_roots(k) for k in range(t)]
-        stacked = [s << alg.basis.width | w.mask
-                   for s, w in zip(stacked, vecs)]
+        masks = [xt_image(alg, pt) for pt in points]
+        analysis[p] = {"relations": relations(masks)}
+        masks += [alg.image_of_factor_roots(k) for k in range(t)]
+        stacked = [s << alg.basis.width | w for s, w in zip(stacked, masks)]
     common = relations(stacked[:n])
     bound = n - len(common)
     analysis["common_relations"] = common

@@ -6,8 +6,9 @@ product of the Q_v[T]/h.  At a finite p each h splits into local pieces
 (poly.local_splitting_type); at the real place f splits into real roots
 and complex pairs.  Each EtaleAlgebra fixes an F_2 basis of its group of
 square classes, component by component, so that the class of an element
-such as x - theta is one integer bitmask (SqVector.mask) and multiplying
-classes is XOR.
+such as x - theta is one int, the bitmask of its coordinates, and
+multiplying classes is XOR.  ClassBasis.symbols prints a mask in the
+paper's symbols.
 
 At a finite place one routine, EtaleAlgebra.class_of_element, gives the
 class of an element of a component, and it reads the class off the norm N
@@ -89,58 +90,29 @@ class ClassBasis:
     def width(self) -> int:
         return self.offsets[-1]
 
-
-@dataclass(frozen=True)
-class CompClass:
-    """Square class of a nonzero element of one local component, decoded
-    from its bits for display."""
-
-    kind: str      # 'unramified' | 'ramified' | 'real' | 'complex'
-    v_parity: int  # 0 at archimedean components
-    unit: tuple
-    # unit data: real -> (sign,); complex/ramified -> ()
-    #            odd p unramified -> ('qr', bit)
-    #            p = 2 unramified -> ('u2', (a_0, ..., a_{f-1}), trace bit)
-
-
-@dataclass(frozen=True)
-class SqVector:
-    """A square class of an etale algebra: bit k of `mask` is its k-th
-    coordinate in the algebra's basis."""
-
-    mask: int
-    basis: ClassBasis
-
-    def __mul__(self, other: "SqVector") -> "SqVector":
-        if self.basis != other.basis:
-            raise ValueError("square classes of different algebras")
-        return SqVector(self.mask ^ other.mask, self.basis)
-
-    def is_trivial(self) -> bool:
-        return self.mask == 0
-
-    def is_unramified(self) -> bool:
-        return self.mask & ~self.basis.unramified == 0
-
-    @property
-    def entries(self) -> tuple:
-        """The class component by component, as CompClass records."""
-        b = self.basis
+    def symbols(self, mask: int) -> tuple:
+        """The class of mask component by component, in the paper's
+        symbols: the sign at a real root and 1 at a complex pair; sq or
+        pi*sq at a ramified piece (pi a prime element); 1, n (a fixed
+        non-residue), pi or n*pi at an unramified piece at odd p; at p = 2
+        the unit 1, u (the trace bit alone) or w<a_0..a_{f-1}>t<trace>,
+        times pi when the valuation is odd."""
         out = []
-        for i, kind in enumerate(b.kinds):
-            bits = [self.mask >> k & 1
-                    for k in range(b.offsets[i], b.offsets[i + 1])]
+        for kind, lo, hi in zip(self.kinds, self.offsets, self.offsets[1:]):
+            bits = [mask >> k & 1 for k in range(lo, hi)]
             if kind == "real":
-                out.append(CompClass(kind, 0, (-1 if bits[0] else 1,)))
+                out.append("-1" if bits[0] else "1")
             elif kind == "complex":
-                out.append(CompClass(kind, 0, ()))
+                out.append("1")
             elif kind == "ramified":
-                out.append(CompClass(kind, bits[0], ()))
-            elif b.p == 2:
-                out.append(CompClass(kind, bits[0],
-                                     ("u2", tuple(bits[1:-1]), bits[-1])))
+                out.append("pi*sq" if bits[0] else "sq")
+            elif self.p != 2:
+                out.append(("1", "n", "pi", "n*pi")[2 * bits[0] + bits[1]])
             else:
-                out.append(CompClass(kind, bits[0], ("qr", bits[1])))
+                w, t = bits[1:-1], bits[-1]
+                unit = (f"w{''.join(map(str, w))}t{t}" if any(w)
+                        else "u" if t else "1")
+                out.append(f"pi*{unit}" if bits[0] else unit)
         return tuple(out)
 
 
@@ -168,31 +140,21 @@ def relations(masks) -> list[int]:
     return [t for t in tagged if t >> n == 0]
 
 
-def span_closure(vectors) -> set:
-    """Every element of the F_2-span of the vectors (empty for none)."""
-    vectors = list(vectors)
-    if not vectors:
-        return set()
+def span_closure(masks) -> set:
+    """Every element of the F_2-span of the masks."""
     span = {0}
-    for b in echelon(v.mask for v in vectors):
+    for b in echelon(masks):
         span |= {m ^ b for m in span}
-    return {SqVector(m, vectors[0].basis) for m in span}
+    return span
 
 
-def span_rank(vectors) -> int:
-    """F_2-rank of the span of the vectors."""
-    return len(echelon(v.mask for v in vectors))
-
-
-def unramified_rank(vectors) -> int:
-    """F_2-rank of span(vectors) ∩ the unramified subspace: the rank of the
-    span less the rank of its projection onto the other coordinates."""
-    vectors = list(vectors)
-    if not vectors:
-        return 0
-    ramified = ~vectors[0].basis.unramified
-    return span_rank(vectors) - len(echelon(v.mask & ramified
-                                            for v in vectors))
+def unramified_rank(masks, unramified: int) -> int:
+    """F_2-rank of span(masks) ∩ the unramified subspace, whose coordinates
+    are the bits of `unramified`: the rank of the span less the rank of its
+    projection onto the other coordinates."""
+    masks = list(masks)
+    return len(echelon(masks)) - len(echelon(m & ~unramified
+                                             for m in masks))
 
 
 def _sign_changes(values) -> int:
@@ -386,7 +348,7 @@ class EtaleAlgebra:
 
     # -- images ----------------------------------------------------------------
 
-    def image_of_affine(self, x: Fraction) -> SqVector:
+    def image_of_affine(self, x: Fraction) -> int:
         """(x - T) componentwise: the descent image of an affine point."""
         x = Fraction(x)
         if self.p == 0:
@@ -395,8 +357,7 @@ class EtaleAlgebra:
                 raise ZeroDivisionError("x coincides with a real root")
             # x - alpha < 0 for the k largest real roots alpha
             k = _sign_changes(values) - self.changes_at_top
-            return SqVector((1 << self.n_real) - (1 << self.n_real - k),
-                            self.basis)
+            return (1 << self.n_real) - (1 << self.n_real - k)
         mask = 0
         for i, piece in enumerate(self.pieces):
             if piece.root is not None:
@@ -411,9 +372,9 @@ class EtaleAlgebra:
             # x - theta times the square den^2, to clear the denominator
             elem = [x.numerator * x.denominator, -x.denominator ** 2]
             mask |= self.class_of_element(i, self.to_z(i, elem, m), piece.prec)
-        return SqVector(mask, self.basis)
+        return mask
 
-    def image_of_torsion_root(self, i: int) -> SqVector:
+    def image_of_torsion_root(self, i: int) -> int:
         """Descent image of the 2-torsion divisor supported on component i
         (the full Galois orbit of roots of that piece, a rational divisor).
 
@@ -428,7 +389,7 @@ class EtaleAlgebra:
             # the product of the others
             above = (1 << self.n_real) - (2 << i)
             home = (self.n_real - 1 - i) % 2 << i
-            return SqVector(above | home, self.basis)
+            return above | home
         piece_i = self.pieces[i]
         if piece_i.kind == "ramified":
             raise ValueError("torsion root lives in a ramified component")
@@ -453,10 +414,9 @@ class EtaleAlgebra:
             elem = _signed_product([self.pieces[k].lift for k in factors],
                                    piece_j.lift, m, sign)
             mask |= self.class_of_element(j, self.to_z(j, elem, m), prec)
-        return SqVector(mask, self.basis)
+        return mask
 
-
-    def image_of_factor_roots(self, k: int) -> SqVector:
+    def image_of_factor_roots(self, k: int) -> int:
         """Descent image of the 2-torsion divisor of the roots of the k-th
         factor h of f over Q (of the factors the algebra was built from),
         at a finite place: the product of image_of_torsion_root over the
@@ -464,8 +424,8 @@ class EtaleAlgebra:
         mask = 0
         for i, piece in enumerate(self.pieces):
             if piece.global_factor == k:
-                mask ^= self.image_of_torsion_root(i).mask
-        return SqVector(mask, self.basis)
+                mask ^= self.image_of_torsion_root(i)
+        return mask
 
 
 def _signed_product(polys, h, m: int, sign: int):

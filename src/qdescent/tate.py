@@ -44,9 +44,6 @@ class KodairaType:
             return f"I{self.nu}*"
         return self.letter
 
-    def __repr__(self):
-        return self.symbol()
-
 
 @dataclass(frozen=True)
 class ReductionData:

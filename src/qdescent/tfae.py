@@ -70,11 +70,6 @@ class TfaeResult:
     holds: bool
     pattern: str
     certificate: str  # 'exact' | 'sampled'
-    detail: str = ""
-
-    def as_dict(self):
-        return {"holds": self.holds, "pattern": self.pattern,
-                "certificate": self.certificate, "detail": self.detail}
 
 
 def _is_rational_square(q: Fraction) -> bool:
@@ -110,8 +105,7 @@ def _reducible_verdict(factors) -> TfaeResult:
     """The orbit rule of the module docstring, for reducible f."""
     shape = "+".join(str(h.degree) for h in factors)
     if any(h.degree > 4 for h in factors):
-        return TfaeResult(False, "sampled", "sampled",
-                          "reducible shape beyond the exact table")
+        return TfaeResult(False, "sampled", "sampled")
     orbits, discs, sylow4 = [], [], 1
     for h in factors:
         if h.degree == 4:
@@ -257,11 +251,10 @@ def tfae_test(f: RatPoly) -> TfaeResult:
     if disc == 0:
         raise ValueError("f must be separable")
     if d == 3:
-        return TfaeResult(True, "cubic", "exact",
-                          "holds for every separable cubic")
+        return TfaeResult(True, "cubic", "exact")
     if _is_translated_binomial(f.monic()):
         return TfaeResult(True, f"binomial X^{d}+a up to translation",
-                          "exact", "binomial: metacyclic splitting field")
+                          "exact")
     # one scan of Frobenius shapes proves f irreducible or, failing that,
     # feeds the one Zassenhaus pass; the AGL test replays it
     factors, shapes = factor_and_scan(f, disc)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -12,8 +13,7 @@ from qdescent.poly import SPLIT_BOUND
 
 def test_factor_small():
     f = factor_integer(-2592)
-    assert f.sign == -1 and f.as_dict() == {2: 5, 3: 4}
-    assert f.value() == -2592
+    assert f.sign == -1 and f.factors == ((2, 5), (3, 4))
 
 
 def test_factor_unit():
@@ -25,7 +25,7 @@ def test_factor_paper_discriminant():
     # disc of Y^2 = X^3 - 26X^2 + 135X - 567
     f = factor_integer(-(2 ** 4) * 3 ** 4 * 23 ** 2 * 239)
     assert f.sign == -1
-    assert f.as_dict() == {2: 4, 3: 4, 23: 2, 239: 1}
+    assert f.factors == ((2, 4), (3, 4), (23, 2), (239, 1))
 
 
 def test_factor_rejects_zero():
@@ -35,22 +35,26 @@ def test_factor_rejects_zero():
 
 @given(st.integers(min_value=-10 ** 12, max_value=10 ** 12).filter(lambda n: n != 0))
 def test_factor_roundtrip(n):
-    assert factor_integer(n).value() == n
+    f = factor_integer(n)
+    assert f.sign * math.prod(p ** e for p, e in f.factors) == n
+    assert all(is_prime(p) and e > 0 for p, e in f.factors)
+    assert [p for p, _ in f.factors] == sorted({p for p, _ in f.factors})
 
 
 def test_factor_large_prime_factors(deadline):
     # past trial division: Brent's rho on the cofactor, is_prime on the rest
     mestre_disc = -1217 * 381991 * 78031093338905335441668500509
     with deadline(30):
-        assert factor_integer(3 * 34271479325879).as_dict() == \
-            {3: 1, 34271479325879: 1}
-        assert factor_integer(10000019 * 99999989).as_dict() == \
-            {10000019: 1, 99999989: 1}
-        assert factor_integer(2 ** 3 * 1009 ** 2 * 10000019 ** 3).as_dict() == \
-            {2: 3, 1009: 2, 10000019: 3}
+        assert factor_integer(3 * 34271479325879).factors == \
+            ((3, 1), (34271479325879, 1))
+        assert factor_integer(10000019 * 99999989).factors == \
+            ((10000019, 1), (99999989, 1))
+        assert factor_integer(2 ** 3 * 1009 ** 2 * 10000019 ** 3).factors == \
+            ((2, 3), (1009, 2), (10000019, 3))
         f = factor_integer(mestre_disc)
     assert f.sign == -1
-    assert f.as_dict() == {1217: 1, 381991: 1, 78031093338905335441668500509: 1}
+    assert f.factors == ((1217, 1), (381991, 1),
+                         (78031093338905335441668500509, 1))
 
 
 def test_factor_budget_names_the_size(deadline):

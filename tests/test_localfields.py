@@ -8,8 +8,8 @@ import pytest
 
 from qdescent.arith import square_class, valuation
 from qdescent.descent_local import _piece_root_valuation
-from qdescent.localfields import (EtaleAlgebra, SqVector, echelon, relations,
-                                  span_closure, span_rank)
+from qdescent.localfields import (EtaleAlgebra, echelon, relations,
+                                  span_closure)
 from qdescent.poly import (RatPoly, UnresolvedSplitting, _vp_bounded,
                            discriminant, factor_over_Z, mp_divmod_monic,
                            mp_mul, mp_pow_mod, parse_poly)
@@ -32,12 +32,20 @@ def algebra(f, p):
     return EtaleAlgebra(factor_over_Z(f), p)
 
 
-def sym_odd(entry):
-    """(v_parity, qr_bit) of a component class at an odd prime."""
-    if entry.kind == "ramified":
-        return ("ram", entry.v_parity)
-    assert entry.unit[0] == "qr"
-    return (entry.v_parity, entry.unit[1])
+def sym_odd(alg, mask):
+    """(v_parity, qr_bit) of each component of a class at an odd prime,
+    ("ram", v_parity) at a ramified piece."""
+    out = []
+    for i, kind in enumerate(alg.basis.kinds):
+        bits, _ = component_bits(alg, mask, i)
+        out.append(("ram", bits) if kind == "ramified"
+                   else (bits & 1, bits >> 1))
+    return tuple(out)
+
+
+def is_unramified(alg, mask):
+    """Is the class in the unramified subspace of the algebra?"""
+    return mask & ~alg.basis.unramified == 0
 
 
 # paper symbols at odd p: 1 -> (0,0); n (non-residue) -> (0,1);
@@ -46,11 +54,11 @@ ONE, NR, PI, NRPI = (0, 0), (0, 1), (1, 0), (1, 1)
 
 
 def row_of_point(alg, x):
-    return tuple(sym_odd(e) for e in alg.image_of_affine(Fraction(x)).entries)
+    return sym_odd(alg, alg.image_of_affine(Fraction(x)))
 
 
 def row_of_root(alg, i):
-    return tuple(sym_odd(e) for e in alg.image_of_torsion_root(i).entries)
+    return sym_odd(alg, alg.image_of_torsion_root(i))
 
 
 def test_example_II_table_at_191():
@@ -121,8 +129,8 @@ def test_example_II_table_at_73():
 def test_example_II_real_place():
     alg = algebra(QUINTIC, 0)
     assert alg.n_real == 5 and alg.n_complex == 0
-    signs = lambda x: tuple(e.unit[0] for e in
-                            alg.image_of_affine(Fraction(x)).entries)
+    signs = lambda x: tuple(-1 if alg.image_of_affine(Fraction(x)) >> k & 1
+                            else 1 for k in range(5))
     assert signs(-2) == (1, -1, -1, -1, -1)
     assert signs(0) == (1, 1, 1, -1, -1)
 
@@ -131,7 +139,7 @@ def test_real_classes_against_rational_roots():
     # paper: one root of the quintic in (-28,-27), two in (-1,0), one in
     # (5,6), one in (6,7); x - alpha < 0 for the roots alpha above x
     alg = algebra(QUINTIC, 0)
-    assert [alg.image_of_affine(Fraction(x)).mask
+    assert [alg.image_of_affine(Fraction(x))
             for x in (-28, -27, -1, 0, 5, 6, 7)] == [31, 30, 30, 24, 24, 16, 0]
     # f = prod (X - r_i) * prod (X^2 + bX + c) with b^2 < 4c, its
     # factors over Q: the real roots are the r_i, and the bit of r_i is set
@@ -153,7 +161,7 @@ def test_real_classes_against_rational_roots():
             if x in roots:
                 continue
             want = sum(1 << k for k, r in enumerate(roots) if r > x)
-            assert alg.image_of_affine(x).mask == want, (f, x)
+            assert alg.image_of_affine(x) == want, (f, x)
 
 
 def test_norm_kernel_condition():
@@ -164,14 +172,9 @@ def test_norm_kernel_condition():
         alg = algebra(QUINTIC, p)
         for x in (-17, -9, -6, -2, 0, 4):
             assert square_class(QUINTIC.eval(Fraction(x)), p) == 0
-            entries = alg.image_of_affine(Fraction(x)).entries
-            assert sum(e.v_parity for e in entries) % 2 == 0
-            assert sum(e.unit[1] for e in entries) % 2 == 0
-        # torsion rows: product of all norms is disc-like, checked via the
-        # vector itself multiplying to a norm-square; verified by doubling
-        for i in range(alg.n_comp):
-            v = alg.image_of_torsion_root(i)
-            assert (v * v).is_trivial()
+            row = row_of_point(alg, x)
+            assert sum(v for v, _ in row) % 2 == 0
+            assert sum(u for _, u in row) % 2 == 0
 
 
 def test_additivity_alpha5_row():
@@ -179,7 +182,7 @@ def test_additivity_alpha5_row():
     alg = algebra(QUINTIC, 191)
     prod = alg.image_of_torsion_root(0)
     for i in (1, 2, 3):
-        prod = prod * alg.image_of_torsion_root(i)
+        prod ^= alg.image_of_torsion_root(i)
     assert prod == alg.image_of_torsion_root(4)
 
 
@@ -187,25 +190,25 @@ def test_span_at_191_and_2():
     alg = algebra(QUINTIC, 191)
     vs = [alg.image_of_torsion_root(0), alg.image_of_torsion_root(3),
           alg.image_of_affine(Fraction(-2)), alg.image_of_affine(Fraction(0))]
-    assert span_rank(vs) == 4  # the paper's basis of J(Q_191)/2J(Q_191)
-    unram = [v for v in span_closure(vs) if v.is_unramified()]
+    assert len(echelon(vs)) == 4  # the paper's basis of J(Q_191)/2J(Q_191)
+    unram = [v for v in span_closure(vs) if is_unramified(alg, v)]
     assert len(unram) == 2 ** 3  # I^2(Q_191, J) has rank 3
 
     alg2 = algebra(QUINTIC, 2)
     vs2 = [alg2.image_of_affine(Fraction(x)) for x in (-17, -9, -6, -2, 0, 4)]
-    assert span_rank(vs2) <= 2  # S^2(Q_2, J) has rank 2
+    assert len(echelon(vs2)) <= 2  # S^2(Q_2, J) has rank 2
     # none of the nontrivial span elements is unramified: C^2(Q_2,J) trivial
-    assert sum(1 for v in span_closure(vs2) if v.is_unramified()) == 1
+    assert sum(1 for v in span_closure(vs2) if is_unramified(alg2, v)) == 1
 
 
 def test_unramified_images_at_2():
     alg2 = algebra(QUINTIC, 2)
     im = lambda x: alg2.image_of_affine(Fraction(x))
     # the four sums of the paper must be unramified at 2
-    assert (im(-2) * im(-6)).is_unramified()
-    assert (im(-2) * im(-9)).is_unramified()
-    assert (im(-2) * im(-17)).is_unramified()
-    assert (im(0) * im(4)).is_unramified()
+    assert is_unramified(alg2, im(-2) ^ im(-6))
+    assert is_unramified(alg2, im(-2) ^ im(-9))
+    assert is_unramified(alg2, im(-2) ^ im(-17))
+    assert is_unramified(alg2, im(0) ^ im(4))
 
 
 def unit_squares(h, k):
@@ -247,7 +250,7 @@ def test_dyadic_classes_in_the_Z_model(f):
     for x in range(-12, 13):
         if f.eval(x) == 0:
             continue
-        mask = alg.image_of_affine(Fraction(x)).mask
+        mask = alg.image_of_affine(Fraction(x))
         for i, piece in enumerate(alg.pieces):
             if piece.kind == "ramified":
                 continue
@@ -301,15 +304,11 @@ def test_odd_classes_from_norms_match_residue_characters():
 
 @pytest.mark.parametrize("f", DYADIC, ids=DYADIC_IDS)
 def test_dyadic_square_classes_are_an_F2_space(f):
-    # the classes at 2 form a group of exponent 2 on which the class map
-    # is a homomorphism; a unit's class is trivial exactly when the unit
-    # is a square mod 8 (hence a square, by Hensel), and unramified exactly
-    # when it is a square times 1 + 4s, i.e. a square mod 4
+    # the class map at 2 is a homomorphism to the F_2-space of masks; a
+    # unit's class is trivial exactly when the unit is a square mod 8
+    # (hence a square, by Hensel), and unramified exactly when it is a
+    # square times 1 + 4s, i.e. a square mod 4
     alg = algebra(f, 2)
-    for x in range(-12, 13):
-        if f.eval(x) != 0:
-            v = alg.image_of_affine(Fraction(x))
-            assert (v * v).is_trivial(), x
     rng = random.Random(11)
     for i, piece in enumerate(alg.pieces):
         if piece.kind == "ramified":
@@ -330,8 +329,45 @@ def test_dyadic_square_classes_are_an_F2_space(f):
             assert alg.class_of_element(i, mp_mul(a, b, m), piece.prec) \
                 == ca ^ cb
             assert (ca == 0) == (residue(a, piece.zlift, 3) in squares[3])
-            assert SqVector(ca, alg.basis).is_unramified() == \
+            assert is_unramified(alg, ca) == \
                 (residue(a, piece.zlift, 2) in squares[2])
+
+
+EXAMPLE_II = "X^5+16*X^4-274*X^3+817*X^2+178*X+1"
+
+
+@pytest.mark.parametrize("f, p, point, want", [
+    # the real place: the sign at each real root, 1 at a complex pair
+    ("X^5-5*X+1", 0, "0", ("1", "-1", "-1", "1")),
+    ("X^5-5*X+1", 0, "-2", ("-1", "-1", "-1", "1")),
+    # a ramified piece: sq or pi*sq
+    ("X^3-2", 3, "-4", ("pi*sq",)),
+    ("X^3-2", 2, "-3", ("sq",)),
+    ("X^5+X^3+X^2+X+8", 5, "-12", ("pi", "sq")),
+    # an unramified piece at odd p: 1, n, pi or n*pi
+    ("X^3-X+8", 5, "-3", ("1",)),
+    ("X^3-X+8", 3, "-12", ("n",)),
+    ("X^3-X+8", 3, "-11/3", ("pi",)),
+    ("X^3-X+8", 3, "-10/3", ("n*pi",)),
+    (EXAMPLE_II, 191, "alpha_4", ("1", "1", "n", "n*pi", "pi")),
+    # an unramified piece at 2: 1, u or w<bits>t<trace>, each times pi
+    ("X^3-X+8", 2, "-6", ("pi*1", "w1t1", "u")),
+    ("X^3-X+8", 2, "-3", ("u", "pi*u", "pi*w1t1")),
+    ("X^3-X+8", 2, "-12", ("w1t0", "1", "w1t1")),
+    ("X^5+X^4-X^2-X+8", 2, "-37/2", ("pi*w1t0", "pi*u", "pi*1", "pi*w11t0")),
+    (EXAMPLE_II, 2, "-17", ("w11011t1",)),
+    (EXAMPLE_II, 2, "0", ("w10010t1",)),
+    (EXAMPLE_II, 2, "-37/2", ("pi*w11000t0",)),
+])
+def test_symbols_of_each_kind(f, p, point, want):
+    # point is x, for the image of x - T, or alpha_i, for the torsion root
+    # of the i-th piece
+    alg = algebra(parse_poly(f), p)
+    if point.startswith("alpha_"):
+        mask = alg.image_of_torsion_root(int(point[6:]) - 1)
+    else:
+        mask = alg.image_of_affine(Fraction(point))
+    assert alg.basis.symbols(mask) == want
 
 
 def test_echelon_and_relations_against_subset_search():
@@ -433,20 +469,20 @@ def test_residue_reads_match_lifted_reads():
             for kind, x in xs.items():
                 if x is None or f.eval(x) == 0:
                     continue
-                got = or_error(lambda: lazy.image_of_affine(x).mask)
+                got = or_error(lambda: lazy.image_of_affine(x))
                 want = or_error(lifted_image_of_affine, forced, x)
                 if UnresolvedSplitting not in (got, want):
                     assert got == want, (f, p, x)
                     seen[kind] += 1
             for k in range(len(lazy.pieces)):
-                got = or_error(lambda: lazy.image_of_torsion_root(k).mask)
+                got = or_error(lambda: lazy.image_of_torsion_root(k))
                 if got is ValueError:  # a ramified piece
                     continue
                 want = or_error(lifted_image_of_torsion_root, forced, k)
                 if UnresolvedSplitting not in (got, want):
                     assert got == want, (f, p, k)
             for k in range(len(factor_over_Z(f))):
-                got = or_error(lambda: lazy.image_of_factor_roots(k).mask)
+                got = or_error(lambda: lazy.image_of_factor_roots(k))
                 want = or_error(lambda: reduce(operator.xor, (
                     lifted_image_of_torsion_root(forced, i)
                     for i, piece in enumerate(forced.pieces)
