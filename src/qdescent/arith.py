@@ -68,6 +68,11 @@ def odd_primes(lo: int, hi: int) -> list[int]:
     return [q for q in range(lo | 1, hi, 2) if s[q]]
 
 
+# the 168 primes below _TRIAL_BOUND, the divisors of factor_integer's trial
+# division
+_TRIAL_PRIMES = (2, *odd_primes(3, _TRIAL_BOUND))
+
+
 def _pollard_rho(n: int) -> int:
     """A nontrivial factor of composite n: Brent's cycle finding, with the
     gcd taken once per batch of _RHO_BATCH steps and the batch replayed
@@ -123,13 +128,13 @@ def factor_integer(n: int) -> Factorization:
     sign = -1 if n < 0 else 1
     n = abs(n)
     out: dict[int, int] = {}
-    for p in range(2, _TRIAL_BOUND):
+    for p in _TRIAL_PRIMES:
         if p * p > n:
             break
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    if n > 1:  # every prime factor left is >= _TRIAL_BOUND
+    if n > 1:  # a prime, or every prime factor is >= _TRIAL_BOUND
         stack = [n]
         while stack:
             m = stack.pop()

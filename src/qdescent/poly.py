@@ -6,7 +6,7 @@ terms, and its arithmetic runs on ints: Q[x] and (Z/m)[x] multiply by the
 one convolution _convolve, and division over Q is pseudo-division, the
 dividend scaled once by a power of the divisor's leading numerator so that
 every quotient step is an exact integer division.  Fractions are built
-only where a value leaves the arithmetic (RatPoly.coeffs, lead, eval).
+only where a value leaves the arithmetic (RatPoly.coeffs, eval).
 Mod-m polynomial helpers work for any modulus m (used with m = p and
 m = p^N); gcd and factorization require m prime.  Every product reduced by
 a monic modulus goes through one fused kernel, mp_mulmod: the product
@@ -19,13 +19,17 @@ _inverse_mod_p, the one inverse mod (g, p), runs Euclid on monic
 remainders, keeping one cofactor.  mp_pow_mod squares left to right,
 multiplying by X as a shift and one subtraction (_times_x).  Roots mod p
 are read by evaluating at every residue (_linear_factors) where that is
-the cheaper route, p*deg below ROOT_EVAL_BOUND in distinct-degree
-factoring and p below it in a root split, and otherwise by X^p, a gcd and
-Cantor-Zassenhaus; a caller that wants the roots mod p reads the linear
-factors of factor_mod_p.  One integer
-determinant, _bareiss_det (fraction-free Bareiss elimination), serves the
-discriminant, as the determinant of the n x n Bezout matrix of f and f',
-and the norms of elements of etale algebras.
+the cheaper route, and otherwise by X^p, a gcd and Cantor-Zassenhaus.
+Below ROOT_EVAL_BOUND the evaluation is read in three places:
+factor_mod_p, for p*deg below it, takes the roots and their
+multiplicities from one evaluation and exact divisions by X - r, with no
+squarefree gcd unless a root-free cofactor of degree 4 or more is left;
+distinct-degree factoring, for p*deg below it, reads its degree-1 stage
+so; and a root split, for p below it.  A caller that wants the roots mod
+p, simple or repeated, reads the linear factors of factor_mod_p.  One
+integer determinant, _bareiss_det (fraction-free Bareiss elimination),
+serves the discriminant, as the determinant of the n x n Bezout matrix of
+f and f', and the norms of elements of etale algebras.
 There are two prime searches over Q.  The Frobenius scan of factor_and_scan
 reads cycle shapes mod the good primes 2, 3, 5, ... (those prime to the
 discriminant) off distinct-degree factoring.  The shapes prove
@@ -71,14 +75,21 @@ SCAN_BOUND = 10 ** 5
 # a degree-7 f with group S_7, so a search past this could run for ever
 SPLIT_BOUND = 10 ** 4
 # roots mod p are read by evaluating at every residue (_linear_factors, p
-# Horner evaluations) below this, in two places.  A root split (the d = 1
-# case of _equal_degree_split) evaluates for p below it, and above it runs
+# Horner evaluations) below this, in three places.  factor_mod_p evaluates
+# for p*deg below it, and reads the multiplicity of each root by exact
+# divisions by X - r, where above it a takes Yun's gcd(a, a') first:
+# measured on seeded a with a repeated root (Python 3.11.7, a shared
+# 2-vCPU VM), evaluation took 57 us against 157 us by Yun at p = 191 and
+# degree 5, and stays the faster to p*deg = 2500 at degree 5 and 3500 at
+# degree 7, but at degree 3 one gcd of a cubic is the faster from p*deg
+# near 300.  The degree-1 stage of _distinct_degree evaluates for p*deg
+# below it, and above it takes X^p and one gcd: measured on seeded
+# squarefree a, the two routes cross between p*deg = 500 and 700 for
+# degrees 3, 5 and 7.  A root split (the d = 1 case of
+# _equal_degree_split) evaluates for p below it, and above it runs
 # Cantor-Zassenhaus (about log p products per split): measured, evaluation
 # is the faster below about 400 for two roots, 600 for three and 1000 for
-# five to eight.  The degree-1 stage of _distinct_degree evaluates for
-# p*deg below it, and above it takes X^p and one gcd: measured on seeded
-# squarefree a (Python 3.11.7, a shared 2-vCPU VM), the two routes cross
-# between p*deg = 500 and 700 for degrees 3, 5 and 7
+# five to eight
 ROOT_EVAL_BOUND = 512
 
 HENSEL_START = 20
@@ -127,12 +138,6 @@ class RatPoly:
     def is_zero(self) -> bool:
         return not self.num
 
-    @property
-    def lead(self) -> Fraction:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return Fraction(self.num[-1], self.den)
-
     def is_monic(self) -> bool:
         return self.den == 1 and self.num[-1:] == (1,)
 
@@ -172,17 +177,6 @@ class RatPoly:
 
     __radd__ = __add__
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError(f"negative power {n} of a polynomial")
-        out, base = _ratpoly([1], 1), self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def divmod(self, other: "RatPoly"):
         """(q, r) with self = q*other + r and deg r < deg other, by
@@ -531,17 +525,18 @@ def _linear_factors(a, p):
     return out
 
 
-def _distinct_degree(a, p):
+def _distinct_degree(a, p, d=0):
     """[(product of the irreducibles of degree d, d)] for a squarefree
     monic a over F_p: at each d, h = X^(p^d) rem f and gcd(h - X, f), f
     what is left of a (von zur Gathen and Gerhard, Modern Computer Algebra,
     14.2).  Where p*deg a < ROOT_EVAL_BOUND the degree-1 stage is read by
     evaluation instead (_linear_factors), each X - r an entry of its own,
     so that no caller evaluates again, and degree 2 starts from X^(p^2) rem
-    f, one mp_pow_mod of X."""
-    out, h, f, d, n = [], [0, 1], a, 0, p
-    if p * (len(a) - 1) < ROOT_EVAL_BOUND:
-        for g in _linear_factors(a, p):
+    f, one mp_pow_mod of X.  d = 1 says that the caller has read the roots
+    of a by evaluation and found none: the stages start at degree 2."""
+    out, h, f, n = [], [0, 1], a, p
+    if d or p * (len(a) - 1) < ROOT_EVAL_BOUND:
+        for g in [] if d else _linear_factors(a, p):
             out.append((g, 1))
             f = mp_divmod_monic(f, g, p)[0]
         d, n = 1, p * p
@@ -593,21 +588,41 @@ def _equal_degree_split(a, d, p, rng=None):
 
 def factor_mod_p(a, p: int) -> list[tuple[list[int], int]]:
     """Monic irreducible factorization over F_p of the coefficient list a,
-    as [(factor, multiplicity)], sorted by degree, then coefficients:
-    squarefree parts, then distinct degrees, then _equal_degree_split.
-    Where p*deg of a squarefree part is below ROOT_EVAL_BOUND its roots
-    come from _distinct_degree, one factor X - r each, and are evaluated
-    once; otherwise a product of linear factors is split by evaluation for
-    p below ROOT_EVAL_BOUND.  The seeded generator is built only for a
-    Cantor-Zassenhaus split."""
+    as [(factor, multiplicity)], sorted by degree, then coefficients.
+    Where p*deg a is below ROOT_EVAL_BOUND, one evaluation at every
+    residue reads the roots r (_linear_factors), and the multiplicity of r
+    is the number of exact divisions by X - r, by Horner's scheme; the
+    cofactor left has no root, so that at degree 2 or 3 it is irreducible
+    and is returned as it is, and only at degree 4 or more does it take
+    squarefree parts, distinct degrees from degree 2 on (no second
+    evaluation) and _equal_degree_split.  Otherwise a takes the same three
+    stages from the start; there a product of linear factors is split by
+    evaluation for p below ROOT_EVAL_BOUND.  The seeded generator is built
+    only for a Cantor-Zassenhaus split."""
     a = mp_trim([c % p for c in a])
     if not a:
         raise ValueError("cannot factor the zero polynomial")
     if len(a) == 1:
         return []
-    return sorted(((irr, mult) for g, mult in _sqfree_decomp(a, p)
-                   for h, d in _distinct_degree(g, p)
-                   for irr in _equal_degree_split(h, d, p)),
+    out, d = [], 0
+    if p * (len(a) - 1) < ROOT_EVAL_BOUND:
+        a, d = mp_scal(a, pow(a[-1], -1, p), p), 1
+        for g in _linear_factors(a, p):
+            m = 0
+            while True:
+                # a / (X - r) by Horner's scheme, g = X - r: the quotient
+                # from the top, then the remainder a(r)
+                q = [a[-1]]
+                for c in a[-2::-1]:
+                    q.append((c - g[0] * q[-1]) % p)
+                if q.pop():
+                    break
+                a, m = q[::-1], m + 1
+            out.append((g, m))
+    parts = [(a, 1)] if d and len(a) < 5 else _sqfree_decomp(a, p)
+    return sorted(out + [(irr, mult) for g, mult in parts
+                         for h, e in _distinct_degree(g, p, d)
+                         for irr in _equal_degree_split(h, e, p)],
                   key=lambda t: (len(t[0]), t[0]))
 
 

@@ -93,7 +93,9 @@ def _singular_point(a: tuple, p: int):
         raise ArithmeticError(f"Tate at p = 2, singular point: no point of "
                               f"{_show(a)} mod 2 is singular")
     # p odd: x0 is the multiple root of psi2 = 4x^3 + b2 x^2 + 2 b4 x + b6
-    # mod p (the multiple root is unique, hence F_p-rational)
+    # mod p (the multiple root is unique, hence F_p-rational).  factor_mod_p
+    # reads it, for p*3 below ROOT_EVAL_BOUND, from one evaluation of psi2
+    # at every residue and exact divisions by X - x0, with no gcd
     b2, b4, b6 = a1 * a1 + 4 * a2, 2 * a4 + a1 * a3, a3 * a3 + 4 * a6
     for g, mult in factor_mod_p([b6, 2 * b4, b2, 4], p):
         if mult >= 2 and len(g) == 2:

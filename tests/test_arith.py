@@ -41,6 +41,31 @@ def test_factor_roundtrip(n):
     assert [p for p, _ in f.factors] == sorted({p for p, _ in f.factors})
 
 
+def test_factor_around_the_trial_bound():
+    # trial division runs over the primes below 1000 only: products of
+    # primes on both sides of it, powers included, against a trial division
+    # by every integer
+    def by_every_integer(n):
+        out, d = {}, 2
+        while d * d <= n:
+            while n % d == 0:
+                out[d] = out.get(d, 0) + 1
+                n //= d
+            d += 1
+        if n > 1:
+            out[n] = out.get(n, 0) + 1
+        return tuple(sorted(out.items()))
+
+    rng = random.Random(36)
+    near = [2, 3, 5, 977, 983, 991, 997, 1009, 1013, 1019, 1021]
+    for _ in range(300):
+        n = math.prod(rng.choice(near) ** rng.randint(1, 3)
+                      for _ in range(rng.randint(1, 4)))
+        assert factor_integer(n).factors == by_every_integer(n), n
+    assert factor_integer(997 * 997).factors == ((997, 2),)
+    assert factor_integer(1009 * 1009).factors == ((1009, 2),)
+
+
 def test_factor_large_prime_factors(deadline):
     # past trial division: Brent's rho on the cofactor, is_prime on the rest
     mestre_disc = -1217 * 381991 * 78031093338905335441668500509

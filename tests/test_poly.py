@@ -8,6 +8,8 @@ from fractions import Fraction
 import distinct_degree_oracle
 import pytest
 import ratpoly_oracle as oracle
+import yun_oracle
+from gap_counts import sweep_pairs
 from hypothesis import given, settings, strategies as st
 
 from qdescent import poly
@@ -110,7 +112,7 @@ def test_discriminant_matches_the_fraction_oracle():
                 continue
             sign = -1 if q.degree * (q.degree - 1) // 2 % 2 else 1
             assert discriminant(q) == \
-                sign * sylvester_det_over_Q(q, q.deriv()) / q.lead
+                sign * sylvester_det_over_Q(q, q.deriv()) / q.coeffs[-1]
         # a square factor makes the discriminant vanish
         h = random_rational_poly(rng, rng.randint(1, 2))
         if (f * h * h).degree <= 8:
@@ -236,7 +238,7 @@ def test_ratpoly_arithmetic_matches_the_fraction_oracle():
         assert list((f + g).coeffs) == oracle.add(a, b), (f, g)
         assert list((f - g).coeffs) == oracle.sub(a, b), (f, g)
         assert list((f * g).coeffs) == oracle.mul(a, b), (f, g)
-        assert list((f ** 2).coeffs) == oracle.mul(a, a), f
+        assert list((f * f).coeffs) == oracle.mul(a, a), f
         assert list(f.deriv().coeffs) == oracle.deriv(a), f
         assert f.eval(x) == oracle.evaluate(a, x), (f, x)
         assert list(f.compose_linear(s, t).coeffs) \
@@ -584,12 +586,73 @@ def test_distinct_degree_matches_the_gcd_route():
     assert len(seen) == 8
 
 
+def repeated_factor_family(rng, count):
+    """count seeded (a, p), p = 2 a quarter of the time, 3 a quarter and
+    else an odd prime to 257, so that p*deg falls on both sides of
+    ROOT_EVAL_BOUND: a is a product of one to four monic factors of degree
+    1 to 3, each repeated one to three times, of degree at most 8; one in
+    eight is h^p, times a factor of degree 0 to 2, so that a' = 0 or a has
+    a p-th power part.  Each a is scaled by a unit and lifted off [0, p)."""
+    primes = [q for q in range(5, 258) if is_prime(q)]
+    made = 0
+    while made < count:
+        p = rng.choice([2, 3, rng.choice(primes), rng.choice(primes)])
+        if made % 8 == 0 and p <= 7:
+            h = [rng.randrange(p) for _ in range(rng.randint(1, 8 // p))]
+            a = [1]
+            for _ in range(p):
+                a = mp_mul(a, h + [1], p)
+            a = mp_mul(a, [rng.randrange(p) for _ in range(rng.randint(0, 2))]
+                       + [1], p)
+        else:
+            a = [1]
+            for _ in range(rng.randint(1, 4)):
+                h = [rng.randrange(p) for _ in range(rng.randint(1, 3))] + [1]
+                for _ in range(rng.randint(1, 3)):
+                    a = mp_mul(a, h, p)
+        if len(a) - 1 > 8:
+            continue
+        unit = rng.randrange(1, p)
+        yield [c * unit % p + p * rng.randint(-2, 2) for c in a], p
+        made += 1
+
+
+def test_factor_mod_p_matches_the_yun_route():
+    # roots and multiplicities from one evaluation and exact divisions by
+    # X - r, the root-free cofactor taken as it is up to degree 3: the same
+    # list, in the same order, as Yun's squarefree decomposition first
+    # (yun_oracle), on 7000 seeded inputs, 5000 or more with a repeated
+    # factor
+    assert factor_mod_p([1, 0, 1, 0, 1], 2) == [([1, 1, 1], 2)]
+    assert factor_mod_p([1, 0, 2, 0, 1], 3) == [([1, 0, 1], 2)]
+    assert factor_mod_p([1, 0, 0, 1], 3) == [([1, 1], 3)]
+    seen = {"p=2": 0, "p=3": 0, "repeated": 0, "a'=0": 0, "below": 0,
+            "above": 0, "cofactor >= 4": 0}
+    for a, p in repeated_factor_family(random.Random(3601), 7000):
+        fac = factor_mod_p(a, p)
+        assert fac == yun_oracle.factor_mod_p(a, p), (a, p)
+        monic = mp_scal(a, pow(a[-1], -1, p), p)
+        below = p * (len(monic) - 1) < poly.ROOT_EVAL_BOUND
+        seen["p=2"] += p == 2
+        seen["p=3"] += p == 3
+        seen["repeated"] += any(mult > 1 for _, mult in fac)
+        seen["a'=0"] += not poly.mp_deriv(monic, p)
+        seen["below" if below else "above"] += 1
+        seen["cofactor >= 4"] += below and sum(
+            (len(g) - 1) * mult for g, mult in fac if len(g) > 2) >= 4
+    assert seen["p=2"] >= 1000 and seen["p=3"] >= 1000, seen
+    assert seen["repeated"] >= 5000 and seen["a'=0"] >= 200, seen
+    assert seen["above"] >= 500 and seen["cofactor >= 4"] >= 200, seen
+
+
 def test_small_p_reads_the_roots_with_no_gcd(monkeypatch):
     # below the bound the degree-1 stage takes no power X^p and no gcd: the
     # first power is X^(p^2), each gcd belongs to a degree d >= 2, and a
-    # squarefree a of degree 3 or less takes neither.  factor_mod_p
-    # evaluates a squarefree a once.  Above the bound the first power of an
-    # a of degree 2 or more is X^p
+    # squarefree a of degree 3 or less takes neither.  Above the bound the
+    # first power of an a of degree 2 or more is X^p.  Below the bound
+    # factor_mod_p evaluates every a once, squarefree or not, its root-free
+    # cofactor of degree 4 or more included, and an a whose root-free
+    # cofactor has degree 3 or less takes no gcd, repeated roots included
     family = [(a, p) for a, p in distinct_degree_family(random.Random(3402))
               if all(mult == 1 for _, mult in factor_mod_p(a, p))]
     calls = []
@@ -621,10 +684,20 @@ def test_small_p_reads_the_roots_with_no_gcd(monkeypatch):
             assert not powers and not gcds, (a, p)
     assert len(below) >= 300
     spy("_linear_factors")
-    for a, p in below:
+    repeated = [(a, p) for a, p in repeated_factor_family(random.Random(3602),
+                                                          1500)
+                if p * (len(mp_trim([c % p for c in a])) - 1)
+                < poly.ROOT_EVAL_BOUND]
+    no_gcd = 0
+    for a, p in below + repeated:
         del calls[:]
-        factor_mod_p(a, p)
+        fac = factor_mod_p(a, p)
         assert sum(name == "_linear_factors" for name, _ in calls) == 1
+        cofactor = sum((len(g) - 1) * mult for g, mult in fac if len(g) > 2)
+        if cofactor <= 3:
+            assert not any(name == "mp_gcd" for name, _ in calls), (a, p)
+            no_gcd += any(mult > 1 for _, mult in fac)
+    assert len(repeated) >= 1000 and no_gcd >= 700
 
 
 def split_primes_oracle(f):
@@ -777,7 +850,7 @@ def test_factor_over_Z_repeats_each_factor_by_its_multiplicity():
                 break
         f = RatPoly([Fraction(rng.choice([1, -2, 3]), rng.choice([1, 5]))])
         for h, m in parts.items():
-            f = f * h ** m
+            f = f * math.prod([h] * m)
         want = sorted((h for h, m in parts.items() for _ in range(m)),
                       key=lambda h: (h.degree, h.coeffs))
         assert factor_over_Z(f) == want, f
@@ -929,17 +1002,10 @@ def test_factor_over_Z_finds_a_repeated_factor_by_the_discriminant(
     monkeypatch.setattr(poly, "discriminant", counted("disc", discriminant))
     monkeypatch.setattr(poly, "is_prime", counted("prime", poly.is_prime))
     quad = parse_poly("X^2+1")
-    f = quad ** 2 * parse_poly("3*X-1")
+    f = quad * quad * parse_poly("3*X-1")
     assert factor_over_Z(f) == [RatPoly([Fraction(-1, 3), 1]), quad, quad]
     assert events[:2] == [("disc", 5), ("disc", 3)]
     assert any(name == "prime" for name, _ in events)
-
-
-def test_negative_power_raises(deadline):
-    with deadline(5), pytest.raises(ValueError, match="negative power"):
-        RatPoly([1, 1]) ** -1
-    assert RatPoly([1, 1]) ** 0 == RatPoly([1])
-    assert RatPoly([1, 1]) ** 3 == RatPoly([1, 3, 3, 1])
 
 
 def test_rational_roots_88_digit_constant(deadline):
@@ -1189,22 +1255,6 @@ def test_split_structural_invariant():
     for p in (2, 3, 5, 23, 37, 191, 941):
         st_ = split(QUINTIC, p)
         assert sum(fc.degree for fc in st_) == 5
-
-
-def sweep_pairs(stride):
-    """Every stride-th draw of a seeded family, at p = 2, 3, 5, 7:
-    random.Random(8) draws 600 monic polynomials of each degree 3, 5 and 7
-    with the other coefficients in -12..12, and those with discriminant 0
-    are dropped (7176 pairs in all at stride 1).  Yields (f, disc f, p)."""
-    rng = random.Random(8)
-    polys = []
-    for d in (3, 5, 7):
-        for i in range(600):
-            f = RatPoly([rng.randint(-12, 12) for _ in range(d)] + [1])
-            disc = discriminant(f) if i % stride == 0 else 0
-            if disc:
-                polys.append((f, disc))
-    return [(f, disc, p) for f, disc in polys for p in (2, 3, 5, 7)]
 
 
 def test_split_sweep_invariants():
